@@ -1,15 +1,17 @@
 """Shared helpers for the benchmark harness.
 
-Every ``test_expN_*`` module reproduces one experiment from DESIGN.md's
-per-experiment index, prints a paper-style table (captured into
-EXPERIMENTS.md), and asserts the *shape* claims of the corresponding
-theorem.  ``pytest benchmarks/ --benchmark-only`` runs them; pass ``-s``
-to see the tables live.
+Every ``test_expN_*`` module reproduces one experiment (its module
+docstring says which claim), prints a paper-style table, and asserts
+the *shape* claims of the corresponding theorem.
+``pytest benchmarks/ --benchmark-only`` runs them; pass ``-s`` to see
+the tables live.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+import json
+from pathlib import Path
+from typing import Callable, Dict
 
 import pytest
 
@@ -46,9 +48,9 @@ def _lint_gate():
 def kernels_stamp() -> Dict[str, object]:
     """Kernel-tier provenance for ``BENCH_ingest.json``.
 
-    Every write site stamps this next to the ``lint`` field so each
-    trajectory point records *which* hot-path implementations produced
-    it (PR 8): the active ``REPRO_KERNELS`` tier, whether the compiled
+    :func:`update_bench_ingest` stamps this next to the ``lint`` field
+    so each trajectory point records *which* hot-path implementations
+    produced it (PR 8): the active ``REPRO_KERNELS`` tier, whether the compiled
     tier was even available, and how often ``auto`` silently fell back
     to numpy in this process.
     """
@@ -62,9 +64,10 @@ def kernels_stamp() -> Dict[str, object]:
 def numeric_provenance() -> Dict[str, object]:
     """RL013-RL016 proof provenance for ``BENCH_ingest.json``.
 
-    Stamped next to ``lint`` and ``kernels`` at every write site: the
-    rule-pack version and the kernel-tier verdict counts, so a
-    trajectory point records that the kernels it measured verified
+    Stamped next to ``lint`` and ``kernels`` by
+    :func:`update_bench_ingest`: the rule-pack version and the
+    kernel-tier verdict counts, so a trajectory point records that the
+    kernels it measured verified
     overflow-free and residue-canonical (all ``proved`` on a healthy
     tree; cached per process via ``repro.lint.stamp``).
     """
@@ -74,6 +77,30 @@ def numeric_provenance() -> Dict[str, object]:
         "verdicts": stamp["verdicts"],
         "findings": stamp["findings"],
     }
+
+
+BENCH_INGEST_PATH = Path(__file__).resolve().parents[1] / "BENCH_ingest.json"
+
+
+def update_bench_ingest(mutator: Callable[[dict], None]) -> None:
+    """Read-modify-write ``BENCH_ingest.json`` (EXP-12/14/15 share it).
+
+    ``mutator`` edits the loaded trajectory dict in place -- each
+    experiment owns its keys and must leave the others' alone, so a
+    solo run never wipes a sibling's numbers -- then the ``lint`` /
+    ``kernels`` / ``numeric`` provenance is re-stamped for the process
+    that produced the new numbers.
+    """
+    payload = {}
+    if BENCH_INGEST_PATH.exists():
+        payload = json.loads(BENCH_INGEST_PATH.read_text())
+    mutator(payload)
+    stamp = lint_stamp()
+    payload["lint"] = {"rule_pack": stamp["rule_pack"],
+                       "findings": stamp["findings"]}
+    payload["kernels"] = kernels_stamp()
+    payload["numeric"] = numeric_provenance()
+    BENCH_INGEST_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def run_churn(alg, n: int, phases: int, batch_size: int, seed: int,

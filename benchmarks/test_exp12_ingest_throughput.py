@@ -1,4 +1,4 @@
-"""EXP-12/EXP-13: sketch throughput, per-edge vs vectorized bulk.
+"""EXP-12: sketch ingestion throughput, per-edge vs vectorized bulk.
 
 The batch-dynamic regime funnels ~O(n^phi) updates per phase through the
 per-vertex AGM sketches, so ingestion throughput bounds every
@@ -6,7 +6,7 @@ algorithm's wall-clock.  EXP-12 measures edges/second for the same edge
 batch ingested
 
 * **sequentially** -- one :meth:`VertexSketch.apply_edge` call per
-  (edge, endpoint), the pre-vectorization hot path, and
+  (edge, endpoint), the scalar reference path, and
 * **bulk** -- one :meth:`SketchFamily.apply_edges_bulk` call, the
   group-by-endpoint scatter used by ``MPCConnectivity`` phases and
   ``preload``,
@@ -15,43 +15,27 @@ asserts the two leave bit-identical sketch state, and writes the
 numbers to ``BENCH_ingest.json`` so future PRs can track the perf
 trajectory.
 
-EXP-13 is the query-side twin at the same ``(n, batch)`` point: one AGM
-halving iteration's worth of work -- a zero test plus one column's
-cut-edge recovery for every supernode -- run
-
-* **sequentially** -- ``is_zero()`` + ``sample_column()`` per sketch,
-  the pre-vectorization query path, and
-* **bulk** -- one fused ``L0Sampler.query_many`` pass over all
-  supernodes (the primitive behind
-  ``SketchFamily.query_iteration_bulk``, the shape
-  ``_agm_replacements`` and the static AGM contraction consume),
-
-asserts bit-identical answers, and merges edges-recovered/second into
-the same ``BENCH_ingest.json``.
-
-Both experiments run at two ``(n, batch)`` points -- (512, 256) and
+The experiment runs at two ``(n, batch)`` points -- (512, 256) and
 (1024, 512) -- per the ROADMAP's trajectory-tracking item; the file
 keeps the n=512 numbers at the top level for continuity and the full
 per-point table under ``"points"``.  Families are pinned to the
-*sequential* execution backend: these experiments measure the
-vectorization win in isolation; the backend comparison is EXP-14
-(``test_exp14_backend_throughput.py``).
+*sequential* execution backend: this measures the vectorization win in
+isolation; the backend comparison is EXP-14
+(``test_exp14_backend_throughput.py``), and the production query path
+(membership groups) is measured end to end by ``bench/``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
-from conftest import kernels_stamp, numeric_provenance
+from conftest import update_bench_ingest
 
 from repro.analysis import print_table
-from repro.lint.stamp import lint_stamp
 from repro.sketch import SketchFamily
 
 #: (n, batch, reps) measurement points; the first is the legacy point
@@ -64,11 +48,6 @@ POINTS = [
 # to a conservative floor so shared-runner noise cannot fail the build
 # while local/driver runs still enforce the full 5x contract.
 SPEEDUP_FLOOR = float(os.environ.get("INGEST_SPEEDUP_FLOOR", "5.0"))
-# Same idea for the EXP-13 query side (acceptance contract: >= 3x).
-QUERY_SPEEDUP_FLOOR = float(os.environ.get("QUERY_SPEEDUP_FLOOR", "3.0"))
-
-_RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_ingest.json"
-
 
 def _columns_for(n: int) -> int:
     """The algorithms' default column count, max(4, ceil(2 log2 n))."""
@@ -94,20 +73,6 @@ def _fresh_family(n: int):
                           backend="sequential")
     sketches = {v: family.new_vertex_sketch(v) for v in range(n)}
     return family, sketches
-
-
-def _merge_results(update: dict) -> None:
-    """Read-modify-write the shared trajectory file."""
-    payload = {}
-    if _RESULT_PATH.exists():
-        payload = json.loads(_RESULT_PATH.read_text())
-    payload.update(update)
-    stamp = lint_stamp()
-    payload["lint"] = {"rule_pack": stamp["rule_pack"],
-                       "findings": stamp["findings"]}
-    payload["kernels"] = kernels_stamp()
-    payload["numeric"] = numeric_provenance()
-    _RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _time_sequential(n, edges):
@@ -187,7 +152,7 @@ def test_exp12_ingest_throughput(benchmark):
               for p in results]
     update = dict(points[0])  # legacy top-level keys: the n=512 point
     update["points"] = points
-    _merge_results(update)
+    update_bench_ingest(lambda payload: payload.update(update))
 
     for point in points:
         assert point["speedup"] >= SPEEDUP_FLOOR, (
@@ -270,7 +235,7 @@ def test_exp12_deletion_mix(benchmark):
         title=f"EXP-12 deletion mix (n={n}, updates={total}, "
               f"{delete_fraction:.0%} deletions, {speedup:.1f}x)",
     )
-    _merge_results({
+    update_bench_ingest(lambda payload: payload.update({
         "deletion_mix": {
             "n": n,
             "updates": total,
@@ -281,151 +246,9 @@ def test_exp12_deletion_mix(benchmark):
             "speedup": speedup,
             "reps": reps,
         }
-    })
+    }))
     assert speedup >= SPEEDUP_FLOOR, (
         f"deletion-mix bulk speedup {speedup:.2f}x below the "
         f"{SPEEDUP_FLOOR}x floor"
     )
     benchmark(lambda: run_bulk()[0])
-
-
-# ---------------------------------------------------------------------------
-# EXP-13: query throughput (the recovery side of the same pipeline)
-# ---------------------------------------------------------------------------
-
-QUERY_COLUMN = 0
-
-
-def _loaded_samplers(n: int, batch: int):
-    """A family with the EXP-12 batch ingested; one sampler per vertex.
-
-    The per-vertex sketches double as the "supernode" sketches of the
-    first AGM halving iteration, which is exactly the workload
-    ``_agm_replacements`` and the static contraction put on the query
-    path.
-    """
-    _, us, vs = _edge_batch(n, batch)
-    family, sketches = _fresh_family(n)
-    family.apply_edges_bulk(us, vs, np.ones(len(us), dtype=np.int64))
-    samplers = [sketches[v].sampler for v in range(n)]
-    return family, samplers
-
-
-def _query_sequential(family, samplers):
-    """Scalar zero test + one-column recovery per supernode."""
-    start = time.perf_counter()
-    zeros = [
-        all(s.matrix.column_is_zero(c) for c in range(family.columns))
-        for s in samplers
-    ]
-    edges = [
-        None if zero else s.sample_column(QUERY_COLUMN)
-        for s, zero in zip(samplers, zeros)
-    ]
-    elapsed = time.perf_counter() - start
-    return elapsed, zeros, edges
-
-
-def _query_bulk(family, samplers):
-    """One fused vectorized zero-test + recovery pass for all."""
-    from repro.sketch import L0Sampler
-
-    start = time.perf_counter()
-    zeros, found = L0Sampler.query_many(samplers, QUERY_COLUMN)
-    elapsed = time.perf_counter() - start
-    edges = [None if idx < 0 else int(idx) for idx in found]
-    return elapsed, [bool(z) for z in zeros], edges
-
-
-def _measure_query_point(n: int, batch: int, reps: int) -> dict:
-    family, samplers = _loaded_samplers(n, batch)
-
-    # Warm-up, then best-of-reps each way.
-    _query_sequential(family, samplers)
-    _query_bulk(family, samplers)
-    seq_time, seq_zeros, seq_edges = min(
-        (_query_sequential(family, samplers) for _ in range(reps)),
-        key=lambda triple: triple[0],
-    )
-    bulk_time, bulk_zeros, bulk_edges = min(
-        (_query_bulk(family, samplers) for _ in range(reps)),
-        key=lambda triple: triple[0],
-    )
-
-    # The batched query path must answer exactly what the scalar one
-    # does (the tentpole's correctness contract, mirroring EXP-12).
-    assert bulk_zeros == seq_zeros
-    assert bulk_edges == seq_edges
-
-    recovered = sum(1 for e in seq_edges if e is not None)
-    assert recovered > 0, "workload must actually recover edges"
-    return {
-        "n": n,
-        "batch": batch,
-        "query_supernodes": len(samplers),
-        "query_column": QUERY_COLUMN,
-        "query_edges_recovered": recovered,
-        "query_sequential_recovered_per_sec": recovered / seq_time,
-        "query_bulk_recovered_per_sec": recovered / bulk_time,
-        "query_speedup": seq_time / bulk_time,
-        "query_reps": reps,
-        "_seq_time": seq_time,
-        "_bulk_time": bulk_time,
-    }
-
-
-def test_exp13_query_throughput(benchmark):
-    rows = []
-    results = []
-    for n, batch, reps in POINTS:
-        point = _measure_query_point(n, batch, reps)
-        results.append((n, batch, point))
-        for name, secs, rps in (
-            ("per-supernode", point["_seq_time"],
-             point["query_sequential_recovered_per_sec"]),
-            ("bulk", point["_bulk_time"],
-             point["query_bulk_recovered_per_sec"]),
-        ):
-            rows.append({
-                "n": n,
-                "batch": batch,
-                "path": name,
-                "time/iteration (ms)": round(secs * 1e3, 3),
-                "edges recovered/sec": round(rps),
-            })
-    speedups = ", ".join("%.1fx" % p["query_speedup"]
-                         for _, _, p in results)
-    print_table(rows, title=f"EXP-13 query throughput "
-                            f"(speedups: {speedups})")
-
-    # Merge into the shared trajectory file: legacy top-level keys from
-    # the n=512 point, per-point numbers folded into the EXP-12 entries
-    # (matched on (n, batch), so a stale or reordered file on disk can
-    # never pair query numbers with the wrong measurement point).
-    payload = {}
-    if _RESULT_PATH.exists():
-        payload = json.loads(_RESULT_PATH.read_text())
-    points = payload.get("points", [])
-    clean = []
-    for n, batch, point in results:
-        entry = {k: v for k, v in point.items() if not k.startswith("_")}
-        clean.append(entry)
-        match = [p for p in points
-                 if (p.get("n"), p.get("batch")) == (n, batch)]
-        if match:
-            match[0].update(entry)
-        else:
-            points.append(entry)
-    payload.update(clean[0])
-    payload["points"] = points
-    _RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-
-    for n, _, point in results:
-        assert point["query_speedup"] >= QUERY_SPEEDUP_FLOOR, (
-            f"bulk query speedup {point['query_speedup']:.2f}x at n={n} "
-            f"below the {QUERY_SPEEDUP_FLOOR}x floor"
-        )
-
-    n, batch, _ = POINTS[0]
-    family, samplers = _loaded_samplers(n, batch)
-    benchmark(lambda: _query_bulk(family, samplers)[0])

@@ -1,6 +1,6 @@
 """EXP-14: execution-backend throughput, sequential vs shared-memory.
 
-EXP-12/13 measure the vectorization win inside one process; EXP-14
+EXP-12 measures the vectorization win inside one process; EXP-14
 measures the *execution backend* layer on top of it
 (:mod:`repro.mpc.backend`): the same fused ingestion + query workload
 run on
@@ -12,7 +12,9 @@ run on
 
 One rep is a realistic phase-shaped unit of work at n=1024: bulk-ingest
 a 4096-edge batch, answer one AGM halving iteration's fused zero-test +
-cut-edge recovery for every vertex row, then bulk-delete the batch
+cut-edge recovery over all vertex rows shipped as contiguous 8-row
+membership groups (``SketchFamily.query_iteration_groups``, the query
+shape every driver uses), then bulk-delete the batch
 (which keeps the pool state identical across reps and backends).  The
 experiment asserts the parallel backend is **bit-identical** to the
 sequential one -- same pool cells, same query answers -- and records
@@ -38,18 +40,15 @@ descriptors -- and records the win under
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
-from conftest import kernels_stamp, numeric_provenance
+from conftest import update_bench_ingest
 
 from repro import kernels
 from repro.analysis import print_table
-from repro.lint.stamp import lint_stamp
 from repro.mpc.backend import (
     SharedMemoryBackend,
     available_cpus,
@@ -63,6 +62,10 @@ COLUMNS = 20  # max(4, 2*log2(n)) for n = 1024, the algorithms' default
 REPS = 5
 WORKER_COUNTS = (2, 4)
 QUERY_COLUMN = 0
+#: The query phase ships every vertex row once, as N/8 supernodes.
+GROUP_ROWS = 8
+GROUPS = [np.arange(start, start + GROUP_ROWS, dtype=np.int64)
+          for start in range(0, N, GROUP_ROWS)]
 
 #: The small-batch fan-out point: at batch <= 64 a dispatch is all
 #: latency, no work, so it measures the descriptor *transport* -- the
@@ -85,8 +88,6 @@ else:
 SPEEDUP_FLOOR = float(os.environ.get("BACKEND_SPEEDUP_FLOOR",
                                      _DEFAULT_FLOOR))
 
-_RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_ingest.json"
-
 
 def _edge_batch(count: int = BATCH, seed: int = 2026):
     rng = np.random.default_rng(seed)
@@ -105,12 +106,11 @@ def _run_backend(backend, us, vs):
     """Best-of-REPS phase time on one backend, plus final state."""
     family = SketchFamily(N, columns=COLUMNS,
                           rng=np.random.default_rng(7), backend=backend)
-    samplers = [family.new_vertex_sketch(v).sampler for v in range(N)]
     ones = np.ones(len(us), dtype=np.int64)
 
     def phase():
         family.apply_edges_bulk(us, vs, ones)
-        answers = family.query_iteration_bulk(samplers, QUERY_COLUMN)
+        answers = family.query_iteration_groups(GROUPS, QUERY_COLUMN)
         family.apply_edges_bulk(us, vs, -ones)
         return answers
 
@@ -177,30 +177,23 @@ def test_exp14_backend_throughput(benchmark):
                             f"(n={N}, batch={BATCH}, cpus={cpus}, "
                             f"floor {SPEEDUP_FLOOR}x)")
 
-    payload = {}
-    if _RESULT_PATH.exists():
-        payload = json.loads(_RESULT_PATH.read_text())
     # Merge-update: the small-batch test nests its point under the same
     # key, and a solo run of this test must not wipe it.
-    payload.setdefault("exp14_backend", {}).update({
-        "n": N,
-        "batch": BATCH,
-        "columns": COLUMNS,
-        "reps": REPS,
-        "cpus": cpus,
-        "sequential_time_per_phase_sec": seq_time,
-        "sequential_throughput_per_sec": (2 * BATCH + N) / seq_time,
-        "workers": measured,
-        "speedup_4_workers": measured["4"]["speedup"],
-        "speedup_floor": SPEEDUP_FLOOR,
-        "kernel_tier": kernels.active_tier(),
-    })
-    stamp = lint_stamp()
-    payload["lint"] = {"rule_pack": stamp["rule_pack"],
-                       "findings": stamp["findings"]}
-    payload["kernels"] = kernels_stamp()
-    payload["numeric"] = numeric_provenance()
-    _RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    update_bench_ingest(
+        lambda payload: payload.setdefault("exp14_backend", {}).update({
+            "n": N,
+            "batch": BATCH,
+            "columns": COLUMNS,
+            "group_rows": GROUP_ROWS,
+            "reps": REPS,
+            "cpus": cpus,
+            "sequential_time_per_phase_sec": seq_time,
+            "sequential_throughput_per_sec": (2 * BATCH + N) / seq_time,
+            "workers": measured,
+            "speedup_4_workers": measured["4"]["speedup"],
+            "speedup_floor": SPEEDUP_FLOOR,
+            "kernel_tier": kernels.active_tier(),
+        }))
 
     assert measured["4"]["speedup"] >= SPEEDUP_FLOOR, (
         f"4-worker combined ingestion+query speedup "
@@ -300,28 +293,21 @@ def test_exp14_small_batch_fanout():
                             f"workers={SMALL_WORKERS}, cpus={cpus}, "
                             f"floor {SMALL_BATCH_RING_FLOOR}x)")
 
-    payload = {}
-    if _RESULT_PATH.exists():
-        payload = json.loads(_RESULT_PATH.read_text())
-    payload.setdefault("exp14_backend", {})["small_batch"] = {
-        "n": N,
-        "batch": SMALL_BATCH,
-        "workers": SMALL_WORKERS,
-        "reps": SMALL_REPS,
-        "cpus": cpus,
-        "sequential_time_per_phase_sec": seq_time,
-        "pipe_time_per_phase_sec": pipe_time,
-        "ring_time_per_phase_sec": ring_time,
-        "ring_vs_pipe_speedup": ring_vs_pipe,
-        "ring_floor": SMALL_BATCH_RING_FLOOR,
-        "kernel_tier": kernels.active_tier(),
-    }
-    stamp = lint_stamp()
-    payload["lint"] = {"rule_pack": stamp["rule_pack"],
-                       "findings": stamp["findings"]}
-    payload["kernels"] = kernels_stamp()
-    payload["numeric"] = numeric_provenance()
-    _RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    update_bench_ingest(
+        lambda payload: payload.setdefault("exp14_backend", {}).update(
+            small_batch={
+                "n": N,
+                "batch": SMALL_BATCH,
+                "workers": SMALL_WORKERS,
+                "reps": SMALL_REPS,
+                "cpus": cpus,
+                "sequential_time_per_phase_sec": seq_time,
+                "pipe_time_per_phase_sec": pipe_time,
+                "ring_time_per_phase_sec": ring_time,
+                "ring_vs_pipe_speedup": ring_vs_pipe,
+                "ring_floor": SMALL_BATCH_RING_FLOOR,
+                "kernel_tier": kernels.active_tier(),
+            }))
 
     assert ring_vs_pipe >= SMALL_BATCH_RING_FLOOR, (
         f"ring transport small-batch speedup {ring_vs_pipe:.2f}x vs the "

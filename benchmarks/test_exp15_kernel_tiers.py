@@ -1,7 +1,7 @@
 """EXP-15: per-kernel micro-benchmarks across ``REPRO_KERNELS`` tiers.
 
-EXP-12/13/14 measure composed hot paths (ingest, query, backend
-dispatch); EXP-15 isolates the ten dispatched kernels themselves
+EXP-12/14 measure composed hot paths (ingest, backend dispatch);
+EXP-15 isolates the ten dispatched kernels themselves
 (:mod:`repro.kernels`) at representative shapes -- the GF(2^61-1) limb
 arithmetic, level hashing, pool scatter, batch prefix decoder, and the
 group-merge / zero-test cell cores -- and times each one on every tier
@@ -25,17 +25,14 @@ kernel that caused it.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
-from conftest import kernels_stamp, numeric_provenance
+from conftest import update_bench_ingest
 
 from repro import kernels
 from repro.analysis import print_table
-from repro.lint.stamp import lint_stamp
 from repro.mpc.backend import available_cpus
 
 MERSENNE_P = (1 << 61) - 1
@@ -49,8 +46,6 @@ BATCH = 4096
 ELEMS = 65536
 REPS = 5
 Z = 1_234_567_891_234_567
-
-_RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_ingest.json"
 
 
 def _build_cases():
@@ -167,10 +162,7 @@ def test_exp15_kernel_tiers():
                             f"(tiers={'/'.join(tiers)}, reps={REPS}, "
                             f"cpus={available_cpus()})")
 
-    payload = {}
-    if _RESULT_PATH.exists():
-        payload = json.loads(_RESULT_PATH.read_text())
-    payload["exp15_kernels"] = {
+    update_bench_ingest(lambda payload: payload.update(exp15_kernels={
         "rows": ROWS,
         "columns": COLUMNS,
         "levels": LEVELS,
@@ -180,10 +172,4 @@ def test_exp15_kernel_tiers():
         "cpus": available_cpus(),
         "tiers": list(tiers),
         "kernels": recorded,
-    }
-    stamp = lint_stamp()
-    payload["lint"] = {"rule_pack": stamp["rule_pack"],
-                       "findings": stamp["findings"]}
-    payload["kernels"] = kernels_stamp()
-    payload["numeric"] = numeric_provenance()
-    _RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    }))

@@ -36,7 +36,7 @@ the cluster backend)::
 
     REPRO_BACKEND=shared_memory REPRO_BACKEND_WORKERS=2 python ...
 
-Six ``REPRO_BACKEND*`` knobs exist, all validated at read time -- a
+Five ``REPRO_BACKEND*`` knobs exist, all validated at read time -- a
 garbage value raises a clear error naming the variable instead of
 failing deep inside backend startup:
 
@@ -48,9 +48,8 @@ failing deep inside backend startup:
   number, default 120): a deadlocked or dead worker is *detected*
   within this bound instead of hanging the phase.
 * ``REPRO_BACKEND_RETRIES`` -- how many times a dispatch that lost a
-  worker is retried after respawning it (integer >= 0, default 2).
-* ``REPRO_BACKEND_BACKOFF`` -- exponential-backoff base between those
-  retries, in seconds (positive number, default 0.05).
+  worker is retried after respawning it (integer >= 0, default 2;
+  exponential backoff between attempts from a fixed 0.05 s base).
 * ``REPRO_BACKEND_FAULTS`` -- deterministic fault-injection plan for
   the worker fleet (see :mod:`repro.mpc.faults`), e.g.
   ``kill:w=1:n=3:op=apply`` or ``chaos:kill:every=400:seed=0`` -- how

@@ -1,8 +1,8 @@
 """Paper-style table rendering for the benchmark harness.
 
 Benchmarks accumulate dict rows and print them through
-:func:`render_table`, producing the aligned, monospaced tables recorded
-in EXPERIMENTS.md.
+:func:`render_table`, producing the aligned, monospaced tables the
+``benchmarks/test_exp*`` modules print (``pytest -s`` shows them).
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Theoretical resource bounds, as checkable formulas.
 
 The benchmarks print measured values next to these bounds so every
-EXPERIMENTS.md row is a direct theorem-vs-measurement comparison.  All
+``benchmarks/test_exp*`` table row is a direct theorem-vs-measurement
+comparison.  All
 constants are explicit arguments: the theorems hide them in O(.), the
 experiments sweep them.
 """

@@ -37,8 +37,6 @@ class AGMStaticConnectivity(BatchDynamicAlgorithm):
         self.family = SketchFamily(config.n, columns=columns,
                                    rng=self.cluster.rng,
                                    backend=self.cluster.backend)
-        self.sketches = {v: self.family.new_vertex_sketch(v)
-                         for v in range(config.n)}
         self.stats = {"query_iterations": 0, "sketch_failures": 0}
         self._register_memory()
 

@@ -53,8 +53,6 @@ class MPCConnectivity(BatchDynamicAlgorithm):
         self.family = SketchFamily(config.n, columns=columns,
                                    rng=self.cluster.rng,
                                    backend=self.cluster.backend)
-        self.sketches = {v: self.family.new_vertex_sketch(v)
-                         for v in range(config.n)}
         self.forest = DistributedEulerForest(config.n)
         self.components = ComponentIds(config.n)
         self.strict = strict

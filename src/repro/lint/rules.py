@@ -22,8 +22,7 @@ _CLEANUP_HINTS = ("close", "unlink", "release")
 #: Backend bulk-op / query_groups-family methods RL005 requires to be
 #: charged.  Kept in sync with SketchFamily's routed surface.
 BULK_OPS = frozenset({
-    "apply_edges_bulk", "apply_updates_bulk", "query_bulk",
-    "cuts_empty_bulk", "query_iteration_bulk", "query_iteration_groups",
+    "apply_edges_bulk", "apply_updates_bulk", "query_iteration_groups",
     "cuts_empty_groups", "scan_group", "query_groups", "update_grouped",
 })
 

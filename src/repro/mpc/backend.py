@@ -5,8 +5,9 @@ super-step still executed on one Python thread.  This module introduces
 the execution layer underneath the accounting: an :class:`ExecutionBackend`
 turns the family-level bulk operations -- edge-batch ingestion into a
 :class:`~repro.sketch.sparse_recovery.RecoveryPool` and the fused
-zero-test / cut-edge recovery over pool rows -- into *work descriptors*
-(numpy index arrays, never pickled sketches) and decides where they run:
+zero-test / cut-edge recovery over merged *groups* of pool rows -- into
+*work descriptors* (numpy index arrays, never pickled sketches) and
+decides where they run:
 
 * :class:`SequentialBackend` (the default) runs them in-process, exactly
   as before.  Zero overhead, zero dependencies, fully deterministic.
@@ -31,7 +32,7 @@ workload, not by correctness:
   costs more than the scatter it parallelizes.
 * ``shared_memory`` -- wins wall-clock when batches are large (thousands
   of entries per phase), ``n`` is large enough that pool scatters and
-  row queries dominate, and real cores are available.  Worker count
+  group queries dominate, and real cores are available.  Worker count
   defaults to ``min(4, cpus)``.
 
 Select it per run with ``MPCConfig(backend="shared_memory",
@@ -101,9 +102,9 @@ under a supervisor loop (:meth:`SharedMemoryBackend._dispatch_ops`):
   its token through the new pipe -- the shared-memory segments
   themselves survived the child, so no sketch state is lost.  The
   failed share of the dispatch is then retried with bounded exponential
-  backoff (``REPRO_BACKEND_RETRIES`` attempts beyond the first, base
-  delay ``REPRO_BACKEND_BACKOFF`` seconds -- validated at read time
-  like every other knob).
+  backoff (``REPRO_BACKEND_RETRIES`` attempts beyond the first --
+  validated at read time like every other knob -- with a base delay of
+  :data:`DEFAULT_BACKOFF` seconds).
 * **Scatter safety** -- a small shared **status slot** per worker makes
   mutating retries provably safe: the worker writes ``-opid`` before
   executing a routed op and ``+opid`` after, so the parent can classify
@@ -162,11 +163,11 @@ ENV_WORKERS = "REPRO_BACKEND_WORKERS"
 #: Seconds a single backend call may wait on workers before the call is
 #: declared dead (deadlocked worker -> SketchError instead of a hang).
 ENV_TIMEOUT = "REPRO_BACKEND_TIMEOUT"
-#: Supervisor knobs: retry attempts after respawning lost workers
-#: (integer >= 0, default 2) and the exponential-backoff base between
-#: attempts in seconds (positive, default 0.05).
+#: Supervisor knob: retry attempts after respawning lost workers
+#: (integer >= 0, default 2).
 ENV_RETRIES = "REPRO_BACKEND_RETRIES"
-ENV_BACKOFF = "REPRO_BACKEND_BACKOFF"
+#: Exponential-backoff base between those attempts, in seconds.
+DEFAULT_BACKOFF = 0.05
 
 SEQUENTIAL = "sequential"
 SHARED_MEMORY = "shared_memory"
@@ -190,16 +191,9 @@ def available_cpus() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-# Validated env readers live in repro.mpc.config (the one audited home
-# of os.environ access -- rule RL004); these aliases keep the backend's
-# historical private names importable.
-_env_int = env_int
-_env_float = env_float
-
-
 def default_worker_count() -> int:
     """Worker count when unspecified: env override, else ``min(4, cpus)``."""
-    env = _env_int(ENV_WORKERS, minimum=1)
+    env = env_int(ENV_WORKERS, minimum=1)
     if env is not None:
         return env
     return max(1, min(4, available_cpus()))
@@ -228,31 +222,30 @@ class PoolHandle:
         return self.shards.machines_of_vertices(slots)
 
 
-def _rows_of(pool, slots: np.ndarray) -> np.ndarray:
-    """The ``(k, 4, columns, levels)`` row stack for ``slots``.
-
-    The identity selection (all rows in order) is a zero-copy view,
-    mirroring :meth:`L0Sampler._stacked_cells`.
-    """
-    if (slots.shape[0] == pool.count
-            and np.array_equal(slots,
-                               np.arange(pool.count, dtype=np.int64))):
-        return pool.cells
-    return pool.cells[slots]
-
-
 class ExecutionBackend:
     """Protocol for executing pool-level sketch work.
 
-    ``attach_pool`` / ``detach_pool`` manage pool placement;
-    ``scatter_edges`` ingests an edge batch into both endpoints'
-    rows; ``query_rows`` / ``sample_rows`` / ``zero_rows`` answer the
-    fused AGM-iteration queries over pool rows.  ``last_split`` is
-    diagnostics: the per-*worker-shard* entry counts of the most recent
-    routed call (tests and experiments read it to see how work fanned
-    out).  Note worker shards are not model machines -- the per-machine
-    metrics attribution lives in the cluster layer, keyed by the
-    machine partition.
+    ``attach_pool`` / ``detach_pool`` manage pool placement.  Four
+    routed methods carry all sketch work, one bulk write and one bulk
+    read family:
+
+    * ``scatter_edges`` ingests an edge batch into both endpoints'
+      rows (wire op ``apply``);
+    * ``query_groups`` / ``zero_groups`` / ``scan_group`` answer the
+      AGM-iteration queries over *membership groups* -- per-supernode
+      lists of pool rows the backend merges where the pool lives (wire
+      ops ``gquery`` / ``gzero`` / ``gscan``).  A single row is the
+      size-1 group; there is no separate per-row query surface.
+
+    The wire op names are listed once in
+    :data:`repro.mpc.faults.ROUTED_OPS` and executed by
+    :func:`_execute_op`; ``tests/test_backend.py`` checks the three
+    lists (protocol methods, op table, fault grammar) stay closed over
+    each other.  ``last_split`` is diagnostics: the per-*worker-shard*
+    entry counts of the most recent routed call (tests and experiments
+    read it to see how work fanned out).  Note worker shards are not
+    model machines -- the per-machine metrics attribution lives in the
+    cluster layer, keyed by the machine partition.
     """
 
     name: str = "abstract"
@@ -286,21 +279,6 @@ class ExecutionBackend:
                       deltas: np.ndarray) -> None:
         """Ingest one edge batch: ``+delta`` into row ``hi[i]``,
         ``-delta`` into row ``lo[i]`` at coordinate ``idxs[i]``."""
-        raise NotImplementedError
-
-    def query_rows(self, handle: PoolHandle, slots: np.ndarray,
-                   cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Fused per-row zero test + one-column recovery."""
-        raise NotImplementedError
-
-    def sample_rows(self, handle: PoolHandle, slots: np.ndarray,
-                    cols: np.ndarray) -> np.ndarray:
-        """Per-row one-column recovery (no zero test)."""
-        raise NotImplementedError
-
-    def zero_rows(self, handle: PoolHandle,
-                  slots: np.ndarray) -> np.ndarray:
-        """Per-row all-columns zero test."""
         raise NotImplementedError
 
     # -- routed supernode (group) work ----------------------------------
@@ -392,29 +370,6 @@ class SequentialBackend(ExecutionBackend):
         )
         self.last_split = {0: int(slots.shape[0])}
 
-    def query_rows(self, handle: PoolHandle, slots: np.ndarray,
-                   cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        from repro.sketch.l0_sampler import query_cells
-
-        self.last_split = {0: int(slots.shape[0])}
-        return query_cells(_rows_of(handle.pool, slots), cols,
-                           handle.randomness)
-
-    def sample_rows(self, handle: PoolHandle, slots: np.ndarray,
-                    cols: np.ndarray) -> np.ndarray:
-        from repro.sketch.l0_sampler import sample_cells
-
-        self.last_split = {0: int(slots.shape[0])}
-        return sample_cells(_rows_of(handle.pool, slots), cols,
-                            handle.randomness)
-
-    def zero_rows(self, handle: PoolHandle,
-                  slots: np.ndarray) -> np.ndarray:
-        from repro.sketch.l0_sampler import is_zero_cells
-
-        self.last_split = {0: int(slots.shape[0])}
-        return is_zero_cells(_rows_of(handle.pool, slots))
-
     def query_groups(self, handle: PoolHandle,
                      groups: "List[np.ndarray]",
                      cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -488,7 +443,6 @@ def _execute_op(op: str, cells: np.ndarray, randomness,
     from repro.sketch.l0_sampler import (
         is_zero_cells,
         query_cells,
-        sample_cells,
         scan_group_cells,
     )
     from repro.sketch.sparse_recovery import pool_scatter
@@ -501,15 +455,6 @@ def _execute_op(op: str, cells: np.ndarray, randomness,
         pool_scatter(cells.reshape(-1), columns, levels, slots,
                      col_levels, idxs, deltas, zpows)
         return None
-    if op == "query":
-        slots, cols = args
-        return query_cells(cells[slots], cols, randomness)
-    if op == "sample":
-        slots, cols = args
-        return sample_cells(cells[slots], cols, randomness)
-    if op == "is_zero":
-        (slots,) = args
-        return is_zero_cells(cells[slots])
     if op == "gquery":
         glens, members, cols = args
         merged = _kernels.merge_groups(cells, members, glens)
@@ -687,16 +632,16 @@ class SharedMemoryBackend(ExecutionBackend):
         if self.num_workers < 1:
             raise ConfigurationError("need at least one worker")
         self.call_timeout = (call_timeout if call_timeout is not None
-                             else _env_float(ENV_TIMEOUT, 120.0))
+                             else env_float(ENV_TIMEOUT, 120.0))
         self.start_timeout = float(start_timeout)
         if retries is None:
-            env = _env_int(ENV_RETRIES, minimum=0)
+            env = env_int(ENV_RETRIES, minimum=0)
             retries = env if env is not None else 2
         if retries < 0:
             raise ConfigurationError("retries must be >= 0")
         self.retries = int(retries)
         if backoff is None:
-            backoff = _env_float(ENV_BACKOFF, 0.05)
+            backoff = DEFAULT_BACKOFF
         if backoff < 0:
             raise ConfigurationError("backoff must be >= 0 seconds")
         self.backoff = float(backoff)
@@ -1383,13 +1328,13 @@ class SharedMemoryBackend(ExecutionBackend):
 
     def _sharded_jobs(self, handle: PoolHandle, slots: np.ndarray,
                       payloads: List[np.ndarray],
-                      op: str) -> Tuple[List[tuple], Dict[int, np.ndarray]]:
+                      op: str) -> List[tuple]:
         """Split entry arrays by owning worker.
 
-        Returns logical ``(worker_id, op, arrays)`` shares plus the
-        per-worker entry masks.  Transport packing happens later, at
-        send time inside :meth:`_dispatch_ops`, so a retried share is
-        always re-packed against the respawned worker's reset ring.
+        Returns logical ``(worker_id, op, arrays)`` shares.  Transport
+        packing happens later, at send time inside
+        :meth:`_dispatch_ops`, so a retried share is always re-packed
+        against the respawned worker's reset ring.
         """
         with self._profile.timed("backend.shard"):
             owners = handle.owners_of(slots)
@@ -1401,19 +1346,17 @@ class SharedMemoryBackend(ExecutionBackend):
             starts = np.zeros(self.num_workers + 1, dtype=np.int64)
             np.cumsum(counts, out=starts[1:])
             jobs: List[tuple] = []
-            masks: Dict[int, np.ndarray] = {}
             split: Dict[int, int] = {}
             for wid in range(self.num_workers):
                 lo, hi = int(starts[wid]), int(starts[wid + 1])
                 if lo == hi:
                     continue
                 mask = order[lo:hi]
-                masks[wid] = mask
                 split[wid] = hi - lo
                 jobs.append((wid, op, [slots[mask],
                                        *[p[mask] for p in payloads]]))
             self.last_split = split
-        return jobs, masks
+        return jobs
 
     def _group_jobs(self, handle: PoolHandle, groups: "List[np.ndarray]",
                     cols: Optional[np.ndarray],
@@ -1424,31 +1367,30 @@ class SharedMemoryBackend(ExecutionBackend):
         pool row read-only, so group placement is a load-balancing
         choice, not a correctness constraint like the scatter shards.
         """
-        timer = self._profile.timed("backend.shard")
-        timer.__enter__()
-        loads = [0] * self.num_workers
-        assignment: Dict[int, List[int]] = {}
-        for i, members in enumerate(groups):
-            wid = min(range(self.num_workers),
-                      key=lambda w: (loads[w], w))
-            assignment.setdefault(wid, []).append(i)
-            loads[wid] += max(1, int(members.shape[0]))
-        jobs: List[tuple] = []
-        masks: Dict[int, np.ndarray] = {}
-        split: Dict[int, int] = {}
-        for wid, indices in assignment.items():
-            idx = np.asarray(indices, dtype=np.int64)
-            masks[wid] = idx
-            split[wid] = int(sum(groups[i].shape[0] for i in indices))
-            glens = np.fromiter((groups[i].shape[0] for i in indices),
-                                dtype=np.int64, count=len(indices))
-            members = np.concatenate([groups[i] for i in indices])
-            arrays = [glens, members]
-            if cols is not None:
-                arrays.append(cols[idx])
-            jobs.append((wid, op, arrays))
-        self.last_split = split
-        timer.__exit__(None, None, None)
+        with self._profile.timed("backend.shard"):
+            loads = [0] * self.num_workers
+            assignment: Dict[int, List[int]] = {}
+            for i, members in enumerate(groups):
+                wid = min(range(self.num_workers),
+                          key=lambda w: (loads[w], w))
+                assignment.setdefault(wid, []).append(i)
+                loads[wid] += max(1, int(members.shape[0]))
+            jobs: List[tuple] = []
+            masks: Dict[int, np.ndarray] = {}
+            split: Dict[int, int] = {}
+            for wid, indices in assignment.items():
+                idx = np.asarray(indices, dtype=np.int64)
+                masks[wid] = idx
+                split[wid] = int(sum(groups[i].shape[0]
+                                     for i in indices))
+                glens = np.fromiter((groups[i].shape[0] for i in indices),
+                                    dtype=np.int64, count=len(indices))
+                members = np.concatenate([groups[i] for i in indices])
+                arrays = [glens, members]
+                if cols is not None:
+                    arrays.append(cols[idx])
+                jobs.append((wid, op, arrays))
+            self.last_split = split
         return jobs, masks
 
     def scatter_edges(self, handle: PoolHandle, hi: np.ndarray,
@@ -1458,46 +1400,13 @@ class SharedMemoryBackend(ExecutionBackend):
         slots = np.concatenate([hi, lo])
         all_idxs = np.concatenate([idxs, idxs])
         signed = np.concatenate([deltas, -deltas])
-        jobs, _ = self._sharded_jobs(handle, slots, [all_idxs, signed],
-                                     "apply")
+        jobs = self._sharded_jobs(handle, slots, [all_idxs, signed],
+                                  "apply")
         self._dispatch_ops(handle, jobs, mutating=True)
         # Mass bookkeeping -- and any due renormalization -- happens in
         # the parent after the barrier, the same point in the update
         # order as the sequential path's apply_points.
         handle.pool.record_mass(slots, signed)
-
-    def query_rows(self, handle: PoolHandle, slots: np.ndarray,
-                   cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        self._flush_detaches()
-        jobs, masks = self._sharded_jobs(handle, slots, [cols], "query")
-        results = self._dispatch_ops(handle, jobs)
-        zeros = np.zeros(slots.shape[0], dtype=bool)
-        found = np.full(slots.shape[0], -1, dtype=np.int64)
-        for wid, payload in results.items():
-            z, f = payload
-            zeros[masks[wid]] = z
-            found[masks[wid]] = f
-        return zeros, found
-
-    def sample_rows(self, handle: PoolHandle, slots: np.ndarray,
-                    cols: np.ndarray) -> np.ndarray:
-        self._flush_detaches()
-        jobs, masks = self._sharded_jobs(handle, slots, [cols], "sample")
-        results = self._dispatch_ops(handle, jobs)
-        found = np.full(slots.shape[0], -1, dtype=np.int64)
-        for wid, payload in results.items():
-            found[masks[wid]] = payload
-        return found
-
-    def zero_rows(self, handle: PoolHandle,
-                  slots: np.ndarray) -> np.ndarray:
-        self._flush_detaches()
-        jobs, masks = self._sharded_jobs(handle, slots, [], "is_zero")
-        results = self._dispatch_ops(handle, jobs)
-        zeros = np.zeros(slots.shape[0], dtype=bool)
-        for wid, payload in results.items():
-            zeros[masks[wid]] = payload
-        return zeros
 
     def query_groups(self, handle: PoolHandle,
                      groups: "List[np.ndarray]",

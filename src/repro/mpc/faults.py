@@ -76,8 +76,7 @@ ENV_FAULTS = "REPRO_BACKEND_FAULTS"
 KINDS = ("kill", "hang", "delay", "drop", "truncate")
 
 #: Routed op names a fault may filter on (the backend wire ops).
-ROUTED_OPS = ("apply", "query", "sample", "is_zero", "gquery", "gzero",
-              "gscan")
+ROUTED_OPS = ("apply", "gquery", "gzero", "gscan")
 
 
 @dataclass(frozen=True)

@@ -12,20 +12,22 @@ path is bit-identical to the sequential one (asserted by
 ``tests/test_bulk_ingestion.py``) and roughly an order of magnitude
 faster per batch (``benchmarks/test_exp12_ingest_throughput.py``).
 
-Bulk queries: the recovery side has the same array-in/array-out
-flavour.  ``RecoveryMatrix.recover_many`` / ``column_is_zero_many``
-decode whole column blocks with the limb arithmetic
-(``recover_from_prefix`` is the shared decoder), ``decode_indices``
-inverts the edge coding for whole batches, and on top of them
-``L0Sampler.sample_columns`` (many columns of one sampler),
-``L0Sampler.sample_many`` / ``is_zero_many`` (one column across many
-samplers sharing randomness), and the family-level router
-``SketchFamily.query_bulk`` / ``cuts_empty_bulk`` answer a whole AGM
-halving iteration's queries in one pass.  ``MergeScratch`` recycles
-merge accumulators across query phases, and the scalar hash memos use
-LRU eviction (``LRUMemo``).  Bit-identical to the sequential query
-path (``tests/test_bulk_query.py``); throughput tracked by EXP-13 in
-``benchmarks/test_exp12_ingest_throughput.py``.
+Bulk queries: the recovery side has one array-in/array-out surface,
+*membership groups* of pool rows.  ``SketchFamily.query_iteration_groups``
+/ ``cuts_empty_groups`` / ``scan_group`` ship per-supernode vertex-row
+lists to the execution backend, which sums the member rows
+(``merge_group_cells``) and answers a whole AGM halving iteration in one
+pass over the cores ``query_cells`` / ``is_zero_cells``;
+``RecoveryMatrix.recover_many`` / ``column_is_zero_many`` and
+``L0Sampler.sample_columns`` decode many columns of one sketch
+(``recover_from_prefix`` is the shared decoder) and ``decode_indices``
+inverts the edge coding for whole batches.  The scalar path
+(``L0Sampler.update`` / ``sample_column`` / ``is_zero``,
+``MergedSketch``, the ``LRUMemo`` hash memos) stays as the size-1
+production shortcut and as the oracle: ``tests/test_bulk_query.py`` and
+``tests/test_backend.py`` assert the bulk answers are bit-identical to
+it; production query cost is tracked by ``bench/``
+(``sketch.query_groups_ms``, ``kernels.merge_groups_ms``).
 """
 
 # Exception classes live in :mod:`repro.errors` (the one hierarchy all
@@ -62,11 +64,9 @@ from repro.sketch.l0_sampler import (
     is_zero_cells,
     levels_for_universe,
     query_cells,
-    sample_cells,
 )
 from repro.sketch.sparse_recovery import (
     RENORM_MASS,
-    MergeScratch,
     RecoveryMatrix,
     RecoveryPool,
     pool_scatter,
@@ -103,9 +103,7 @@ __all__ = [
     "is_zero_cells",
     "levels_for_universe",
     "query_cells",
-    "sample_cells",
     "RENORM_MASS",
-    "MergeScratch",
     "RecoveryMatrix",
     "RecoveryPool",
     "pool_scatter",

@@ -25,34 +25,31 @@ one ``np.add.at`` pass per quantity.  This is bit-identical to calling
 algorithms (``MPCConnectivity``, preload, MSF, bipartiteness) route
 their sketch updates through it.
 
-Bulk queries are the mirror image: :meth:`SketchFamily.query_bulk`
-answers one column's cut-edge query for *many* merged supernode
-sketches in a single vectorized recovery (the per-iteration shape of
-the AGM halving), :meth:`SketchFamily.cuts_empty_bulk` batches the
-zero tests, and :meth:`MergedSketch.sample_cut_edges` decodes a whole
-column scan of one merged sketch at once.  All are bit-identical to
-their scalar counterparts.
+Bulk queries are the mirror image, and they have one shape:
+*membership groups*.  The deletion path only ever queries merged
+fragment sketches (Section 6.3), so
+:meth:`SketchFamily.query_iteration_groups` answers one column's
+cut-edge query for many supernodes given as per-supernode vertex-row
+lists (the per-iteration shape of the AGM halving),
+:meth:`SketchFamily.cuts_empty_groups` batches the zero tests, and
+:meth:`SketchFamily.scan_group` decodes a whole column scan of one
+merged group at once.  A single vertex is the size-1 group.  All are
+bit-identical to the scalar reference, :class:`MergedSketch` over the
+member :class:`VertexSketch` stacks, which the tests use as oracle.
 
 Execution backends
 ------------------
 Where the bulk work *runs* is the execution backend's decision
 (:mod:`repro.mpc.backend`): the family registers its pool with the
 backend at construction, :meth:`SketchFamily.apply_edges_bulk` hands
-the backend per-edge descriptors, and the bulk query routers detect
-when every queried sampler is a pool row and route those through the
-backend too (standalone merged sketches are answered in-process).  On
-the default :class:`~repro.mpc.backend.SequentialBackend` this is the
-old in-process path verbatim; on the shared-memory cluster backend the
-same descriptors fan out to worker processes, bit-identically.
-
-Merged supernodes route through the backend too, as *membership*:
-:meth:`SketchFamily.query_iteration_groups` /
-:meth:`SketchFamily.cuts_empty_groups` / :meth:`SketchFamily.scan_group`
-ship per-supernode vertex-row lists instead of materialised merged
-cells -- the backend sums the member rows against the already-shared
-pool where it lives and returns only the recovered edges, which is what
-keeps the AGM halving iterations' per-round communication small on the
-cluster backend.
+the backend per-edge descriptors, and the group queries hand it the
+membership lists instead of materialised merged cells -- the backend
+sums the member rows against the pool where it lives and returns only
+the recovered edges, which is what keeps the AGM halving iterations'
+per-round communication small on the cluster backend.  On the default
+:class:`~repro.mpc.backend.SequentialBackend` this runs in-process; on
+the shared-memory cluster backend the same descriptors fan out to
+worker processes, bit-identically.
 """
 
 from __future__ import annotations
@@ -73,7 +70,7 @@ from repro.sketch.edge_coding import (
     num_pairs,
 )
 from repro.sketch.l0_sampler import L0Sampler, SamplerRandomness
-from repro.sketch.sparse_recovery import MergeScratch, RecoveryPool
+from repro.sketch.sparse_recovery import RecoveryPool
 from repro.types import Edge
 
 
@@ -83,7 +80,8 @@ class SketchFamily:
     ``columns`` plays the role of the paper's ``t = O(log n)``
     independent sketches per vertex: batch deletions consume one column
     per AGM halving iteration (Section 6.3), and column rotation across
-    phases keeps reuse of revealed randomness bounded (DESIGN.md, D3).
+    phases (``MPCConnectivity._column_cursor``) keeps reuse of revealed
+    randomness bounded.
 
     The family also owns the :class:`RecoveryPool` backing every
     vertex sketch it hands out, which is what lets
@@ -186,66 +184,6 @@ class SketchFamily:
                 out[pos] = (u, v)
         return out
 
-    def query_bulk(self, samplers: "list[L0Sampler]",
-                   column) -> "List[Optional[Edge]]":
-        """Batched cut-edge sampling across many merged sketches.
-
-        ``samplers`` are merged (supernode) samplers sharing this
-        family's randomness; ``column`` is one shared column index or
-        a per-sampler array.  One vectorized recovery answers every
-        supernode's query for the iteration -- entry ``i`` equals
-        decoding ``samplers[i].sample_column(column[i])``, with
-        ``None`` where recovery rejected.  This is the query-side twin
-        of :meth:`apply_edges_bulk`.
-
-        When every sampler is a row of this family's pool (the
-        per-vertex sketches), the query routes through the execution
-        backend -- sharded across worker processes on the cluster
-        backend; standalone merged sketches are answered in-process.
-        """
-        slots = self._pool_slots(samplers)
-        if slots is None:
-            return self.decode_many(L0Sampler.sample_many(samplers,
-                                                          column))
-        cols = self._broadcast_columns(column, slots.shape[0])
-        return self.decode_many(
-            self.backend.sample_rows(self._pool_handle, slots, cols)
-        )
-
-    def cuts_empty_bulk(self, samplers: "list[L0Sampler]") -> np.ndarray:
-        """Vectorized ``is_zero`` across many merged sketches.
-
-        Boolean array: entry ``i`` is True iff ``samplers[i]`` sketches
-        the zero vector, i.e. its vertex set has an empty cut (w.h.p.).
-        Pool-row sampler lists route through the execution backend.
-        """
-        slots = self._pool_slots(samplers)
-        if slots is None:
-            return L0Sampler.is_zero_many(samplers)
-        return self.backend.zero_rows(self._pool_handle, slots)
-
-    def query_iteration_bulk(
-        self, samplers: "list[L0Sampler]", column
-    ) -> "Tuple[np.ndarray, List[Optional[Edge]]]":
-        """One halving iteration's zero tests + cut-edge samples.
-
-        Fuses :meth:`cuts_empty_bulk` and :meth:`query_bulk` over a
-        single cell stack (:meth:`L0Sampler.query_many`): returns
-        ``(zeros, edges)`` where ``zeros[i]`` is the supernode's empty
-        -cut test and ``edges[i]`` its decoded sample from ``column``
-        (``None`` for empty cuts and failed recovery).  The one-call
-        shape both AGM contraction drivers consume per iteration.
-        Pool-row sampler lists route through the execution backend.
-        """
-        slots = self._pool_slots(samplers)
-        if slots is None:
-            zeros, found = L0Sampler.query_many(samplers, column)
-        else:
-            cols = self._broadcast_columns(column, slots.shape[0])
-            zeros, found = self.backend.query_rows(self._pool_handle,
-                                                   slots, cols)
-        return zeros, self.decode_many(found)
-
     # -- membership-shipped supernode queries ---------------------------
     def query_iteration_groups(
         self, groups, column
@@ -307,27 +245,9 @@ class SketchFamily:
             out.append(arr)
         return out
 
-    # -- backend routing helpers ----------------------------------------
-    def _pool_slots(self, samplers: "list[L0Sampler]"
-                    ) -> Optional[np.ndarray]:
-        """Slot array when *every* sampler is a row of this family's
-        pool; ``None`` otherwise (standalone/merged sketches answer
-        in-process).  Empty lists return ``None`` so the L0Sampler
-        statics keep raising their usual error."""
-        if not samplers:
-            return None
-        pool = self.pool
-        slots = np.empty(len(samplers), dtype=np.int64)
-        for i, sampler in enumerate(samplers):
-            matrix = sampler.matrix
-            if matrix._pool is not pool:
-                return None
-            slots[i] = matrix._pool_slot
-        return slots
-
     @staticmethod
     def _broadcast_columns(column, k: int) -> np.ndarray:
-        """One shared column index or per-sampler array -> ``(k,)``."""
+        """One shared column index or per-group array -> ``(k,)``."""
         return np.ascontiguousarray(
             np.broadcast_to(np.asarray(column, dtype=np.int64), (k,))
         )
@@ -468,8 +388,7 @@ class MergedSketch:
         self.sampler = sampler
 
     @staticmethod
-    def of(members: Iterable[VertexSketch],
-           scratch: Optional[MergeScratch] = None) -> "MergedSketch":
+    def of(members: Iterable[VertexSketch]) -> "MergedSketch":
         stacks: List[VertexSketch] = list(members)
         if not stacks:
             raise ValueError("cannot merge an empty vertex set")
@@ -477,8 +396,7 @@ class MergedSketch:
         for stack in stacks:
             if stack.family is not family:
                 raise ValueError("vertex sketches from different families")
-        merged = L0Sampler.merged([s.sampler for s in stacks],
-                                  scratch=scratch)
+        merged = L0Sampler.merged([s.sampler for s in stacks])
         return MergedSketch(family, merged)
 
     def sample_cut_edge(self, column: int = 0) -> Optional[Edge]:

@@ -21,11 +21,16 @@ a loop of :meth:`L0Sampler.update` calls, minus the per-update Python
 dispatch.
 
 Bulk queries mirror it on the way out: :meth:`L0Sampler.sample_columns`
-decodes many columns of one sampler in a single pass, and the static
-:meth:`L0Sampler.sample_many` / :meth:`L0Sampler.is_zero_many` stack
-the cells of many samplers sharing one randomness and answer all of
-them at once -- the shape the AGM halving iterations consume (one
-column across all live supernodes per iteration).
+decodes many columns of one sampler in a single pass, and the
+cell-block cores below (:func:`query_group_cells`,
+:func:`zero_group_cells`, :func:`scan_group_cells`) answer whole
+membership groups of pool rows at once -- the shape the AGM halving
+iterations consume (one column across all live supernodes per
+iteration) and the only bulk query surface the execution backends
+route.  The scalar methods (:meth:`L0Sampler.update`,
+:meth:`~L0Sampler.sample_column`, :meth:`~L0Sampler.is_zero`) stay as
+the size-1 production shortcut and as the oracle the bulk paths are
+tested against.
 """
 
 from __future__ import annotations
@@ -42,14 +47,12 @@ from repro.sketch.hashing import (
     LRUMemo,
     MERSENNE_P,
     PairwiseHash,
-    mulmod_many,
     poly_field_values,
     random_field_element,
     trailing_zeros,
     trailing_zeros_many,
 )
 from repro.sketch.sparse_recovery import (
-    MergeScratch,
     RecoveryMatrix,
     _suffix_cumsum,
     merge_group_cells,
@@ -82,7 +85,8 @@ class SamplerRandomness:
     family and derive all samplers from it.
 
     Scalar lookups (:meth:`levels_of`, :meth:`zpow`) memoize per
-    coordinate in bounded FIFO caches; the array flavours
+    coordinate in bounded LRU caches
+    (:class:`~repro.sketch.hashing.LRUMemo`); the array flavours
     (:meth:`levels_of_many`, :meth:`zpow_many`) recompute vectorized --
     for a batch, the array path is far cheaper than filling the caches.
     """
@@ -210,18 +214,6 @@ class SamplerRandomness:
         """Verify ``F == W * z^idx`` and the level membership of ``idx``."""
         return (w % MERSENNE_P) * self.zpow(idx) % MERSENNE_P == f
 
-    def fingerprint_ok_many(self, idxs: np.ndarray, ws: np.ndarray,
-                            fs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`fingerprint_ok` over candidate arrays.
-
-        ``ws`` may be any int64 values (reduced mod p first, matching
-        the scalar path); ``fs`` are combined fingerprints in
-        ``[0, p)``.  Bit-identical to the scalar check per candidate.
-        """
-        wm = (ws % MERSENNE_P).astype(np.uint64)
-        zp = self.zpow_many(idxs).astype(np.uint64)
-        return mulmod_many(wm, zp).astype(np.int64) == fs
-
 
 def _randomness_from_params(universe, columns, z,
                             level_coeffs) -> SamplerRandomness:
@@ -235,25 +227,14 @@ def _randomness_from_params(universe, columns, z,
 # Cell-block query cores
 # ---------------------------------------------------------------------------
 # The vectorized query primitives, factored to operate on a raw
-# ``(k, 4, columns, levels)`` cell stack.  The L0Sampler statics wrap
-# them for sampler lists; the execution backends call them directly on
-# row shards of a shared-memory pool -- one definition, so every route
-# answers bit-identically.
+# ``(k, 4, columns, levels)`` cell stack.  Both execution backends and
+# the worker processes call them on (merged groups of) rows of a
+# family pool -- one definition, so every route answers
+# bit-identically.
 
 def is_zero_cells(cells: np.ndarray) -> np.ndarray:
     """Per-row all-columns zero test over a ``(k, 4, c, L)`` stack."""
     return _kernels.is_zero_cells(cells)
-
-
-def sample_cells(cells: np.ndarray, cols: np.ndarray,
-                 randomness: SamplerRandomness) -> np.ndarray:
-    """Per-row one-column recovery; ``cols`` has shape ``(k,)``."""
-    k = cells.shape[0]
-    block = cells[np.arange(k), :, cols, :]            # (k, 4, levels)
-    prefix = np.cumsum(block[..., ::-1], axis=-1)[..., ::-1]
-    return _kernels.decode_prefix(
-        prefix.transpose(1, 0, 2), randomness.universe, randomness.z
-    )
 
 
 def query_cells(cells: np.ndarray, cols: np.ndarray,
@@ -286,9 +267,9 @@ def query_group_cells(cells: np.ndarray, groups: "List[np.ndarray]",
 
     ``groups`` is a list of row-index arrays into ``cells`` (supernode
     membership); group ``i`` is merged by summing its member rows and
-    queried on column ``cols[i]``.  The membership-shipped twin of
-    :func:`query_cells`: the execution backends run this where the pool
-    lives, so the parent never materialises merged supernode cells.
+    queried on column ``cols[i]``.  The execution backends run this
+    where the pool lives, so the parent never materialises merged
+    supernode cells.
     Answers are bit-identical to merging first and querying after (see
     :func:`~repro.sketch.sparse_recovery.merge_group_cells`).
     """
@@ -319,9 +300,8 @@ def scan_group_cells(cells: np.ndarray, members: np.ndarray,
     if bool(is_zero_cells(merged)[0]):
         return True, np.full(cols.shape[0], -1, dtype=np.int64)
     prefix = _suffix_cumsum(merged[0][:, cols, :])       # (4, k, L)
-    return False, recover_from_prefix(
-        prefix, randomness.universe, randomness.fingerprint_ok_many
-    )
+    return False, recover_from_prefix(prefix, randomness.universe,
+                                      randomness.z)
 
 
 def update_grouped(samplers, randomness: SamplerRandomness,
@@ -430,14 +410,11 @@ class L0Sampler:
         return L0Sampler(self.randomness, self.matrix.copy())
 
     @staticmethod
-    def merged(samplers: "list[L0Sampler]",
-               scratch: Optional[MergeScratch] = None) -> "L0Sampler":
+    def merged(samplers: "list[L0Sampler]") -> "L0Sampler":
         """A fresh sampler holding the sum of the given samplers.
 
-        With ``scratch`` given, the accumulator matrix comes from the
-        scratch pool (valid until the pool's next ``reset``) instead
-        of a per-merge allocation.  Empty input or mixed randomness
-        raises :class:`~repro.errors.SketchError`.
+        Empty input or mixed randomness raises
+        :class:`~repro.errors.SketchError`.
         """
         if not samplers:
             raise SketchError("need at least one sampler")
@@ -447,8 +424,7 @@ class L0Sampler:
                 raise SketchError("mixed randomness in merge")
         return L0Sampler(
             randomness,
-            RecoveryMatrix.sum_of([s.matrix for s in samplers],
-                                  scratch=scratch),
+            RecoveryMatrix.sum_of([s.matrix for s in samplers]),
         )
 
     # ------------------------------------------------------------------
@@ -466,8 +442,7 @@ class L0Sampler:
         ``None``.  Bit-identical to the scalar scan per column.
         """
         return self.matrix.recover_many(
-            cols, self.randomness.universe,
-            self.randomness.fingerprint_ok_many,
+            cols, self.randomness.universe, self.randomness.z
         )
 
     def sample(self, start_column: int = 0) -> Optional[int]:
@@ -494,85 +469,6 @@ class L0Sampler:
         level-axis reduction checks all columns at once.
         """
         return bool(self.matrix.column_is_zero_many().all())
-
-    # -- batched queries over many samplers -----------------------------
-    @staticmethod
-    def _stacked_cells(samplers: "list[L0Sampler]") -> np.ndarray:
-        """The ``(k, 4, columns, levels)`` cell stack of many samplers.
-
-        All samplers must share one :class:`SamplerRandomness`;
-        violations raise :class:`~repro.errors.SketchError`.  When
-        every sampler is a view into the same
-        :class:`~repro.sketch.sparse_recovery.RecoveryPool` the stack
-        is a single fancy gather from the pool block -- and the
-        identity gather (all slots in order) is a zero-copy view.  The
-        result is read-only by convention: every batched query only
-        reads it.
-        """
-        if not samplers:
-            raise SketchError("need at least one sampler")
-        randomness = samplers[0].randomness
-        for sampler in samplers:
-            if sampler.randomness is not randomness:
-                raise SketchError("mixed randomness in batched query")
-        pool = samplers[0].matrix._pool
-        if pool is not None and all(s.matrix._pool is pool
-                                    for s in samplers):
-            slots = np.fromiter((s.matrix._pool_slot for s in samplers),
-                                dtype=np.int64, count=len(samplers))
-            if (len(samplers) == pool.count
-                    and np.array_equal(slots,
-                                       np.arange(pool.count,
-                                                 dtype=np.int64))):
-                return pool.cells
-            return pool.cells[slots]
-        return np.stack([s.matrix.cells for s in samplers])
-
-    @staticmethod
-    def query_many(samplers: "list[L0Sampler]",
-                   columns) -> "tuple[np.ndarray, np.ndarray]":
-        """One AGM halving iteration's answers for many samplers.
-
-        Fuses :meth:`is_zero_many` and :meth:`sample_many` over a
-        single cell stack: returns ``(zeros, found)`` where
-        ``zeros[i] == samplers[i].is_zero()`` and ``found[i]`` is
-        ``samplers[i].sample_column(columns[i])`` for the non-zero
-        samplers (``-1`` both for zero sketches and failed recovery).
-        Only the live rows pay for recovery, which is what the
-        halving-iteration consumers need: dead supernodes are detected
-        and skipped inside the same vectorized pass.
-        """
-        cells = L0Sampler._stacked_cells(samplers)
-        cols = np.broadcast_to(np.asarray(columns, dtype=np.int64),
-                               (cells.shape[0],))
-        return query_cells(cells, cols, samplers[0].randomness)
-
-    @staticmethod
-    def is_zero_many(samplers: "list[L0Sampler]") -> np.ndarray:
-        """Vectorized :meth:`is_zero` over a list of samplers.
-
-        Returns the boolean array with entry ``i`` equal to
-        ``samplers[i].is_zero()`` -- one stacked reduction instead of a
-        Python loop over samplers and columns.
-        """
-        return is_zero_cells(L0Sampler._stacked_cells(samplers))
-
-    @staticmethod
-    def sample_many(samplers: "list[L0Sampler]",
-                    columns) -> np.ndarray:
-        """Vectorized :meth:`sample_column` across many samplers.
-
-        ``columns`` is one shared column index or a per-sampler array;
-        entry ``i`` of the result equals
-        ``samplers[i].sample_column(columns[i])`` with ``-1`` for
-        ``None``.  The whole batch -- every sampler's chosen column --
-        is prefix-summed and decoded in a single array pass against
-        the shared randomness.
-        """
-        cells = L0Sampler._stacked_cells(samplers)
-        cols = np.broadcast_to(np.asarray(columns, dtype=np.int64),
-                               (cells.shape[0],))
-        return sample_cells(cells, cols, samplers[0].randomness)
 
     @property
     def words(self) -> int:

@@ -46,12 +46,13 @@ levels)`` block so the family-level bulk router can ingest a batch for
 every vertex at once.
 
 Bulk recovery mirrors bulk ingestion: :func:`recover_from_prefix`
-decodes a whole ``(4, k, levels)`` block of prefix-summed columns with
-array arithmetic (divisibility, range, and limb-combined fingerprint
-tests on every level at once, lowest passing level wins), and
-:meth:`RecoveryMatrix.recover_many` / ``column_is_zero_many`` feed it --
-bit-identical to the scalar scans, minus the per-level Python dispatch.
-:class:`MergeScratch` recycles merge accumulators across query phases.
+decodes a whole ``(4, k, levels)`` block of prefix-summed columns in
+one :func:`repro.kernels.decode_prefix` pass (divisibility, range, and
+limb-combined fingerprint tests on every level at once, lowest passing
+level wins), and :meth:`RecoveryMatrix.recover_many` /
+``column_is_zero_many`` feed it -- bit-identical to the scalar scans
+(:meth:`RecoveryMatrix.recover` / ``column_is_zero``, the reference the
+tests compare against), minus the per-level Python dispatch.
 
 Magnitudes: ``|W| <= m``, ``|S| <= levels * m * N`` (< 2^59 for every
 configuration we run), limbs as above.
@@ -60,7 +61,7 @@ configuration we run), limbs as above.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -164,57 +165,25 @@ def _suffix_cumsum(arr: np.ndarray) -> np.ndarray:
     return np.cumsum(arr[..., ::-1], axis=-1)[..., ::-1]
 
 
-def recover_from_prefix(
-    prefix: np.ndarray,
-    max_index: int,
-    fingerprint_ok_many: Callable[[np.ndarray, np.ndarray, np.ndarray],
-                                  np.ndarray],
-) -> np.ndarray:
+def recover_from_prefix(prefix: np.ndarray, max_index: int,
+                        z: int) -> np.ndarray:
     """Decode many prefix-summed columns at once.
 
     ``prefix`` is the ``(4, k, levels)`` int64 block of materialized
     ``(W, S, Flo, Fhi)`` level prefixes for ``k`` independent columns
-    (possibly drawn from different matrices).  For each column the
-    divisibility, range, and fingerprint tests run on every level, and
-    the answer is the lowest passing level's coordinate -- exactly the
-    scan order of :meth:`RecoveryMatrix.recover`, so the result is
-    bit-identical to the sequential path.  ``fingerprint_ok_many``
-    receives flat arrays ``(idxs, ws, fingerprints)`` of the
-    candidates that survived the integer tests and returns a boolean
-    mask.
-
-    When the callback is the bound ``fingerprint_ok_many`` of a
-    :class:`~repro.sketch.l0_sampler.SamplerRandomness` (the only
-    production caller), the whole decode runs as one fused kernel-tier
-    pass (:func:`repro.kernels.decode_prefix`) with the standard
-    ``F == W * z^idx mod p`` test inlined -- same answers, no Python
-    round-trip per candidate batch.  Any other callable keeps the
-    generic array path below (tests drive it with custom callbacks).
+    (possibly drawn from different matrices) and ``z`` the owning
+    randomness's fingerprint base.  For each column the divisibility,
+    range, and ``F == W * z^idx mod p`` fingerprint tests run on every
+    level in one fused kernel-tier pass
+    (:func:`repro.kernels.decode_prefix`), and the answer is the lowest
+    passing level's coordinate -- exactly the scan order of
+    :meth:`RecoveryMatrix.recover`, so the result is bit-identical to
+    the scalar path.
 
     Returns the int64 array of recovered coordinates, ``-1`` marking
     columns where every level rejected (the sampler's ``bottom``).
     """
-    owner = getattr(fingerprint_ok_many, "__self__", None)
-    z = getattr(owner, "z", None)
-    if z is not None and getattr(owner, "level_hashes", None) is not None:
-        return _kernels.decode_prefix(prefix, max_index, int(z))
-    W, S, lo, hi = prefix
-    k = W.shape[0]
-    nonzero = W != 0
-    safe_w = np.where(nonzero, W, 1)
-    # numpy's % and // follow Python's floored-division convention for
-    # signed operands, so these match the scalar ``s % w`` / ``s // w``.
-    divisible = nonzero & (S % safe_w == 0)
-    idx = S // safe_w
-    candidate = divisible & (idx >= 0) & (idx < max_index)
-    ok = np.zeros(candidate.shape, dtype=bool)
-    if candidate.any():
-        fingerprints = _combine_limbs(lo[candidate], hi[candidate])
-        ok[candidate] = fingerprint_ok_many(idx[candidate], W[candidate],
-                                            fingerprints)
-    found = ok.any(axis=1)
-    first = np.argmax(ok, axis=1)
-    return np.where(found, idx[np.arange(k), first], -1)
+    return _kernels.decode_prefix(prefix, max_index, int(z))
 
 
 class RecoveryMatrix:
@@ -373,8 +342,7 @@ class RecoveryMatrix:
         )
 
     @staticmethod
-    def sum_of(matrices: "list[RecoveryMatrix]",
-               scratch: Optional["MergeScratch"] = None) -> "RecoveryMatrix":
+    def sum_of(matrices: "list[RecoveryMatrix]") -> "RecoveryMatrix":
         """Sum many matrices (component merge).
 
         Row/column shapes are validated up front -- mixed shapes raise
@@ -383,11 +351,6 @@ class RecoveryMatrix:
         are renormalized whenever the running mass exceeds the
         threshold, so the accumulator stays inside int64 regardless of
         how many matrices are merged.
-
-        With ``scratch`` given, the accumulator is drawn from the
-        scratch pool instead of freshly allocated -- the merge-heavy
-        query phases reuse the same blocks phase after phase (see
-        :class:`MergeScratch` for the lifetime rules).
         """
         if not matrices:
             raise SketchError("need at least one matrix to sum")
@@ -400,10 +363,7 @@ class RecoveryMatrix:
                     f"{shape[0]}x{shape[1]}, got "
                     f"{matrix.columns}x{matrix.levels}"
                 )
-        if scratch is None:
-            out = RecoveryMatrix(*shape)
-        else:
-            out = scratch.matrix(*shape)
+        out = RecoveryMatrix(*shape)
         for matrix in matrices:
             out.merge_from(matrix)
         return out
@@ -493,13 +453,8 @@ class RecoveryMatrix:
                 return idx
         return None
 
-    def recover_many(
-        self,
-        cols: np.ndarray,
-        max_index: int,
-        fingerprint_ok_many: Callable[
-            [np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    ) -> np.ndarray:
+    def recover_many(self, cols: np.ndarray, max_index: int,
+                     z: int) -> np.ndarray:
         """Vectorized :meth:`recover` over many columns of this matrix.
 
         Materializes the requested columns' level prefixes with one
@@ -507,13 +462,14 @@ class RecoveryMatrix:
         :func:`recover_from_prefix`).  ``cols`` may repeat and appear
         in any order; the result's entry ``i`` equals
         ``self.recover(cols[i], ...)`` with ``-1`` standing in for
-        ``None``.
+        ``None``; ``z`` is the fingerprint base the scalar callback
+        closes over.
         """
         cols = np.asarray(cols, dtype=np.int64)
         if cols.size == 0:
             return np.empty(0, dtype=np.int64)
         prefix = _suffix_cumsum(self.cells[:, cols, :])     # (4, k, L)
-        return recover_from_prefix(prefix, max_index, fingerprint_ok_many)
+        return recover_from_prefix(prefix, max_index, z)
 
     # ------------------------------------------------------------------
     # Accounting
@@ -746,53 +702,3 @@ class RecoveryPool:
     def words(self) -> int:
         """Accounting footprint: three words per cell (see matrix)."""
         return 3 * self.count * self.columns * self.levels
-
-
-class MergeScratch:
-    """Reusable accumulator matrices for merge-heavy query phases.
-
-    The deletion path merges fragment sketches, then merges supernodes
-    pairwise during the AGM halving iterations -- every merge used to
-    allocate a fresh ``(4, columns, levels)`` block that died at the
-    end of the phase.  A scratch pool keeps those blocks alive across
-    phases: :meth:`matrix` hands out a zeroed accumulator (recycled
-    when one of the right shape is free, freshly allocated otherwise),
-    and :meth:`reset` returns every handed-out matrix to the free
-    list.
-
-    Lifetime contract: matrices obtained from :meth:`matrix` are valid
-    until the next :meth:`reset` -- callers reset at the *start* of a
-    phase, when the previous phase's merged sketches are already dead.
-    Matrices of different shapes coexist (the pool is keyed by shape).
-    """
-
-    __slots__ = ("_free", "_used")
-
-    def __init__(self):
-        self._free: Dict[Tuple[int, int], List[RecoveryMatrix]] = {}
-        self._used: List[Tuple[Tuple[int, int], RecoveryMatrix]] = []
-
-    def matrix(self, columns: int, levels: int) -> RecoveryMatrix:
-        """A zeroed standalone accumulator matrix from the pool."""
-        key = (columns, levels)
-        stack = self._free.get(key)
-        if stack:
-            out = stack.pop()
-            out.cells[...] = 0
-            out._f_mass = 0
-        else:
-            out = RecoveryMatrix(columns, levels)
-        self._used.append((key, out))
-        return out
-
-    def reset(self) -> None:
-        """Reclaim every matrix handed out since the last reset."""
-        for key, matrix in self._used:
-            self._free.setdefault(key, []).append(matrix)
-        self._used.clear()
-
-    @property
-    def pooled(self) -> int:
-        """Total matrices currently owned by the pool (free + used)."""
-        return (sum(len(stack) for stack in self._free.values())
-                + len(self._used))

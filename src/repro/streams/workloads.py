@@ -1,8 +1,8 @@
-"""Named workloads shared by the benchmark harness (EXPERIMENTS.md).
+"""Named workloads shared by the benchmark harness (``benchmarks/``).
 
 Each workload function returns ``(description, batches)`` so that a
 bench both runs and documents the exact stream it used.  Seeds are
-fixed: every table row in EXPERIMENTS.md is reproducible bit-for-bit.
+fixed: every table row the harness prints is reproducible bit-for-bit.
 """
 
 from __future__ import annotations

@@ -24,15 +24,19 @@ from repro.core.streaming_connectivity import StreamingConnectivity
 from repro.errors import ConfigurationError, SketchError
 from repro.mpc import MPCConfig
 from repro.mpc.backend import (
+    DEFAULT_BACKOFF,
+    ExecutionBackend,
     SequentialBackend,
     SharedMemoryBackend,
+    _execute_op,
     default_worker_count,
     get_backend,
     resolve_backend,
 )
+from repro.mpc.faults import ROUTED_OPS
 from repro.sketch import (
     FourWiseHash,
-    L0Sampler,
+    MergedSketch,
     PairwiseHash,
     SamplerRandomness,
     SketchFamily,
@@ -93,10 +97,11 @@ class TestSpawnSafeRandomness:
             assert np.array_equal(clone.levels_of(idx),
                                   original.levels_of(idx))
             assert clone.zpow(idx) == original.zpow(idx)
-        ws = np.array([1, -2, 3, 7, 1], dtype=np.int64)
-        fs = original.zpow_many(idxs)
-        assert np.array_equal(clone.fingerprint_ok_many(idxs, ws, fs),
-                              original.fingerprint_ok_many(idxs, ws, fs))
+        ws = [1, -2, 3, 7, 1]
+        fs = original.zpow_many(idxs).tolist()
+        for idx, w, f in zip(idxs.tolist(), ws, fs):
+            assert clone.fingerprint_ok(idx, w, f) == \
+                original.fingerprint_ok(idx, w, f)
 
     def test_from_params_draws_no_randomness(self, rng):
         original = SamplerRandomness(universe=300, columns=4, rng=rng)
@@ -196,65 +201,51 @@ class TestPoolParity:
         assert np.array_equal(seq.pool.cells, shm.pool.cells)
 
     def test_query_routes_bit_identical(self, shared_backend):
+        # Every vertex as its own size-1 group (the shape the static
+        # AGM contraction starts from), on both backends, against the
+        # scalar per-vertex sketch.
         seq, shm = _family_pair(shared_backend)
-        seq_samplers = [seq.new_vertex_sketch(v).sampler
-                        for v in range(40)]
-        shm_samplers = [shm.new_vertex_sketch(v).sampler
-                        for v in range(40)]
+        oracle = [seq.new_vertex_sketch(v).sampler for v in range(40)]
         us, vs = _random_edges(40, 60)
         ones = np.ones(60, dtype=np.int64)
         seq.apply_edges_bulk(us, vs, ones)
         shm.apply_edges_bulk(us, vs, ones)
+        singletons = [np.array([v]) for v in range(40)]
 
+        zeros_ref = [s.is_zero() for s in oracle]
         for column in range(seq.columns):
-            z_seq, e_seq = seq.query_iteration_bulk(seq_samplers, column)
-            z_shm, e_shm = shm.query_iteration_bulk(shm_samplers, column)
-            assert np.array_equal(z_seq, z_shm)
-            assert e_seq == e_shm
-            assert seq.query_bulk(seq_samplers, column) == \
-                shm.query_bulk(shm_samplers, column)
-        assert np.array_equal(seq.cuts_empty_bulk(seq_samplers),
-                              shm.cuts_empty_bulk(shm_samplers))
-        # Ground truth: the in-process sampler statics.
-        zeros, found = L0Sampler.query_many(shm_samplers, 0)
-        z_shm, e_shm = shm.query_iteration_bulk(shm_samplers, 0)
-        assert np.array_equal(zeros, z_shm)
-        assert shm.decode_many(found) == e_shm
+            z_seq, e_seq = seq.query_iteration_groups(singletons, column)
+            z_shm, e_shm = shm.query_iteration_groups(singletons, column)
+            assert z_seq.tolist() == z_shm.tolist() == zeros_ref
+            assert e_seq == e_shm == [
+                None if (idx := s.sample_column(column)) is None
+                else seq.decode(idx)
+                for s in oracle
+            ]
+        assert seq.cuts_empty_groups(singletons).tolist() == zeros_ref
+        assert shm.cuts_empty_groups(singletons).tolist() == zeros_ref
 
     def test_subset_and_repeated_slots(self, shared_backend):
+        # Groups may overlap, repeat, and list members in any order:
+        # workers only read pool rows, so placement is free.
         seq, shm = _family_pair(shared_backend)
-        seq_samplers = [seq.new_vertex_sketch(v).sampler
-                        for v in range(40)]
-        shm_samplers = [shm.new_vertex_sketch(v).sampler
-                        for v in range(40)]
+        sketches = [seq.new_vertex_sketch(v) for v in range(40)]
         us, vs = _random_edges(40, 50)
         ones = np.ones(50, dtype=np.int64)
         seq.apply_edges_bulk(us, vs, ones)
         shm.apply_edges_bulk(us, vs, ones)
-        order = [7, 3, 3, 39, 0, 21, 7]
-        z_seq, e_seq = seq.query_iteration_bulk(
-            [seq_samplers[i] for i in order], 1)
-        z_shm, e_shm = shm.query_iteration_bulk(
-            [shm_samplers[i] for i in order], 1)
+        groups = [np.array([7, 3]), np.array([3, 7]), np.array([39]),
+                  np.array([0, 21, 7]), np.array([39]),
+                  np.array([21, 0, 7])]
+        z_seq, e_seq = seq.query_iteration_groups(groups, 1)
+        z_shm, e_shm = shm.query_iteration_groups(groups, 1)
         assert np.array_equal(z_seq, z_shm)
         assert e_seq == e_shm
-
-    def test_merged_sketches_fall_back_in_process(self, shared_backend):
-        # Standalone (merged) sketches are not pool rows: the router
-        # must answer them locally, identically on both backends.
-        seq, shm = _family_pair(shared_backend)
-        seq_sk = [seq.new_vertex_sketch(v) for v in range(40)]
-        shm_sk = [shm.new_vertex_sketch(v) for v in range(40)]
-        us, vs = _random_edges(40, 50)
-        ones = np.ones(50, dtype=np.int64)
-        seq.apply_edges_bulk(us, vs, ones)
-        shm.apply_edges_bulk(us, vs, ones)
-        seq_merged = L0Sampler.merged([s.sampler for s in seq_sk[:5]])
-        shm_merged = L0Sampler.merged([s.sampler for s in shm_sk[:5]])
-        z_seq, e_seq = seq.query_iteration_bulk([seq_merged], 0)
-        z_shm, e_shm = shm.query_iteration_bulk([shm_merged], 0)
-        assert np.array_equal(z_seq, z_shm)
-        assert e_seq == e_shm
+        merged = [MergedSketch.of([sketches[int(v)] for v in group])
+                  for group in groups]
+        assert z_seq.tolist() == [m.cut_is_empty() for m in merged]
+        assert e_seq == [None if m.cut_is_empty()
+                         else m.sample_cut_edge(1) for m in merged]
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +270,9 @@ class TestRingTransport:
             for family in (seq, shm):
                 family.apply_edges_bulk(us, vs, ones)
                 family.apply_edges_bulk(us[:8], vs[:8], -ones[:8])
-            samplers = [shm.new_vertex_sketch(v).sampler
-                        for v in range(40)]
-            shm.query_iteration_bulk(samplers, 0)
-            shm.cuts_empty_bulk(samplers)
-            shm.query_iteration_groups([np.arange(5), np.array([7, 9])],
-                                       1)
+            groups = [np.arange(5), np.array([7, 9])]
+            shm.query_iteration_groups(groups, 1)
+            shm.cuts_empty_groups(groups)
             shm.scan_group(np.arange(4), np.arange(6))
             assert backend.ring_dispatches > 0
             assert backend.raw_dispatches == raw_before, (
@@ -311,6 +299,13 @@ class TestRingTransport:
             shm.apply_edges_bulk(us, vs, ones)
             assert backend.raw_dispatches > 0
             assert np.array_equal(seq.pool.cells, shm.pool.cells)
+            # Group descriptors overflow the ring the same way.
+            raw_before = backend.raw_dispatches
+            groups = [np.arange(64), np.arange(64)[::-1]]
+            z_seq, e_seq = seq.query_iteration_groups(groups, 0)
+            z_shm, e_shm = shm.query_iteration_groups(groups, 0)
+            assert backend.raw_dispatches > raw_before
+            assert np.array_equal(z_seq, z_shm) and e_seq == e_shm
         finally:
             backend.close()
 
@@ -330,7 +325,12 @@ class TestRingTransport:
                 one = np.ones(1, dtype=np.int64)
                 seq.apply_edges_bulk(us[i:i + 1], vs[i:i + 1], one)
                 shm.apply_edges_bulk(us[i:i + 1], vs[i:i + 1], one)
-            assert backend.ring_dispatches >= 40
+                group = [np.array([int(us[i]), int(vs[i])])]
+                z_seq, e_seq = seq.query_iteration_groups(group, i % 4)
+                z_shm, e_shm = shm.query_iteration_groups(group, i % 4)
+                assert np.array_equal(z_seq, z_shm) and e_seq == e_shm
+            assert backend.ring_dispatches >= 80
+            assert backend.raw_dispatches == 0
             assert max(backend._ring_offsets) <= backend.ring_words
             assert np.array_equal(seq.pool.cells, shm.pool.cells)
         finally:
@@ -344,8 +344,10 @@ class TestRingTransport:
                                   backend=backend)
             us, vs = _random_edges(8, 6)
             family.apply_edges_bulk(us, vs, np.ones(6, dtype=np.int64))
+            zeros, _ = family.query_iteration_groups([np.arange(8)], 0)
+            assert zeros.tolist() == [True]  # whole graph: empty cut
             assert backend.ring_dispatches == 0
-            assert backend.raw_dispatches > 0
+            assert backend.raw_dispatches >= 2
         finally:
             backend.close()
 
@@ -363,6 +365,12 @@ class TestGroupRouting:
         shm.apply_edges_bulk(us, vs, ones)
         return seq, shm
 
+    @staticmethod
+    def _oracle(family, members) -> MergedSketch:
+        """The scalar reference: parent-side merge of member stacks."""
+        return MergedSketch.of([family.new_vertex_sketch(int(v))
+                                for v in members])
+
     def test_group_queries_match_materialised_merges(self, shared_backend):
         seq, shm = self._loaded_pair(shared_backend)
         groups = [np.array([0, 1, 2, 3]), np.array([10]),
@@ -372,19 +380,15 @@ class TestGroupRouting:
             z_shm, e_shm = shm.query_iteration_groups(groups, column)
             assert np.array_equal(z_seq, z_shm)
             assert e_seq == e_shm
-            # Ground truth: merge the member samplers in the parent.
-            merged = [
-                L0Sampler.merged(
-                    [L0Sampler(seq.randomness, seq.pool.matrix(int(s)))
-                     for s in group]
-                )
-                for group in groups
-            ]
-            z_ref, f_ref = L0Sampler.query_many(merged, column)
-            assert np.array_equal(z_ref, z_seq)
-            assert seq.decode_many(f_ref) == e_seq
-        assert np.array_equal(seq.cuts_empty_groups(groups),
-                              shm.cuts_empty_groups(groups))
+            # Ground truth: the scalar merged-sketch queries.
+            merged = [self._oracle(seq, group) for group in groups]
+            assert z_seq.tolist() == [m.cut_is_empty() for m in merged]
+            assert e_seq == [None if m.cut_is_empty()
+                             else m.sample_cut_edge(column)
+                             for m in merged]
+        empty_ref = [self._oracle(seq, g).cut_is_empty() for g in groups]
+        assert seq.cuts_empty_groups(groups).tolist() == empty_ref
+        assert shm.cuts_empty_groups(groups).tolist() == empty_ref
 
     def test_scan_group_matches_merged_column_scan(self, shared_backend):
         seq, shm = self._loaded_pair(shared_backend, seed=22)
@@ -394,12 +398,9 @@ class TestGroupRouting:
         zero_shm, edges_shm = shm.scan_group(members, cols)
         assert zero_seq == zero_shm
         assert edges_seq == edges_shm
-        merged = L0Sampler.merged(
-            [L0Sampler(seq.randomness, seq.pool.matrix(int(s)))
-             for s in members]
-        )
-        assert zero_seq == merged.is_zero()
-        assert edges_seq == seq.decode_many(merged.sample_columns(cols))
+        merged = self._oracle(seq, members)
+        assert zero_seq == merged.cut_is_empty()
+        assert edges_seq == [merged.sample_cut_edge(int(c)) for c in cols]
 
     def test_group_validation(self, shared_backend):
         seq, _ = _family_pair(shared_backend)
@@ -420,6 +421,57 @@ class TestGroupRouting:
         assert len(split) == WORKERS, (
             "balanced groups must spread across the fleet"
         )
+
+
+# ---------------------------------------------------------------------------
+# Satellite: the three hand-maintained op lists stay closed
+# ---------------------------------------------------------------------------
+
+class TestOpTableClosure:
+    """``faults.ROUTED_OPS`` (fault grammar), ``_execute_op`` (worker op
+    table) and the routed methods of ``ExecutionBackend`` live in three
+    files; none may name an op the others lack."""
+
+    #: Wire-shaped descriptor arrays per op, for a 4-row pool.
+    ARGS = {
+        "apply": [np.array([0, 3]), np.array([2, 2]), np.array([1, -1])],
+        "gquery": [np.array([2, 2]), np.array([0, 1, 2, 3]),
+                   np.array([0, 1])],
+        "gzero": [np.array([1, 3]), np.array([3, 0, 1, 2])],
+        "gscan": [np.array([0, 3]), np.array([0, 1, 2])],
+    }
+
+    def test_every_routed_op_executes(self):
+        assert set(self.ARGS) == set(ROUTED_OPS)
+        family = SketchFamily(4, columns=3, rng=np.random.default_rng(1),
+                              backend="sequential")
+        for op in ROUTED_OPS:
+            _execute_op(op, family.pool.cells, family.randomness,
+                        self.ARGS[op])
+        # The apply above really landed: +1 on row 0, -1 on row 3.
+        assert family.cuts_empty_groups(
+            [np.array([0]), np.array([0, 3])]).tolist() == [False, True]
+
+    def test_unknown_op_is_rejected(self):
+        family = SketchFamily(4, columns=3, rng=np.random.default_rng(1),
+                              backend="sequential")
+        for op in ("query", "sample", "is_zero", "frobnicate"):
+            with pytest.raises(ValueError, match="unknown backend op"):
+                _execute_op(op, family.pool.cells, family.randomness, [])
+
+    def test_both_backends_override_every_routed_method(self):
+        wire_op = {"scatter_edges": "apply", "query_groups": "gquery",
+                   "zero_groups": "gzero", "scan_group": "gscan"}
+        assert sorted(wire_op.values()) == sorted(ROUTED_OPS)
+        # What the protocol declares and leaves to the backends.
+        abstract = {
+            name for name, member in vars(ExecutionBackend).items()
+            if callable(member)
+            and "NotImplementedError" in member.__code__.co_names
+        }
+        assert abstract == set(wire_op) | {"attach_pool", "detach_pool"}
+        for cls in (SequentialBackend, SharedMemoryBackend):
+            assert abstract <= set(vars(cls)), cls.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +539,13 @@ class TestEnvValidation:
             SharedMemoryBackend(num_workers=1)
 
     def test_valid_env_values_accepted(self, monkeypatch):
-        from repro.mpc.backend import _env_float
+        from repro.mpc.config import env_float
 
         monkeypatch.setenv("REPRO_BACKEND_WORKERS", " 3 ")
         assert default_worker_count() == 3
         # Only exercise the parse, not a full fleet spawn.
         monkeypatch.setenv("REPRO_BACKEND_TIMEOUT", "30.5")
-        assert _env_float("REPRO_BACKEND_TIMEOUT", 120.0) == 30.5
+        assert env_float("REPRO_BACKEND_TIMEOUT", 120.0) == 30.5
 
     def test_explicit_timeout_bypasses_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND_TIMEOUT", "garbage")
@@ -509,12 +561,6 @@ class TestEnvValidation:
         with pytest.raises(SketchError, match="REPRO_BACKEND_RETRIES"):
             SharedMemoryBackend(num_workers=1)
 
-    @pytest.mark.parametrize("value", ["abc", "-1", "", "0", "nan"])
-    def test_garbage_backoff_raises_sketch_error(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_BACKEND_BACKOFF", value)
-        with pytest.raises(SketchError, match="REPRO_BACKEND_BACKOFF"):
-            SharedMemoryBackend(num_workers=1)
-
     def test_garbage_fault_spec_raises_sketch_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND_FAULTS", "explode:w=0")
         with pytest.raises(SketchError, match="REPRO_BACKEND_FAULTS"):
@@ -522,17 +568,15 @@ class TestEnvValidation:
 
     def test_supervisor_knobs_read_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND_RETRIES", " 5 ")
-        monkeypatch.setenv("REPRO_BACKEND_BACKOFF", "0.125")
         backend = SharedMemoryBackend(num_workers=1, call_timeout=15.0)
         try:
             assert backend.retries == 5
-            assert backend.backoff == 0.125
+            assert backend.backoff == DEFAULT_BACKOFF
         finally:
             backend.close()
 
     def test_explicit_supervisor_knobs_bypass_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND_RETRIES", "garbage")
-        monkeypatch.setenv("REPRO_BACKEND_BACKOFF", "garbage")
         backend = SharedMemoryBackend(num_workers=1, call_timeout=15.0,
                                       retries=0, backoff=0.0)
         try:
@@ -830,17 +874,18 @@ class TestWorkerCrash:
             family = SketchFamily(16, columns=4,
                                   rng=np.random.default_rng(0),
                                   backend=backend)
-            # A malformed descriptor (out-of-range column) blows up in
-            # the worker; the exception must come back as SketchError
-            # and the fleet must stay usable afterwards.
+            # A malformed descriptor (member row outside the pool --
+            # SketchFamily validates this, the raw backend call does
+            # not) blows up in the worker; the exception must come back
+            # as SketchError and the fleet must stay usable afterwards.
             us0, vs0 = _random_edges(16, 8, seed=3)
             family.apply_edges_bulk(us0, vs0,
                                     np.ones(8, dtype=np.int64))
             handle = family._pool_handle
-            bad_slots = np.arange(16, dtype=np.int64)
-            bad_cols = np.full(16, 99, dtype=np.int64)  # no such column
+            bad_groups = [np.array([0, 99], dtype=np.int64)]  # no row 99
+            cols = np.zeros(1, dtype=np.int64)
             with pytest.raises(SketchError, match="worker"):
-                backend.query_rows(handle, bad_slots, bad_cols)
+                backend.query_groups(handle, bad_groups, cols)
             assert backend.usable
             us, vs = _random_edges(16, 5)
             family.apply_edges_bulk(us, vs, np.ones(5, dtype=np.int64))

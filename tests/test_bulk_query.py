@@ -3,12 +3,12 @@
 The query-side mirror of ``tests/test_bulk_ingestion.py``: every layer
 of the vectorized recovery pipeline -- prefix decoding
 (``recover_from_prefix`` via ``RecoveryMatrix.recover_many``), batched
-zero tests, stacked sampler queries (``sample_many`` / ``is_zero_many``
-/ ``sample_columns``), the vectorized edge decoding, and the
-family-level ``query_bulk`` router -- is checked against its scalar
-counterpart across random update/delete streams.  Also covers the
-query-path papercuts: shape validation in ``sum_of``, LRU hash memos,
-scratch-pooled merges, and the AGM column-cursor no-op fix.
+zero tests, many-column sampler queries (``sample_columns``), and the
+vectorized edge decoding -- is checked against its scalar counterpart
+across random update/delete streams (the family-level group router is
+checked against the same scalar oracle in ``tests/test_backend.py``).
+Also covers the query-path papercuts: shape validation in ``sum_of``,
+LRU hash memos, and the AGM column-cursor no-op fix.
 """
 
 import numpy as np
@@ -20,13 +20,14 @@ from repro.mpc.config import MPCConfig
 from repro.sketch import (
     L0Sampler,
     LRUMemo,
-    MergeScratch,
     MERSENNE_P,
     RecoveryMatrix,
     SamplerRandomness,
     SketchFamily,
     decode_index,
     decode_indices,
+    is_zero_cells,
+    query_cells,
 )
 from repro.types import dele, ins
 
@@ -49,8 +50,7 @@ class TestRecoverManyEquivalence:
         rnd = SamplerRandomness(4000, 6, rng)
         sampler = churn_sampler(rnd, seed, count=300)
         cols = np.arange(rnd.columns, dtype=np.int64)
-        got = sampler.matrix.recover_many(cols, 4000,
-                                          rnd.fingerprint_ok_many)
+        got = sampler.matrix.recover_many(cols, 4000, rnd.z)
         expected = [sampler.matrix.recover(c, 4000, rnd.fingerprint_ok)
                     for c in range(rnd.columns)]
         assert [None if g < 0 else int(g) for g in got] == expected
@@ -59,8 +59,7 @@ class TestRecoverManyEquivalence:
         rnd = SamplerRandomness(1000, 5, rng)
         sampler = churn_sampler(rnd, 9, count=120)
         cols = np.array([3, 0, 3, 1, 4, 4], dtype=np.int64)
-        got = sampler.matrix.recover_many(cols, 1000,
-                                          rnd.fingerprint_ok_many)
+        got = sampler.matrix.recover_many(cols, 1000, rnd.z)
         expected = [sampler.matrix.recover(int(c), 1000,
                                            rnd.fingerprint_ok)
                     for c in cols]
@@ -70,7 +69,7 @@ class TestRecoverManyEquivalence:
         rnd = SamplerRandomness(100, 3, rng)
         matrix = RecoveryMatrix(rnd.columns, rnd.levels)
         out = matrix.recover_many(np.empty(0, dtype=np.int64), 100,
-                                  rnd.fingerprint_ok_many)
+                                  rnd.z)
         assert out.shape == (0,)
 
     @pytest.mark.parametrize("cancel", [False, True])
@@ -95,8 +94,7 @@ class TestRecoverManyEquivalence:
         sampler.matrix._f_mass = RENORM_MASS  # force an early renorm
         sampler.update(7, 1)
         cols = np.arange(rnd.columns, dtype=np.int64)
-        got = sampler.matrix.recover_many(cols, 300,
-                                          rnd.fingerprint_ok_many)
+        got = sampler.matrix.recover_many(cols, 300, rnd.z)
         expected = [sampler.matrix.recover(c, 300, rnd.fingerprint_ok)
                     for c in range(rnd.columns)]
         assert [None if g < 0 else int(g) for g in got] == expected
@@ -104,28 +102,9 @@ class TestRecoverManyEquivalence:
 
 
 class TestSamplerBatchQueries:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_sample_many_matches_sample_column(self, seed, rng):
-        rnd = SamplerRandomness(2500, 6, rng)
-        samplers = [
-            churn_sampler(rnd, seed * 31 + i, count=10 + 13 * i,
-                          cancel=(i % 4 == 0))
-            for i in range(12)
-        ]
-        for col in range(rnd.columns):
-            got = L0Sampler.sample_many(samplers, col)
-            expected = [s.sample_column(col) for s in samplers]
-            assert ([None if g < 0 else int(g) for g in got]
-                    == expected), col
-
-    def test_sample_many_per_sampler_columns(self, rng):
-        rnd = SamplerRandomness(900, 5, rng)
-        samplers = [churn_sampler(rnd, i, count=40) for i in range(5)]
-        cols = np.array([4, 0, 2, 2, 3], dtype=np.int64)
-        got = L0Sampler.sample_many(samplers, cols)
-        expected = [s.sample_column(int(c))
-                    for s, c in zip(samplers, cols)]
-        assert [None if g < 0 else int(g) for g in got] == expected
+    """The stacked-cell cores behind the group queries
+    (``is_zero_cells`` / ``query_cells``) and the many-column decode of
+    one sampler, each against the scalar sampler methods."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_is_zero_many_matches_is_zero(self, seed, rng):
@@ -135,8 +114,26 @@ class TestSamplerBatchQueries:
                           cancel=(i % 2 == 0))
             for i in range(9)
         ]
-        got = L0Sampler.is_zero_many(samplers)
+        got = is_zero_cells(np.stack([s.matrix.cells for s in samplers]))
         assert [bool(g) for g in got] == [s.is_zero() for s in samplers]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_query_many_fuses_zero_and_sample(self, seed, rng):
+        rnd = SamplerRandomness(1800, 6, rng)
+        samplers = [
+            churn_sampler(rnd, seed * 13 + i, count=15 + 9 * i,
+                          cancel=(i % 3 == 0))
+            for i in range(10)
+        ]
+        cells = np.stack([s.matrix.cells for s in samplers])
+        for col in range(rnd.columns):
+            cols = np.full(len(samplers), col, dtype=np.int64)
+            zeros, found = query_cells(cells, cols, rnd)
+            assert [bool(z) for z in zeros] == [s.is_zero()
+                                               for s in samplers]
+            expected = [None if s.is_zero() else s.sample_column(col)
+                        for s in samplers]
+            assert [None if f < 0 else int(f) for f in found] == expected
 
     def test_sample_columns_matches_loop(self, rng):
         rnd = SamplerRandomness(1500, 8, rng)
@@ -158,65 +155,6 @@ class TestSamplerBatchQueries:
                     reference = found
                     break
             assert sampler.sample(start_column=start) == reference
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_query_many_fuses_zero_and_sample(self, seed, rng):
-        rnd = SamplerRandomness(1800, 6, rng)
-        samplers = [
-            churn_sampler(rnd, seed * 13 + i, count=15 + 9 * i,
-                          cancel=(i % 3 == 0))
-            for i in range(10)
-        ]
-        for col in range(rnd.columns):
-            zeros, found = L0Sampler.query_many(samplers, col)
-            assert [bool(z) for z in zeros] == [s.is_zero()
-                                               for s in samplers]
-            expected = [None if s.is_zero() else s.sample_column(col)
-                        for s in samplers]
-            assert [None if f < 0 else int(f) for f in found] == expected
-
-    def test_stacked_cells_pool_fast_paths(self):
-        """Pool-backed samplers stack without per-sampler copies."""
-        family = SketchFamily(12, columns=4, rng=np.random.default_rng(2))
-        sketches = {v: family.new_vertex_sketch(v) for v in range(12)}
-        family.apply_edges_bulk(np.array([0, 3], dtype=np.int64),
-                                np.array([7, 5], dtype=np.int64),
-                                np.ones(2, dtype=np.int64))
-        everyone = [sketches[v].sampler for v in range(12)]
-        # Identity gather: the stack *is* the pool block (no copy).
-        assert L0Sampler._stacked_cells(everyone) is family.pool.cells
-        subset = [sketches[v].sampler for v in (5, 0, 7)]
-        stacked = L0Sampler._stacked_cells(subset)
-        assert np.array_equal(stacked,
-                              np.stack([s.matrix.cells for s in subset]))
-        # Mixed pool-view / standalone falls back to the generic stack.
-        mixed = [sketches[0].sampler, sketches[3].sampler.copy()]
-        assert np.array_equal(
-            L0Sampler._stacked_cells(mixed),
-            np.stack([s.matrix.cells for s in mixed]),
-        )
-        # Query answers agree across all three stacking strategies.
-        for group in (everyone, subset, mixed):
-            zeros, found = L0Sampler.query_many(group, 1)
-            for s, z, f in zip(group, zeros, found):
-                assert bool(z) == s.is_zero()
-                expect = None if s.is_zero() else s.sample_column(1)
-                assert (None if f < 0 else int(f)) == expect
-
-    def test_batched_queries_reject_empty_and_mixed(self, rng):
-        rnd_a = SamplerRandomness(100, 3, rng)
-        rnd_b = SamplerRandomness(100, 3, rng)
-        with pytest.raises(SketchError):
-            L0Sampler.sample_many([], 0)
-        with pytest.raises(SketchError):
-            L0Sampler.is_zero_many([])
-        with pytest.raises(SketchError):
-            L0Sampler.query_many([], 0)
-        mixed = [L0Sampler(rnd_a), L0Sampler(rnd_b)]
-        with pytest.raises(SketchError):
-            L0Sampler.sample_many(mixed, 0)
-        with pytest.raises(SketchError):
-            L0Sampler.is_zero_many(mixed)
 
 
 class TestDecodeIndicesBulk:
@@ -240,43 +178,6 @@ class TestDecodeIndicesBulk:
 
 
 class TestFamilyQueryRouter:
-    def test_query_bulk_matches_scalar_sampling(self):
-        n = 48
-        family = SketchFamily(n, columns=6, rng=np.random.default_rng(7))
-        sketches = {v: family.new_vertex_sketch(v) for v in range(n)}
-        stream = np.random.default_rng(8)
-        edges = set()
-        while len(edges) < 120:
-            u, v = (int(x) for x in stream.integers(0, n, 2))
-            if u != v:
-                edges.add((min(u, v), max(u, v)))
-        edges = sorted(edges)
-        us = np.array([u for u, _ in edges], dtype=np.int64)
-        vs = np.array([v for _, v in edges], dtype=np.int64)
-        family.apply_edges_bulk(us, vs, np.ones(len(edges),
-                                                dtype=np.int64))
-        samplers = [sketches[v].sampler for v in range(n)]
-        for col in (0, 3, 5):
-            got = family.query_bulk(samplers, col)
-            expected = []
-            for s in samplers:
-                idx = s.sample_column(col)
-                expected.append(None if idx is None
-                                else family.decode(idx))
-            assert got == expected
-        empty = family.cuts_empty_bulk(samplers)
-        assert [bool(z) for z in empty] == [s.is_zero() for s in samplers]
-        # The fused per-iteration router agrees with its two halves.
-        zeros, edges_fused = family.query_iteration_bulk(samplers, 3)
-        assert np.array_equal(zeros, empty)
-        expected_fused = [
-            None if s.is_zero() else
-            (None if (idx := s.sample_column(3)) is None
-             else family.decode(idx))
-            for s in samplers
-        ]
-        assert edges_fused == expected_fused
-
     def test_merged_sketch_sample_cut_edges(self):
         from repro.sketch import MergedSketch
 
@@ -313,29 +214,6 @@ class TestMergeValidationAndScratch:
     def test_sketch_error_is_value_error(self):
         # Backwards compatibility: callers catching ValueError still do.
         assert issubclass(SketchError, ValueError)
-
-    def test_scratch_merge_matches_plain_merge(self, rng):
-        rnd = SamplerRandomness(700, 4, rng)
-        samplers = [churn_sampler(rnd, i, count=30) for i in range(6)]
-        scratch = MergeScratch()
-        pooled = L0Sampler.merged(samplers, scratch=scratch)
-        plain = L0Sampler.merged(samplers)
-        assert np.array_equal(pooled.matrix.cells, plain.matrix.cells)
-        assert pooled.sample() == plain.sample()
-
-    def test_scratch_blocks_are_recycled(self, rng):
-        rnd = SamplerRandomness(400, 3, rng)
-        samplers = [churn_sampler(rnd, i, count=20) for i in range(4)]
-        scratch = MergeScratch()
-        first = L0Sampler.merged(samplers, scratch=scratch)
-        block = first.matrix.cells
-        scratch.reset()
-        second = L0Sampler.merged(samplers[:2], scratch=scratch)
-        # Same physical block, zeroed and refilled -- no new allocation.
-        assert second.matrix.cells is block
-        assert scratch.pooled == 1
-        reference = L0Sampler.merged(samplers[:2])
-        assert np.array_equal(second.matrix.cells, reference.matrix.cells)
 
 
 class TestLRUMemo:

@@ -172,7 +172,7 @@ class TestCapacityInjection:
 
 from repro.errors import SketchError  # noqa: E402
 from repro.mpc.backend import SharedMemoryBackend  # noqa: E402
-from repro.mpc.faults import Fault, FaultPlan  # noqa: E402
+from repro.mpc.faults import ROUTED_OPS, Fault, FaultPlan  # noqa: E402
 from repro.sketch import SketchFamily  # noqa: E402
 
 FLEET = 2
@@ -207,15 +207,6 @@ def _drive_op(family, op, n=40):
         us, vs = _edge_arrays(n, 20, seed=5)
         family.apply_edges_bulk(us, vs, np.ones(20, dtype=np.int64))
         return None
-    if op in ("query", "sample", "is_zero"):
-        samplers = [family.new_vertex_sketch(v).sampler
-                    for v in range(n)]
-        if op == "query":
-            zeros, found = family.query_iteration_bulk(samplers, 0)
-            return zeros.tolist(), found
-        if op == "sample":
-            return family.query_bulk(samplers, 1)
-        return family.cuts_empty_bulk(samplers).tolist()
     groups = [np.arange(i, min(i + 5, n), dtype=np.int64)
               for i in range(0, n, 5)]
     if op == "gquery":
@@ -257,6 +248,9 @@ class TestFaultPlanParsing:
         "kill:w=-1",                   # negative worker
         "kill:w=0:n=0",                # nth is 1-based
         "kill:w=0:op=frobnicate",      # unknown routed op
+        "kill:w=0:op=query",           # per-row wire ops no longer exist
+        "drop:w=0:op=sample",
+        "hang:w=0:op=is_zero",
         "hang:w=0:s=-2",               # negative seconds
         "kill:w=0:bogus=1",            # unknown setting
         "chaos:kill:seed=1",           # chaos without every
@@ -276,9 +270,9 @@ class TestFaultPlanParsing:
 
     def test_one_shot_fault_fires_once(self):
         plan = FaultPlan.kill_before(0, nth=2)
-        assert plan.draw(0, "query") is None
-        assert plan.draw(0, "query") is not None
-        assert plan.draw(0, "query") is None
+        assert plan.draw(0, "gquery") is None
+        assert plan.draw(0, "gquery") is not None
+        assert plan.draw(0, "gquery") is None
         assert plan.exhausted
 
 
@@ -326,10 +320,10 @@ class TestFaultSpecEdgeCases:
         # Same worker, disjoint op filters: each send consults both but
         # only the matching fault fires, so filters never shadow each
         # other.
-        plan = FaultPlan.parse("drop:w=1:op=query;kill:w=1:op=apply")
+        plan = FaultPlan.parse("drop:w=1:op=gquery;kill:w=1:op=apply")
         fired = plan.draw(1, "apply")
         assert fired is not None and fired.kind == "kill"
-        fired = plan.draw(1, "query")
+        fired = plan.draw(1, "gquery")
         assert fired is not None and fired.kind == "drop"
 
     def test_chaos_seed_reuse_replays_identically(self):
@@ -354,9 +348,7 @@ class TestWorkerKillMatrix:
     """Kill a worker immediately before each routed op; the phase must
     complete bit-identically to the sequential backend after respawn."""
 
-    @pytest.mark.parametrize("op", ["apply", "query", "sample",
-                                    "is_zero", "gquery", "gzero",
-                                    "gscan"])
+    @pytest.mark.parametrize("op", ROUTED_OPS)
     def test_kill_mid_phase_recovers_bit_identically(self, op):
         # gscan rotates single-worker jobs starting at worker 0; every
         # other op fans out over both workers, so worker 1 always has
@@ -490,9 +482,9 @@ class TestGracefulDegradation:
             assert np.array_equal(seq.pool.cells, shm.pool.cells)
             assert np.array_equal(seq.pool.row_mass, shm.pool.row_mass)
             # Every op keeps answering, identically, after degradation.
-            for op in ("query", "sample", "is_zero", "gquery", "gzero",
-                       "gscan"):
-                assert _drive_op(seq, op) == _drive_op(shm, op)
+            for op in ROUTED_OPS:
+                if op != "apply":
+                    assert _drive_op(seq, op) == _drive_op(shm, op)
             seq.apply_edges_bulk(us[:9], vs[:9], -ones[:9])
             shm.apply_edges_bulk(us[:9], vs[:9], -ones[:9])
             assert np.array_equal(seq.pool.cells, shm.pool.cells)
@@ -514,6 +506,6 @@ class TestGracefulDegradation:
             _drive_op(seq2, "apply")
             _drive_op(shm2, "apply")
             assert np.array_equal(seq2.pool.cells, shm2.pool.cells)
-            assert _drive_op(seq2, "query") == _drive_op(shm2, "query")
+            assert _drive_op(seq2, "gquery") == _drive_op(shm2, "gquery")
         finally:
             backend.close()

@@ -34,14 +34,12 @@ from repro.sketch.l0_sampler import (
     is_zero_cells,
     query_cells,
     query_group_cells,
-    sample_cells,
     scan_group_cells,
     zero_group_cells,
 )
 from repro.sketch.sparse_recovery import (
     _suffix_cumsum,
     merge_group_cells,
-    recover_from_prefix,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -148,12 +146,12 @@ class TestScalarGolden:
         prefix = _suffix_cumsum(sampler.matrix.cells)
         fused = kernels.decode_prefix(prefix, randomness.universe,
                                       randomness.z)
-        # A plain lambda has no __self__, forcing the generic
-        # callback path inside recover_from_prefix.
-        generic = recover_from_prefix(
-            prefix, randomness.universe,
-            lambda i, w, f: randomness.fingerprint_ok_many(i, w, f))
-        assert np.array_equal(fused, generic)
+        # The generic path: the scalar level scan of
+        # RecoveryMatrix.recover with Python big-int fingerprints.
+        scalar = [sampler.matrix.recover(col, randomness.universe,
+                                         randomness.fingerprint_ok)
+                  for col in range(randomness.columns)]
+        assert [None if g < 0 else g for g in fused.tolist()] == scalar
         # Every recovered coordinate is a real support member.
         vec = {}
         for i, d in zip(idxs.tolist(), deltas.tolist()):
@@ -209,7 +207,6 @@ def _op_snapshot(tier):
     return {
         "cells": cells,
         "zeros": zeros, "found": found,
-        "sample": sample_cells(cells, cols, randomness),
         "is_zero": is_zero_cells(cells),
         "gzeros": gzeros, "gfound": gfound,
         "zgroups": zero_group_cells(cells, groups),

@@ -219,7 +219,7 @@ class TestRepoGate:
         quickstart = (ROOT / "examples" / "quickstart.py").read_text()
         for name in ("REPRO_BACKEND", "REPRO_BACKEND_WORKERS",
                      "REPRO_BACKEND_TIMEOUT", "REPRO_BACKEND_RETRIES",
-                     "REPRO_BACKEND_BACKOFF", "REPRO_BACKEND_FAULTS",
+                     "REPRO_BACKEND_FAULTS",
                      "REPRO_KERNELS", "REPRO_KERNELS_PROFILE"):
             assert name in quickstart
 

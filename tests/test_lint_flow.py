@@ -121,7 +121,7 @@ class TestUnchargedBulkPaths:
                 return self._fanout(us)
 
             def _fanout(self, us):
-                return self.family.query_bulk(us)
+                return self.family.query_iteration_groups(us, 0)
     """
 
     def test_uncharged_path_is_found_with_witness(self):
@@ -131,7 +131,7 @@ class TestUnchargedBulkPaths:
         paths = graph.uncharged_bulk_paths(entry)
         assert len(paths) == 1
         chain, (op, _line) = paths[0]
-        assert op == "query_bulk"
+        assert op == "query_iteration_groups"
         assert [f.qname.rsplit(".", 1)[-1] for f in chain] == [
             "query_many", "_fanout"]
 
