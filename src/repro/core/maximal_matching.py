@@ -67,9 +67,6 @@ class BatchDynamicMaximalMatching:
     def matching_size(self) -> int:
         return len(self._mate) // 2
 
-    def is_matched(self, v: int) -> bool:
-        return v in self._mate
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj.get(u, set())
 

@@ -18,7 +18,7 @@ import numpy as np
 from repro.core.components import ComponentIds
 from repro.errors import InvalidUpdateError, SketchFailureError
 from repro.euler.sequential import EulerTourForest
-from repro.sketch.graph_sketch import SketchFamily
+from repro.sketch.graph_sketch import MergedSketch, SketchFamily
 from repro.types import Edge, ForestSolution, Op, Update, canonical
 
 
@@ -43,10 +43,11 @@ class StreamingConnectivity:
         counted in :attr:`sketch_failures`.
     backend:
         Execution backend (name, instance, or ``None`` for the
-        ``REPRO_BACKEND`` environment default) running the bulk sketch
-        work -- see :mod:`repro.mpc.backend`.  Single-update streaming
-        mostly exercises the scalar path; the backend matters for
-        :meth:`preload`'s bulk ingestion.
+        ``REPRO_BACKEND`` environment default) -- see
+        :mod:`repro.mpc.backend`.  It matters for :meth:`preload`'s
+        bulk ingestion only: single updates and the replacement search
+        run on the scalar path, over the vertex sketches this instance
+        owns (views of the family pool wherever the backend placed it).
     """
 
     def __init__(self, n: int, columns: Optional[int] = None, seed: int = 0,
@@ -164,24 +165,18 @@ class StreamingConnectivity:
         edge is accepted only if it genuinely crosses the split (the
         fingerprint makes anything else vanishingly unlikely).
 
-        Z_u ships as *membership* (its vertices are rows of the family
-        pool): the execution backend merges the member rows where the
-        pool lives and decodes the whole column scan in one pass
-        (:meth:`SketchFamily.scan_group`), so no merged sketch is ever
-        materialised here.  The accept/reject walk over the per-column
-        results is unchanged, and summing rows commutes with querying,
-        so the outcome is bit-identical to the merged-sketch scan.
+        This is the paper's reference, so it reads like it: merge the
+        member sketches of Z_u (:class:`MergedSketch`, the oracle the
+        routed group queries are tested against) and decode the whole
+        column scan in one pass.
         """
-        members = np.fromiter(sorted(z_u), dtype=np.int64,
-                              count=len(z_u))
+        merged = MergedSketch.of(self.sketches[v] for v in sorted(z_u))
+        if merged.cut_is_empty():
+            return None
         columns = self.family.columns
         order = [(self._column_cursor + offset) % columns
                  for offset in range(columns)]
-        cut_empty, sampled = self.family.scan_group(
-            members, np.asarray(order, dtype=np.int64)
-        )
-        if cut_empty:
-            return None
+        sampled = merged.sample_cut_edges(np.asarray(order, dtype=np.int64))
         for column, candidate in zip(order, sampled):
             if candidate is None:
                 continue

@@ -118,17 +118,8 @@ class DistributedEulerForest:
     def tour_vertices(self, tid: int) -> Set[int]:
         return set(self._vertices_by_tour[tid])
 
-    def tree_edges_of_tour(self, tid: int) -> List[Edge]:
-        return sorted(self._edges_by_tour[tid])
-
     def all_edges(self) -> List[Edge]:
         return sorted(self._tid_of_edge)
-
-    def tour_ids(self) -> List[int]:
-        return list(self._vertices_by_tour)
-
-    def tour_length(self, tid: int) -> int:
-        return self._tour_len[tid]
 
     def root_of(self, tid: int) -> int:
         return self._root_of_tour[tid]

@@ -230,10 +230,6 @@ def contract_for(name: str) -> Optional[Contract]:
     return _CONTRACTS.get(name)
 
 
-def contract_names() -> Tuple[str, ...]:
-    return tuple(sorted(_CONTRACTS))
-
-
 def numpy_kernel(name: str) -> Callable[[Callable], Callable]:
     """Register ``func`` as the numpy-tier implementation of ``name``."""
 

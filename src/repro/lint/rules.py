@@ -23,7 +23,7 @@ _CLEANUP_HINTS = ("close", "unlink", "release")
 #: charged.  Kept in sync with SketchFamily's routed surface.
 BULK_OPS = frozenset({
     "apply_edges_bulk", "apply_updates_bulk", "query_iteration_groups",
-    "cuts_empty_groups", "scan_group", "query_groups", "update_grouped",
+    "cuts_empty_groups", "query_groups", "update_grouped",
 })
 
 _ENV_NAME_RE = re.compile(r"\AREPRO_[A-Z][A-Z0-9_]*\Z")

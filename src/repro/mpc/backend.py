@@ -9,8 +9,10 @@ zero-test / cut-edge recovery over merged *groups* of pool rows -- into
 *work descriptors* (numpy index arrays, never pickled sketches) and
 decides where they run:
 
-* :class:`SequentialBackend` (the default) runs them in-process, exactly
-  as before.  Zero overhead, zero dependencies, fully deterministic.
+* :class:`SequentialBackend` (the default) runs them in-process: its
+  reads are one call to the op table (:func:`_execute_op`) on the whole
+  batch -- the sequential backend is one share of the same op table the
+  workers execute.  Zero dependencies, fully deterministic.
 * :class:`SharedMemoryBackend` spawns persistent worker processes, maps
   each attached pool's cell block into ``multiprocessing.shared_memory``,
   and shards vertex rows across workers with the same block partition
@@ -115,8 +117,7 @@ under a supervisor loop (:meth:`SharedMemoryBackend._dispatch_ops`):
 * **Graceful degradation** -- when retries are exhausted (or a respawn
   itself fails), the backend *degrades* instead of breaking: the
   remaining shares of the in-flight call, and every later call, execute
-  in-process through the same one-source-of-truth cores
-  (``pool_scatter`` / ``query_cells`` / ``merge_group_cells``), so
+  in-process through the same :func:`_execute_op` the workers ran, so
   answers stay bit-identical -- only the parallelism is lost.  A
   degraded backend keeps ``usable`` true and reports itself in
   :meth:`describe`.
@@ -225,17 +226,18 @@ class PoolHandle:
 class ExecutionBackend:
     """Protocol for executing pool-level sketch work.
 
-    ``attach_pool`` / ``detach_pool`` manage pool placement.  Four
-    routed methods carry all sketch work, one bulk write and one bulk
-    read family:
+    ``attach_pool`` / ``detach_pool`` manage pool placement.  Three
+    routed methods carry all sketch work, one bulk write and two bulk
+    reads:
 
     * ``scatter_edges`` ingests an edge batch into both endpoints'
       rows (wire op ``apply``);
-    * ``query_groups`` / ``zero_groups`` / ``scan_group`` answer the
-      AGM-iteration queries over *membership groups* -- per-supernode
-      lists of pool rows the backend merges where the pool lives (wire
-      ops ``gquery`` / ``gzero`` / ``gscan``).  A single row is the
-      size-1 group; there is no separate per-row query surface.
+    * ``query_groups`` / ``zero_groups`` answer the AGM-iteration
+      queries over *membership groups* of pool rows, which the backend
+      merges where the pool lives (wire ops ``gquery`` / ``gzero``).
+      Groups have one shape, the wire's: ``members`` (every group's
+      rows back to back) and ``glens`` (the group sizes).  A single
+      row is the size-1 group; there is no per-row query surface.
 
     The wire op names are listed once in
     :data:`repro.mpc.faults.ROUTED_OPS` and executed by
@@ -284,25 +286,20 @@ class ExecutionBackend:
     # -- routed supernode (group) work ----------------------------------
     # The AGM halving iterations query *merged* supernode sketches.
     # Instead of materialising merged cells in the parent, these ops
-    # ship fragment **membership** (per-group pool-row lists); the
+    # ship fragment **membership** (flat ``members`` + ``glens``); the
     # backend merges the member rows where the pool lives and answers
     # bit-identically to merging first (sum + query commute, see
-    # repro.sketch.sparse_recovery.merge_group_cells).
+    # SketchFamily.query_iteration_groups).
 
-    def query_groups(self, handle: PoolHandle,
-                     groups: "List[np.ndarray]",
+    def query_groups(self, handle: PoolHandle, members: np.ndarray,
+                     glens: np.ndarray,
                      cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Fused zero test + one-column recovery per merged group."""
         raise NotImplementedError
 
-    def zero_groups(self, handle: PoolHandle,
-                    groups: "List[np.ndarray]") -> np.ndarray:
+    def zero_groups(self, handle: PoolHandle, members: np.ndarray,
+                    glens: np.ndarray) -> np.ndarray:
         """Per-group all-columns zero test over merged member rows."""
-        raise NotImplementedError
-
-    def scan_group(self, handle: PoolHandle, members: np.ndarray,
-                   cols: np.ndarray) -> Tuple[bool, np.ndarray]:
-        """Zero test + whole column scan of one merged group."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -336,7 +333,9 @@ class ExecutionBackend:
 
 
 class SequentialBackend(ExecutionBackend):
-    """The in-process backend: today's vectorized code paths, verbatim."""
+    """The in-process backend: reads are one :func:`_execute_op` call on
+    the whole batch; the write keeps a body that hashes each edge once
+    for both endpoints (the wire form hashes per endpoint)."""
 
     name = SEQUENTIAL
     parallel = False
@@ -370,30 +369,18 @@ class SequentialBackend(ExecutionBackend):
         )
         self.last_split = {0: int(slots.shape[0])}
 
-    def query_groups(self, handle: PoolHandle,
-                     groups: "List[np.ndarray]",
+    def query_groups(self, handle: PoolHandle, members: np.ndarray,
+                     glens: np.ndarray,
                      cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        from repro.sketch.l0_sampler import query_group_cells
-
-        self.last_split = {0: sum(int(g.shape[0]) for g in groups)}
-        return query_group_cells(handle.pool.cells, groups, cols,
-                                 handle.randomness)
-
-    def zero_groups(self, handle: PoolHandle,
-                    groups: "List[np.ndarray]") -> np.ndarray:
-        from repro.sketch.l0_sampler import zero_group_cells
-
-        self.last_split = {0: sum(int(g.shape[0]) for g in groups)}
-        return zero_group_cells(handle.pool.cells, groups)
-
-    def scan_group(self, handle: PoolHandle, members: np.ndarray,
-                   cols: np.ndarray) -> Tuple[bool, np.ndarray]:
-        from repro.sketch.l0_sampler import scan_group_cells
-
         self.last_split = {0: int(members.shape[0])}
-        zero, found = scan_group_cells(handle.pool.cells, members, cols,
-                                       handle.randomness)
-        return bool(zero), found
+        return _execute_op("gquery", handle.pool.cells,
+                           handle.randomness, [glens, members, cols])
+
+    def zero_groups(self, handle: PoolHandle, members: np.ndarray,
+                    glens: np.ndarray) -> np.ndarray:
+        self.last_split = {0: int(members.shape[0])}
+        return _execute_op("gzero", handle.pool.cells,
+                           handle.randomness, [glens, members])
 
 
 # ---------------------------------------------------------------------------
@@ -428,32 +415,28 @@ def _execute_op(op: str, cells: np.ndarray, randomness,
                 args: List[np.ndarray]):
     """One routed op over descriptor arrays.
 
-    The single source of truth shared by the worker processes and the
-    parent's degraded-mode fallback (:meth:`SharedMemoryBackend.
-    _run_local`): the same vectorized cores the sequential backend
-    runs, so answers are bit-identical wherever the op executes.  Mass
-    bookkeeping is deliberately *not* here -- it stays with the caller
-    of ``scatter_edges``, the single parent-side trigger point.
+    The op table, and the only executor: the worker processes run it
+    on their share, :class:`SequentialBackend`'s reads on the whole
+    batch, and a degraded fleet on whatever was left (``cells`` is then
+    the very segment the workers were writing), so answers are
+    bit-identical wherever the op executes.  Mass bookkeeping is
+    deliberately *not* here -- it stays with the caller of
+    ``scatter_edges``, the single parent-side trigger point.
 
     Group ops consume the wire shape (``glens``/flat ``members``)
     directly through the :mod:`repro.kernels` group-merge kernel --
     no per-group Python list is rebuilt on the hot path.
     """
     from repro import kernels as _kernels
-    from repro.sketch.l0_sampler import (
-        is_zero_cells,
-        query_cells,
-        scan_group_cells,
-    )
-    from repro.sketch.sparse_recovery import pool_scatter
+    from repro.sketch.l0_sampler import query_cells
 
     if op == "apply":
         slots, idxs, deltas = args
         col_levels = randomness.levels_of_many(idxs)
         zpows = randomness.zpow_many(idxs)
         _, _, columns, levels = cells.shape
-        pool_scatter(cells.reshape(-1), columns, levels, slots,
-                     col_levels, idxs, deltas, zpows)
+        _kernels.pool_scatter(cells.reshape(-1), columns, levels, slots,
+                              col_levels, idxs, deltas, zpows)
         return None
     if op == "gquery":
         glens, members, cols = args
@@ -461,10 +444,8 @@ def _execute_op(op: str, cells: np.ndarray, randomness,
         return query_cells(merged, cols, randomness)
     if op == "gzero":
         glens, members = args
-        return is_zero_cells(_kernels.merge_groups(cells, members, glens))
-    if op == "gscan":
-        members, cols = args
-        return scan_group_cells(cells, members, cols, randomness)
+        return _kernels.is_zero_cells(
+            _kernels.merge_groups(cells, members, glens))
     raise ValueError(f"unknown backend op {op!r}")
 
 
@@ -634,6 +615,12 @@ class SharedMemoryBackend(ExecutionBackend):
         self.call_timeout = (call_timeout if call_timeout is not None
                              else env_float(ENV_TIMEOUT, 120.0))
         self.start_timeout = float(start_timeout)
+        if not (self.call_timeout > 0 and self.start_timeout > 0):
+            raise ConfigurationError(
+                "call_timeout and start_timeout must be > 0 seconds")
+        if ring_words < 0:
+            raise ConfigurationError(
+                "ring_words must be >= 0 (0 = pipe-only transport)")
         if retries is None:
             env = env_int(ENV_RETRIES, minimum=0)
             retries = env if env is not None else 2
@@ -680,7 +667,6 @@ class SharedMemoryBackend(ExecutionBackend):
         self._ring_views: List[np.ndarray] = []
         self._ring_offsets: List[int] = []
         self._ring_seqs: List[int] = []
-        self._scan_cursor = 0
         self._status: Optional["object"] = None
         self._status_view: Optional[np.ndarray] = None
         self._op_ids = [0] * self.num_workers
@@ -962,18 +948,6 @@ class SharedMemoryBackend(ExecutionBackend):
             except FileNotFoundError:  # pragma: no cover
                 pass
 
-    def _run_local(self, handle: PoolHandle, op: str,
-                   arrays: List[np.ndarray]) -> object:
-        """Degraded-mode execution of one shard's op, in-process.
-
-        ``handle.pool.cells`` *is* the shared segment the workers were
-        writing (``adopt_buffer``), and :func:`_execute_op` is the same
-        code they ran, so completing a half-dispatched call locally is
-        bit-identical to the fleet finishing it.
-        """
-        return _execute_op(op, handle.pool.cells, handle.randomness,
-                           list(arrays))
-
     def _classify_failures(self, failures: Dict[int, str],
                            pending: Dict[int, tuple], mutating: bool,
                            results: Dict[int, object]) -> None:
@@ -1046,7 +1020,8 @@ class SharedMemoryBackend(ExecutionBackend):
         if not jobs:
             return {}
         if self.degraded is not None:
-            return {wid: self._run_local(handle, op, arrays)
+            return {wid: _execute_op(op, handle.pool.cells,
+                                     handle.randomness, arrays)
                     for wid, op, arrays in jobs}
         pending: Dict[int, tuple] = {wid: (op, arrays)
                                      for wid, op, arrays in jobs}
@@ -1122,10 +1097,11 @@ class SharedMemoryBackend(ExecutionBackend):
             if self.backoff > 0:
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
         # Degraded: finish the remaining shares in-process -- same
-        # cores, same shared cells, bit-identical results.
+        # executor, same shared cells, bit-identical results.
         for wid in sorted(pending):
             op, arrays = pending[wid]
-            results[wid] = self._run_local(handle, op, arrays)
+            results[wid] = _execute_op(op, handle.pool.cells,
+                                       handle.randomness, arrays)
         return results
 
     def _dispatch_control(self, jobs: List[tuple],
@@ -1358,35 +1334,37 @@ class SharedMemoryBackend(ExecutionBackend):
             self.last_split = split
         return jobs
 
-    def _group_jobs(self, handle: PoolHandle, groups: "List[np.ndarray]",
+    def _group_jobs(self, members: np.ndarray, glens: np.ndarray,
                     cols: Optional[np.ndarray],
                     op: str) -> Tuple[List[tuple], Dict[int, np.ndarray]]:
         """Assign whole groups to workers (greedy least-loaded by member
-        count -- deterministic) and pack each worker's share as
-        ``[group_lengths, members_flat(, cols)]``.  Workers read any
-        pool row read-only, so group placement is a load-balancing
-        choice, not a correctness constraint like the scatter shards.
+        count -- deterministic) and slice each worker's share out of the
+        flat arrays as ``[group_lengths, members_flat(, cols)]``.
+        Workers read any pool row read-only, so group placement is a
+        load-balancing choice, not a correctness constraint like the
+        scatter shards.
         """
         with self._profile.timed("backend.shard"):
             loads = [0] * self.num_workers
-            assignment: Dict[int, List[int]] = {}
-            for i, members in enumerate(groups):
+            owner = np.empty(glens.shape[0], dtype=np.int64)
+            for i, size in enumerate(glens.tolist()):
                 wid = min(range(self.num_workers),
                           key=lambda w: (loads[w], w))
-                assignment.setdefault(wid, []).append(i)
-                loads[wid] += max(1, int(members.shape[0]))
+                owner[i] = wid
+                loads[wid] += max(1, size)
+            member_owner = np.repeat(owner, glens)
             jobs: List[tuple] = []
             masks: Dict[int, np.ndarray] = {}
             split: Dict[int, int] = {}
-            for wid, indices in assignment.items():
-                idx = np.asarray(indices, dtype=np.int64)
+            for wid in range(self.num_workers):
+                idx = np.flatnonzero(owner == wid)
+                if not idx.size:
+                    continue
                 masks[wid] = idx
-                split[wid] = int(sum(groups[i].shape[0]
-                                     for i in indices))
-                glens = np.fromiter((groups[i].shape[0] for i in indices),
-                                    dtype=np.int64, count=len(indices))
-                members = np.concatenate([groups[i] for i in indices])
-                arrays = [glens, members]
+                # Boolean selection keeps member order, and a worker's
+                # groups stay in ascending order: the share is flat.
+                arrays = [glens[idx], members[member_owner == wid]]
+                split[wid] = int(arrays[1].shape[0])
                 if cols is not None:
                     arrays.append(cols[idx])
                 jobs.append((wid, op, arrays))
@@ -1408,43 +1386,29 @@ class SharedMemoryBackend(ExecutionBackend):
         # order as the sequential path's apply_points.
         handle.pool.record_mass(slots, signed)
 
-    def query_groups(self, handle: PoolHandle,
-                     groups: "List[np.ndarray]",
+    def query_groups(self, handle: PoolHandle, members: np.ndarray,
+                     glens: np.ndarray,
                      cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         self._flush_detaches()
-        jobs, masks = self._group_jobs(handle, groups, cols, "gquery")
+        jobs, masks = self._group_jobs(members, glens, cols, "gquery")
         results = self._dispatch_ops(handle, jobs)
-        zeros = np.zeros(len(groups), dtype=bool)
-        found = np.full(len(groups), -1, dtype=np.int64)
+        zeros = np.zeros(glens.shape[0], dtype=bool)
+        found = np.full(glens.shape[0], -1, dtype=np.int64)
         for wid, payload in results.items():
             z, f = payload
             zeros[masks[wid]] = z
             found[masks[wid]] = f
         return zeros, found
 
-    def zero_groups(self, handle: PoolHandle,
-                    groups: "List[np.ndarray]") -> np.ndarray:
+    def zero_groups(self, handle: PoolHandle, members: np.ndarray,
+                    glens: np.ndarray) -> np.ndarray:
         self._flush_detaches()
-        jobs, masks = self._group_jobs(handle, groups, None, "gzero")
+        jobs, masks = self._group_jobs(members, glens, None, "gzero")
         results = self._dispatch_ops(handle, jobs)
-        zeros = np.zeros(len(groups), dtype=bool)
+        zeros = np.zeros(glens.shape[0], dtype=bool)
         for wid, payload in results.items():
             zeros[masks[wid]] = payload
         return zeros
-
-    def scan_group(self, handle: PoolHandle, members: np.ndarray,
-                   cols: np.ndarray) -> Tuple[bool, np.ndarray]:
-        self._flush_detaches()
-        # One group, one worker: rotate so consecutive replacement
-        # searches spread over the fleet (deterministic round-robin).
-        wid = self._scan_cursor % self.num_workers
-        self._scan_cursor += 1
-        self.last_split = {wid: int(members.shape[0])}
-        results = self._dispatch_ops(
-            handle, [(wid, "gscan", [members, cols])]
-        )
-        zero, found = results[wid]
-        return bool(zero), found
 
     # ------------------------------------------------------------------
     def close(self) -> None:

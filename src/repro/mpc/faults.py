@@ -76,7 +76,7 @@ ENV_FAULTS = "REPRO_BACKEND_FAULTS"
 KINDS = ("kill", "hang", "delay", "drop", "truncate")
 
 #: Routed op names a fault may filter on (the backend wire ops).
-ROUTED_OPS = ("apply", "gquery", "gzero", "gscan")
+ROUTED_OPS = ("apply", "gquery", "gzero")
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 and the AGM graph sketches built from them (paper, Section 3.1).
 
 Bulk ingestion: every layer has an array flavour next to its scalar
-one -- ``mulmod_many`` / ``poly_field_values`` (k-wise hashing over
-GF(2^61-1) with 32-bit limb arithmetic, see :mod:`repro.sketch.hashing`),
+one -- ``kernels.mulmod_many`` / ``poly_field_values`` (k-wise hashing
+over GF(2^61-1) with 32-bit limb arithmetic, see
+:mod:`repro.sketch.hashing`; array kernels are called as
+``repro.kernels.<name>`` and are not re-exported here),
 ``encode_edges`` / ``edge_signs``, ``SamplerRandomness.levels_of_many``
 / ``zpow_many``, ``RecoveryMatrix.apply_many``,
 ``L0Sampler.update_many``, ``VertexSketch.apply_edges``, and the
@@ -14,15 +16,15 @@ faster per batch (``benchmarks/test_exp12_ingest_throughput.py``).
 
 Bulk queries: the recovery side has one array-in/array-out surface,
 *membership groups* of pool rows.  ``SketchFamily.query_iteration_groups``
-/ ``cuts_empty_groups`` / ``scan_group`` ship per-supernode vertex-row
-lists to the execution backend, which sums the member rows
-(``merge_group_cells``) and answers a whole AGM halving iteration in one
-pass over the cores ``query_cells`` / ``is_zero_cells``;
-``RecoveryMatrix.recover_many`` / ``column_is_zero_many`` and
-``L0Sampler.sample_columns`` decode many columns of one sketch
-(``recover_from_prefix`` is the shared decoder) and ``decode_indices``
-inverts the edge coding for whole batches.  The scalar path
-(``L0Sampler.update`` / ``sample_column`` / ``is_zero``,
+/ ``cuts_empty_groups`` flatten per-supernode vertex-row lists once into
+``(members, glens)`` and ship that pair to the execution backend, which
+sums the member rows (``kernels.merge_groups``) and answers a whole AGM
+halving iteration in one pass over ``query_cells`` /
+``kernels.is_zero_cells``; ``RecoveryMatrix.recover_many`` /
+``column_is_zero_many`` and ``L0Sampler.sample_columns`` decode many
+columns of one sketch (``kernels.decode_prefix`` is the shared decoder)
+and ``decode_indices`` inverts the edge coding for whole batches.  The
+scalar path (``L0Sampler.update`` / ``sample_column`` / ``is_zero``,
 ``MergedSketch``, the ``LRUMemo`` hash memos) stays as the size-1
 production shortcut and as the oracle: ``tests/test_bulk_query.py`` and
 ``tests/test_backend.py`` assert the bulk answers are bit-identical to
@@ -50,18 +52,13 @@ from repro.sketch.hashing import (
     KWiseHash,
     LRUMemo,
     PairwiseHash,
-    addmod_many,
-    mulmod_many,
-    poly_field_values,
     random_field_element,
     trailing_zeros,
-    trailing_zeros_many,
 )
 from repro.sketch.l0_sampler import (
     CACHE_LIMIT,
     L0Sampler,
     SamplerRandomness,
-    is_zero_cells,
     levels_for_universe,
     query_cells,
 )
@@ -69,8 +66,6 @@ from repro.sketch.sparse_recovery import (
     RENORM_MASS,
     RecoveryMatrix,
     RecoveryPool,
-    pool_scatter,
-    recover_from_prefix,
 )
 
 __all__ = [
@@ -91,21 +86,14 @@ __all__ = [
     "KWiseHash",
     "LRUMemo",
     "PairwiseHash",
-    "addmod_many",
-    "mulmod_many",
-    "poly_field_values",
     "random_field_element",
     "trailing_zeros",
-    "trailing_zeros_many",
     "CACHE_LIMIT",
     "L0Sampler",
     "SamplerRandomness",
-    "is_zero_cells",
     "levels_for_universe",
     "query_cells",
     "RENORM_MASS",
     "RecoveryMatrix",
     "RecoveryPool",
-    "pool_scatter",
-    "recover_from_prefix",
 ]

@@ -30,10 +30,12 @@ Bulk queries are the mirror image, and they have one shape:
 fragment sketches (Section 6.3), so
 :meth:`SketchFamily.query_iteration_groups` answers one column's
 cut-edge query for many supernodes given as per-supernode vertex-row
-lists (the per-iteration shape of the AGM halving),
-:meth:`SketchFamily.cuts_empty_groups` batches the zero tests, and
-:meth:`SketchFamily.scan_group` decodes a whole column scan of one
-merged group at once.  A single vertex is the size-1 group.  All are
+lists (the per-iteration shape of the AGM halving), and
+:meth:`SketchFamily.cuts_empty_groups` batches the zero tests.  A
+single vertex is the size-1 group.  The two entries flatten the lists
+once into ``(members, glens)`` -- member rows back to back plus group
+lengths -- the only group shape below the family, from the backend
+protocol over the wire to :func:`repro.kernels.merge_groups`.  Both are
 bit-identical to the scalar reference, :class:`MergedSketch` over the
 member :class:`VertexSketch` stacks, which the tests use as oracle.
 
@@ -43,7 +45,7 @@ Where the bulk work *runs* is the execution backend's decision
 (:mod:`repro.mpc.backend`): the family registers its pool with the
 backend at construction, :meth:`SketchFamily.apply_edges_bulk` hands
 the backend per-edge descriptors, and the group queries hand it the
-membership lists instead of materialised merged cells -- the backend
+flat membership instead of materialised merged cells -- the backend
 sums the member rows against the pool where it lives and returns only
 the recovered edges, which is what keeps the AGM halving iterations'
 per-round communication small on the cluster backend.  On the default
@@ -143,6 +145,13 @@ class SketchFamily:
             self._detach = None
             self._pool_handle = None
 
+    def _handle(self):
+        """The live registration; the one guard of the routed entries."""
+        if self._pool_handle is None:
+            raise SketchError("sketch family is detached; "
+                              "attach_backend() first")
+        return self._pool_handle
+
     # -- checkpointing ---------------------------------------------------
     def __getstate__(self):
         """Drop the backend registration: handles, finalizers, and
@@ -161,9 +170,6 @@ class SketchFamily:
 
     def encode(self, u: int, v: int) -> int:
         return encode_edge(self.n, u, v)
-
-    def encode_many(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        return encode_edges(self.n, us, vs)
 
     def decode(self, idx: int) -> Edge:
         return decode_index(self.n, idx)
@@ -196,54 +202,42 @@ class SketchFamily:
         cut-edge recovery, so the parent never materialises merged
         supernode cells.  Entry ``i`` of the result equals querying the
         parent-side merge of ``groups[i]`` on ``column[i]`` --
-        bit-identical, because summing rows and querying commute (see
-        :func:`~repro.sketch.sparse_recovery.merge_group_cells`).  On
+        bit-identical, because summing rows and querying commute
+        (int64 addition is exact and order-independent, and limb
+        renormalization never changes the value a query reads).  On
         the cluster backend whole groups are balanced across workers
         and only the recovered edges travel back.
         """
-        groups = self._group_arrays(groups)
-        if not groups:
+        if not len(groups):
             return np.zeros(0, dtype=bool), []
-        cols = self._broadcast_columns(column, len(groups))
-        zeros, found = self.backend.query_groups(self._pool_handle,
-                                                 groups, cols)
+        members, glens = self._flatten_groups(groups)
+        cols = self._broadcast_columns(column, glens.size)
+        zeros, found = self.backend.query_groups(self._handle(), members,
+                                                 glens, cols)
         return zeros, self.decode_many(found)
 
     def cuts_empty_groups(self, groups) -> np.ndarray:
         """Vectorized empty-cut test over membership-shipped groups."""
-        groups = self._group_arrays(groups)
-        if not groups:
+        if not len(groups):
             return np.zeros(0, dtype=bool)
-        return self.backend.zero_groups(self._pool_handle, groups)
+        members, glens = self._flatten_groups(groups)
+        return self.backend.zero_groups(self._handle(), members, glens)
 
-    def scan_group(self, members,
-                   cols) -> "Tuple[bool, List[Optional[Edge]]]":
-        """Empty-cut test + whole column scan of one merged group.
-
-        The replacement-search shape: merge the ``members`` rows once,
-        then decode every requested column (modulo the family's column
-        count) in a single pass.  Returns ``(cut_is_empty, edges)``.
-        """
-        (members,) = self._group_arrays([members])
-        cols = np.asarray(cols, dtype=np.int64) % self.columns
-        zero, found = self.backend.scan_group(self._pool_handle,
-                                              members, cols)
-        return bool(zero), self.decode_many(found)
-
-    def _group_arrays(self, groups) -> "List[np.ndarray]":
-        """Validate membership lists into int64 pool-row arrays."""
-        out: List[np.ndarray] = []
-        for members in groups:
-            arr = np.asarray(members, dtype=np.int64)
-            if arr.size == 0:
-                raise SketchError("cannot query an empty vertex group")
-            if int(arr.min()) < 0 or int(arr.max()) >= self.pool.count:
-                raise SketchError(
-                    f"group member outside the family's vertex range "
-                    f"[0, {self.pool.count})"
-                )
-            out.append(arr)
-        return out
+    def _flatten_groups(self, groups
+                        ) -> "Tuple[np.ndarray, np.ndarray]":
+        """Validate a non-empty list of membership lists into the flat
+        wire shape: all pool rows back to back + per-group lengths."""
+        glens = np.fromiter(map(len, groups), dtype=np.int64,
+                            count=len(groups))
+        if not glens.all():
+            raise SketchError("cannot query an empty vertex group")
+        members = np.concatenate(groups).astype(np.int64, copy=False)
+        if int(members.min()) < 0 or int(members.max()) >= self.pool.count:
+            raise SketchError(
+                f"group member outside the family's vertex range "
+                f"[0, {self.pool.count})"
+            )
+        return members, glens
 
     @staticmethod
     def _broadcast_columns(column, k: int) -> np.ndarray:
@@ -292,8 +286,7 @@ class SketchFamily:
         # backend hashes the coordinates and scatters -- in-process on
         # the sequential backend, sharded by row owner on the cluster
         # backend.
-        self.backend.scatter_edges(self._pool_handle, hi, lo, idxs,
-                                   deltas)
+        self.backend.scatter_edges(self._handle(), hi, lo, idxs, deltas)
 
     def apply_updates_bulk(self, updates, delta: Optional[int] = None
                            ) -> None:

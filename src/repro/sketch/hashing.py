@@ -16,8 +16,8 @@ Every function comes in a scalar flavour (exact Python-int arithmetic)
 and an array flavour used by the vectorized bulk-update path.  The
 array flavour evaluates the polynomial on whole numpy vectors at once.
 Products of two 61-bit field elements need 122 bits, which does not fit
-a numpy ``uint64``, so :func:`mulmod_many` splits each operand into
-32-bit limbs::
+a numpy ``uint64``, so :func:`repro.kernels.mulmod_many` splits each
+operand into 32-bit limbs::
 
     a = a_hi * 2^32 + a_lo,   b = b_hi * 2^32 + b_lo
     a*b = a_hi*b_hi * 2^64  +  (a_hi*b_lo + a_lo*b_hi) * 2^32  +  a_lo*b_lo
@@ -30,10 +30,11 @@ bit-identical values, which the bulk-vs-sequential ingestion tests
 assert.
 
 The array flavours live in the runtime-selectable kernel tier
-(:mod:`repro.kernels`, ``REPRO_KERNELS``); the functions here are the
-sketch layer's stable entry points and delegate to whichever tier the
-dispatcher bound -- pure numpy always, numba-compiled when available.
-Both tiers are bit-identical by contract (``tests/test_kernels.py``).
+(:mod:`repro.kernels`, ``REPRO_KERNELS``): callers here and elsewhere
+call ``kernels.mulmod_many`` / ``addmod_many`` / ``poly_field_values``
+/ ``trailing_zeros_many`` and get whichever tier the dispatcher bound
+-- pure numpy always, numba-compiled when available.  Both tiers are
+bit-identical by contract (``tests/test_kernels.py``).
 """
 
 from __future__ import annotations
@@ -103,33 +104,6 @@ class LRUMemo:
 
 # uint64 view of the prime kept for callers that build field inputs.
 _P_U64 = np.uint64(MERSENNE_P)
-
-
-def mulmod_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise ``(a * b) mod p`` for ``uint64`` arrays with entries
-    in ``[0, p)``; broadcasting works as for ``a * b``.
-
-    Dispatches to the active kernel tier (see the module docstring and
-    :mod:`repro.kernels.numpy_tier` for the limb arithmetic).
-    """
-    return _kernels.mulmod_many(a, b)
-
-
-def addmod_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise ``(a + b) mod p`` for ``uint64`` arrays in ``[0, p)``."""
-    return _kernels.addmod_many(a, b)
-
-
-def poly_field_values(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Evaluate many degree-(k-1) polynomials at many points in GF(p).
-
-    ``coeffs`` has shape ``(k, h)`` -- column ``j`` holds the
-    coefficients ``a_0 .. a_{k-1}`` of polynomial ``j`` -- and ``xs``
-    has shape ``(e,)`` with entries in ``[0, p)``.  Returns the
-    ``(e, h)`` uint64 matrix of Horner evaluations, bit-identical to
-    :meth:`KWiseHash.field_value` on each (point, polynomial) pair.
-    """
-    return _kernels.poly_field_values(coeffs, xs)
 
 
 @spawn_safe
@@ -204,7 +178,8 @@ class KWiseHash:
         below ``2^63`` are accepted.
         """
         points = np.asarray(xs, dtype=np.int64).astype(np.uint64) % _P_U64
-        return poly_field_values(self._coeff_column, points)[:, 0]
+        return _kernels.poly_field_values(self._coeff_column,
+                                          points)[:, 0]
 
     def __call__(self, x: int) -> int:
         return self.field_value(x) % self.range_size
@@ -218,7 +193,8 @@ class KWiseHash:
         if len(xs) == 0:
             return []
         reduced = np.array([x % MERSENNE_P for x in xs], dtype=np.uint64)
-        values = poly_field_values(self._coeff_column, reduced)[:, 0]
+        values = _kernels.poly_field_values(self._coeff_column,
+                                            reduced)[:, 0]
         return [int(v) for v in values % np.uint64(self.range_size)]
 
 
@@ -262,12 +238,3 @@ def trailing_zeros(x: int, cap: int) -> int:
     if x == 0:
         return cap
     return min(cap, (x & -x).bit_length() - 1)
-
-
-def trailing_zeros_many(xs: np.ndarray, cap: int) -> np.ndarray:
-    """Vectorized :func:`trailing_zeros` over a uint64 array.
-
-    Dispatches to the active kernel tier; both tiers match the scalar
-    bit-trick bit for bit, with zero entries mapping to ``cap``.
-    """
-    return _kernels.trailing_zeros_many(xs, cap)

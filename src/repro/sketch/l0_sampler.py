@@ -22,12 +22,11 @@ dispatch.
 
 Bulk queries mirror it on the way out: :meth:`L0Sampler.sample_columns`
 decodes many columns of one sampler in a single pass, and the
-cell-block cores below (:func:`query_group_cells`,
-:func:`zero_group_cells`, :func:`scan_group_cells`) answer whole
-membership groups of pool rows at once -- the shape the AGM halving
-iterations consume (one column across all live supernodes per
-iteration) and the only bulk query surface the execution backends
-route.  The scalar methods (:meth:`L0Sampler.update`,
+cell-block core :func:`query_cells` answers a whole stack of merged
+membership groups (:func:`repro.kernels.merge_groups`) at once -- the
+shape the AGM halving iterations consume (one column across all live
+supernodes per iteration) and the only bulk query the execution
+backends route.  The scalar methods (:meth:`L0Sampler.update`,
 :meth:`~L0Sampler.sample_column`, :meth:`~L0Sampler.is_zero`) stay as
 the size-1 production shortcut and as the oracle the bulk paths are
 tested against.
@@ -47,17 +46,10 @@ from repro.sketch.hashing import (
     LRUMemo,
     MERSENNE_P,
     PairwiseHash,
-    poly_field_values,
     random_field_element,
     trailing_zeros,
-    trailing_zeros_many,
 )
-from repro.sketch.sparse_recovery import (
-    RecoveryMatrix,
-    _suffix_cumsum,
-    merge_group_cells,
-    recover_from_prefix,
-)
+from repro.sketch.sparse_recovery import RecoveryMatrix, _suffix_cumsum
 
 #: Cap on the per-coordinate memo caches of :class:`SamplerRandomness`.
 #: The caches only help when the stream revisits coordinates
@@ -187,9 +179,9 @@ class SamplerRandomness:
         if idxs.size == 0:
             return np.empty((0, self.columns), dtype=np.int64)
         points = idxs.astype(np.uint64)
-        values = poly_field_values(self._coeff_matrix, points)
+        values = _kernels.poly_field_values(self._coeff_matrix, points)
         values &= self._range_mask
-        return trailing_zeros_many(values, self.levels - 1)
+        return _kernels.trailing_zeros_many(values, self.levels - 1)
 
     def zpow(self, idx: int) -> int:
         """``z^idx mod p`` (cached; edges repeat across insert/delete)."""
@@ -224,18 +216,11 @@ def _randomness_from_params(universe, columns, z,
 
 
 # ---------------------------------------------------------------------------
-# Cell-block query cores
+# Cell-block query core
 # ---------------------------------------------------------------------------
-# The vectorized query primitives, factored to operate on a raw
-# ``(k, 4, columns, levels)`` cell stack.  Both execution backends and
-# the worker processes call them on (merged groups of) rows of a
-# family pool -- one definition, so every route answers
-# bit-identically.
-
-def is_zero_cells(cells: np.ndarray) -> np.ndarray:
-    """Per-row all-columns zero test over a ``(k, 4, c, L)`` stack."""
-    return _kernels.is_zero_cells(cells)
-
+# Operates on a raw ``(k, 4, columns, levels)`` cell stack: the op table
+# of :mod:`repro.mpc.backend` calls it on merged groups of pool rows --
+# one definition, so every route answers bit-identically.
 
 def query_cells(cells: np.ndarray, cols: np.ndarray,
                 randomness: SamplerRandomness
@@ -252,56 +237,11 @@ def query_cells(cells: np.ndarray, cols: np.ndarray,
     live = np.flatnonzero(~zeros)
     if live.size:
         block = cells[live, :, cols[live], :]          # (l, 4, levels)
-        prefix = np.cumsum(block[..., ::-1], axis=-1)[..., ::-1]
         found[live] = _kernels.decode_prefix(
-            prefix.transpose(1, 0, 2), randomness.universe, randomness.z
+            _suffix_cumsum(block).transpose(1, 0, 2),
+            randomness.universe, randomness.z
         )
     return zeros, found
-
-
-def query_group_cells(cells: np.ndarray, groups: "List[np.ndarray]",
-                      cols: np.ndarray,
-                      randomness: SamplerRandomness
-                      ) -> "tuple[np.ndarray, np.ndarray]":
-    """Fused zero test + one-column recovery over merged *groups*.
-
-    ``groups`` is a list of row-index arrays into ``cells`` (supernode
-    membership); group ``i`` is merged by summing its member rows and
-    queried on column ``cols[i]``.  The execution backends run this
-    where the pool lives, so the parent never materialises merged
-    supernode cells.
-    Answers are bit-identical to merging first and querying after (see
-    :func:`~repro.sketch.sparse_recovery.merge_group_cells`).
-    """
-    return query_cells(merge_group_cells(cells, groups), cols,
-                       randomness)
-
-
-def zero_group_cells(cells: np.ndarray,
-                     groups: "List[np.ndarray]") -> np.ndarray:
-    """Per-group all-columns zero test over merged member rows."""
-    return is_zero_cells(merge_group_cells(cells, groups))
-
-
-def scan_group_cells(cells: np.ndarray, members: np.ndarray,
-                     cols: np.ndarray,
-                     randomness: SamplerRandomness
-                     ) -> "tuple[bool, np.ndarray]":
-    """Zero test + a whole column scan of *one* merged group.
-
-    Merges the ``members`` rows once, answers the empty-cut test, and
-    (when non-zero) decodes every requested column in one pass --
-    the replacement-search shape of
-    :meth:`~repro.core.streaming_connectivity.StreamingConnectivity`.
-    Returns ``(is_zero, found)`` with ``found[i]`` the recovery of
-    ``cols[i]`` (``-1`` for rejection; all ``-1`` when zero).
-    """
-    merged = merge_group_cells(cells, [members])
-    if bool(is_zero_cells(merged)[0]):
-        return True, np.full(cols.shape[0], -1, dtype=np.int64)
-    prefix = _suffix_cumsum(merged[0][:, cols, :])       # (4, k, L)
-    return False, recover_from_prefix(prefix, randomness.universe,
-                                      randomness.z)
 
 
 def update_grouped(samplers, randomness: SamplerRandomness,

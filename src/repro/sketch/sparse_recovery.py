@@ -45,12 +45,12 @@ into the flattened block, and a merge is one array addition.  A
 levels)`` block so the family-level bulk router can ingest a batch for
 every vertex at once.
 
-Bulk recovery mirrors bulk ingestion: :func:`recover_from_prefix`
+Bulk recovery mirrors bulk ingestion: :func:`repro.kernels.decode_prefix`
 decodes a whole ``(4, k, levels)`` block of prefix-summed columns in
-one :func:`repro.kernels.decode_prefix` pass (divisibility, range, and
-limb-combined fingerprint tests on every level at once, lowest passing
-level wins), and :meth:`RecoveryMatrix.recover_many` /
-``column_is_zero_many`` feed it -- bit-identical to the scalar scans
+one pass (divisibility, range, and limb-combined fingerprint tests on
+every level at once, lowest passing level wins -- the scan order of
+:meth:`RecoveryMatrix.recover`), and :meth:`RecoveryMatrix.recover_many`
+/ ``column_is_zero_many`` feed it -- bit-identical to the scalar scans
 (:meth:`RecoveryMatrix.recover` / ``column_is_zero``, the reference the
 tests compare against), minus the per-level Python dispatch.
 
@@ -86,76 +86,13 @@ def _combine_limb_scalars(lo: int, hi: int) -> int:
     return (lo + (hi << 32)) % MERSENNE_P
 
 
-def pool_scatter(flat_cells: np.ndarray, columns: int, levels: int,
-                 slots: np.ndarray, col_levels: np.ndarray,
-                 idxs: np.ndarray, deltas: np.ndarray,
-                 zpows: np.ndarray) -> None:
-    """Scatter many (slot, coordinate, delta) updates into a flattened
-    ``(count, 4, columns, levels)`` cell block.
-
-    The one entry point for the pool scatter, shared by
-    :meth:`RecoveryPool.apply_points` and the execution-backend workers
-    (:mod:`repro.mpc.backend`), which write disjoint slot shards of the
-    same shared-memory block -- one source of truth keeps the parallel
-    and sequential paths bit-identical.  Dispatches to the active
-    kernel tier (:mod:`repro.kernels`); duplicate (slot, cell) targets
-    accumulate correctly, and int64 addition is exact and
-    order-independent, so any partition of the entries over callers
-    lands in the same final state.
-    """
-    _kernels.pool_scatter(flat_cells, columns, levels, slots,
-                          col_levels, idxs, deltas, zpows)
-
-
-def merge_group_cells(cells: np.ndarray,
-                      groups: "List[np.ndarray]") -> np.ndarray:
-    """Per-group sums of member rows of a ``(count, 4, c, L)`` block.
-
-    ``groups`` is a list of int64 row-index arrays (supernode
-    membership); the result is the ``(len(groups), 4, c, L)`` stack of
-    merged cells, entry ``i`` the element-wise sum of rows
-    ``groups[i]``.  This is the membership-shipped flavour of the
-    supernode merge: int64 addition is exact and order-independent, so
-    the sum equals a chain of :meth:`RecoveryMatrix.merge_from` calls
-    in any order -- except that no limb renormalization runs here.
-    Renormalization only changes the limb *decomposition* of the
-    fingerprints, never the combined value the queries read, so every
-    query answer derived from this stack is bit-identical to the
-    parent-side merged-matrix path; the pool-wide mass bound keeps all
-    sums inside int64 (see the module docstring's envelope).
-
-    The flat ``(members, glens)`` twin consumed by the execution
-    backends is :func:`repro.kernels.merge_groups`; this wrapper just
-    flattens the list form into it.
-    """
-    if not groups:
-        return np.empty((0,) + cells.shape[1:], dtype=np.int64)
-    if len(groups) == 1:
-        members = np.asarray(groups[0], dtype=np.int64)
-    else:
-        members = np.concatenate(groups).astype(np.int64, copy=False)
-    glens = np.fromiter((g.shape[0] for g in groups), dtype=np.int64,
-                        count=len(groups))
-    return _kernels.merge_groups(cells, members, glens)
-
-
-def _combine_limbs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``(lo + 2^32 * hi) mod p`` for int64 limb arrays (any sign).
-
-    Dispatches to the active kernel tier; both tiers reduce each limb
-    mod p first, then apply the shift-by-32 with 29/32-bit sub-limbs so
-    every intermediate fits int64.
-    """
-    return _kernels.combine_limbs(lo, hi)
-
-
 def _renormalize_limbs(Flo: np.ndarray, Fhi: np.ndarray) -> None:
     """Fold the limbs to the canonical residue and re-split in place.
 
     Afterwards ``0 <= Flo < 2^32`` and ``0 <= Fhi < 2^29`` (mass 1)
     while the represented value ``(Flo + 2^32*Fhi) mod p`` is unchanged.
     """
-    value = _combine_limbs(Flo, Fhi)
+    value = _kernels.combine_limbs(Flo, Fhi)
     Flo[...] = value & _MASK32
     Fhi[...] = value >> 32
 
@@ -163,27 +100,6 @@ def _renormalize_limbs(Flo: np.ndarray, Fhi: np.ndarray) -> None:
 def _suffix_cumsum(arr: np.ndarray) -> np.ndarray:
     """Reverse cumulative sum along the last (level) axis."""
     return np.cumsum(arr[..., ::-1], axis=-1)[..., ::-1]
-
-
-def recover_from_prefix(prefix: np.ndarray, max_index: int,
-                        z: int) -> np.ndarray:
-    """Decode many prefix-summed columns at once.
-
-    ``prefix`` is the ``(4, k, levels)`` int64 block of materialized
-    ``(W, S, Flo, Fhi)`` level prefixes for ``k`` independent columns
-    (possibly drawn from different matrices) and ``z`` the owning
-    randomness's fingerprint base.  For each column the divisibility,
-    range, and ``F == W * z^idx mod p`` fingerprint tests run on every
-    level in one fused kernel-tier pass
-    (:func:`repro.kernels.decode_prefix`), and the answer is the lowest
-    passing level's coordinate -- exactly the scan order of
-    :meth:`RecoveryMatrix.recover`, so the result is bit-identical to
-    the scalar path.
-
-    Returns the int64 array of recovered coordinates, ``-1`` marking
-    columns where every level rejected (the sampler's ``bottom``).
-    """
-    return _kernels.decode_prefix(prefix, max_index, int(z))
 
 
 class RecoveryMatrix:
@@ -388,8 +304,8 @@ class RecoveryMatrix:
     @property
     def F(self) -> np.ndarray:
         """Materialized prefix fingerprints mod p (see :attr:`W`)."""
-        return _combine_limbs(_suffix_cumsum(self.cells[_QLO]),
-                              _suffix_cumsum(self.cells[_QHI]))
+        return _kernels.combine_limbs(_suffix_cumsum(self.cells[_QLO]),
+                                      _suffix_cumsum(self.cells[_QHI]))
 
     # ------------------------------------------------------------------
     # Recovery
@@ -420,7 +336,7 @@ class RecoveryMatrix:
         sums = block.sum(axis=-1)                           # (4, k)
         zero = (sums[_QW] == 0) & (sums[_QS] == 0)
         if zero.any():
-            zero &= _combine_limbs(sums[_QLO], sums[_QHI]) == 0
+            zero &= _kernels.combine_limbs(sums[_QLO], sums[_QHI]) == 0
         return zero
 
     def recover(
@@ -458,9 +374,9 @@ class RecoveryMatrix:
         """Vectorized :meth:`recover` over many columns of this matrix.
 
         Materializes the requested columns' level prefixes with one
-        cumulative sum and decodes them together (see
-        :func:`recover_from_prefix`).  ``cols`` may repeat and appear
-        in any order; the result's entry ``i`` equals
+        cumulative sum and decodes them together
+        (:func:`repro.kernels.decode_prefix`).  ``cols`` may repeat and
+        appear in any order; the result's entry ``i`` equals
         ``self.recover(cols[i], ...)`` with ``-1`` standing in for
         ``None``; ``z`` is the fingerprint base the scalar callback
         closes over.
@@ -469,7 +385,7 @@ class RecoveryMatrix:
         if cols.size == 0:
             return np.empty(0, dtype=np.int64)
         prefix = _suffix_cumsum(self.cells[:, cols, :])     # (4, k, L)
-        return recover_from_prefix(prefix, max_index, z)
+        return _kernels.decode_prefix(prefix, max_index, int(z))
 
     # ------------------------------------------------------------------
     # Accounting
@@ -545,7 +461,7 @@ class RecoveryPool:
         #: restore hands views out before the buffer is adopted).
         self._views: List["weakref.ref[RecoveryMatrix]"] = []
         # Index helpers shared by every view this pool hands out (the
-        # bulk scatter itself lives in :func:`pool_scatter`).
+        # bulk scatter itself is the ``pool_scatter`` kernel).
         self._view_cell_base = np.arange(columns, dtype=np.int64) * levels
         self._view_q_offsets = (np.arange(4, dtype=np.int64)
                                 * (columns * levels))[:, None]
@@ -675,8 +591,8 @@ class RecoveryPool:
         """
         if slots.shape[0] == 0:
             return
-        pool_scatter(self._flat, self.columns, self.levels, slots,
-                     col_levels, idxs, deltas, zpows)
+        _kernels.pool_scatter(self._flat, self.columns, self.levels,
+                              slots, col_levels, idxs, deltas, zpows)
         self.record_mass(slots, deltas)
 
     def record_mass(self, slots: np.ndarray, deltas: np.ndarray) -> None:

@@ -1,4 +1,4 @@
-"""Dynamic graph stream generators, batching, and named workloads."""
+"""Dynamic graph stream generators and batching."""
 
 from repro.streams.batching import as_batches, iter_batches, singleton_batches
 from repro.streams.generators import (

@@ -14,7 +14,7 @@ steering the live-edge count toward a target density.
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -240,8 +240,8 @@ class ChurnStream:
 
 
 class SplitMergeStream:
-    """Adversarial component surgery: build a tree, then alternately cut
-    random tree edges and re-link the pieces.
+    """Adversarial component surgery: build a tree, then cut random
+    tree edges batch by batch.
 
     This maximises the deletion path's work (every deletion is a tree
     edge; replacements must come from the sketches when spare edges are
@@ -285,7 +285,3 @@ class SplitMergeStream:
         for i in sorted(picks, reverse=True):
             del self.tree_edges[i]
         return Batch([dele(*edge) for edge in chosen])
-
-    def relink_batch(self, edges: Sequence[Edge]) -> Batch:
-        self.tree_edges.extend(edges)
-        return Batch([ins(*edge) for edge in edges])

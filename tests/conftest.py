@@ -52,3 +52,31 @@ def make_valid_batch(rng, n, live, size, delete_fraction=0.4,
                     updates.append(ins(u, v, weight))
                     break
     return updates
+
+
+def random_edges(n, count, seed=0):
+    """``count`` distinct random edges of ``K_n``, sorted."""
+    rng = np.random.default_rng(seed)
+    edges = set()
+    while len(edges) < count:
+        u, v = (int(x) for x in rng.integers(0, n, 2))
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return sorted(edges)
+
+
+def edge_arrays(n, count, seed=0):
+    """:func:`random_edges` as ``(us, vs)`` int64 arrays."""
+    us, vs = zip(*random_edges(n, count, seed))
+    return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
+
+
+def family_pair(backend, n=40, columns=6, seed=9):
+    """One sketch family twice: on ``sequential`` and on ``backend``."""
+    from repro.sketch import SketchFamily
+
+    seq, other = (SketchFamily(n, columns=columns, backend=b,
+                               rng=np.random.default_rng(seed))
+                  for b in ("sequential", backend))
+    assert seq.randomness.params() == other.randomness.params()
+    return seq, other

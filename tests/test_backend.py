@@ -15,7 +15,7 @@ import pickle
 import numpy as np
 import pytest
 
-from tests.conftest import make_valid_batch
+from tests.conftest import edge_arrays, family_pair, make_valid_batch
 from repro.baselines.agm_static import AGMStaticConnectivity
 from repro.core import MPCConnectivity
 from repro.core.bipartiteness import DynamicBipartiteness
@@ -147,34 +147,10 @@ class TestBackendResolution:
 # Pool-level parity: ingestion, scalar/bulk mixes, queries
 # ---------------------------------------------------------------------------
 
-def _family_pair(shared_backend, n=40, columns=6, seed=9):
-    seq = SketchFamily(n, columns=columns,
-                       rng=np.random.default_rng(seed),
-                       backend="sequential")
-    shm = SketchFamily(n, columns=columns,
-                       rng=np.random.default_rng(seed),
-                       backend=shared_backend)
-    assert seq.randomness.params() == shm.randomness.params()
-    return seq, shm
-
-
-def _random_edges(n, k, seed=0):
-    rng = np.random.default_rng(seed)
-    edges = set()
-    while len(edges) < k:
-        u, v = (int(x) for x in rng.integers(0, n, 2))
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    edges = sorted(edges)
-    us = np.array([u for u, _ in edges], dtype=np.int64)
-    vs = np.array([v for _, v in edges], dtype=np.int64)
-    return us, vs
-
-
 class TestPoolParity:
     def test_bulk_ingestion_bit_identical(self, shared_backend):
-        seq, shm = _family_pair(shared_backend)
-        us, vs = _random_edges(40, 60)
+        seq, shm = family_pair(shared_backend)
+        us, vs = edge_arrays(40, 60)
         deltas = np.ones(60, dtype=np.int64)
         seq.apply_edges_bulk(us, vs, deltas)
         shm.apply_edges_bulk(us, vs, deltas)
@@ -183,10 +159,10 @@ class TestPoolParity:
         assert seq.pool.f_mass == shm.pool.f_mass
 
     def test_scalar_and_bulk_mix_bit_identical(self, shared_backend):
-        seq, shm = _family_pair(shared_backend)
+        seq, shm = family_pair(shared_backend)
         seq_sk = {v: seq.new_vertex_sketch(v) for v in range(40)}
         shm_sk = {v: shm.new_vertex_sketch(v) for v in range(40)}
-        us, vs = _random_edges(40, 30)
+        us, vs = edge_arrays(40, 30)
         ones = np.ones(30, dtype=np.int64)
         seq.apply_edges_bulk(us, vs, ones)
         shm.apply_edges_bulk(us, vs, ones)
@@ -204,9 +180,9 @@ class TestPoolParity:
         # Every vertex as its own size-1 group (the shape the static
         # AGM contraction starts from), on both backends, against the
         # scalar per-vertex sketch.
-        seq, shm = _family_pair(shared_backend)
+        seq, shm = family_pair(shared_backend)
         oracle = [seq.new_vertex_sketch(v).sampler for v in range(40)]
-        us, vs = _random_edges(40, 60)
+        us, vs = edge_arrays(40, 60)
         ones = np.ones(60, dtype=np.int64)
         seq.apply_edges_bulk(us, vs, ones)
         shm.apply_edges_bulk(us, vs, ones)
@@ -228,9 +204,9 @@ class TestPoolParity:
     def test_subset_and_repeated_slots(self, shared_backend):
         # Groups may overlap, repeat, and list members in any order:
         # workers only read pool rows, so placement is free.
-        seq, shm = _family_pair(shared_backend)
+        seq, shm = family_pair(shared_backend)
         sketches = [seq.new_vertex_sketch(v) for v in range(40)]
-        us, vs = _random_edges(40, 50)
+        us, vs = edge_arrays(40, 50)
         ones = np.ones(50, dtype=np.int64)
         seq.apply_edges_bulk(us, vs, ones)
         shm.apply_edges_bulk(us, vs, ones)
@@ -265,7 +241,7 @@ class TestRingTransport:
                                rng=np.random.default_rng(3),
                                backend=backend)
             raw_before = backend.raw_dispatches
-            us, vs = _random_edges(40, 32)
+            us, vs = edge_arrays(40, 32)
             ones = np.ones(32, dtype=np.int64)
             for family in (seq, shm):
                 family.apply_edges_bulk(us, vs, ones)
@@ -273,7 +249,6 @@ class TestRingTransport:
             groups = [np.arange(5), np.array([7, 9])]
             shm.query_iteration_groups(groups, 1)
             shm.cuts_empty_groups(groups)
-            shm.scan_group(np.arange(4), np.arange(6))
             assert backend.ring_dispatches > 0
             assert backend.raw_dispatches == raw_before, (
                 "small-batch work must never fall back to pipe pickling"
@@ -293,7 +268,7 @@ class TestRingTransport:
             shm = SketchFamily(64, columns=6,
                                rng=np.random.default_rng(4),
                                backend=backend)
-            us, vs = _random_edges(64, 200, seed=11)
+            us, vs = edge_arrays(64, 200, seed=11)
             ones = np.ones(200, dtype=np.int64)
             seq.apply_edges_bulk(us, vs, ones)
             shm.apply_edges_bulk(us, vs, ones)
@@ -320,7 +295,7 @@ class TestRingTransport:
             shm = SketchFamily(16, columns=4,
                                rng=np.random.default_rng(5),
                                backend=backend)
-            us, vs = _random_edges(16, 40, seed=12)
+            us, vs = edge_arrays(16, 40, seed=12)
             for i in range(40):
                 one = np.ones(1, dtype=np.int64)
                 seq.apply_edges_bulk(us[i:i + 1], vs[i:i + 1], one)
@@ -342,7 +317,7 @@ class TestRingTransport:
             family = SketchFamily(8, columns=4,
                                   rng=np.random.default_rng(6),
                                   backend=backend)
-            us, vs = _random_edges(8, 6)
+            us, vs = edge_arrays(8, 6)
             family.apply_edges_bulk(us, vs, np.ones(6, dtype=np.int64))
             zeros, _ = family.query_iteration_groups([np.arange(8)], 0)
             assert zeros.tolist() == [True]  # whole graph: empty cut
@@ -358,8 +333,8 @@ class TestRingTransport:
 
 class TestGroupRouting:
     def _loaded_pair(self, shared_backend, n=40, k=60, seed=21):
-        seq, shm = _family_pair(shared_backend, n=n)
-        us, vs = _random_edges(n, k, seed=seed)
+        seq, shm = family_pair(shared_backend, n=n)
+        us, vs = edge_arrays(n, k, seed=seed)
         ones = np.ones(k, dtype=np.int64)
         seq.apply_edges_bulk(us, vs, ones)
         shm.apply_edges_bulk(us, vs, ones)
@@ -390,26 +365,27 @@ class TestGroupRouting:
         assert seq.cuts_empty_groups(groups).tolist() == empty_ref
         assert shm.cuts_empty_groups(groups).tolist() == empty_ref
 
-    def test_scan_group_matches_merged_column_scan(self, shared_backend):
-        seq, shm = self._loaded_pair(shared_backend, seed=22)
-        members = np.array([1, 3, 7, 12, 30])
-        cols = np.arange(seq.columns, dtype=np.int64)
-        zero_seq, edges_seq = seq.scan_group(members, cols)
-        zero_shm, edges_shm = shm.scan_group(members, cols)
-        assert zero_seq == zero_shm
-        assert edges_seq == edges_shm
-        merged = self._oracle(seq, members)
-        assert zero_seq == merged.cut_is_empty()
-        assert edges_seq == [merged.sample_cut_edge(int(c)) for c in cols]
-
     def test_group_validation(self, shared_backend):
-        seq, _ = _family_pair(shared_backend)
+        seq, _ = family_pair(shared_backend)
         with pytest.raises(SketchError, match="empty"):
             seq.query_iteration_groups([np.array([], dtype=np.int64)], 0)
         with pytest.raises(SketchError, match="vertex range"):
             seq.cuts_empty_groups([np.array([0, 40])])
         zeros, edges = seq.query_iteration_groups([], 0)
         assert zeros.shape == (0,) and edges == []
+
+    def test_detached_family_raises_named_error(self):
+        family = SketchFamily(8, columns=3, rng=np.random.default_rng(0),
+                              backend="sequential")
+        family.detach_backend()
+        one = np.ones(1, dtype=np.int64)
+        for call in (lambda: family.apply_edges_bulk(one - 1, one, one),
+                     lambda: family.query_iteration_groups([one], 0),
+                     lambda: family.cuts_empty_groups([one])):
+            with pytest.raises(SketchError, match="detached"):
+                call()
+        family.attach_backend("sequential")
+        assert family.cuts_empty_groups([one]).tolist() == [True]
 
     def test_group_split_spreads_over_workers(self, shared_backend):
         _, shm = self._loaded_pair(shared_backend, seed=23)
@@ -438,7 +414,6 @@ class TestOpTableClosure:
         "gquery": [np.array([2, 2]), np.array([0, 1, 2, 3]),
                    np.array([0, 1])],
         "gzero": [np.array([1, 3]), np.array([3, 0, 1, 2])],
-        "gscan": [np.array([0, 3]), np.array([0, 1, 2])],
     }
 
     def test_every_routed_op_executes(self):
@@ -461,7 +436,7 @@ class TestOpTableClosure:
 
     def test_both_backends_override_every_routed_method(self):
         wire_op = {"scatter_edges": "apply", "query_groups": "gquery",
-                   "zero_groups": "gzero", "scan_group": "gscan"}
+                   "zero_groups": "gzero"}
         assert sorted(wire_op.values()) == sorted(ROUTED_OPS)
         # What the protocol declares and leaves to the backends.
         abstract = {
@@ -472,6 +447,37 @@ class TestOpTableClosure:
         assert abstract == set(wire_op) | {"attach_pool", "detach_pool"}
         for cls in (SequentialBackend, SharedMemoryBackend):
             assert abstract <= set(vars(cls)), cls.__name__
+
+    def test_one_executor_behind_every_route(self, shared_backend):
+        """Sequential, a healthy fleet and a degraded fleet answer the
+        same flat groups byte-equal to ``_execute_op`` on their cells."""
+        members = np.array([0, 1, 2, 3, 10, 20, 25, 39, 4, 5])
+        glens, cols = np.array([4, 1, 3, 2]), np.array([0, 1, 2, 3])
+        us, vs = edge_arrays(40, 60, seed=21)
+        degraded = SharedMemoryBackend(
+            num_workers=WORKERS, retries=0, backoff=0.0,
+            faults="kill:w=1:n=1:repeat=1")
+        try:
+            answers = []
+            for backend in (SequentialBackend(), shared_backend, degraded):
+                family = SketchFamily(40, columns=6, backend=backend,
+                                      rng=np.random.default_rng(9))
+                family.apply_edges_bulk(us, vs, np.ones(60, dtype=np.int64))
+                handle, cells = family._pool_handle, family.pool.cells
+                got = (*backend.query_groups(handle, members, glens, cols),
+                       backend.zero_groups(handle, members, glens))
+                ref = (*_execute_op("gquery", cells, family.randomness,
+                                    [glens, members, cols]),
+                       _execute_op("gzero", cells, family.randomness,
+                                   [glens, members]))
+                answers.append([a.tobytes() for a in got])
+                assert answers[-1] == [r.tobytes() for r in ref]
+            assert degraded.degraded and not shared_backend.degraded
+            assert answers[0] == answers[1] == answers[2]
+            # ... and the answer is not the trivial all-empty one.
+            assert not all(np.frombuffer(answers[0][0], dtype=bool))
+        finally:
+            degraded.close()
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +494,7 @@ class TestDeletionHeavyMix:
         n = 40
         a = MPCConnectivity(_seq_config(n))
         b = MPCConnectivity(_shm_config(n))
-        us, vs = _random_edges(n, 30, seed=41)
+        us, vs = edge_arrays(n, 30, seed=41)
         edges = list(zip(us.tolist(), vs.tolist()))
         phases = [
             [ins(u, v) for u, v in edges[:20]],
@@ -561,6 +567,21 @@ class TestEnvValidation:
         with pytest.raises(SketchError, match="REPRO_BACKEND_RETRIES"):
             SharedMemoryBackend(num_workers=1)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"call_timeout": 0.0}, {"call_timeout": -1.0},
+        {"start_timeout": 0.0}, {"start_timeout": -3.0},
+        {"ring_words": -5}, {"retries": -1}, {"backoff": -1.0},
+        {"num_workers": 0},
+    ])
+    def test_bad_constructor_arguments_spawn_nothing(self, monkeypatch,
+                                                     kwargs):
+        spawned = []
+        monkeypatch.setattr(SharedMemoryBackend, "_spawn_worker",
+                            lambda self, wid: spawned.append(wid))
+        with pytest.raises(ConfigurationError):
+            SharedMemoryBackend(**{"num_workers": 1, **kwargs})
+        assert not spawned
+
     def test_garbage_fault_spec_raises_sketch_error(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND_FAULTS", "explode:w=0")
         with pytest.raises(SketchError, match="REPRO_BACKEND_FAULTS"):
@@ -608,7 +629,7 @@ class TestSegmentLeaks:
         family = SketchFamily(16, columns=4,
                               rng=np.random.default_rng(0),
                               backend=backend)
-        us, vs = _random_edges(16, 10)
+        us, vs = edge_arrays(16, 10)
         family.apply_edges_bulk(us, vs, np.ones(10, dtype=np.int64))
         assert _shm_segments() - before  # pools + rings + status live
         family.detach_backend()
@@ -623,7 +644,7 @@ class TestSegmentLeaks:
         family = SketchFamily(16, columns=4,
                               rng=np.random.default_rng(0),
                               backend=backend)
-        us, vs = _random_edges(16, 10)
+        us, vs = edge_arrays(16, 10)
         family.apply_edges_bulk(us, vs, np.ones(10, dtype=np.int64))
         for proc in backend._procs:
             proc.kill()
@@ -697,7 +718,7 @@ class TestSegmentLeaks:
         family = SketchFamily(16, columns=4,
                               rng=np.random.default_rng(0),
                               backend=backend)
-        us, vs = _random_edges(16, 10)
+        us, vs = edge_arrays(16, 10)
         family.apply_edges_bulk(us, vs, np.ones(10, dtype=np.int64))
         assert backend.degraded is not None
         # Transport (rings + status) is gone; only the pool segment --
@@ -822,8 +843,8 @@ class TestShardAttribution:
         assert snapshot.words_by_machine == {}
 
     def test_backend_records_shard_split(self, shared_backend):
-        _, shm = _family_pair(shared_backend)
-        us, vs = _random_edges(40, 20)
+        _, shm = family_pair(shared_backend)
+        us, vs = edge_arrays(40, 20)
         shm.apply_edges_bulk(us, vs, np.ones(20, dtype=np.int64))
         split = shared_backend.last_split
         assert sum(split.values()) == 40  # two endpoints per edge
@@ -849,7 +870,7 @@ class TestWorkerCrash:
             family = SketchFamily(16, columns=4,
                                   rng=np.random.default_rng(0),
                                   backend=backend)
-            us, vs = _random_edges(16, 10)
+            us, vs = edge_arrays(16, 10)
             ones = np.ones(10, dtype=np.int64)
             seq.apply_edges_bulk(us, vs, ones)
             family.apply_edges_bulk(us, vs, ones)
@@ -878,16 +899,17 @@ class TestWorkerCrash:
             # SketchFamily validates this, the raw backend call does
             # not) blows up in the worker; the exception must come back
             # as SketchError and the fleet must stay usable afterwards.
-            us0, vs0 = _random_edges(16, 8, seed=3)
+            us0, vs0 = edge_arrays(16, 8, seed=3)
             family.apply_edges_bulk(us0, vs0,
                                     np.ones(8, dtype=np.int64))
             handle = family._pool_handle
-            bad_groups = [np.array([0, 99], dtype=np.int64)]  # no row 99
+            bad_members = np.array([0, 99], dtype=np.int64)  # no row 99
             cols = np.zeros(1, dtype=np.int64)
             with pytest.raises(SketchError, match="worker"):
-                backend.query_groups(handle, bad_groups, cols)
+                backend.query_groups(handle, bad_members,
+                                     np.array([2], dtype=np.int64), cols)
             assert backend.usable
-            us, vs = _random_edges(16, 5)
+            us, vs = edge_arrays(16, 5)
             family.apply_edges_bulk(us, vs, np.ones(5, dtype=np.int64))
         finally:
             backend.close()
@@ -912,7 +934,7 @@ class TestWorkerCrash:
                                     rng=np.random.default_rng(1),
                                     backend=backend)
             assert backend._pending_detach == []
-            us, vs = _random_edges(8, 4)
+            us, vs = edge_arrays(8, 4)
             survivor.apply_edges_bulk(us, vs,
                                       np.ones(4, dtype=np.int64))
         finally:

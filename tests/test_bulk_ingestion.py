@@ -11,6 +11,7 @@ sequences: same recovery state (materialized ``W``/``S``/``F``), same
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.core.connectivity import MPCConnectivity
 from repro.mpc.config import MPCConfig
 from repro.sketch import (
@@ -23,27 +24,15 @@ from repro.sketch import (
     RecoveryMatrix,
     SamplerRandomness,
     SketchFamily,
-    addmod_many,
     edge_sign,
     edge_signs,
     encode_edge,
     encode_edges,
-    mulmod_many,
     trailing_zeros,
-    trailing_zeros_many,
 )
 from repro.sketch.sparse_recovery import RENORM_MASS, _renormalize_limbs
 from repro.streams import ChurnStream
-
-
-def random_edges(n, count, seed):
-    rng = np.random.default_rng(seed)
-    edges = set()
-    while len(edges) < count:
-        u, v = (int(x) for x in rng.integers(0, n, 2))
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    return sorted(edges)
+from tests.conftest import random_edges
 
 
 def assert_same_state(a: RecoveryMatrix, b: RecoveryMatrix):
@@ -57,7 +46,7 @@ class TestFieldArithmetic:
         rng = np.random.default_rng(0)
         a = rng.integers(0, MERSENNE_P, 2000, dtype=np.uint64)
         b = rng.integers(0, MERSENNE_P, 2000, dtype=np.uint64)
-        got = mulmod_many(a, b)
+        got = kernels.mulmod_many(a, b)
         expected = [(int(x) * int(y)) % MERSENNE_P for x, y in zip(a, b)]
         assert [int(g) for g in got] == expected
 
@@ -68,7 +57,7 @@ class TestFieldArithmetic:
             dtype=np.uint64,
         )
         a, b = np.meshgrid(extremes, extremes)
-        got = mulmod_many(a.ravel(), b.ravel())
+        got = kernels.mulmod_many(a.ravel(), b.ravel())
         expected = [(int(x) * int(y)) % MERSENNE_P
                     for x, y in zip(a.ravel(), b.ravel())]
         assert [int(g) for g in got] == expected
@@ -77,7 +66,7 @@ class TestFieldArithmetic:
         rng = np.random.default_rng(1)
         a = rng.integers(0, MERSENNE_P, 500, dtype=np.uint64)
         b = rng.integers(0, MERSENNE_P, 500, dtype=np.uint64)
-        got = addmod_many(a, b)
+        got = kernels.addmod_many(a, b)
         expected = [(int(x) + int(y)) % MERSENNE_P for x, y in zip(a, b)]
         assert [int(g) for g in got] == expected
 
@@ -99,7 +88,7 @@ class TestFieldArithmetic:
         xs = np.array([0, 1, 2, 3, 4, 12, 96, 1 << 20, 1 << 62],
                       dtype=np.uint64)
         for cap in (1, 5, 19, 63):
-            got = trailing_zeros_many(xs, cap)
+            got = kernels.trailing_zeros_many(xs, cap)
             assert [int(g) for g in got] == [trailing_zeros(int(x), cap)
                                              for x in xs]
 

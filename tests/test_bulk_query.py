@@ -2,7 +2,7 @@
 
 The query-side mirror of ``tests/test_bulk_ingestion.py``: every layer
 of the vectorized recovery pipeline -- prefix decoding
-(``recover_from_prefix`` via ``RecoveryMatrix.recover_many``), batched
+(``kernels.decode_prefix`` via ``RecoveryMatrix.recover_many``), batched
 zero tests, many-column sampler queries (``sample_columns``), and the
 vectorized edge decoding -- is checked against its scalar counterpart
 across random update/delete streams (the family-level group router is
@@ -14,6 +14,7 @@ LRU hash memos, and the AGM column-cursor no-op fix.
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.core.connectivity import MPCConnectivity
 from repro.errors import SketchError
 from repro.mpc.config import MPCConfig
@@ -26,7 +27,6 @@ from repro.sketch import (
     SketchFamily,
     decode_index,
     decode_indices,
-    is_zero_cells,
     query_cells,
 )
 from repro.types import dele, ins
@@ -103,7 +103,7 @@ class TestRecoverManyEquivalence:
 
 class TestSamplerBatchQueries:
     """The stacked-cell cores behind the group queries
-    (``is_zero_cells`` / ``query_cells``) and the many-column decode of
+    (``kernels.is_zero_cells`` / ``query_cells``) and the many-column decode of
     one sampler, each against the scalar sampler methods."""
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -114,7 +114,8 @@ class TestSamplerBatchQueries:
                           cancel=(i % 2 == 0))
             for i in range(9)
         ]
-        got = is_zero_cells(np.stack([s.matrix.cells for s in samplers]))
+        got = kernels.is_zero_cells(
+            np.stack([s.matrix.cells for s in samplers]))
         assert [bool(g) for g in got] == [s.is_zero() for s in samplers]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])

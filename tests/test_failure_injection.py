@@ -173,38 +173,16 @@ class TestCapacityInjection:
 from repro.errors import SketchError  # noqa: E402
 from repro.mpc.backend import SharedMemoryBackend  # noqa: E402
 from repro.mpc.faults import ROUTED_OPS, Fault, FaultPlan  # noqa: E402
-from repro.sketch import SketchFamily  # noqa: E402
+from tests.conftest import edge_arrays, family_pair  # noqa: E402
 
 FLEET = 2
-
-
-def _family_pair(backend, n=40, columns=6, seed=9):
-    seq = SketchFamily(n, columns=columns,
-                       rng=np.random.default_rng(seed),
-                       backend="sequential")
-    shm = SketchFamily(n, columns=columns,
-                       rng=np.random.default_rng(seed),
-                       backend=backend)
-    return seq, shm
-
-
-def _edge_arrays(n, k, seed=0):
-    rng = np.random.default_rng(seed)
-    edges = set()
-    while len(edges) < k:
-        u, v = (int(x) for x in rng.integers(0, n, 2))
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    edges = sorted(edges)
-    return (np.array([u for u, _ in edges], dtype=np.int64),
-            np.array([v for _, v in edges], dtype=np.int64))
 
 
 def _drive_op(family, op, n=40):
     """Run one family-level operation that routes backend op ``op``;
     returns a comparable answer structure."""
     if op == "apply":
-        us, vs = _edge_arrays(n, 20, seed=5)
+        us, vs = edge_arrays(n, 20, seed=5)
         family.apply_edges_bulk(us, vs, np.ones(20, dtype=np.int64))
         return None
     groups = [np.arange(i, min(i + 5, n), dtype=np.int64)
@@ -214,11 +192,6 @@ def _drive_op(family, op, n=40):
         return zeros.tolist(), found
     if op == "gzero":
         return family.cuts_empty_groups(groups).tolist()
-    if op == "gscan":
-        members = np.arange(n // 2, dtype=np.int64)
-        cols = np.arange(family.columns, dtype=np.int64)
-        zero, edges = family.scan_group(members, cols)
-        return zero, edges
     raise AssertionError(f"unknown op {op}")
 
 
@@ -251,6 +224,7 @@ class TestFaultPlanParsing:
         "kill:w=0:op=query",           # per-row wire ops no longer exist
         "drop:w=0:op=sample",
         "hang:w=0:op=is_zero",
+        "kill:w=0:op=gscan",           # nor does the one-group scan
         "hang:w=0:s=-2",               # negative seconds
         "kill:w=0:bogus=1",            # unknown setting
         "chaos:kill:seed=1",           # chaos without every
@@ -350,18 +324,16 @@ class TestWorkerKillMatrix:
 
     @pytest.mark.parametrize("op", ROUTED_OPS)
     def test_kill_mid_phase_recovers_bit_identically(self, op):
-        # gscan rotates single-worker jobs starting at worker 0; every
-        # other op fans out over both workers, so worker 1 always has
+        # Every op fans out over both workers, so worker 1 always has
         # a share to lose.
-        victim = 0 if op == "gscan" else 1
         backend = SharedMemoryBackend(
             num_workers=FLEET, call_timeout=30.0,
-            faults=FaultPlan.kill_before(victim, nth=1, op=op),
+            faults=FaultPlan.kill_before(1, nth=1, op=op),
         )
         try:
-            seq, shm = _family_pair(backend)
+            seq, shm = family_pair(backend)
             if op != "apply":
-                us, vs = _edge_arrays(40, 60)
+                us, vs = edge_arrays(40, 60)
                 ones = np.ones(60, dtype=np.int64)
                 seq.apply_edges_bulk(us, vs, ones)
                 shm.apply_edges_bulk(us, vs, ones)
@@ -375,7 +347,7 @@ class TestWorkerKillMatrix:
             assert backend.health["respawns"] >= 1
             assert backend.health["faults_injected"] == 1
             # The fleet keeps serving after recovery.
-            us2, vs2 = _edge_arrays(40, 10, seed=11)
+            us2, vs2 = edge_arrays(40, 10, seed=11)
             ones2 = np.ones(10, dtype=np.int64)
             seq.apply_edges_bulk(us2, vs2, ones2)
             shm.apply_edges_bulk(us2, vs2, ones2)
@@ -395,7 +367,7 @@ class TestOtherFaultKinds:
             ]),
         )
         try:
-            seq, shm = _family_pair(backend)
+            seq, shm = family_pair(backend)
             expected = _drive_op(seq, "apply")
             actual = _drive_op(shm, "apply")
             assert expected == actual is None
@@ -413,7 +385,7 @@ class TestOtherFaultKinds:
             ]),
         )
         try:
-            seq, shm = _family_pair(backend)
+            seq, shm = family_pair(backend)
             _drive_op(seq, "apply")
             _drive_op(shm, "apply")
             assert np.array_equal(seq.pool.cells, shm.pool.cells)
@@ -433,7 +405,7 @@ class TestOtherFaultKinds:
             ]),
         )
         try:
-            seq, shm = _family_pair(backend)
+            seq, shm = family_pair(backend)
             _drive_op(seq, "apply")
             _drive_op(shm, "apply")
             assert np.array_equal(seq.pool.cells, shm.pool.cells)
@@ -450,7 +422,7 @@ class TestOtherFaultKinds:
             faults="truncate:w=0:n=1",
         )
         try:
-            seq, shm = _family_pair(backend)
+            seq, shm = family_pair(backend)
             _drive_op(seq, "apply")
             _drive_op(shm, "apply")
             assert np.array_equal(seq.pool.cells, shm.pool.cells)
@@ -470,8 +442,8 @@ class TestGracefulDegradation:
             backoff=0.01, faults=FaultPlan.kill_always(1),
         )
         try:
-            seq, shm = _family_pair(backend)
-            us, vs = _edge_arrays(40, 60)
+            seq, shm = family_pair(backend)
+            us, vs = edge_arrays(40, 60)
             ones = np.ones(60, dtype=np.int64)
             seq.apply_edges_bulk(us, vs, ones)
             shm.apply_edges_bulk(us, vs, ones)
@@ -497,12 +469,12 @@ class TestGracefulDegradation:
             backoff=0.0, faults=FaultPlan.kill_always(0),
         )
         try:
-            seq, shm = _family_pair(backend)
+            seq, shm = family_pair(backend)
             _drive_op(seq, "apply")
             _drive_op(shm, "apply")
             assert backend.degraded is not None
             # A family attached *after* degradation works too.
-            seq2, shm2 = _family_pair(backend, seed=13)
+            seq2, shm2 = family_pair(backend, seed=13)
             _drive_op(seq2, "apply")
             _drive_op(shm2, "apply")
             assert np.array_equal(seq2.pool.cells, shm2.pool.cells)

@@ -30,17 +30,8 @@ from repro.mpc.backend import SequentialBackend, SharedMemoryBackend
 from repro.mpc.faults import FaultPlan
 from repro.sketch import L0Sampler, SamplerRandomness, SketchFamily
 from repro.sketch.hashing import KWiseHash, MERSENNE_P, trailing_zeros
-from repro.sketch.l0_sampler import (
-    is_zero_cells,
-    query_cells,
-    query_group_cells,
-    scan_group_cells,
-    zero_group_cells,
-)
-from repro.sketch.sparse_recovery import (
-    _suffix_cumsum,
-    merge_group_cells,
-)
+from repro.sketch.l0_sampler import query_cells
+from repro.sketch.sparse_recovery import _suffix_cumsum
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -124,14 +115,12 @@ class TestScalarGolden:
         kernels.set_tier(tier)
         rng = np.random.default_rng(6)
         cells = rng.integers(-50, 50, size=(5, 4, 3, 4)).astype(np.int64)
-        groups = [np.array([0, 2], dtype=np.int64),
-                  np.array([], dtype=np.int64),
-                  np.array([4, 1, 3], dtype=np.int64)]
-        merged = merge_group_cells(cells, groups)
-        expected = np.stack([
-            cells[g].sum(axis=0) if g.size else
-            np.zeros(cells.shape[1:], dtype=np.int64)
-            for g in groups
+        members = np.array([0, 2, 4, 1, 3], dtype=np.int64)
+        glens = np.array([2, 0, 3], dtype=np.int64)
+        merged = kernels.merge_groups(cells, members, glens)
+        expected = np.stack([     # an empty selection sums to zeros
+            cells[g].sum(axis=0)
+            for g in np.split(members, np.cumsum(glens)[:-1])
         ])
         assert np.array_equal(merged, expected)
 
@@ -195,22 +184,19 @@ def _op_snapshot(tier):
     cells = np.stack([s.matrix.cells for s in samplers])
     cols = np.arange(4, dtype=np.int64) % randomness.columns
     zeros, found = query_cells(cells, cols, randomness)
-    groups = [np.array([0, 2], dtype=np.int64),
-              np.array([1], dtype=np.int64),
-              np.array([], dtype=np.int64),
-              np.array([3, 1, 0], dtype=np.int64)]
-    gcols = np.arange(len(groups), dtype=np.int64) % randomness.columns
-    gzeros, gfound = query_group_cells(cells, groups, gcols, randomness)
-    szero, sfound = scan_group_cells(
-        cells, np.array([0, 3], dtype=np.int64),
-        np.arange(randomness.columns, dtype=np.int64), randomness)
+    # Groups {0, 2}, {1}, {} and {3, 1, 0} in the flat wire shape.
+    members = np.array([0, 2, 1, 3, 1, 0], dtype=np.int64)
+    glens = np.array([2, 1, 0, 3], dtype=np.int64)
+    merged = kernels.merge_groups(cells, members, glens)
+    gzeros, gfound = query_cells(merged, cols, randomness)
     return {
         "cells": cells,
         "zeros": zeros, "found": found,
-        "is_zero": is_zero_cells(cells),
+        "is_zero": kernels.is_zero_cells(cells),
         "gzeros": gzeros, "gfound": gfound,
-        "zgroups": zero_group_cells(cells, groups),
-        "scan": np.concatenate([[int(szero)], sfound]),
+        "zgroups": kernels.is_zero_cells(merged),
+        "scan": samplers[0].sample_columns(
+            np.arange(randomness.columns, dtype=np.int64)),
     }
 
 
@@ -312,19 +298,17 @@ class TestDispatcher:
             kernels.set_tier("numba")
 
     def test_callers_follow_rebinds(self, monkeypatch):
-        from repro.sketch import hashing
-
         seen = {}
-        real = registry.numpy_table()["mulmod_many"]
+        real = registry.numpy_table()["poly_field_values"]
 
-        def spy(a, b):
+        def spy(coeffs, xs):
             seen["hit"] = True
-            return real(a, b)
+            return real(coeffs, xs)
 
-        monkeypatch.setattr(kernels, "mulmod_many", spy)
-        a = np.array([3], dtype=np.uint64)
-        out = hashing.mulmod_many(a, a)
-        assert seen.get("hit") and int(out[0]) == 9
+        monkeypatch.setattr(kernels, "poly_field_values", spy)
+        h = KWiseHash.from_params(97, [2, 3])         # 3x + 2
+        out = h.field_value_many(np.array([3], dtype=np.int64))
+        assert seen.get("hit") and int(out[0]) == 11
 
     def test_active_tier_tracks_set_tier(self):
         kernels.set_tier("numpy")
