@@ -18,7 +18,7 @@ import pytest
 from repro import kernels
 from repro.baselines import DynamicConnectivityOracle
 from repro.core import MPCConnectivity
-from repro.lint.stamp import lint_stamp, numeric_stamp
+from repro.lint.stamp import lint_stamp
 from repro.mpc import MPCConfig
 from repro.streams import ChurnStream
 
@@ -61,24 +61,6 @@ def kernels_stamp() -> Dict[str, object]:
     }
 
 
-def numeric_provenance() -> Dict[str, object]:
-    """RL013-RL016 proof provenance for ``BENCH_ingest.json``.
-
-    Stamped next to ``lint`` and ``kernels`` by
-    :func:`update_bench_ingest`: the rule-pack version and the
-    kernel-tier verdict counts, so a trajectory point records that the
-    kernels it measured verified
-    overflow-free and residue-canonical (all ``proved`` on a healthy
-    tree; cached per process via ``repro.lint.stamp``).
-    """
-    stamp = numeric_stamp()
-    return {
-        "rule_pack": stamp["rule_pack"],
-        "verdicts": stamp["verdicts"],
-        "findings": stamp["findings"],
-    }
-
-
 BENCH_INGEST_PATH = Path(__file__).resolve().parents[1] / "BENCH_ingest.json"
 
 
@@ -88,8 +70,8 @@ def update_bench_ingest(mutator: Callable[[dict], None]) -> None:
     ``mutator`` edits the loaded trajectory dict in place -- each
     experiment owns its keys and must leave the others' alone, so a
     solo run never wipes a sibling's numbers -- then the ``lint`` /
-    ``kernels`` / ``numeric`` provenance is re-stamped for the process
-    that produced the new numbers.
+    ``kernels`` provenance is re-stamped for the process that produced
+    the new numbers.
     """
     payload = {}
     if BENCH_INGEST_PATH.exists():
@@ -99,7 +81,6 @@ def update_bench_ingest(mutator: Callable[[dict], None]) -> None:
     payload["lint"] = {"rule_pack": stamp["rule_pack"],
                        "findings": stamp["findings"]}
     payload["kernels"] = kernels_stamp()
-    payload["numeric"] = numeric_provenance()
     BENCH_INGEST_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
 

@@ -91,10 +91,10 @@ how to add a kernel:
   surfaced per phase through ``session.report()``'s backend events
   and :func:`repro.kernels.profile.counters`.
 * ``REPRO_KERNELS_CHECK`` -- set to ``1`` to wrap every kernel in
-  runtime dtype/range asserts generated from its
-  ``@kernel_contract`` -- the dynamic twin of the static interval
-  proofs (``docs/numeric-analysis.md``); a violation raises
-  ``SketchError`` naming the kernel, argument, and declared bound.
+  runtime dtype/range asserts generated from its one
+  ``@kernel_contract`` declaration (``docs/kernels.md``); a violation
+  raises ``SketchError`` naming the kernel, argument, and declared
+  bound.
 
 The conventions above (validated env reads, segment lifecycle, status
 brackets, charge accounting, ``@hot_path`` vectorization) are enforced
@@ -103,10 +103,10 @@ mechanically by ``python -m repro.lint src`` -- see
 with a justification.  The backend's crash-recovery wire protocol goes
 one step further: the lint run extracts its state machine from the
 source and exhaustively model-checks it against injected worker faults
-(``docs/protocol-model.md``).  The kernel tiers get the same
-treatment: an abstract interpreter proves every ``@kernel_contract``
-overflow-free and residue-canonical per tier
-(``docs/numeric-analysis.md``).
+(``docs/protocol-model.md``).  The kernel arithmetic is guarded by
+tests instead: boundary-value parity against Python big-ints per tier
+and a seeded-mutation suite pinning what those checks kill
+(``tests/test_kernel_contracts.py``).
 """
 
 from repro import GraphSession, dele, ins

@@ -302,7 +302,8 @@ class MPCConnectivity(BatchDynamicAlgorithm):
             if not ordered:
                 break
             column = (self._column_cursor + it) % columns
-            # repro-lint: disable=RL005 -- charged by the caller: _process_deletions pays one charge_gather per halving iteration; no extra MPC rounds happen here
+            # Charged by the caller: _process_deletions pays one
+            # charge_gather per halving iteration.
             zeros, sampled = self.family.query_iteration_groups(
                 [members[root] for root in ordered], column
             )
@@ -336,7 +337,8 @@ class MPCConnectivity(BatchDynamicAlgorithm):
 
         # Anything still live has a nonzero cut we failed to recover.
         remaining = sorted(roots)
-        # repro-lint: disable=RL005 -- charged by the caller: folded into _process_deletions' charged gather; this sanity scan adds no rounds of its own
+        # Folded into _process_deletions' charged gather: this sanity
+        # scan adds no rounds of its own.
         leftover_zero = self.family.cuts_empty_groups(
             [members[r] for r in remaining]
         )

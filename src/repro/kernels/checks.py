@@ -1,10 +1,11 @@
 """Runtime kernel-contract checking (``REPRO_KERNELS_CHECK=1``).
 
-The dynamic twin of the RL013-RL016 static proofs: when the knob is
-set, :func:`repro.kernels.set_tier` wraps every bound kernel in
-dtype/range asserts generated from the same ``@kernel_contract`` data
-the abstract interpreter reads (:mod:`repro.kernels.registry`).  Each
-call verifies, per declared argument and for the return value, that
+When the knob is set, :func:`repro.kernels.set_tier` wraps every bound
+kernel -- of whichever tier -- in dtype/range asserts generated from
+the kernel's one ``@kernel_contract`` declaration on the numpy tier
+(:func:`repro.kernels.registry.contract_for`, looked up by kernel
+name).  Each call verifies, per declared argument and for the return
+value, that
 
 * the concrete numpy dtype matches the contract dtype (``pyint``
   arguments must be plain Python ints), and
@@ -13,11 +14,10 @@ call verifies, per declared argument and for the return value, that
   ``[0, p)``.
 
 A violation raises :class:`~repro.errors.SketchError` naming the
-kernel, the argument, the observed extreme, and the declared bound --
-the same counterexample shape the static analyzer reports.  ``role=
-"acc"`` accumulator arguments and escape-produced intermediates are
-not re-checked beyond their dtype range: their exactness argument is
-the contract's, not a pointwise bound (``docs/numeric-analysis.md``).
+kernel, the argument, the observed extreme, and the declared bound.
+``role="acc"`` accumulator arguments are not checked beyond their
+dtype: their no-overflow argument is a bound on update counts, not a
+pointwise one (``docs/kernels.md``).
 
 The knob is read once at import through the validated env layer
 (``mpc/config``): ``0``/unset disables, any integer ``>= 1`` enables,
@@ -82,10 +82,9 @@ def _check_value(kernel: str, label: str, value,
 
 
 def wrap(name: str, func: Callable) -> Callable:
-    """``func`` under per-call contract asserts (no-op sans contract)."""
-    contract: Optional[registry.Contract] = getattr(
-        func, "__kernel_contract__", None) or registry.contract_for(
-            func.__name__)
+    """``func`` under the per-call asserts of kernel ``name``'s contract
+    (``func`` itself when ``name`` declares none)."""
+    contract: Optional[registry.Contract] = registry.contract_for(name)
     if contract is None:
         return func
     params = [p for p in func.__code__.co_varnames[

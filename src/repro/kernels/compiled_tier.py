@@ -34,20 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SketchError
-from repro.kernels.registry import (
-    bool_array,
-    compiled_kernel,
-    escape,
-    i64_acc,
-    i64_any,
-    i64_range,
-    i64_residue,
-    kernel_contract,
-    scalar_int,
-    u64_any,
-    u64_range,
-    u64_residue,
-)
+from repro.kernels.registry import compiled_kernel
 
 try:  # pragma: no cover - exercised by the CI numba matrix job
     import numba
@@ -338,11 +325,10 @@ def _i64_contig(arr) -> np.ndarray:
 # the RL007 parity table always has both sides; they only reach the
 # jitted cores once the dispatcher activated the tier (which requires
 # numba).  Parameter names match the numpy twins exactly -- RL007
-# checks that.
+# checks that -- and each wrapper is bound to its numpy twin's
+# declared contract by kernel name (``registry.contract_for``).
 
 @compiled_kernel("mulmod_many")
-@kernel_contract(args={"a": u64_residue(), "b": u64_residue()},
-                 returns=u64_residue(), shape="broadcast")
 def mulmod_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     cores = _require_cores()
     a2, b2 = np.broadcast_arrays(np.asarray(a, dtype=np.uint64),
@@ -353,8 +339,6 @@ def mulmod_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @compiled_kernel("addmod_many")
-@kernel_contract(args={"a": u64_residue(), "b": u64_residue()},
-                 returns=u64_residue(), shape="broadcast")
 def addmod_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     cores = _require_cores()
     a2, b2 = np.broadcast_arrays(np.asarray(a, dtype=np.uint64),
@@ -365,31 +349,12 @@ def addmod_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @compiled_kernel("poly_field_values")
-@kernel_contract(args={"coeffs": u64_residue(), "xs": u64_residue()},
-                 returns=u64_residue(), shape="outer")
 def poly_field_values(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     cores = _require_cores()
     return cores["poly"](_u64_contig(coeffs), _u64_contig(xs))
 
 
 @compiled_kernel("trailing_zeros_many")
-@kernel_contract(
-    args={"xs": u64_any(), "cap": scalar_int(1, 64)},
-    returns=i64_range(0, 64), shape="elementwise",
-    escapes=(
-        escape("wrap",
-               "~x + 1 isolates the lowest set bit; the uint64 wrap at "
-               "x == 0 yields 0 (the intended empty result) and every "
-               "nonzero result is a single power of two <= 2^63",
-               result=u64_range(0, 1 << 63)),
-        escape("float64",
-               "lsb is 0 or a single power of two <= 2^63, which "
-               "float64 represents exactly; only the exponent bits are "
-               "read, and the lsb == 0 case is routed to the xs == 0 "
-               "branch, so the consumed exponent lies in [1, 64]",
-               result=i64_range(1, 64)),
-    ),
-)
 def trailing_zeros_many(xs: np.ndarray, cap: int) -> np.ndarray:
     cores = _require_cores()
     flat = _u64_contig(xs)
@@ -398,8 +363,6 @@ def trailing_zeros_many(xs: np.ndarray, cap: int) -> np.ndarray:
 
 
 @compiled_kernel("powmod_many")
-@kernel_contract(args={"exps": u64_any(), "z": scalar_int(0, 1 << 62)},
-                 returns=i64_residue(), shape="elementwise")
 def powmod_many(exps: np.ndarray, z: int) -> np.ndarray:
     cores = _require_cores()
     return cores["powmod"](_u64_contig(exps),
@@ -407,8 +370,6 @@ def powmod_many(exps: np.ndarray, z: int) -> np.ndarray:
 
 
 @compiled_kernel("combine_limbs")
-@kernel_contract(args={"lo": i64_any(), "hi": i64_any()},
-                 returns=i64_residue(), shape="broadcast")
 def combine_limbs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     cores = _require_cores()
     lo2, hi2 = np.broadcast_arrays(np.asarray(lo, dtype=np.int64),
@@ -419,19 +380,6 @@ def combine_limbs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 @compiled_kernel("pool_scatter")
-@kernel_contract(
-    args={
-        "flat_cells": i64_acc(),
-        "columns": scalar_int(1, 1 << 20),
-        "levels": scalar_int(1, 64),
-        "slots": i64_range(0, (1 << 31) - 1),
-        "col_levels": i64_range(0, 63),
-        "idxs": i64_range(0, 1 << 40),
-        "deltas": i64_range(-(1 << 20), 1 << 20),
-        "zpows": i64_residue(),
-    },
-    returns=None, shape="scatter", mutates="flat_cells",
-)
 def pool_scatter(flat_cells: np.ndarray, columns: int, levels: int,
                  slots: np.ndarray, col_levels: np.ndarray,
                  idxs: np.ndarray, deltas: np.ndarray,
@@ -448,21 +396,6 @@ def pool_scatter(flat_cells: np.ndarray, columns: int, levels: int,
 
 
 @compiled_kernel("decode_prefix")
-@kernel_contract(
-    args={
-        "prefix": i64_acc(),
-        "max_index": scalar_int(1, 1 << 62),
-        "z": scalar_int(0, 1 << 62),
-    },
-    returns=i64_range(-1, (1 << 62) - 1), shape="columns",
-    escapes=(
-        escape("divide",
-               "W and S are exact sums of at most 2^31 updates with "
-               "|weight| < 2^30, so |S| < 2^62 and the INT64_MIN // -1 "
-               "floordiv corner cannot occur",
-               result=i64_any()),
-    ),
-)
 def decode_prefix(prefix: np.ndarray, max_index: int,
                   z: int) -> np.ndarray:
     cores = _require_cores()
@@ -474,14 +407,6 @@ def decode_prefix(prefix: np.ndarray, max_index: int,
 
 
 @compiled_kernel("merge_groups")
-@kernel_contract(
-    args={
-        "cells": i64_acc(),
-        "members": i64_range(0, (1 << 31) - 1),
-        "glens": i64_range(0, (1 << 31) - 1, total=(1 << 31) - 1),
-    },
-    returns=i64_acc(), shape="groups",
-)
 def merge_groups(cells: np.ndarray, members: np.ndarray,
                  glens: np.ndarray) -> np.ndarray:
     cores = _require_cores()
@@ -496,8 +421,6 @@ def merge_groups(cells: np.ndarray, members: np.ndarray,
 
 
 @compiled_kernel("is_zero_cells")
-@kernel_contract(args={"cells": i64_acc()}, returns=bool_array(),
-                 shape="rows")
 def is_zero_cells(cells: np.ndarray) -> np.ndarray:
     cores = _require_cores()
     return cores["zero"](_i64_contig(cells))

@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.kernels.registry import (
     bool_array,
-    escape,
     i64_acc,
     i64_any,
     i64_range,
@@ -35,7 +34,6 @@ from repro.kernels.registry import (
     numpy_kernel,
     scalar_int,
     u64_any,
-    u64_range,
     u64_residue,
 )
 from repro.lint.markers import hot_path
@@ -60,7 +58,7 @@ _IMASK32 = (1 << 32) - 1
 
 @numpy_kernel("mulmod_many")
 @kernel_contract(args={"a": u64_residue(), "b": u64_residue()},
-                 returns=u64_residue(), shape="broadcast")
+                 returns=u64_residue())
 @hot_path
 def mulmod_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise ``(a * b) mod p`` for ``uint64`` arrays with entries
@@ -89,7 +87,7 @@ def mulmod_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @numpy_kernel("addmod_many")
 @kernel_contract(args={"a": u64_residue(), "b": u64_residue()},
-                 returns=u64_residue(), shape="broadcast")
+                 returns=u64_residue())
 @hot_path
 def addmod_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise ``(a + b) mod p`` for ``uint64`` arrays in ``[0, p)``."""
@@ -100,7 +98,7 @@ def addmod_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @numpy_kernel("poly_field_values")
 @kernel_contract(args={"coeffs": u64_residue(), "xs": u64_residue()},
-                 returns=u64_residue(), shape="outer")
+                 returns=u64_residue())
 @hot_path
 def poly_field_values(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Evaluate many degree-(k-1) polynomials at many points in GF(p).
@@ -120,23 +118,8 @@ def poly_field_values(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 @numpy_kernel("trailing_zeros_many")
-@kernel_contract(
-    args={"xs": u64_any(), "cap": scalar_int(1, 64)},
-    returns=i64_range(0, 64), shape="elementwise",
-    escapes=(
-        escape("wrap",
-               "~x + 1 isolates the lowest set bit; the uint64 wrap at "
-               "x == 0 yields 0 (the intended empty result) and every "
-               "nonzero result is a single power of two <= 2^63",
-               result=u64_range(0, 1 << 63)),
-        escape("float64",
-               "lsb is 0 or a single power of two <= 2^63, which "
-               "float64 represents exactly; only the exponent bits are "
-               "read, and the lsb == 0 case is routed to the xs == 0 "
-               "branch, so the consumed exponent lies in [1, 64]",
-               result=i64_range(1, 64)),
-    ),
-)
+@kernel_contract(args={"xs": u64_any(), "cap": scalar_int(1, 64)},
+                 returns=i64_range(0, 64))
 @hot_path
 def trailing_zeros_many(xs: np.ndarray, cap: int) -> np.ndarray:
     """Trailing zero bits of each ``uint64`` entry, capped at ``cap``.
@@ -144,13 +127,14 @@ def trailing_zeros_many(xs: np.ndarray, cap: int) -> np.ndarray:
     Isolates the lowest set bit with ``x & (~x + 1)`` and reads its
     position from the float64 exponent (``frexp``); powers of two up to
     ``2^63`` convert to float64 exactly, so this matches the scalar
-    bit-trick bit for bit.  Zero entries map to ``cap``.  Both escapes
-    from exact uint64 interval arithmetic (the intentional wrap, the
-    float64 exponent read) are declared in the contract above, where
-    RL015 audits them.
+    bit-trick bit for bit.  Zero entries map to ``cap``.
     """
     xs = np.asarray(xs, dtype=np.uint64)
+    # ~x + 1 wraps on purpose: at x == 0 it yields 0 (routed to the
+    # xs == 0 branch below), and every nonzero lsb is a single power of
+    # two <= 2^63.
     lsb = xs & (~xs + _U1)
+    # repro-lint: disable=RL010 -- lsb is 0 or a single power of two <= 2^63, which float64 represents exactly; only the exponent bits are read, and the consumed exponent lies in [1, 64]
     _, exponent = np.frexp(lsb.astype(np.float64))
     tz = exponent.astype(np.int64) - 1
     return np.where(xs == 0, cap, np.minimum(tz, cap))
@@ -158,7 +142,7 @@ def trailing_zeros_many(xs: np.ndarray, cap: int) -> np.ndarray:
 
 @numpy_kernel("powmod_many")
 @kernel_contract(args={"exps": u64_any(), "z": scalar_int(0, 1 << 62)},
-                 returns=i64_residue(), shape="elementwise")
+                 returns=i64_residue())
 @hot_path
 def powmod_many(exps: np.ndarray, z: int) -> np.ndarray:
     """``z ** exps mod p`` for a ``uint64`` exponent array.
@@ -184,7 +168,7 @@ def powmod_many(exps: np.ndarray, z: int) -> np.ndarray:
 
 @numpy_kernel("combine_limbs")
 @kernel_contract(args={"lo": i64_any(), "hi": i64_any()},
-                 returns=i64_residue(), shape="broadcast")
+                 returns=i64_residue())
 @hot_path
 def combine_limbs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """``(lo + 2^32 * hi) mod p`` for int64 limb arrays (any sign).
@@ -217,7 +201,7 @@ def combine_limbs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         "deltas": i64_range(-(1 << 20), 1 << 20),
         "zpows": i64_residue(),
     },
-    returns=None, shape="scatter", mutates="flat_cells",
+    returns=None,
 )
 @hot_path
 def pool_scatter(flat_cells: np.ndarray, columns: int, levels: int,
@@ -259,14 +243,7 @@ def pool_scatter(flat_cells: np.ndarray, columns: int, levels: int,
         "max_index": scalar_int(1, 1 << 62),
         "z": scalar_int(0, 1 << 62),
     },
-    returns=i64_range(-1, (1 << 62) - 1), shape="columns",
-    escapes=(
-        escape("divide",
-               "W and S are exact sums of at most 2^31 updates with "
-               "|weight| < 2^30, so |S| < 2^62 and the INT64_MIN // -1 "
-               "floordiv corner cannot occur",
-               result=i64_any()),
-    ),
+    returns=i64_range(-1, (1 << 62) - 1),
 )
 @hot_path
 def decode_prefix(prefix: np.ndarray, max_index: int,
@@ -287,6 +264,8 @@ def decode_prefix(prefix: np.ndarray, max_index: int,
     safe_w = np.where(nonzero, W, 1)
     # numpy's % and // follow Python's floored-division convention for
     # signed operands, so these match the scalar ``s % w`` / ``s // w``.
+    # W and S are exact sums of at most 2^31 updates with |weight| <
+    # 2^30, so |S| < 2^62 and the INT64_MIN // -1 corner cannot occur.
     divisible = nonzero & (S % safe_w == 0)
     idx = S // safe_w
     candidate = divisible & (idx >= 0) & (idx < max_index)
@@ -294,8 +273,8 @@ def decode_prefix(prefix: np.ndarray, max_index: int,
     # holds keeps its idx, every other position reads the sampler's
     # bottom.  Answers are only ever taken where ``ok`` (which implies
     # ``candidate``) holds, so this is bit-identical to indexing ``idx``
-    # directly -- and it keeps the returned values provably inside
-    # ``[-1, max_index)`` (rule RL014).
+    # directly -- and it keeps the returned values inside the
+    # contract's ``[-1, max_index)``.
     safe_idx = np.where(candidate, idx, -1)
     ok = np.zeros(candidate.shape, dtype=bool)
     if candidate.any():
@@ -314,9 +293,9 @@ def decode_prefix(prefix: np.ndarray, max_index: int,
     args={
         "cells": i64_acc(),
         "members": i64_range(0, (1 << 31) - 1),
-        "glens": i64_range(0, (1 << 31) - 1, total=(1 << 31) - 1),
+        "glens": i64_range(0, (1 << 31) - 1),
     },
-    returns=i64_acc(), shape="groups",
+    returns=i64_acc(),
 )
 @hot_path
 def merge_groups(cells: np.ndarray, members: np.ndarray,
@@ -350,8 +329,7 @@ def merge_groups(cells: np.ndarray, members: np.ndarray,
 
 
 @numpy_kernel("is_zero_cells")
-@kernel_contract(args={"cells": i64_acc()}, returns=bool_array(),
-                 shape="rows")
+@kernel_contract(args={"cells": i64_acc()}, returns=bool_array())
 @hot_path
 def is_zero_cells(cells: np.ndarray) -> np.ndarray:
     """Per-row all-columns zero test over a ``(k, 4, c, L)`` stack."""

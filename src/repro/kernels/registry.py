@@ -16,29 +16,21 @@ entry purely from the ``@numpy_kernel("name")`` /
 
 Kernel contracts
 ----------------
-``@kernel_contract(args={...}, returns=..., ...)`` attaches a
-machine-checkable numeric contract to a registered kernel: per-argument
-``(dtype, [lo, hi])`` value specs, the declared return spec, and any
-*escapes* -- by-design departures from exact uint64/int64 interval
-arithmetic (a float64 ``frexp`` trick, an intentional two's-complement
-wrap) each carrying a mandatory justification.  The decorator is a
-no-op at runtime by default (it only sets ``__kernel_contract__``);
-it exists for two consumers:
+``@kernel_contract(args={...}, returns=...)`` attaches a numeric
+contract to a kernel: per-argument ``(dtype, [lo, hi])`` value specs
+and the declared return spec.  A contract is declared **once**, on the
+numpy tier (the roster behind :func:`kernel_names`), and looked up by
+the registered kernel name (:func:`contract_for`); the compiled twin is
+bound to the same declaration, so the two tiers cannot disagree about
+it.  The decorator is a no-op at runtime by default; with
+``REPRO_KERNELS_CHECK=1`` the dispatcher (:mod:`repro.kernels`) wraps
+each bound kernel -- whichever tier is active -- in dtype/range asserts
+generated from that one declaration (:mod:`repro.kernels.checks`).
 
-* the abstract interpreter in :mod:`repro.lint.numeric` (rules
-  RL013-RL016) parses the decorator *from source* and proves, per tier,
-  that no intermediate overflows its dtype and the declared return
-  interval holds;
-* with ``REPRO_KERNELS_CHECK=1`` the dispatcher
-  (:mod:`repro.kernels`) wraps each bound kernel in runtime
-  dtype/range asserts generated from the same data -- the dynamic twin
-  of the static proof.
-
-Contracts must be identical across the two tiers of a kernel (RL016
-extends RL007's signature check to semantics), so the spec helpers
-below are the shared vocabulary of both tier modules.  The spec
-constructors take only literal int expressions: the analyzer evaluates
-the decorator AST without importing numpy.
+What guards the arithmetic itself is ``tests/test_kernel_contracts.py``:
+boundary-value parity against Python big-int arithmetic on every
+available tier, plus a seeded-mutation suite that pins which
+single-token edits of the numpy tier those checks kill.
 """
 
 from __future__ import annotations
@@ -61,22 +53,19 @@ class ValueSpec:
 
     ``dtype`` is the numpy dtype name (``uint64``/``int64``/``bool``)
     or ``pyint`` for plain Python scalar parameters.  ``lo``/``hi``
-    are inclusive value bounds; ``total`` optionally bounds the *sum*
-    over the array (length/offset arrays); ``role`` tags semantics:
+    are inclusive value bounds; ``role`` tags semantics:
 
     * ``"value"`` -- plain bounded values;
     * ``"residue"`` -- canonical mod-p field elements in ``[0, p)``;
     * ``"acc"`` -- an exact int64 accumulator whose no-overflow
-      argument is external (bounded update counts x bounded weights,
-      see ``docs/numeric-analysis.md``); reductions over it stay
-      ``acc`` and are exempt from the pointwise overflow proof.
+      argument is external (at most 2^31 updates of weight below
+      2^30, see ``docs/kernels.md``); only its dtype is checked.
     """
 
     dtype: str
     lo: Optional[int]
     hi: Optional[int]
     role: str = "value"
-    total: Optional[int] = None
 
     def bounds(self) -> Tuple[int, int]:
         """Concrete inclusive bounds (dtype range when undeclared)."""
@@ -112,12 +101,8 @@ def i64_residue() -> ValueSpec:
     return ValueSpec("int64", 0, MERSENNE_P - 1, role="residue")
 
 
-def u64_range(lo: int, hi: int, total: Optional[int] = None) -> ValueSpec:
-    return ValueSpec("uint64", lo, hi, total=total)
-
-
-def i64_range(lo: int, hi: int, total: Optional[int] = None) -> ValueSpec:
-    return ValueSpec("int64", lo, hi, total=total)
+def i64_range(lo: int, hi: int) -> ValueSpec:
+    return ValueSpec("int64", lo, hi)
 
 
 def u64_any() -> ValueSpec:
@@ -145,81 +130,28 @@ def scalar_int(lo: int, hi: int) -> ValueSpec:
 
 
 @dataclass(frozen=True)
-class Escape:
-    """A declared, justified departure from exact int lattice math.
-
-    ``kind`` names the analyzer's op label that is being excused
-    (``"float64"`` for the frexp exponent trick, ``"wrap"`` for an
-    intentional two's-complement wrap, ``"divide"`` for a floored
-    division whose INT64_MIN/-1 corner is excluded by an external
-    argument); ``result`` is the post-escape value spec the analysis
-    continues with.  The justification is mandatory -- RL015 reports a
-    declared escape that never fires as stale, and an escape-needing op
-    with no declaration as unmodeled.
-    """
-
-    kind: str
-    justification: str
-    result: Optional[ValueSpec] = None
-
-
-def escape(kind: str, justification: str,
-           result: Optional[ValueSpec] = None) -> Escape:
-    if not justification or not justification.strip():
-        raise ValueError(
-            f"kernel-contract escape {kind!r} needs a non-empty "
-            f"justification (RL015 audits these)"
-        )
-    return Escape(kind=kind, justification=justification, result=result)
-
-
-@dataclass(frozen=True)
 class Contract:
-    """The full numeric contract of one kernel (both tiers share it)."""
+    """The numeric contract of one kernel (both tiers share it)."""
 
     args: Mapping[str, ValueSpec]
     returns: Optional[ValueSpec]
-    shape: str = "elementwise"
-    escapes: Tuple[Escape, ...] = ()
-    mutates: Optional[str] = None
 
-    def key(self) -> tuple:
-        """Normalized identity for the RL016 cross-tier comparison."""
-        return (
-            tuple(sorted((n, s) for n, s in self.args.items())),
-            self.returns,
-            self.shape,
-            self.escapes,
-            self.mutates,
-        )
-
-
-#: kernel name -> contract, filled at decoration time (runtime view;
-#: the static analyzer re-derives the same data from the AST).
-_CONTRACTS: Dict[str, Contract] = {}
 
 _NUMPY: Dict[str, Callable] = {}
 _COMPILED: Dict[str, Callable] = {}
 
 
 def kernel_contract(args: Mapping[str, ValueSpec],
-                    returns: Optional[ValueSpec] = None,
-                    shape: str = "elementwise",
-                    escapes: Tuple[Escape, ...] = (),
-                    mutates: Optional[str] = None) -> Callable:
-    """Attach a numeric contract to a kernel (no-op at runtime).
+                    returns: Optional[ValueSpec] = None) -> Callable:
+    """Declare a kernel's numeric contract (no-op at runtime).
 
-    Applied *under* the registration decorator on both tiers of a
-    kernel; the two declarations must be identical (RL016).  The
-    runtime table keeps one copy per kernel name for the
-    ``REPRO_KERNELS_CHECK=1`` wrapper.
+    Applied *under* ``@numpy_kernel(name)``; :func:`contract_for`
+    reads it back off the registered numpy flavour.
     """
-    contract = Contract(args=dict(args), returns=returns, shape=shape,
-                        escapes=tuple(escapes), mutates=mutates)
+    contract = Contract(args=dict(args), returns=returns)
 
     def mark(func: Callable) -> Callable:
         func.__kernel_contract__ = contract
-        _CONTRACTS[func.__name__] = contract
         return func
 
     return mark
@@ -227,7 +159,7 @@ def kernel_contract(args: Mapping[str, ValueSpec],
 
 def contract_for(name: str) -> Optional[Contract]:
     """The declared contract of kernel ``name`` (``None`` if absent)."""
-    return _CONTRACTS.get(name)
+    return getattr(_NUMPY.get(name), "__kernel_contract__", None)
 
 
 def numpy_kernel(name: str) -> Callable[[Callable], Callable]:

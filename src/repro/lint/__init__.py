@@ -19,8 +19,9 @@ Layout
 ``engine``
     File walker, suppression parsing, baseline filtering, rule driver.
 ``rules``
-    The per-file rule pack (RL001..RL007 plus the suppression-hygiene
-    meta rule).  ``docs/lint-rules.md`` documents each rule.
+    The per-file rule pack (RL001, RL002, RL004, RL006, RL007 plus the
+    suppression-hygiene meta rule).  ``docs/lint-rules.md`` documents
+    each rule and the seeded mutation or real finding that keeps it.
 ``flow`` / ``flow_rules``
     Whole-program call graph + per-function flow facts, and the
     interprocedural rules (RL008 charge-flow, RL009 shm escape,
@@ -30,12 +31,6 @@ Layout
     status/respawn state machine from ``mpc/backend.py`` and
     exhaustively explores bounded fault interleavings
     (``docs/protocol-model.md``).
-``numeric``
-    The value-interval/dtype abstract interpreter (RL013-RL016):
-    proves every ``@kernel_contract``-annotated kernel overflow-free
-    and residue-canonical on both tiers
-    (``docs/numeric-analysis.md``); ``python -m repro.lint.numeric``
-    reports the derived intervals.
 ``reporters``
     Text and JSON output.
 
@@ -47,6 +42,6 @@ every spawned worker.
 #: Version of the rule pack, recorded in JSON reports, baselines, and
 #: the ``lint`` field of BENCH_ingest.json.  Bump when rules are added
 #: or their detection logic changes meaningfully.
-RULE_PACK_VERSION = "3.0"
+RULE_PACK_VERSION = "4.0"
 
 __all__ = ["RULE_PACK_VERSION"]

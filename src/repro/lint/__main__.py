@@ -60,11 +60,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="dump the RL012 protocol model-check "
                              "result (state space + traces) as JSON "
                              "to PATH ('-' for stdout)")
-    parser.add_argument("--intervals-report", metavar="PATH",
-                        help="dump the RL013-RL016 numeric analysis "
-                             "(per-kernel derived intervals and "
-                             "verdicts) as JSON to PATH ('-' for "
-                             "stdout)")
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -99,15 +94,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         _dump(args.graph, report.program.flow.to_json())
     if args.protocol_report:
         _dump(args.protocol_report, _protocol_payload(report))
-    if args.intervals_report:
-        _dump(args.intervals_report, _numeric_payload(report))
     return report.exit_code
-
-
-def _numeric_payload(report) -> dict:
-    from repro.lint.numeric import analyze_program
-
-    return analyze_program(report.program).to_json()
 
 
 def _protocol_payload(report) -> dict:

@@ -399,7 +399,7 @@ def lint_source(source: str, virtual_path: str,
     """Run the per-file and program rules over in-memory ``source``.
 
     The self-test corpus uses this: ``virtual_path`` stands in for the
-    real location, so path-scoped rules (RL003's ``mpc/backend.py``
+    real location, so path-scoped rules (RL011's ``mpc/backend.py``
     scope, RL004's ``src/`` scope) fire exactly as they would on disk.
     The program phase runs over a single-file program (so RL008-RL012
     corpus cases fire); project-phase checks (RL007's cross-file doc

@@ -5,7 +5,7 @@ These upgrade the per-file pack where the invariant is really a
 *path* property:
 
 * RL008 -- every call path from a cluster-bearing public entry point to
-  a bulk backend op must cross a ``charge_*`` call (RL005 per-path);
+  a bulk backend op must cross a ``charge_*`` call;
 * RL009 -- a ``SharedMemory(create=True)`` handle must be released or
   owner-registered on every path, exception edges included (RL001
   per-path);
@@ -176,10 +176,9 @@ class DeterminismDiscipline(Rule):
 
     def _check_func(self, ctx: FileContext, func) -> Iterable[Finding]:
         where = f"in determinism scope {func.name}"
-        float_ok = _has_float64_escape(func)
         for node in _own_walk(func):
             if isinstance(node, ast.Call):
-                yield from self._check_call(ctx, node, where, float_ok)
+                yield from self._check_call(ctx, node, where)
             elif isinstance(node, (ast.For, ast.AsyncFor)):
                 if _is_set_expr(node.iter):
                     yield ctx.finding(
@@ -198,7 +197,7 @@ class DeterminismDiscipline(Rule):
                             f"first")
 
     def _check_call(self, ctx: FileContext, node: ast.Call,
-                    where: str, float_ok: bool = False) -> Iterable[Finding]:
+                    where: str) -> Iterable[Finding]:
         func_expr = node.func
         name = _func_name(func_expr)
         owner = None
@@ -238,17 +237,15 @@ class DeterminismDiscipline(Rule):
                 f"sorted(...)")
         # Float accumulation / conversion: everything on the sketch hot
         # path is exact int64 limb arithmetic; a float dtype is either
-        # a bug or a @kernel_contract escape("float64", ...) that the
-        # RL013-RL016 numeric analysis then bounds and audits.
+        # a bug or carries an inline suppression arguing exactness.
         elif name == "astype" and node.args and \
-                "float" in _safe_unparse(node.args[0]) and not float_ok:
+                "float" in _safe_unparse(node.args[0]):
             yield ctx.finding(
                 self.id, node,
                 f".astype(float) {where}: float rounding is "
                 f"association-order dependent; the sketch path is "
-                f"exact int64/limb arithmetic (declare a justified "
-                f"'float64' contract escape if it is by design)")
-        elif not float_ok:
+                f"exact int64/limb arithmetic")
+        else:
             for kw in node.keywords:
                 if kw.arg == "dtype" and "float" in _safe_unparse(kw.value):
                     yield ctx.finding(
@@ -256,28 +253,6 @@ class DeterminismDiscipline(Rule):
                         f"float dtype {where}: float accumulation is "
                         f"association-order dependent; keep the hot "
                         f"path exact int64/limb")
-
-
-def _has_float64_escape(func) -> bool:
-    """True when the function's @kernel_contract declares a 'float64'
-    escape -- the audited replacement for an inline RL010 suppression
-    on the frexp exponent trick (RL015 proves the escape is bounded
-    and still fires)."""
-    for dec in getattr(func, "decorator_list", ()):
-        if not (isinstance(dec, ast.Call)
-                and _func_name(dec.func) == "kernel_contract"):
-            continue
-        for kw in dec.keywords:
-            if kw.arg != "escapes":
-                continue
-            for sub in ast.walk(kw.value):
-                if isinstance(sub, ast.Call) \
-                        and _func_name(sub.func) == "escape" \
-                        and sub.args \
-                        and isinstance(sub.args[0], ast.Constant) \
-                        and sub.args[0].value == "float64":
-                    return True
-    return False
 
 
 def _safe_unparse(node: ast.AST) -> str:

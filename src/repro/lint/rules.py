@@ -1,4 +1,4 @@
-"""The rule pack: RL000 + RL001..RL007.
+"""The per-file rule pack: RL000, RL001, RL002, RL004, RL006, RL007.
 
 Each rule is a pragmatic approximation of an invariant the repo relies
 on (``docs/lint-rules.md`` spells out what it catches, why the MPC
@@ -19,7 +19,7 @@ from repro.lint.engine import FileContext, Finding, Rule
 #: release on failure paths.
 _CLEANUP_HINTS = ("close", "unlink", "release")
 
-#: Backend bulk-op / query_groups-family methods RL005 requires to be
+#: Backend bulk-op / query_groups-family methods RL008 requires to be
 #: charged.  Kept in sync with SketchFamily's routed surface.
 BULK_OPS = frozenset({
     "apply_edges_bulk", "apply_updates_bulk", "query_iteration_groups",
@@ -266,84 +266,6 @@ class SpawnSafety(Rule):
 
 
 # ---------------------------------------------------------------------------
-# RL003: wire-protocol discipline
-# ---------------------------------------------------------------------------
-
-class ProtocolDiscipline(Rule):
-    id = "RL003"
-    title = "protocol-discipline"
-    rationale = ("routed ops must be bracketed -opid/+opid in the "
-                 "status slot; never touch ring state after a seq "
-                 "mismatch")
-
-    def applies(self, ctx: FileContext) -> bool:
-        return ctx.path.endswith("mpc/backend.py")
-
-    @staticmethod
-    def _status_writes(func):
-        """(negative_lines, positive_lines) of status-slot writes."""
-        neg, pos = [], []
-        for node in ast.walk(func):
-            if not isinstance(node, ast.Assign):
-                continue
-            target = node.targets[0]
-            if not (isinstance(target, ast.Subscript)
-                    and "status" in (ast.unparse(target.value)
-                                     if hasattr(ast, "unparse") else "")):
-                continue
-            if isinstance(node.value, ast.UnaryOp) \
-                    and isinstance(node.value.op, ast.USub):
-                neg.append(node.lineno)
-            else:
-                pos.append(node.lineno)
-        return neg, pos
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        for func in _walk_functions(ctx.tree):
-            if func.name != "_worker_main":
-                continue
-            # 1. The routed-op execution must sit between a -opid and a
-            #    +opid status write.
-            op_calls = [
-                node.lineno for node in _own_walk(func)
-                if isinstance(node, ast.Call)
-                and _func_name(node.func) in ("run_op", "_execute_op")
-            ]
-            neg, pos = self._status_writes(func)
-            for line in op_calls:
-                if not any(n < line for n in neg) \
-                        or not any(p > line for p in pos):
-                    yield Finding(
-                        rule=self.id, path=ctx.path, line=line, col=1,
-                        message=("routed-op execution is not bracketed "
-                                 "with -opid (before) / +opid (after) "
-                                 "status-slot writes; the supervisor "
-                                 "cannot classify a crash as "
-                                 "not-started/partial/completed"))
-            # 2. A handler that reports a transport desync must give up
-            #    on the record entirely (end in `continue`), never fall
-            #    through into ring/op state.
-            for node in ast.walk(func):
-                if not isinstance(node, ast.ExceptHandler):
-                    continue
-                sends_desync = any(
-                    isinstance(sub, ast.Constant)
-                    and sub.value == "desync"
-                    for sub in ast.walk(ast.Module(body=node.body,
-                                                   type_ignores=[]))
-                )
-                if sends_desync and not isinstance(node.body[-1],
-                                                   ast.Continue):
-                    yield Finding(
-                        rule=self.id, path=ctx.path,
-                        line=node.body[-1].lineno, col=1,
-                        message=("desync handler falls through into "
-                                 "ring state; it must end with "
-                                 "`continue` so the parent respawns "
-                                 "and replays"))
-
-
-# ---------------------------------------------------------------------------
 # RL004: env hygiene + doc drift
 # ---------------------------------------------------------------------------
 
@@ -417,63 +339,6 @@ class EnvHygiene(Rule):
         for name, finding in sorted(seen.items()):
             if name not in doc_text:
                 yield finding
-
-
-# ---------------------------------------------------------------------------
-# RL005: charge accounting
-# ---------------------------------------------------------------------------
-
-class ChargeAccounting(Rule):
-    id = "RL005"
-    title = "charge-accounting"
-    rationale = ("bulk ops in core/baselines drivers must pair with a "
-                 "charge_* call in the same phase scope")
-
-    def applies(self, ctx: FileContext) -> bool:
-        return _in_src(ctx) and ("/core/" in ctx.path
-                                 or "/baselines/" in ctx.path)
-
-    @staticmethod
-    def _uses_cluster(cls: ast.ClassDef) -> bool:
-        for node in ast.walk(cls):
-            if isinstance(node, ast.Attribute) \
-                    and node.attr == "cluster" \
-                    and isinstance(node.value, ast.Name) \
-                    and node.value.id == "self":
-                return True
-        return False
-
-    def check(self, ctx: FileContext) -> Iterable[Finding]:
-        for cls in ast.walk(ctx.tree):
-            if not isinstance(cls, ast.ClassDef) \
-                    or not self._uses_cluster(cls):
-                continue
-            for func in cls.body:
-                if not isinstance(func, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef)):
-                    continue
-                bulk_calls = [
-                    node for node in ast.walk(func)
-                    if isinstance(node, ast.Call)
-                    and _func_name(node.func) in BULK_OPS
-                ]
-                if not bulk_calls:
-                    continue
-                charged = any(
-                    isinstance(node, ast.Call)
-                    and (_func_name(node.func) or "").startswith("charge_")
-                    for node in ast.walk(func)
-                )
-                if charged:
-                    continue
-                for call in bulk_calls:
-                    yield ctx.finding(
-                        self.id, call,
-                        f"{cls.name}.{func.name} routes a bulk op "
-                        f"({_func_name(call.func)}) but charges no MPC "
-                        f"rounds/words in the same scope; the model's "
-                        f"sublinearity argument only counts charged "
-                        f"work")
 
 
 # ---------------------------------------------------------------------------
@@ -681,17 +546,13 @@ class KernelTierParity(Rule):
 #: :mod:`repro.lint.flow_rules`; the import sits at the bottom because
 #: flow_rules imports helpers defined above.
 from repro.lint.flow_rules import FLOW_RULES  # noqa: E402
-from repro.lint.numeric import NUMERIC_RULES  # noqa: E402
 
 ALL_RULES: List[Rule] = [
     SuppressionHygiene(),
     ShmLifecycle(),
     SpawnSafety(),
-    ProtocolDiscipline(),
     EnvHygiene(),
-    ChargeAccounting(),
     HotPathPurity(),
     KernelTierParity(),
     *FLOW_RULES,
-    *NUMERIC_RULES,
 ]

@@ -38,27 +38,3 @@ def lint_stamp() -> Dict[str, object]:
         "suppressed": len(report.suppressed),
         "errors": [f.render() for f in report.findings],
     }
-
-
-@lru_cache(maxsize=1)
-def numeric_stamp() -> Dict[str, object]:
-    """The RL013-RL016 numeric verdicts over the real kernel set.
-
-    Returns ``{"rule_pack", "verdicts", "findings", "errors"}`` where
-    ``verdicts`` counts kernel-tier proof statuses (all ``proved`` on
-    a healthy tree) -- the provenance that a benchmark number was
-    measured on kernels whose overflow-freedom and residue
-    canonicality actually verified.
-    """
-    from repro.lint import RULE_PACK_VERSION
-    from repro.lint.engine import find_project_root
-    from repro.lint.numeric import analyze_paths
-
-    root = find_project_root(Path(__file__))
-    analysis = analyze_paths([str(root / "src" / "repro" / "kernels")])
-    return {
-        "rule_pack": RULE_PACK_VERSION,
-        "verdicts": analysis.verdicts(),
-        "findings": len(analysis.findings),
-        "errors": [f.render() for f in analysis.findings],
-    }

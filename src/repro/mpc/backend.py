@@ -769,9 +769,9 @@ class SharedMemoryBackend(ExecutionBackend):
         Never raises on fleet trouble; instead returns
         ``(results, failures, app_errors)`` where ``failures`` maps
         worker id -> transport-level reason (dead pipe, death, timeout,
-        ring desync) and ``app_errors`` maps worker id -> traceback
-        text from a worker-side exception.  The supervisor decides what
-        each of those means.
+        ring desync, garbled reply tag) and ``app_errors`` maps worker
+        id -> traceback text from a worker-side exception.  The
+        supervisor decides what each of those means.
         """
         from multiprocessing import connection as mpc
 
@@ -820,8 +820,10 @@ class SharedMemoryBackend(ExecutionBackend):
                         app_errors[wid] = payload
                     elif status == "desync":
                         failures[wid] = f"ring transport desync: {payload}"
-                    else:
+                    elif status == "ok":
                         results[wid] = payload
+                    else:
+                        failures[wid] = f"unknown reply tag {status!r}"
             return results, failures, app_errors
         finally:
             self._in_dispatch = False

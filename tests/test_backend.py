@@ -33,7 +33,7 @@ from repro.mpc.backend import (
     get_backend,
     resolve_backend,
 )
-from repro.mpc.faults import ROUTED_OPS
+from repro.mpc.faults import ROUTED_OPS, FaultPlan
 from repro.sketch import (
     FourWiseHash,
     MergedSketch,
@@ -911,6 +911,31 @@ class TestWorkerCrash:
             assert backend.usable
             us, vs = edge_arrays(16, 5)
             family.apply_edges_bulk(us, vs, np.ones(5, dtype=np.int64))
+        finally:
+            backend.close()
+
+    def test_unknown_reply_tag_is_a_transport_failure(self):
+        # A reply tagged neither ok / error / desync is a garbled ack:
+        # _exchange reports it as a failure, so the supervisor
+        # classifies the op from the status slot and respawns instead
+        # of filing the payload under results.
+        backend = SharedMemoryBackend(num_workers=1, call_timeout=30.0,
+                                      faults=FaultPlan())
+        try:
+            seq, shm = family_pair(backend)
+            conn = backend._conns[0]  # stubbed until the respawn
+            recv = conn.recv
+            conn.recv = lambda: ("okay", recv()[1])
+            results, failures, _ = backend._exchange([(0, ("ping",))])
+            assert results == {}
+            assert failures == {0: "unknown reply tag 'okay'"}
+            us, vs = edge_arrays(40, 10)
+            ones = np.ones(10, dtype=np.int64)
+            seq.apply_edges_bulk(us, vs, ones)
+            shm.apply_edges_bulk(us, vs, ones)
+            assert np.array_equal(seq.pool.cells, shm.pool.cells)
+            assert backend.health["respawns"] == 1
+            assert backend.usable and backend.degraded is None
         finally:
             backend.close()
 
