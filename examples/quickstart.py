@@ -24,7 +24,8 @@ work can execute on two backends (see :mod:`repro.mpc.backend`):
 * ``shared_memory`` -- persistent worker processes scatter/query shards
   of the sketch pools in POSIX shared memory.  Bit-identical results;
   pays off when batches carry thousands of updates, ``n`` is large, and
-  real cores are available (EXP-14 tracks the crossover).
+  real cores are available (``bench/run.py``'s ``conn_churn_fleet``
+  against ``conn_churn`` tracks the crossover).
 
 Select it per session::
 
@@ -96,9 +97,10 @@ how to add a kernel:
   raises ``SketchError`` naming the kernel, argument, and declared
   bound.
 
-The conventions above (validated env reads, segment lifecycle, status
-brackets, charge accounting, ``@hot_path`` vectorization) are enforced
-mechanically by ``python -m repro.lint src`` -- see
+The conventions no test can provoke (validated env reads, segments
+released on every exception edge, status brackets, bit-reproducible
+kernel code, kernel-tier parity) are enforced mechanically by
+``python -m repro.lint src`` -- see
 ``docs/lint-rules.md`` for the rule pack and how to suppress a finding
 with a justification.  The backend's crash-recovery wire protocol goes
 one step further: the lint run extracts its state machine from the
@@ -106,7 +108,9 @@ source and exhaustively model-checks it against injected worker faults
 (``docs/protocol-model.md``).  The kernel arithmetic is guarded by
 tests instead: boundary-value parity against Python big-ints per tier
 and a seeded-mutation suite pinning what those checks kill
-(``tests/test_kernel_contracts.py``).
+(``tests/test_kernel_contracts.py``).  So are the MPC round charges:
+``tests/test_charge_ledger.py`` pins the exact rounds-by-category of
+seeded phases for every registered task.
 """
 
 from repro import GraphSession, dele, ins

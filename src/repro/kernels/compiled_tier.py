@@ -16,11 +16,11 @@ reduced residue's sub-limbs, as in the numpy tier).  numba follows
 Python's floored ``//``/``%`` semantics for signed integers, matching
 numpy, so the decoder's divisibility tests agree bit for bit.
 
-What the compiled tier actually buys (EXP-15 measures it): the
-scatter, decode, merge, and zero-test cores replace buffered
-``np.add.at`` / full-level-grid array passes with fused scalar loops
-that early-exit per column -- and they release the GIL, so the worker
-fleet's shards genuinely overlap.
+What the compiled tier actually buys (``bench/``'s ``kernels.*_ms``
+rows measure it): the scatter, decode, merge, and zero-test cores
+replace buffered ``np.add.at`` / full-level-grid array passes with
+fused scalar loops that early-exit per column -- and they release the
+GIL, so the worker fleet's shards genuinely overlap.
 
 The core bodies are plain module-level functions jitted at activation
 time (``numba.njit(cache=True)`` applied in :func:`ensure_built`);

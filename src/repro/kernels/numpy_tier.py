@@ -36,7 +36,6 @@ from repro.kernels.registry import (
     u64_any,
     u64_residue,
 )
-from repro.lint.markers import hot_path
 
 MERSENNE_P = (1 << 61) - 1
 
@@ -59,7 +58,6 @@ _IMASK32 = (1 << 32) - 1
 @numpy_kernel("mulmod_many")
 @kernel_contract(args={"a": u64_residue(), "b": u64_residue()},
                  returns=u64_residue())
-@hot_path
 def mulmod_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise ``(a * b) mod p`` for ``uint64`` arrays with entries
     in ``[0, p)``.
@@ -88,7 +86,6 @@ def mulmod_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @numpy_kernel("addmod_many")
 @kernel_contract(args={"a": u64_residue(), "b": u64_residue()},
                  returns=u64_residue())
-@hot_path
 def addmod_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise ``(a + b) mod p`` for ``uint64`` arrays in ``[0, p)``."""
     s = a + b                             # < 2^62
@@ -99,7 +96,6 @@ def addmod_many(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @numpy_kernel("poly_field_values")
 @kernel_contract(args={"coeffs": u64_residue(), "xs": u64_residue()},
                  returns=u64_residue())
-@hot_path
 def poly_field_values(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Evaluate many degree-(k-1) polynomials at many points in GF(p).
 
@@ -111,7 +107,8 @@ def poly_field_values(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     points = xs[:, None]
     acc = np.broadcast_to(coeffs[-1][None, :], (xs.shape[0],
                                                 coeffs.shape[1]))
-    # repro-lint: disable=RL006 -- Horner loop over k <= 4 coefficient rows, a model constant, never over pool rows
+    # Horner loop over k <= 4 coefficient rows, a model constant, never
+    # over pool rows.
     for row in range(coeffs.shape[0] - 2, -1, -1):
         acc = addmod_many(mulmod_many(acc, points), coeffs[row][None, :])
     return np.ascontiguousarray(acc)
@@ -120,7 +117,6 @@ def poly_field_values(coeffs: np.ndarray, xs: np.ndarray) -> np.ndarray:
 @numpy_kernel("trailing_zeros_many")
 @kernel_contract(args={"xs": u64_any(), "cap": scalar_int(1, 64)},
                  returns=i64_range(0, 64))
-@hot_path
 def trailing_zeros_many(xs: np.ndarray, cap: int) -> np.ndarray:
     """Trailing zero bits of each ``uint64`` entry, capped at ``cap``.
 
@@ -143,7 +139,6 @@ def trailing_zeros_many(xs: np.ndarray, cap: int) -> np.ndarray:
 @numpy_kernel("powmod_many")
 @kernel_contract(args={"exps": u64_any(), "z": scalar_int(0, 1 << 62)},
                  returns=i64_residue())
-@hot_path
 def powmod_many(exps: np.ndarray, z: int) -> np.ndarray:
     """``z ** exps mod p`` for a ``uint64`` exponent array.
 
@@ -156,7 +151,8 @@ def powmod_many(exps: np.ndarray, z: int) -> np.ndarray:
     out = np.ones(exps.shape, dtype=np.uint64)
     base = int(z) % MERSENNE_P
     remaining = exps
-    # repro-lint: disable=RL006 -- bit loop over <= 64 exponent bits, a word-size constant, never over pool rows
+    # Bit loop over <= 64 exponent bits, a word-size constant, never
+    # over pool rows.
     while remaining.any():
         odd = (remaining & _U1) != 0
         if odd.any():
@@ -169,7 +165,6 @@ def powmod_many(exps: np.ndarray, z: int) -> np.ndarray:
 @numpy_kernel("combine_limbs")
 @kernel_contract(args={"lo": i64_any(), "hi": i64_any()},
                  returns=i64_residue())
-@hot_path
 def combine_limbs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """``(lo + 2^32 * hi) mod p`` for int64 limb arrays (any sign).
 
@@ -203,7 +198,6 @@ def combine_limbs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     },
     returns=None,
 )
-@hot_path
 def pool_scatter(flat_cells: np.ndarray, columns: int, levels: int,
                  slots: np.ndarray, col_levels: np.ndarray,
                  idxs: np.ndarray, deltas: np.ndarray,
@@ -245,7 +239,6 @@ def pool_scatter(flat_cells: np.ndarray, columns: int, levels: int,
     },
     returns=i64_range(-1, (1 << 62) - 1),
 )
-@hot_path
 def decode_prefix(prefix: np.ndarray, max_index: int,
                   z: int) -> np.ndarray:
     """Decode many prefix-summed recovery columns at once.
@@ -297,7 +290,6 @@ def decode_prefix(prefix: np.ndarray, max_index: int,
     },
     returns=i64_acc(),
 )
-@hot_path
 def merge_groups(cells: np.ndarray, members: np.ndarray,
                  glens: np.ndarray) -> np.ndarray:
     """Per-group sums of member rows of a ``(count, 4, c, L)`` block.
@@ -330,7 +322,6 @@ def merge_groups(cells: np.ndarray, members: np.ndarray,
 
 @numpy_kernel("is_zero_cells")
 @kernel_contract(args={"cells": i64_acc()}, returns=bool_array())
-@hot_path
 def is_zero_cells(cells: np.ndarray) -> np.ndarray:
     """Per-row all-columns zero test over a ``(k, 4, c, L)`` stack."""
     sums = cells.sum(axis=-1)                          # (k, 4, columns)

@@ -1,31 +1,30 @@
 """repro.lint -- AST-based static analysis for the repo's MPC invariants.
 
-The reproduction's correctness claims rest on conventions no generic
-tool checks: every routed bulk op must be charged to the MPC ledgers
-(the paper's sublinearity argument is *about* those charges), shared
-memory segments must be owned and unlinked on every exit path, the
-ring/status wire protocol must be bracketed exactly, and randomness
-must pickle spawn-safely.  This package turns those conventions into
-machine-checked rules::
+The reproduction relies on conventions no generic tool checks and that
+the dynamic suites cannot provoke: a shared-memory segment must be
+owned or released on every exception edge, the ring/status wire
+protocol must be bracketed exactly and survive every bounded fault
+interleaving, kernel and worker code must stay bit-reproducible, and
+the two kernel tiers must register the same names.  This package turns
+those conventions into machine-checked rules::
 
     python -m repro.lint src tests
 
+A rule is kept only while a seeded mutation that every test misses is
+caught by it; ``docs/lint-rules.md`` carries that evidence per rule
+and lists the rules deleted on it.
+
 Layout
 ------
-``markers``
-    Dependency-free ``@hot_path`` / ``@spawn_safe`` decorators that
-    production code uses to opt into the stricter rules.  Importing it
-    never pulls in the engine.
 ``engine``
     File walker, suppression parsing, baseline filtering, rule driver.
 ``rules``
-    The per-file rule pack (RL001, RL002, RL004, RL006, RL007 plus the
-    suppression-hygiene meta rule).  ``docs/lint-rules.md`` documents
-    each rule and the seeded mutation or real finding that keeps it.
+    The per-file rule pack (RL004 env hygiene, RL007 kernel-tier
+    parity, plus the suppression-hygiene meta rule RL000).
 ``flow`` / ``flow_rules``
-    Whole-program call graph + per-function flow facts, and the
-    interprocedural rules (RL008 charge-flow, RL009 shm escape,
-    RL010 determinism discipline, RL011 bracket safety) built on it.
+    Statement-level path analysis, and the path rules built on it
+    (RL009 shm escape, RL010 determinism discipline, RL011 bracket
+    safety).
 ``protocol``
     The wire-protocol model checker (RL012): extracts the ring/
     status/respawn state machine from ``mpc/backend.py`` and
@@ -34,14 +33,13 @@ Layout
 ``reporters``
     Text and JSON output.
 
-Keep this ``__init__`` import-light: sketch and backend modules import
-:mod:`repro.lint.markers` at module load, on the hot import path of
-every spawned worker.
+Nothing under ``src/repro/`` outside this package imports it: the
+linter reads the tree, the tree never reads the linter.
 """
 
-#: Version of the rule pack, recorded in JSON reports, baselines, and
-#: the ``lint`` field of BENCH_ingest.json.  Bump when rules are added
-#: or their detection logic changes meaningfully.
-RULE_PACK_VERSION = "4.0"
+#: Version of the rule pack, recorded in JSON reports and baselines.
+#: Bump when rules are added, removed, or their detection logic changes
+#: meaningfully.
+RULE_PACK_VERSION = "5.0"
 
 __all__ = ["RULE_PACK_VERSION"]

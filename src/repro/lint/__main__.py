@@ -53,9 +53,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--stats", action="store_true",
                         help="print per-rule wall time and finding "
                              "counts after the report")
-    parser.add_argument("--graph", metavar="PATH",
-                        help="dump the whole-program call graph as "
-                             "JSON to PATH ('-' for stdout)")
     parser.add_argument("--protocol-report", metavar="PATH",
                         help="dump the RL012 protocol model-check "
                              "result (state space + traces) as JSON "
@@ -90,8 +87,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.lint.reporters import render_stats
 
         print(render_stats(report))
-    if args.graph:
-        _dump(args.graph, report.program.flow.to_json())
     if args.protocol_report:
         _dump(args.protocol_report, _protocol_payload(report))
     return report.exit_code

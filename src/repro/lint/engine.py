@@ -4,16 +4,16 @@ The engine is deliberately simple -- plain :mod:`ast` walks, no type
 inference -- because every rule in the pack is a *convention* check:
 the patterns it looks for are the ones this repo actually writes (see
 ``docs/lint-rules.md`` for what each rule approximates and where it
-stays silent).  Two phases:
+stays silent).  Three phases:
 
 1. **Per-file**: each ``.py`` file is parsed once; every rule whose
    ``applies()`` matches the path gets the parsed
    :class:`FileContext`.
 2. **Project**: rules that need cross-file state (RL004's doc-drift
    check) run once over all contexts with the detected project root.
-3. **Program**: rules that need whole-program flow (RL008's charge
-   paths, RL012's protocol model) run once over a :class:`Program`,
-   which lazily builds the shared :class:`repro.lint.flow.FlowGraph`.
+3. **Program**: RL012's protocol model check runs once over a
+   :class:`Program` and leaves its result there for
+   ``--protocol-report``.
 
 Parsed contexts are cached per ``(path, mtime, size)`` across runs in
 the same process, so repeated ``run_paths``/test invocations re-parse
@@ -26,8 +26,8 @@ same line, or by a standalone comment directly above the statement::
 
     value = os.environ.get(name)  # repro-lint: disable=RL004 -- the one reader
 
-    # repro-lint: disable=RL006 -- loop is over <= columns groups
-    for i, members in enumerate(groups):
+    # repro-lint: disable=RL010 -- timestamp measures, never feeds results
+    start = time.perf_counter()
 
 A justification after ``--`` is mandatory: a bare ``disable=`` is
 itself reported (RL000), so every escape hatch carries its why.
@@ -114,25 +114,14 @@ class FileContext:
 class Program:
     """Whole-program view handed to ``check_program`` rules.
 
-    The flow graph is built lazily on first access and shared by every
-    program-phase rule in the run; ``protocol_results`` collects the
-    RL012 model-check results keyed by backend path (the CLI's
-    ``--protocol-report`` reads it back out).
+    ``protocol_results`` collects the RL012 model-check results keyed
+    by backend path (the CLI's ``--protocol-report`` reads it back
+    out).
     """
 
     contexts: Sequence[FileContext]
     root: Path
     protocol_results: Dict[str, object] = field(default_factory=dict)
-    _flow: Optional[object] = field(default=None, repr=False)
-
-    @property
-    def flow(self):
-        if self._flow is None:
-            from repro.lint.flow import FlowGraph
-            from repro.lint.rules import BULK_OPS
-
-            self._flow = FlowGraph.build(self.contexts, BULK_OPS)
-        return self._flow
 
 
 class Rule:
@@ -168,7 +157,7 @@ class Report:
     rule_pack: str = RULE_PACK_VERSION
     #: Per-rule wall time in seconds across all phases (``--stats``).
     timings: Dict[str, float] = field(default_factory=dict)
-    #: The program view of the run (``--graph``/``--protocol-report``).
+    #: The program view of the run (``--protocol-report``).
     program: Optional[Program] = None
 
     @property
@@ -401,7 +390,7 @@ def lint_source(source: str, virtual_path: str,
     The self-test corpus uses this: ``virtual_path`` stands in for the
     real location, so path-scoped rules (RL011's ``mpc/backend.py``
     scope, RL004's ``src/`` scope) fire exactly as they would on disk.
-    The program phase runs over a single-file program (so RL008-RL012
+    The program phase runs over a single-file program (so the RL012
     corpus cases fire); project-phase checks (RL007's cross-file doc
     drift) are not run.
     """

@@ -1,26 +1,17 @@
-"""Whole-program flow analysis: call graph + per-function facts.
+"""Statement-level path analysis shared by the path rules.
 
-Built **once per lint run** from the already-parsed file contexts and
-shared by every interprocedural rule (RL008..RL011) and the protocol
-model checker, so the project-wide pass stays one AST walk per file.
-Pure stdlib ``ast`` -- no type inference.  Resolution is by *name*:
-
-* ``self.helper(...)`` resolves to a method named ``helper`` on the
-  same class (or, failing that, any same-named method in the project);
-* ``module_func(...)`` / ``obj.func(...)`` resolve to every
-  project-level function/method with that terminal name.
-
-That is a deliberate over-approximation (one name, many candidates ->
-edges to all of them); the rules built on top are designed so an extra
-edge can only make them *more* conservative, never silently blind.
-``docs/lint-rules.md`` states per rule what the approximation misses.
+Pure stdlib ``ast`` -- no type inference, no call graph.  The one
+analysis here, :func:`shm_leak_paths` (RL009), walks a single function
+body and enumerates the exception and fall-through edges on which a
+``SharedMemory(create=True)`` handle escapes unreleased;
+``docs/lint-rules.md`` states what the approximation misses.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 
 def _terminal_name(node: ast.AST) -> Optional[str]:
@@ -44,226 +35,6 @@ def _own_nodes(func: ast.AST) -> Iterable[ast.AST]:
     for node in ast.walk(func):
         if id(node) not in skip:
             yield node
-
-
-@dataclass
-class CallSite:
-    """One call expression inside a function body."""
-
-    name: str                  # terminal callee name
-    line: int
-    on_self: bool              # spelled ``self.name(...)``
-    attribute: bool = False    # spelled ``<expr>.name(...)``
-
-
-@dataclass
-class FunctionInfo:
-    """Everything the flow rules need to know about one function."""
-
-    qname: str                 # "path::Class.name" or "path::name"
-    name: str
-    path: str
-    cls: Optional[str]
-    node: "ast.FunctionDef | ast.AsyncFunctionDef"
-    calls: List[CallSite] = field(default_factory=list)
-    decorators: FrozenSet[str] = frozenset()
-    #: Lines of direct ``charge_*`` calls in this body (RL008).
-    charge_lines: Tuple[int, ...] = ()
-    #: ``(op_name, line)`` of direct bulk backend/kernel op calls.
-    bulk_calls: Tuple[Tuple[str, int], ...] = ()
-
-    @property
-    def charges(self) -> bool:
-        return bool(self.charge_lines)
-
-    @property
-    def public(self) -> bool:
-        return not self.name.startswith("_")
-
-
-class FlowGraph:
-    """Project-wide call graph over every linted file.
-
-    ``functions`` maps qualified names to :class:`FunctionInfo`;
-    ``callees(qname)`` yields resolved project-internal edges.  Build
-    time and size are exposed for ``--stats`` / ``--graph``.
-    """
-
-    def __init__(self) -> None:
-        self.functions: Dict[str, FunctionInfo] = {}
-        self._by_name: Dict[str, List[str]] = {}
-        self._by_class_method: Dict[Tuple[str, str], List[str]] = {}
-        self.edge_count = 0
-
-    # -- construction ----------------------------------------------------
-    @classmethod
-    def build(cls, contexts: Sequence, bulk_ops: FrozenSet[str]
-              ) -> "FlowGraph":
-        graph = cls()
-        for ctx in contexts:
-            graph._index_module(ctx.path, ctx.tree, bulk_ops)
-        for info in graph.functions.values():
-            graph.edge_count += len(list(graph.callees(info.qname)))
-        return graph
-
-    def _index_module(self, path: str, tree: ast.Module,
-                      bulk_ops: FrozenSet[str]) -> None:
-        def visit(body, cls_name: Optional[str]) -> None:
-            for node in body:
-                if isinstance(node, ast.ClassDef):
-                    visit(node.body, node.name)
-                elif isinstance(node, (ast.FunctionDef,
-                                       ast.AsyncFunctionDef)):
-                    self._index_function(path, node, cls_name, bulk_ops)
-                    # Nested defs are indexed too (workers define
-                    # closures like run_op); attributed to the same
-                    # class scope.
-                    visit(node.body, cls_name)
-        visit(tree.body, None)
-
-    def _index_function(self, path: str, node, cls_name: Optional[str],
-                        bulk_ops: FrozenSet[str]) -> None:
-        qual = f"{cls_name}.{node.name}" if cls_name else node.name
-        qname = f"{path}::{qual}"
-        if qname in self.functions:  # redefinition: keep the last
-            qname = f"{qname}@{node.lineno}"
-        calls: List[CallSite] = []
-        charge_lines: List[int] = []
-        bulk_calls: List[Tuple[int, str]] = []
-        for sub in _own_nodes(node):
-            if not isinstance(sub, ast.Call):
-                continue
-            name = _terminal_name(sub.func)
-            if name is None:
-                continue
-            is_attr = isinstance(sub.func, ast.Attribute)
-            on_self = (is_attr
-                       and isinstance(sub.func.value, ast.Name)
-                       and sub.func.value.id == "self")
-            calls.append(CallSite(name=name, line=sub.lineno,
-                                  on_self=on_self, attribute=is_attr))
-            if name.startswith("charge_"):
-                charge_lines.append(sub.lineno)
-            if name in bulk_ops:
-                bulk_calls.append((sub.lineno, name))
-        decorators: Set[str] = set()
-        for dec in node.decorator_list:
-            target = dec.func if isinstance(dec, ast.Call) else dec
-            dname = _terminal_name(target)
-            if dname:
-                decorators.add(dname)
-        info = FunctionInfo(
-            qname=qname, name=node.name, path=path, cls=cls_name,
-            node=node, calls=calls, decorators=frozenset(decorators),
-            charge_lines=tuple(sorted(charge_lines)),
-            bulk_calls=tuple((n, ln) for ln, n in sorted(bulk_calls)),
-        )
-        self.functions[qname] = info
-        self._by_name.setdefault(node.name, []).append(qname)
-        if cls_name:
-            self._by_class_method.setdefault(
-                (cls_name, node.name), []).append(qname)
-
-    # -- resolution ------------------------------------------------------
-
-    #: Builtin-collection method names.  ``health.update(...)`` must not
-    #: resolve to every project method named ``update``: a non-self
-    #: attribute call with one of these names is overwhelmingly a
-    #: dict/list/set operation, and the false edges it would add connect
-    #: *everything* to *everything* (one ``dict.update`` in a metrics
-    #: helper linked the whole session layer to the sampler hot path).
-    #: Self-calls and bare-name calls still resolve normally.
-    AMBIGUOUS_METHODS = frozenset({
-        "update", "get", "pop", "add", "append", "extend", "remove",
-        "discard", "clear", "keys", "values", "items", "copy", "insert",
-        "count", "index", "sort", "join", "split", "close", "send",
-        "recv", "put", "setdefault",
-    })
-
-    def resolve(self, caller: FunctionInfo,
-                site: CallSite) -> List[FunctionInfo]:
-        """Project-internal candidates for one call site."""
-        if site.on_self and caller.cls:
-            same_class = self._by_class_method.get((caller.cls, site.name))
-            if same_class:
-                return [self.functions[q] for q in same_class]
-        if not site.on_self and site.attribute \
-                and site.name in self.AMBIGUOUS_METHODS:
-            return []
-        return [self.functions[q]
-                for q in self._by_name.get(site.name, ())]
-
-    def callees(self, qname: str) -> Iterable[Tuple[CallSite, FunctionInfo]]:
-        info = self.functions.get(qname)
-        if info is None:
-            return
-        seen: Set[Tuple[int, str]] = set()
-        for site in info.calls:
-            for target in self.resolve(info, site):
-                key = (site.line, target.qname)
-                if key not in seen:
-                    seen.add(key)
-                    yield site, target
-
-    # -- queries ---------------------------------------------------------
-    def uncharged_bulk_paths(self, entry: FunctionInfo,
-                             max_depth: int = 8
-                             ) -> List[Tuple[List[FunctionInfo], Tuple[str, int]]]:
-        """Call paths from ``entry`` to a bulk-op call that cross no
-        ``charge_*`` call anywhere along the chain.
-
-        Returns ``(path, (op_name, op_line))`` per offending bulk call
-        site, one witness path each (the shortest found).  A function
-        that itself charges terminates the search below it: everything
-        it reaches is covered by its charge.
-        """
-        out: List[Tuple[List[FunctionInfo], Tuple[str, int]]] = []
-        reported: Set[Tuple[str, int]] = set()
-
-        def walk(info: FunctionInfo, path: List[FunctionInfo],
-                 depth: int) -> None:
-            if info.charges:
-                return  # this frame charges: the whole subtree is paid
-            for op_name, op_line in info.bulk_calls:
-                key = (info.qname, op_line)
-                if key not in reported:
-                    reported.add(key)
-                    out.append((path + [info], (op_name, op_line)))
-            if depth >= max_depth:
-                return
-            for site, target in self.callees(info.qname):
-                if target.qname == info.qname:
-                    continue
-                if any(target.qname == seen.qname for seen in path):
-                    continue  # cycle
-                walk(target, path + [info], depth + 1)
-
-        walk(entry, [], 0)
-        # Attribute each finding to its entry; drop paths whose bulk
-        # site is the entry itself only when the entry charges (handled
-        # above by the charges gate).
-        return out
-
-    def to_json(self) -> Dict[str, object]:
-        """A serializable dump of the graph (``--graph``)."""
-        nodes = []
-        edges = []
-        for qname in sorted(self.functions):
-            info = self.functions[qname]
-            nodes.append({
-                "qname": qname,
-                "path": info.path,
-                "line": info.node.lineno,
-                "class": info.cls,
-                "charges": info.charges,
-                "bulk_calls": [list(b) for b in info.bulk_calls],
-                "decorators": sorted(info.decorators),
-            })
-            for site, target in self.callees(qname):
-                edges.append({"caller": qname, "callee": target.qname,
-                              "line": site.line})
-        return {"nodes": nodes, "edges": edges,
-                "functions": len(nodes), "call_edges": len(edges)}
 
 
 # ---------------------------------------------------------------------------

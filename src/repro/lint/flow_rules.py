@@ -1,99 +1,30 @@
-"""Interprocedural rules RL008..RL011 over the :mod:`repro.lint.flow`
-program graph.
+"""Path rules RL009..RL011 and the RL012 protocol model check.
 
-These upgrade the per-file pack where the invariant is really a
-*path* property:
+These hold where the invariant is a *path* property of one function:
 
-* RL008 -- every call path from a cluster-bearing public entry point to
-  a bulk backend op must cross a ``charge_*`` call;
 * RL009 -- a ``SharedMemory(create=True)`` handle must be released or
-  owner-registered on every path, exception edges included (RL001
-  per-path);
-* RL010 -- determinism discipline in hot-path / worker / kernel code:
-  no ambient randomness, no wall-clock values, no set-iteration order,
-  no float accumulation (the bit-identity lint);
+  owner-registered on every path, exception edges included
+  (:func:`repro.lint.flow.shm_leak_paths`);
+* RL010 -- determinism discipline in kernel / worker / op-executor
+  code: no ambient randomness, no wall-clock values, no set-iteration
+  order, no float accumulation (the bit-identity lint);
 * RL011 -- the ``-opid``/``+opid`` status-slot writes must immediately
   bracket each routed op in ``_worker_main`` with no other work (and
   no possible raise) inside the bracket, and the ack must follow the
-  ``+opid`` write.
+  ``+opid`` write;
+* RL012 -- the ring/status/respawn state machine extracted from
+  ``mpc/backend.py`` survives bounded fault-interleaving exploration
+  (:mod:`repro.lint.protocol`).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.lint.engine import FileContext, Finding, Rule
-from repro.lint.flow import FlowGraph, FunctionInfo, shm_leak_paths
-from repro.lint.rules import BULK_OPS, _func_name, _own_walk, _walk_functions
-
-
-def _in_src(path: str) -> bool:
-    return path.startswith("src/") or "/src/" in path
-
-
-# ---------------------------------------------------------------------------
-# RL008: charge-flow (interprocedural charge accounting)
-# ---------------------------------------------------------------------------
-
-#: Path fragments that mark charge-flow entry-point files.
-_ENTRY_DIRS = ("/core/", "/baselines/", "/session/")
-
-
-def _cluster_classes(ctx: FileContext) -> Set[str]:
-    """Names of classes in ``ctx`` that reference ``self.cluster``."""
-    out: Set[str] = set()
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Attribute) and sub.attr == "cluster" \
-                    and isinstance(sub.value, ast.Name) \
-                    and sub.value.id == "self":
-                out.add(node.name)
-                break
-    return out
-
-
-class ChargeFlow(Rule):
-    id = "RL008"
-    title = "charge-flow"
-    rationale = ("every call path from a cluster-bearing public entry "
-                 "point to a bulk backend op must cross a charge_* call")
-
-    def check_program(self, program) -> Iterable[Finding]:
-        flow: FlowGraph = program.flow
-        cluster_owners: Dict[str, Set[str]] = {}
-        ctx_by_path = {ctx.path: ctx for ctx in program.contexts}
-        for ctx in program.contexts:
-            if _in_src(ctx.path) and any(d in ctx.path
-                                         for d in _ENTRY_DIRS):
-                owners = _cluster_classes(ctx)
-                if owners:
-                    cluster_owners[ctx.path] = owners
-        for qname in sorted(flow.functions):
-            info = flow.functions[qname]
-            if not info.public or info.cls is None:
-                continue
-            owners = cluster_owners.get(info.path)
-            if not owners or info.cls not in owners:
-                continue
-            for path, (op_name, op_line) in flow.uncharged_bulk_paths(info):
-                chain = " -> ".join(
-                    (f"{f.cls}.{f.name}" if f.cls else f.name)
-                    for f in path
-                )
-                site = path[-1]
-                yield Finding(
-                    rule=self.id, path=info.path,
-                    line=info.node.lineno, col=info.node.col_offset + 1,
-                    message=(
-                        f"call path {chain} reaches bulk op {op_name} "
-                        f"({site.path}:{op_line}) with no charge_* "
-                        f"anywhere on the path; the MPC ledgers never "
-                        f"see this work"
-                    ),
-                )
+from repro.lint.flow import _own_nodes, _terminal_name, shm_leak_paths
+from repro.lint.rules import _in_src, _walk_functions
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +39,7 @@ class ShmEscape(Rule):
                  "edges included")
 
     def applies(self, ctx: FileContext) -> bool:
-        return _in_src(ctx.path)
+        return _in_src(ctx)
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         for func in _walk_functions(ctx.tree):
@@ -147,7 +78,7 @@ def _is_set_expr(node: ast.AST) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
     if isinstance(node, ast.Call) \
-            and _func_name(node.func) in ("set", "frozenset"):
+            and _terminal_name(node.func) in ("set", "frozenset"):
         return True
     return False
 
@@ -155,18 +86,17 @@ def _is_set_expr(node: ast.AST) -> bool:
 class DeterminismDiscipline(Rule):
     id = "RL010"
     title = "determinism-discipline"
-    rationale = ("hot-path/worker/kernel code must stay bit-reproducible: "
-                 "no ambient RNG, wall-clock values, set-iteration "
-                 "order, or float accumulation")
+    rationale = ("kernel/worker/op-executor code must stay "
+                 "bit-reproducible: no ambient RNG, wall-clock values, "
+                 "set-iteration order, or float accumulation")
+
+    #: Functions in scope wherever they live: the worker loop and the
+    #: one op executor behind every backend route.
+    _SCOPED_FUNCTIONS = frozenset({"_worker_main", "_execute_op"})
 
     def _in_scope(self, ctx: FileContext, func) -> bool:
-        from repro.lint.rules import _decorator_names
-
-        if "hot_path" in _decorator_names(func):
-            return True
-        if func.name == "_worker_main":
-            return True
-        return "repro/kernels/" in ctx.path
+        return (func.name in self._SCOPED_FUNCTIONS
+                or "repro/kernels/" in ctx.path)
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         for func in _walk_functions(ctx.tree):
@@ -176,7 +106,7 @@ class DeterminismDiscipline(Rule):
 
     def _check_func(self, ctx: FileContext, func) -> Iterable[Finding]:
         where = f"in determinism scope {func.name}"
-        for node in _own_walk(func):
+        for node in _own_nodes(func):
             if isinstance(node, ast.Call):
                 yield from self._check_call(ctx, node, where)
             elif isinstance(node, (ast.For, ast.AsyncFor)):
@@ -199,7 +129,7 @@ class DeterminismDiscipline(Rule):
     def _check_call(self, ctx: FileContext, node: ast.Call,
                     where: str) -> Iterable[Finding]:
         func_expr = node.func
-        name = _func_name(func_expr)
+        name = _terminal_name(func_expr)
         owner = None
         if isinstance(func_expr, ast.Attribute):
             try:
@@ -304,7 +234,7 @@ def _writes_status(stmt: ast.stmt, sign: str) -> bool:
 
 def _contains_send(stmt: ast.stmt) -> bool:
     return any(isinstance(sub, ast.Call)
-               and _func_name(sub.func) == "send"
+               and _terminal_name(sub.func) == "send"
                for sub in ast.walk(stmt))
 
 
@@ -337,7 +267,7 @@ class BracketSafety(Rule):
                                          ast.Return)):
                     continue
                 if any(isinstance(sub, ast.Call)
-                       and _func_name(sub.func) in ("run_op",
+                       and _terminal_name(sub.func) in ("run_op",
                                                     "_execute_op")
                        for sub in ast.walk(stmt)):
                     op_stmts.append((stmts, idx, stmt))
@@ -362,7 +292,7 @@ class BracketSafety(Rule):
                     and _contains_send(nxt):
                 send_line = min(sub.lineno for sub in ast.walk(nxt)
                                 if isinstance(sub, ast.Call)
-                                and _func_name(sub.func) == "send")
+                                and _terminal_name(sub.func) == "send")
                 plus_line = min(
                     sub.lineno for sub in ast.walk(nxt)
                     if isinstance(sub, ast.Assign)
@@ -453,7 +383,6 @@ class ProtocolModelRule(Rule):
 
 
 FLOW_RULES: Sequence[Rule] = (
-    ChargeFlow(),
     ShmEscape(),
     DeterminismDiscipline(),
     BracketSafety(),

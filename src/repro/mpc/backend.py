@@ -152,7 +152,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, SketchError
-from repro.lint.markers import hot_path
 from repro.mpc.config import env_float, env_int, read_env
 from repro.mpc.faults import FaultPlan
 from repro.mpc.partition import VertexPartition
@@ -410,7 +409,6 @@ def _ring_read(view: np.ndarray, offset: int, words: int) -> List[np.ndarray]:
     return args
 
 
-@hot_path
 def _execute_op(op: str, cells: np.ndarray, randomness,
                 args: List[np.ndarray]):
     """One routed op over descriptor arrays.

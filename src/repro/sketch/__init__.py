@@ -11,8 +11,8 @@ over GF(2^61-1) with 32-bit limb arithmetic, see
 ``L0Sampler.update_many``, ``VertexSketch.apply_edges``, and the
 group-by-endpoint router ``SketchFamily.apply_edges_bulk``.  The bulk
 path is bit-identical to the sequential one (asserted by
-``tests/test_bulk_ingestion.py``) and roughly an order of magnitude
-faster per batch (``benchmarks/test_exp12_ingest_throughput.py``).
+``tests/test_bulk_ingestion.py``); its throughput is what the
+``conn_insert`` workload of ``bench/run.py`` times.
 
 Bulk queries: the recovery side has one array-in/array-out surface,
 *membership groups* of pool rows.  ``SketchFamily.query_iteration_groups``

@@ -45,7 +45,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro import kernels as _kernels
-from repro.lint.markers import spawn_safe
 
 MERSENNE_P = (1 << 61) - 1
 
@@ -106,7 +105,6 @@ class LRUMemo:
 _P_U64 = np.uint64(MERSENNE_P)
 
 
-@spawn_safe
 class KWiseHash:
     """One hash function drawn from a k-wise independent family.
 

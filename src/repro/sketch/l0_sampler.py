@@ -41,7 +41,6 @@ import numpy as np
 
 from repro import kernels as _kernels
 from repro.errors import SketchError
-from repro.lint.markers import spawn_safe
 from repro.sketch.hashing import (
     LRUMemo,
     MERSENNE_P,
@@ -67,7 +66,6 @@ def levels_for_universe(universe: int) -> int:
     return max(2, math.ceil(math.log2(max(2, universe))) + 2)
 
 
-@spawn_safe
 class SamplerRandomness:
     """Shared randomness for a *family* of mergeable samplers.
 

@@ -14,7 +14,8 @@ steering the live-edge count toward a target density.
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional, Set, Tuple
+from collections.abc import MutableSet
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -159,6 +160,48 @@ def planted_matching_insertions(n: int, size: int, noise: int = 0,
     return [out[i] for i in order]
 
 
+class _IndexedEdgeSet(MutableSet):
+    """A set of edges that can also give up the edge at a position in
+    O(1): the last edge takes the vacated slot (swap-pop), so a uniform
+    deletion needs no sorted copy of the set."""
+
+    __slots__ = ("_items", "_slot")
+
+    def __init__(self, edges: Iterable[Edge] = ()):
+        self._items: List[Edge] = []
+        self._slot: Dict[Edge, int] = {}
+        for edge in edges:
+            self.add(edge)
+
+    def __contains__(self, edge) -> bool:
+        return edge in self._slot
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __iter__(self) -> Iterator[Edge]:
+        return iter(self._items)
+
+    def add(self, edge: Edge) -> None:
+        if edge not in self._slot:
+            self._slot[edge] = len(self._items)
+            self._items.append(edge)
+
+    def discard(self, edge: Edge) -> None:
+        index = self._slot.get(edge)
+        if index is not None:
+            self.pop_at(index)
+
+    def pop_at(self, index: int) -> Edge:
+        edge = self._items[index]
+        last = self._items.pop()
+        if last != edge:
+            self._items[index] = last
+            self._slot[last] = index
+        del self._slot[edge]
+        return edge
+
+
 class ChurnStream:
     """Mixed insert/delete batches against a maintained live edge set.
 
@@ -184,12 +227,23 @@ class ChurnStream:
         self.delete_fraction = delete_fraction
         self.target_edges = target_edges
         self.weights = weights
-        self.live: Set[Edge] = set()
+        self._live = _IndexedEdgeSet()
         self._weight_of = {}
 
     @property
+    def live(self) -> MutableSet:
+        """The live edge set (``in``, ``len``, iteration, ``add``)."""
+        return self._live
+
+    @live.setter
+    def live(self, edges: Iterable[Edge]) -> None:
+        # Sorted, so the seeded stream does not depend on the iteration
+        # order of whatever container the caller handed over.
+        self._live = _IndexedEdgeSet(sorted(edges))
+
+    @property
     def num_live(self) -> int:
-        return len(self.live)
+        return len(self._live)
 
     def _weight(self) -> float:
         if self.weights is None:
@@ -200,37 +254,40 @@ class ChurnStream:
     def next_batch(self, size: int) -> Batch:
         """One valid batch of up to ``size`` updates."""
         updates: List[Update] = []
+        live = self._live
         touched: Set[Edge] = set()
+        # This batch's insertions join ``live`` only at the end, so every
+        # edge still in ``live`` is untouched and a deletion is one
+        # uniform position of it.
+        fresh: List[Edge] = []
         for _ in range(size):
-            want_delete = self.live - touched and (
-                self.rng.random() < self._delete_bias()
-            )
-            if want_delete:
-                pool = sorted(self.live - touched)
-                edge = pool[int(self.rng.integers(0, len(pool)))]
+            if live and self.rng.random() < self._delete_bias(
+                    len(live) + len(fresh)):
+                edge = live.pop_at(int(self.rng.integers(0, len(live))))
                 touched.add(edge)
-                self.live.discard(edge)
                 updates.append(
                     dele(*edge, weight=self._weight_of.pop(edge, 1.0))
                 )
             else:
-                edge = _sample_new_edge(self.n, self.live, touched, self.rng)
+                edge = _sample_new_edge(self.n, live, touched, self.rng)
                 if edge is None:
                     continue
                 touched.add(edge)
-                self.live.add(edge)
+                fresh.append(edge)
                 weight = self._weight()
                 self._weight_of[edge] = weight
                 updates.append(ins(*edge, weight=weight))
+        for edge in fresh:
+            live.add(edge)
         return Batch(updates)
 
-    def _delete_bias(self) -> float:
+    def _delete_bias(self, live_count: int) -> float:
         """Deletion probability, steered toward the live-count target."""
         if self.target_edges is None:
             return self.delete_fraction
-        if len(self.live) > self.target_edges:
+        if live_count > self.target_edges:
             return min(0.95, self.delete_fraction + 0.35)
-        if len(self.live) < 0.5 * self.target_edges:
+        if live_count < 0.5 * self.target_edges:
             return max(0.02, self.delete_fraction - 0.25)
         return self.delete_fraction
 

@@ -115,6 +115,17 @@ class TestSpawnSafeRandomness:
         with pytest.raises(ValueError):
             SamplerRandomness.from_params(100, 3, 1, ((1, 2),))
 
+    def test_pickle_ships_params_not_caches(self, rng):
+        # The attach payload every worker receives: without __reduce__
+        # it would carry the scalar memo caches (574 B -> 1.1 MB after
+        # 5 000 lookups).
+        randomness = SamplerRandomness(universe=5000, columns=6, rng=rng)
+        fresh = len(pickle.dumps(randomness))
+        for idx in range(1000):
+            randomness.levels_of(idx)
+            randomness.zpow(idx)
+        assert len(pickle.dumps(randomness)) == fresh
+
 
 # ---------------------------------------------------------------------------
 # Backend construction / resolution
@@ -681,11 +692,10 @@ class TestSegmentLeaks:
     ):
         # The constructor creates ring segments first, then the status
         # slot.  If the status-slot creation fails, the already-created
-        # rings must be unlinked on the unwind -- the leak RL001
-        # surfaced: transport creation used to sit outside __init__'s
-        # cleanup guard, so a mid-sequence failure stranded segments
-        # until reboot (and TestSegmentLeaks never saw it, because no
-        # backend object existed to close).
+        # rings must be unlinked on the unwind: with transport creation
+        # outside __init__'s cleanup guard a mid-sequence failure strands
+        # segments until reboot, and no other test can see it, because
+        # no backend object exists to close.
         from multiprocessing import shared_memory as shm_mod
 
         before = _shm_segments()

@@ -4,8 +4,9 @@ the ``REPRO_KERNELS_CHECK=1`` runtime wrapper.
 * ``TestBoundaryParity`` checks the kernels against exact Python
   big-int arithmetic at the adversarial inputs (0, 1, p-2, p-1, the
   32-bit limb seam, a forged boundary fingerprint, an ``S``-only cell
-  stack, an empty group) on every available tier;
-* ``TestSeededMutations`` applies seventeen single-token edits to a
+  stack, an empty group, sums past float64's 2^53 integer range, two
+  passing levels) on every available tier;
+* ``TestSeededMutations`` applies twenty single-token edits to a
   throw-away copy of ``numpy_tier.py`` and requires each to fail one of
   those same checks -- the kill coverage is pinned, not assumed;
 * the runtime wrapper must accept every in-contract call and raise
@@ -135,11 +136,34 @@ class TestBoundaryParity:
                            forged >> 32)).reshape(4, 1, 1)
             assert k.decode_prefix(prefix, max_index, z).tolist() == [want]
 
+    def test_decode_prefix_takes_the_lowest_passing_level(self, k):
+        # Levels 0 and 1 of every column both pass all three tests, with
+        # different coordinates: the answer is level 0's.  64 columns,
+        # so a decoder that picks *some* passing level agrees by chance
+        # with probability 2^-64.
+        z, cols = 123456789, 64
+        prefix = np.zeros((4, cols, 3), dtype=np.int64)
+        for level, base in ((0, 10), (1, 500)):
+            for col in range(cols):
+                idx = base + col
+                power = pow(z, idx, P)
+                prefix[:, col, level] = (1, idx, power & ((1 << 32) - 1),
+                                         power >> 32)
+        assert k.decode_prefix(prefix, 1000, z).tolist() == \
+            list(range(10, 10 + cols))
+
     def test_is_zero_cells_sees_nonzero_s(self, k):
         # W == 0 and F == 0 with S != 0 is not the zero vector.
         cells = np.zeros((2, 4, 3, 4), dtype=np.int64)
         cells[1, 1, 2, 0] = 7
         assert k.is_zero_cells(cells).tolist() == [True, False]
+
+    def test_is_zero_cells_level_sum_is_exact_past_2_53(self, k):
+        # W's level cells sum to exactly 1; in float64 2^53 + 1 rounds
+        # to 2^53 and the row would read as the zero vector.
+        cells = np.zeros((1, 4, 2, 3), dtype=np.int64)
+        cells[0, 0, 1, :2] = (2 ** 53 + 1, -2 ** 53)
+        assert k.is_zero_cells(cells).tolist() == [False]
 
     def test_pool_scatter_limb_split(self, k):
         # One update whose fingerprint power has both limbs busy: the
@@ -161,6 +185,13 @@ class TestBoundaryParity:
         want = np.stack([cells[[0, 2]].sum(axis=0), np.zeros_like(cells[0]),
                          cells[[4, 1, 3]].sum(axis=0)])
         assert np.array_equal(got, want)
+
+    def test_merge_groups_sum_is_exact_past_2_53(self, k):
+        cells = np.zeros((2, 4, 2, 3), dtype=np.int64)
+        cells[0], cells[1] = 2 ** 53 + 1, -2 ** 53
+        got = k.merge_groups(cells, _i64((0, 1)), _i64((2,)))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.ones((1, 4, 2, 3), dtype=np.int64))
 
 
 GOLDEN_CHECKS = [check for name, check in vars(TestBoundaryParity).items()
@@ -228,6 +259,13 @@ MUTATIONS = [
      "zero = (sums[:, 0] == 0)"),
     ("merge_reduceat_over_empty_groups", "starts[live], axis=0)",
      "starts, axis=0)"),
+    # The three determinism mutants only lint rule RL010 used to see.
+    ("merge_accumulates_in_float64", "np.add.reduceat(gathered,",
+     "np.add.reduceat(gathered.astype(np.float64),"),
+    ("is_zero_level_sum_in_float64", "sums = cells.sum(axis=-1)",
+     "sums = cells.sum(axis=-1, dtype=np.float64).astype(np.int64)"),
+    ("decode_random_passing_level", "first = np.argmax(ok, axis=1)",
+     "first = np.argmax(ok * np.random.random(ok.shape), axis=1)"),
 ]
 
 

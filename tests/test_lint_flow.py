@@ -1,9 +1,9 @@
-"""The flow engine (repro.lint.flow) and its rules RL008..RL011.
+"""The path analysis (repro.lint.flow) and its rules RL009..RL011.
 
 Corpus ``.case`` pairs already pin the fire/silent behaviour of each
-rule end-to-end; the tests here exercise the *engine* underneath --
-call resolution, path search, leak-path enumeration -- plus the cache
-and CLI surfaces added alongside it (``--stats``/``--graph``).
+rule end-to-end; the tests here exercise the leak-path enumeration
+underneath RL009 and RL010's scope, plus the cache and CLI surfaces
+(``--stats``/``--protocol-report``).
 """
 
 import ast
@@ -13,9 +13,8 @@ import sys
 import textwrap
 from pathlib import Path
 
-from repro.lint.engine import FileContext, Program, lint_source, run_paths
-from repro.lint.flow import FlowGraph, shm_leak_paths
-from repro.lint.rules import BULK_OPS
+from repro.lint.engine import FileContext, lint_source, run_paths
+from repro.lint.flow import shm_leak_paths
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -24,122 +23,6 @@ def _ctx(path, source):
     source = textwrap.dedent(source)
     return FileContext(path=path, tree=ast.parse(source), source=source,
                        lines=source.splitlines())
-
-
-def _graph(*pairs):
-    return FlowGraph.build([_ctx(p, s) for p, s in pairs], BULK_OPS)
-
-
-# ---------------------------------------------------------------------------
-# Call graph construction and resolution
-# ---------------------------------------------------------------------------
-
-class TestFlowGraph:
-    def test_self_call_resolves_within_class(self):
-        graph = _graph(("src/repro/core/a.py", """
-            class A:
-                def outer(self):
-                    return self.inner()
-
-                def inner(self):
-                    return 1
-        """))
-        (outer,) = [f for f in graph.functions.values()
-                    if f.qname.endswith("A.outer")]
-        targets = [t.qname for _, t in graph.callees(outer.qname)]
-        assert targets == ["src/repro/core/a.py::A.inner"]
-
-    def test_ambiguous_method_name_does_not_cross_link(self):
-        # `health.update(...)` must NOT resolve to an unrelated class
-        # that happens to define `update` -- this exact false edge once
-        # linked the session layer to the sampler hot path.
-        graph = _graph(
-            ("src/repro/core/a.py", """
-                class Caller:
-                    def tick(self, health):
-                        health.update(self.counters())
-
-                    def counters(self):
-                        return {}
-            """),
-            ("src/repro/core/b.py", """
-                class Sampler:
-                    def update(self, edge):
-                        self.family.sample_bulk([edge])
-            """),
-        )
-        (tick,) = [f for f in graph.functions.values()
-                   if f.qname.endswith("Caller.tick")]
-        targets = [t.qname for _, t in graph.callees(tick.qname)]
-        assert "src/repro/core/b.py::Sampler.update" not in targets
-        # ...but the self-call still resolves.
-        assert "src/repro/core/a.py::Caller.counters" in targets
-
-    def test_plain_name_call_resolves_cross_file(self):
-        graph = _graph(
-            ("src/repro/core/a.py", """
-                def entry():
-                    return helper()
-            """),
-            ("src/repro/core/b.py", """
-                def helper():
-                    return 1
-            """),
-        )
-        (entry,) = [f for f in graph.functions.values()
-                    if f.qname.endswith("::entry")]
-        targets = [t.qname for _, t in graph.callees(entry.qname)]
-        assert targets == ["src/repro/core/b.py::helper"]
-
-    def test_to_json_shape(self):
-        graph = _graph(("src/repro/core/a.py", """
-            def entry():
-                return helper()
-
-            def helper():
-                return 1
-        """))
-        payload = graph.to_json()
-        assert {n["qname"] for n in payload["nodes"]} == {
-            "src/repro/core/a.py::entry",
-            "src/repro/core/a.py::helper",
-        }
-        assert payload["edges"]
-
-
-class TestUnchargedBulkPaths:
-    SRC = """
-        class Facade:
-            def __init__(self, cluster):
-                self.cluster = cluster
-
-            def query_many(self, us):
-                return self._fanout(us)
-
-            def charged_many(self, us):
-                self.cluster.charge_gather(len(us))
-                return self._fanout(us)
-
-            def _fanout(self, us):
-                return self.family.query_iteration_groups(us, 0)
-    """
-
-    def test_uncharged_path_is_found_with_witness(self):
-        graph = _graph(("src/repro/session/f.py", self.SRC))
-        (entry,) = [f for f in graph.functions.values()
-                    if f.qname.endswith("Facade.query_many")]
-        paths = graph.uncharged_bulk_paths(entry)
-        assert len(paths) == 1
-        chain, (op, _line) = paths[0]
-        assert op == "query_iteration_groups"
-        assert [f.qname.rsplit(".", 1)[-1] for f in chain] == [
-            "query_many", "_fanout"]
-
-    def test_charging_frame_covers_its_subtree(self):
-        graph = _graph(("src/repro/session/f.py", self.SRC))
-        (entry,) = [f for f in graph.functions.values()
-                    if f.qname.endswith("Facade.charged_many")]
-        assert graph.uncharged_bulk_paths(entry) == []
 
 
 class TestShmLeakPaths:
@@ -177,10 +60,10 @@ class TestShmLeakPaths:
 # ---------------------------------------------------------------------------
 
 class TestDeterminism:
-    def _fired(self, body):
-        src = "@hot_path\ndef f(xs):\n" + textwrap.indent(
+    def _fired(self, body, name="f", path="src/repro/kernels/x.py"):
+        src = f"def {name}(xs):\n" + textwrap.indent(
             textwrap.dedent(body), "    ")
-        return {f.rule for f in lint_source(src, "src/repro/core/x.py")}
+        return {f.rule for f in lint_source(src, path)}
 
     def test_flags_ambient_numpy_rng(self):
         assert "RL010" in self._fired("return np.random.randint(0, 8)\n")
@@ -197,9 +80,14 @@ class TestDeterminism:
             "return np.bitwise_and(xs, np.int64(63))\n")
 
     def test_out_of_scope_function_ignored(self):
-        src = "def f():\n    return time.time()\n"
-        fired = {f.rule for f in lint_source(src, "src/repro/core/x.py")}
-        assert "RL010" not in fired
+        assert "RL010" not in self._fired(
+            "return time.time()\n", path="src/repro/core/x.py")
+
+    def test_op_executor_and_worker_loop_in_scope_by_name(self):
+        for name in ("_execute_op", "_worker_main"):
+            assert "RL010" in self._fired(
+                "return time.time()\n", name=name,
+                path="src/repro/mpc/x.py")
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +100,7 @@ class TestEngineSurfaces:
         assert report.program is not None
         assert report.timings
         assert all(t >= 0.0 for t in report.timings.values())
-        assert "RL008" in report.timings
+        assert "RL012" in report.timings
 
     def test_context_cache_hits_on_second_run(self):
         from repro.lint import engine
@@ -227,19 +115,15 @@ class TestEngineSurfaces:
         # reused, not reparsed.
         assert engine._CTX_CACHE[key][1].tree is ctx.tree
 
-    def test_cli_stats_and_graph(self, tmp_path):
+    def test_cli_stats(self, tmp_path):
         (tmp_path / "mod.py").write_text("def f():\n    return 1\n")
-        graph_out = tmp_path / "graph.json"
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.lint", str(tmp_path),
-             "--stats", "--graph", str(graph_out)],
+            [sys.executable, "-m", "repro.lint", str(tmp_path), "--stats"],
             capture_output=True, text=True,
             cwd=REPO, env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
         )
         assert proc.returncode == 0, proc.stderr
-        assert "RL008" in proc.stdout  # stats table lists every rule
-        payload = json.loads(graph_out.read_text())
-        assert any(n["qname"].endswith("::f") for n in payload["nodes"])
+        assert "RL012" in proc.stdout  # stats table lists every rule
 
     def test_protocol_report_payload(self, tmp_path):
         out = tmp_path / "proto.json"

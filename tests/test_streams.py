@@ -1,5 +1,7 @@
 """Stream generator validity and determinism tests."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,36 @@ class TestChurn:
         batch = stream.next_batch(10)
         assert all(1 <= up.weight <= 8 for up in batch
                    if up.is_insert)
+
+    def test_seed_deterministic(self):
+        a = list(ChurnStream(32, seed=5, target_edges=40).batches(20, 8))
+        b = list(ChurnStream(32, seed=5, target_edges=40).batches(20, 8))
+        assert [list(x) for x in a] == [list(y) for y in b]
+
+    def test_live_is_set_like_and_assignable(self):
+        stream = ChurnStream(16, seed=3, delete_fraction=0.5)
+        stream.live = {(2, 3), (0, 1)}
+        stream.live.add((4, 5))
+        stream.live.add((4, 5))
+        assert (0, 1) in stream.live and (1, 2) not in stream.live
+        assert len(stream.live) == stream.num_live == 3
+        assert sorted(stream.live) == [(0, 1), (2, 3), (4, 5)]
+        # The seeded graph is what the stream deletes from.
+        oracle = DynamicConnectivityOracle(16)
+        oracle.apply_batch([ins(*edge) for edge in stream.live])
+        for batch in stream.batches(20, 4):
+            oracle.apply_batch(batch)
+        assert oracle.num_edges == stream.num_live
+
+    def test_deletion_sampling_is_constant_time(self):
+        # 20 000 updates with 8 192 edges live: ~25 s when every
+        # deletion slot sorted the live set, ~0.2 s with swap-pop.
+        stream = ChurnStream(4096, seed=0, target_edges=8192)
+        start = time.perf_counter()
+        emitted = sum(len(batch) for batch in stream.batches(80, 250))
+        assert emitted == 20_000
+        assert time.perf_counter() - start < 2.0
+        assert 4096 <= stream.num_live <= 9000
 
 
 class TestSplitMerge:
