@@ -119,8 +119,8 @@ class MPCConnectivity(BatchDynamicAlgorithm):
 
     def query_spanning_forest(self) -> ForestSolution:
         """Report the maintained spanning forest (constant rounds)."""
-        edges = sorted(self.forest.all_edges())
-        return ForestSolution(n=self.n, edges=edges, weights=[])
+        return ForestSolution(n=self.n, edges=self.forest.all_edges(),
+                              weights=[])
 
     def query_with_metrics(self) -> Tuple[ForestSolution, "object"]:
         """Query wrapped in a measured phase (for EXP-3).

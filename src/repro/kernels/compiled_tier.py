@@ -225,39 +225,36 @@ def _decode_core(W, S, lo, hi, max_index, z):
     return out
 
 
-def _merge_core(rows, members, glens, out):
-    # rows: (count, R) flat cells; out: (g, R) zeroed.
-    words = rows.shape[1]
+def _merge_core(cells, members, glens, cols, out):
+    # cells: (count, 4, c, L); out: (g, 4, L) zeroed.
+    levels = cells.shape[3]
     offset = 0
     for gi in range(glens.shape[0]):
+        col = cols[gi]
         for m in range(glens[gi]):
             row = members[offset + m]
-            for wj in range(words):
-                out[gi, wj] += rows[row, wj]
+            for q in range(4):
+                for lv in range(levels):
+                    out[gi, q, lv] += cells[row, q, col, lv]
         offset += glens[gi]
 
 
 def _zero_core(cells):
+    # cells: (k, 4, L) single columns.
     k = cells.shape[0]
-    columns = cells.shape[2]
-    levels = cells.shape[3]
+    levels = cells.shape[2]
     out = np.empty(k, dtype=np.bool_)
     for i in range(k):
-        zero = True
-        for c in range(columns):
-            sw = np.int64(0)
-            ss = np.int64(0)
-            slo = np.int64(0)
-            shi = np.int64(0)
-            for lv in range(levels):
-                sw += cells[i, 0, c, lv]
-                ss += cells[i, 1, c, lv]
-                slo += cells[i, 2, c, lv]
-                shi += cells[i, 3, c, lv]
-            if sw != 0 or ss != 0 or _combine(slo, shi) != 0:
-                zero = False
-                break
-        out[i] = zero
+        sw = np.int64(0)
+        ss = np.int64(0)
+        slo = np.int64(0)
+        shi = np.int64(0)
+        for lv in range(levels):
+            sw += cells[i, 0, lv]
+            ss += cells[i, 1, lv]
+            slo += cells[i, 2, lv]
+            shi += cells[i, 3, lv]
+        out[i] = sw == 0 and ss == 0 and _combine(slo, shi) == 0
     return out
 
 
@@ -408,15 +405,14 @@ def decode_prefix(prefix: np.ndarray, max_index: int,
 
 @compiled_kernel("merge_groups")
 def merge_groups(cells: np.ndarray, members: np.ndarray,
-                 glens: np.ndarray) -> np.ndarray:
+                 glens: np.ndarray, cols: np.ndarray) -> np.ndarray:
     cores = _require_cores()
     g = glens.shape[0]
-    out = np.zeros((g,) + cells.shape[1:], dtype=np.int64)
+    out = np.zeros((g, cells.shape[1], cells.shape[3]), dtype=np.int64)
     if g == 0 or members.shape[0] == 0:
         return out
-    rows = _i64_contig(cells).reshape(cells.shape[0], -1)
-    cores["merge"](rows, _i64_contig(members), _i64_contig(glens),
-                   out.reshape(g, -1))
+    cores["merge"](_i64_contig(cells), _i64_contig(members),
+                   _i64_contig(glens), _i64_contig(cols), out)
     return out
 
 

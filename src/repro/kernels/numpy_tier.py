@@ -287,45 +287,55 @@ def decode_prefix(prefix: np.ndarray, max_index: int,
         "cells": i64_acc(),
         "members": i64_range(0, (1 << 31) - 1),
         "glens": i64_range(0, (1 << 31) - 1),
+        "cols": i64_range(0, (1 << 20) - 1),
     },
     returns=i64_acc(),
 )
 def merge_groups(cells: np.ndarray, members: np.ndarray,
-                 glens: np.ndarray) -> np.ndarray:
-    """Per-group sums of member rows of a ``(count, 4, c, L)`` block.
+                 glens: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Per-group sums of one column of member rows of a
+    ``(count, 4, c, L)`` block.
 
-    ``members`` is the flat concatenation of the groups' row indices
-    and ``glens`` the per-group lengths; the result is the
-    ``(len(glens), 4, c, L)`` stack of merged cells -- entry ``i`` the
-    element-wise int64 sum of that group's rows (zeros for an empty
-    group).  One gather plus one segmented reduction
-    (``np.add.reduceat``) replaces the per-group Python loop; int64
-    addition is exact and order-independent, so the result matches any
-    merge order bit for bit.
+    ``members`` is the flat concatenation of the groups' row indices,
+    ``glens`` the per-group lengths and ``cols`` the column each group
+    reads; the result is the ``(len(glens), 4, L)`` stack of merged
+    columns -- entry ``i`` the element-wise int64 sum of column
+    ``cols[i]`` over that group's rows (zeros for an empty group).
+    Only the asked column is gathered (the column invariant of
+    :mod:`repro.sketch.sparse_recovery` makes it enough for the zero
+    test too), and one segmented reduction (``np.add.reduceat``)
+    replaces the per-group Python loop; int64 addition is exact and
+    order-independent, so the result matches any merge order bit for
+    bit.
     """
     g = glens.shape[0]
-    out = np.zeros((g,) + cells.shape[1:], dtype=np.int64)
+    out = np.zeros((g, cells.shape[1], cells.shape[3]), dtype=np.int64)
     live = glens > 0
     if not live.any():
         return out
     starts = np.zeros(g, dtype=np.int64)
     np.cumsum(glens[:-1], out=starts[1:])
-    gathered = cells[members].reshape(members.shape[0], -1)
+    member_cols = np.repeat(cols, glens)
+    gathered = cells[members, :, member_cols, :]       # (m, 4, L)
     # Empty groups are excluded from the reduceat starts (a zero-length
     # reduceat segment would return the element *at* the offset instead
     # of zero); consecutive live segments stay adjacent in ``members``,
     # so the surviving offsets bound exactly the live groups' rows.
-    reduced = np.add.reduceat(gathered, starts[live], axis=0)
-    out.reshape(g, -1)[live] = reduced
+    out[live] = np.add.reduceat(gathered, starts[live], axis=0)
     return out
 
 
 @numpy_kernel("is_zero_cells")
 @kernel_contract(args={"cells": i64_acc()}, returns=bool_array())
 def is_zero_cells(cells: np.ndarray) -> np.ndarray:
-    """Per-row all-columns zero test over a ``(k, 4, c, L)`` stack."""
-    sums = cells.sum(axis=-1)                          # (k, 4, columns)
+    """Per-row zero test over a ``(k, 4, L)`` stack of single columns.
+
+    A column's level sums are the whole vector's ``(W, S, F)`` totals
+    (the column invariant of :mod:`repro.sketch.sparse_recovery`), so
+    one column answers for every column exactly.
+    """
+    sums = cells.sum(axis=-1)                          # (k, 4)
     zero = (sums[:, 0] == 0) & (sums[:, 1] == 0)
     if zero.any():
         zero &= combine_limbs(sums[:, 2], sums[:, 3]) == 0
-    return zero.all(axis=-1)
+    return zero

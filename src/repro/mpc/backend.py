@@ -422,8 +422,10 @@ def _execute_op(op: str, cells: np.ndarray, randomness,
     ``scatter_edges``, the single parent-side trigger point.
 
     Group ops consume the wire shape (``glens``/flat ``members``)
-    directly through the :mod:`repro.kernels` group-merge kernel --
-    no per-group Python list is rebuilt on the hot path.
+    directly through the :mod:`repro.kernels` group-merge kernel,
+    which gathers only the one column each group reads -- no
+    per-group Python list and no full member row is built on the hot
+    path.
     """
     from repro import kernels as _kernels
     from repro.sketch.l0_sampler import query_cells
@@ -438,12 +440,14 @@ def _execute_op(op: str, cells: np.ndarray, randomness,
         return None
     if op == "gquery":
         glens, members, cols = args
-        merged = _kernels.merge_groups(cells, members, glens)
-        return query_cells(merged, cols, randomness)
+        merged = _kernels.merge_groups(cells, members, glens, cols)
+        return query_cells(merged, randomness)
     if op == "gzero":
+        # Column 0 answers for every column (the column invariant of
+        # repro.sketch.sparse_recovery).
         glens, members = args
-        return _kernels.is_zero_cells(
-            _kernels.merge_groups(cells, members, glens))
+        return _kernels.is_zero_cells(_kernels.merge_groups(
+            cells, members, glens, np.zeros(glens.shape[0], np.int64)))
     raise ValueError(f"unknown backend op {op!r}")
 
 

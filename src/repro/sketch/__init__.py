@@ -18,10 +18,13 @@ Bulk queries: the recovery side has one array-in/array-out surface,
 *membership groups* of pool rows.  ``SketchFamily.query_iteration_groups``
 / ``cuts_empty_groups`` flatten per-supernode vertex-row lists once into
 ``(members, glens)`` and ship that pair to the execution backend, which
-sums the member rows (``kernels.merge_groups``) and answers a whole AGM
-halving iteration in one pass over ``query_cells`` /
-``kernels.is_zero_cells``; ``RecoveryMatrix.recover_many`` /
-``column_is_zero_many`` and ``L0Sampler.sample_columns`` decode many
+sums the one column each group reads across its member rows
+(``kernels.merge_groups``; the column invariant of
+:mod:`repro.sketch.sparse_recovery` makes that column enough for the
+zero test too) and answers a whole AGM halving iteration in one pass
+over ``query_cells`` / ``kernels.is_zero_cells``;
+``RecoveryMatrix.recover_many`` / ``column_is_zero_many`` and
+``L0Sampler.sample_columns`` decode many
 columns of one sketch (``kernels.decode_prefix`` is the shared decoder)
 and ``decode_indices`` inverts the edge coding for whole batches.  The
 scalar path (``L0Sampler.update`` / ``sample_column`` / ``is_zero``,

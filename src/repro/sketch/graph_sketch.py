@@ -197,14 +197,17 @@ class SketchFamily:
         """One halving iteration over supernodes shipped as *membership*.
 
         ``groups`` is a list of vertex-id arrays (= rows of this
-        family's pool); the backend merges each group's member rows
-        where the pool lives and answers the fused zero test +
-        cut-edge recovery, so the parent never materialises merged
-        supernode cells.  Entry ``i`` of the result equals querying the
-        parent-side merge of ``groups[i]`` on ``column[i]`` --
-        bit-identical, because summing rows and querying commute
-        (int64 addition is exact and order-independent, and limb
-        renormalization never changes the value a query reads).  On
+        family's pool); the backend merges column ``column[i]`` of
+        each group's member rows where the pool lives and answers the
+        fused zero test + cut-edge recovery on it, so the parent never
+        materialises merged supernode cells.  Entry ``i`` of the result
+        equals querying the parent-side merge of ``groups[i]`` on
+        ``column[i]`` -- bit-identical, because summing rows and
+        querying commute (int64 addition is exact and
+        order-independent, and limb renormalization never changes the
+        value a query reads), and the one-column zero test is the
+        all-columns one by the column invariant of
+        :mod:`repro.sketch.sparse_recovery`.  On
         the cluster backend whole groups are balanced across workers
         and only the recovered edges travel back.
         """

@@ -216,27 +216,29 @@ def _randomness_from_params(universe, columns, z,
 # ---------------------------------------------------------------------------
 # Cell-block query core
 # ---------------------------------------------------------------------------
-# Operates on a raw ``(k, 4, columns, levels)`` cell stack: the op table
-# of :mod:`repro.mpc.backend` calls it on merged groups of pool rows --
-# one definition, so every route answers bit-identically.
+# Operates on a ``(k, 4, levels)`` stack of single merged columns: the op
+# table of :mod:`repro.mpc.backend` calls it on the output of
+# :func:`repro.kernels.merge_groups` -- one definition, so every route
+# answers bit-identically.
 
-def query_cells(cells: np.ndarray, cols: np.ndarray,
-                randomness: SamplerRandomness
+def query_cells(merged: np.ndarray, randomness: SamplerRandomness
                 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Fused zero test + one-column recovery over a cell stack.
+    """Fused zero test + recovery over a stack of merged columns.
 
-    Returns ``(zeros, found)``; only the non-zero rows pay for
-    recovery, and ``found`` is ``-1`` for zero rows and failed
-    recovery alike.
+    Row ``i`` is one column of one group's merged sketch.  By the
+    column invariant (:mod:`repro.sketch.sparse_recovery`) its level
+    sums are the whole vector's totals, so the zero test on that one
+    column is the all-columns test, exactly.  Returns ``(zeros,
+    found)``; only the non-zero rows pay for recovery, and ``found``
+    is ``-1`` for zero rows and failed recovery alike.
     """
-    k = cells.shape[0]
-    zeros = _kernels.is_zero_cells(cells)
+    k = merged.shape[0]
+    zeros = _kernels.is_zero_cells(merged)
     found = np.full(k, -1, dtype=np.int64)
     live = np.flatnonzero(~zeros)
     if live.size:
-        block = cells[live, :, cols[live], :]          # (l, 4, levels)
         found[live] = _kernels.decode_prefix(
-            _suffix_cumsum(block).transpose(1, 0, 2),
+            _suffix_cumsum(merged[live]).transpose(1, 0, 2),
             randomness.universe, randomness.z
         )
     return zeros, found
@@ -402,11 +404,12 @@ class L0Sampler:
     def is_zero(self) -> bool:
         """True iff the sketched vector is zero (w.h.p.).
 
-        Requires every column's level-0 cell to be the zero triple,
-        driving the false-zero probability to ``(N/p)^columns``.  One
-        level-axis reduction checks all columns at once.
+        Tests column 0's level-0 prefix: every column holds the same
+        ``(W, S, F)`` totals (the column invariant of
+        :mod:`repro.sketch.sparse_recovery`), so one column answers for
+        all of them, with false-zero probability ``< N/p``.
         """
-        return bool(self.matrix.column_is_zero_many().all())
+        return self.matrix.column_is_zero(0)
 
     @property
     def words(self) -> int:

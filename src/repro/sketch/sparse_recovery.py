@@ -38,6 +38,23 @@ intermediate -- including the query-time cumulative sums over at most 64
 levels -- below ``2^63``.  Renormalization preserves the represented
 value exactly, so the sequential and bulk paths stay bit-identical.
 
+Column invariant
+----------------
+Every update adds its four quantities to exactly one level of *every*
+column (the one its hash picks), and merges and renormalizations act
+on all columns alike.  So in every row the level sums of ``W``, ``S``
+and ``combine(Flo, Fhi)`` are the same in every column: they are the
+whole vector's ``(W, S, F)`` totals.  (The raw limb sums may differ
+after a renormalization; their combined residue does not.)  Two
+things follow exactly, not w.h.p.: the zero test of one column is the
+zero test of all of them, and a group query that reads one column
+needs to merge only that column of its member rows --
+:func:`repro.kernels.merge_groups` gathers ``(4, levels)`` per member
+instead of the full ``(4, columns, levels)`` row, and
+:func:`repro.kernels.is_zero_cells` tests the merged column.
+``tests/test_column_invariant.py`` checks the invariant over every
+write path.
+
 Physically, one matrix is a single ``(4, columns, levels)`` int64 block
 holding ``(Wd, Sd, Flo, Fhi)`` -- a whole update is then *one* scatter
 into the flattened block, and a merge is one array addition.  A

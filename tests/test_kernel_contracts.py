@@ -3,12 +3,16 @@ the ``REPRO_KERNELS_CHECK=1`` runtime wrapper.
 
 * ``TestBoundaryParity`` checks the kernels against exact Python
   big-int arithmetic at the adversarial inputs (0, 1, p-2, p-1, the
-  32-bit limb seam, a forged boundary fingerprint, an ``S``-only cell
-  stack, an empty group, sums past float64's 2^53 integer range, two
-  passing levels) on every available tier;
-* ``TestSeededMutations`` applies twenty single-token edits to a
+  32-bit limb seam, a forged boundary fingerprint, an ``S``-only
+  column stack, an empty group, groups reading different columns, sums
+  past float64's 2^53 integer range, two passing levels) on every
+  available tier;
+* ``TestSeededMutations`` applies twenty-five single-token edits to a
   throw-away copy of ``numpy_tier.py`` and requires each to fail one of
   those same checks -- the kill coverage is pinned, not assumed;
+* the compiled tier's group-merge and zero-test cores run un-jitted
+  against the numpy tier and the same checks, so their one-column
+  shapes are exercised without numba;
 * the runtime wrapper must accept every in-contract call and raise
   :class:`~repro.errors.SketchError` naming the kernel and argument on
   a dtype or range violation, whichever tier's flavour is bound.
@@ -154,15 +158,15 @@ class TestBoundaryParity:
 
     def test_is_zero_cells_sees_nonzero_s(self, k):
         # W == 0 and F == 0 with S != 0 is not the zero vector.
-        cells = np.zeros((2, 4, 3, 4), dtype=np.int64)
-        cells[1, 1, 2, 0] = 7
+        cells = np.zeros((2, 4, 4), dtype=np.int64)
+        cells[1, 1, 0] = 7
         assert k.is_zero_cells(cells).tolist() == [True, False]
 
     def test_is_zero_cells_level_sum_is_exact_past_2_53(self, k):
         # W's level cells sum to exactly 1; in float64 2^53 + 1 rounds
         # to 2^53 and the row would read as the zero vector.
-        cells = np.zeros((1, 4, 2, 3), dtype=np.int64)
-        cells[0, 0, 1, :2] = (2 ** 53 + 1, -2 ** 53)
+        cells = np.zeros((1, 4, 3), dtype=np.int64)
+        cells[0, 0, :2] = (2 ** 53 + 1, -2 ** 53)
         assert k.is_zero_cells(cells).tolist() == [False]
 
     def test_pool_scatter_limb_split(self, k):
@@ -179,19 +183,23 @@ class TestBoundaryParity:
         assert np.array_equal(flat.reshape(4, 2, 3), want)
 
     def test_merge_groups_with_empty_group(self, k):
+        # The live groups read different columns, and the empty group
+        # sits between them.
         rng = np.random.default_rng(6)
         cells = rng.integers(-50, 50, size=(5, 4, 3, 4)).astype(np.int64)
-        got = k.merge_groups(cells, _i64((0, 2, 4, 1, 3)), _i64((2, 0, 3)))
-        want = np.stack([cells[[0, 2]].sum(axis=0), np.zeros_like(cells[0]),
-                         cells[[4, 1, 3]].sum(axis=0)])
+        got = k.merge_groups(cells, _i64((0, 2, 4, 1, 3)), _i64((2, 0, 3)),
+                             _i64((2, 1, 0)))
+        want = np.stack([cells[[0, 2], :, 2].sum(axis=0),
+                         np.zeros((4, 4), dtype=np.int64),
+                         cells[[4, 1, 3], :, 0].sum(axis=0)])
         assert np.array_equal(got, want)
 
     def test_merge_groups_sum_is_exact_past_2_53(self, k):
         cells = np.zeros((2, 4, 2, 3), dtype=np.int64)
         cells[0], cells[1] = 2 ** 53 + 1, -2 ** 53
-        got = k.merge_groups(cells, _i64((0, 1)), _i64((2,)))
+        got = k.merge_groups(cells, _i64((0, 1)), _i64((2,)), _i64((1,)))
         assert got.dtype == np.int64
-        assert np.array_equal(got, np.ones((1, 4, 2, 3), dtype=np.int64))
+        assert np.array_equal(got, np.ones((1, 4, 3), dtype=np.int64))
 
 
 GOLDEN_CHECKS = [check for name, check in vars(TestBoundaryParity).items()
@@ -223,6 +231,47 @@ def test_compiled_scalar_helpers_match_bigints():
         for x, y in itertools.product(limbs, limbs):
             assert int(combine(np.int64(x), np.int64(y))) == \
                 (x + (y << 32)) % P, (x, y)
+
+
+@pytest.fixture
+def unjitted_compiled(monkeypatch):
+    """The compiled tier's registered wrappers over their plain
+    (un-jitted) group cores, so they run without numba."""
+    monkeypatch.setattr(compiled_tier, "_CORES", {
+        "merge": compiled_tier._merge_core,
+        "zero": compiled_tier._zero_core,
+    })
+    return types.SimpleNamespace(
+        merge_groups=compiled_tier.merge_groups,
+        is_zero_cells=compiled_tier.is_zero_cells)
+
+
+def test_compiled_group_cores_match_numpy_tier(unjitted_compiled):
+    numpy_tier = registry.numpy_table()
+    rng = np.random.default_rng(2026)
+    for _ in range(20):
+        count, columns, levels = 6, 5, 7
+        cells = rng.integers(-3, 4, size=(count, 4, columns, levels))
+        glens = rng.integers(0, 4, size=int(rng.integers(1, 6)))
+        members = rng.integers(0, count, size=int(glens.sum()))
+        cols = rng.integers(0, columns, size=glens.shape[0])
+        args = [np.asarray(a, dtype=np.int64)
+                for a in (cells, members, glens, cols)]
+        merged = numpy_tier["merge_groups"](*args)
+        assert np.array_equal(unjitted_compiled.merge_groups(*args),
+                              merged)
+        # Sparse rows make some merged columns exactly zero.
+        merged[rng.random(merged.shape[0]) < 0.5] = 0
+        assert np.array_equal(unjitted_compiled.is_zero_cells(merged),
+                              numpy_tier["is_zero_cells"](merged))
+
+
+@pytest.mark.parametrize(
+    "check", [c for c in GOLDEN_CHECKS
+              if "merge_groups" in c.__name__ or "is_zero" in c.__name__],
+    ids=lambda c: c.__name__)
+def test_compiled_group_cores_pass_golden_checks(unjitted_compiled, check):
+    check(None, unjitted_compiled)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +308,17 @@ MUTATIONS = [
      "zero = (sums[:, 0] == 0)"),
     ("merge_reduceat_over_empty_groups", "starts[live], axis=0)",
      "starts, axis=0)"),
+    # One per line of the one-column merge and zero test.
+    ("merge_out_shape_takes_column_axis",
+     "cells.shape[1], cells.shape[3]", "cells.shape[1], cells.shape[2]"),
+    ("merge_tiles_columns_instead_of_repeating", "np.repeat(cols, glens)",
+     "np.tile(cols, 2)[:members.shape[0]]"),
+    ("merge_gathers_first_group_column",
+     "cells[members, :, member_cols, :]", "cells[members, :, cols[0], :]"),
+    ("merge_packs_live_groups_first", "out[live] = np.add.reduceat(",
+     "out[:int(live.sum())] = np.add.reduceat("),
+    ("is_zero_reduces_over_rows", "    return zero\n",
+     "    return zero.all(axis=-1)\n"),
     # The three determinism mutants only lint rule RL010 used to see.
     ("merge_accumulates_in_float64", "np.add.reduceat(gathered,",
      "np.add.reduceat(gathered.astype(np.float64),"),

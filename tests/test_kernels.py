@@ -117,10 +117,11 @@ class TestScalarGolden:
         cells = rng.integers(-50, 50, size=(5, 4, 3, 4)).astype(np.int64)
         members = np.array([0, 2, 4, 1, 3], dtype=np.int64)
         glens = np.array([2, 0, 3], dtype=np.int64)
-        merged = kernels.merge_groups(cells, members, glens)
+        cols = np.array([2, 1, 0], dtype=np.int64)
+        merged = kernels.merge_groups(cells, members, glens, cols)
         expected = np.stack([     # an empty selection sums to zeros
-            cells[g].sum(axis=0)
-            for g in np.split(members, np.cumsum(glens)[:-1])
+            cells[g][:, :, c].sum(axis=0)
+            for g, c in zip(np.split(members, np.cumsum(glens)[:-1]), cols)
         ])
         assert np.array_equal(merged, expected)
 
@@ -183,16 +184,18 @@ def _op_snapshot(tier):
         sampler.update(int(idxs[0]), 1)  # scalar path too
     cells = np.stack([s.matrix.cells for s in samplers])
     cols = np.arange(4, dtype=np.int64) % randomness.columns
-    zeros, found = query_cells(cells, cols, randomness)
+    singles = cells[np.arange(4), :, cols, :]
+    zeros, found = query_cells(singles, randomness)
     # Groups {0, 2}, {1}, {} and {3, 1, 0} in the flat wire shape.
     members = np.array([0, 2, 1, 3, 1, 0], dtype=np.int64)
     glens = np.array([2, 1, 0, 3], dtype=np.int64)
-    merged = kernels.merge_groups(cells, members, glens)
-    gzeros, gfound = query_cells(merged, cols, randomness)
+    merged = kernels.merge_groups(cells, members, glens, cols)
+    gzeros, gfound = query_cells(merged, randomness)
     return {
         "cells": cells,
         "zeros": zeros, "found": found,
-        "is_zero": kernels.is_zero_cells(cells),
+        "is_zero": kernels.is_zero_cells(singles),
+        "merged": merged,
         "gzeros": gzeros, "gfound": gfound,
         "zgroups": kernels.is_zero_cells(merged),
         "scan": samplers[0].sample_columns(
