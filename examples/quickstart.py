@@ -73,20 +73,14 @@ per-worker ring buffers (only a tiny ``(seq, offset, length)`` token
 crosses the pipe), so fan-out latency stays flat as batches shrink --
 see the wire protocol in :mod:`repro.mpc.backend`.
 
-Choosing a kernel tier
-----------------------
+Kernel knobs
+------------
 The sketch inner loops (field arithmetic, scatter, decode, group
-merge) run on a runtime-selectable kernel tier -- see
-``docs/kernels.md`` for the full grammar, the profiling hooks, and
-how to add a kernel:
+merge) are numpy kernels in :mod:`repro.kernels` -- see
+``docs/kernels.md`` for the profiling hooks, the contract checks, and
+how to add a kernel.  Two knobs wrap them, read at import (workers
+read their own at spawn) and validated like the backend knobs:
 
-* ``REPRO_KERNELS`` -- ``auto`` (default: numba-compiled when numba is
-  importable, else pure numpy, silently), ``numpy`` (force the
-  always-available reference tier), or ``numba`` (require the compiled
-  tier; raises ``SketchError`` naming the variable when numba is
-  missing).  Anything else raises at read time, like the backend
-  knobs.  Both tiers are bit-identical; workers re-resolve the tier
-  independently at spawn.
 * ``REPRO_KERNELS_PROFILE`` -- set to ``1`` to wrap every kernel and
   the parent-side dispatch sections in nanosecond accumulators,
   surfaced per phase through ``session.report()``'s backend events
@@ -99,15 +93,15 @@ how to add a kernel:
 
 The conventions no test can provoke (validated env reads, segments
 released on every exception edge, status brackets, bit-reproducible
-kernel code, kernel-tier parity) are enforced mechanically by
+kernel code) are enforced mechanically by
 ``python -m repro.lint src`` -- see
 ``docs/lint-rules.md`` for the rule pack and how to suppress a finding
 with a justification.  The backend's crash-recovery wire protocol goes
 one step further: the lint run extracts its state machine from the
 source and exhaustively model-checks it against injected worker faults
 (``docs/protocol-model.md``).  The kernel arithmetic is guarded by
-tests instead: boundary-value parity against Python big-ints per tier
-and a seeded-mutation suite pinning what those checks kill
+tests instead: boundary-value parity against Python big-ints and a
+seeded-mutation suite pinning what those checks kill
 (``tests/test_kernel_contracts.py``).  So are the MPC round charges:
 ``tests/test_charge_ledger.py`` pins the exact rounds-by-category of
 seeded phases for every registered task.

@@ -11,9 +11,11 @@ batch-dynamic construction with the same interface and cost profile
 * insertions are absorbed greedily (an inserted edge is matched iff both
   endpoints are free);
 * deleting matched edges exposes their endpoints; exposed vertices are
-  re-matched by iterated proposal rounds over their adjacency lists,
-  which mirrors the parallel re-matching phases of [NO21] and is charged
-  ``ceil(log2(1/kappa)) + 1`` rounds.
+  re-matched by one sequential greedy pass over their adjacency lists.
+  That pass stands in for [NO21]'s parallel re-matching phases and is
+  charged their ``rounds_per_batch = ceil(log2(1/kappa)) + 1`` rounds,
+  whatever it did; a parallel proposal matching charged as it runs is
+  the planned replacement.
 
 The class stores H's adjacency -- Theta(m_H) words, which is exactly the
 memory Proposition 8.4 budgets for the black box.
@@ -105,31 +107,22 @@ class BatchDynamicMaximalMatching:
         return self.rounds_per_batch
 
     def _rematch(self, exposed: Set[int]) -> None:
-        """Proposal rounds: exposed vertices grab free neighbours.
+        """One sequential greedy pass: each exposed vertex, in sorted
+        order, takes its smallest free neighbour.
 
-        Processing proposals vertex-by-vertex within a round keeps the
-        result exactly maximal (the parallel version resolves conflicts
-        by independent sets; the outcome set is equivalent for our use).
+        The matching was maximal before the batch, and insertions match
+        any edge whose endpoints are both free, so every edge with two
+        free endpoints touches an exposed vertex; the pass leaves the
+        matching maximal.
         """
-        frontier = {v for v in exposed if v not in self._mate}
-        while frontier:
-            next_frontier: Set[int] = set()
-            progress = False
-            for v in sorted(frontier):
-                if v in self._mate:
-                    continue
-                partner = None
-                for u in sorted(self._adj.get(v, ())):
-                    if u not in self._mate:
-                        partner = u
-                        break
-                if partner is not None:
-                    self._mate[v] = partner
-                    self._mate[partner] = v
-                    progress = True
-            if not progress:
-                break
-            frontier = next_frontier
+        for v in sorted(exposed):
+            if v in self._mate:
+                continue
+            for u in sorted(self._adj.get(v, ())):
+                if u not in self._mate:
+                    self._mate[v] = u
+                    self._mate[u] = v
+                    break
 
     def check_maximal(self) -> None:
         """Test hook: assert no edge has both endpoints free."""

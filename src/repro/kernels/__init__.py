@@ -1,154 +1,47 @@
-"""Runtime-selectable hot-path kernel tiers (``REPRO_KERNELS``).
+"""The hot-path kernels, bound once at import.
 
 The sketch layer's inner loops -- GF(2^61-1) limb arithmetic, level
 hashing, the pool scatter, the batch prefix decoder, and the
-group-merge / zero-test cell cores -- exist in two bit-identical
-flavours:
+group-merge / zero-test cell cores -- are implemented once, in pure
+numpy, by :mod:`repro.kernels.numpy_tier`.  This package binds them as
+module attributes: callers use ``kernels.mulmod_many(...)`` etc. and
+never import the tier module directly, so the two debug wrappers
+below, and ``bench/``'s per-kernel trace, see every call
+(``tests/test_kernels.py`` pins the kernels a session stream reaches
+through these attributes).
 
-* :mod:`repro.kernels.numpy_tier` -- pure numpy, always available, the
-  reference semantics;
-* :mod:`repro.kernels.compiled_tier` -- numba-jitted scalar loops with
-  early exits and released GIL; active only when numba is importable.
-
-This package is the dispatcher: it resolves the tier once at import
-(workers re-resolve at spawn, so each process picks independently) and
-binds the chosen implementations as module attributes -- callers use
-``kernels.mulmod_many(...)`` etc. and never touch a tier module
-directly (rule RL007 enforces that).
-
-``REPRO_KERNELS`` grammar (read through the validated
-:func:`repro.mpc.config.read_env`; see ``docs/kernels.md``):
-
-* ``auto`` (default) -- compiled tier when numba imports, else numpy;
-  the silent fallback increments ``counters()["auto_fallbacks"]``.
-* ``numpy`` -- force the reference tier (how CI pins the fallback).
-* ``numba`` -- require the compiled tier; raises
-  :class:`~repro.errors.SketchError` naming the variable when numba is
-  missing, instead of silently degrading.
-
-Anything else raises ``SketchError`` naming the variable at import --
-the same read-time validation contract as the ``REPRO_BACKEND*``
-knobs.  :func:`set_tier` re-binds the table in-process (tests use it
-for the cross-tier parity matrix); with ``REPRO_KERNELS_PROFILE=1``
-every bound kernel is wrapped in the :mod:`repro.kernels.profile`
-accumulators.
+With ``REPRO_KERNELS_CHECK=1`` every bound kernel is wrapped in the
+:mod:`repro.kernels.checks` contract asserts; with
+``REPRO_KERNELS_PROFILE=1`` in the :mod:`repro.kernels.profile`
+accumulators.  Both knobs are read once at import, so each worker
+process decides for itself at spawn.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
-from repro.errors import SketchError
-from repro.kernels import checks, compiled_tier, numpy_tier, profile, registry
-from repro.mpc.config import read_env
-
-ENV_KERNELS = "REPRO_KERNELS"
-
-#: Valid ``REPRO_KERNELS`` values.
-TIERS = ("auto", "numpy", "numba")
-
-_COUNTERS: Dict[str, int] = {"auto_fallbacks": 0}
-
-_ACTIVE_TIER = "numpy"
+from repro.kernels import checks, numpy_tier, profile, registry
 
 
 def kernel_names() -> Tuple[str, ...]:
-    """Names of every dispatched kernel."""
+    """Names of every bound kernel."""
     return registry.kernel_names()
 
 
 def active_tier() -> str:
-    """The tier currently bound: ``"numpy"`` or ``"numba"``."""
-    return _ACTIVE_TIER
+    """Always ``"numpy"``; ``bench/run.py`` records it as provenance."""
+    return "numpy"
 
 
 def numba_available() -> bool:
-    """True when the compiled tier can be activated in this process."""
-    return compiled_tier.AVAILABLE
+    """Always ``False``; ``bench/run.py`` records it as provenance."""
+    return False
 
 
-def available_tiers() -> Tuple[str, ...]:
-    """The tiers :func:`set_tier` accepts in this process."""
-    if compiled_tier.AVAILABLE:
-        return ("numpy", "numba")
-    return ("numpy",)
-
-
-def counters() -> Dict[str, int]:
-    """Dispatcher event counters (``auto_fallbacks`` so far; a copy)."""
-    return dict(_COUNTERS)
-
-
-def set_tier(tier: str) -> str:
-    """Bind ``tier``'s implementations as the active kernel set.
-
-    Returns the activated tier name.  ``"numba"`` raises
-    :class:`~repro.errors.SketchError` when numba is unavailable;
-    unknown names raise too.  Safe to call repeatedly (tests flip
-    tiers to assert the bit-identity matrix).
-    """
-    if tier == "numba":
-        if not compiled_tier.AVAILABLE:
-            raise SketchError(
-                f"{ENV_KERNELS}=numba requires numba, which is not "
-                f"importable in this environment; install numba or set "
-                f"{ENV_KERNELS}=auto or numpy"
-            )
-        compiled_tier.ensure_built()
-        table = registry.compiled_table()
-    elif tier == "numpy":
-        table = registry.numpy_table()
-    else:
-        raise SketchError(
-            f"invalid {ENV_KERNELS} tier {tier!r}: expected one of "
-            f"{', '.join(TIERS)}"
-        )
-    missing = set(registry.kernel_names()) - set(table)
-    if missing:  # registration drift; RL007 catches this statically
-        raise SketchError(
-            f"kernel tier {tier!r} is missing implementations for: "
-            f"{', '.join(sorted(missing))}"
-        )
-    wrap = profile.enabled()
-    check = checks.enabled()
-    bindings = globals()
-    for name, impl in table.items():
-        bound = checks.wrap(name, impl) if check else impl
-        bindings[name] = profile.wrap(name, bound) if wrap else bound
-    global _ACTIVE_TIER
-    _ACTIVE_TIER = tier
-    return tier
-
-
-def resolve_env_tier() -> str:
-    """The tier requested by ``REPRO_KERNELS`` (validated, resolved).
-
-    ``auto`` resolves to ``numba`` when available, else to ``numpy``
-    with the ``auto_fallbacks`` counter bumped (the silent-degrade
-    contract); ``numba`` without numba raises at once.
-    """
-    raw = read_env(ENV_KERNELS)
-    choice = "auto" if raw is None else raw.strip().lower()
-    if choice not in TIERS:
-        raise SketchError(
-            f"invalid {ENV_KERNELS}={raw!r}: expected one of "
-            f"{', '.join(TIERS)}"
-        )
-    if choice == "numba" and not compiled_tier.AVAILABLE:
-        raise SketchError(
-            f"{ENV_KERNELS}=numba requires numba, which is not "
-            f"importable in this environment; install numba or set "
-            f"{ENV_KERNELS}=auto or numpy"
-        )
-    if choice == "auto":
-        if compiled_tier.AVAILABLE:
-            return "numba"
-        _COUNTERS["auto_fallbacks"] += 1
-        return "numpy"
-    return choice
-
-
-# Resolve once at import: every process (parent or spawned worker)
-# performing sketch work imports this package, so each picks its tier
-# independently from its own environment.
-set_tier(resolve_env_tier())
+# Importing ``numpy_tier`` above filled the registry.
+for _name, _impl in registry.numpy_table().items():
+    _impl = checks.wrap(_name, _impl) if checks.enabled() else _impl
+    globals()[_name] = (profile.wrap(_name, _impl) if profile.enabled()
+                        else _impl)
+del _name, _impl

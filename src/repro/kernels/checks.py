@@ -1,8 +1,8 @@
 """Runtime kernel-contract checking (``REPRO_KERNELS_CHECK=1``).
 
-When the knob is set, :func:`repro.kernels.set_tier` wraps every bound
-kernel -- of whichever tier -- in dtype/range asserts generated from
-the kernel's one ``@kernel_contract`` declaration on the numpy tier
+When the knob is set, :mod:`repro.kernels` wraps every bound kernel in
+dtype/range asserts generated from the kernel's one
+``@kernel_contract`` declaration
 (:func:`repro.kernels.registry.contract_for`, looked up by kernel
 name).  Each call verifies, per declared argument and for the return
 value, that
@@ -22,8 +22,8 @@ pointwise one (``docs/kernels.md``).
 The knob is read once at import through the validated env layer
 (``mpc/config``): ``0``/unset disables, any integer ``>= 1`` enables,
 and a set-but-garbage value raises ``SketchError`` naming the
-variable -- the uniform ``REPRO_*`` failure mode.  The tier-1-kernels
-CI matrix runs with the knob on (``docs/kernels.md``).
+variable -- the uniform ``REPRO_*`` failure mode.  The tier1-kernels
+CI job runs with the knob on (``docs/kernels.md``).
 """
 
 from __future__ import annotations

@@ -1,23 +1,18 @@
-"""Pure-numpy kernel tier: the always-available reference implementations.
+"""Pure-numpy kernels: the one implementation of every hot-path kernel.
 
 These are the single source of truth for the hot-path inner loops --
 GF(2^61-1) limb arithmetic, the geometric-level hashing, the pool
 scatter, the batch prefix decoder, and the group-merge / zero-test
 cell cores.  The sketch layer (:mod:`repro.sketch`) and the execution
-backends (:mod:`repro.mpc.backend`) call them *only* through the tier
-dispatcher (:mod:`repro.kernels`), so the compiled tier can be swapped
-in per process without touching any call site.
+backends (:mod:`repro.mpc.backend`) call them *only* through the
+attributes :mod:`repro.kernels` binds, so the contract checks, the
+profiler and ``bench/``'s trace see every call.
 
 Every kernel here is deliberately self-contained (no imports from
-:mod:`repro.sketch`): the tier modules sit below the sketch layer in
-the import graph, which is what lets worker processes pick their tier
-at spawn before any sketch state exists.
-
-Bit-identity contract: the compiled twins in
-:mod:`repro.kernels.compiled_tier` must return bit-identical results
-for every input -- all values are canonical mod-p residues or exact
-int64 sums, so any correct evaluation order agrees exactly.
-``tests/test_kernels.py`` asserts the full matrix.
+:mod:`repro.sketch`): this module sits below the sketch layer in the
+import graph, so worker processes bind their kernels at spawn before
+any sketch state exists.  All values are canonical mod-p residues or
+exact int64 sums, so every route computes bit-identical results.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
-"""Kernel-tier profiling hooks (``REPRO_KERNELS_PROFILE=1``).
+"""Kernel profiling hooks (``REPRO_KERNELS_PROFILE=1``).
 
-When enabled, the dispatcher wraps every active kernel in a
+When enabled, :mod:`repro.kernels` wraps every bound kernel in a
 nanosecond-granularity accumulator, and the execution backends bracket
 their residual parent-side per-dispatch sections (descriptor packing,
 shard splitting, barrier waits) with :func:`timed`.  The counters are
@@ -10,8 +10,8 @@ per-phase ``backend_events`` -- so with profiling on, every phase row
 attributes its wall-clock between kernels and orchestration.
 
 Disabled (the default) the hooks cost one predicate: :func:`timed`
-returns a shared no-op context manager and the dispatcher binds the
-raw kernel functions, unwrapped.
+returns a shared no-op context manager and :mod:`repro.kernels` binds
+the raw kernel functions, unwrapped.
 """
 
 from __future__ import annotations

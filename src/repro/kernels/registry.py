@@ -1,36 +1,23 @@
-"""Kernel registration tables and the numeric-contract layer.
+"""Kernel registration table and the numeric-contract layer.
 
-Every hot-path kernel is registered twice -- once by the pure-numpy
-tier (:mod:`repro.kernels.numpy_tier`, always available) and once by
-the compiled tier (:mod:`repro.kernels.compiled_tier`, active only
-when numba is importable).  :mod:`repro.kernels` binds one table as
-the active implementation set; rule RL007 (``repro.lint``) checks the
-two registrations stay in lockstep (same kernel names, same parameter
-names) and that nothing outside this package calls a tier module
-directly.
-
-The decorators are deliberately trivial -- a dict insert -- so the
-registration is visible to AST tooling: RL007 recognises a kernel
-entry purely from the ``@numpy_kernel("name")`` /
-``@compiled_kernel("name")`` decorator form.
+Every hot-path kernel is registered by name with
+``@numpy_kernel("name")`` in :mod:`repro.kernels.numpy_tier`;
+:mod:`repro.kernels` binds that table as its module attributes.
 
 Kernel contracts
 ----------------
 ``@kernel_contract(args={...}, returns=...)`` attaches a numeric
 contract to a kernel: per-argument ``(dtype, [lo, hi])`` value specs
-and the declared return spec.  A contract is declared **once**, on the
-numpy tier (the roster behind :func:`kernel_names`), and looked up by
-the registered kernel name (:func:`contract_for`); the compiled twin is
-bound to the same declaration, so the two tiers cannot disagree about
-it.  The decorator is a no-op at runtime by default; with
-``REPRO_KERNELS_CHECK=1`` the dispatcher (:mod:`repro.kernels`) wraps
-each bound kernel -- whichever tier is active -- in dtype/range asserts
-generated from that one declaration (:mod:`repro.kernels.checks`).
+and the declared return spec, declared once per kernel and looked up
+by the registered name (:func:`contract_for`).  The decorator is a
+no-op at runtime by default; with ``REPRO_KERNELS_CHECK=1``
+:mod:`repro.kernels` wraps each bound kernel in dtype/range asserts
+generated from that declaration (:mod:`repro.kernels.checks`).
 
 What guards the arithmetic itself is ``tests/test_kernel_contracts.py``:
-boundary-value parity against Python big-int arithmetic on every
-available tier, plus a seeded-mutation suite that pins which
-single-token edits of the numpy tier those checks kill.
+boundary-value parity against Python big-int arithmetic, plus a
+seeded-mutation suite that pins which single-token edits of the numpy
+tier those checks kill.
 """
 
 from __future__ import annotations
@@ -38,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
-#: The sketch field modulus; duplicated from the tier modules so the
+#: The sketch field modulus; duplicated from the tier module so the
 #: contract layer stays import-light (no numpy).
 MERSENNE_P = (1 << 61) - 1
 
@@ -131,14 +118,13 @@ def scalar_int(lo: int, hi: int) -> ValueSpec:
 
 @dataclass(frozen=True)
 class Contract:
-    """The numeric contract of one kernel (both tiers share it)."""
+    """The numeric contract of one kernel."""
 
     args: Mapping[str, ValueSpec]
     returns: Optional[ValueSpec]
 
 
 _NUMPY: Dict[str, Callable] = {}
-_COMPILED: Dict[str, Callable] = {}
 
 
 def kernel_contract(args: Mapping[str, ValueSpec],
@@ -172,24 +158,10 @@ def numpy_kernel(name: str) -> Callable[[Callable], Callable]:
     return register
 
 
-def compiled_kernel(name: str) -> Callable[[Callable], Callable]:
-    """Register ``func`` as the compiled-tier implementation of ``name``."""
-
-    def register(func: Callable) -> Callable:
-        _COMPILED[name] = func
-        return func
-
-    return register
-
-
 def numpy_table() -> Dict[str, Callable]:
     return dict(_NUMPY)
 
 
-def compiled_table() -> Dict[str, Callable]:
-    return dict(_COMPILED)
-
-
 def kernel_names() -> Tuple[str, ...]:
-    """All registered kernel names (the numpy tier is the roster)."""
+    """All registered kernel names."""
     return tuple(sorted(_NUMPY))

@@ -391,7 +391,7 @@ def lint_source(source: str, virtual_path: str,
     real location, so path-scoped rules (RL011's ``mpc/backend.py``
     scope, RL004's ``src/`` scope) fire exactly as they would on disk.
     The program phase runs over a single-file program (so the RL012
-    corpus cases fire); project-phase checks (RL007's cross-file doc
+    corpus cases fire); project-phase checks (RL004's cross-file doc
     drift) are not run.
     """
     ctx = make_context(virtual_path, source)

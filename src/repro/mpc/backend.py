@@ -325,10 +325,7 @@ class ExecutionBackend:
         return {}
 
     def describe(self) -> str:
-        from repro import kernels
-
-        return (f"{self.name}(workers={self.num_workers}, "
-                f"kernels={kernels.active_tier()})")
+        return f"{self.name}(workers={self.num_workers})"
 
 
 class SequentialBackend(ExecutionBackend):
@@ -1449,11 +1446,8 @@ class SharedMemoryBackend(ExecutionBackend):
         self._release_transport()
 
     def describe(self) -> str:
-        from repro import kernels
-
         bits = [f"workers={self.num_workers}",
-                f"pools={len(self._handles)}",
-                f"kernels={kernels.active_tier()}"]
+                f"pools={len(self._handles)}"]
         labels = {"faults_injected": "faults"}
         for key, value in self.health.items():
             if value:

@@ -29,12 +29,11 @@ the limb arithmetic is exact in ``uint64`` -- the two flavours return
 bit-identical values, which the bulk-vs-sequential ingestion tests
 assert.
 
-The array flavours live in the runtime-selectable kernel tier
-(:mod:`repro.kernels`, ``REPRO_KERNELS``): callers here and elsewhere
-call ``kernels.mulmod_many`` / ``addmod_many`` / ``poly_field_values``
-/ ``trailing_zeros_many`` and get whichever tier the dispatcher bound
--- pure numpy always, numba-compiled when available.  Both tiers are
-bit-identical by contract (``tests/test_kernels.py``).
+The array flavours are numpy kernels (:mod:`repro.kernels`): callers
+here and elsewhere call ``kernels.mulmod_many`` / ``addmod_many`` /
+``poly_field_values`` / ``trailing_zeros_many`` through the package
+attributes, checked against exact scalar arithmetic by
+``tests/test_kernels.py``.
 """
 
 from __future__ import annotations

@@ -191,11 +191,10 @@ class SamplerRandomness:
         return value
 
     def zpow_many(self, idxs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`zpow`: kernel-tier binary exponentiation.
+        """Vectorized :meth:`zpow`: kernel binary exponentiation.
 
         Returns int64 values in ``[0, p)``, bit-identical to
-        ``pow(z, idx, p)`` (canonical residues are unique, so the tiers
-        agree exactly).
+        ``pow(z, idx, p)`` (canonical residues are unique).
         """
         idxs = np.asarray(idxs, dtype=np.int64)
         return _kernels.powmod_many(idxs.astype(np.uint64), self.z)

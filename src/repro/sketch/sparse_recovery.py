@@ -232,8 +232,7 @@ class RecoveryMatrix:
             return
         # A standalone matrix is a 1-slot pool: the shared scatter
         # kernel with every point targeting slot 0 hits exactly the
-        # cells the old dedicated scatter did, so the bit-identical
-        # contract keeps one source of truth across tiers.
+        # cells a dedicated scatter would, with one source of truth.
         _kernels.pool_scatter(self._flat_cells, self.columns,
                               self.levels,
                               np.zeros(e, dtype=np.int64), col_levels,

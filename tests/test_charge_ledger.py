@@ -13,6 +13,10 @@ A task that is registered without a pinned ledger fails
 ``test_every_registered_task_has_a_pinned_ledger``: a new task cannot
 ship uncharged.  Charges are parent-side, so the pinned dicts hold on
 every execution backend.
+
+The memory ledger is pinned against what the sketch pool really holds:
+``test_sketch_pool_is_four_thirds_of_its_ledger_entry`` states the one
+known gap between the two.
 """
 
 import pytest
@@ -21,6 +25,7 @@ from repro.baselines import AGMStaticConnectivity
 from repro.core.api import BatchDynamicAlgorithm
 from repro.mpc import MPCConfig
 from repro.session import GraphSession
+from repro.streams import ChurnStream
 from repro.types import dele, ins
 
 N = 64
@@ -163,3 +168,19 @@ def test_session_ledger_routes_once(tasks, backend):
             assert {task: snap.rounds_by_category
                     for task, snap in phase.per_task.items()} == \
                 {task: LEDGER[task][kind] for task in tasks}
+
+
+def test_sketch_pool_is_four_thirds_of_its_ledger_entry():
+    """The ledger charges a cell's three words (W, S, F); the pool
+    stores F as two int64 limbs, so it holds 4/3 of the charge.  A
+    one-word fingerprint would make the two equal and flip this test."""
+    alg = _classes()["connectivity"](_config("sequential"))
+    stream = ChurnStream(N, seed=4, delete_fraction=0.35,
+                         target_edges=2 * N)
+    for batch in stream.batches(10, alg.batch_limit):
+        alg.apply_batch(batch)
+    assert alg.stats["tree_edge_deletions"] > 0
+    family = alg.family
+    charged = N * family.words_per_vertex
+    assert family.pool.cells.size * 3 == 4 * charged
+    assert alg.cluster.metrics.memory_breakdown()["sketches"] == charged

@@ -5,22 +5,17 @@ the ``REPRO_KERNELS_CHECK=1`` runtime wrapper.
   big-int arithmetic at the adversarial inputs (0, 1, p-2, p-1, the
   32-bit limb seam, a forged boundary fingerprint, an ``S``-only
   column stack, an empty group, groups reading different columns, sums
-  past float64's 2^53 integer range, two passing levels) on every
-  available tier;
+  past float64's 2^53 integer range, two passing levels);
 * ``TestSeededMutations`` applies twenty-five single-token edits to a
   throw-away copy of ``numpy_tier.py`` and requires each to fail one of
   those same checks -- the kill coverage is pinned, not assumed;
-* the compiled tier's group-merge and zero-test cores run un-jitted
-  against the numpy tier and the same checks, so their one-column
-  shapes are exercised without numba;
 * the runtime wrapper must accept every in-contract call and raise
   :class:`~repro.errors.SketchError` naming the kernel and argument on
-  a dtype or range violation, whichever tier's flavour is bound.
+  a dtype or range violation.
 """
 
 import itertools
 import types
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,12 +23,10 @@ import pytest
 
 from repro import kernels
 from repro.errors import SketchError
-from repro.kernels import checks, compiled_tier, registry
+from repro.kernels import checks, registry
 from repro.kernels.registry import MERSENNE_P
 
 P = MERSENNE_P
-
-TIERS = kernels.available_tiers()
 
 NUMPY_TIER = (Path(__file__).resolve().parents[1]
               / "src" / "repro" / "kernels" / "numpy_tier.py")
@@ -43,13 +36,6 @@ NUMPY_TIER = (Path(__file__).resolve().parents[1]
 #: subtracts change behaviour.
 BOUNDARY = (0, 1, P - 2, P - 1)
 PAIRS = list(itertools.product(BOUNDARY, BOUNDARY))
-
-
-@pytest.fixture(autouse=True)
-def _restore_tier():
-    before = kernels.active_tier()
-    yield
-    kernels.set_tier(before)
 
 
 def _u64(values):
@@ -64,16 +50,11 @@ def _i64(values):
 # Boundary-value parity against Python big-int arithmetic
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("k", [kernels], ids=["numpy"])
 class TestBoundaryParity:
     """Every check takes the kernel namespace ``k`` it exercises: the
-    dispatcher bound to one tier here, a mutated copy of the numpy tier
-    in :class:`TestSeededMutations`."""
-
-    @pytest.fixture
-    def k(self, tier):
-        kernels.set_tier(tier)
-        return kernels
+    bound :mod:`repro.kernels` package here, a mutated copy of the numpy
+    tier in :class:`TestSeededMutations`."""
 
     def test_mulmod_boundary_pairs(self, k):
         got = k.mulmod_many(_u64(x for x, _ in PAIRS),
@@ -206,74 +187,6 @@ GOLDEN_CHECKS = [check for name, check in vars(TestBoundaryParity).items()
                  if name.startswith("test_")]
 
 
-def test_compiled_scalar_helpers_match_bigints():
-    """The compiled tier's scalar helpers, un-jitted, on numpy scalars
-    (runs without numba; ``py_func`` reaches the plain function once
-    ``ensure_built`` has rebound the global).  numpy scalar arithmetic
-    warns on integer overflow, so with warnings as errors no
-    intermediate of the limb scheme may leave uint64 / int64."""
-    def plain(name):
-        func = getattr(compiled_tier, name)
-        return getattr(func, "py_func", func)
-
-    mulmod, addmod = plain("_mulmod"), plain("_addmod")
-    powmod, combine = plain("_powmod"), plain("_combine")
-    seam = BOUNDARY + ((1 << 32) - 1, (1 << 32) + 1)
-    limbs = (0, 1, -1, (1 << 32) - 1, (1 << 32) + 1, (1 << 62) - 1,
-             -(1 << 62))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for x, y in itertools.product(seam, seam):
-            a, b = np.uint64(x), np.uint64(y)
-            assert int(mulmod(a, b)) == (x * y) % P, (x, y)
-            assert int(addmod(a, b)) == (x + y) % P, (x, y)
-            assert int(powmod(a, b)) == pow(x, y, P), (x, y)
-        for x, y in itertools.product(limbs, limbs):
-            assert int(combine(np.int64(x), np.int64(y))) == \
-                (x + (y << 32)) % P, (x, y)
-
-
-@pytest.fixture
-def unjitted_compiled(monkeypatch):
-    """The compiled tier's registered wrappers over their plain
-    (un-jitted) group cores, so they run without numba."""
-    monkeypatch.setattr(compiled_tier, "_CORES", {
-        "merge": compiled_tier._merge_core,
-        "zero": compiled_tier._zero_core,
-    })
-    return types.SimpleNamespace(
-        merge_groups=compiled_tier.merge_groups,
-        is_zero_cells=compiled_tier.is_zero_cells)
-
-
-def test_compiled_group_cores_match_numpy_tier(unjitted_compiled):
-    numpy_tier = registry.numpy_table()
-    rng = np.random.default_rng(2026)
-    for _ in range(20):
-        count, columns, levels = 6, 5, 7
-        cells = rng.integers(-3, 4, size=(count, 4, columns, levels))
-        glens = rng.integers(0, 4, size=int(rng.integers(1, 6)))
-        members = rng.integers(0, count, size=int(glens.sum()))
-        cols = rng.integers(0, columns, size=glens.shape[0])
-        args = [np.asarray(a, dtype=np.int64)
-                for a in (cells, members, glens, cols)]
-        merged = numpy_tier["merge_groups"](*args)
-        assert np.array_equal(unjitted_compiled.merge_groups(*args),
-                              merged)
-        # Sparse rows make some merged columns exactly zero.
-        merged[rng.random(merged.shape[0]) < 0.5] = 0
-        assert np.array_equal(unjitted_compiled.is_zero_cells(merged),
-                              numpy_tier["is_zero_cells"](merged))
-
-
-@pytest.mark.parametrize(
-    "check", [c for c in GOLDEN_CHECKS
-              if "merge_groups" in c.__name__ or "is_zero" in c.__name__],
-    ids=lambda c: c.__name__)
-def test_compiled_group_cores_pass_golden_checks(unjitted_compiled, check):
-    check(None, unjitted_compiled)
-
-
 # ---------------------------------------------------------------------------
 # Seeded mutations of the numpy tier: the kill coverage of the checks
 # ---------------------------------------------------------------------------
@@ -372,8 +285,8 @@ class TestSeededMutations:
 # ---------------------------------------------------------------------------
 
 class TestRuntimeContractChecks:
-    def _checked(self, name, table=registry.numpy_table):
-        return checks.wrap(name, table()[name])
+    def _checked(self, name):
+        return checks.wrap(name, registry.numpy_table()[name])
 
     def test_in_contract_calls_pass(self):
         mulmod = self._checked("mulmod_many")
@@ -382,18 +295,13 @@ class TestRuntimeContractChecks:
         assert [int(v) for v in out] == [(x * x) % P for x in BOUNDARY]
 
     def test_out_of_range_argument_raises(self):
-        # The compiled binding is checked against the numpy tier's
-        # declaration (argument checks run before the kernel, so this
-        # needs no numba).
-        bad = _u64((P,))  # non-canonical: p itself
-        for table in (registry.numpy_table, registry.compiled_table):
-            mulmod = self._checked("mulmod_many", table)
-            with pytest.raises(SketchError) as err:
-                mulmod(bad, _u64((1,)))
-            msg = str(err.value)
-            assert "mulmod_many" in msg
-            assert "'a'" in msg
-            assert str(P) in msg
+        mulmod = self._checked("mulmod_many")
+        with pytest.raises(SketchError) as err:
+            mulmod(_u64((P,)), _u64((1,)))  # non-canonical: p itself
+        msg = str(err.value)
+        assert "mulmod_many" in msg
+        assert "'a'" in msg
+        assert str(P) in msg
 
     def test_wrong_dtype_raises(self):
         addmod = self._checked("addmod_many")
@@ -435,11 +343,8 @@ class TestRuntimeContractChecks:
             env_int(checks.ENV_CHECK, 0)
         assert checks.ENV_CHECK in str(err.value)
 
-    @pytest.mark.parametrize("tier", TIERS)
-    def test_every_tier_table_is_fully_contracted(self, tier):
-        table = (registry.numpy_table() if tier == "numpy"
-                 else registry.compiled_table())
-        for name, impl in sorted(table.items()):
+    def test_every_kernel_is_fully_contracted(self):
+        for name, impl in sorted(registry.numpy_table().items()):
             assert registry.contract_for(name) is not None, \
                 f"kernel {name!r} has no @kernel_contract"
             wrapped = checks.wrap(name, impl)

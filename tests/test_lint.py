@@ -220,7 +220,7 @@ class TestRepoGate:
         for name in ("REPRO_BACKEND", "REPRO_BACKEND_WORKERS",
                      "REPRO_BACKEND_TIMEOUT", "REPRO_BACKEND_RETRIES",
                      "REPRO_BACKEND_FAULTS",
-                     "REPRO_KERNELS", "REPRO_KERNELS_PROFILE"):
+                     "REPRO_KERNELS_PROFILE", "REPRO_KERNELS_CHECK"):
             assert name in quickstart
 
     def test_doc_drift_fires_on_undocumented_knob(self, tmp_path):
@@ -296,8 +296,8 @@ class TestCli:
         assert proc.returncode == 0
         listed = [line.split()[0] for line in proc.stdout.splitlines()
                   if line.startswith("  RL")]
-        assert listed == ["RL000", "RL004", "RL007", "RL009", "RL010",
-                          "RL011", "RL012"]
+        assert listed == ["RL000", "RL004", "RL009", "RL010", "RL011",
+                          "RL012"]
 
     def test_render_json_is_valid_json(self):
         report = run_paths([str(ROOT / "src" / "repro" / "lint")])
@@ -315,66 +315,7 @@ def test_fingerprint_ignores_line_numbers():
     b = Finding(rule="RL004", path="src/x.py", line=97, col=9,
                 message="m")
     assert a.fingerprint == b.fingerprint
-    c = Finding(rule="RL007", path="src/x.py", line=3, col=1,
+    c = Finding(rule="RL009", path="src/x.py", line=3, col=1,
                 message="m")
     assert a.fingerprint != c.fingerprint
 
-
-# ---------------------------------------------------------------------------
-# RL007: kernel-tier parity specifics beyond the corpus
-# ---------------------------------------------------------------------------
-
-class TestKernelTierParity:
-    def test_bypass_imports_fire_outside_the_package(self):
-        for src in (
-            "from repro.kernels.numpy_tier import mulmod_many\n",
-            "from repro.kernels import compiled_tier\n",
-            "import repro.kernels.numpy_tier\n",
-        ):
-            findings = lint_source(src, "src/repro/sketch/demo.py")
-            assert [f.rule for f in findings] == ["RL007"], src
-
-    def test_dispatcher_and_support_imports_stay_clean(self):
-        src = (
-            "from repro import kernels\n"
-            "from repro.kernels import profile, registry\n"
-        )
-        assert lint_source(src, "src/repro/sketch/demo.py") == []
-
-    def test_tier_modules_may_import_each_other(self):
-        src = "from repro.kernels.numpy_tier import mulmod_many\n"
-        assert lint_source(src, "src/repro/kernels/compiled_tier.py") == []
-
-    def _kernel_tree(self, tmp_path, compiled_body):
-        pkg = tmp_path / "src" / "repro" / "kernels"
-        pkg.mkdir(parents=True)
-        (pkg / "numpy_tier.py").write_text(
-            "from repro.kernels.registry import numpy_kernel\n\n\n"
-            "@numpy_kernel('mulmod')\n"
-            "def mulmod(a, b):\n"
-            "    return a\n"
-        )
-        (pkg / "compiled_tier.py").write_text(compiled_body)
-        return tmp_path / "src"
-
-    def test_project_phase_catches_cross_file_drift(self, tmp_path):
-        src = self._kernel_tree(
-            tmp_path,
-            "from repro.kernels.registry import compiled_kernel\n\n\n"
-            "@compiled_kernel('mulmod')\n"
-            "def mulmod(b, a):\n"   # swapped parameter order
-            "    return a\n",
-        )
-        report = run_paths([str(src)])
-        assert [f.rule for f in report.findings] == ["RL007"]
-        assert "signatures differ" in report.findings[0].message
-
-    def test_project_phase_clean_on_matching_tiers(self, tmp_path):
-        src = self._kernel_tree(
-            tmp_path,
-            "from repro.kernels.registry import compiled_kernel\n\n\n"
-            "@compiled_kernel('mulmod')\n"
-            "def mulmod(a, b):\n"
-            "    return a\n",
-        )
-        assert run_paths([str(src)]).findings == []
