@@ -1,8 +1,9 @@
 """mpc-streaming: streaming graph algorithms in the MPC model.
 
 Reproduction of Czumaj, Mishra, Mukherjee, *Streaming Graph Algorithms
-in the Massively Parallel Computation Model* (PODC 2024).  See README.md
-for the tour and DESIGN.md for the system inventory.
+in the Massively Parallel Computation Model* (PODC 2024).  Each module's
+docstring states which section it implements and any deviation from
+the paper; ``docs/`` covers the kernels, lint rules and wire protocol.
 
 The one-stop serving surface is :class:`repro.session.GraphSession`:
 one cluster and execution backend multiplexing every maintained

@@ -11,7 +11,6 @@ from repro.core.matching_tester import MatchingSizeEstimator, MatchingTester
 from repro.core.maximal_matching import BatchDynamicMaximalMatching
 from repro.core.msf_approx import ApproxMSF
 from repro.core.msf_exact import ExactMSFInsertOnly
-from repro.core.streaming_connectivity import StreamingConnectivity
 
 __all__ = [
     "BatchDynamicAlgorithm",
@@ -26,5 +25,4 @@ __all__ = [
     "BatchDynamicMaximalMatching",
     "ApproxMSF",
     "ExactMSFInsertOnly",
-    "StreamingConnectivity",
 ]

@@ -8,13 +8,13 @@ The array costs exactly ``n`` words -- part of the ~O(n) budget.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set
+from typing import Iterable
 
 import numpy as np
 
 
 class ComponentIds:
-    """Dense ``C`` array with bulk relabeling helpers."""
+    """Dense ``C`` array relabelled by the paper's min-id convention."""
 
     def __init__(self, n: int):
         if n < 1:
@@ -28,11 +28,6 @@ class ComponentIds:
     def same(self, u: int, v: int) -> bool:
         return self._ids[u] == self._ids[v]
 
-    def relabel(self, vertices: Iterable[int], new_id: int) -> None:
-        idx = np.fromiter(vertices, dtype=np.int64)
-        if idx.size:
-            self._ids[idx] = new_id
-
     def relabel_min(self, vertices: Iterable[int]) -> int:
         """Set a component's id to its minimum member (paper convention);
         returns the id."""
@@ -42,22 +37,6 @@ class ComponentIds:
         new_id = int(idx.min())
         self._ids[idx] = new_id
         return new_id
-
-    def num_components(self) -> int:
-        return int(np.unique(self._ids).size)
-
-    def component_of(self, v: int) -> List[int]:
-        return np.flatnonzero(self._ids == self._ids[v]).tolist()
-
-    def groups(self) -> Dict[int, List[int]]:
-        """Component id -> sorted member list (query-time reporting)."""
-        out: Dict[int, List[int]] = {}
-        for v in range(self.n):
-            out.setdefault(int(self._ids[v]), []).append(v)
-        return out
-
-    def as_array(self) -> np.ndarray:
-        return self._ids.copy()
 
     @property
     def words(self) -> int:

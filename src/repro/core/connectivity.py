@@ -15,8 +15,11 @@ the AGM halving iterations *locally on one machine* over at most 2k
 fragment sketches to find replacement edges (Section 6.3) -- this is
 where keeping the explicit forest beats the O(log n)-round AGM query.
 
-Round charges follow the primitives actually used; see DESIGN.md (S1/S2)
-for how charges are validated against real message-passing executions.
+Round charges follow the primitives actually used.
+``tests/test_mpc_primitives.py`` checks each primitive's closed-form
+charge against its real message-passing execution, and
+``tests/test_charge_ledger.py`` pins the exact per-category rounds of
+seeded phases.
 """
 
 from __future__ import annotations

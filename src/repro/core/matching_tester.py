@@ -21,7 +21,8 @@ independent hash, shrinking the effective guess to ``k * p^2 = k0``
 while an OPT >= k matching retains ~``p^2 k`` edges in expectation --
 the [AKL17] subsampling argument, reconstructed here from its summary
 in the paper (the alpha-factor loss shows up as the accept-threshold
-slack).  DESIGN.md records this as a substitution.
+slack).  This subsampling is a substitution for [AKL17]'s own
+construction, which the paper only summarises.
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ The paper uses Nowicki-Onak's algorithm strictly as a black box: given a
 in O(log 1/kappa) rounds per batch of O(s^{1-kappa}) updates with ~O(m_H)
 total memory.  Any maximal matching satisfies Lemma 8.3's requirement (a
 maximal matching is a 2-approximation), so we substitute a direct
-batch-dynamic construction with the same interface and cost profile
-(DESIGN.md, substitution table):
+batch-dynamic construction with the same interface and cost profile:
 
 * insertions are absorbed greedily (an inserted edge is matched iff both
   endpoints are free);

@@ -98,7 +98,7 @@ class ApproxMSF(BatchDynamicAlgorithm):
     def query_forest(self) -> ForestSolution:
         """Assemble the (1+eps)-approximate forest (Section 7.2.2).
 
-        Deviation from the paper's literal text (DESIGN.md): the level
+        Deviation from the paper's literal text: the level
         test alone is not enough -- one level's forest can contribute
         *two* edges between the same pair of lower-level components
         (F_i need not connect a G_{i-1} component through that

@@ -8,7 +8,7 @@ rounds via the connectivity machinery: a local Kruskal over the
 auxiliary graph H for cross-component edges, batched Identify-Path +
 batch cut/link for intra-component swaps.
 
-**Deviation from the paper (documented in DESIGN.md):** the paper's
+**Deviation from the paper:** the paper's
 single swap pass is not exact when candidate cycles interact -- an edge
 can be the heaviest on a *mixed* cycle of two inserted edges without
 being the heaviest on either fundamental cycle, so one pass can leave a

@@ -1,9 +1,8 @@
 """Euler-tour forest substrate (paper, Sections 5-6.2 and 7.1).
 
-:class:`~repro.euler.sequential.EulerTourForest` is the list-based
-reference; :class:`~repro.euler.distributed.DistributedEulerForest` is
-the index-based structure with batch join/split used by the MPC
-algorithms."""
+:class:`~repro.euler.distributed.DistributedEulerForest` is the
+index-based structure with batch join/split used by the MPC algorithms;
+:mod:`repro.euler.auxiliary` holds its segment-shift bookkeeping."""
 
 from repro.euler.auxiliary import (
     Component,
@@ -11,16 +10,8 @@ from repro.euler.auxiliary import (
     Segment,
     SegmentMap,
     nested_interval_decomposition,
-    rotation_segments,
 )
 from repro.euler.distributed import BatchReport, DistributedEulerForest
-from repro.euler.sequential import (
-    EulerTourForest,
-    Tour,
-    join_tours,
-    rotate_tour,
-    split_tour,
-)
 
 __all__ = [
     "Component",
@@ -28,12 +19,6 @@ __all__ = [
     "Segment",
     "SegmentMap",
     "nested_interval_decomposition",
-    "rotation_segments",
     "BatchReport",
     "DistributedEulerForest",
-    "EulerTourForest",
-    "Tour",
-    "join_tours",
-    "rotate_tour",
-    "split_tour",
 ]

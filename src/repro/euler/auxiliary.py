@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -87,25 +87,6 @@ class SegmentMap:
     def message_count(self) -> int:
         """Each segment is one O(1)-word broadcast message."""
         return len(self._segments)
-
-
-def rotation_segments(length: int, k: int, new_tid: int,
-                      base: int = 0) -> List[Segment]:
-    """Segments describing the rotation of a tour by ``k`` positions.
-
-    Rotated position of old ``p`` is ``(p - k) mod length``, landing at
-    ``base + rotated``.  At most two segments (the paper's Rooting
-    operation, Lemma 5.1, is exactly this one broadcast).
-    """
-    if length == 0:
-        return []
-    k %= length
-    if k == 0:
-        return [Segment(0, length, base, new_tid)]
-    return [
-        Segment(k, length, base - k, new_tid),
-        Segment(0, k, base + length - k, new_tid),
-    ]
 
 
 @dataclass

@@ -18,8 +18,10 @@ sequence and the four forward/backward cases compute edge-pair by edge
 pair.  Every batch method returns the number of messages it would
 broadcast so callers can charge MPC rounds faithfully.
 
-Correctness is property-tested against the list-based reference
-(:mod:`repro.euler.sequential`) in ``tests/test_euler_distributed.py``.
+Correctness is property-tested in ``tests/test_euler_distributed.py``
+against exact oracles: the networkx components of the linked edge set
+(:func:`repro.baselines.component_sets`), that edge set itself, and
+networkx's unique tree path.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from repro.euler.auxiliary import (
     Segment,
     SegmentMap,
     nested_interval_decomposition,
-    rotation_segments,
 )
 from repro.types import Edge, canonical
 
@@ -111,9 +112,6 @@ class DistributedEulerForest:
 
     def has_edge(self, u: int, v: int) -> bool:
         return canonical(u, v) in self._tid_of_edge
-
-    def tree_vertices(self, v: int) -> Set[int]:
-        return set(self._vertices_by_tour[self._tour_of_vertex[v]])
 
     def tour_vertices(self, tid: int) -> Set[int]:
         return set(self._vertices_by_tour[tid])
@@ -222,25 +220,6 @@ class DistributedEulerForest:
             b = p
         right.reverse()
         return left + right
-
-    # ------------------------------------------------------------------
-    # Rooting (Lemma 5.1): one rotation, <= 2 segment messages
-    # ------------------------------------------------------------------
-    def reroot(self, v: int) -> BatchReport:
-        tid = self._tour_of_vertex[v]
-        if self._root_of_tour[tid] == v or self._tour_len[tid] == 0:
-            self._root_of_tour[tid] = v
-            return BatchReport(messages=1)
-        k = self._boundary(tid, v) % self._tour_len[tid]
-        segments = rotation_segments(self._tour_len[tid], k, tid)
-        seg_map = SegmentMap(segments)
-        for edge in self._edges_by_tour[tid]:
-            a, b = edge
-            for directed in ((a, b), (b, a)):
-                _, new_pos = seg_map.apply(self._pos[directed])
-                self._pos[directed] = new_pos
-        self._root_of_tour[tid] = v
-        return BatchReport(messages=seg_map.message_count + 1)
 
     # ------------------------------------------------------------------
     # Single-edge convenience wrappers

@@ -39,10 +39,10 @@ workload, not by correctness:
 
 Select it per run with ``MPCConfig(backend="shared_memory",
 backend_workers=4)``, per algorithm with the ``backend=`` knob on
-``MPCConnectivity`` / ``StreamingConnectivity`` / ``AGMStaticConnectivity``
-/ ``SketchFamily``, or globally with the environment variables
-``REPRO_BACKEND`` / ``REPRO_BACKEND_WORKERS`` (how CI runs the tier-1
-suite against the cluster backend).
+``MPCConnectivity`` / ``AGMStaticConnectivity`` / ``SketchFamily``, or
+globally with the environment variables ``REPRO_BACKEND`` /
+``REPRO_BACKEND_WORKERS`` (how CI runs the tier-1 suite against the
+cluster backend).
 
 Failure model: a worker that dies or deadlocks surfaces as
 :class:`~repro.errors.SketchError` on the next backend call (liveness is

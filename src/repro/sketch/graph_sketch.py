@@ -409,16 +409,6 @@ class MergedSketch:
             return None
         return self.family.decode(idx)
 
-    def sample_cut_edges(self, cols: np.ndarray) -> "List[Optional[Edge]]":
-        """Sample from many columns in one vectorized recovery pass.
-
-        Entry ``i`` equals :meth:`sample_cut_edge` on ``cols[i]`` --
-        the replacement-search scan decoded all at once instead of
-        column by column.
-        """
-        cols = np.asarray(cols, dtype=np.int64) % self.family.columns
-        return self.family.decode_many(self.sampler.sample_columns(cols))
-
     def cut_is_empty(self) -> bool:
         return self.sampler.is_zero()
 

@@ -20,7 +20,6 @@ from repro.baselines.agm_static import AGMStaticConnectivity
 from repro.core import MPCConnectivity
 from repro.core.bipartiteness import DynamicBipartiteness
 from repro.core.msf_approx import ApproxMSF
-from repro.core.streaming_connectivity import StreamingConnectivity
 from repro.errors import ConfigurationError, SketchError
 from repro.mpc import MPCConfig
 from repro.mpc.backend import (
@@ -809,19 +808,6 @@ class TestAlgorithmParity:
         ).cluster.backend.name == "sequential"
         _drive(a, b, n, np.random.default_rng(23), phases=3, size=6)
         assert sorted(a.forest.all_edges()) == sorted(b.forest.all_edges())
-
-    def test_streaming_connectivity_backend_knob(self, shared_backend):
-        a = StreamingConnectivity(20, seed=5, backend="sequential")
-        b = StreamingConnectivity(20, seed=5, backend=shared_backend)
-        a.preload([(0, 1), (1, 2), (3, 4), (2, 3)])
-        b.preload([(0, 1), (1, 2), (3, 4), (2, 3)])
-        for op, (u, v) in [("i", (4, 5)), ("i", (0, 2)), ("d", (1, 2)),
-                           ("d", (2, 3)), ("i", (10, 11))]:
-            (a.insert if op == "i" else a.delete)(u, v)
-            (b.insert if op == "i" else b.delete)(u, v)
-        assert a.num_components() == b.num_components()
-        assert sorted(a.forest.all_edges()) == sorted(b.forest.all_edges())
-        assert np.array_equal(a.family.pool.cells, b.family.pool.cells)
 
 
 # ---------------------------------------------------------------------------

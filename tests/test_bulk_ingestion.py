@@ -343,31 +343,3 @@ class TestAlgorithmLevelEquivalence:
                 replay[up.u].apply_edge(up.u, up.v, delta)
                 replay[up.v].apply_edge(up.u, up.v, delta)
         assert np.array_equal(alg.family.pool.cells, twin.pool.cells)
-
-    def test_streaming_preload_matches_inserts(self):
-        from repro.core.streaming_connectivity import StreamingConnectivity
-
-        edges = random_edges(40, 70, seed=8)
-        a = StreamingConnectivity(40, columns=6, seed=2)
-        for u, v in edges:
-            a.insert(u, v)
-        b = StreamingConnectivity(40, columns=6, seed=2)
-        b.preload(edges)
-        assert np.array_equal(a.family.pool.cells, b.family.pool.cells)
-        assert a.num_components() == b.num_components()
-        assert sorted(a.query().edges) == sorted(b.query().edges)
-        # Streaming continues normally after a preload.
-        u, v = edges[0]
-        a.delete(u, v)
-        b.delete(u, v)
-        assert np.array_equal(a.family.pool.cells, b.family.pool.cells)
-        assert a.num_components() == b.num_components()
-
-    def test_streaming_preload_requires_fresh_instance(self):
-        from repro.core.streaming_connectivity import StreamingConnectivity
-        from repro.errors import InvalidUpdateError
-
-        alg = StreamingConnectivity(10, columns=4, seed=0)
-        alg.insert(0, 1)
-        with pytest.raises(InvalidUpdateError):
-            alg.preload([(2, 3)])

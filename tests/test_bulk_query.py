@@ -24,7 +24,6 @@ from repro.sketch import (
     MERSENNE_P,
     RecoveryMatrix,
     SamplerRandomness,
-    SketchFamily,
     decode_index,
     decode_indices,
     query_cells,
@@ -177,25 +176,6 @@ class TestDecodeIndicesBulk:
     def test_decode_indices_empty(self):
         us, vs = decode_indices(10, np.empty(0, dtype=np.int64))
         assert us.shape == (0,) and vs.shape == (0,)
-
-
-class TestFamilyQueryRouter:
-    def test_merged_sketch_sample_cut_edges(self):
-        from repro.sketch import MergedSketch
-
-        n = 24
-        family = SketchFamily(n, columns=5, rng=np.random.default_rng(4))
-        sketches = {v: family.new_vertex_sketch(v) for v in range(n)}
-        family.apply_edges_bulk(
-            np.array([0, 1, 2, 5], dtype=np.int64),
-            np.array([9, 9, 3, 6], dtype=np.int64),
-            np.ones(4, dtype=np.int64),
-        )
-        merged = MergedSketch.of([sketches[v] for v in (0, 1, 2, 3)])
-        cols = np.arange(family.columns, dtype=np.int64)
-        got = merged.sample_cut_edges(cols)
-        expected = [merged.sample_cut_edge(int(c)) for c in cols]
-        assert got == expected
 
 
 class TestMergeValidationAndScratch:

@@ -9,7 +9,6 @@ class TestComponentIds:
     def test_initial_identity(self):
         comp = ComponentIds(5)
         assert [comp.id_of(v) for v in range(5)] == [0, 1, 2, 3, 4]
-        assert comp.num_components() == 5
 
     def test_relabel_min_convention(self):
         comp = ComponentIds(6)
@@ -17,35 +16,12 @@ class TestComponentIds:
         assert new_id == 2
         assert comp.same(4, 5) and comp.same(2, 4)
         assert not comp.same(0, 2)
-        assert comp.num_components() == 4
-
-    def test_relabel_explicit(self):
-        comp = ComponentIds(4)
-        comp.relabel([1, 3], 9)
-        assert comp.id_of(1) == 9 and comp.id_of(3) == 9
+        assert [comp.id_of(v) for v in range(6)] == [0, 1, 2, 3, 2, 2]
 
     def test_empty_relabel_min_rejected(self):
         comp = ComponentIds(3)
         with pytest.raises(ValueError):
             comp.relabel_min([])
 
-    def test_groups(self):
-        comp = ComponentIds(4)
-        comp.relabel_min([0, 1])
-        groups = comp.groups()
-        assert groups[0] == [0, 1]
-        assert groups[2] == [2]
-
-    def test_component_of(self):
-        comp = ComponentIds(5)
-        comp.relabel_min([0, 2, 4])
-        assert comp.component_of(2) == [0, 2, 4]
-
     def test_words(self):
         assert ComponentIds(7).words == 7
-
-    def test_as_array_is_copy(self):
-        comp = ComponentIds(3)
-        arr = comp.as_array()
-        arr[0] = 99
-        assert comp.id_of(0) == 0

@@ -7,7 +7,6 @@ from repro.euler import (
     Segment,
     SegmentMap,
     nested_interval_decomposition,
-    rotation_segments,
 )
 
 
@@ -41,24 +40,6 @@ class TestSegmentMap:
     def test_message_count(self):
         smap = SegmentMap([Segment(0, 1, 0, 0), Segment(1, 2, 0, 0)])
         assert smap.message_count == 2
-
-
-class TestRotationSegments:
-    def test_no_rotation_single_segment(self):
-        segs = rotation_segments(10, 0, new_tid=3)
-        assert len(segs) == 1
-        assert SegmentMap(segs).apply(4) == (3, 4)
-
-    def test_rotation_semantics(self):
-        """Rotated position of p by k is (p - k) mod L."""
-        length, k = 10, 4
-        smap = SegmentMap(rotation_segments(length, k, new_tid=0))
-        for p in range(length):
-            _, new = smap.apply(p)
-            assert new == (p - k) % length
-
-    def test_empty_tour(self):
-        assert rotation_segments(0, 0, 0) == []
 
 
 class TestNestedDecomposition:

@@ -1,17 +1,20 @@
-"""Distributed Euler-tour forest: batch operations vs the reference.
+"""Distributed Euler-tour forest: batch operations vs exact oracles.
 
 The central property: any sequence of batch links/cuts leaves the
-index-based structure equivalent (same components, same tree edge sets,
-valid reconstructed tours) to the list-based reference executing the
-same operations one at a time.
+index-based structure with valid reconstructed tours, the tree edge set
+the test linked, and the networkx components of that edge set
+(:func:`repro.baselines.component_sets`); tree paths equal networkx's
+unique path.
 """
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.euler import DistributedEulerForest, EulerTourForest
+from repro.baselines import component_sets
+from repro.euler import DistributedEulerForest
 from repro.types import canonical
 
 
@@ -154,18 +157,21 @@ class TestPathsAndAncestry:
         assert forest.path_edges(3, 6) == [(0, 3), (0, 6)]
 
     def test_path_matches_reference(self):
+        """The path in a tree is unique, so networkx's is exact."""
         rng = np.random.default_rng(5)
         n = 20
         dist = DistributedEulerForest(n)
-        ref = EulerTourForest(n)
+        tree = nx.Graph()
         for v in range(1, n):
             u = int(rng.integers(0, v))
             dist.link(u, v)
-            ref.link(u, v)
+            tree.add_edge(u, v)
         for _ in range(40):
-            a, b = rng.choice(n, size=2, replace=False)
-            assert sorted(dist.path_edges(int(a), int(b))) == \
-                sorted(ref.path_edges(int(a), int(b)))
+            a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
+            hops = nx.shortest_path(tree, a, b)
+            assert dist.path_edges(a, b) == [
+                canonical(x, y) for x, y in zip(hops, hops[1:])
+            ]
 
     def test_path_cross_trees_rejected(self):
         forest = DistributedEulerForest(4)
@@ -184,32 +190,15 @@ class TestPathsAndAncestry:
         assert forest.path_edges(0, 1) == [(0, 1)]
 
 
-class TestReroot:
-    def test_reroot_changes_root_only(self):
-        forest = DistributedEulerForest(6)
-        forest.batch_link([(0, 1), (1, 2), (2, 3), (2, 4)])
-        before = components_of(forest, 6)
-        forest.reroot(3)
-        forest.check_invariants()
-        assert forest.root_of(forest.tree_id(3)) == 3
-        assert components_of(forest, 6) == before
-
-    def test_reroot_singleton(self):
-        forest = DistributedEulerForest(2)
-        forest.reroot(1)
-        forest.check_invariants()
-
-
 class TestRandomizedAgainstReference:
     @pytest.mark.parametrize("seed", range(5))
     def test_mixed_batches_match_reference(self, seed):
         rng = np.random.default_rng(seed)
         n = 18
         dist = DistributedEulerForest(n)
-        ref = EulerTourForest(n)
         tree_edges = set()
         for _ in range(40):
-            # Random batch of cuts then links, valid against both.
+            # Random batch of cuts then links, valid by construction.
             cuts = []
             if tree_edges:
                 count = int(rng.integers(0, min(3, len(tree_edges)) + 1))
@@ -220,8 +209,6 @@ class TestRandomizedAgainstReference:
                 tree_edges.discard(edge)
             if cuts:
                 dist.batch_cut(cuts)
-                for edge in cuts:
-                    ref.cut(*edge)
             links = []
             for _ in range(int(rng.integers(1, 4))):
                 u = int(rng.integers(0, n))
@@ -237,15 +224,10 @@ class TestRandomizedAgainstReference:
                 links.append((u, v))
             if links:
                 dist.batch_link(links)
-                for u, v in links:
-                    ref.link(u, v)
                 tree_edges |= {canonical(u, v) for u, v in links}
             dist.check_invariants()
-            ref.validate()
-            assert components_of(dist, n) == sorted(
-                tuple(sorted(c)) for c in ref.components()
-            )
-            assert sorted(dist.all_edges()) == sorted(ref.all_edges())
+            assert components_of(dist, n) == component_sets(n, tree_edges)
+            assert dist.all_edges() == sorted(tree_edges)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10 ** 6))

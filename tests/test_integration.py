@@ -15,7 +15,6 @@ from repro.core import (
     AKLYMatching,
     DynamicBipartiteness,
     MPCConnectivity,
-    StreamingConnectivity,
 )
 from repro.mpc import MPCConfig
 from repro.streams import ChurnStream
@@ -28,7 +27,6 @@ class TestAllConnectivityVariantsAgree:
         ours = MPCConnectivity(seeds)
         agm = AGMStaticConnectivity(MPCConfig(n=n, phi=0.5, seed=43))
         full = FullGraphConnectivity(MPCConfig(n=n, phi=0.5, seed=44))
-        streaming = StreamingConnectivity(n, seed=45)
         oracle = DynamicConnectivityOracle(n)
 
         stream = ChurnStream(n, seed=7, delete_fraction=0.35,
@@ -37,16 +35,11 @@ class TestAllConnectivityVariantsAgree:
             ours.apply_batch(batch)
             agm.apply_batch(batch)
             full.apply_batch(batch)
-            for up in batch.insertions:
-                streaming.insert(up.u, up.v)
-            for up in batch.deletions:
-                streaming.delete(up.u, up.v)
             oracle.apply_batch(batch)
 
             expected = oracle.num_components()
             assert ours.num_components() == expected
             assert full.num_components() == expected
-            assert streaming.num_components() == expected
         agm_solution, _ = agm.query_with_metrics()
         assert n - len(agm_solution.edges) == oracle.num_components()
 

@@ -42,9 +42,9 @@ class TestExactMSF:
 
     def test_interacting_swaps_one_batch(self):
         """The mixed-cycle counterexample that defeats a single swap
-        pass (DESIGN.md deviation D-note): a-b=10 heavy, the batch's two
-        light edges force the eviction of an edge that is heaviest on no
-        single fundamental cycle."""
+        pass (the deviation in the ``repro.core.msf_exact`` docstring):
+        a-b=10 heavy, the batch's two light edges force the eviction of
+        an edge that is heaviest on no single fundamental cycle."""
         # Vertices: a=0, b=1, c=2, d=3.
         alg = ExactMSFInsertOnly(MPCConfig(n=4, phi=0.5, seed=0))
         alg.apply_batch([ins(1, 2, 5.0),   # f = bc

@@ -1,10 +1,12 @@
 """Property-based end-to-end tests: arbitrary valid update streams.
 
 Hypothesis drives the headline invariant from every angle it can
-generate: after ANY sequence of valid batches, the maintained component
-structure equals the oracle's, the spanning forest is a real spanning
-forest of the current graph, and determinism holds (same seed, same
-stream, same everything).
+generate, and the seeded ``repro.streams`` generators add the
+adversarial shapes (tree surgery, deep paths, stars, heavy churn): after
+EVERY batch, the maintained component structure and every pairwise
+``connected`` answer equal the exact oracle's, the spanning forest is a
+real spanning forest of the current graph, no sketch failed, and
+determinism holds (same seed, same stream, same everything).
 """
 
 import numpy as np
@@ -13,8 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import DynamicConnectivityOracle
-from repro.core import MPCConnectivity, StreamingConnectivity
+from repro.core import MPCConnectivity
 from repro.mpc import MPCConfig
+from repro.streams import (
+    ChurnStream,
+    SplitMergeStream,
+    path_insertions,
+    random_tree_insertions,
+    star_insertions,
+)
 from repro.types import Batch, dele, ins
 
 N = 14
@@ -50,6 +59,33 @@ def stream_from_blueprint(blueprint):
     return batches
 
 
+def assert_matches_oracle(alg, oracle):
+    """Every answer of ``alg`` equals the exact oracle's right now."""
+    n = alg.n
+    groups = {}
+    for v in range(n):
+        groups.setdefault(alg.components.id_of(v), set()).add(v)
+    assert sorted(tuple(sorted(g)) for g in groups.values()) == \
+        oracle.component_sets()
+    for u in range(n):
+        for v in range(u + 1, n):
+            assert alg.connected(u, v) == oracle.connected(u, v), (u, v)
+    assert alg.num_components() == oracle.num_components()
+    forest = alg.query_spanning_forest()
+    assert set(forest.edges) <= set(oracle.edges())
+    assert len(forest.edges) == n - oracle.num_components()
+    alg.forest.check_invariants()
+    assert alg.stats["sketch_failures"] == 0
+
+
+def run_against_oracle(alg, batches):
+    oracle = DynamicConnectivityOracle(alg.n)
+    for batch in batches:
+        alg.apply_batch(batch)
+        oracle.apply_batch(batch)
+        assert_matches_oracle(alg, oracle)
+
+
 blueprint_strategy = st.lists(
     st.lists(
         st.tuples(st.integers(0, 200), st.booleans()),
@@ -63,38 +99,8 @@ class TestConnectivityProperties:
     @settings(max_examples=40, deadline=None)
     @given(blueprint_strategy)
     def test_components_always_match_oracle(self, blueprint):
-        batches = stream_from_blueprint(blueprint)
         alg = MPCConnectivity(MPCConfig(n=N, phi=0.5, seed=3))
-        oracle = DynamicConnectivityOracle(N)
-        for batch in batches:
-            alg.apply_batch(batch)
-            oracle.apply_batch(batch)
-        groups = {}
-        for v in range(N):
-            groups.setdefault(alg.components.id_of(v), set()).add(v)
-        assert sorted(tuple(sorted(g)) for g in groups.values()) == \
-            oracle.component_sets()
-        forest = alg.query_spanning_forest()
-        live = set(oracle.edges())
-        assert all(edge in live for edge in forest.edges)
-        assert len(forest.edges) == N - oracle.num_components()
-        alg.forest.check_invariants()
-
-    @settings(max_examples=25, deadline=None)
-    @given(blueprint_strategy)
-    def test_streaming_reference_agrees_with_mpc(self, blueprint):
-        batches = stream_from_blueprint(blueprint)
-        mpc = MPCConnectivity(MPCConfig(n=N, phi=0.5, seed=5))
-        seq = StreamingConnectivity(N, seed=6)
-        for batch in batches:
-            mpc.apply_batch(batch)
-            for up in batch.insertions:
-                seq.insert(up.u, up.v)
-            for up in batch.deletions:
-                seq.delete(up.u, up.v)
-        for u in range(N):
-            for v in range(u + 1, N):
-                assert mpc.connected(u, v) == seq.connected(u, v)
+        run_against_oracle(alg, stream_from_blueprint(blueprint))
 
     @settings(max_examples=15, deadline=None)
     @given(blueprint_strategy, st.integers(0, 10 ** 6))
@@ -123,3 +129,57 @@ class TestConnectivityProperties:
         for batch in batches:
             snapshot = alg.apply_batch(batch)
             assert snapshot.rounds <= 80
+
+
+# ---------------------------------------------------------------------------
+# Seeded adversarial generators against the same oracle check
+# ---------------------------------------------------------------------------
+
+GENERATOR_N = 48
+
+
+def batched(updates, limit, rng):
+    """``updates`` cut into consecutive batches of random size <= limit."""
+    batches, start = [], 0
+    while start < len(updates):
+        size = int(rng.integers(1, limit + 1))
+        batches.append(Batch(updates[start:start + size]))
+        start += size
+    return batches
+
+
+def generated_stream(kind, n, limit, seed):
+    """One seeded adversarial stream, every batch within ``limit``."""
+    rng = np.random.default_rng(seed)
+    if kind == "churn":
+        stream = ChurnStream(n, seed=seed, delete_fraction=0.5)
+        return list(stream.batches(30, limit))
+    if kind in ("split_merge", "split_merge_spare"):
+        # Build a random tree (plus spare edges that replacements must
+        # come from), then cut limit/2..limit tree edges per batch.
+        stream = SplitMergeStream(
+            n, seed=seed, spare_edges=n if kind == "split_merge_spare" else 0)
+        batches = stream.build_batches(limit)
+        while stream.tree_edges:
+            cuts = int(rng.integers(limit // 2, limit + 1))
+            batches.append(stream.surgery_batch(cuts))
+        return batches
+    # A deep path, a star or a random tree, then every edge deleted.
+    updates = {
+        "path": path_insertions(n, seed=seed),
+        "star": star_insertions(n, center=seed),
+        "random_tree": random_tree_insertions(n, seed=seed),
+    }[kind]
+    order = rng.permutation(len(updates))
+    deletions = [dele(*updates[i].edge) for i in order]
+    return batched(updates, limit, rng) + batched(deletions, limit, rng)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind", ["churn", "path", "random_tree",
+                                  "split_merge", "split_merge_spare", "star"])
+def test_generated_streams_match_oracle(kind, seed):
+    alg = MPCConnectivity(MPCConfig(n=GENERATOR_N, phi=0.5, seed=seed))
+    batches = generated_stream(kind, GENERATOR_N, alg.batch_limit, seed)
+    assert all(len(batch) <= alg.batch_limit for batch in batches)
+    run_against_oracle(alg, batches)
