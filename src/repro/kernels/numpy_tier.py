@@ -198,31 +198,45 @@ def pool_scatter(flat_cells: np.ndarray, columns: int, levels: int,
                  idxs: np.ndarray, deltas: np.ndarray,
                  zpows: np.ndarray) -> None:
     """Scatter many (slot, coordinate, delta) updates into a flattened
-    ``(count, 4, columns, levels)`` int64 cell block, in place.
+    ``(count, 3, columns, levels)`` block of ``(Wd, Sd, Fd)`` cells, in
+    place.
 
-    Duplicate (slot, cell) targets accumulate correctly (``np.add.at``),
-    and int64 addition is exact and order-independent, so any partition
-    of the entries over callers lands in the same final state.
+    Entry ``i`` adds ``deltas[i]``, ``deltas[i] * idxs[i]`` and
+    ``deltas[i] * zpows[i] mod p`` to one cell per column.  ``Wd`` and
+    ``Sd`` are exact int64 sums, accumulated with ``np.add.at``.  For
+    ``Fd`` the repeated targets are summed before the one write per
+    cell: a stable argsort brings each cell's terms together, two
+    ``np.add.reduceat`` calls sum the 32/29-bit limbs of ``deltas *
+    zpows`` per cell, and :func:`combine_limbs` folds the limb sums into
+    one residue that is added mod p.  The limb sums are exact while a
+    call's ``|delta|`` mass per cell stays below ``2^31`` (the
+    update-count bound the ``Wd`` / ``Sd`` accumulators rest on too),
+    and residues are unique, so any partition of the entries over
+    callers lands in the same final state.
     """
     e = slots.shape[0]
     if e == 0:
         return
-    row_words = 4 * columns * levels
-    cell_base = np.arange(columns, dtype=np.int64) * levels
-    q_offsets = (np.arange(4, dtype=np.int64)
-                 * (columns * levels))[None, :, None]
-    cell_flat = cell_base[None, :] + col_levels                # (e, c)
-    flat = ((slots * row_words)[:, None, None]
-            + q_offsets + cell_flat[:, None, :]).ravel()
-    weights = np.repeat(
-        np.stack(
-            [deltas, deltas * idxs, deltas * (zpows & _IMASK32),
-             deltas * (zpows >> 32)],
-            axis=1,
-        ).ravel(),
-        columns,
-    )
-    np.add.at(flat_cells, flat, weights)
+    plane = columns * levels
+    # The Wd word of each (entry, column) target, entry-major; its Sd
+    # and Fd words sit one and two planes further on.
+    cell = ((slots * (3 * plane))[:, None]
+            + np.arange(columns, dtype=np.int64) * levels
+            + col_levels).ravel()
+    ws = np.concatenate((cell, cell + plane))
+    weights = np.concatenate((np.repeat(deltas, columns),
+                              np.repeat(deltas * idxs, columns)))
+    np.add.at(flat_cells, ws, weights)
+    order = np.argsort(cell, kind="stable")
+    cell = cell[order]
+    first = np.concatenate(([True], cell[1:] != cell[:-1]))
+    starts = np.flatnonzero(first)
+    entry = order // columns
+    lo = np.add.reduceat((deltas * (zpows & _IMASK32))[entry], starts)
+    hi = np.add.reduceat((deltas * (zpows >> 32))[entry], starts)
+    at = cell[starts] + 2 * plane
+    f = flat_cells[at] + combine_limbs(lo, hi)                # < 2^62
+    flat_cells[at] = np.where(f >= MERSENNE_P, f - MERSENNE_P, f)
 
 
 @numpy_kernel("decode_prefix")
@@ -239,7 +253,8 @@ def decode_prefix(prefix: np.ndarray, max_index: int,
     """Decode many prefix-summed recovery columns at once.
 
     ``prefix`` is the ``(4, k, levels)`` int64 block of materialized
-    ``(W, S, Flo, Fhi)`` level prefixes for ``k`` independent columns.
+    level prefixes for ``k`` independent columns, in the limb read form
+    ``(W, S, lo, hi)`` (``F = (lo + 2^32 * hi) mod p``).
     For each column the divisibility, range, and fingerprint tests
     (``F == W * z^idx mod p``, with ``z`` the family's fingerprint
     base) run on every level as array operations, and the answer is
@@ -289,41 +304,50 @@ def decode_prefix(prefix: np.ndarray, max_index: int,
 def merge_groups(cells: np.ndarray, members: np.ndarray,
                  glens: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Per-group sums of one column of member rows of a
-    ``(count, 4, c, L)`` block.
+    ``(count, 3, c, L)`` block of ``(Wd, Sd, Fd)`` cells.
 
     ``members`` is the flat concatenation of the groups' row indices,
     ``glens`` the per-group lengths and ``cols`` the column each group
     reads; the result is the ``(len(glens), 4, L)`` stack of merged
-    columns -- entry ``i`` the element-wise int64 sum of column
-    ``cols[i]`` over that group's rows (zeros for an empty group).
+    columns in the limb read form ``(W, S, lo, hi)`` -- entry ``i`` the
+    element-wise int64 sum of column ``cols[i]`` over that group's
+    rows, each ``Fd`` split into its 32-bit low and 29-bit high limbs
+    first so the sums cannot overflow (zeros for an empty group).
     Only the asked column is gathered (the column invariant of
     :mod:`repro.sketch.sparse_recovery` makes it enough for the zero
-    test too), and one segmented reduction (``np.add.reduceat``)
-    replaces the per-group Python loop; int64 addition is exact and
-    order-independent, so the result matches any merge order bit for
-    bit.
+    test too), and segmented reductions (``np.add.reduceat`` of
+    ``(W, S)`` and of each limb) replace the per-group Python loop;
+    int64 addition is exact and order-independent, so the result
+    matches any merge order bit for bit.
     """
     g = glens.shape[0]
-    out = np.zeros((g, cells.shape[1], cells.shape[3]), dtype=np.int64)
+    out = np.zeros((g, 4, cells.shape[3]), dtype=np.int64)
     live = glens > 0
     if not live.any():
         return out
     starts = np.zeros(g, dtype=np.int64)
     np.cumsum(glens[:-1], out=starts[1:])
     member_cols = np.repeat(cols, glens)
-    gathered = cells[members, :, member_cols, :]       # (m, 4, L)
+    gathered = cells[members, :, member_cols, :]       # (m, 3, L)
+    fd = gathered[:, 2]
     # Empty groups are excluded from the reduceat starts (a zero-length
     # reduceat segment would return the element *at* the offset instead
     # of zero); consecutive live segments stay adjacent in ``members``,
     # so the surviving offsets bound exactly the live groups' rows.
-    out[live] = np.add.reduceat(gathered, starts[live], axis=0)
+    starts = starts[live]
+    out[live] = np.concatenate((
+        np.add.reduceat(gathered[:, :2], starts, axis=0),
+        np.add.reduceat(fd & _IMASK32, starts, axis=0)[:, None],
+        np.add.reduceat(fd >> 32, starts, axis=0)[:, None],
+    ), axis=1)
     return out
 
 
 @numpy_kernel("is_zero_cells")
 @kernel_contract(args={"cells": i64_acc()}, returns=bool_array())
 def is_zero_cells(cells: np.ndarray) -> np.ndarray:
-    """Per-row zero test over a ``(k, 4, L)`` stack of single columns.
+    """Per-row zero test over a ``(k, 4, L)`` stack of single columns in
+    the limb read form ``(W, S, lo, hi)`` (see :func:`merge_groups`).
 
     A column's level sums are the whole vector's ``(W, S, F)`` totals
     (the column invariant of :mod:`repro.sketch.sparse_recovery`), so

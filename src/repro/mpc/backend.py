@@ -25,9 +25,9 @@ decides where they run:
 Choosing a backend
 ------------------
 Results are **bit-identical** across backends: the scatter targets
-disjoint rows, integer addition is order-independent, and fingerprint
-renormalization stays in the parent at the same trigger points.  Pick by
-workload, not by correctness:
+disjoint rows, integer addition is order-independent, and a cell's
+fingerprint is its canonical residue mod p whichever worker added to
+it.  Pick by workload, not by correctness:
 
 * ``sequential`` -- always the right default, and the only sensible
   choice for small ``n`` or tiny batches, where descriptor shipping
@@ -203,9 +203,9 @@ def default_worker_count() -> int:
 class PoolHandle:
     """A pool registered with a backend.
 
-    Carries everything a routed call needs: the pool (for parent-side
-    mass bookkeeping and zero-copy sequential reads), the shared
-    randomness (hashing / fingerprint checks), the backend-assigned
+    Carries everything a routed call needs: the pool (for zero-copy
+    sequential reads and writes), the shared randomness (hashing /
+    fingerprint checks), the backend-assigned
     token, and the row shard map.  ``shards`` uses the same block
     partition as the machine placement in :mod:`repro.mpc.partition`,
     so row ownership lines up with the model's vertex placement.
@@ -414,9 +414,7 @@ def _execute_op(op: str, cells: np.ndarray, randomness,
     on their share, :class:`SequentialBackend`'s reads on the whole
     batch, and a degraded fleet on whatever was left (``cells`` is then
     the very segment the workers were writing), so answers are
-    bit-identical wherever the op executes.  Mass bookkeeping is
-    deliberately *not* here -- it stays with the caller of
-    ``scatter_edges``, the single parent-side trigger point.
+    bit-identical wherever the op executes.
 
     Group ops consume the wire shape (``glens``/flat ``members``)
     directly through the :mod:`repro.kernels` group-merge kernel,
@@ -590,10 +588,10 @@ class SharedMemoryBackend(ExecutionBackend):
     Spawns ``num_workers`` persistent processes up front.  Attached
     pools live in ``multiprocessing.shared_memory``; vertex rows are
     sharded across workers by the block partition, and every routed call
-    is a synchronous fan-out/fan-in over small numpy descriptors.  Mass
-    bookkeeping (and fingerprint-limb renormalization) stays in the
-    parent, at exactly the sequential trigger points, so pool cells are
-    bit-identical to :class:`SequentialBackend` after every call.
+    is a synchronous fan-out/fan-in over small numpy descriptors.  The
+    workers' scatters are the whole write (cells hold exact sums and
+    canonical residues), so pool cells are bit-identical to
+    :class:`SequentialBackend` after every call.
     """
 
     name = SHARED_MEMORY
@@ -1382,10 +1380,6 @@ class SharedMemoryBackend(ExecutionBackend):
         jobs = self._sharded_jobs(handle, slots, [all_idxs, signed],
                                   "apply")
         self._dispatch_ops(handle, jobs, mutating=True)
-        # Mass bookkeeping -- and any due renormalization -- happens in
-        # the parent after the barrier, the same point in the update
-        # order as the sequential path's apply_points.
-        handle.pool.record_mass(slots, signed)
 
     def query_groups(self, handle: PoolHandle, members: np.ndarray,
                      glens: np.ndarray,

@@ -71,8 +71,9 @@ from repro.mpc.simulator import Cluster
 from repro.streams.batching import iter_batches
 from repro.types import Batch, Edge, ForestSolution, MatchingSolution, Update, ins
 
-#: On-disk checkpoint format version (bumped on layout changes).
-CHECKPOINT_FORMAT = 1
+#: On-disk checkpoint format version (bumped on layout changes; 2: the
+#: sketch pool holds ``(Wd, Sd, Fd)`` with ``Fd`` one residue word).
+CHECKPOINT_FORMAT = 2
 
 #: Anything `ingest` coerces into an :class:`Update`.
 UpdateLike = Union[Update, tuple]
@@ -588,14 +589,31 @@ class GraphSession:
         attach) rolls the half-built session back -- families detached,
         nothing left half-attached -- and re-raises, so the checkpoint
         file stays restorable.
+
+        A file that is truncated, is not a pickle, does not hold a
+        checkpoint dict, or was written in another checkpoint format
+        raises :class:`~repro.errors.ConfigurationError` naming
+        ``path``.
         """
         with open(path, "rb") as fh:
-            payload = pickle.load(fh)
+            try:
+                payload = pickle.load(fh)
+            except Exception as exc:
+                raise ConfigurationError(
+                    f"checkpoint {path!r} cannot be read as a format-"
+                    f"{CHECKPOINT_FORMAT} checkpoint "
+                    f"({type(exc).__name__}: {exc})"
+                ) from exc
+        if not isinstance(payload, dict):
+            raise ConfigurationError(
+                f"checkpoint {path!r} holds a {type(payload).__name__}, "
+                f"not a checkpoint dict"
+            )
         fmt = payload.get("format")
         if fmt != CHECKPOINT_FORMAT:
             raise ConfigurationError(
-                f"checkpoint format {fmt!r} is not supported "
-                f"(expected {CHECKPOINT_FORMAT})"
+                f"checkpoint {path!r} has format {fmt!r}, which is not "
+                f"supported (expected {CHECKPOINT_FORMAT})"
             )
         session = cls.__new__(cls)
         session.config = payload["config"]

@@ -65,11 +65,7 @@ from repro.sketch.l0_sampler import (
     levels_for_universe,
     query_cells,
 )
-from repro.sketch.sparse_recovery import (
-    RENORM_MASS,
-    RecoveryMatrix,
-    RecoveryPool,
-)
+from repro.sketch.sparse_recovery import RecoveryMatrix, RecoveryPool
 
 __all__ = [
     "SketchError",
@@ -96,7 +92,6 @@ __all__ = [
     "SamplerRandomness",
     "levels_for_universe",
     "query_cells",
-    "RENORM_MASS",
     "RecoveryMatrix",
     "RecoveryPool",
 ]

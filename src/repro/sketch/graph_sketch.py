@@ -20,7 +20,7 @@ slot), so a batch of edge updates is ingested by
 :meth:`SketchFamily.apply_edges_bulk` as a *single* group-by-endpoint
 scatter: hash all edge coordinates at once, emit one signed entry per
 (edge, endpoint), and let the pool accumulate every vertex's cells in
-one ``np.add.at`` pass per quantity.  This is bit-identical to calling
+one ``kernels.pool_scatter`` call.  This is bit-identical to calling
 :meth:`VertexSketch.apply_edge` per edge and endpoint -- the batch
 algorithms (``MPCConnectivity``, preload, MSF, bipartiteness) route
 their sketch updates through it.
@@ -203,9 +203,9 @@ class SketchFamily:
         materialises merged supernode cells.  Entry ``i`` of the result
         equals querying the parent-side merge of ``groups[i]`` on
         ``column[i]`` -- bit-identical, because summing rows and
-        querying commute (int64 addition is exact and
-        order-independent, and limb renormalization never changes the
-        value a query reads), and the one-column zero test is the
+        querying commute (limb sums are exact and order-independent,
+        and they fold to the same residue as merging the stored
+        residues mod p first), and the one-column zero test is the
         all-columns one by the column invariant of
         :mod:`repro.sketch.sparse_recovery`.  On
         the cluster backend whole groups are balanced across workers

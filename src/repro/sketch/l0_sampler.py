@@ -16,9 +16,9 @@ nonzero vector, so ``columns = O(log(1/delta))`` boosts to ``1 - delta``.
 
 Bulk ingestion: :meth:`L0Sampler.update_many` ingests a whole batch of
 coordinate updates with array-level hashing (`levels_of_many`,
-`zpow_many`) and one scatter per recovery quantity -- bit-identical to
-a loop of :meth:`L0Sampler.update` calls, minus the per-update Python
-dispatch.
+`zpow_many`) and one cell scatter (``kernels.pool_scatter``) --
+bit-identical to a loop of :meth:`L0Sampler.update` calls, minus the
+per-update Python dispatch.
 
 Bulk queries mirror it on the way out: :meth:`L0Sampler.sample_columns`
 decodes many columns of one sampler in a single pass, and the
@@ -215,8 +215,10 @@ def _randomness_from_params(universe, columns, z,
 # ---------------------------------------------------------------------------
 # Cell-block query core
 # ---------------------------------------------------------------------------
-# Operates on a ``(k, 4, levels)`` stack of single merged columns: the op
-# table of :mod:`repro.mpc.backend` calls it on the output of
+# Operates on a ``(k, 4, levels)`` stack of single merged columns in the
+# limb read form ``(W, S, lo, hi)`` of
+# :mod:`repro.sketch.sparse_recovery`: the op table of
+# :mod:`repro.mpc.backend` calls it on the output of
 # :func:`repro.kernels.merge_groups` -- one definition, so every route
 # answers bit-identically.
 

@@ -19,60 +19,60 @@ to touch ``levels`` cells per column.  We instead store the
 *differential* form: :attr:`RecoveryMatrix.Wd` ``[c, lv]`` holds the
 contribution of coordinates whose level is *exactly* ``lv``, so an
 update touches exactly one cell per column and bulk ingestion becomes a
-single scatter-add.  Queries rebuild the prefix cells with one reverse
+single scatter.  Queries rebuild the prefix cells with one reverse
 cumulative sum per column (the materialized :attr:`W` / :attr:`S` /
 :attr:`F` views), which is where the classic triple above reappears bit
 for bit.
 
-The fingerprint needs mod-p sums, but a scatter-add cannot reduce mod p
-on the fly without risking int64 overflow.  So ``F`` is stored as two
-*limb* accumulators, plain int64 sums with no reduction:
-
-    Flo = sum x_i * (z^i mod p & (2^32-1)),   Fhi = sum x_i * (z^i >> 32)
-
-and ``F = (Flo + 2^32 * Fhi) mod p`` is recomputed on read.  Both limbs
-stay linear, so merges remain plain additions.  A mass counter bounds
-``|Flo| <= mass * 2^32``; once the mass reaches ``2^24`` the limbs are
-*renormalized* (fold to the canonical residue, re-split), keeping every
-intermediate -- including the query-time cumulative sums over at most 64
-levels -- below ``2^63``.  Renormalization preserves the represented
-value exactly, so the sequential and bulk paths stay bit-identical.
+The stored fingerprint :attr:`RecoveryMatrix.Fd` is the canonical
+residue in ``[0, p)``, so a cell is exactly the three words the model
+charges.  Every write adds mod p: a scalar update or a merge does one
+``(F + v) mod p`` per cell (both terms are below ``2^61``, so the sum
+fits int64), and the bulk scatter (:func:`repro.kernels.pool_scatter`)
+first sums a batch's contributions per cell and then folds them in with
+one such add.  Residues are unique, so every write path and every
+partition of a batch lands on the same cell words.  Sums *across*
+cells -- the level prefixes a query reads, the member rows a group
+merge adds -- would overflow int64 on raw residues, so the readers
+split ``Fd`` into its 32-bit low and 29-bit high limbs, sum the limbs
+exactly, and fold the sums back with :func:`repro.kernels.combine_limbs`
+(the ``(4, ...)`` read form ``(W, S, lo, hi)``).
 
 Column invariant
 ----------------
-Every update adds its four quantities to exactly one level of *every*
-column (the one its hash picks), and merges and renormalizations act
-on all columns alike.  So in every row the level sums of ``W``, ``S``
-and ``combine(Flo, Fhi)`` are the same in every column: they are the
-whole vector's ``(W, S, F)`` totals.  (The raw limb sums may differ
-after a renormalization; their combined residue does not.)  Two
-things follow exactly, not w.h.p.: the zero test of one column is the
-zero test of all of them, and a group query that reads one column
-needs to merge only that column of its member rows --
-:func:`repro.kernels.merge_groups` gathers ``(4, levels)`` per member
-instead of the full ``(4, columns, levels)`` row, and
+Every update adds its three quantities to exactly one level of *every*
+column (the one its hash picks), and merges act on all columns alike.
+So in every row the level sums of ``W`` and ``S``, and of ``F`` mod p,
+are the same in every column: they are the whole vector's ``(W, S, F)``
+totals.  Two things follow exactly, not w.h.p.: the zero test of one
+column is the zero test of all of them, and a group query that reads
+one column needs to merge only that column of its member rows --
+:func:`repro.kernels.merge_groups` gathers ``(3, levels)`` per member
+instead of the full ``(3, columns, levels)`` row, and
 :func:`repro.kernels.is_zero_cells` tests the merged column.
 ``tests/test_column_invariant.py`` checks the invariant over every
 write path.
 
-Physically, one matrix is a single ``(4, columns, levels)`` int64 block
-holding ``(Wd, Sd, Flo, Fhi)`` -- a whole update is then *one* scatter
-into the flattened block, and a merge is one array addition.  A
-:class:`RecoveryPool` stacks many matrices into a ``(count, 4, columns,
-levels)`` block so the family-level bulk router can ingest a batch for
-every vertex at once.
+Physically, one matrix is a single ``(3, columns, levels)`` int64 block
+holding ``(Wd, Sd, Fd)`` -- a whole update is then *one* scatter into
+the flattened block, and a merge is one array addition plus one mod-p
+fold.  A :class:`RecoveryPool` stacks many matrices into a ``(count, 3,
+columns, levels)`` block so the family-level bulk router can ingest a
+batch for every vertex at once.
 
 Bulk recovery mirrors bulk ingestion: :func:`repro.kernels.decode_prefix`
 decodes a whole ``(4, k, levels)`` block of prefix-summed columns in
-one pass (divisibility, range, and limb-combined fingerprint tests on
-every level at once, lowest passing level wins -- the scan order of
+the read form in one pass (divisibility, range, and fingerprint tests
+on every level at once, lowest passing level wins -- the scan order of
 :meth:`RecoveryMatrix.recover`), and :meth:`RecoveryMatrix.recover_many`
 / ``column_is_zero_many`` feed it -- bit-identical to the scalar scans
 (:meth:`RecoveryMatrix.recover` / ``column_is_zero``, the reference the
 tests compare against), minus the per-level Python dispatch.
 
 Magnitudes: ``|W| <= m``, ``|S| <= levels * m * N`` (< 2^59 for every
-configuration we run), limbs as above.
+configuration we run), ``0 <= Fd < p``.  A limb sum over ``r`` cells is
+below ``r * 2^32``, so the level prefix of a merge of up to ``2^25``
+rows stays inside int64.
 """
 
 from __future__ import annotations
@@ -86,37 +86,23 @@ from repro import kernels as _kernels
 from repro.errors import SketchError
 from repro.sketch.hashing import MERSENNE_P
 
-#: Renormalize the fingerprint limbs once this much absolute update
-#: mass (sum of |delta|) has accumulated.  2^24 keeps the level-axis
-#: cumulative sums exact in int64 with a wide margin (see module doc).
-RENORM_MASS = 1 << 24
-
 _MASK32 = (1 << 32) - 1
-_MASK29 = (1 << 29) - 1
 
 #: Rows of the stacked cell block.
-_QW, _QS, _QLO, _QHI = 0, 1, 2, 3
-
-
-def _combine_limb_scalars(lo: int, hi: int) -> int:
-    """``(lo + 2^32 * hi) mod p`` for Python-int limbs (exact bigints)."""
-    return (lo + (hi << 32)) % MERSENNE_P
-
-
-def _renormalize_limbs(Flo: np.ndarray, Fhi: np.ndarray) -> None:
-    """Fold the limbs to the canonical residue and re-split in place.
-
-    Afterwards ``0 <= Flo < 2^32`` and ``0 <= Fhi < 2^29`` (mass 1)
-    while the represented value ``(Flo + 2^32*Fhi) mod p`` is unchanged.
-    """
-    value = _kernels.combine_limbs(Flo, Fhi)
-    Flo[...] = value & _MASK32
-    Fhi[...] = value >> 32
+_QW, _QS, _QF = 0, 1, 2
 
 
 def _suffix_cumsum(arr: np.ndarray) -> np.ndarray:
     """Reverse cumulative sum along the last (level) axis."""
     return np.cumsum(arr[..., ::-1], axis=-1)[..., ::-1]
+
+
+def _limb_form(block: np.ndarray) -> np.ndarray:
+    """The ``(4, ...)`` read form ``(W, S, lo, hi)`` of a ``(3, ...)``
+    cell block: ``Fd`` split into the 32-bit low and 29-bit high limbs
+    that sum across cells without overflow."""
+    f = block[_QF]
+    return np.stack((block[_QW], block[_QS], f & _MASK32, f >> 32))
 
 
 class RecoveryMatrix:
@@ -134,8 +120,8 @@ class RecoveryMatrix:
     bulk router can update all of them with one scatter).
     """
 
-    __slots__ = ("columns", "levels", "cells", "_f_mass", "_pool",
-                 "_pool_slot", "_cell_base", "_q_offsets", "_flat_cells",
+    __slots__ = ("columns", "levels", "cells", "_pool", "_pool_slot",
+                 "_cell_base", "_q_offsets", "_flat_cells",
                  "_scratch_vals", "__weakref__")
 
     def __init__(self, columns: int, levels: int):
@@ -143,15 +129,14 @@ class RecoveryMatrix:
             raise ValueError("need at least one column and one level")
         self.columns = columns
         self.levels = levels
-        self.cells = np.zeros((4, columns, levels), dtype=np.int64)
-        self._f_mass = 0
+        self.cells = np.zeros((3, columns, levels), dtype=np.int64)
         self._pool: Optional["RecoveryPool"] = None
         self._pool_slot = -1
         self._cell_base = np.arange(columns, dtype=np.int64) * levels
-        self._q_offsets = (np.arange(4, dtype=np.int64)
+        self._q_offsets = (np.arange(3, dtype=np.int64)
                            * (columns * levels))[:, None]
         self._flat_cells = self.cells.reshape(-1)
-        self._scratch_vals = np.empty((4, columns), dtype=np.int64)
+        self._scratch_vals = np.empty((3, columns), dtype=np.int64)
 
     def _rebind_cells(self, cells: np.ndarray) -> None:
         """Point this matrix at a different cell block (pool view/copy)."""
@@ -170,32 +155,9 @@ class RecoveryMatrix:
         return self.cells[_QS]
 
     @property
-    def Flo(self) -> np.ndarray:
-        """Low fingerprint limb (see module docstring)."""
-        return self.cells[_QLO]
-
-    @property
-    def Fhi(self) -> np.ndarray:
-        """High fingerprint limb (see module docstring)."""
-        return self.cells[_QHI]
-
-    # ------------------------------------------------------------------
-    # Mass bookkeeping (fingerprint-limb overflow control)
-    # ------------------------------------------------------------------
-    @property
-    def _mass(self) -> int:
-        if self._pool is not None:
-            return int(self._pool.row_mass[self._pool_slot])
-        return self._f_mass
-
-    def _bump_mass(self, amount: int) -> None:
-        if self._pool is not None:
-            self._pool.bump_row(self._pool_slot, amount)
-            return
-        self._f_mass += amount
-        if self._f_mass > RENORM_MASS:
-            _renormalize_limbs(self.cells[_QLO], self.cells[_QHI])
-            self._f_mass = 1
+    def Fd(self) -> np.ndarray:
+        """Differential fingerprints, canonical residues mod p."""
+        return self.cells[_QF]
 
     # ------------------------------------------------------------------
     # Updates / merging (linear operations)
@@ -205,17 +167,18 @@ class RecoveryMatrix:
         """Add ``delta`` at coordinate ``idx``.
 
         ``col_levels`` is the per-column top level of ``idx`` (shape
-        ``(columns,)``); ``zpow`` is ``z^idx mod p``.  One fancy
-        scatter into the stacked cell block covers all four quantities.
+        ``(columns,)``); ``zpow`` is ``z^idx mod p``.  One gather and
+        one scatter over the stacked cell block cover all three
+        quantities, with one ``(F + v) mod p`` per fingerprint cell.
         """
         flat = (self._q_offsets + (self._cell_base + col_levels)).ravel()
         values = self._scratch_vals
         values[_QW] = delta
         values[_QS] = delta * idx
-        values[_QLO] = delta * (zpow & _MASK32)
-        values[_QHI] = delta * (zpow >> 32)
-        self._flat_cells[flat] += values.ravel()
-        self._bump_mass(abs(delta))
+        values[_QF] = int(delta) * int(zpow) % MERSENNE_P
+        values += self._flat_cells[flat].reshape(values.shape)
+        values[_QF] %= MERSENNE_P
+        self._flat_cells[flat] = values.ravel()
 
     def apply_many(self, col_levels: np.ndarray, idxs: np.ndarray,
                    deltas: np.ndarray, zpows: np.ndarray) -> None:
@@ -224,8 +187,8 @@ class RecoveryMatrix:
         ``col_levels`` has shape ``(e, columns)``; ``idxs``, ``deltas``
         and ``zpows`` have shape ``(e,)`` (all int64, ``zpows`` in
         ``[0, p)``).  Exactly equivalent to ``e`` :meth:`apply` calls --
-        the scatter targets the same cells with the same integer
-        arithmetic, just without the per-edge Python dispatch.
+        the scatter targets the same cells, and residues are unique --
+        just without the per-edge Python dispatch.
         """
         e = idxs.shape[0]
         if e == 0:
@@ -237,7 +200,6 @@ class RecoveryMatrix:
                               self.levels,
                               np.zeros(e, dtype=np.int64), col_levels,
                               idxs, deltas, zpows)
-        self._bump_mass(int(np.abs(deltas).sum()))
 
     def merge_from(self, other: "RecoveryMatrix") -> None:
         """Add another matrix (sketch linearity, Remark 3.2)."""
@@ -247,12 +209,11 @@ class RecoveryMatrix:
                 f"into a {self.columns}x{self.levels} one"
             )
         self.cells += other.cells
-        self._bump_mass(other._mass)
+        self.cells[_QF] %= MERSENNE_P
 
     def copy(self) -> "RecoveryMatrix":
         dup = RecoveryMatrix(self.columns, self.levels)
-        dup._rebind_cells(self.cells.copy())
-        dup._f_mass = self._mass
+        dup.cells[...] = self.cells
         return dup
 
     def __reduce__(self):
@@ -269,8 +230,7 @@ class RecoveryMatrix:
             return (_restore_pool_view, (self._pool, self._pool_slot))
         return (
             _restore_standalone_matrix,
-            (self.columns, self.levels, np.asarray(self.cells),
-             self._f_mass),
+            (self.columns, self.levels, np.asarray(self.cells)),
         )
 
     @staticmethod
@@ -279,10 +239,9 @@ class RecoveryMatrix:
 
         Row/column shapes are validated up front -- mixed shapes raise
         :class:`~repro.errors.SketchError` instead of surfacing as a
-        numpy broadcast error mid-accumulation.  The fingerprint limbs
-        are renormalized whenever the running mass exceeds the
-        threshold, so the accumulator stays inside int64 regardless of
-        how many matrices are merged.
+        numpy broadcast error mid-accumulation.  Each merge folds the
+        fingerprints back to residues, so the accumulator stays inside
+        int64 however many matrices are merged.
         """
         if not matrices:
             raise SketchError("need at least one matrix to sum")
@@ -320,8 +279,9 @@ class RecoveryMatrix:
     @property
     def F(self) -> np.ndarray:
         """Materialized prefix fingerprints mod p (see :attr:`W`)."""
-        return _kernels.combine_limbs(_suffix_cumsum(self.cells[_QLO]),
-                                      _suffix_cumsum(self.cells[_QHI]))
+        f = self.cells[_QF]
+        return _kernels.combine_limbs(_suffix_cumsum(f & _MASK32),
+                                      _suffix_cumsum(f >> 32))
 
     # ------------------------------------------------------------------
     # Recovery
@@ -333,11 +293,10 @@ class RecoveryMatrix:
         the fingerprint makes a false zero require ``F = 0`` for a
         nonzero polynomial evaluation (probability ``< N/p``).
         """
-        sums = self.cells[:, col, :].sum(axis=1)
-        if int(sums[_QW]) != 0 or int(sums[_QS]) != 0:
+        w, s, f = self.cells[:, col, :]
+        if int(w.sum()) != 0 or int(s.sum()) != 0:
             return False
-        return _combine_limb_scalars(int(sums[_QLO]),
-                                     int(sums[_QHI])) == 0
+        return sum(f.tolist()) % MERSENNE_P == 0
 
     def column_is_zero_many(
         self, cols: Optional[np.ndarray] = None
@@ -349,11 +308,7 @@ class RecoveryMatrix:
         column; bit-identical to the scalar test per column.
         """
         block = self.cells if cols is None else self.cells[:, cols, :]
-        sums = block.sum(axis=-1)                           # (4, k)
-        zero = (sums[_QW] == 0) & (sums[_QS] == 0)
-        if zero.any():
-            zero &= _kernels.combine_limbs(sums[_QLO], sums[_QHI]) == 0
-        return zero
+        return _kernels.is_zero_cells(_limb_form(block).transpose(1, 0, 2))
 
     def recover(
         self,
@@ -367,8 +322,8 @@ class RecoveryMatrix:
         passes the divisibility, range, and fingerprint tests; ``None``
         if every level rejects (the sampler's ``bottom`` outcome).
         """
-        prefix = np.cumsum(self.cells[:, col, ::-1], axis=1)[:, ::-1]
-        W_col, S_col, lo_col, hi_col = prefix
+        W_col, S_col = _suffix_cumsum(self.cells[:2, col, :])
+        f_col = self.cells[_QF, col].tolist()
         for level in range(self.levels):
             w = int(W_col[level])
             if w == 0:
@@ -379,8 +334,7 @@ class RecoveryMatrix:
             idx = s // w
             if not 0 <= idx < max_index:
                 continue
-            fingerprint = _combine_limb_scalars(int(lo_col[level]),
-                                                int(hi_col[level]))
+            fingerprint = sum(f_col[level:]) % MERSENNE_P
             if fingerprint_ok(idx, w, fingerprint):
                 return idx
         return None
@@ -400,7 +354,7 @@ class RecoveryMatrix:
         cols = np.asarray(cols, dtype=np.int64)
         if cols.size == 0:
             return np.empty(0, dtype=np.int64)
-        prefix = _suffix_cumsum(self.cells[:, cols, :])     # (4, k, L)
+        prefix = _suffix_cumsum(_limb_form(self.cells[:, cols, :]))
         return _kernels.decode_prefix(prefix, max_index, int(z))
 
     # ------------------------------------------------------------------
@@ -408,20 +362,14 @@ class RecoveryMatrix:
     # ------------------------------------------------------------------
     @property
     def words(self) -> int:
-        """Accounting footprint: three words per cell.
-
-        The fingerprint's two int64 limbs represent one logical field
-        element (61 bits plus carry slack), so the model-level count
-        stays at three words per cell.
-        """
+        """Accounting footprint: three words per cell, exactly the
+        stored ``(Wd, Sd, Fd)`` block."""
         return 3 * self.columns * self.levels
 
     def is_entirely_zero(self) -> bool:
-        return (
-            not self.cells[_QW].any()
-            and not self.cells[_QS].any()
-            and not self.F.any()
-        )
+        """Every prefix is zero iff every differential cell is (``Fd``
+        is canonical, so a zero residue is a zero word)."""
+        return not self.cells.any()
 
 
 def _restore_pool_view(pool: "RecoveryPool", slot: int) -> RecoveryMatrix:
@@ -430,12 +378,10 @@ def _restore_pool_view(pool: "RecoveryPool", slot: int) -> RecoveryMatrix:
 
 
 def _restore_standalone_matrix(columns: int, levels: int,
-                               cells: np.ndarray,
-                               mass: int) -> RecoveryMatrix:
+                               cells: np.ndarray) -> RecoveryMatrix:
     """Pickle hook for standalone :class:`RecoveryMatrix` instances."""
     matrix = RecoveryMatrix(columns, levels)
     matrix.cells[...] = cells
-    matrix._f_mass = mass
     return matrix
 
 
@@ -443,7 +389,7 @@ class RecoveryPool:
     """Stacked recovery cells for a whole family of matrices.
 
     Holds ``count`` matrices' differential cells as one contiguous
-    ``(count, 4, columns, levels)`` block.  :meth:`matrix` hands out
+    ``(count, 3, columns, levels)`` block.  :meth:`matrix` hands out
     view-backed :class:`RecoveryMatrix` rows -- they behave exactly like
     standalone matrices -- while :meth:`apply_points` lets the bulk
     ingestion router update *many rows with one scatter*, which is what
@@ -451,8 +397,7 @@ class RecoveryPool:
     dispatch cost.
     """
 
-    __slots__ = ("count", "columns", "levels", "cells", "f_mass",
-                 "row_mass", "_flat", "_views",
+    __slots__ = ("count", "columns", "levels", "cells", "_flat", "_views",
                  "_view_cell_base", "_view_q_offsets", "_view_scratch")
 
     def __init__(self, count: int, columns: int, levels: int):
@@ -463,13 +408,7 @@ class RecoveryPool:
         self.count = count
         self.columns = columns
         self.levels = levels
-        self.cells = np.zeros((count, 4, columns, levels), dtype=np.int64)
-        #: Total mass and per-row (per-slot) mass.  The total drives the
-        #: renormalization trigger (it dominates every row); the per-row
-        #: masses give detached copies and merges an accurate bound so
-        #: they do not inherit the whole pool's mass.
-        self.f_mass = 0
-        self.row_mass = np.zeros(count, dtype=np.int64)
+        self.cells = np.zeros((count, 3, columns, levels), dtype=np.int64)
         self._flat = self.cells.reshape(-1)
         #: Live view-backed matrices handed out by :meth:`matrix`, kept
         #: as weakrefs so :meth:`adopt_buffer` can re-point them when
@@ -479,9 +418,9 @@ class RecoveryPool:
         # Index helpers shared by every view this pool hands out (the
         # bulk scatter itself is the ``pool_scatter`` kernel).
         self._view_cell_base = np.arange(columns, dtype=np.int64) * levels
-        self._view_q_offsets = (np.arange(4, dtype=np.int64)
+        self._view_q_offsets = (np.arange(3, dtype=np.int64)
                                 * (columns * levels))[:, None]
-        self._view_scratch = np.empty((4, columns), dtype=np.int64)
+        self._view_scratch = np.empty((3, columns), dtype=np.int64)
 
     # -- per-quantity views (inspection / tests) ------------------------
     @property
@@ -493,12 +432,8 @@ class RecoveryPool:
         return self.cells[:, _QS]
 
     @property
-    def Flo(self) -> np.ndarray:
-        return self.cells[:, _QLO]
-
-    @property
-    def Fhi(self) -> np.ndarray:
-        return self.cells[:, _QHI]
+    def Fd(self) -> np.ndarray:
+        return self.cells[:, _QF]
 
     def adopt_buffer(self, cells: np.ndarray) -> None:
         """Move this pool's cells into an externally owned buffer.
@@ -544,7 +479,6 @@ class RecoveryPool:
         view = RecoveryMatrix.__new__(RecoveryMatrix)
         view.columns = self.columns
         view.levels = self.levels
-        view._f_mass = 0
         view._pool = self
         view._pool_slot = slot
         view._cell_base = self._view_cell_base
@@ -558,42 +492,20 @@ class RecoveryPool:
     # Checkpointing
     # ------------------------------------------------------------------
     def __getstate__(self):
-        """Pickle as pure values: a private copy of the cell block plus
-        the mass counters.  The flat view, the view registry, and any
-        shared-memory placement are reconstruction artifacts -- a
-        restored pool always starts with a private buffer and is moved
-        back into shared memory by the backend re-attach, if any."""
+        """Pickle as pure values: a private copy of the cell block.  The
+        flat view, the view registry, and any shared-memory placement
+        are reconstruction artifacts -- a restored pool always starts
+        with a private buffer and is moved back into shared memory by
+        the backend re-attach, if any."""
         return (self.count, self.columns, self.levels,
-                np.asarray(self.cells).copy(), self.f_mass,
-                self.row_mass.copy())
+                np.asarray(self.cells).copy())
 
     def __setstate__(self, state) -> None:
-        count, columns, levels, cells, f_mass, row_mass = state
+        count, columns, levels, cells = state
         self.__init__(count, columns, levels)
         self.cells[...] = cells
-        self.f_mass = f_mass
-        self.row_mass[...] = row_mass
 
     # ------------------------------------------------------------------
-    def bump_mass(self, amount: int) -> None:
-        """Record update mass; renormalize the whole pool when due.
-
-        The pool total over-approximates every row's mass, so one
-        pool-wide renormalization keeps all rows inside the int64
-        envelope.  Renormalization preserves represented values
-        exactly (it only changes the limb decomposition).
-        """
-        self.f_mass += amount
-        if self.f_mass > RENORM_MASS:
-            _renormalize_limbs(self.cells[:, _QLO], self.cells[:, _QHI])
-            self.f_mass = 1
-            self.row_mass[:] = 1
-
-    def bump_row(self, slot: int, amount: int) -> None:
-        """Record update mass against one slot (scalar view updates)."""
-        self.row_mass[slot] += amount
-        self.bump_mass(amount)
-
     def apply_points(self, slots: np.ndarray, col_levels: np.ndarray,
                      idxs: np.ndarray, deltas: np.ndarray,
                      zpows: np.ndarray) -> None:
@@ -601,34 +513,15 @@ class RecoveryPool:
 
         ``slots``, ``idxs``, ``deltas``, ``zpows`` have shape ``(e,)``
         and ``col_levels`` has shape ``(e, columns)``.  Duplicate
-        (slot, cell) targets accumulate correctly (``np.add.at``), so
-        the result is bit-identical to applying the points one at a
-        time to the individual row matrices in any order.
+        (slot, cell) targets accumulate correctly (the kernel sums them
+        per cell before its one write), so the result is bit-identical
+        to applying the points one at a time to the individual row
+        matrices in any order.
         """
         if slots.shape[0] == 0:
             return
         _kernels.pool_scatter(self._flat, self.columns, self.levels,
                               slots, col_levels, idxs, deltas, zpows)
-        self.record_mass(slots, deltas)
-
-    def record_mass(self, slots: np.ndarray, deltas: np.ndarray) -> None:
-        """Record a scatter's update mass (per row and pool-wide).
-
-        Split out of :meth:`apply_points` because the shared-memory
-        backend's workers only scatter -- the parent records the mass
-        (and runs any due renormalization) after the barrier, at the
-        same point in the update order as the sequential path.
-        """
-        if slots.shape[0] == 0:
-            return
-        mass = np.abs(deltas)
-        # bincount beats the buffered np.add.at for this parent-side
-        # bookkeeping; float64 weight sums are exact here (per-slot
-        # mass stays far below 2^53 between renormalizations).
-        self.row_mass += np.bincount(
-            slots, weights=mass, minlength=self.count
-        ).astype(np.int64)
-        self.bump_mass(int(mass.sum()))
 
     @property
     def words(self) -> int:

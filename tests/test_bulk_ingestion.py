@@ -30,7 +30,6 @@ from repro.sketch import (
     encode_edges,
     trailing_zeros,
 )
-from repro.sketch.sparse_recovery import RENORM_MASS, _renormalize_limbs
 from repro.streams import ChurnStream
 from tests.conftest import random_edges
 
@@ -166,24 +165,6 @@ class TestRecoveryMatrixBulk:
             assert (seq.recover(col, 5000, rnd.fingerprint_ok)
                     == bulk.recover(col, 5000, rnd.fingerprint_ok))
 
-    def test_renormalization_preserves_values(self, rng):
-        rnd = SamplerRandomness(100, 3, rng)
-        m = RecoveryMatrix(rnd.columns, rnd.levels)
-        for idx in (3, 14, 15, 92):
-            m.apply(rnd.levels_of(idx), idx, 1, rnd.zpow(idx))
-        before = m.F.copy()
-        _renormalize_limbs(m.Flo, m.Fhi)
-        assert np.array_equal(m.F, before)
-        assert int(m.Flo.max()) < (1 << 32) and int(m.Flo.min()) >= 0
-
-    def test_mass_triggers_renormalization(self, rng):
-        rnd = SamplerRandomness(100, 2, rng)
-        m = RecoveryMatrix(rnd.columns, rnd.levels)
-        m._f_mass = RENORM_MASS  # pretend a long stream already ran
-        m.apply(rnd.levels_of(5), 5, 1, rnd.zpow(5))
-        assert m._f_mass == 1  # renormalized and reset
-        assert m.recover(0, 100, rnd.fingerprint_ok) == 5
-
 
 class TestL0SamplerBulk:
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -297,20 +278,6 @@ class TestVertexAndFamilyBulk:
         perm = np.random.default_rng(4).permutation(len(edges))
         fam_b.apply_edges_bulk(us[perm], vs[perm], ones)
         assert np.array_equal(fam_a.pool.cells, fam_b.pool.cells)
-
-    def test_pool_mass_is_tracked_per_row(self):
-        """Detached copies carry their own row's mass, not the pool's
-        total, so component merges don't renormalize on every call."""
-        fam = SketchFamily(16, columns=3, rng=np.random.default_rng(1))
-        sketches = {v: fam.new_vertex_sketch(v) for v in range(16)}
-        fam.apply_edges_bulk(np.array([0, 0]), np.array([1, 2]),
-                             np.array([1, 1], dtype=np.int64))
-        assert int(fam.pool.row_mass[0]) == 2  # endpoint of both edges
-        assert int(fam.pool.row_mass[1]) == 1
-        assert int(fam.pool.row_mass[3]) == 0
-        assert fam.pool.f_mass == 4            # one per (edge, endpoint)
-        dup = sketches[0].sampler.copy()
-        assert dup.matrix._f_mass == 2
 
     def test_router_empty_batch_is_noop(self):
         fam = SketchFamily(8, columns=2, rng=np.random.default_rng(0))

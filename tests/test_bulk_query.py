@@ -43,6 +43,16 @@ def churn_sampler(randomness, seed, count=200, cancel=False):
     return sampler
 
 
+def single_columns(samplers, col):
+    """Column ``col`` of every sampler as a ``(k, 4, levels)`` stack in
+    the limb read form: the group-merge kernel over singleton groups."""
+    cells = np.stack([s.matrix.cells for s in samplers])
+    k = cells.shape[0]
+    return kernels.merge_groups(cells, np.arange(k, dtype=np.int64),
+                                np.ones(k, dtype=np.int64),
+                                np.full(k, col, dtype=np.int64))
+
+
 class TestRecoverManyEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_recover_many_matches_recover(self, seed, rng):
@@ -84,21 +94,6 @@ class TestRecoverManyEquivalence:
         assert [bool(g) for g in got_subset] == [expected[2], expected[0],
                                                  expected[5]]
 
-    def test_recovery_after_heavy_churn_renormalization(self, rng):
-        """The vectorized decode agrees after limb renormalization."""
-        from repro.sketch.sparse_recovery import RENORM_MASS
-
-        rnd = SamplerRandomness(300, 4, rng)
-        sampler = L0Sampler(rnd)
-        sampler.matrix._f_mass = RENORM_MASS  # force an early renorm
-        sampler.update(7, 1)
-        cols = np.arange(rnd.columns, dtype=np.int64)
-        got = sampler.matrix.recover_many(cols, 300, rnd.z)
-        expected = [sampler.matrix.recover(c, 300, rnd.fingerprint_ok)
-                    for c in range(rnd.columns)]
-        assert [None if g < 0 else int(g) for g in got] == expected
-        assert 7 in [int(g) for g in got if g >= 0]
-
 
 class TestSamplerBatchQueries:
     """The stacked-cell cores behind the group queries
@@ -113,10 +108,9 @@ class TestSamplerBatchQueries:
                           cancel=(i % 2 == 0))
             for i in range(9)
         ]
-        cells = np.stack([s.matrix.cells for s in samplers])
         expected = [s.is_zero() for s in samplers]
         for col in range(rnd.columns):
-            got = kernels.is_zero_cells(cells[:, :, col, :])
+            got = kernels.is_zero_cells(single_columns(samplers, col))
             assert [bool(g) for g in got] == expected
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -127,9 +121,8 @@ class TestSamplerBatchQueries:
                           cancel=(i % 3 == 0))
             for i in range(10)
         ]
-        cells = np.stack([s.matrix.cells for s in samplers])
         for col in range(rnd.columns):
-            zeros, found = query_cells(cells[:, :, col, :], rnd)
+            zeros, found = query_cells(single_columns(samplers, col), rnd)
             assert [bool(z) for z in zeros] == [s.is_zero()
                                                for s in samplers]
             expected = [None if s.is_zero() else s.sample_column(col)

@@ -15,8 +15,8 @@ ship uncharged.  Charges are parent-side, so the pinned dicts hold on
 every execution backend.
 
 The memory ledger is pinned against what the sketch pool really holds:
-``test_sketch_pool_is_four_thirds_of_its_ledger_entry`` states the one
-known gap between the two.
+``test_sketch_pool_equals_its_ledger_entry`` checks that every sketch
+family's pool is exactly the words its owner charges.
 """
 
 import pytest
@@ -25,7 +25,6 @@ from repro.baselines import AGMStaticConnectivity
 from repro.core.api import BatchDynamicAlgorithm
 from repro.mpc import MPCConfig
 from repro.session import GraphSession
-from repro.streams import ChurnStream
 from repro.types import dele, ins
 
 N = 64
@@ -170,17 +169,30 @@ def test_session_ledger_routes_once(tasks, backend):
                 {task: LEDGER[task][kind] for task in tasks}
 
 
-def test_sketch_pool_is_four_thirds_of_its_ledger_entry():
-    """The ledger charges a cell's three words (W, S, F); the pool
-    stores F as two int64 limbs, so it holds 4/3 of the charge.  A
-    one-word fingerprint would make the two equal and flip this test."""
-    alg = _classes()["connectivity"](_config("sequential"))
-    stream = ChurnStream(N, seed=4, delete_fraction=0.35,
-                         target_edges=2 * N)
-    for batch in stream.batches(10, alg.batch_limit):
-        alg.apply_batch(batch)
-    assert alg.stats["tree_edge_deletions"] > 0
-    family = alg.family
-    charged = N * family.words_per_vertex
-    assert family.pool.cells.size * 3 == 4 * charged
-    assert alg.cluster.metrics.memory_breakdown()["sketches"] == charged
+def _owned_families(alg):
+    """``(owner, family)`` for every sketch family ``alg`` owns,
+    directly or through its nested members."""
+    owned, stack = [], [alg]
+    while stack:
+        owner = stack.pop()
+        owned += [(owner, family) for family in owner._sketch_families()]
+        stack.extend(owner._members())
+    return owned
+
+
+def test_sketch_pool_equals_its_ledger_entry():
+    """The ledger charges a cell's three words (W, S, F), and the pool
+    stores exactly those three int64 words, F as its residue mod p.
+    Checked for every family of every registered task that owns one,
+    after the pinned insert, delete and query phases."""
+    owners = set()
+    for name, cls in sorted(BatchDynamicAlgorithm.task_registry().items()):
+        alg = cls(_config("sequential"))
+        _measured_phases(alg)
+        for owner, family in _owned_families(alg):
+            owners.add(name)
+            charged = family.n * family.words_per_vertex
+            assert family.pool.cells.size == charged, name
+            assert owner.cluster.metrics.memory_breakdown()["sketches"] \
+                == charged, name
+    assert owners == {"bipartiteness", "connectivity", "msf_approx"}

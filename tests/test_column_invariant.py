@@ -7,9 +7,9 @@ path (``kernels.merge_groups`` gathering one column per group, the
 zero test on that column) is exact only because of it, so:
 
 * a hypothesis property drives every write path -- scalar and bulk
-  matrix updates, the family's bulk edge router, ``+=`` merges in both
-  directions and forced limb renormalizations -- and checks the
-  invariant on every row afterwards;
+  matrix updates, the family's bulk edge router and merges in both
+  directions -- and checks the invariant, and that every stored
+  fingerprint is a canonical residue, on every row afterwards;
 * a differential test checks the routed ``gquery`` / ``gzero`` answers
   on a churned pool against an in-test reference that sums the *full*
   member rows, zero-tests every column and decodes the asked column with
@@ -22,21 +22,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
 from repro.mpc.backend import _execute_op, get_backend
-from repro.sketch import L0Sampler, RecoveryMatrix, SketchFamily
-from repro.sketch.sparse_recovery import RENORM_MASS
+from repro.sketch import MERSENNE_P, L0Sampler, RecoveryMatrix, SketchFamily
 
 N = 8
 COLUMNS = 4
 
 
 def assert_column_invariant(cells):
-    """Level sums of W, S and the combined F agree across columns."""
-    sums = cells.sum(axis=-1)                           # (4, columns)
-    fingerprint = kernels.combine_limbs(sums[2], sums[3])
-    for name, row in (("W", sums[0]), ("S", sums[1]), ("F", fingerprint)):
-        assert (row == row[0]).all(), (name, row.tolist())
+    """Level sums of W and S, and of F mod p, agree across columns."""
+    w, s = cells[:2].sum(axis=-1).tolist()
+    f = [sum(levels.tolist()) % MERSENNE_P for levels in cells[2]]
+    for name, row in (("W", w), ("S", s), ("F", f)):
+        assert row == [row[0]] * len(row), (name, row)
 
 
 _UNIVERSE = N * (N - 1) // 2
@@ -52,7 +50,6 @@ OPS = st.one_of(
               st.lists(st.tuples(vertices, vertices, deltas), max_size=8)),
     st.tuples(st.just("merge_in"), vertices),
     st.tuples(st.just("merge_out"), vertices),
-    st.tuples(st.just("renorm")),
 )
 
 
@@ -83,18 +80,12 @@ def test_every_write_path_keeps_columns_equal(ops, seed):
                 family.apply_edges_bulk(us, vs, ds)
         elif kind == "merge_in":
             matrix.merge_from(family.pool.matrix(op[1]))
-        elif kind == "merge_out":
-            family.pool.matrix(op[1]).merge_from(matrix)
         else:
-            # Push both masses past the threshold: the next bump folds
-            # every limb pair to its canonical residue and re-splits it.
-            matrix._f_mass = RENORM_MASS
-            matrix._bump_mass(1)
-            family.pool.f_mass = RENORM_MASS
-            family.pool.bump_mass(1)
-    assert_column_invariant(matrix.cells)
-    for row in family.pool.cells:
-        assert_column_invariant(row)
+            family.pool.matrix(op[1]).merge_from(matrix)
+    for cells in (matrix.cells, *family.pool.cells):
+        assert_column_invariant(cells)
+        # Every write path leaves Fd a canonical residue.
+        assert 0 <= cells[2].min() and cells[2].max() < MERSENNE_P
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +97,8 @@ CHURN_COLUMNS = 6
 
 
 def churned_family(backend):
-    """A family whose pool went through inserts, deletes and a forced
-    pool-wide renormalization; a few vertices stay isolated."""
+    """A family whose pool went through inserts and deletes; a few
+    vertices stay isolated."""
     family = SketchFamily(CHURN_N, columns=CHURN_COLUMNS,
                           rng=np.random.default_rng(5), backend=backend)
     rng = np.random.default_rng(17)
@@ -119,19 +110,17 @@ def churned_family(backend):
     us, vs = (np.array(c, dtype=np.int64) for c in zip(*edges))
     ones = np.ones(us.shape[0], dtype=np.int64)
     family.apply_edges_bulk(us, vs, ones)
-    family.pool.f_mass = RENORM_MASS
     gone = rng.random(us.shape[0]) < 0.4
     family.apply_edges_bulk(us[gone], vs[gone], -ones[gone])
     return family
 
 
-def reference(cells, randomness, groups, cols):
-    """Sum the full member rows, zero-test every column, decode the
+def reference(pool, randomness, groups, cols):
+    """Merge the full member rows, zero-test every column, decode the
     asked column with the scalar scan."""
     zeros, found = [], []
     for group, col in zip(groups, cols):
-        matrix = RecoveryMatrix(randomness.columns, randomness.levels)
-        matrix.cells[...] = cells[group].sum(axis=0)
+        matrix = RecoveryMatrix.sum_of([pool.matrix(int(v)) for v in group])
         zero = all(matrix.column_is_zero(c)
                    for c in range(randomness.columns))
         got = None if zero else matrix.recover(
@@ -181,7 +170,8 @@ def test_routed_group_ops_match_full_row_reference(backend_name):
         seen_zero = seen_found = 0
         for groups, cols in group_batches():
             members, glens = flat(groups)
-            want_zeros, want_found = reference(cells, rnd, groups, cols)
+            want_zeros, want_found = reference(family.pool, rnd, groups,
+                                               cols)
             zeros, found = family.backend.query_groups(
                 family._handle(), members, glens, cols)
             assert zeros.tolist() == want_zeros.tolist()

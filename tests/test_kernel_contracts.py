@@ -5,8 +5,9 @@ the ``REPRO_KERNELS_CHECK=1`` runtime wrapper.
   big-int arithmetic at the adversarial inputs (0, 1, p-2, p-1, the
   32-bit limb seam, a forged boundary fingerprint, an ``S``-only
   column stack, an empty group, groups reading different columns, sums
-  past float64's 2^53 integer range, two passing levels);
-* ``TestSeededMutations`` applies twenty-five single-token edits to a
+  past float64's 2^53 integer range, two passing levels, 64 repeated
+  scatter targets whose residues wrap past p);
+* ``TestSeededMutations`` applies thirty-two single-token edits to a
   throw-away copy of ``numpy_tier.py`` and requires each to fail one of
   those same checks -- the kill coverage is pinned, not assumed;
 * the runtime wrapper must accept every in-contract call and raise
@@ -150,37 +151,60 @@ class TestBoundaryParity:
         cells[0, 0, :2] = (2 ** 53 + 1, -2 ** 53)
         assert k.is_zero_cells(cells).tolist() == [False]
 
-    def test_pool_scatter_limb_split(self, k):
-        # One update whose fingerprint power has both limbs busy: the
-        # cell quantities are (d, d*idx, d*(z & M32), d*(z >> 32)).
-        zpow, idx, delta = P - 2, 5, -3
-        flat = np.zeros(4 * 2 * 3, dtype=np.int64)
-        k.pool_scatter(flat, 2, 3, _i64((0,)), _i64((1, 2)).reshape(1, 2),
-                       _i64((idx,)), _i64((delta,)), _i64((zpow,)))
-        want = np.zeros((4, 2, 3), dtype=np.int64)
-        want[:, 0, 1] = want[:, 1, 2] = (
-            delta, delta * idx, delta * (zpow & ((1 << 32) - 1)),
-            delta * (zpow >> 32))
-        assert np.array_equal(flat.reshape(4, 2, 3), want)
+    def test_pool_scatter_sums_repeats_mod_p(self, k):
+        # 64 updates with z^idx = p - 1 and deltas +-1, +-2^20 all land
+        # on one cell of each of two columns -- interleaved in the
+        # flattened (entry, column) order -- on top of cells already
+        # holding (7, -11, p - 1): every repeat must be summed, the
+        # limbs folded, and the residue reduced once more past p.
+        columns, levels, count, zpow = 2, 3, 64, P - 1
+        deltas = [(1, -1, 1 << 20, 1 << 20, -(1 << 20))[i % 5]
+                  for i in range(count)]
+        idxs = [1000 + 7 * i for i in range(count)]
+        flat = np.zeros(3 * columns * levels, dtype=np.int64)
+        cells = flat.reshape(3, columns, levels)
+        targets = ((0, 1), (1, 2))                   # (column, level)
+        for col, level in targets:
+            cells[:, col, level] = (7, -11, P - 1)
+        k.pool_scatter(flat, columns, levels, _i64([0] * count),
+                       np.tile(_i64((1, 2)), (count, 1)), _i64(idxs),
+                       _i64(deltas), _i64([zpow] * count))
+        want = np.zeros((3, columns, levels), dtype=np.int64)
+        for col, level in targets:
+            want[:, col, level] = (
+                7 + sum(deltas),
+                -11 + sum(d * i for d, i in zip(deltas, idxs)),
+                (P - 1 + sum(deltas) * zpow) % P)
+        assert np.array_equal(cells, want)
 
     def test_merge_groups_with_empty_group(self, k):
         # The live groups read different columns, and the empty group
-        # sits between them.
+        # sits between them; every Fd residue is split into its 32-bit
+        # low and 29-bit high limbs before the sum.
         rng = np.random.default_rng(6)
-        cells = rng.integers(-50, 50, size=(5, 4, 3, 4)).astype(np.int64)
+        cells = rng.integers(-50, 50, size=(5, 3, 3, 4)).astype(np.int64)
+        cells[:, 2] = rng.integers(P - (1 << 40), P, size=(5, 3, 4))
         got = k.merge_groups(cells, _i64((0, 2, 4, 1, 3)), _i64((2, 0, 3)),
                              _i64((2, 1, 0)))
-        want = np.stack([cells[[0, 2], :, 2].sum(axis=0),
-                         np.zeros((4, 4), dtype=np.int64),
-                         cells[[4, 1, 3], :, 0].sum(axis=0)])
-        assert np.array_equal(got, want)
+
+        def merged(rows, col):
+            w, s, f = (cells[rows, q, col].tolist() for q in range(3))
+            return [[sum(v[lv] for v in w) for lv in range(4)],
+                    [sum(v[lv] for v in s) for lv in range(4)],
+                    [sum(v[lv] & 0xFFFFFFFF for v in f) for lv in range(4)],
+                    [sum(v[lv] >> 32 for v in f) for lv in range(4)]]
+
+        assert got.tolist() == [merged([0, 2], 2), [[0] * 4] * 4,
+                                merged([4, 1, 3], 0)]
 
     def test_merge_groups_sum_is_exact_past_2_53(self, k):
-        cells = np.zeros((2, 4, 2, 3), dtype=np.int64)
-        cells[0], cells[1] = 2 ** 53 + 1, -2 ** 53
+        cells = np.zeros((2, 3, 2, 3), dtype=np.int64)
+        cells[0, :2], cells[1, :2] = 2 ** 53 + 1, -2 ** 53
         got = k.merge_groups(cells, _i64((0, 1)), _i64((2,)), _i64((1,)))
         assert got.dtype == np.int64
-        assert np.array_equal(got, np.ones((1, 4, 3), dtype=np.int64))
+        want = np.zeros((1, 4, 3), dtype=np.int64)
+        want[0, :2] = 1
+        assert np.array_equal(got, want)
 
 
 GOLDEN_CHECKS = [check for name, check in vars(TestBoundaryParity).items()
@@ -212,29 +236,45 @@ MUTATIONS = [
     ("combine_shift_32_to_34", "(bot << 32)", "(bot << 34)"),
     ("combine_drop_final_mod",
      "return (lo_m + shifted) % MERSENNE_P", "return (lo_m + shifted)"),
+    # The residue fold of the scatter: split, sort, segment, fold.
     ("scatter_hi_limb_shift_32_to_31", "(zpows >> 32)", "(zpows >> 31)"),
     ("scatter_drop_lo_limb_mask", "(zpows & _IMASK32)", "zpows"),
+    ("scatter_fancy_add_drops_repeats", "np.add.at(flat_cells, ws, weights)",
+     "flat_cells[ws] += weights"),
+    ("scatter_fold_drops_repeats", "starts = np.flatnonzero(first)",
+     "starts = np.arange(cell.shape[0])"),
+    ("scatter_segments_unsorted", 'order = np.argsort(cell, kind="stable")',
+     "order = np.arange(cell.shape[0])"),
+    ("scatter_fold_drops_the_stored_residue",
+     "f = flat_cells[at] + combine_limbs(lo, hi)",
+     "f = combine_limbs(lo, hi)"),
+    ("scatter_drops_final_ge_p_fold",
+     "np.where(f >= MERSENNE_P, f - MERSENNE_P, f)", "f"),
     ("trailing_zeros_off_by_one", "tz = exponent.astype(np.int64) - 1",
      "tz = exponent.astype(np.int64)"),
     ("decode_index_lt_to_le", "(idx < max_index)", "(idx <= max_index)"),
     ("is_zero_ignores_s", "zero = (sums[:, 0] == 0) & (sums[:, 1] == 0)",
      "zero = (sums[:, 0] == 0)"),
-    ("merge_reduceat_over_empty_groups", "starts[live], axis=0)",
-     "starts, axis=0)"),
+    ("merge_reduceat_over_empty_groups", "starts = starts[live]",
+     "starts = starts"),
     # One per line of the one-column merge and zero test.
     ("merge_out_shape_takes_column_axis",
-     "cells.shape[1], cells.shape[3]", "cells.shape[1], cells.shape[2]"),
+     "(g, 4, cells.shape[3])", "(g, 4, cells.shape[2])"),
     ("merge_tiles_columns_instead_of_repeating", "np.repeat(cols, glens)",
      "np.tile(cols, 2)[:members.shape[0]]"),
     ("merge_gathers_first_group_column",
      "cells[members, :, member_cols, :]", "cells[members, :, cols[0], :]"),
-    ("merge_packs_live_groups_first", "out[live] = np.add.reduceat(",
-     "out[:int(live.sum())] = np.add.reduceat("),
+    ("merge_packs_live_groups_first", "out[live] = np.concatenate((",
+     "out[:int(live.sum())] = np.concatenate(("),
+    ("merge_drops_hi_limb", "np.add.reduceat(fd >> 32,",
+     "np.add.reduceat(0 * fd,"),
+    ("merge_keeps_lo_limb_unmasked", "np.add.reduceat(fd & _IMASK32,",
+     "np.add.reduceat(fd,"),
     ("is_zero_reduces_over_rows", "    return zero\n",
      "    return zero.all(axis=-1)\n"),
     # The three determinism mutants only lint rule RL010 used to see.
-    ("merge_accumulates_in_float64", "np.add.reduceat(gathered,",
-     "np.add.reduceat(gathered.astype(np.float64),"),
+    ("merge_accumulates_in_float64", "np.add.reduceat(gathered[:, :2],",
+     "np.add.reduceat(gathered[:, :2].astype(np.float64),"),
     ("is_zero_level_sum_in_float64", "sums = cells.sum(axis=-1)",
      "sums = cells.sum(axis=-1, dtype=np.float64).astype(np.int64)"),
     ("decode_random_passing_level", "first = np.argmax(ok, axis=1)",

@@ -22,7 +22,7 @@ from repro import GraphSession, dele, ins, kernels
 from repro.kernels import profile, registry
 from repro.sketch import L0Sampler, SamplerRandomness
 from repro.sketch.hashing import KWiseHash, MERSENNE_P, trailing_zeros
-from repro.sketch.sparse_recovery import _suffix_cumsum
+from repro.sketch.sparse_recovery import _limb_form, _suffix_cumsum
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -86,13 +86,14 @@ class TestScalarGolden:
 
     def test_merge_groups_with_empty_group(self, k):
         rng = np.random.default_rng(6)
-        cells = rng.integers(-50, 50, size=(5, 4, 3, 4)).astype(np.int64)
+        cells = rng.integers(-50, 50, size=(5, 3, 3, 4)).astype(np.int64)
+        cells[:, 2] = rng.integers(0, P, size=(5, 3, 4))
         members = np.array([0, 2, 4, 1, 3], dtype=np.int64)
         glens = np.array([2, 0, 3], dtype=np.int64)
         cols = np.array([2, 1, 0], dtype=np.int64)
         merged = k.merge_groups(cells, members, glens, cols)
         expected = np.stack([     # an empty selection sums to zeros
-            cells[g][:, :, c].sum(axis=0)
+            _limb_form(cells[g][:, :, c].transpose(1, 0, 2)).sum(axis=1)
             for g, c in zip(np.split(members, np.cumsum(glens)[:-1]), cols)
         ])
         assert np.array_equal(merged, expected)
@@ -104,7 +105,7 @@ class TestScalarGolden:
         idxs = rng.integers(0, 256, size=150).astype(np.int64)
         deltas = rng.choice([-1, 1], size=150).astype(np.int64)
         sampler.update_many(idxs, deltas)
-        prefix = _suffix_cumsum(sampler.matrix.cells)
+        prefix = _suffix_cumsum(_limb_form(sampler.matrix.cells))
         fused = k.decode_prefix(prefix, randomness.universe, randomness.z)
         # The generic path: the scalar level scan of
         # RecoveryMatrix.recover with Python big-int fingerprints.

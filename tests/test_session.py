@@ -15,6 +15,8 @@ The contracts under test (ISSUE 4 acceptance):
 from __future__ import annotations
 
 import os
+import pickle
+import re
 import time
 
 import numpy as np
@@ -34,6 +36,8 @@ from repro.errors import (
     QueryError,
 )
 from repro.mpc import MPCConfig, SharedMemoryBackend, get_backend
+from repro.session import graph_session
+from repro.sketch import RecoveryPool
 from repro.streams import as_batches
 
 N = 48
@@ -497,13 +501,44 @@ class TestCheckpointRestore:
         restored.close()
 
     def test_bad_format_rejected(self, tmp_path):
-        import pickle
-
         path = os.fspath(tmp_path / "bad.ckpt")
         with open(path, "wb") as fh:
             pickle.dump({"format": 999}, fh)
         with pytest.raises(ConfigurationError, match="format"):
             GraphSession.restore(path)
+
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "garbage", "non-dict", "format-1"])
+    def test_unreadable_checkpoint_fails_by_name(self, tmp_path,
+                                                 monkeypatch, damage):
+        path = os.fspath(tmp_path / "damaged.ckpt")
+        if damage == "format-1":
+            # What the format-1 writer produced: a (count, 4, c, L) pool
+            # of two fingerprint limbs plus its mass counters.
+            monkeypatch.setattr(graph_session, "CHECKPOINT_FORMAT", 1)
+            monkeypatch.setattr(RecoveryPool, "__getstate__", lambda pool: (
+                pool.count, pool.columns, pool.levels,
+                np.zeros((pool.count, 4, pool.columns, pool.levels),
+                         dtype=np.int64),
+                0, np.zeros(pool.count, dtype=np.int64)))
+        session = GraphSession(N, tasks=("connectivity",),
+                               config=_config("sequential"))
+        session.ingest(_insert_stream(), batch_size=8)
+        session.checkpoint(path)
+        session.close()
+        monkeypatch.undo()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        data = {"truncated": data[:len(data) // 2],
+                "garbage": b"not a checkpoint\n" * 8,
+                "non-dict": pickle.dumps([1, 2, 3]),
+                "format-1": data}[damage]
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with pytest.raises(ConfigurationError, match=re.escape(path)) as err:
+            GraphSession.restore(path)
+        if damage == "format-1":
+            assert "format" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,17 @@ class TestRecoveryMatrix:
         apply_value(m, rnd, 5, 1)
         assert not m.column_is_zero(0)
 
+    def test_fingerprint_sees_a_vector_with_zero_w_and_s(self):
+        # x = e_1 - 2 e_2 + e_3 has W = 0 and S = 0; only F = z(1 - z)^2
+        # tells it from the zero vector.
+        rnd = randomness()
+        m = RecoveryMatrix(rnd.columns, rnd.levels)
+        for idx, delta in ((1, 1), (2, -2), (3, 1)):
+            apply_value(m, rnd, idx, delta)
+        assert not any(m.column_is_zero(c) for c in range(rnd.columns))
+        assert not m.column_is_zero_many().any()
+        assert not m.is_entirely_zero()
+
     def test_dense_vector_recovers_valid_support(self):
         rnd = randomness(universe=500)
         m = RecoveryMatrix(rnd.columns, rnd.levels)
