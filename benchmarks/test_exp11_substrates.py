@@ -1,8 +1,9 @@
 """EXP-11: substrate micro-benchmarks (classic pytest-benchmark).
 
 Wall-clock timings of the hot kernels under everything else: L0-sampler
-updates and merges, distributed Euler-tour batch splice/split, and the
-real message-passing sort.  These are the numbers a downstream user
+updates, graph-sketch ingestion and group merges through the production
+``SketchFamily`` entries, distributed Euler-tour batch splice/split, and
+the real message-passing sort.  These are the numbers a downstream user
 sizing a workload actually needs.
 """
 
@@ -33,13 +34,12 @@ def test_l0_update(benchmark, randomness):
     benchmark(update)
 
 
-def test_l0_merge_component(benchmark, randomness):
-    samplers = []
-    for i in range(64):
-        sampler = L0Sampler(randomness)
-        sampler.update(i * 101 % 500_000, 1)
-        samplers.append(sampler)
-    benchmark(lambda: L0Sampler.merged(samplers))
+def test_l0_merge_component(benchmark):
+    # One 64-member supernode: merge its rows, zero-test, recover.
+    family = SketchFamily(1024, columns=8, rng=np.random.default_rng(1))
+    us = np.arange(64, dtype=np.int64)
+    family.apply_edges_bulk(us, us * 7 % 960 + 64, np.ones(64, dtype=int))
+    benchmark(lambda: family.query_iteration_groups([us], 0))
 
 
 def test_l0_sample(benchmark, randomness):
@@ -52,12 +52,12 @@ def test_l0_sample(benchmark, randomness):
 def test_vertex_sketch_edge_update(benchmark):
     family = SketchFamily(1024, columns=8,
                           rng=np.random.default_rng(1))
-    sketch = family.new_vertex_sketch(0)
     counter = iter(range(1, 10 ** 9))
+    zero, one = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
 
     def update():
         v = next(counter) % 1023 + 1
-        sketch.apply_edge(0, v, 1)
+        family.apply_edges_bulk(zero, one * v, one)
 
     benchmark(update)
 

@@ -1163,9 +1163,8 @@ class SharedMemoryBackend(ExecutionBackend):
     def attach_pool(self, pool, randomness) -> PoolHandle:
         """Move ``pool`` into shared memory and register it everywhere.
 
-        Must be called before the pool hands out row views (the
-        :class:`~repro.sketch.graph_sketch.SketchFamily` constructor
-        guarantees this ordering); existing cell contents are preserved.
+        Existing cell contents are preserved (``adopt_buffer`` copies
+        them in), so a restored family can re-attach at any time.
         On a degraded backend there is no fleet to place the pool on:
         the handle simply routes every op through the in-process
         fallback, keeping attach usable after recovery gave up.

@@ -37,7 +37,7 @@ same batches.  Two mechanisms make that exact rather than approximate:
 Checkpoint / restore
 --------------------
 :meth:`GraphSession.checkpoint` serialises the full maintained state --
-sketch pools (pool-backed cell views survive as views), spawn-safe
+sketch pools (one private cell block per family), spawn-safe
 randomness params (``SamplerRandomness.from_params``), validator edge
 set, forests, metrics, and generator states -- to one file.
 :meth:`GraphSession.restore` rebuilds a live session on any backend;
@@ -46,6 +46,9 @@ answers, and all further ingestion, match the uninterrupted run.
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 import pickle
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Union
@@ -102,20 +105,60 @@ class SessionPhase:
         return self.route.rounds + task_rounds
 
 
+def _vertex_id(x, n: int) -> Optional[int]:
+    """``x`` as a vertex id of an ``n``-vertex graph, or ``None`` if it
+    is not one: not an integer (``bool`` included) or outside
+    ``[0, n)``.  It runs once per update and per ``connected`` endpoint,
+    so a plain ``int`` skips the general conversion."""
+    if type(x) is not int:
+        if isinstance(x, bool):
+            return None
+        try:
+            x = operator.index(x)
+        except TypeError:
+            return None
+    return x if 0 <= x < n else None
+
+
+def _check_update(up: Update, n: int) -> None:
+    """Reject an update that is not an edge of the ``n``-vertex graph
+    with a finite real weight (the sketch encoder and the MSF tasks
+    would fail on it mid-phase, or silently misread it)."""
+    w = up.weight
+    if (_vertex_id(up.u, n) is None or _vertex_id(up.v, n) is None
+            or not (type(w) is float or (isinstance(w, numbers.Real)
+                                         and not isinstance(w, bool)))
+            or not math.isfinite(w)):
+        raise InvalidUpdateError(
+            f"invalid update {up!r}: endpoints must be integers in "
+            f"[0, {n}) and the weight a finite real"
+        )
+
+
 def _as_update(item: UpdateLike) -> Update:
     """Coerce one ingestion item to an :class:`Update`.
 
     Accepted shapes: an :class:`Update` (passes through, the only way
     to express deletions), an ``(u, v)`` pair (insertion, unit weight),
-    or an ``(u, v, weight)`` triple (weighted insertion).
+    or an ``(u, v, weight)`` triple (weighted insertion).  Endpoints
+    must be integers (``operator.index``) and ``bool`` is refused; a
+    real weight is stored as a float, anything else is left for
+    :func:`_check_update` to reject.
     """
     if isinstance(item, Update):
         return item
-    if isinstance(item, (tuple, list)):
-        if len(item) == 2:
-            return ins(int(item[0]), int(item[1]))
-        if len(item) == 3:
-            return ins(int(item[0]), int(item[1]), float(item[2]))
+    if isinstance(item, (tuple, list)) and len(item) in (2, 3):
+        try:
+            if any(isinstance(x, bool) for x in item):
+                raise TypeError("bool is not a vertex id or a weight")
+            u, v = operator.index(item[0]), operator.index(item[1])
+            w = item[2] if len(item) == 3 else 1.0
+            return ins(u, v, float(w) if isinstance(w, numbers.Real)
+                       else w)
+        except (TypeError, ValueError) as exc:
+            raise InvalidUpdateError(
+                f"cannot interpret {item!r} as an update: {exc}"
+            ) from None
     raise InvalidUpdateError(
         f"cannot interpret {item!r} as an update; expected an Update, "
         "a (u, v) pair, or a (u, v, weight) triple"
@@ -299,7 +342,11 @@ class GraphSession:
                         "insertion-only theorem; remove it from the "
                         "session or keep the stream insertion-only"
                     )
-        # Once per phase for every task: stream validation ...
+        # Once per phase for every task: stream validation -- the
+        # boundary checks first, so no task sees a malformed update ...
+        n = self.n
+        for up in batch:
+            _check_update(up, n)
         self.validator.check_and_apply(batch)
         # ... and the route-updates charge, on the shared ledger.
         label = f"session-phase-{len(self.phases)}"
@@ -364,7 +411,14 @@ class GraphSession:
                 "no connectivity-maintaining task in this session "
                 f"(active: {self.tasks})"
             )
-        return alg.connected(u, v)
+        n = self.n
+        a, b = _vertex_id(u, n), _vertex_id(v, n)
+        if a is None or b is None:
+            raise QueryError(
+                f"connected({u!r}, {v!r}): vertex ids must be integers "
+                f"in [0, {n})"
+            )
+        return alg.connected(a, b)
 
     def num_components(self) -> int:
         alg = self._first_task("connectivity", "msf", "bipartiteness",
@@ -550,7 +604,7 @@ class GraphSession:
         """Serialise the full session state to ``path``.
 
         Everything needed to answer queries and continue the stream
-        goes in: sketch pools (views stay views of one pool), spawn-
+        goes in: sketch pools (each family's cell block, once), spawn-
         safe randomness params, validator edge set, forests/component
         ids, per-task stats and cursors, metrics ledgers, and generator
         states.  Process-local execution state (worker fleets, shared-

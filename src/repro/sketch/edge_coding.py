@@ -10,9 +10,8 @@ so row ``i`` holds the pairs ``(i, i+1) .. (i, n-1)``.  Decoding inverts
 the quadratic ``offset`` with an integer square root plus a local
 correction loop (exact for all inputs; property-tested round-trip).
 
-:func:`encode_edges` and :func:`edge_signs` are the array flavours used
-by the bulk ingestion path -- same coding, same sign convention, whole
-batches at a time.
+:func:`encode_edges` and :func:`decode_indices` are the array flavours
+used by the bulk paths -- same coding, whole batches at a time.
 """
 
 from __future__ import annotations
@@ -63,21 +62,6 @@ def encode_edges(n: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     if us.size and (int(i.min()) < 0 or int(j.max()) >= n):
         raise ValueError(f"edge endpoints out of range for n={n}")
     return i * n - i * (i + 1) // 2 + (j - i - 1)
-
-
-def edge_signs(vertex: int, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`edge_sign`: ``vertex``'s sign for every edge.
-
-    Every edge must have ``vertex`` as one of its endpoints; returns
-    the int64 array of ``+1`` / ``-1`` values.
-    """
-    us = np.asarray(us, dtype=np.int64)
-    vs = np.asarray(vs, dtype=np.int64)
-    hi = np.maximum(us, vs)
-    lo = np.minimum(us, vs)
-    if np.any((hi != vertex) & (lo != vertex)):
-        raise ValueError(f"vertex {vertex} is not an endpoint of every edge")
-    return np.where(hi == vertex, 1, -1).astype(np.int64)
 
 
 def decode_index(n: int, idx: int) -> Edge:

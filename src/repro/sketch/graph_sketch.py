@@ -3,27 +3,28 @@
 Paper, Section 3.1.  Every vertex ``v`` owns a vector ``X_v`` over the
 ``C(n, 2)`` pair coordinates with the sign convention of Lemma 3.3
 (``+1`` when ``v`` is the larger endpoint, ``-1`` when the smaller), and
-a mergeable L0-sampler of that vector.  For any vertex set ``A``, the sum
+a linear L0-sampler of that vector.  For any vertex set ``A``, the sum
 of the members' sketches is a sketch of ``X_A``, whose support is exactly
 the cut ``E(A, V \\ A)`` -- internal edges cancel.  Querying the merged
 sketch therefore returns a random cut edge (Lemma 3.5), the operation the
 connectivity algorithm uses to find replacement edges after deletions.
 
 :class:`SketchFamily` carries the shared randomness (one instance per
-algorithm), :class:`VertexSketch` is the per-vertex state.
+algorithm) and the sketches themselves: one
+:class:`~repro.sketch.sparse_recovery.RecoveryPool` row per vertex
+(vertex id = pool row).  The pool is the sketch -- there is no
+per-vertex object, and every read and write is a bulk call.
 
 Bulk ingestion
 --------------
-The per-vertex recovery cells live in one family-owned
-:class:`~repro.sketch.sparse_recovery.RecoveryPool` (vertex id = pool
-slot), so a batch of edge updates is ingested by
+A batch of edge updates is ingested by
 :meth:`SketchFamily.apply_edges_bulk` as a *single* group-by-endpoint
 scatter: hash all edge coordinates at once, emit one signed entry per
 (edge, endpoint), and let the pool accumulate every vertex's cells in
-one ``kernels.pool_scatter`` call.  This is bit-identical to calling
-:meth:`VertexSketch.apply_edge` per edge and endpoint -- the batch
-algorithms (``MPCConnectivity``, preload, MSF, bipartiteness) route
-their sketch updates through it.
+one ``kernels.pool_scatter`` call.  This is bit-identical to updating a
+standalone sampler per endpoint with ``edge_sign(endpoint, u, v) *
+delta`` -- the batch algorithms (``MPCConnectivity``, preload, MSF,
+bipartiteness) route their sketch updates through it.
 
 Bulk queries are the mirror image, and they have one shape:
 *membership groups*.  The deletion path only ever queries merged
@@ -36,8 +37,9 @@ single vertex is the size-1 group.  The two entries flatten the lists
 once into ``(members, glens)`` -- member rows back to back plus group
 lengths -- the only group shape below the family, from the backend
 protocol over the wire to :func:`repro.kernels.merge_groups`.  Both are
-bit-identical to the scalar reference, :class:`MergedSketch` over the
-member :class:`VertexSketch` stacks, which the tests use as oracle.
+bit-identical to the scalar queries of a standalone sampler holding the
+exact sum of the member rows, which the tests use as reference next to
+the exact cut of the live edge set.
 
 Execution backends
 ------------------
@@ -57,27 +59,19 @@ worker processes, bit-identically.
 from __future__ import annotations
 
 import weakref
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import SketchError
-from repro.sketch.edge_coding import (
-    decode_index,
-    decode_indices,
-    edge_sign,
-    edge_signs,
-    encode_edge,
-    encode_edges,
-    num_pairs,
-)
-from repro.sketch.l0_sampler import L0Sampler, SamplerRandomness
+from repro.sketch.edge_coding import decode_indices, encode_edges, num_pairs
+from repro.sketch.l0_sampler import SamplerRandomness
 from repro.sketch.sparse_recovery import RecoveryPool
 from repro.types import Edge
 
 
 class SketchFamily:
-    """Shared randomness + geometry for all vertex sketches of one run.
+    """Shared randomness, geometry and cells of one run's vertex sketches.
 
     ``columns`` plays the role of the paper's ``t = O(log n)``
     independent sketches per vertex: batch deletions consume one column
@@ -85,10 +79,9 @@ class SketchFamily:
     phases (``MPCConnectivity._column_cursor``) keeps reuse of revealed
     randomness bounded.
 
-    The family also owns the :class:`RecoveryPool` backing every
-    vertex sketch it hands out, which is what lets
-    :meth:`apply_edges_bulk` update all endpoints of a batch in single
-    array scatters.
+    The family also owns the :class:`RecoveryPool` holding every
+    vertex's sketch, which is what lets :meth:`apply_edges_bulk` update
+    all endpoints of a batch in single array scatters.
     """
 
     def __init__(self, n: int, columns: int, rng: np.random.Generator,
@@ -109,12 +102,12 @@ class SketchFamily:
     def attach_backend(self, backend=None) -> None:
         """Register this family's pool with an execution backend.
 
-        Called by ``__init__`` (before any vertex sketch views exist)
-        and by checkpoint restore (:mod:`repro.session`), where views
-        *do* already exist -- ``adopt_buffer`` re-points them if the
-        backend moves the cell block into shared memory.  A detach
-        finalizer releases worker mappings and segments when the family
-        goes away; :meth:`detach_backend` runs it deterministically.
+        Called by ``__init__`` and by checkpoint restore
+        (:mod:`repro.session`); the backend may move the pool's cell
+        block into shared memory (``adopt_buffer``), contents kept.  A
+        detach finalizer releases worker mappings and segments when the
+        family goes away; :meth:`detach_backend` runs it
+        deterministically.
         """
         # Lazy import: repro.mpc.backend imports the sketch layer for
         # its worker-side math, so the dependency must not be circular
@@ -136,7 +129,7 @@ class SketchFamily:
 
         Deterministic counterpart of the GC finalizer: worker-side pool
         mappings and shared-memory segments are released immediately.
-        The family keeps its cell contents (existing views stay
+        The family keeps its cell contents (``pool.cells`` stays
         readable) but must be re-attached before any further routed
         bulk work.  Used by ``GraphSession.close()``.
         """
@@ -167,12 +160,6 @@ class SketchFamily:
     @property
     def levels(self) -> int:
         return self.randomness.levels
-
-    def encode(self, u: int, v: int) -> int:
-        return encode_edge(self.n, u, v)
-
-    def decode(self, idx: int) -> Edge:
-        return decode_index(self.n, idx)
 
     def decode_many(self, idxs: np.ndarray) -> "List[Optional[Edge]]":
         """Decode sampled coordinates, passing ``-1`` through as ``None``.
@@ -242,22 +229,18 @@ class SketchFamily:
             )
         return members, glens
 
-    @staticmethod
-    def _broadcast_columns(column, k: int) -> np.ndarray:
-        """One shared column index or per-group array -> ``(k,)``."""
-        return np.ascontiguousarray(
+    def _broadcast_columns(self, column, k: int) -> np.ndarray:
+        """Validate one shared column index or per-group array into
+        ``(k,)`` columns in ``[0, columns)``."""
+        cols = np.ascontiguousarray(
             np.broadcast_to(np.asarray(column, dtype=np.int64), (k,))
         )
-
-    def new_vertex_sketch(self, vertex: int) -> "VertexSketch":
-        """The sketch stack of ``vertex``, backed by the family pool.
-
-        Call once per vertex: a second call for the same vertex
-        returns a *view of the same pool row* (including any
-        accumulated state), not a fresh zero sketch -- to reset a
-        vertex, zero its row instead of constructing a new sketch.
-        """
-        return VertexSketch(self, vertex)
+        if int(cols.min()) < 0 or int(cols.max()) >= self.columns:
+            raise SketchError(
+                f"sketch column outside the family's column range "
+                f"[0, {self.columns})"
+            )
+        return cols
 
     def apply_edges_bulk(self, us: np.ndarray, vs: np.ndarray,
                          deltas: np.ndarray) -> None:
@@ -268,12 +251,8 @@ class SketchFamily:
         ``{us[i], vs[i]}``, touching *both* endpoint sketches with the
         Lemma 3.3 signs.  The whole batch is hashed with the
         array-level field arithmetic and scattered into the family pool
-        in one pass per recovery quantity -- bit-identical to per-edge
-        :meth:`VertexSketch.apply_edge` calls, in any order.
-
-        Only the family's own pool-backed vertex sketches (the ones
-        from :meth:`new_vertex_sketch`) observe these updates; detached
-        copies do not.
+        in one pass -- bit-identical to per-edge, per-endpoint scalar
+        updates, in any order.
         """
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
@@ -320,98 +299,3 @@ class SketchFamily:
     def words_per_vertex(self) -> int:
         """Accounting size of one vertex's stack: 3 t L words."""
         return 3 * self.columns * self.randomness.levels
-
-
-class VertexSketch:
-    """The sketch stack ``S_v`` of a single vertex."""
-
-    __slots__ = ("family", "vertex", "sampler")
-
-    def __init__(self, family: SketchFamily, vertex: int,
-                 sampler: Optional[L0Sampler] = None):
-        self.family = family
-        self.vertex = vertex
-        self.sampler = sampler if sampler is not None else L0Sampler(
-            family.randomness, family.pool.matrix(vertex)
-        )
-
-    def apply_edge(self, u: int, v: int, delta: int) -> None:
-        """Record the insertion (+1) or deletion (-1) of edge ``{u, v}``.
-
-        The owner vertex must be an endpoint; the coordinate is updated
-        with the signed value ``edge_sign(owner) * delta``.
-        """
-        sign = edge_sign(self.vertex, u, v)
-        idx = self.family.encode(u, v)
-        self.sampler.update(idx, sign * delta)
-
-    def apply_edges(self, us: np.ndarray, vs: np.ndarray,
-                    deltas: np.ndarray) -> None:
-        """Bulk :meth:`apply_edge`: all edges must touch this vertex.
-
-        Vectorized signing + encoding + ingestion; bit-identical to the
-        per-edge loop.
-        """
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        deltas = np.asarray(deltas, dtype=np.int64)
-        if us.size == 0:
-            return
-        signs = edge_signs(self.vertex, us, vs)
-        idxs = encode_edges(self.family.n, us, vs)
-        self.sampler.update_many(idxs, signs * deltas)
-
-    def copy(self) -> "VertexSketch":
-        return VertexSketch(self.family, self.vertex, self.sampler.copy())
-
-    @property
-    def words(self) -> int:
-        return self.sampler.words
-
-
-class MergedSketch:
-    """The sketch ``S_A`` of a vertex set ``A`` (sum of member stacks).
-
-    Query helpers mirror Lemma 3.5: :meth:`sample_cut_edge` returns an
-    edge of ``E(A, V \\ A)`` or ``None``, and :meth:`cut_is_empty`
-    distinguishes the empty cut from sampler failure (w.h.p.).
-    """
-
-    __slots__ = ("family", "sampler")
-
-    def __init__(self, family: SketchFamily, sampler: L0Sampler):
-        self.family = family
-        self.sampler = sampler
-
-    @staticmethod
-    def of(members: Iterable[VertexSketch]) -> "MergedSketch":
-        stacks: List[VertexSketch] = list(members)
-        if not stacks:
-            raise ValueError("cannot merge an empty vertex set")
-        family = stacks[0].family
-        for stack in stacks:
-            if stack.family is not family:
-                raise ValueError("vertex sketches from different families")
-        merged = L0Sampler.merged([s.sampler for s in stacks])
-        return MergedSketch(family, merged)
-
-    def sample_cut_edge(self, column: int = 0) -> Optional[Edge]:
-        """A random edge crossing the cut, using one sampler column."""
-        idx = self.sampler.sample_column(column % self.family.columns)
-        if idx is None:
-            return None
-        return self.family.decode(idx)
-
-    def sample_cut_edge_any(self, start_column: int = 0) -> Optional[Edge]:
-        """Try every column; ``None`` only if all fail (or cut empty)."""
-        idx = self.sampler.sample(start_column=start_column)
-        if idx is None:
-            return None
-        return self.family.decode(idx)
-
-    def cut_is_empty(self) -> bool:
-        return self.sampler.is_zero()
-
-    @property
-    def words(self) -> int:
-        return self.sampler.words

@@ -5,7 +5,8 @@ An :class:`L0Sampler` receives ``+-1`` updates to a vector ``x`` over
 support (or ``None`` for the zero vector / the small failure event).
 It is *linear*: adding two samplers' states gives a sampler for the sum
 of their vectors (Remark 3.2) -- the property every algorithm in the
-paper leans on.
+paper leans on; for the graph sketches that addition is
+:func:`repro.kernels.merge_groups` over pool rows.
 
 Construction: ``columns`` independent repetitions; in each column a
 pairwise-independent hash assigns every coordinate a geometric level
@@ -28,8 +29,9 @@ shape the AGM halving iterations consume (one column across all live
 supernodes per iteration) and the only bulk query the execution
 backends route.  The scalar methods (:meth:`L0Sampler.update`,
 :meth:`~L0Sampler.sample_column`, :meth:`~L0Sampler.is_zero`) stay as
-the size-1 production shortcut and as the oracle the bulk paths are
-tested against.
+the size-1 production shortcut and as the reference the bulk paths are
+tested against: a standalone sampler holding the exact sum of a
+group's pool rows answers what the group route must answer.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from typing import List, Optional
 import numpy as np
 
 from repro import kernels as _kernels
-from repro.errors import SketchError
 from repro.sketch.hashing import (
     LRUMemo,
     MERSENNE_P,
@@ -272,7 +273,7 @@ def update_grouped(samplers, randomness: SamplerRandomness,
 
 
 class L0Sampler:
-    """A mergeable L0-sampler for one vector.
+    """A linear L0-sampler for one vector.
 
     Use :meth:`update` / :meth:`update_many` during the stream,
     :meth:`sample` on query.  ``sample`` returns ``None`` both for the
@@ -283,12 +284,9 @@ class L0Sampler:
 
     __slots__ = ("randomness", "matrix")
 
-    def __init__(self, randomness: SamplerRandomness,
-                 matrix: Optional[RecoveryMatrix] = None):
+    def __init__(self, randomness: SamplerRandomness):
         self.randomness = randomness
-        self.matrix = matrix if matrix is not None else RecoveryMatrix(
-            randomness.columns, randomness.levels
-        )
+        self.matrix = RecoveryMatrix(randomness.columns, randomness.levels)
 
     # ------------------------------------------------------------------
     def update(self, idx: int, delta: int) -> None:
@@ -338,34 +336,6 @@ class L0Sampler:
         self.matrix.apply_many(
             self.randomness.levels_of_many(idxs), idxs, deltas,
             self.randomness.zpow_many(idxs),
-        )
-
-    def merge_from(self, other: "L0Sampler") -> None:
-        if other.randomness is not self.randomness:
-            raise SketchError(
-                "samplers built from different randomness cannot be merged"
-            )
-        self.matrix.merge_from(other.matrix)
-
-    def copy(self) -> "L0Sampler":
-        return L0Sampler(self.randomness, self.matrix.copy())
-
-    @staticmethod
-    def merged(samplers: "list[L0Sampler]") -> "L0Sampler":
-        """A fresh sampler holding the sum of the given samplers.
-
-        Empty input or mixed randomness raises
-        :class:`~repro.errors.SketchError`.
-        """
-        if not samplers:
-            raise SketchError("need at least one sampler")
-        randomness = samplers[0].randomness
-        for sampler in samplers:
-            if sampler.randomness is not randomness:
-                raise SketchError("mixed randomness in merge")
-        return L0Sampler(
-            randomness,
-            RecoveryMatrix.sum_of([s.matrix for s in samplers]),
         )
 
     # ------------------------------------------------------------------

@@ -80,3 +80,66 @@ def family_pair(backend, n=40, columns=6, seed=9):
                   for b in ("sequential", backend))
     assert seq.randomness.params() == other.randomness.params()
     return seq, other
+
+
+def exact_group_answers(family, groups, cols, live):
+    """Exact references for a group query on ``family``'s pool.
+
+    Per group, a standalone ``L0Sampler`` whose cells are the exact sum
+    of the member rows (``W`` and ``S`` as Python-int sums, ``F`` as the
+    Python-int sum mod p) answers the zero test and decodes the asked
+    column with the scalar scan: the bit-identical reference for
+    ``query_iteration_groups`` / ``cuts_empty_groups``.  The group's cut
+    in the live edge set ``live`` checks that reference in turn: a group
+    is zero exactly when its cut is empty, and a recovered edge lies in
+    the cut.  Returns ``(zeros, found)``, ``found`` -1 where nothing is
+    recovered.
+    """
+    from repro.sketch import MERSENNE_P, L0Sampler, decode_index
+
+    zeros, found = [], []
+    for group, col in zip(groups, np.broadcast_to(cols, (len(groups),))):
+        total = family.pool.cells[np.asarray(group)].astype(object).sum(0)
+        total[2] %= MERSENNE_P
+        sampler = L0Sampler(family.randomness)
+        sampler.matrix.cells[...] = total
+        side = {int(v) for v in group}
+        cut = {e for e in live if (e[0] in side) != (e[1] in side)}
+        zero = sampler.is_zero()
+        idx = None if zero else sampler.sample_column(int(col))
+        assert zero == (not cut)
+        assert idx is None or decode_index(family.n, idx) in cut
+        zeros.append(zero)
+        found.append(-1 if idx is None else idx)
+    return np.array(zeros, dtype=bool), np.array(found, dtype=np.int64)
+
+
+def check_groups(families, groups, cols, live):
+    """Query ``groups`` on every family (one per backend) and assert
+    that both group entries answer exactly :func:`exact_group_answers`;
+    returns the shared ``(zeros, edges)``."""
+    want_zeros, want_found = exact_group_answers(families[0], groups, cols,
+                                                 live)
+    for family in families:
+        zeros, edges = family.query_iteration_groups(groups, cols)
+        assert zeros.tolist() == want_zeros.tolist()
+        assert family.cuts_empty_groups(groups).tolist() == \
+            want_zeros.tolist()
+        assert edges == family.decode_many(want_found)
+    return zeros.tolist(), edges
+
+
+def replay_rows(family, updates):
+    """The per-vertex scalar replay of signed edge updates ``(u, v,
+    delta)``: one standalone sampler per vertex from ``family``'s
+    randomness, updated with ``edge_sign(x, u, v) * delta`` at both
+    endpoints -- the reference for the pool's bulk ingestion, stacked
+    like ``family.pool.cells``."""
+    from repro.sketch import L0Sampler, edge_sign, encode_edge
+
+    samplers = [L0Sampler(family.randomness) for _ in range(family.n)]
+    for u, v, delta in updates:
+        idx = encode_edge(family.n, int(u), int(v))
+        for x in (int(u), int(v)):
+            samplers[x].update(idx, edge_sign(x, u, v) * int(delta))
+    return np.stack([s.matrix.cells for s in samplers])

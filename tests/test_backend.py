@@ -2,8 +2,8 @@
 
 The contract under test (see :mod:`repro.mpc.backend`): the
 ``shared_memory`` backend is *bit-identical* to the ``sequential`` one
--- same pool cells after any mix of bulk and scalar updates, same query
-answers, and therefore identical end-to-end behaviour of every
+-- same pool cells after any mix of insert and delete batches, same
+query answers, and therefore identical end-to-end behaviour of every
 algorithm built on the sketches -- while worker failures surface as
 :class:`~repro.errors.SketchError` instead of hangs or corruption.
 """
@@ -15,7 +15,13 @@ import pickle
 import numpy as np
 import pytest
 
-from tests.conftest import edge_arrays, family_pair, make_valid_batch
+from tests.conftest import (
+    check_groups,
+    edge_arrays,
+    family_pair,
+    make_valid_batch,
+    replay_rows,
+)
 from repro.baselines.agm_static import AGMStaticConnectivity
 from repro.core import MPCConnectivity
 from repro.core.bipartiteness import DynamicBipartiteness
@@ -35,7 +41,6 @@ from repro.mpc.backend import (
 from repro.mpc.faults import ROUTED_OPS, FaultPlan
 from repro.sketch import (
     FourWiseHash,
-    MergedSketch,
     PairwiseHash,
     SamplerRandomness,
     SketchFamily,
@@ -167,53 +172,39 @@ class TestPoolParity:
         assert np.array_equal(seq.pool.cells, shm.pool.cells)
 
     def test_scalar_and_bulk_mix_bit_identical(self, shared_backend):
+        # Interleaved insert and delete batches, on both backends, land
+        # on the per-vertex scalar replay row for row.
         seq, shm = family_pair(shared_backend)
-        seq_sk = {v: seq.new_vertex_sketch(v) for v in range(40)}
-        shm_sk = {v: shm.new_vertex_sketch(v) for v in range(40)}
         us, vs = edge_arrays(40, 30)
-        ones = np.ones(30, dtype=np.int64)
-        seq.apply_edges_bulk(us, vs, ones)
-        shm.apply_edges_bulk(us, vs, ones)
-        # Scalar updates write the (possibly shared-memory) pool rows
-        # directly from the parent -- same cells either way.
-        for u, v in ((1, 2), (5, 38), (0, 39)):
-            for sketches in (seq_sk, shm_sk):
-                sketches[u].apply_edge(u, v, +1)
-                sketches[v].apply_edge(u, v, +1)
-        seq.apply_edges_bulk(us[:9], vs[:9], -ones[:9])
-        shm.apply_edges_bulk(us[:9], vs[:9], -ones[:9])
+        log = []
+        for rows, delta in ((slice(0, 20), 1), (slice(0, 9), -1),
+                            (slice(20, 30), 1), (slice(3, 9), 1),
+                            (slice(25, 30), -1)):
+            deltas = np.full(us[rows].shape, delta, dtype=np.int64)
+            seq.apply_edges_bulk(us[rows], vs[rows], deltas)
+            shm.apply_edges_bulk(us[rows], vs[rows], deltas)
+            log += [(u, v, delta) for u, v in zip(us[rows], vs[rows])]
         assert np.array_equal(seq.pool.cells, shm.pool.cells)
+        assert np.array_equal(seq.pool.cells, replay_rows(seq, log))
 
     def test_query_routes_bit_identical(self, shared_backend):
         # Every vertex as its own size-1 group (the shape the static
         # AGM contraction starts from), on both backends, against the
-        # scalar per-vertex sketch.
+        # exact references.
         seq, shm = family_pair(shared_backend)
-        oracle = [seq.new_vertex_sketch(v).sampler for v in range(40)]
         us, vs = edge_arrays(40, 60)
         ones = np.ones(60, dtype=np.int64)
         seq.apply_edges_bulk(us, vs, ones)
         shm.apply_edges_bulk(us, vs, ones)
+        live = set(zip(us.tolist(), vs.tolist()))
         singletons = [np.array([v]) for v in range(40)]
-
-        zeros_ref = [s.is_zero() for s in oracle]
         for column in range(seq.columns):
-            z_seq, e_seq = seq.query_iteration_groups(singletons, column)
-            z_shm, e_shm = shm.query_iteration_groups(singletons, column)
-            assert z_seq.tolist() == z_shm.tolist() == zeros_ref
-            assert e_seq == e_shm == [
-                None if (idx := s.sample_column(column)) is None
-                else seq.decode(idx)
-                for s in oracle
-            ]
-        assert seq.cuts_empty_groups(singletons).tolist() == zeros_ref
-        assert shm.cuts_empty_groups(singletons).tolist() == zeros_ref
+            check_groups((seq, shm), singletons, column, live)
 
     def test_subset_and_repeated_slots(self, shared_backend):
         # Groups may overlap, repeat, and list members in any order:
         # workers only read pool rows, so placement is free.
         seq, shm = family_pair(shared_backend)
-        sketches = [seq.new_vertex_sketch(v) for v in range(40)]
         us, vs = edge_arrays(40, 50)
         ones = np.ones(50, dtype=np.int64)
         seq.apply_edges_bulk(us, vs, ones)
@@ -221,15 +212,8 @@ class TestPoolParity:
         groups = [np.array([7, 3]), np.array([3, 7]), np.array([39]),
                   np.array([0, 21, 7]), np.array([39]),
                   np.array([21, 0, 7])]
-        z_seq, e_seq = seq.query_iteration_groups(groups, 1)
-        z_shm, e_shm = shm.query_iteration_groups(groups, 1)
-        assert np.array_equal(z_seq, z_shm)
-        assert e_seq == e_shm
-        merged = [MergedSketch.of([sketches[int(v)] for v in group])
-                  for group in groups]
-        assert z_seq.tolist() == [m.cut_is_empty() for m in merged]
-        assert e_seq == [None if m.cut_is_empty()
-                         else m.sample_cut_edge(1) for m in merged]
+        check_groups((seq, shm), groups, 1, set(zip(us.tolist(),
+                                                    vs.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -346,41 +330,31 @@ class TestGroupRouting:
         ones = np.ones(k, dtype=np.int64)
         seq.apply_edges_bulk(us, vs, ones)
         shm.apply_edges_bulk(us, vs, ones)
-        return seq, shm
-
-    @staticmethod
-    def _oracle(family, members) -> MergedSketch:
-        """The scalar reference: parent-side merge of member stacks."""
-        return MergedSketch.of([family.new_vertex_sketch(int(v))
-                                for v in members])
+        return seq, shm, set(zip(us.tolist(), vs.tolist()))
 
     def test_group_queries_match_materialised_merges(self, shared_backend):
-        seq, shm = self._loaded_pair(shared_backend)
+        seq, shm, live = self._loaded_pair(shared_backend)
         groups = [np.array([0, 1, 2, 3]), np.array([10]),
                   np.array([20, 25, 30, 35, 39]), np.array([4, 5])]
         for column in range(seq.columns):
-            z_seq, e_seq = seq.query_iteration_groups(groups, column)
-            z_shm, e_shm = shm.query_iteration_groups(groups, column)
-            assert np.array_equal(z_seq, z_shm)
-            assert e_seq == e_shm
-            # Ground truth: the scalar merged-sketch queries.
-            merged = [self._oracle(seq, group) for group in groups]
-            assert z_seq.tolist() == [m.cut_is_empty() for m in merged]
-            assert e_seq == [None if m.cut_is_empty()
-                             else m.sample_cut_edge(column)
-                             for m in merged]
-        empty_ref = [self._oracle(seq, g).cut_is_empty() for g in groups]
-        assert seq.cuts_empty_groups(groups).tolist() == empty_ref
-        assert shm.cuts_empty_groups(groups).tolist() == empty_ref
+            check_groups((seq, shm), groups, column, live)
+        check_groups((seq, shm), groups, np.arange(4), live)
 
     def test_group_validation(self, shared_backend):
-        seq, _ = family_pair(shared_backend)
-        with pytest.raises(SketchError, match="empty"):
-            seq.query_iteration_groups([np.array([], dtype=np.int64)], 0)
-        with pytest.raises(SketchError, match="vertex range"):
-            seq.cuts_empty_groups([np.array([0, 40])])
-        zeros, edges = seq.query_iteration_groups([], 0)
-        assert zeros.shape == (0,) and edges == []
+        pair = [np.array([0]), np.array([1])]
+        for family in family_pair(shared_backend):
+            with pytest.raises(SketchError, match="empty"):
+                family.query_iteration_groups(
+                    [np.array([], dtype=np.int64)], 0)
+            with pytest.raises(SketchError, match="vertex range"):
+                family.cuts_empty_groups([np.array([0, 40])])
+            # Columns outside [0, 6) are refused in the parent, before
+            # dispatch: -1 would read column 5, 6 would fail a worker.
+            for column in (-1, 6, [0, 6], [-1, 2]):
+                with pytest.raises(SketchError, match="column range"):
+                    family.query_iteration_groups(pair, column)
+            zeros, edges = family.query_iteration_groups([], 0)
+            assert zeros.shape == (0,) and edges == []
 
     def test_detached_family_raises_named_error(self):
         family = SketchFamily(8, columns=3, rng=np.random.default_rng(0),
@@ -396,7 +370,7 @@ class TestGroupRouting:
         assert family.cuts_empty_groups([one]).tolist() == [True]
 
     def test_group_split_spreads_over_workers(self, shared_backend):
-        _, shm = self._loaded_pair(shared_backend, seed=23)
+        _, shm, _ = self._loaded_pair(shared_backend, seed=23)
         groups = [np.arange(10), np.arange(10, 20), np.arange(20, 30),
                   np.arange(30, 40)]
         shm.query_iteration_groups(groups, 0)

@@ -2,10 +2,11 @@
 
 Every layer of the vectorized pipeline -- limb-arithmetic field
 evaluation, level hashing, ``z^idx`` powers, recovery-cell scatters,
-per-vertex bulk updates, and the family-level group-by-endpoint router
--- is checked against its scalar counterpart on random update
-sequences: same recovery state (materialized ``W``/``S``/``F``), same
-``sample()`` / ``is_zero()`` outcomes, and mergeability preserved.
+and the family-level group-by-endpoint router -- is checked against its
+scalar counterpart on random update sequences: the same cell words
+(residues are canonical, so equal cells are equal sketches) and the
+same ``sample()`` / ``is_zero()`` outcomes.  The router's reference is
+the per-vertex scalar replay of ``tests.conftest.replay_rows``.
 """
 
 import numpy as np
@@ -22,22 +23,16 @@ from repro.sketch import (
     L0Sampler,
     PairwiseHash,
     RecoveryMatrix,
+    RecoveryPool,
     SamplerRandomness,
     SketchFamily,
-    edge_sign,
-    edge_signs,
     encode_edge,
     encode_edges,
+    query_cells,
     trailing_zeros,
 )
 from repro.streams import ChurnStream
-from tests.conftest import random_edges
-
-
-def assert_same_state(a: RecoveryMatrix, b: RecoveryMatrix):
-    assert np.array_equal(a.W, b.W)
-    assert np.array_equal(a.S, b.S)
-    assert np.array_equal(a.F, b.F)
+from tests.conftest import random_edges, replay_rows
 
 
 class TestFieldArithmetic:
@@ -110,17 +105,6 @@ class TestEdgeCodingBulk:
         with pytest.raises(ValueError):
             encode_edges(10, np.array([-1]), np.array([3]))
 
-    def test_edge_signs_matches_scalar(self):
-        us = np.array([5, 5, 5, 0])
-        vs = np.array([1, 9, 7, 5])
-        got = edge_signs(5, us, vs)
-        assert [int(g) for g in got] == [edge_sign(5, int(u), int(v))
-                                         for u, v in zip(us, vs)]
-
-    def test_edge_signs_rejects_non_endpoint(self):
-        with pytest.raises(ValueError):
-            edge_signs(3, np.array([1]), np.array([2]))
-
 
 class TestRandomnessBulk:
     def test_levels_of_many_matches_scalar(self, rng):
@@ -160,7 +144,7 @@ class TestRecoveryMatrixBulk:
         bulk = RecoveryMatrix(rnd.columns, rnd.levels)
         bulk.apply_many(rnd.levels_of_many(idxs), idxs, deltas,
                         rnd.zpow_many(idxs))
-        assert_same_state(seq, bulk)
+        assert np.array_equal(seq.cells, bulk.cells)
         for col in range(rnd.columns):
             assert (seq.recover(col, 5000, rnd.fingerprint_ok)
                     == bulk.recover(col, 5000, rnd.fingerprint_ok))
@@ -178,7 +162,7 @@ class TestL0SamplerBulk:
             seq.update(int(idx), int(delta))
         bulk = L0Sampler(rnd)
         bulk.update_many(idxs, deltas)
-        assert_same_state(seq.matrix, bulk.matrix)
+        assert np.array_equal(seq.matrix.cells, bulk.matrix.cells)
         assert seq.sample() == bulk.sample()
         assert seq.is_zero() == bulk.is_zero()
 
@@ -190,24 +174,33 @@ class TestL0SamplerBulk:
             sampler.update_many(np.array([-1]), np.array([1]))
 
     def test_mergeability_preserved(self, rng):
-        """update_many then merge_from == interleaved single updates."""
+        """Bulk updates into two pool rows, merged by the production
+        group merge, equal interleaved single updates of one sampler."""
         rnd = SamplerRandomness(1000, 4, rng)
         stream_rng = np.random.default_rng(11)
-        part_a = stream_rng.integers(0, 1000, 80).astype(np.int64)
-        part_b = stream_rng.integers(0, 1000, 80).astype(np.int64)
-        signs_a = stream_rng.choice([-1, 1], 80).astype(np.int64)
-        signs_b = stream_rng.choice([-1, 1], 80).astype(np.int64)
-        a = L0Sampler(rnd)
-        a.update_many(part_a, signs_a)
-        b = L0Sampler(rnd)
-        b.update_many(part_b, signs_b)
-        a.merge_from(b)
+        idxs = stream_rng.integers(0, 1000, (2, 80)).astype(np.int64)
+        signs = stream_rng.choice([-1, 1], (2, 80)).astype(np.int64)
+        pool = RecoveryPool(2, rnd.columns, rnd.levels)
+        flat = idxs.ravel()
+        pool.apply_points(np.repeat(np.arange(2), 80),
+                          rnd.levels_of_many(flat), flat, signs.ravel(),
+                          rnd.zpow_many(flat))
         interleaved = L0Sampler(rnd)
         for i in range(80):
-            interleaved.update(int(part_a[i]), int(signs_a[i]))
-            interleaved.update(int(part_b[i]), int(signs_b[i]))
-        assert_same_state(a.matrix, interleaved.matrix)
-        assert a.sample() == interleaved.sample()
+            interleaved.update(int(idxs[0, i]), int(signs[0, i]))
+            interleaved.update(int(idxs[1, i]), int(signs[1, i]))
+        k, cols = rnd.columns, np.arange(rnd.columns)
+        merged = kernels.merge_groups(pool.cells, np.tile(np.arange(2), k),
+                                      np.full(k, 2), cols)
+        want = kernels.merge_groups(interleaved.matrix.cells[None],
+                                    np.zeros(k, dtype=np.int64),
+                                    np.ones(k, dtype=np.int64), cols)
+        assert np.array_equal(merged[:, :2], want[:, :2])
+        assert np.array_equal(
+            kernels.combine_limbs(merged[:, 2], merged[:, 3]),
+            kernels.combine_limbs(want[:, 2], want[:, 3]))
+        assert (query_cells(merged, rnd)[1].tolist()
+                == interleaved.sample_columns(cols).tolist())
 
     def test_cancellation_through_bulk_path(self, rng):
         rnd = SamplerRandomness(500, 4, rng)
@@ -216,55 +209,36 @@ class TestL0SamplerBulk:
         sampler.update_many(idxs, np.ones(len(idxs), dtype=np.int64))
         sampler.update_many(idxs, -np.ones(len(idxs), dtype=np.int64))
         assert sampler.is_zero()
-        assert sampler.matrix.is_entirely_zero()
+        assert not sampler.matrix.cells.any()
 
 
 class TestVertexAndFamilyBulk:
     def test_apply_edges_matches_apply_edge(self):
-        n = 64
-        family = SketchFamily(n, columns=5,
-                              rng=np.random.default_rng(3))
-        twin = SketchFamily(n, columns=5, rng=np.random.default_rng(3))
-        edges = [(0, v) for v in range(1, 40)]
-        seq = family.new_vertex_sketch(0)
-        for u, v in edges:
-            seq.apply_edge(u, v, +1)
-        bulk = twin.new_vertex_sketch(0)
-        bulk.apply_edges(np.array([u for u, _ in edges]),
-                         np.array([v for _, v in edges]),
-                         np.ones(len(edges), dtype=np.int64))
-        assert_same_state(seq.sampler.matrix, bulk.sampler.matrix)
+        # A star batch through the router equals per-edge scalar updates.
+        family = SketchFamily(64, columns=5, rng=np.random.default_rng(3))
+        edges = [(0, v, 1) for v in range(1, 40)]
+        us, vs, ds = (np.array(c, dtype=np.int64) for c in zip(*edges))
+        family.apply_edges_bulk(us, vs, ds)
+        assert np.array_equal(family.pool.cells, replay_rows(family, edges))
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_family_router_matches_per_edge(self, seed):
         n = 96
         count = 150
-        family_seq = SketchFamily(n, columns=6,
-                                  rng=np.random.default_rng(17))
-        family_bulk = SketchFamily(n, columns=6,
-                                   rng=np.random.default_rng(17))
-        sk = {v: family_seq.new_vertex_sketch(v) for v in range(n)}
-        _ = {v: family_bulk.new_vertex_sketch(v) for v in range(n)}
+        family = SketchFamily(n, columns=6, rng=np.random.default_rng(17))
         edges = random_edges(n, count, seed=seed)
-        deltas_rng = np.random.default_rng(seed + 100)
         # Insert everything, then delete a random half: ingestion must
         # agree through churn, not just fresh inserts.
-        half = deltas_rng.permutation(count)[: count // 2]
+        half = np.random.default_rng(seed + 100).permutation(count)
+        half = half[: count // 2]
         us = np.array([u for u, _ in edges])
         vs = np.array([v for _, v in edges])
-        for u, v in edges:
-            sk[u].apply_edge(u, v, +1)
-            sk[v].apply_edge(u, v, +1)
-        for i in half:
-            u, v = edges[int(i)]
-            sk[u].apply_edge(u, v, -1)
-            sk[v].apply_edge(u, v, -1)
-        family_bulk.apply_edges_bulk(us, vs,
-                                     np.ones(count, dtype=np.int64))
-        family_bulk.apply_edges_bulk(us[half], vs[half],
-                                     -np.ones(len(half), dtype=np.int64))
-        assert np.array_equal(family_seq.pool.cells,
-                              family_bulk.pool.cells)
+        family.apply_edges_bulk(us, vs, np.ones(count, dtype=np.int64))
+        family.apply_edges_bulk(us[half], vs[half],
+                                -np.ones(len(half), dtype=np.int64))
+        log = [(u, v, 1) for u, v in edges]
+        log += [(*edges[int(i)], -1) for i in half]
+        assert np.array_equal(family.pool.cells, replay_rows(family, log))
 
     def test_router_is_order_independent(self):
         n = 32
@@ -291,22 +265,21 @@ class TestAlgorithmLevelEquivalence:
     def test_mpc_connectivity_sketches_match_manual_per_edge(self):
         """Batch phases leave exactly the per-edge sketch state.
 
-        The twin family reproduces the algorithm's sketch randomness
-        (the cluster rng seeded with ``config.seed`` feeds the family
-        first), then replays every update through the scalar
-        ``apply_edge`` path.
+        The replay reference reproduces the algorithm's sketch
+        randomness (the cluster rng seeded with ``config.seed`` feeds
+        the family first), then replays every update per endpoint
+        through standalone scalar samplers.
         """
         config = MPCConfig(n=48, phi=0.5, seed=5)
         alg = MPCConnectivity(config)
         twin = SketchFamily(48, columns=alg.family.columns,
                             rng=np.random.default_rng(config.seed))
-        replay = {v: twin.new_vertex_sketch(v) for v in range(48)}
         stream = ChurnStream(48, seed=3, delete_fraction=0.3,
                              target_edges=96)
+        log = []
         for batch in stream.batches(6, 16):
             alg.apply_batch(batch)
-            for up in batch:
-                delta = 1 if up.is_insert else -1
-                replay[up.u].apply_edge(up.u, up.v, delta)
-                replay[up.v].apply_edge(up.u, up.v, delta)
-        assert np.array_equal(alg.family.pool.cells, twin.pool.cells)
+            log += [(up.u, up.v, 1 if up.is_insert else -1)
+                    for up in batch]
+        assert np.array_equal(alg.family.pool.cells,
+                              replay_rows(twin, log))

@@ -6,9 +6,9 @@ of the vectorized recovery pipeline -- prefix decoding
 zero tests, many-column sampler queries (``sample_columns``), and the
 vectorized edge decoding -- is checked against its scalar counterpart
 across random update/delete streams (the family-level group router is
-checked against the same scalar oracle in ``tests/test_backend.py``).
-Also covers the query-path papercuts: shape validation in ``sum_of``,
-LRU hash memos, and the AGM column-cursor no-op fix.
+checked against exact references in ``tests/test_backend.py``).  Also
+covers the query-path papercuts: LRU hash memos and the AGM
+column-cursor no-op fix.
 """
 
 import numpy as np
@@ -24,6 +24,7 @@ from repro.sketch import (
     MERSENNE_P,
     RecoveryMatrix,
     SamplerRandomness,
+    SketchFamily,
     decode_index,
     decode_indices,
     query_cells,
@@ -83,16 +84,20 @@ class TestRecoverManyEquivalence:
 
     @pytest.mark.parametrize("cancel", [False, True])
     def test_column_is_zero_many_matches_scalar(self, cancel, rng):
+        # The many-column zero test of the group route
+        # (``kernels.is_zero_cells`` over stacked columns) against the
+        # scalar per-column test, for every column and a reordered subset.
         rnd = SamplerRandomness(800, 7, rng)
         sampler = churn_sampler(rnd, 5, count=90, cancel=cancel)
-        got = sampler.matrix.column_is_zero_many()
-        expected = [sampler.matrix.column_is_zero(c)
-                    for c in range(rnd.columns)]
-        assert [bool(g) for g in got] == expected
-        subset = np.array([2, 0, 5], dtype=np.int64)
-        got_subset = sampler.matrix.column_is_zero_many(subset)
-        assert [bool(g) for g in got_subset] == [expected[2], expected[0],
-                                                 expected[5]]
+        cols = np.array([*range(rnd.columns), 2, 0, 5], dtype=np.int64)
+        k = len(cols)
+        stack = kernels.merge_groups(sampler.matrix.cells[None],
+                                     np.zeros(k, dtype=np.int64),
+                                     np.ones(k, dtype=np.int64), cols)
+        got = kernels.is_zero_cells(stack)
+        assert got.tolist() == [sampler.matrix.column_is_zero(int(c))
+                                for c in cols]
+        assert got.tolist() == [cancel] * k
 
 
 class TestSamplerBatchQueries:
@@ -172,19 +177,14 @@ class TestDecodeIndicesBulk:
 
 
 class TestMergeValidationAndScratch:
-    def test_sum_of_mixed_shapes_raises_sketch_error(self):
-        with pytest.raises(SketchError):
-            RecoveryMatrix.sum_of([RecoveryMatrix(2, 3),
-                                   RecoveryMatrix(2, 4)])
-        with pytest.raises(SketchError):
-            RecoveryMatrix.sum_of([RecoveryMatrix(2, 3),
-                                   RecoveryMatrix(3, 3)])
-
     def test_sum_of_empty_raises_sketch_error(self):
-        with pytest.raises(SketchError):
-            RecoveryMatrix.sum_of([])
-        with pytest.raises(SketchError):
-            L0Sampler.merged([])
+        # Summing no rows is refused by both group entries.
+        family = SketchFamily(8, columns=2, rng=np.random.default_rng(0))
+        empty = [np.array([], dtype=np.int64)]
+        with pytest.raises(SketchError, match="empty"):
+            family.query_iteration_groups(empty, 0)
+        with pytest.raises(SketchError, match="empty"):
+            family.cuts_empty_groups(empty)
 
     def test_sketch_error_is_value_error(self):
         # Backwards compatibility: callers catching ValueError still do.

@@ -7,14 +7,14 @@ path (``kernels.merge_groups`` gathering one column per group, the
 zero test on that column) is exact only because of it, so:
 
 * a hypothesis property drives every write path -- scalar and bulk
-  matrix updates, the family's bulk edge router and merges in both
-  directions -- and checks the invariant, and that every stored
-  fingerprint is a canonical residue, on every row afterwards;
+  matrix updates and the family's bulk edge router -- and checks the
+  invariant, and that every stored fingerprint is a canonical residue,
+  on every row afterwards;
 * a differential test checks the routed ``gquery`` / ``gzero`` answers
-  on a churned pool against an in-test reference that sums the *full*
-  member rows, zero-tests every column and decodes the asked column with
-  the scalar big-int scan -- on the sequential backend and on a
-  2-worker shared-memory fleet, so the worker path is compared too.
+  on a churned pool against ``exact_group_answers``: the Python-int sum
+  of the *full* member rows, decoded with the scalar big-int scan, and
+  the exact cut of the live edge set -- on the sequential backend and on
+  a 2-worker shared-memory fleet, so the worker path is compared too.
 """
 
 import numpy as np
@@ -23,7 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mpc.backend import _execute_op, get_backend
-from repro.sketch import MERSENNE_P, L0Sampler, RecoveryMatrix, SketchFamily
+from repro.sketch import MERSENNE_P, L0Sampler, SketchFamily
+from tests.conftest import exact_group_answers
 
 N = 8
 COLUMNS = 4
@@ -48,8 +49,6 @@ OPS = st.one_of(
               st.lists(st.tuples(coords, deltas), min_size=1, max_size=6)),
     st.tuples(st.just("bulk"),
               st.lists(st.tuples(vertices, vertices, deltas), max_size=8)),
-    st.tuples(st.just("merge_in"), vertices),
-    st.tuples(st.just("merge_out"), vertices),
 )
 
 
@@ -72,16 +71,12 @@ def test_every_write_path_keeps_columns_equal(ops, seed):
             ds = np.array([d for _, d in op[1]], dtype=np.int64)
             matrix.apply_many(rnd.levels_of_many(idxs), idxs, ds,
                               rnd.zpow_many(idxs))
-        elif kind == "bulk":
+        else:
             edges = [(u, v, d) for u, v, d in op[1] if u != v]
             if edges:
                 us, vs, ds = (np.array(col, dtype=np.int64)
                               for col in zip(*edges))
                 family.apply_edges_bulk(us, vs, ds)
-        elif kind == "merge_in":
-            matrix.merge_from(family.pool.matrix(op[1]))
-        else:
-            family.pool.matrix(op[1]).merge_from(matrix)
     for cells in (matrix.cells, *family.pool.cells):
         assert_column_invariant(cells)
         # Every write path leaves Fd a canonical residue.
@@ -97,8 +92,8 @@ CHURN_COLUMNS = 6
 
 
 def churned_family(backend):
-    """A family whose pool went through inserts and deletes; a few
-    vertices stay isolated."""
+    """A family whose pool went through inserts and deletes, and its
+    live edge set; a few vertices stay isolated."""
     family = SketchFamily(CHURN_N, columns=CHURN_COLUMNS,
                           rng=np.random.default_rng(5), backend=backend)
     rng = np.random.default_rng(17)
@@ -112,22 +107,7 @@ def churned_family(backend):
     family.apply_edges_bulk(us, vs, ones)
     gone = rng.random(us.shape[0]) < 0.4
     family.apply_edges_bulk(us[gone], vs[gone], -ones[gone])
-    return family
-
-
-def reference(pool, randomness, groups, cols):
-    """Merge the full member rows, zero-test every column, decode the
-    asked column with the scalar scan."""
-    zeros, found = [], []
-    for group, col in zip(groups, cols):
-        matrix = RecoveryMatrix.sum_of([pool.matrix(int(v)) for v in group])
-        zero = all(matrix.column_is_zero(c)
-                   for c in range(randomness.columns))
-        got = None if zero else matrix.recover(
-            int(col), randomness.universe, randomness.fingerprint_ok)
-        zeros.append(zero)
-        found.append(-1 if got is None else got)
-    return np.array(zeros), np.array(found, dtype=np.int64)
+    return family, {e for e, g in zip(edges, gone.tolist()) if not g}
 
 
 def group_batches():
@@ -160,9 +140,13 @@ def flat(groups):
 
 @pytest.mark.parametrize("backend_name", ["sequential", "shared_memory"])
 def test_routed_group_ops_match_full_row_reference(backend_name):
+    """The routed ops, and the op table in-process, answer exactly
+    ``exact_group_answers`` -- whose zero test reads column 0 of the
+    full sum, so a one-column shortcut that broke the invariant would
+    show."""
     backend = ("sequential" if backend_name == "sequential"
                else get_backend("shared_memory", workers=2))
-    family = churned_family(backend)
+    family, live = churned_family(backend)
     try:
         cells, rnd = family.pool.cells, family.randomness
         for row in cells:
@@ -170,8 +154,8 @@ def test_routed_group_ops_match_full_row_reference(backend_name):
         seen_zero = seen_found = 0
         for groups, cols in group_batches():
             members, glens = flat(groups)
-            want_zeros, want_found = reference(family.pool, rnd, groups,
-                                               cols)
+            want_zeros, want_found = exact_group_answers(family, groups,
+                                                         cols, live)
             zeros, found = family.backend.query_groups(
                 family._handle(), members, glens, cols)
             assert zeros.tolist() == want_zeros.tolist()

@@ -1,106 +1,115 @@
-"""AGM graph-sketch tests: the cut-edge sampling property (Lemma 3.5)."""
+"""AGM graph-sketch tests: the cut-edge sampling property (Lemma 3.5).
+
+Sketches are rows of the family pool, queried through the group route
+on the sequential backend and on a 2-worker fleet; every answer is
+checked by ``check_groups`` against the exact-sum sampler and the exact
+cut of the live edge set.
+"""
 
 import numpy as np
 import pytest
 
-from repro.sketch import MergedSketch, SketchFamily
+from repro.errors import SketchError
+from repro.mpc.backend import get_backend
+from repro.sketch import edge_sign
+from tests.conftest import check_groups, family_pair, random_edges
 
 
-def build(n=30, columns=8, seed=4):
-    family = SketchFamily(n, columns, np.random.default_rng(seed))
-    sketches = {v: family.new_vertex_sketch(v) for v in range(n)}
-    return family, sketches
+class Sketches:
+    """One sketch family per backend, fed the same edge updates."""
 
+    def __init__(self, n=30, columns=8, seed=4):
+        self.families = family_pair(get_backend("shared_memory", workers=2),
+                                    n=n, columns=columns, seed=seed)
+        self.live = set()
 
-def insert(sketches, u, v):
-    sketches[u].apply_edge(u, v, 1)
-    sketches[v].apply_edge(u, v, 1)
+    def apply(self, edges, delta=1):
+        us, vs = (np.array(c, dtype=np.int64) for c in zip(*edges))
+        for family in self.families:
+            family.apply_edges_bulk(us, vs, np.full(len(edges), delta))
+        edges = {(min(u, v), max(u, v)) for u, v in edges}
+        self.live = self.live | edges if delta > 0 else self.live - edges
 
-
-def delete(sketches, u, v):
-    sketches[u].apply_edge(u, v, -1)
-    sketches[v].apply_edge(u, v, -1)
+    def query(self, groups, column=0):
+        groups = [np.array(g, dtype=np.int64) for g in groups]
+        return check_groups(self.families, groups, column, self.live)
 
 
 class TestVertexSketch:
     def test_non_endpoint_update_rejected(self):
-        family, sketches = build()
+        # A vertex's update sign exists only for its own edges, and the
+        # router refuses a pair that is not an edge, leaving no trace.
         with pytest.raises(ValueError):
-            sketches[5].apply_edge(1, 2, 1)
+            edge_sign(5, 1, 2)
+        for family in Sketches().families:
+            for u, v in ((4, 4), (1, 30), (-1, 2)):
+                with pytest.raises(ValueError):
+                    family.apply_edges_bulk(np.array([u]), np.array([v]),
+                                            np.ones(1, dtype=np.int64))
+            assert not family.pool.cells.any()
 
     def test_single_vertex_samples_incident_edge(self):
-        _, sketches = build()
-        insert(sketches, 3, 17)
-        merged = MergedSketch.of([sketches[3]])
-        assert merged.sample_cut_edge_any() == (3, 17)
+        sketches = Sketches()
+        sketches.apply([(3, 17)])
+        assert sketches.query([[3]]) == ([False], [(3, 17)])
 
     def test_words_per_vertex(self):
-        family, sketches = build(columns=6)
-        assert sketches[0].words == family.words_per_vertex
+        family, _ = Sketches(columns=6).families
+        assert family.pool.cells[0].size == family.words_per_vertex
+        assert family.pool.words == family.n * family.words_per_vertex
 
 
 class TestMergedSketch:
     def test_internal_edges_cancel(self):
         """Lemma 3.3: X_A's support is exactly the cut E(A, V-A)."""
-        _, sketches = build()
+        sketches = Sketches()
         # Component A = {0,1,2,3} fully wired internally, one cut edge.
-        for u, v in [(0, 1), (1, 2), (2, 3), (0, 2), (0, 3)]:
-            insert(sketches, u, v)
-        insert(sketches, 3, 20)
-        merged = MergedSketch.of([sketches[v] for v in (0, 1, 2, 3)])
-        assert not merged.cut_is_empty()
-        assert merged.sample_cut_edge_any() == (3, 20)
+        sketches.apply([(0, 1), (1, 2), (2, 3), (0, 2), (0, 3), (3, 20)])
+        for column in range(8):
+            assert sketches.query([[0, 1, 2, 3]], column) == \
+                ([False], [(3, 20)])
 
     def test_empty_cut_detected(self):
-        _, sketches = build()
-        for u, v in [(0, 1), (1, 2)]:
-            insert(sketches, u, v)
-        merged = MergedSketch.of([sketches[v] for v in (0, 1, 2)])
-        assert merged.cut_is_empty()
-        assert merged.sample_cut_edge_any() is None
+        sketches = Sketches()
+        sketches.apply([(0, 1), (1, 2)])
+        assert sketches.query([[0, 1, 2]]) == ([True], [None])
 
     def test_cut_closes_after_deletion(self):
-        _, sketches = build()
-        insert(sketches, 0, 1)
-        insert(sketches, 1, 9)
-        merged = MergedSketch.of([sketches[0], sketches[1]])
-        assert merged.sample_cut_edge_any() == (1, 9)
-        delete(sketches, 1, 9)
-        merged = MergedSketch.of([sketches[0], sketches[1]])
-        assert merged.cut_is_empty()
+        sketches = Sketches()
+        sketches.apply([(0, 1), (1, 9)])
+        assert sketches.query([[0, 1]]) == ([False], [(1, 9)])
+        sketches.apply([(1, 9)], delta=-1)
+        assert sketches.query([[0, 1]]) == ([True], [None])
 
     def test_sample_among_multiple_cut_edges(self):
-        _, sketches = build(seed=9)
-        cut = {(0, 10), (1, 11), (2, 12), (3, 13)}
-        for u, v in [(0, 1), (1, 2), (2, 3)]:
-            insert(sketches, u, v)
-        for u, v in cut:
-            insert(sketches, u, v)
-        merged = MergedSketch.of([sketches[v] for v in (0, 1, 2, 3)])
-        for column in range(6):
-            got = merged.sample_cut_edge(column)
-            if got is not None:
-                assert got in cut
+        sketches = Sketches(seed=9)
+        sketches.apply([(0, 1), (1, 2), (2, 3),
+                        (0, 10), (1, 11), (2, 12), (3, 13)])
+        hits = [sketches.query([[0, 1, 2, 3]], column)[1][0]
+                for column in range(8)]
+        assert any(hit is not None for hit in hits)
 
     def test_whole_graph_merge_is_zero(self):
         """Summing every vertex's sketch cancels every edge."""
-        _, sketches = build(n=20, seed=2)
-        rng = np.random.default_rng(0)
-        for _ in range(40):
-            u, v = rng.choice(20, size=2, replace=False)
-            try:
-                insert(sketches, int(u), int(v))
-            except Exception:
-                pass
-        merged = MergedSketch.of(list(sketches.values()))
-        assert merged.cut_is_empty()
+        sketches = Sketches(n=20, seed=2)
+        sketches.apply(random_edges(20, 40))
+        assert sketches.query([range(20)]) == ([True], [None])
 
-    def test_mixed_families_rejected(self):
-        _, sketches_a = build(seed=1)
-        _, sketches_b = build(seed=2)
-        with pytest.raises(ValueError):
-            MergedSketch.of([sketches_a[0], sketches_b[1]])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_groups_under_churn(self, seed):
+        """Random groups of a churned graph, every column, both
+        backends, against the exact references."""
+        rng = np.random.default_rng(seed)
+        sketches = Sketches(seed=seed)
+        edges = random_edges(30, 60, seed=seed)
+        sketches.apply(edges)
+        sketches.apply(edges[::3], delta=-1)
+        groups = [rng.choice(30, size=int(rng.integers(1, 12)),
+                             replace=False) for _ in range(6)]
+        for column in range(8):
+            sketches.query(groups, column)
 
     def test_empty_merge_rejected(self):
-        with pytest.raises(ValueError):
-            MergedSketch.of([])
+        for family in Sketches().families:
+            with pytest.raises(SketchError, match="empty"):
+                family.query_iteration_groups([np.array([], dtype=int)], 0)

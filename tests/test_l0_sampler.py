@@ -1,12 +1,21 @@
 """L0-sampler tests, including the linearity property the paper's
 algorithms depend on (Remark 3.2)."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sketch import L0Sampler, SamplerRandomness, levels_for_universe
+from repro import kernels
+from repro.sketch import (
+    L0Sampler,
+    RecoveryPool,
+    SamplerRandomness,
+    levels_for_universe,
+    query_cells,
+)
 
 
 def make(universe=2000, columns=6, seed=1):
@@ -78,38 +87,49 @@ class TestSampling:
         assert failures == 0
 
 
+def pool_rows(rnd, streams):
+    """A pool with row ``i`` fed ``streams[i]`` (``(idx, delta)`` pairs)."""
+    pool = RecoveryPool(len(streams), rnd.columns, rnd.levels)
+    for slot, ops in enumerate(streams):
+        if ops:
+            idxs, deltas = (np.array(c, dtype=np.int64) for c in zip(*ops))
+            pool.apply_points(np.full(len(ops), slot),
+                              rnd.levels_of_many(idxs), idxs, deltas,
+                              rnd.zpow_many(idxs))
+    return pool
+
+
+def merge(pool, groups, col):
+    """Column ``col`` of each group's merged rows: the production merge."""
+    return kernels.merge_groups(
+        pool.cells, np.concatenate(groups).astype(np.int64),
+        np.array([len(g) for g in groups]), np.full(len(groups), col))
+
+
 class TestMerging:
     def test_merged_samples_symmetric_difference(self):
         rnd = SamplerRandomness(1000, 6, np.random.default_rng(2))
-        a = L0Sampler(rnd)
-        b = L0Sampler(rnd)
-        a.update(10, 1)
-        a.update(20, 1)
-        b.update(20, -1)  # cancels across the merge
-        b.update(30, 1)
-        merged = L0Sampler.merged([a, b])
-        assert merged.sample() in {10, 30}
-
-    def test_merge_requires_same_randomness(self):
-        _, a = make(seed=1)
-        _, b = make(seed=2)
-        with pytest.raises(ValueError):
-            a.merge_from(b)
-        with pytest.raises(ValueError):
-            L0Sampler.merged([a, b])
+        # Coordinate 20 cancels across the merge of rows 0 and 1.
+        pool = pool_rows(rnd, [[(10, 1), (20, 1)], [(20, -1), (30, 1)]])
+        hits = set()
+        for col in range(rnd.columns):
+            zeros, found = query_cells(merge(pool, [[0, 1]], col), rnd)
+            assert not zeros[0]
+            hits.add(int(found[0]))
+        assert hits - {-1} and hits <= {-1, 10, 30}
 
     def test_merge_from_in_place(self):
+        # Rows whose updates cancel merge to the zero sketch.
         rnd = SamplerRandomness(100, 4, np.random.default_rng(0))
-        a, b = L0Sampler(rnd), L0Sampler(rnd)
-        a.update(7, 1)
-        b.update(7, -1)
-        a.merge_from(b)
-        assert a.is_zero()
+        pool = pool_rows(rnd, [[(7, 1)], [(7, -1)]])
+        for col in range(rnd.columns):
+            assert kernels.is_zero_cells(merge(pool, [[0, 1]], col)).all()
 
     def test_copy_independence(self):
+        # A checkpoint copy (pickle round trip) is independent.
         _, a = make()
         a.update(9, 1)
-        dup = a.copy()
+        dup = pickle.loads(pickle.dumps(a))
         a.update(9, -1)
         assert dup.sample() == 9
         assert a.is_zero()
@@ -119,18 +139,15 @@ class TestMerging:
                               st.sampled_from([1, -1])),
                     min_size=0, max_size=60))
     def test_linearity_property(self, ops):
-        """Splitting a stream across two samplers and merging equals
-        feeding one sampler the whole stream."""
+        """Splitting a stream across two pool rows and merging them
+        equals feeding one row the whole stream (Remark 3.2)."""
         rnd = SamplerRandomness(500, 4, np.random.default_rng(11))
-        whole = L0Sampler(rnd)
-        left, right = L0Sampler(rnd), L0Sampler(rnd)
-        for i, (idx, delta) in enumerate(ops):
-            whole.update(idx, delta)
-            (left if i % 2 == 0 else right).update(idx, delta)
-        merged = L0Sampler.merged([left, right])
-        assert np.array_equal(merged.matrix.W, whole.matrix.W)
-        assert np.array_equal(merged.matrix.S, whole.matrix.S)
-        assert np.array_equal(merged.matrix.F, whole.matrix.F)
+        pool = pool_rows(rnd, [ops, ops[::2], ops[1::2]])
+        for col in range(rnd.columns):
+            whole, halves = merge(pool, [[0], [1, 2]], col)
+            assert np.array_equal(whole[:2], halves[:2])
+            assert np.array_equal(kernels.combine_limbs(*whole[2:]),
+                                  kernels.combine_limbs(*halves[2:]))
 
     def test_words(self):
         rnd, sampler = make(columns=5)

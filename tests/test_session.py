@@ -274,6 +274,28 @@ class TestIngestion:
             with pytest.raises(InvalidUpdateError):
                 session.apply_batch(["nonsense"])
 
+    @pytest.mark.parametrize("call, arg", [
+        *(("ingest", item) for item in (
+            (1, 99), (0, 16), (-1, 3), (1.7, 2), ("3", "4"), (True, 2),
+            (np.float64(2.5), 3), ("a", 1), (None, 1), (1, 1),
+            (1, 2, float("nan")), (1, 2, float("inf")), (1, 2, "3"),
+            ins(1.5, 2), ins(1, 99), ins(-1, 3),
+            ins(1, 2, float("nan")))),
+        *(("connected", q) for q in ((-1, 15), (-16, 0), (1, 99), (1.5, 2))),
+    ])
+    def test_bad_input_raises_named_error_and_session_stays_usable(
+            self, call, arg):
+        with GraphSession(tasks=("connectivity", "msf"),
+                          config=_config("sequential", n=16)) as session:
+            if call == "ingest":
+                with pytest.raises(InvalidUpdateError):
+                    session.ingest([arg])
+            else:
+                with pytest.raises(QueryError, match="vertex ids"):
+                    session.connected(*arg)
+            session.ingest([(1, 2, 3.0)])
+            assert session.connected(1, 2) and session.msf_weight() == 3.0
+
 
 # ---------------------------------------------------------------------------
 # Query surface + reporting

@@ -1,10 +1,13 @@
 """1-sparse recovery matrix tests."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.sketch import MERSENNE_P, RecoveryMatrix
-from repro.sketch.l0_sampler import SamplerRandomness
+from repro import kernels
+from repro.sketch import MERSENNE_P, RecoveryMatrix, RecoveryPool
+from repro.sketch.l0_sampler import SamplerRandomness, query_cells
 
 
 def randomness(universe=1000, columns=4, seed=0):
@@ -34,7 +37,7 @@ class TestRecoveryMatrix:
         m = RecoveryMatrix(rnd.columns, rnd.levels)
         apply_value(m, rnd, 42, 1)
         apply_value(m, rnd, 42, -1)
-        assert m.is_entirely_zero()
+        assert not m.cells.any()
         assert all(m.column_is_zero(c) for c in range(rnd.columns))
 
     def test_zero_column_detection(self):
@@ -52,8 +55,6 @@ class TestRecoveryMatrix:
         for idx, delta in ((1, 1), (2, -2), (3, 1)):
             apply_value(m, rnd, idx, delta)
         assert not any(m.column_is_zero(c) for c in range(rnd.columns))
-        assert not m.column_is_zero_many().any()
-        assert not m.is_entirely_zero()
 
     def test_dense_vector_recovers_valid_support(self):
         rnd = randomness(universe=500)
@@ -76,43 +77,48 @@ class TestRecoveryMatrix:
         assert m.recover(0, rnd.universe, rnd.fingerprint_ok) == 99
 
     def test_merge_is_linear(self):
+        # Rows merged by the production group merge: 7 cancels, 11 stays.
         rnd = randomness()
-        a = RecoveryMatrix(rnd.columns, rnd.levels)
-        b = RecoveryMatrix(rnd.columns, rnd.levels)
-        apply_value(a, rnd, 7, 1)
-        apply_value(b, rnd, 7, -1)
-        apply_value(b, rnd, 11, 1)
-        a.merge_from(b)
-        assert a.recover(0, rnd.universe, rnd.fingerprint_ok) == 11
+        pool = RecoveryPool(2, rnd.columns, rnd.levels)
+        for slot, idx, delta in ((0, 7, 1), (1, 7, -1), (1, 11, 1)):
+            pool.apply_points(np.array([slot]), rnd.levels_of_many([idx]),
+                              np.array([idx]), np.array([delta]),
+                              rnd.zpow_many([idx]))
+        merged = kernels.merge_groups(pool.cells, np.array([0, 1]),
+                                      np.array([2]), np.array([0]))
+        assert query_cells(merged, rnd)[1].tolist() == [11]
 
     def test_merge_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            RecoveryMatrix(2, 3).merge_from(RecoveryMatrix(2, 4))
+        # A cell block of another shape cannot back a pool.
+        pool = RecoveryPool(2, 2, 3)
+        for shape in ((2, 3, 2, 4), (2, 3, 3, 3), (1, 3, 2, 3)):
+            with pytest.raises(ValueError):
+                pool.adopt_buffer(np.zeros(shape, dtype=np.int64))
 
     def test_sum_of_many_keeps_fingerprint_in_range(self):
+        # The group merge of 50 rows reads back canonical residues.
         rnd = randomness()
-        parts = []
-        for i in range(50):
-            m = RecoveryMatrix(rnd.columns, rnd.levels)
-            apply_value(m, rnd, i, 1)
-            parts.append(m)
-        total = RecoveryMatrix.sum_of(parts)
-        assert int(total.F.max()) < MERSENNE_P
-        assert int(total.F.min()) >= 0
-        got = total.recover(0, rnd.universe, rnd.fingerprint_ok)
-        assert got is None or 0 <= got < 50
-
-    def test_sum_of_empty_rejected(self):
-        with pytest.raises(ValueError):
-            RecoveryMatrix.sum_of([])
+        pool = RecoveryPool(50, rnd.columns, rnd.levels)
+        idxs = np.arange(50, dtype=np.int64)
+        pool.apply_points(idxs, rnd.levels_of_many(idxs), idxs,
+                          np.ones(50, dtype=np.int64), rnd.zpow_many(idxs))
+        merged = kernels.merge_groups(pool.cells, idxs, np.array([50]),
+                                      np.array([0]))
+        total = kernels.combine_limbs(merged[:, 2], merged[:, 3])
+        assert 0 <= int(total.min()) and int(total.max()) < MERSENNE_P
+        got = int(query_cells(merged, rnd)[1][0])
+        assert got == -1 or 0 <= got < 50
 
     def test_copy_is_independent(self):
+        # A checkpoint copy (pickle round trip) writes its own cells.
         rnd = randomness()
         m = RecoveryMatrix(rnd.columns, rnd.levels)
         apply_value(m, rnd, 3, 1)
-        dup = m.copy()
+        dup = pickle.loads(pickle.dumps(m))
         apply_value(m, rnd, 3, -1)
         assert dup.recover(0, rnd.universe, rnd.fingerprint_ok) == 3
+        apply_value(dup, rnd, 3, -1)
+        assert not dup.cells.any() and not m.cells.any()
 
     def test_words_accounting(self):
         m = RecoveryMatrix(4, 10)
