@@ -146,8 +146,8 @@ def main() -> None:
 
         conn = session.query("connectivity")
         print(f"connectivity memory: {conn.registered_memory_words()} "
-              f"words (~O(n) bound at n={n}: "
-              f"{int(connectivity_total_memory_bound(n))})")
+              f"words (Theorem 1.1's derived worst case at n={n}: "
+              f"{connectivity_total_memory_bound(n)})")
 
 
 def under_the_hood() -> None:

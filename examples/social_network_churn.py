@@ -62,8 +62,8 @@ def main() -> None:
         "m (the polylog sketch overhead dominates at this small n), "
         f"while the baseline pays ~{per_edge:.1f} words per live edge "
         "-- at the paper's scale (trillions of edges) that linear term "
-        "is the whole cost.  EXP-2 sweeps the density and shows the "
-        "crossover."
+        "is the whole cost.  The claims table (pytest benchmarks -s) "
+        "sweeps the density."
     )
 
 

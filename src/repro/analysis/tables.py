@@ -1,8 +1,8 @@
-"""Paper-style table rendering for the benchmark harness.
+"""Paper-style table rendering.
 
-Benchmarks accumulate dict rows and print them through
-:func:`render_table`, producing the aligned, monospaced tables the
-``benchmarks/test_exp*`` modules print (``pytest -s`` shows them).
+Callers accumulate dict rows and print them through :func:`render_table`:
+the claims table (``benchmarks/test_claims.py``; ``pytest -s`` shows it),
+the session reports and the examples.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ This is the algorithm the paper's contribution is measured against.
 Updates cost O(1) rounds (sketches are linear), total memory is the
 same ~O(n log^3 n) -- but a *query* must run the full AGM contraction,
 O(log n) supernode-halving iterations each costing MPC rounds, because
-nothing but the sketches is stored.  EXP-3 plots this query cost against
+nothing but the sketches is stored.  The claims table
+(``benchmarks/test_claims.py``) sets this query cost against
 :class:`~repro.core.connectivity.MPCConnectivity`'s O(1).
 """
 

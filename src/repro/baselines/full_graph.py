@@ -3,8 +3,9 @@
 The prior-work setting the paper's total-memory contribution is measured
 against: the whole graph is stored across the machines (Theta(n + m)
 total memory), updates and queries are fast -- the *memory* is the cost.
-EXP-2 plots this baseline's footprint growing linearly in m while the
-paper's algorithm stays ~O(n).
+The claims table (``benchmarks/test_claims.py``) sweeps m: this
+baseline's footprint grows linearly while the paper's algorithm stays
+~O(n).
 
 The maintained spanning forest is recomputed incrementally: insertions
 union into a forest, deletions of tree edges trigger a replacement scan

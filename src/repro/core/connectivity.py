@@ -126,7 +126,8 @@ class MPCConnectivity(BatchDynamicAlgorithm):
                               weights=[])
 
     def query_with_metrics(self) -> Tuple[ForestSolution, "object"]:
-        """Query wrapped in a measured phase (for EXP-3).
+        """Query wrapped in a measured phase (the claims table sets its
+        rounds against the AGM static query).
 
         The maintained solution only needs to be *emitted*: one sort of
         the O(n) labels/edges (paper: "reporting the connected

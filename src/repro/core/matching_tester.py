@@ -61,9 +61,11 @@ class MatchingTester:
         self.k = k
         self.dynamic = dynamic
         self.accept_slack = accept_slack
-        # Vertex subsampling keeps the effective guess within budget.
+        # Vertex subsampling keeps the effective guess within budget:
+        # k * p^2 = budget, taken exactly (the float product can land
+        # above an integer and round up to budget + 1).
         self.p = 1.0 if k <= budget else math.sqrt(budget / k)
-        self.k_eff = max(1, math.ceil(k * self.p * self.p))
+        self.k_eff = min(k, budget)
         self.vertex_hash = FourWiseHash(_SAMPLE_RANGE, rng)
         if dynamic:
             self.groups = max(2, 2 * self.k_eff)

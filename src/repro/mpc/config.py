@@ -204,8 +204,8 @@ class MPCConfig:
         """The literal ``n^phi / log^3(n)`` bound from Theorem 6.7.
 
         Degenerates to < 1 for laptop-scale ``n`` (the asymptotics only
-        bite for astronomically large graphs); exposed for the analysis
-        module, not used for enforcement.
+        bite for astronomically large graphs); exposed for comparison,
+        not used for enforcement.
         """
         return max(1, math.floor(self.n ** self.phi / polylog(self.n, 3)))
 

@@ -2,13 +2,10 @@
 
 These functions move actual data between :class:`~repro.mpc.machine.Machine`
 objects through :meth:`Cluster.exchange`, so every synchronous round is
-observable and every per-machine budget is enforced.  They exist for two
-reasons:
-
-* they are the ground truth for the closed-form ``charge_*`` round
-  formulas on :class:`~repro.mpc.simulator.Cluster` (the test suite
-  asserts measured == charged), and
-* micro-benchmarks (EXP-11) exercise them directly.
+observable and every per-machine budget is enforced.  They are the
+ground truth for the closed-form ``charge_*`` round formulas on
+:class:`~repro.mpc.simulator.Cluster`: the test suite asserts measured
+== charged, and the algorithms charge through those formulas.
 
 All follow the standard constructions the paper cites: fanout trees for
 broadcast/aggregation and one level of sample sort for [GSZ11]-style

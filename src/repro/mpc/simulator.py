@@ -27,7 +27,6 @@ paths produce.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 import numpy as np
@@ -45,13 +44,18 @@ def tree_depth(num_nodes: int, fanout: int) -> int:
 
     This is the number of rounds needed to move one value between a
     single machine and ``num_nodes`` machines when each machine can talk
-    to ``fanout`` others per round.  ``tree_depth(1, f) == 0``.
+    to ``fanout`` others per round.  ``tree_depth(1, f) == 0``.  Exact
+    integers: ``math.log`` overshoots at powers (``log(125, 5) > 3``).
     """
     if num_nodes <= 1:
         return 0
     if fanout < 2:
         raise ValueError("fanout must be at least 2")
-    return max(1, math.ceil(math.log(num_nodes, fanout)))
+    depth, reach = 0, 1
+    while reach < num_nodes:
+        reach *= fanout
+        depth += 1
+    return depth
 
 
 class Cluster:
@@ -340,8 +344,7 @@ class Cluster:
         if self.num_machines == 1 or num_items <= 1:
             self.metrics.charge_rounds(1, category)
             return 1
-        depth = max(1, math.ceil(math.log(max(2, num_items),
-                                          max(2, self.local_memory))))
+        depth = tree_depth(num_items, max(2, self.local_memory))
         rounds = 2 * depth + 1
         self.metrics.charge_rounds(rounds, category)
         self.metrics.charge_traffic(num_items, num_items)

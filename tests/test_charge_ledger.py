@@ -14,13 +14,17 @@ A task that is registered without a pinned ledger fails
 ship uncharged.  Charges are parent-side, so the pinned dicts hold on
 every execution backend.
 
-The memory ledger is pinned against what the sketch pool really holds:
-``test_sketch_pool_equals_its_ledger_entry`` checks that every sketch
-family's pool is exactly the words its owner charges.
+The memory ledger is pinned the same way, from the formulas of
+:mod:`repro.analysis.theory`: after every phase of every stream here,
+each task's ``memory_breakdown()`` and ``total_memory_words()`` equal
+the derived closed form with zero slack, standalone and per task inside
+a session.  ``test_sketch_pool_equals_its_ledger_entry`` checks that
+every sketch family's pool is exactly the words its owner charges.
 """
 
 import pytest
 
+from repro.analysis import derived_memory
 from repro.baselines import AGMStaticConnectivity
 from repro.core.api import BatchDynamicAlgorithm
 from repro.mpc import MPCConfig
@@ -118,13 +122,23 @@ def test_every_registered_task_has_a_pinned_ledger():
         sorted(BatchDynamicAlgorithm.task_registry())
 
 
+def _assert_memory_derived(alg):
+    derived = derived_memory(alg)
+    assert alg.memory_breakdown() == derived, alg.name
+    assert alg.total_memory_words() == sum(derived.values()), alg.name
+
+
 def _measured_phases(alg):
-    """Drive ``alg`` through the phase kinds it has; kind -> ledger."""
+    """Drive ``alg`` through the phase kinds it has; kind -> ledger.
+    The memory ledger must equal its derived formula after each."""
     out = {"insert": alg.apply_batch(INSERTS).rounds_by_category}
+    _assert_memory_derived(alg)
     if alg.supports_deletions:
         out["delete"] = alg.apply_batch(DELETES).rounds_by_category
+        _assert_memory_derived(alg)
     if hasattr(alg, "query_with_metrics"):
         out["query"] = alg.query_with_metrics()[1].rounds_by_category
+        _assert_memory_derived(alg)
     return out
 
 
@@ -137,6 +151,7 @@ def test_standalone_ledger(name, backend):
         fresh = cls(_config(backend))
         measured["preload"] = fresh.preload(
             [up.edge for up in INSERTS]).rounds_by_category
+        _assert_memory_derived(fresh)
     routed = ("insert", "delete")
     assert measured == {
         kind: ({**ROUTE, **pinned} if kind in routed else pinned)
@@ -167,6 +182,14 @@ def test_session_ledger_routes_once(tasks, backend):
             assert {task: snap.rounds_by_category
                     for task, snap in phase.per_task.items()} == \
                 {task: LEDGER[task][kind] for task in tasks}
+            # One shared memory ledger, each task under its own prefix.
+            algs = [session.query(task) for task in tasks]
+            assert session.cluster.metrics.memory_breakdown() == {
+                f"{alg.name}/{key}": words for alg in algs
+                for key, words in derived_memory(alg).items()}
+            for alg in algs:
+                assert alg.registered_memory_words() == \
+                    sum(derived_memory(alg).values())
 
 
 def _owned_families(alg):

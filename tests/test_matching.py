@@ -169,3 +169,12 @@ class TestSizeEstimator:
         small.apply_batch([ins(0, 1)])
         large.apply_batch([ins(0, 1)])
         assert large.total_memory_words() < small.total_memory_words()
+
+    @pytest.mark.parametrize("dynamic", [False, True])
+    def test_subsampled_guesses_stop_at_the_budget(self, dynamic):
+        """k p^2 = ceil(n / alpha^2) exactly: in floats, k = 32 and 128
+        at n = 256, alpha = 4 rounded up to 17."""
+        alg = MatchingSizeEstimator(MPCConfig(n=256, phi=0.5, seed=0),
+                                    alpha=4.0, dynamic=dynamic)
+        assert [t.k_eff for t in alg.testers] == \
+            [1, 2, 4, 8, 16, 16, 16, 16]

@@ -20,6 +20,16 @@ class TestTreeDepth:
     def test_fanout_two(self):
         assert tree_depth(8, 2) == 3
 
+    @pytest.mark.parametrize("fanout", [2, 3, 5, 6, 7, 8, 10, 31, 125, 199])
+    def test_every_exact_power(self, fanout):
+        """Integer depths: a float log overshoots at 125 = 5^3,
+        216 = 6^3 and 8^7, and would charge one round too many."""
+        k, power = 1, fanout
+        while power <= 10 ** 7:
+            assert tree_depth(power, fanout) == k
+            assert tree_depth(power + 1, fanout) == k + 1
+            k, power = k + 1, power * fanout
+
     def test_bad_fanout(self):
         with pytest.raises(ValueError):
             tree_depth(4, 1)
@@ -99,6 +109,14 @@ class TestCharges:
         rounds = small_cluster.charge_sort(1000)
         depth = math.ceil(math.log(1000, small_cluster.local_memory))
         assert rounds == 2 * max(1, depth) + 1
+
+    def test_charges_at_exact_powers(self):
+        broadcast = Cluster(MPCConfig(n=256, num_machines=125))
+        assert broadcast.config.fanout(12) == 5
+        assert broadcast.charge_broadcast(words=12) == 3
+        sort = Cluster(MPCConfig(n=25, phi=0.5, mem_factor=1.0))
+        assert sort.local_memory == 5
+        assert sort.charge_sort(125) == 2 * 3 + 1
 
     def test_sort_charge_constant_in_machine_count(self):
         few = Cluster(MPCConfig(n=64, phi=0.5, num_machines=4))
