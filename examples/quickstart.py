@@ -21,11 +21,12 @@ work can execute on two backends (see :mod:`repro.mpc.backend`):
 
 * ``sequential`` (default) -- everything in-process.  The right choice
   for small graphs and for this quickstart.
-* ``shared_memory`` -- persistent worker processes scatter/query shards
-  of the sketch pools in POSIX shared memory.  Bit-identical results;
-  pays off when batches carry thousands of updates, ``n`` is large, and
-  real cores are available (``bench/run.py``'s ``conn_churn_fleet``
-  against ``conn_churn`` tracks the crossover).
+* ``shared_memory`` -- worker threads scatter/query shards of the one
+  in-process sketch pool.  Bit-identical results; on a 2-CPU host it
+  runs slower than ``sequential`` (the Euler-tour work is serial and
+  the thread handoff costs more than the kernels win back --
+  ``bench/run.py``'s ``conn_churn_fleet`` against ``conn_churn``
+  tracks it).
 
 Select it per session::
 
@@ -33,56 +34,33 @@ Select it per session::
                  backend_workers=4)
 
 or globally via the environment (how CI runs the whole tier-1 suite on
-the cluster backend)::
+the parallel backend)::
 
     REPRO_BACKEND=shared_memory REPRO_BACKEND_WORKERS=2 python ...
 
-Five ``REPRO_BACKEND*`` knobs exist, all validated at read time -- a
+Two ``REPRO_BACKEND*`` knobs exist, both validated at read time -- a
 garbage value raises a clear error naming the variable instead of
 failing deep inside backend startup:
 
 * ``REPRO_BACKEND`` -- backend name (``sequential`` / ``shared_memory``
   / ``shm``); unknown names raise ``ConfigurationError``.
-* ``REPRO_BACKEND_WORKERS`` -- worker-process count, an integer >= 1;
+* ``REPRO_BACKEND_WORKERS`` -- worker-thread count, an integer >= 1;
   anything else (``abc``, ``-1``, ``""``) raises ``SketchError``.
-* ``REPRO_BACKEND_TIMEOUT`` -- per-call deadline in seconds (positive
-  number, default 120): a deadlocked or dead worker is *detected*
-  within this bound instead of hanging the phase.
-* ``REPRO_BACKEND_RETRIES`` -- how many times a dispatch that lost a
-  worker is retried after respawning it (integer >= 0, default 2;
-  exponential backoff between attempts from a fixed 0.05 s base).
-* ``REPRO_BACKEND_FAULTS`` -- deterministic fault-injection plan for
-  the worker fleet (see :mod:`repro.mpc.faults`), e.g.
-  ``kill:w=1:n=3:op=apply`` or ``chaos:kill:every=400:seed=0`` -- how
-  the CI chaos job proves recovery keeps the suite green.
 
-Worker loss is no longer fatal: the supervisor respawns the dead
-process, re-attaches its shard state (the shared-memory segments
-survive the child), and retries the in-flight call.  If retries are
-exhausted the backend *degrades* -- every later op runs in-process
-through the same one-source-of-truth cores, so answers stay
-bit-identical and the session keeps working; only the parallelism is
-lost.  ``session.fleet_health()`` exposes the cumulative respawn /
-retry / degrade counters, the ``fleet`` column of
-``session.report()`` shows the per-phase deltas, and
-``backend.describe()`` appends the nonzero counters (plus a
-``degraded`` flag) to its summary.
-
-On the shared-memory backend, small batches ship through preallocated
-per-worker ring buffers (only a tiny ``(seq, offset, length)`` token
-crosses the pipe), so fan-out latency stays flat as batches shrink --
-see the wire protocol in :mod:`repro.mpc.backend`.
+A share that raises surfaces its own exception once every share of the
+call has finished, so no thread is still writing when the caller sees
+it.
 
 Kernel knobs
 ------------
 The sketch inner loops (field arithmetic, scatter, decode, group
 merge) are numpy kernels in :mod:`repro.kernels` -- see
 ``docs/kernels.md`` for the profiling hooks, the contract checks, and
-how to add a kernel.  Two knobs wrap them, read at import (workers
-read their own at spawn) and validated like the backend knobs:
+how to add a kernel.  Two knobs wrap them, read at import and
+validated like the backend knobs:
 
 * ``REPRO_KERNELS_PROFILE`` -- set to ``1`` to wrap every kernel and
-  the parent-side dispatch sections in nanosecond accumulators,
+  the backend's dispatch sections in nanosecond accumulators,
   surfaced per phase through ``session.report()``'s backend events
   and :func:`repro.kernels.profile.counters`.
 * ``REPRO_KERNELS_CHECK`` -- set to ``1`` to wrap every kernel in
@@ -91,15 +69,11 @@ read their own at spawn) and validated like the backend knobs:
   raises ``SketchError`` naming the kernel, argument, and declared
   bound.
 
-The conventions no test can provoke (validated env reads, segments
-released on every exception edge, status brackets, bit-reproducible
-kernel code) are enforced mechanically by
+The conventions no test can provoke (validated env reads,
+bit-reproducible kernel code) are enforced mechanically by
 ``python -m repro.lint src`` -- see
 ``docs/lint-rules.md`` for the rule pack and how to suppress a finding
-with a justification.  The backend's crash-recovery wire protocol goes
-one step further: the lint run extracts its state machine from the
-source and exhaustively model-checks it against injected worker faults
-(``docs/protocol-model.md``).  The kernel arithmetic is guarded by
+with a justification.  The kernel arithmetic is guarded by
 tests instead: boundary-value parity against Python big-ints and a
 seeded-mutation suite pinning what those checks kill
 (``tests/test_kernel_contracts.py``).  So are the MPC round charges:

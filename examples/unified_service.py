@@ -14,8 +14,8 @@ consumer teams query three different maintained solutions --
   conflict in the two-sided assignment),
 * *capacity planning* reads an O(alpha)-approximate maximum matching.
 
-Without the session each team would stand up its own cluster, backend
-worker fleet, and stream validator, and re-validate/re-route every
+Without the session each team would stand up its own cluster,
+execution backend, and stream validator, and re-validate/re-route every
 batch.  With it: one ``GraphSession``, one shared substrate, one
 ``ingest`` call per tick -- and a mid-stream ``checkpoint`` the service
 can restore from (on any execution backend) after a restart.
@@ -90,12 +90,10 @@ def main() -> None:
     print_table(session.summary(),
                 title="per-task summary (shared cluster and validator)")
 
-    # Fleet health: zeros on the sequential backend; under
-    # shared_memory it counts worker respawns / dispatch retries /
-    # degrades the supervisor performed (also in report()'s "fleet"
-    # column, per phase).
+    # Fleet health: empty on the sequential backend, all zeros on the
+    # shared_memory thread backend (threads are never respawned).
     health = session.fleet_health()
-    print(f"fleet health: {health or 'no supervised fleet'}")
+    print(f"fleet health: {health or 'no parallel backend'}")
 
     session.close()
     restored.close()

@@ -30,8 +30,8 @@ class DynamicBipartiteness(BatchDynamicAlgorithm):
         super().__init__(config, cluster=cluster, batch_limit=batch_limit,
                          backend=backend)
         # The two instances run on their own (parallel) machine groups
-        # but inherit this algorithm's execution backend, so one worker
-        # fleet serves the whole reduction.
+        # but inherit this algorithm's execution backend, so one
+        # backend serves the whole reduction.
         self.base = MPCConnectivity(config, track_edges=False,
                                     backend=self.cluster.backend)
         double_config = MPCConfig(

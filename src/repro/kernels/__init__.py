@@ -13,8 +13,7 @@ through these attributes).
 With ``REPRO_KERNELS_CHECK=1`` every bound kernel is wrapped in the
 :mod:`repro.kernels.checks` contract asserts; with
 ``REPRO_KERNELS_PROFILE=1`` in the :mod:`repro.kernels.profile`
-accumulators.  Both knobs are read once at import, so each worker
-process decides for itself at spawn.
+accumulators.  Both knobs are read once at import.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ from repro.mpc.config import env_int
 
 ENV_CHECK = "REPRO_KERNELS_CHECK"
 
-#: Read once at import (workers re-read at spawn): 0/unset disables.
+#: Read once at import: 0/unset disables.
 _ENABLED = (env_int(ENV_CHECK, 0) or 0) > 0
 
 _DTYPES = {"uint64": np.uint64, "int64": np.int64, "bool": np.bool_}

@@ -10,8 +10,8 @@ profiler and ``bench/``'s trace see every call.
 
 Every kernel here is deliberately self-contained (no imports from
 :mod:`repro.sketch`): this module sits below the sketch layer in the
-import graph, so worker processes bind their kernels at spawn before
-any sketch state exists.  All values are canonical mod-p residues or
+import graph, so the kernels bind at import before any sketch state
+exists.  All values are canonical mod-p residues or
 exact int64 sums, so every route computes bit-identical results.
 """
 

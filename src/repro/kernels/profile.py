@@ -1,9 +1,10 @@
 """Kernel profiling hooks (``REPRO_KERNELS_PROFILE=1``).
 
 When enabled, :mod:`repro.kernels` wraps every bound kernel in a
-nanosecond-granularity accumulator, and the execution backends bracket
-their residual parent-side per-dispatch sections (descriptor packing,
-shard splitting, barrier waits) with :func:`timed`.  The counters are
+nanosecond-granularity accumulator, and the thread backend brackets its
+per-call sections (shard splitting, waiting on the shares) with
+:func:`timed`.  The thread backend's worker threads record
+concurrently, so :func:`record` folds under a lock.  The counters are
 cumulative monotone ints, exactly the shape
 :meth:`repro.mpc.metrics.ClusterMetrics.end_phase` diffs into
 per-phase ``backend_events`` -- so with profiling on, every phase row
@@ -17,6 +18,7 @@ the raw kernel functions, unwrapped.
 from __future__ import annotations
 
 import functools
+import threading
 import time
 from typing import Callable, Dict
 
@@ -24,11 +26,12 @@ from repro.mpc.config import env_int
 
 ENV_PROFILE = "REPRO_KERNELS_PROFILE"
 
-#: Read once at import (workers re-read at spawn): 0/unset disables.
+#: Read once at import: 0/unset disables.
 _ENABLED = (env_int(ENV_PROFILE, 0) or 0) > 0
 
 _NS: Dict[str, int] = {}
 _CALLS: Dict[str, int] = {}
+_LOCK = threading.Lock()
 
 
 def enabled() -> bool:
@@ -39,21 +42,24 @@ def enabled() -> bool:
 def counters() -> Dict[str, int]:
     """Cumulative ``{name}_ns`` / ``{name}_calls`` counters (a copy)."""
     out: Dict[str, int] = {}
-    for name in sorted(_NS):
-        out[f"{name}_ns"] = int(_NS[name])
-        out[f"{name}_calls"] = int(_CALLS[name])
+    with _LOCK:
+        for name in sorted(_NS):
+            out[f"{name}_ns"] = int(_NS[name])
+            out[f"{name}_calls"] = int(_CALLS[name])
     return out
 
 
 def reset() -> None:
-    _NS.clear()
-    _CALLS.clear()
+    with _LOCK:
+        _NS.clear()
+        _CALLS.clear()
 
 
 def record(name: str, ns: int) -> None:
     """Fold ``ns`` nanoseconds into section ``name``'s accumulators."""
-    _NS[name] = _NS.get(name, 0) + int(ns)
-    _CALLS[name] = _CALLS.get(name, 0) + 1
+    with _LOCK:
+        _NS[name] = _NS.get(name, 0) + int(ns)
+        _CALLS[name] = _CALLS.get(name, 0) + 1
 
 
 def wrap(name: str, func: Callable) -> Callable:
@@ -107,7 +113,7 @@ _NULL = _NullSection()
 
 
 def timed(name: str):
-    """Context manager timing a parent-side section; no-op when disabled."""
+    """Context manager timing a backend section; no-op when disabled."""
     if not _ENABLED:
         return _NULL
     return _Section(name)

@@ -1,11 +1,9 @@
 """repro.lint -- AST-based static analysis for the repo's MPC invariants.
 
-The reproduction relies on conventions no generic tool checks and that
-the dynamic suites cannot provoke: a shared-memory segment must be
-owned or released on every exception edge, the ring/status wire
-protocol must be bracketed exactly and survive every bounded fault
-interleaving, and kernel and worker code must stay bit-reproducible.
-This package turns those conventions into machine-checked rules::
+The reproduction relies on conventions no generic tool checks: every
+``REPRO_*`` knob is read through one validated reader and documented,
+and kernel and op-executor code must stay bit-reproducible.  This
+package turns those conventions into machine-checked rules::
 
     python -m repro.lint src tests
 
@@ -18,17 +16,8 @@ Layout
 ``engine``
     File walker, suppression parsing, baseline filtering, rule driver.
 ``rules``
-    The per-file rule pack (RL004 env hygiene, plus the
-    suppression-hygiene meta rule RL000).
-``flow`` / ``flow_rules``
-    Statement-level path analysis, and the path rules built on it
-    (RL009 shm escape, RL010 determinism discipline, RL011 bracket
-    safety).
-``protocol``
-    The wire-protocol model checker (RL012): extracts the ring/
-    status/respawn state machine from ``mpc/backend.py`` and
-    exhaustively explores bounded fault interleavings
-    (``docs/protocol-model.md``).
+    The rule pack: RL004 env hygiene, RL010 determinism discipline,
+    and the suppression-hygiene meta rule RL000.
 ``reporters``
     Text and JSON output.
 
@@ -39,6 +28,6 @@ linter reads the tree, the tree never reads the linter.
 #: Version of the rule pack, recorded in JSON reports and baselines.
 #: Bump when rules are added, removed, or their detection logic changes
 #: meaningfully.
-RULE_PACK_VERSION = "6.0"
+RULE_PACK_VERSION = "7.0"
 
 __all__ = ["RULE_PACK_VERSION"]

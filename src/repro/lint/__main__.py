@@ -53,10 +53,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--stats", action="store_true",
                         help="print per-rule wall time and finding "
                              "counts after the report")
-    parser.add_argument("--protocol-report", metavar="PATH",
-                        help="dump the RL012 protocol model-check "
-                             "result (state space + traces) as JSON "
-                             "to PATH ('-' for stdout)")
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -87,30 +83,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.lint.reporters import render_stats
 
         print(render_stats(report))
-    if args.protocol_report:
-        _dump(args.protocol_report, _protocol_payload(report))
     return report.exit_code
-
-
-def _protocol_payload(report) -> dict:
-    results = getattr(report.program, "protocol_results", {}) or {}
-    return {
-        "rule_pack": report.rule_pack,
-        "checked": sorted(results),
-        "results": {path: res.to_json()
-                    for path, res in sorted(results.items())},
-    }
-
-
-def _dump(path: str, payload: dict) -> None:
-    import json
-
-    text = json.dumps(payload, indent=2) + "\n"
-    if path == "-":
-        print(text, end="")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
 
 
 if __name__ == "__main__":

@@ -4,16 +4,13 @@ The engine is deliberately simple -- plain :mod:`ast` walks, no type
 inference -- because every rule in the pack is a *convention* check:
 the patterns it looks for are the ones this repo actually writes (see
 ``docs/lint-rules.md`` for what each rule approximates and where it
-stays silent).  Three phases:
+stays silent).  Two phases:
 
 1. **Per-file**: each ``.py`` file is parsed once; every rule whose
    ``applies()`` matches the path gets the parsed
    :class:`FileContext`.
 2. **Project**: rules that need cross-file state (RL004's doc-drift
    check) run once over all contexts with the detected project root.
-3. **Program**: RL012's protocol model check runs once over a
-   :class:`Program` and leaves its result there for
-   ``--protocol-report``.
 
 Parsed contexts are cached per ``(path, mtime, size)`` across runs in
 the same process, so repeated ``run_paths``/test invocations re-parse
@@ -110,20 +107,6 @@ class FileContext:
                        message=message)
 
 
-@dataclass
-class Program:
-    """Whole-program view handed to ``check_program`` rules.
-
-    ``protocol_results`` collects the RL012 model-check results keyed
-    by backend path (the CLI's ``--protocol-report`` reads it back
-    out).
-    """
-
-    contexts: Sequence[FileContext]
-    root: Path
-    protocol_results: Dict[str, object] = field(default_factory=dict)
-
-
 class Rule:
     """Base class: subclasses set ``id``/``title`` and override checks."""
 
@@ -142,9 +125,6 @@ class Rule:
                       root: Path) -> Iterable[Finding]:
         return ()
 
-    def check_program(self, program: Program) -> Iterable[Finding]:
-        return ()
-
 
 @dataclass
 class Report:
@@ -157,8 +137,6 @@ class Report:
     rule_pack: str = RULE_PACK_VERSION
     #: Per-rule wall time in seconds across all phases (``--stats``).
     timings: Dict[str, float] = field(default_factory=dict)
-    #: The program view of the run (``--protocol-report``).
-    program: Optional[Program] = None
 
     @property
     def exit_code(self) -> int:
@@ -348,23 +326,17 @@ def run_paths(paths: Sequence[str], *,
                 findings.append(finding)
 
     ctx_by_path = {ctx.path: ctx for ctx in contexts}
-    program = Program(contexts=contexts, root=root)
-
-    def run_phase(produce) -> None:
-        for rule in rules:
-            start = time.perf_counter()
-            raw = list(produce(rule))
-            timings[rule.id] += time.perf_counter() - start
-            for finding in raw:
-                ctx = ctx_by_path.get(finding.path)
-                if ctx is not None and _is_suppressed(finding,
-                                                      ctx.suppressions):
-                    suppressed.append(finding)
-                else:
-                    findings.append(finding)
-
-    run_phase(lambda rule: rule.check_project(contexts, root))
-    run_phase(lambda rule: rule.check_program(program))
+    for rule in rules:
+        start = time.perf_counter()
+        raw = list(rule.check_project(contexts, root))
+        timings[rule.id] += time.perf_counter() - start
+        for finding in raw:
+            ctx = ctx_by_path.get(finding.path)
+            if ctx is not None and _is_suppressed(finding,
+                                                  ctx.suppressions):
+                suppressed.append(finding)
+            else:
+                findings.append(finding)
 
     baselined = 0
     if baseline_path:
@@ -380,19 +352,17 @@ def run_paths(paths: Sequence[str], *,
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return Report(findings=findings, suppressed=suppressed,
                   baselined=baselined, files=len(files),
-                  timings=timings, program=program)
+                  timings=timings)
 
 
 def lint_source(source: str, virtual_path: str,
                 select: Optional[Sequence[str]] = None) -> List[Finding]:
-    """Run the per-file and program rules over in-memory ``source``.
+    """Run the per-file rules over in-memory ``source``.
 
     The self-test corpus uses this: ``virtual_path`` stands in for the
-    real location, so path-scoped rules (RL011's ``mpc/backend.py``
-    scope, RL004's ``src/`` scope) fire exactly as they would on disk.
-    The program phase runs over a single-file program (so the RL012
-    corpus cases fire); project-phase checks (RL004's cross-file doc
-    drift) are not run.
+    real location, so path-scoped rules (RL010's ``kernels/`` scope,
+    RL004's ``src/`` scope) fire exactly as they would on disk.
+    Project-phase checks (RL004's cross-file doc drift) are not run.
     """
     ctx = make_context(virtual_path, source)
     out: List[Finding] = []
@@ -402,12 +372,5 @@ def lint_source(source: str, virtual_path: str,
             for finding in rule.check(ctx):
                 if not _is_suppressed(finding, ctx.suppressions):
                     out.append(finding)
-    program = Program(contexts=[ctx], root=Path.cwd())
-    for rule in rules:
-        for finding in rule.check_program(program):
-            if finding.path == ctx.path \
-                    and _is_suppressed(finding, ctx.suppressions):
-                continue
-            out.append(finding)
     out.sort(key=lambda f: (f.line, f.rule))
     return out

@@ -1,4 +1,4 @@
-"""The per-file rule pack: RL000, RL004.
+"""The rule pack: RL000, RL004, RL010.
 
 Each rule is a pragmatic approximation of an invariant the repo relies
 on (``docs/lint-rules.md`` spells out what it catches, why the MPC
@@ -11,11 +11,34 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.lint.engine import FileContext, Finding, Rule
 
 _ENV_NAME_RE = re.compile(r"\AREPRO_[A-Z][A-Z0-9_]*\Z")
+
+
+def _terminal_name(node: ast.AST) -> Optional[str]:
+    """Dotted tail of a call target: ``a.b.c(...)`` -> ``c``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _own_nodes(func: ast.AST) -> Iterable[ast.AST]:
+    """Walk ``func`` excluding bodies of nested function/class defs."""
+    skip: Set[int] = set()
+    for node in ast.walk(func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)) and node is not func:
+            for sub in ast.walk(node):
+                if sub is not node:
+                    skip.add(id(sub))
+    for node in ast.walk(func):
+        if id(node) not in skip:
+            yield node
 
 
 def _walk_functions(tree: ast.Module):
@@ -79,7 +102,7 @@ class EnvHygiene(Rule):
                     self.id, hit,
                     "direct os.environ/os.getenv read; route it "
                     "through the validated readers in "
-                    "repro.mpc.config (read_env/env_int/env_float) so "
+                    "repro.mpc.config (read_env/env_int) so "
                     "garbage raises SketchError naming the variable")
 
     # -- project phase: doc drift --------------------------------------
@@ -127,14 +150,143 @@ class EnvHygiene(Rule):
                 yield finding
 
 
-#: The rule pack, in reporting order.  The path rules (RL009-RL011)
-#: and the protocol model check (RL012) live in
-#: :mod:`repro.lint.flow_rules`; the import sits at the bottom because
-#: flow_rules imports helpers defined above.
-from repro.lint.flow_rules import FLOW_RULES  # noqa: E402
+# ---------------------------------------------------------------------------
+# RL010: determinism discipline (the bit-identity lint)
+# ---------------------------------------------------------------------------
 
+#: ``random.<fn>`` calls that draw from ambient (unseeded) state.
+_RANDOM_FUNCS = frozenset({
+    "random", "randint", "randrange", "choice", "choices", "shuffle",
+    "sample", "uniform", "getrandbits", "gauss", "betavariate",
+})
+#: ``time.<fn>`` calls that produce wall-clock *values* (sleep is fine).
+_CLOCK_FUNCS = frozenset({
+    "time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
+    "perf_counter_ns",
+})
+#: Materializers whose element order becomes array order.
+_MATERIALIZERS = frozenset({"list", "tuple", "array", "asarray",
+                            "fromiter", "concatenate", "stack"})
+
+
+def _is_set_expr(node: ast.AST) -> bool:
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call) \
+            and _terminal_name(node.func) in ("set", "frozenset"):
+        return True
+    return False
+
+
+class DeterminismDiscipline(Rule):
+    id = "RL010"
+    title = "determinism-discipline"
+    rationale = ("kernel/op-executor code must stay "
+                 "bit-reproducible: no ambient RNG, wall-clock values, "
+                 "set-iteration order, or float accumulation")
+
+    def _in_scope(self, ctx: FileContext, func) -> bool:
+        # The one op executor behind every backend route, wherever it
+        # lives, and everything under kernels/.
+        return func.name == "_execute_op" or "repro/kernels/" in ctx.path
+
+    def check(self, ctx: FileContext) -> Iterable[Finding]:
+        for func in _walk_functions(ctx.tree):
+            if not self._in_scope(ctx, func):
+                continue
+            yield from self._check_func(ctx, func)
+
+    def _check_func(self, ctx: FileContext, func) -> Iterable[Finding]:
+        where = f"in determinism scope {func.name}"
+        for node in _own_nodes(func):
+            if isinstance(node, ast.Call):
+                yield from self._check_call(ctx, node, where)
+            elif isinstance(node, (ast.For, ast.AsyncFor)):
+                if _is_set_expr(node.iter):
+                    yield ctx.finding(
+                        self.id, node,
+                        f"iteration over a set {where}: set order is "
+                        f"hash-seed dependent and feeds downstream "
+                        f"arrays; sort it (sorted(...)) first")
+            elif isinstance(node, (ast.ListComp, ast.SetComp,
+                                   ast.GeneratorExp, ast.DictComp)):
+                for gen in node.generators:
+                    if _is_set_expr(gen.iter):
+                        yield ctx.finding(
+                            self.id, node,
+                            f"comprehension over a set {where}: set "
+                            f"order is hash-seed dependent; sort it "
+                            f"first")
+
+    def _check_call(self, ctx: FileContext, node: ast.Call,
+                    where: str) -> Iterable[Finding]:
+        func_expr = node.func
+        name = _terminal_name(func_expr)
+        owner = None
+        if isinstance(func_expr, ast.Attribute):
+            try:
+                owner = ast.unparse(func_expr.value)
+            except Exception:  # pragma: no cover - defensive
+                owner = None
+        # Ambient randomness.
+        if owner in ("np.random", "numpy.random"):
+            yield ctx.finding(
+                self.id, node,
+                f"np.random.{name} {where}: all randomness must come "
+                f"from the seeded SamplerRandomness/KWiseHash params, "
+                f"never ambient RNG")
+        elif owner == "random" and name in _RANDOM_FUNCS:
+            yield ctx.finding(
+                self.id, node,
+                f"random.{name} {where}: ambient stdlib RNG breaks "
+                f"cross-backend bit-identity")
+        # Wall-clock values.
+        elif (owner == "time" and name in _CLOCK_FUNCS) or \
+                (owner is None and isinstance(func_expr, ast.Name)
+                 and func_expr.id in _CLOCK_FUNCS):
+            yield ctx.finding(
+                self.id, node,
+                f"wall-clock read ({name}) {where}: time-dependent "
+                f"values make answers irreproducible across runs and "
+                f"backends")
+        # Set materialization into ordered containers/arrays.
+        elif name in _MATERIALIZERS and node.args \
+                and _is_set_expr(node.args[0]):
+            yield ctx.finding(
+                self.id, node,
+                f"{name}(set(...)) {where}: materializes hash-seed-"
+                f"dependent order into an ordered container; wrap in "
+                f"sorted(...)")
+        # Float accumulation / conversion: everything on the sketch hot
+        # path is exact int64 limb arithmetic; a float dtype is either
+        # a bug or carries an inline suppression arguing exactness.
+        elif name == "astype" and node.args and \
+                "float" in _safe_unparse(node.args[0]):
+            yield ctx.finding(
+                self.id, node,
+                f".astype(float) {where}: float rounding is "
+                f"association-order dependent; the sketch path is "
+                f"exact int64/limb arithmetic")
+        else:
+            for kw in node.keywords:
+                if kw.arg == "dtype" and "float" in _safe_unparse(kw.value):
+                    yield ctx.finding(
+                        self.id, node,
+                        f"float dtype {where}: float accumulation is "
+                        f"association-order dependent; keep the hot "
+                        f"path exact int64/limb")
+
+
+def _safe_unparse(node: ast.AST) -> str:
+    try:
+        return ast.unparse(node)
+    except Exception:  # pragma: no cover - defensive
+        return ""
+
+
+#: The rule pack, in reporting order.
 ALL_RULES: List[Rule] = [
     SuppressionHygiene(),
     EnvHygiene(),
-    *FLOW_RULES,
+    DeterminismDiscipline(),
 ]

@@ -17,7 +17,6 @@ from repro.mpc.backend import (
     resolve_backend,
 )
 from repro.mpc.config import MPCConfig, polylog, small_test_config
-from repro.mpc.faults import Fault, FaultPlan
 from repro.mpc.machine import Machine, Message
 from repro.mpc.metrics import ClusterMetrics, PhaseMetrics
 from repro.mpc.partition import VertexPartition
@@ -39,8 +38,6 @@ __all__ = [
     "MPCConfig",
     "polylog",
     "small_test_config",
-    "Fault",
-    "FaultPlan",
     "Machine",
     "Message",
     "ClusterMetrics",

@@ -16,6 +16,7 @@ words (see :mod:`repro.mpc.metrics`).
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -27,7 +28,7 @@ from repro.errors import ConfigurationError, SketchError
 # Validated environment readers
 # ---------------------------------------------------------------------------
 # Every ``REPRO_*`` knob in the codebase is read through one of these
-# three functions -- the single place ``os.environ`` is touched (rule
+# two functions -- the single place ``os.environ`` is touched (rule
 # RL004 in ``docs/lint-rules.md`` enforces this).  Centralising the
 # reads guarantees the failure mode is uniform: a set-but-garbage value
 # raises :class:`~repro.errors.SketchError` *naming the variable* at
@@ -38,8 +39,8 @@ def read_env(name: str) -> Optional[str]:
     """Raw string value of env knob ``name``; ``None`` when unset.
 
     For knobs whose validation lives with their parser (the backend
-    name, the ``REPRO_BACKEND_FAULTS`` spec grammar): the caller
-    validates, this keeps the read itself in one audited place.
+    name): the caller validates, this keeps the read itself in one
+    audited place.
     """
     return os.environ.get(name)
 
@@ -66,25 +67,24 @@ def env_int(name: str, minimum: int) -> Optional[int]:
     return value
 
 
-def env_float(name: str, default: float) -> float:
-    """Read a positive-seconds env knob; ``default`` when unset.
+def check_count(field: str, value, minimum: int = 1) -> int:
+    """``value`` as an ``int >= minimum``, or :class:`ConfigurationError`
+    naming ``field``.
 
-    Garbage or non-positive values raise ``SketchError`` naming the
-    variable.
+    Anything ``operator.index`` accepts passes (numpy ints included);
+    ``bool``, floats and strings do not.
     """
-    raw = read_env(name)
-    if raw is None:
-        return default
     try:
-        value = float(raw.strip())
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value) or value <= 0:
-        raise SketchError(
-            f"invalid {name}={raw!r}: expected a positive number of "
-            f"seconds"
-        )
-    return value
+        if isinstance(value, bool):
+            raise TypeError
+        count = operator.index(value)
+    except TypeError:
+        raise ConfigurationError(
+            f"{field} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ConfigurationError(
+            f"{field} must be >= {minimum}, got {count}")
+    return count
 
 
 def polylog(n: int, power: int = 3) -> float:
@@ -128,13 +128,12 @@ class MPCConfig:
         Override for the derived machine count.
     backend:
         Execution backend for the sketch-pool work:  ``"sequential"``
-        (in-process, the default) or ``"shared_memory"`` (persistent
-        worker processes over shared-memory pools; bit-identical
-        results, real wall-clock parallelism).  ``None`` defers to the
-        ``REPRO_BACKEND`` environment variable, falling back to
-        sequential.  See :mod:`repro.mpc.backend`.
+        (in-process, the default) or ``"shared_memory"`` (worker
+        threads over the one in-process pool; bit-identical results).
+        ``None`` defers to the ``REPRO_BACKEND`` environment variable,
+        falling back to sequential.  See :mod:`repro.mpc.backend`.
     backend_workers:
-        Worker-process count for parallel backends; ``None`` defers to
+        Worker-thread count for parallel backends; ``None`` defers to
         ``REPRO_BACKEND_WORKERS``, falling back to ``min(4, cpus)``.
     """
 
@@ -149,22 +148,25 @@ class MPCConfig:
     backend_workers: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ConfigurationError(f"need at least 2 vertices, got n={self.n}")
+        # Sizes are stored as the plain ints ``check_count`` returns: a
+        # numpy ``int8`` / ``uint16`` n would overflow in ``n * (n - 1)``.
+        object.__setattr__(self, "n", check_count("n", self.n, minimum=2))
         if not 0.0 < self.phi < 1.0:
             raise ConfigurationError(
                 f"phi must lie strictly between 0 and 1, got {self.phi}"
             )
         if self.mem_factor <= 0 or self.total_memory_factor <= 0:
             raise ConfigurationError("memory factors must be positive")
-        if self.num_machines is not None and self.num_machines < 1:
-            raise ConfigurationError("num_machines must be >= 1")
+        if self.num_machines is not None:
+            object.__setattr__(self, "num_machines", check_count(
+                "num_machines", self.num_machines))
         if self.backend is not None:
             from repro.mpc.backend import normalize_backend_name
 
             normalize_backend_name(self.backend)  # raises if unknown
-        if self.backend_workers is not None and self.backend_workers < 1:
-            raise ConfigurationError("backend_workers must be >= 1")
+        if self.backend_workers is not None:
+            object.__setattr__(self, "backend_workers", check_count(
+                "backend_workers", self.backend_workers))
 
     # ------------------------------------------------------------------
     # Derived model quantities

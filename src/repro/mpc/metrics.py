@@ -42,11 +42,10 @@ class PhaseMetrics:
     #: backend -- so the ledger shows where work landed instead of
     #: lumping everything on machine 0.
     words_by_machine: Dict[int, int] = field(default_factory=dict)
-    #: Fleet-health events that occurred during the phase (worker
-    #: ``respawns`` / dispatch ``retries`` / ``degrades`` /
-    #: ``faults_injected``), as deltas of the execution backend's
-    #: cumulative ``health_counters()``.  Empty on backends with no
-    #: supervised fleet and in phases where nothing went wrong.
+    #: Execution events that occurred during the phase, as deltas of
+    #: the execution backend's cumulative ``health_counters()`` (and,
+    #: with ``REPRO_KERNELS_PROFILE=1``, the kernel profile counters).
+    #: Empty in phases where no counter moved.
     backend_events: Dict[str, int] = field(default_factory=dict)
 
     def row(self) -> Dict[str, object]:
@@ -92,7 +91,7 @@ class ClusterMetrics:
         self.messages: int = 0
         self.words_sent: int = 0
         self.words_by_machine: Dict[int, int] = {}
-        #: Cumulative fleet-health events fed in by the cluster from its
+        #: Cumulative execution events fed in by the cluster from its
         #: execution backend at phase boundaries (see ``begin_phase`` /
         #: ``end_phase`` ``health=`` parameters).
         self.backend_events: Dict[str, int] = {}
@@ -168,7 +167,7 @@ class ClusterMetrics:
                     health: Optional[Dict[str, int]] = None) -> None:
         """Open a phase.  ``health`` is the execution backend's
         cumulative ``health_counters()`` at phase start; ``end_phase``
-        diffs against it to attribute fleet events to the phase."""
+        diffs against it to attribute execution events to the phase."""
         if self._phase_label is not None:
             raise RuntimeError(
                 f"phase {self._phase_label!r} still open; nested phases "

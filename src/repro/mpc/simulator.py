@@ -105,8 +105,8 @@ class Cluster:
 
         Teardown paths read this instead of :attr:`backend`: closing a
         cluster whose lazy backend was never forced (e.g. after a
-        failed or partial checkpoint restore) must not spawn a worker
-        fleet just to shut it down.
+        failed or partial checkpoint restore) must not start a thread
+        pool just to shut it down.
         """
         return self._backend
 
@@ -143,13 +143,13 @@ class Cluster:
     def close(self, close_backend: Optional[bool] = None) -> None:
         """Shut down the execution backend deterministically.
 
-        Releases the worker fleet (and its shared-memory segments) now
-        instead of at GC / interpreter exit.  By default only a
+        Joins the worker threads now instead of at GC / interpreter
+        exit.  By default only a
         *privately owned* backend is closed: factory-cached backends
         (``backend.cached``) are shared by every cluster in the
         process, so killing one out from under the others is opt-in
-        (``close_backend=True``; the factory re-creates a fleet on the
-        next request).  In-process backends make this a no-op.
+        (``close_backend=True``; the factory re-creates one on the next
+        request).  In-process backends make this a no-op.
         """
         if self._backend is None:
             return
@@ -165,8 +165,8 @@ class Cluster:
         self.close()
 
     def __getstate__(self):
-        """Checkpoint without the backend: worker fleets, pipes, and
-        shared-memory handles are process-local.  The spec (a name) is
+        """Checkpoint without the backend: thread pools are
+        process-local.  The spec (a name) is
         kept so the restored cluster can lazily re-resolve; an instance
         spec degrades to its name."""
         state = self.__dict__.copy()
@@ -354,12 +354,12 @@ class Cluster:
     # Phases
     # ------------------------------------------------------------------
     def _backend_health(self) -> Dict[str, int]:
-        """The backend's cumulative fleet-health counters, without ever
+        """The backend's cumulative health counters, without ever
         forcing a lazy backend into existence just to read zeros.
 
         With ``REPRO_KERNELS_PROFILE=1`` the parent-side kernel and
         dispatch-section accumulators ride along: they are cumulative
-        monotone ints just like the fleet counters, so
+        monotone ints just like the health counters, so
         :meth:`~repro.mpc.metrics.ClusterMetrics.end_phase` diffs them
         into per-phase ``backend_events`` rows with no extra plumbing.
         """

@@ -12,7 +12,7 @@ Cluster`, resolves its own execution backend, validates the stream
 independently, and charges the batch-routing step once per instance.
 
 :class:`GraphSession` multiplexes instead.  It constructs **one**
-cluster (one backend worker fleet, one vertex partition, one metrics
+cluster (one execution backend, one vertex partition, one metrics
 ledger) and **one** :class:`~repro.core.api.UpdateValidator`, then
 registers each requested task against them through
 :meth:`~repro.core.api.BatchDynamicAlgorithm.attach`.  Per session
@@ -189,8 +189,8 @@ class GraphSession:
         ``n`` / ``phi`` / ``seed`` when omitted.
     backend, backend_workers:
         Execution backend for the shared cluster (name, instance, or
-        ``None`` for the config / environment default).  One worker
-        fleet serves every task.
+        ``None`` for the config / environment default).  One backend
+        serves every task.
     batch_size:
         Auto-batching size for :meth:`ingest`; defaults to (and may
         not exceed) the model's per-phase batch bound.
@@ -490,8 +490,8 @@ class GraphSession:
         return rows
 
     #: Column order for rendered reports.  ``fleet`` carries the
-    #: phase's fleet-health events (worker respawns / dispatch retries
-    #: / degrades / injected faults) and is blank in healthy phases.
+    #: phase's nonzero execution counters (the kernel profile under
+    #: ``REPRO_KERNELS_PROFILE=1``) and is blank otherwise.
     REPORT_COLUMNS = ("phase", "task", "batch", "rounds", "messages",
                       "words_sent", "peak_total_memory", "violations",
                       "fleet")
@@ -500,9 +500,9 @@ class GraphSession:
         """Cumulative fleet-health counters of the live backend.
 
         Mirrors ``ExecutionBackend.health_counters()``: ``respawns`` /
-        ``retries`` / ``degrades`` / ``faults_injected``.  Empty when
-        the backend has no supervised fleet (sequential) or was never
-        materialised; per-phase deltas appear in the ``fleet`` column
+        ``retries`` / ``degrades``, all 0 on the thread backend.  Empty
+        on the sequential backend or one never materialised; per-phase
+        deltas appear in the ``fleet`` column
         of :meth:`report`.
         """
         backend = self.cluster.resolved_backend
@@ -548,28 +548,27 @@ class GraphSession:
     def close(self, close_backend: Optional[bool] = None) -> None:
         """Deterministic teardown (idempotent).
 
-        Detaches every sketch family from the execution backend
-        (releasing worker-side pool mappings and shared-memory
-        segments) and, when the session *owns* a parallel backend (a
-        privately constructed fleet, not the process-cached one other
-        sessions share), shuts its workers down -- they are gone when
-        this returns, not when the GC gets around to it.  Pass
+        Detaches every sketch family from the execution backend and,
+        when the session *owns* a parallel backend (a privately
+        constructed one, not the process-cached one other sessions
+        share), joins its worker threads -- they are gone when this
+        returns, not when the GC gets around to it.  Pass
         ``close_backend=True`` to force-close even a shared cached
-        fleet (the factory re-spawns one for later users) or ``False``
-        to never close.
+        backend (the factory re-creates one for later users) or
+        ``False`` to never close.
 
         Safe on any session state: double-close is a no-op even when
         the session is latched inconsistent, and a session whose lazy
         backend property was never forced (a failed or partial
-        :meth:`restore`) is torn down without materialising a worker
-        fleet first -- there is nothing live to stop.
+        :meth:`restore`) is torn down without materialising a backend
+        first -- there is nothing live to stop.
         """
         if self._closed:
             return
         self._closed = True
         # Families detach from whatever backend they were attached to
         # directly; reading the cluster's *resolved* backend (never the
-        # lazy property) keeps teardown from spawning a fleet.
+        # lazy property) keeps teardown from creating a backend.
         backend = self.cluster.resolved_backend
         for alg in self._all_algorithms():
             for family in alg._sketch_families():
@@ -607,8 +606,8 @@ class GraphSession:
         goes in: sketch pools (each family's cell block, once), spawn-
         safe randomness params, validator edge set, forests/component
         ids, per-task stats and cursors, metrics ledgers, and generator
-        states.  Process-local execution state (worker fleets, shared-
-        memory handles) is excluded and re-created on restore.
+        states.  Process-local execution state (backend handles, thread
+        pools) is excluded and re-created on restore.
         """
         self._check_open()
         payload = {
@@ -634,13 +633,9 @@ class GraphSession:
         session checkpointed under ``shared_memory`` restores cleanly
         onto ``sequential`` and vice versa (results are bit-identical
         across backends).  All sketch families are re-attached to the
-        chosen backend before the session is handed back; on the
-        shared-memory backend that re-attach also re-routes all future
-        dispatches through the live fleet's descriptor ring buffers
-        (rings are process-local, never checkpointed).
+        chosen backend before the session is handed back.
 
-        A failure part-way through (a backend that cannot spawn or
-        attach) rolls the half-built session back -- families detached,
+        A failure part-way through (a backend that cannot attach) rolls the half-built session back -- families detached,
         nothing left half-attached -- and re-raises, so the checkpoint
         file stays restorable.
 
@@ -691,7 +686,7 @@ class GraphSession:
         except Exception:
             # Partial restore: latch the half-built session broken and
             # close it the non-forcing way (detach whatever attached;
-            # never materialise a fleet just to tear it down).
+            # never materialise a backend just to tear it down).
             session._broken = "restore failed part-way"
             session.close(close_backend=False)
             raise

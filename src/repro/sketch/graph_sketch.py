@@ -51,9 +51,9 @@ flat membership instead of materialised merged cells -- the backend
 sums the member rows against the pool where it lives and returns only
 the recovered edges, which is what keeps the AGM halving iterations'
 per-round communication small on the cluster backend.  On the default
-:class:`~repro.mpc.backend.SequentialBackend` this runs in-process; on
-the shared-memory cluster backend the same descriptors fan out to
-worker processes, bit-identically.
+:class:`~repro.mpc.backend.SequentialBackend` this runs as one call; on
+the thread backend the same descriptors fan out to worker threads,
+bit-identically.
 """
 
 from __future__ import annotations
@@ -103,15 +103,13 @@ class SketchFamily:
         """Register this family's pool with an execution backend.
 
         Called by ``__init__`` and by checkpoint restore
-        (:mod:`repro.session`); the backend may move the pool's cell
-        block into shared memory (``adopt_buffer``), contents kept.  A
-        detach finalizer releases worker mappings and segments when the
-        family goes away; :meth:`detach_backend` runs it
-        deterministically.
+        (:mod:`repro.session`); the pool's cells stay where they are.
+        A detach finalizer releases the registration when the family
+        goes away; :meth:`detach_backend` runs it deterministically.
         """
         # Lazy import: repro.mpc.backend imports the sketch layer for
-        # its worker-side math, so the dependency must not be circular
-        # at module level.
+        # its op table, so the dependency must not be circular at
+        # module level.
         from repro.mpc.backend import resolve_backend
 
         if self._pool_handle is not None:
@@ -127,9 +125,7 @@ class SketchFamily:
     def detach_backend(self) -> None:
         """Release the backend registration now (idempotent).
 
-        Deterministic counterpart of the GC finalizer: worker-side pool
-        mappings and shared-memory segments are released immediately.
-        The family keeps its cell contents (``pool.cells`` stays
+        Deterministic counterpart of the GC finalizer.  The family keeps its cell contents (``pool.cells`` stays
         readable) but must be re-attached before any further routed
         bulk work.  Used by ``GraphSession.close()``.
         """
@@ -148,7 +144,7 @@ class SketchFamily:
     # -- checkpointing ---------------------------------------------------
     def __getstate__(self):
         """Drop the backend registration: handles, finalizers, and
-        worker fleets are process-local.  A restored family is inert
+        thread pools are process-local.  A restored family is inert
         until :meth:`attach_backend` is called (checkpoint restore does
         this after choosing the target backend)."""
         state = self.__dict__.copy()
@@ -195,8 +191,8 @@ class SketchFamily:
         residues mod p first), and the one-column zero test is the
         all-columns one by the column invariant of
         :mod:`repro.sketch.sparse_recovery`.  On
-        the cluster backend whole groups are balanced across workers
-        and only the recovered edges travel back.
+        the thread backend contiguous runs of whole groups are balanced
+        across the worker threads.
         """
         if not len(groups):
             return np.zeros(0, dtype=bool), []
@@ -265,8 +261,8 @@ class SketchFamily:
         lo = np.minimum(us, vs)
         # One entry per (edge, endpoint): the larger endpoint sees
         # +delta, the smaller -delta (edge_sign convention).  The
-        # backend hashes the coordinates and scatters -- in-process on
-        # the sequential backend, sharded by row owner on the cluster
+        # backend hashes the coordinates and scatters -- in one call on
+        # the sequential backend, sharded by row owner on the thread
         # backend.
         self.backend.scatter_edges(self._handle(), hi, lo, idxs, deltas)
 

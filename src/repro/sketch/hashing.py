@@ -140,9 +140,9 @@ class KWiseHash:
                     coeffs: Sequence[int]) -> "KWiseHash":
         """Rebuild a hash function from its parameters alone.
 
-        The spawn-safe constructor: no ``rng`` is consumed, so a worker
-        process given ``(range_size, coeffs)`` reconstructs *exactly*
-        the parent's function (same field polynomial, same range
+        The spawn-safe constructor: no ``rng`` is consumed, so an
+        unpickled copy given ``(range_size, coeffs)`` reconstructs
+        *exactly* the original function (same field polynomial, same range
         reduction).  ``cls`` is preserved, so pickling a
         :class:`PairwiseHash` round-trips to a :class:`PairwiseHash`.
         """

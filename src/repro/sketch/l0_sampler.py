@@ -132,11 +132,11 @@ class SamplerRandomness:
                     level_coeffs) -> "SamplerRandomness":
         """Rebuild identical randomness from :meth:`params` alone.
 
-        The spawn-safe constructor used by the execution-backend
-        workers: no ``rng`` is consumed and no caches are shipped, yet
-        the rebuilt instance hashes, levels, and fingerprints exactly
-        like the original -- the contract the backend's bit-identical
-        guarantee rests on.
+        The spawn-safe constructor unpickling uses (checkpoints): no
+        ``rng`` is consumed and no caches are shipped, yet the rebuilt
+        instance hashes, levels, and fingerprints exactly like the
+        original -- the contract a restored session's bit-identical
+        continuation rests on.
         """
         if columns < 1 or len(level_coeffs) != columns:
             raise ValueError("level_coeffs must supply one coefficient "

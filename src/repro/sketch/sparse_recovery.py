@@ -288,32 +288,12 @@ class RecoveryPool:
         self.cells = np.zeros((count, 3, columns, levels), dtype=np.int64)
         self._flat = self.cells.reshape(-1)
 
-    def adopt_buffer(self, cells: np.ndarray) -> None:
-        """Move this pool's cells into an externally owned buffer.
-
-        The execution backends use this to place the cell block in
-        ``multiprocessing.shared_memory`` so worker processes can
-        scatter into their row shards directly.  Current contents are
-        preserved.
-        """
-        if cells.shape != self.cells.shape or cells.dtype != np.int64:
-            raise ValueError(
-                f"buffer of shape {cells.shape} / {cells.dtype} cannot "
-                f"back a pool of shape {self.cells.shape} int64"
-            )
-        cells[...] = self.cells
-        self.cells = cells
-        self._flat = cells.reshape(-1)
-
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
     def __getstate__(self):
         """Pickle as pure values: a private copy of the cell block.  The
-        flat view and any shared-memory placement are reconstruction
-        artifacts -- a restored pool always starts with a private
-        buffer and is moved back into shared memory by the backend
-        re-attach, if any."""
+        flat view is a reconstruction artifact."""
         return (self.count, self.columns, self.levels,
                 np.asarray(self.cells).copy())
 

@@ -1,16 +1,18 @@
-"""Execution-backend matrix: parity, spawn-safety, crash surfacing.
+"""Execution-backend matrix: parity, spawn-safety, the thread executor.
 
 The contract under test (see :mod:`repro.mpc.backend`): the
-``shared_memory`` backend is *bit-identical* to the ``sequential`` one
--- same pool cells after any mix of insert and delete batches, same
-query answers, and therefore identical end-to-end behaviour of every
-algorithm built on the sketches -- while worker failures surface as
-:class:`~repro.errors.SketchError` instead of hangs or corruption.
+``shared_memory`` thread backend is *bit-identical* to the
+``sequential`` one -- same pool cells after any mix of insert and
+delete batches, same query answers, and therefore identical end-to-end
+behaviour of every algorithm built on the sketches -- and a failing
+share re-raises its own exception only after every share has finished.
 """
 
 from __future__ import annotations
 
 import pickle
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -28,8 +30,9 @@ from repro.core.bipartiteness import DynamicBipartiteness
 from repro.core.msf_approx import ApproxMSF
 from repro.errors import ConfigurationError, SketchError
 from repro.mpc import MPCConfig
+from repro.mpc import backend as backend_module
 from repro.mpc.backend import (
-    DEFAULT_BACKOFF,
+    ROUTED_OPS,
     ExecutionBackend,
     SequentialBackend,
     SharedMemoryBackend,
@@ -38,7 +41,6 @@ from repro.mpc.backend import (
     get_backend,
     resolve_backend,
 )
-from repro.mpc.faults import ROUTED_OPS, FaultPlan
 from repro.sketch import (
     FourWiseHash,
     PairwiseHash,
@@ -51,8 +53,8 @@ WORKERS = 2
 
 @pytest.fixture(scope="module")
 def shared_backend():
-    """The process-wide 2-worker backend (shared across tests so the
-    suite spawns one fleet, not one per test)."""
+    """The process-wide 2-thread backend (shared across tests so the
+    suite starts one thread pool, not one per test)."""
     return get_backend("shared_memory", workers=WORKERS)
 
 
@@ -120,7 +122,7 @@ class TestSpawnSafeRandomness:
             SamplerRandomness.from_params(100, 3, 1, ((1, 2),))
 
     def test_pickle_ships_params_not_caches(self, rng):
-        # The attach payload every worker receives: without __reduce__
+        # The checkpoint payload of every family: without __reduce__
         # it would carry the scalar memo caches (574 B -> 1.1 MB after
         # 5 000 lookups).
         randomness = SamplerRandomness(universe=5000, columns=6, rng=rng)
@@ -203,7 +205,7 @@ class TestPoolParity:
 
     def test_subset_and_repeated_slots(self, shared_backend):
         # Groups may overlap, repeat, and list members in any order:
-        # workers only read pool rows, so placement is free.
+        # group shares only read pool rows, so placement is free.
         seq, shm = family_pair(shared_backend)
         us, vs = edge_arrays(40, 50)
         ones = np.ones(50, dtype=np.int64)
@@ -214,109 +216,6 @@ class TestPoolParity:
                   np.array([21, 0, 7])]
         check_groups((seq, shm), groups, 1, set(zip(us.tolist(),
                                                     vs.tolist())))
-
-
-# ---------------------------------------------------------------------------
-# Tentpole: ring-buffer descriptor transport
-# ---------------------------------------------------------------------------
-
-class TestRingTransport:
-    def test_small_batches_take_the_ring(self):
-        """The hot path: small-batch dispatch ships (seq, offset, len)
-        tokens through the descriptor ring, never pickled arrays."""
-        backend = SharedMemoryBackend(num_workers=2)
-        try:
-            seq = SketchFamily(40, columns=6,
-                               rng=np.random.default_rng(3),
-                               backend="sequential")
-            shm = SketchFamily(40, columns=6,
-                               rng=np.random.default_rng(3),
-                               backend=backend)
-            raw_before = backend.raw_dispatches
-            us, vs = edge_arrays(40, 32)
-            ones = np.ones(32, dtype=np.int64)
-            for family in (seq, shm):
-                family.apply_edges_bulk(us, vs, ones)
-                family.apply_edges_bulk(us[:8], vs[:8], -ones[:8])
-            groups = [np.arange(5), np.array([7, 9])]
-            shm.query_iteration_groups(groups, 1)
-            shm.cuts_empty_groups(groups)
-            assert backend.ring_dispatches > 0
-            assert backend.raw_dispatches == raw_before, (
-                "small-batch work must never fall back to pipe pickling"
-            )
-            assert np.array_equal(seq.pool.cells, shm.pool.cells)
-        finally:
-            backend.close()
-
-    def test_oversized_descriptors_fall_back_to_pipe(self):
-        """Descriptors that cannot fit the ring take the legacy pickled
-        path -- bit-identically."""
-        backend = SharedMemoryBackend(num_workers=2, ring_words=64)
-        try:
-            seq = SketchFamily(64, columns=6,
-                               rng=np.random.default_rng(4),
-                               backend="sequential")
-            shm = SketchFamily(64, columns=6,
-                               rng=np.random.default_rng(4),
-                               backend=backend)
-            us, vs = edge_arrays(64, 200, seed=11)
-            ones = np.ones(200, dtype=np.int64)
-            seq.apply_edges_bulk(us, vs, ones)
-            shm.apply_edges_bulk(us, vs, ones)
-            assert backend.raw_dispatches > 0
-            assert np.array_equal(seq.pool.cells, shm.pool.cells)
-            # Group descriptors overflow the ring the same way.
-            raw_before = backend.raw_dispatches
-            groups = [np.arange(64), np.arange(64)[::-1]]
-            z_seq, e_seq = seq.query_iteration_groups(groups, 0)
-            z_shm, e_shm = shm.query_iteration_groups(groups, 0)
-            assert backend.raw_dispatches > raw_before
-            assert np.array_equal(z_seq, z_shm) and e_seq == e_shm
-        finally:
-            backend.close()
-
-    def test_ring_wraps_and_stays_in_sync(self):
-        """Many small dispatches wrap the write offset; the seq/ack
-        discipline keeps every record decoding correctly."""
-        backend = SharedMemoryBackend(num_workers=1, ring_words=96)
-        try:
-            seq = SketchFamily(16, columns=4,
-                               rng=np.random.default_rng(5),
-                               backend="sequential")
-            shm = SketchFamily(16, columns=4,
-                               rng=np.random.default_rng(5),
-                               backend=backend)
-            us, vs = edge_arrays(16, 40, seed=12)
-            for i in range(40):
-                one = np.ones(1, dtype=np.int64)
-                seq.apply_edges_bulk(us[i:i + 1], vs[i:i + 1], one)
-                shm.apply_edges_bulk(us[i:i + 1], vs[i:i + 1], one)
-                group = [np.array([int(us[i]), int(vs[i])])]
-                z_seq, e_seq = seq.query_iteration_groups(group, i % 4)
-                z_shm, e_shm = shm.query_iteration_groups(group, i % 4)
-                assert np.array_equal(z_seq, z_shm) and e_seq == e_shm
-            assert backend.ring_dispatches >= 80
-            assert backend.raw_dispatches == 0
-            assert max(backend._ring_offsets) <= backend.ring_words
-            assert np.array_equal(seq.pool.cells, shm.pool.cells)
-        finally:
-            backend.close()
-
-    def test_ring_disabled_uses_pipe_only(self):
-        backend = SharedMemoryBackend(num_workers=1, ring_words=0)
-        try:
-            family = SketchFamily(8, columns=4,
-                                  rng=np.random.default_rng(6),
-                                  backend=backend)
-            us, vs = edge_arrays(8, 6)
-            family.apply_edges_bulk(us, vs, np.ones(6, dtype=np.int64))
-            zeros, _ = family.query_iteration_groups([np.arange(8)], 0)
-            assert zeros.tolist() == [True]  # whole graph: empty cut
-            assert backend.ring_dispatches == 0
-            assert backend.raw_dispatches >= 2
-        finally:
-            backend.close()
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +247,8 @@ class TestGroupRouting:
                     [np.array([], dtype=np.int64)], 0)
             with pytest.raises(SketchError, match="vertex range"):
                 family.cuts_empty_groups([np.array([0, 40])])
-            # Columns outside [0, 6) are refused in the parent, before
-            # dispatch: -1 would read column 5, 6 would fail a worker.
+            # Columns outside [0, 6) are refused before dispatch: -1
+            # would read column 5, 6 would fail a share.
             for column in (-1, 6, [0, 6], [-1, 2]):
                 with pytest.raises(SketchError, match="column range"):
                     family.query_iteration_groups(pair, column)
@@ -382,17 +281,18 @@ class TestGroupRouting:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: the three hand-maintained op lists stay closed
+# Satellite: the op list, the op table and the protocol stay closed
 # ---------------------------------------------------------------------------
 
 class TestOpTableClosure:
-    """``faults.ROUTED_OPS`` (fault grammar), ``_execute_op`` (worker op
-    table) and the routed methods of ``ExecutionBackend`` live in three
-    files; none may name an op the others lack."""
+    """``ROUTED_OPS``, ``_execute_op`` (the op table) and the routed
+    methods of ``ExecutionBackend``: none may name an op the others
+    lack."""
 
     #: Wire-shaped descriptor arrays per op, for a 4-row pool.
     ARGS = {
-        "apply": [np.array([0, 3]), np.array([2, 2]), np.array([1, -1])],
+        "apply": [np.array([0, 3]), np.array([[1, 0, 2], [1, 0, 2]]),
+                  np.array([2, 2]), np.array([1, -1]), np.array([5, 5])],
         "gquery": [np.array([2, 2]), np.array([0, 1, 2, 3]),
                    np.array([0, 1])],
         "gzero": [np.array([1, 3]), np.array([3, 0, 1, 2])],
@@ -431,35 +331,28 @@ class TestOpTableClosure:
             assert abstract <= set(vars(cls)), cls.__name__
 
     def test_one_executor_behind_every_route(self, shared_backend):
-        """Sequential, a healthy fleet and a degraded fleet answer the
-        same flat groups byte-equal to ``_execute_op`` on their cells."""
+        """Sequential and the thread backend answer the same flat
+        groups byte-equal to ``_execute_op`` on their cells."""
         members = np.array([0, 1, 2, 3, 10, 20, 25, 39, 4, 5])
         glens, cols = np.array([4, 1, 3, 2]), np.array([0, 1, 2, 3])
         us, vs = edge_arrays(40, 60, seed=21)
-        degraded = SharedMemoryBackend(
-            num_workers=WORKERS, retries=0, backoff=0.0,
-            faults="kill:w=1:n=1:repeat=1")
-        try:
-            answers = []
-            for backend in (SequentialBackend(), shared_backend, degraded):
-                family = SketchFamily(40, columns=6, backend=backend,
-                                      rng=np.random.default_rng(9))
-                family.apply_edges_bulk(us, vs, np.ones(60, dtype=np.int64))
-                handle, cells = family._pool_handle, family.pool.cells
-                got = (*backend.query_groups(handle, members, glens, cols),
-                       backend.zero_groups(handle, members, glens))
-                ref = (*_execute_op("gquery", cells, family.randomness,
-                                    [glens, members, cols]),
-                       _execute_op("gzero", cells, family.randomness,
-                                   [glens, members]))
-                answers.append([a.tobytes() for a in got])
-                assert answers[-1] == [r.tobytes() for r in ref]
-            assert degraded.degraded and not shared_backend.degraded
-            assert answers[0] == answers[1] == answers[2]
-            # ... and the answer is not the trivial all-empty one.
-            assert not all(np.frombuffer(answers[0][0], dtype=bool))
-        finally:
-            degraded.close()
+        answers = []
+        for backend in (SequentialBackend(), shared_backend):
+            family = SketchFamily(40, columns=6, backend=backend,
+                                  rng=np.random.default_rng(9))
+            family.apply_edges_bulk(us, vs, np.ones(60, dtype=np.int64))
+            handle, cells = family._pool_handle, family.pool.cells
+            got = (*backend.query_groups(handle, members, glens, cols),
+                   backend.zero_groups(handle, members, glens))
+            ref = (*_execute_op("gquery", cells, family.randomness,
+                                [glens, members, cols]),
+                   _execute_op("gzero", cells, family.randomness,
+                               [glens, members]))
+            answers.append([a.tobytes() for a in got])
+            assert answers[-1] == [r.tobytes() for r in ref]
+        assert answers[0] == answers[1]
+        # ... and the answer is not the trivial all-empty one.
+        assert not all(np.frombuffer(answers[0][0], dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -519,196 +412,18 @@ class TestEnvValidation:
         with pytest.raises(SketchError, match="REPRO_BACKEND_WORKERS"):
             get_backend("shared_memory")
 
-    @pytest.mark.parametrize("value", ["abc", "-1", "", "0", "nan"])
-    def test_garbage_timeout_raises_sketch_error(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_BACKEND_TIMEOUT", value)
-        # Validated before any worker spawns: the raise is immediate.
-        with pytest.raises(SketchError, match="REPRO_BACKEND_TIMEOUT"):
-            SharedMemoryBackend(num_workers=1)
-
     def test_valid_env_values_accepted(self, monkeypatch):
-        from repro.mpc.config import env_float
-
         monkeypatch.setenv("REPRO_BACKEND_WORKERS", " 3 ")
         assert default_worker_count() == 3
-        # Only exercise the parse, not a full fleet spawn.
-        monkeypatch.setenv("REPRO_BACKEND_TIMEOUT", "30.5")
-        assert env_float("REPRO_BACKEND_TIMEOUT", 120.0) == 30.5
 
-    def test_explicit_timeout_bypasses_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND_TIMEOUT", "garbage")
-        backend = SharedMemoryBackend(num_workers=1, call_timeout=15.0)
-        try:
-            assert backend.call_timeout == 15.0
-        finally:
-            backend.close()
+    @pytest.mark.parametrize("count", [0, -1, 2.5, "2", True])
+    def test_bad_worker_count_names_the_argument(self, count):
+        with pytest.raises(ConfigurationError, match="num_workers"):
+            SharedMemoryBackend(num_workers=count)
 
-    @pytest.mark.parametrize("value", ["abc", "-1", "", "1.5"])
-    def test_garbage_retries_raises_sketch_error(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_BACKEND_RETRIES", value)
-        with pytest.raises(SketchError, match="REPRO_BACKEND_RETRIES"):
-            SharedMemoryBackend(num_workers=1)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"call_timeout": 0.0}, {"call_timeout": -1.0},
-        {"start_timeout": 0.0}, {"start_timeout": -3.0},
-        {"ring_words": -5}, {"retries": -1}, {"backoff": -1.0},
-        {"num_workers": 0},
-    ])
-    def test_bad_constructor_arguments_spawn_nothing(self, monkeypatch,
-                                                     kwargs):
-        spawned = []
-        monkeypatch.setattr(SharedMemoryBackend, "_spawn_worker",
-                            lambda self, wid: spawned.append(wid))
-        with pytest.raises(ConfigurationError):
-            SharedMemoryBackend(**{"num_workers": 1, **kwargs})
-        assert not spawned
-
-    def test_garbage_fault_spec_raises_sketch_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND_FAULTS", "explode:w=0")
-        with pytest.raises(SketchError, match="REPRO_BACKEND_FAULTS"):
-            SharedMemoryBackend(num_workers=1)
-
-    def test_supervisor_knobs_read_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND_RETRIES", " 5 ")
-        backend = SharedMemoryBackend(num_workers=1, call_timeout=15.0)
-        try:
-            assert backend.retries == 5
-            assert backend.backoff == DEFAULT_BACKOFF
-        finally:
-            backend.close()
-
-    def test_explicit_supervisor_knobs_bypass_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND_RETRIES", "garbage")
-        backend = SharedMemoryBackend(num_workers=1, call_timeout=15.0,
-                                      retries=0, backoff=0.0)
-        try:
-            assert backend.retries == 0
-            assert backend.backoff == 0.0
-        finally:
-            backend.close()
-
-
-# ---------------------------------------------------------------------------
-# Satellite: shared-memory segments never leak, on any exit path
-# ---------------------------------------------------------------------------
-
-def _shm_segments() -> "set[str]":
-    import os
-
-    try:
-        return set(os.listdir("/dev/shm"))
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        pytest.skip("/dev/shm not available on this platform")
-
-
-@pytest.mark.skipif(not __import__("os").path.isdir("/dev/shm"),
-                    reason="needs a visible /dev/shm")
-class TestSegmentLeaks:
-    def test_close_unlinks_every_segment(self):
-        before = _shm_segments()
-        backend = SharedMemoryBackend(num_workers=2, call_timeout=30.0)
-        family = SketchFamily(16, columns=4,
-                              rng=np.random.default_rng(0),
-                              backend=backend)
-        us, vs = edge_arrays(16, 10)
-        family.apply_edges_bulk(us, vs, np.ones(10, dtype=np.int64))
-        assert _shm_segments() - before  # pools + rings + status live
-        family.detach_backend()
-        backend.close()
-        assert _shm_segments() - before == set()
-
-    def test_hard_teardown_after_worker_kill_unlinks(self):
-        # close() must unlink pool/ring/status segments even when the
-        # fleet died ungracefully (workers never ack the stop).
-        before = _shm_segments()
-        backend = SharedMemoryBackend(num_workers=2, call_timeout=30.0)
-        family = SketchFamily(16, columns=4,
-                              rng=np.random.default_rng(0),
-                              backend=backend)
-        us, vs = edge_arrays(16, 10)
-        family.apply_edges_bulk(us, vs, np.ones(10, dtype=np.int64))
-        for proc in backend._procs:
-            proc.kill()
-            proc.join(timeout=5)
-        family.detach_backend()
-        backend.close()
-        assert _shm_segments() - before == set()
-
-    def test_mid_attach_failure_unlinks_fresh_segment(self, monkeypatch):
-        # If adopting the buffer blows up halfway through attach_pool,
-        # the just-created segment was registered nowhere -- the except
-        # path must unlink it rather than leak it until reboot.
-        from repro.sketch.sparse_recovery import RecoveryPool
-
-        before = _shm_segments()
-        backend = SharedMemoryBackend(num_workers=1, call_timeout=30.0)
-        try:
-            seq = SketchFamily(16, columns=4,
-                               rng=np.random.default_rng(0),
-                               backend="sequential")
-
-            def explode(self, buffer):
-                raise RuntimeError("induced adopt failure")
-
-            monkeypatch.setattr(RecoveryPool, "adopt_buffer", explode)
-            with pytest.raises(RuntimeError, match="induced"):
-                backend.attach_pool(seq.pool, seq.randomness)
-        finally:
-            backend.close()
-        assert _shm_segments() - before == set()
-
-    def test_failed_transport_creation_unlinks_earlier_segments(
-        self, monkeypatch
-    ):
-        # The constructor creates ring segments first, then the status
-        # slot.  If the status-slot creation fails, the already-created
-        # rings must be unlinked on the unwind: with transport creation
-        # outside __init__'s cleanup guard a mid-sequence failure strands
-        # segments until reboot, and no other test can see it, because
-        # no backend object exists to close.
-        from multiprocessing import shared_memory as shm_mod
-
-        before = _shm_segments()
-        real = shm_mod.SharedMemory
-        creates = {"count": 0}
-
-        class FlakySegments:
-            def __new__(cls, *args, **kwargs):
-                if kwargs.get("create"):
-                    creates["count"] += 1
-                    if creates["count"] == 3:
-                        raise OSError("induced transport failure")
-                return real(*args, **kwargs)
-
-        monkeypatch.setattr(shm_mod, "SharedMemory", FlakySegments)
-        with pytest.raises(OSError, match="induced"):
-            SharedMemoryBackend(num_workers=2, call_timeout=30.0)
-        # Two rings were created before the status slot blew up ...
-        assert creates["count"] == 3
-        # ... and both were unlinked by the constructor's cleanup.
-        assert _shm_segments() - before == set()
-
-    def test_degraded_backend_releases_transport_segments(self):
-        from repro.mpc.faults import FaultPlan
-
-        before = _shm_segments()
-        backend = SharedMemoryBackend(num_workers=2, call_timeout=30.0,
-                                      retries=0, backoff=0.0,
-                                      faults=FaultPlan.kill_always(1))
-        family = SketchFamily(16, columns=4,
-                              rng=np.random.default_rng(0),
-                              backend=backend)
-        us, vs = edge_arrays(16, 10)
-        family.apply_edges_bulk(us, vs, np.ones(10, dtype=np.int64))
-        assert backend.degraded is not None
-        # Transport (rings + status) is gone; only the pool segment --
-        # which the parent's adopted cells still live in -- remains.
-        leftover = _shm_segments() - before
-        assert len(leftover) <= 1
-        family.detach_backend()
-        backend.close()
-        assert _shm_segments() - before == set()
+    def test_numpy_worker_count_accepted(self):
+        with SharedMemoryBackend(num_workers=np.int64(2)) as backend:
+            assert backend.num_workers == 2
 
 
 # ---------------------------------------------------------------------------
@@ -820,118 +535,82 @@ class TestShardAttribution:
 
 
 # ---------------------------------------------------------------------------
-# Failure model: dead workers are respawned, not fatal
+# The thread executor: waits for every share, joins its threads
 # ---------------------------------------------------------------------------
 
-class TestWorkerCrash:
-    def test_dead_worker_is_respawned_bit_identically(self):
-        # A private fleet: killing a worker must not poison the shared
-        # module-level backend other tests use.  The supervisor must
-        # detect the loss on the next call, respawn the worker, replay
-        # its pool attachments, and complete the call -- bit-identical
-        # to a fleet that never crashed.
-        backend = SharedMemoryBackend(num_workers=2, call_timeout=30.0)
-        try:
-            seq = SketchFamily(16, columns=4,
-                               rng=np.random.default_rng(0),
-                               backend="sequential")
-            family = SketchFamily(16, columns=4,
-                                  rng=np.random.default_rng(0),
-                                  backend=backend)
-            us, vs = edge_arrays(16, 10)
-            ones = np.ones(10, dtype=np.int64)
-            seq.apply_edges_bulk(us, vs, ones)
-            family.apply_edges_bulk(us, vs, ones)
-            backend._procs[0].kill()
-            backend._procs[0].join(timeout=5)
-            seq.apply_edges_bulk(us, vs, -ones)
-            family.apply_edges_bulk(us, vs, -ones)
-            assert np.array_equal(seq.pool.cells, family.pool.cells)
-            assert backend.usable and backend.degraded is None
-            assert backend.health["respawns"] >= 1
-            assert "respawns=" in backend.describe()
-            # And the respawned worker keeps serving.
-            seq.apply_edges_bulk(us, vs, ones)
-            family.apply_edges_bulk(us, vs, ones)
-            assert np.array_equal(seq.pool.cells, family.pool.cells)
-        finally:
-            backend.close()
+class TestThreadExecutor:
+    @staticmethod
+    def _loaded(backend, n=40):
+        family = SketchFamily(n, columns=4, rng=np.random.default_rng(0),
+                              backend=backend)
+        us, vs = edge_arrays(n, 10, seed=3)
+        family.apply_edges_bulk(us, vs, np.ones(10, dtype=np.int64))
+        return family
 
-    def test_worker_exception_surfaces_with_traceback(self):
-        backend = SharedMemoryBackend(num_workers=2)
-        try:
-            family = SketchFamily(16, columns=4,
-                                  rng=np.random.default_rng(0),
-                                  backend=backend)
-            # A malformed descriptor (member row outside the pool --
-            # SketchFamily validates this, the raw backend call does
-            # not) blows up in the worker; the exception must come back
-            # as SketchError and the fleet must stay usable afterwards.
-            us0, vs0 = edge_arrays(16, 8, seed=3)
-            family.apply_edges_bulk(us0, vs0,
-                                    np.ones(8, dtype=np.int64))
-            handle = family._pool_handle
-            bad_members = np.array([0, 99], dtype=np.int64)  # no row 99
-            cols = np.zeros(1, dtype=np.int64)
-            with pytest.raises(SketchError, match="worker"):
-                backend.query_groups(handle, bad_members,
-                                     np.array([2], dtype=np.int64), cols)
+    def test_share_exception_surfaces_after_every_share(self,
+                                                        monkeypatch):
+        """Worker 0's share fails at once, worker 1's is still writing:
+        the call raises worker 0's exception, unchanged, only once
+        worker 1 has finished."""
+        finished = []
+        real = backend_module._execute_op
+
+        def staged(op, cells, randomness, arrays):
+            if int(arrays[0].min()) < 20:       # worker 0's rows
+                raise IndexError("share 0 failed")
+            time.sleep(0.2)
+            real(op, cells, randomness, arrays)
+            finished.append(threading.current_thread().name)
+
+        with SharedMemoryBackend(num_workers=2) as backend:
+            family = self._loaded(backend)
+            monkeypatch.setattr(backend_module, "_execute_op", staged)
+            hi, lo = np.array([30, 25]), np.array([5, 22])
+            with pytest.raises(IndexError, match="share 0 failed"):
+                backend.scatter_edges(family._pool_handle, hi, lo,
+                                      np.array([7, 9]), np.array([1, 1]))
+            assert len(finished) == 1, "returned before share 1 ended"
             assert backend.usable
-            us, vs = edge_arrays(16, 5)
-            family.apply_edges_bulk(us, vs, np.ones(5, dtype=np.int64))
-        finally:
-            backend.close()
 
-    def test_unknown_reply_tag_is_a_transport_failure(self):
-        # A reply tagged neither ok / error / desync is a garbled ack:
-        # _exchange reports it as a failure, so the supervisor
-        # classifies the op from the status slot and respawns instead
-        # of filing the payload under results.
-        backend = SharedMemoryBackend(num_workers=1, call_timeout=30.0,
-                                      faults=FaultPlan())
-        try:
-            seq, shm = family_pair(backend)
-            conn = backend._conns[0]  # stubbed until the respawn
-            recv = conn.recv
-            conn.recv = lambda: ("okay", recv()[1])
-            results, failures, _ = backend._exchange([(0, ("ping",))])
-            assert results == {}
-            assert failures == {0: "unknown reply tag 'okay'"}
-            us, vs = edge_arrays(40, 10)
-            ones = np.ones(10, dtype=np.int64)
-            seq.apply_edges_bulk(us, vs, ones)
-            shm.apply_edges_bulk(us, vs, ones)
-            assert np.array_equal(seq.pool.cells, shm.pool.cells)
-            assert backend.health["respawns"] == 1
-            assert backend.usable and backend.degraded is None
-        finally:
-            backend.close()
+    def test_lowest_failing_worker_wins(self, monkeypatch):
+        def both_fail(op, cells, randomness, arrays):
+            if int(arrays[0].min()) < 20:
+                time.sleep(0.1)
+                raise ValueError("worker 0")
+            raise KeyError("worker 1")
 
-    def test_pool_detach_is_deferred_and_flushed(self):
-        # Finalizers may run from GC inside an in-flight dispatch, so
-        # release_token must only queue the worker-side detach; the
-        # next top-level call drains the queue.
-        import gc
+        with SharedMemoryBackend(num_workers=2) as backend:
+            family = self._loaded(backend)
+            monkeypatch.setattr(backend_module, "_execute_op", both_fail)
+            with pytest.raises(ValueError, match="worker 0"):
+                backend.scatter_edges(family._pool_handle,
+                                      np.array([30]), np.array([5]),
+                                      np.array([7]), np.array([1]))
 
-        backend = SharedMemoryBackend(num_workers=1)
-        try:
-            family = SketchFamily(8, columns=4,
-                                  rng=np.random.default_rng(0),
-                                  backend=backend)
-            token = family._pool_handle.token
-            del family
-            gc.collect()
-            assert token in backend._pending_detach
-            assert token not in backend._handles  # segment released
-            survivor = SketchFamily(8, columns=4,
-                                    rng=np.random.default_rng(1),
-                                    backend=backend)
-            assert backend._pending_detach == []
-            us, vs = edge_arrays(8, 4)
-            survivor.apply_edges_bulk(us, vs,
-                                      np.ones(4, dtype=np.int64))
-        finally:
-            backend.close()
+    def test_bench_counters(self):
+        """What the benchmark harness reads off the parallel backend:
+        shares handed to threads, no pipe dispatches, zero health."""
+        with SharedMemoryBackend(num_workers=2) as backend:
+            family = self._loaded(backend)
+            assert backend.ring_dispatches == 2  # one scatter, 2 shares
+            family.cuts_empty_groups([np.array([0]), np.array([39])])
+            assert backend.ring_dispatches == 4
+            assert backend.raw_dispatches == 0
+            assert backend.health_counters() == {
+                "respawns": 0, "retries": 0, "degrades": 0}
+
+    def test_close_and_with_join_the_threads(self):
+        backend = SharedMemoryBackend(num_workers=2)
+        self._loaded(backend)
+        threads = list(backend._threads._threads)
+        assert threads and all(t.is_alive() for t in threads)
+        backend.close()
+        assert not any(t.is_alive() for t in threads)
+        backend.close()  # idempotent
+        with SharedMemoryBackend(num_workers=2) as backend:
+            self._loaded(backend)
+            threads = list(backend._threads._threads)
+        assert threads and not any(t.is_alive() for t in threads)
 
     def test_closed_backend_rejects_work(self):
         backend = SharedMemoryBackend(num_workers=1)
@@ -945,3 +624,285 @@ class TestWorkerCrash:
                 np.array([1], dtype=np.int64),
                 np.array([1], dtype=np.int64),
             )
+        with pytest.raises(SketchError, match="closed"):
+            family.cuts_empty_groups([np.array([0])])
+        with pytest.raises(SketchError, match="closed"):
+            backend.attach_pool(family.pool, family.randomness)
+
+
+# ---------------------------------------------------------------------------
+# How a call is cut into shares
+# ---------------------------------------------------------------------------
+
+#: Group-length shapes the AGM iterations produce: all singletons (the
+#: first iteration), even fragments, one giant fragment among
+#: singletons, a skewed head, a single group, fewer groups than
+#: workers, and a random mix.
+GLENS = {
+    "singletons": [1] * 40,
+    "even": [3] * 12,
+    "one_giant": [1, 1, 30, 1, 1],
+    "skewed": [20] + [1] * 9,
+    "single_group": [7],
+    "two_groups": [2, 5],
+    "random": np.random.default_rng(4).integers(1, 10, 25).tolist(),
+}
+
+
+class TestShareSplit:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("shape", sorted(GLENS))
+    def test_group_shares_are_contiguous_and_balanced(self, shape,
+                                                      workers):
+        """The shares are ordered, non-empty, contiguous runs of whole
+        groups that concatenate back to the input, and no share carries
+        more than its even part plus one group."""
+        glens = np.array(GLENS[shape], dtype=np.int64)
+        members = np.arange(int(glens.sum()), dtype=np.int64)[::-1].copy()
+        cols = np.arange(glens.shape[0], dtype=np.int64) % 6
+        with SharedMemoryBackend(num_workers=workers) as backend:
+            for with_cols in (True, False):
+                jobs = backend._group_jobs(
+                    members, glens, cols if with_cols else None,
+                    "gquery" if with_cols else "gzero")
+                wids = [wid for wid, _, _ in jobs]
+                assert wids == sorted(set(wids))
+                assert all(0 <= wid < workers for wid in wids)
+                shares = [arrays for _, _, arrays in jobs]
+                assert all(len(a) == (3 if with_cols else 2)
+                           for a in shares)
+                assert all(a[0].shape[0] > 0 for a in shares)
+                assert np.array_equal(
+                    np.concatenate([a[0] for a in shares]), glens)
+                assert np.array_equal(
+                    np.concatenate([a[1] for a in shares]), members)
+                if with_cols:
+                    assert np.array_equal(
+                        np.concatenate([a[2] for a in shares]), cols)
+                for a in shares:
+                    assert int(a[0].sum()) == a[1].shape[0]
+                assert backend.last_split == {
+                    wid: a[1].shape[0] for wid, a in zip(wids, shares)}
+                even = -(-int(glens.sum()) // workers)
+                assert max(a[1].shape[0] for a in shares) <= \
+                    even + int(glens.max())
+
+    @pytest.mark.parametrize("workers", range(1, 9))
+    def test_equal_groups_use_every_worker(self, workers):
+        glens = np.full(5 * workers, 2, dtype=np.int64)
+        members = np.arange(10 * workers, dtype=np.int64)
+        with SharedMemoryBackend(num_workers=workers) as backend:
+            backend._group_jobs(members, glens, None, "gzero")
+            assert backend.last_split == {
+                wid: 10 for wid in range(workers)}
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("n", [5, 40, 97])
+    def test_scatter_shares_write_only_their_own_rows(self, n, workers):
+        """Every entry lands in exactly one share, the share of the
+        worker owning its row, with its payloads still aligned and in
+        the original order."""
+        rng = np.random.default_rng(n * 10 + workers)
+        slots = rng.integers(0, n, 3 * n).astype(np.int64)
+        position = np.arange(slots.shape[0], dtype=np.int64)
+        handle = backend_module.PoolHandle(
+            pool=None, randomness=None,
+            shards=backend_module.VertexPartition(n, workers))
+        with SharedMemoryBackend(num_workers=workers) as backend:
+            jobs = backend._sharded_jobs(handle, slots,
+                                         [position, slots * 7], "apply")
+        seen = []
+        for wid, op, (share_slots, share_pos, share_payload) in jobs:
+            assert op == "apply" and share_slots.shape[0] > 0
+            assert (handle.owners_of(share_slots) == wid).all()
+            assert np.array_equal(share_slots, slots[share_pos])
+            assert np.array_equal(share_payload, share_slots * 7)
+            assert (np.diff(share_pos) > 0).all()
+            assert backend.last_split[wid] == share_slots.shape[0]
+            seen.append(share_pos)
+        assert np.array_equal(np.sort(np.concatenate(seen)), position)
+        assert [wid for wid, _, _ in jobs] == sorted(backend.last_split)
+
+
+# ---------------------------------------------------------------------------
+# Parity at every worker count
+# ---------------------------------------------------------------------------
+
+class TestWorkerCountParity:
+    """Each routed method on a K-thread backend answers byte-equal to
+    the sequential backend, including K above the rows a batch
+    touches."""
+
+    @staticmethod
+    def _pair(backend, n=40):
+        seq, thr = family_pair(backend, n=n)
+        us, vs = edge_arrays(n, 50, seed=11)
+        ones = np.ones(50, dtype=np.int64)
+        for family in (seq, thr):
+            family.apply_edges_bulk(us, vs, ones)
+            family.apply_edges_bulk(us[:15], vs[:15], -ones[:15])
+        live = set(zip(us[15:].tolist(), vs[15:].tolist()))
+        return seq, thr, live
+
+    @staticmethod
+    def _groups(n=40, seed=5):
+        order = np.random.default_rng(seed).permutation(n)
+        cuts = [0, 1, 2, 5, 9, 16, 17, 30, n]
+        return [order[a:b] for a, b in zip(cuts, cuts[1:])]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5, 8])
+    def test_scatter(self, workers):
+        with SharedMemoryBackend(num_workers=workers) as backend:
+            seq, thr, _ = self._pair(backend)
+            assert np.array_equal(seq.pool.cells, thr.pool.cells)
+            # The last batch (15 deletions) has one entry per endpoint.
+            assert sum(backend.last_split.values()) == 30
+            assert set(backend.last_split) <= set(range(workers))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5, 8])
+    def test_query_groups(self, workers):
+        with SharedMemoryBackend(num_workers=workers) as backend:
+            seq, thr, live = self._pair(backend)
+            groups = self._groups()
+            check_groups((seq, thr), groups, np.arange(len(groups)) % 6,
+                         live)
+            for column in range(seq.columns):
+                (zs, es), (zt, et) = (
+                    f.query_iteration_groups(groups, column)
+                    for f in (seq, thr))
+                assert zs.tolist() == zt.tolist() and es == et
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 5, 8])
+    def test_zero_groups(self, workers):
+        with SharedMemoryBackend(num_workers=workers) as backend:
+            seq, thr, live = self._pair(backend)
+            groups = self._groups(seed=workers) + [np.arange(40)]
+            want = seq.cuts_empty_groups(groups)
+            assert np.array_equal(thr.cuts_empty_groups(groups), want)
+            assert want[-1], "the whole vertex set has an empty cut"
+            handle = thr._pool_handle
+            members = np.concatenate(groups)
+            glens = np.array([len(g) for g in groups])
+            assert np.array_equal(
+                backend.zero_groups(handle, members, glens), want)
+
+
+# ---------------------------------------------------------------------------
+# Failing shares, on every route
+# ---------------------------------------------------------------------------
+
+class ShareFailure(Exception):
+    """Raised by one staged share; carries that share's first slot."""
+
+
+class TestShareFailures:
+    ROUTES = ("scatter", "query", "zero")
+
+    @staticmethod
+    def _call(backend, family, route):
+        handle = family._pool_handle
+        members = np.arange(40, dtype=np.int64)
+        glens = np.full(8, 5, dtype=np.int64)
+        if route == "scatter":
+            hi = np.arange(20, 40, dtype=np.int64)
+            lo = np.arange(0, 20, dtype=np.int64)
+            return backend.scatter_edges(handle, hi, lo,
+                                         np.arange(20, dtype=np.int64),
+                                         np.ones(20, dtype=np.int64))
+        if route == "query":
+            return backend.query_groups(handle, members, glens,
+                                        np.zeros(8, dtype=np.int64))
+        return backend.zero_groups(handle, members, glens)
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_every_share_fails_lowest_worker_raised(self, monkeypatch,
+                                                    route, workers):
+        """All shares fail, the lowest worker's last: the call raises
+        that share's own exception object, and only once every share
+        has ended."""
+        raised, ended = {}, []
+
+        def failing(op, cells, randomness, arrays):
+            rows = arrays[0] if op == "apply" else arrays[1]
+            first = int(rows.min())
+            time.sleep(0.05 * (40 - first) / 40)
+            raised[first] = ShareFailure(first)
+            ended.append(first)
+            raise raised[first]
+
+        with SharedMemoryBackend(num_workers=workers) as backend:
+            family = TestThreadExecutor._loaded(backend)
+            monkeypatch.setattr(backend_module, "_execute_op", failing)
+            with pytest.raises(ShareFailure) as info:
+                self._call(backend, family, route)
+            assert len(ended) == len(backend.last_split) == workers
+            assert info.value is raised[0]
+            assert backend.usable
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_one_slow_failure_waits_for_the_rest(self, monkeypatch,
+                                                 route):
+        """Only the last worker's share fails, at once; the others are
+        slow and real.  The call still waits for them."""
+        real = backend_module._execute_op
+        ended = []
+
+        def staged(op, cells, randomness, arrays):
+            rows = arrays[0] if op == "apply" else arrays[1]
+            if int(rows.max()) == 39:
+                raise ShareFailure(39)
+            time.sleep(0.1)
+            result = real(op, cells, randomness, arrays)
+            ended.append(int(rows.min()))
+            return result
+
+        with SharedMemoryBackend(num_workers=3) as backend:
+            family = TestThreadExecutor._loaded(backend)
+            monkeypatch.setattr(backend_module, "_execute_op", staged)
+            with pytest.raises(ShareFailure):
+                self._call(backend, family, route)
+            assert len(ended) == 2
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_backend_keeps_working_after_a_failed_call(self, monkeypatch,
+                                                       route):
+        real = backend_module._execute_op
+        with SharedMemoryBackend(num_workers=2) as backend:
+            family = TestThreadExecutor._loaded(backend)
+            monkeypatch.setattr(
+                backend_module, "_execute_op",
+                lambda *a: (_ for _ in ()).throw(ShareFailure(-1)))
+            with pytest.raises(ShareFailure):
+                self._call(backend, family, route)
+            monkeypatch.setattr(backend_module, "_execute_op", real)
+            seq = TestThreadExecutor._loaded("sequential")
+            if route == "scatter":
+                # A failed scatter wrote nothing: the shares raised
+                # before touching a cell.
+                assert np.array_equal(family.pool.cells, seq.pool.cells)
+            got = self._call(backend, family, route)
+            want = self._call(SequentialBackend(), seq, route)
+            if route == "scatter":
+                assert np.array_equal(family.pool.cells, seq.pool.cells)
+            elif route == "query":
+                assert all(np.array_equal(g, w)
+                           for g, w in zip(got, want))
+            else:
+                assert np.array_equal(got, want)
+
+    def test_factory_replaces_a_closed_cached_backend(self, monkeypatch):
+        # A private cache, so closing here cannot close the backend
+        # other tests share.
+        monkeypatch.setattr(backend_module, "_SHARED_CACHE", {})
+        backend = get_backend("shared_memory", workers=3)
+        assert get_backend("shared_memory", workers=3) is backend
+        backend.close()
+        fresh = get_backend("shared_memory", workers=3)
+        assert fresh is not backend and fresh.usable and fresh.cached
+        seq, thr = family_pair(fresh)
+        us, vs = edge_arrays(40, 10)
+        for family in (seq, thr):
+            family.apply_edges_bulk(us, vs, np.ones(10, dtype=np.int64))
+        assert np.array_equal(seq.pool.cells, thr.pool.cells)
+        fresh.close()

@@ -14,7 +14,7 @@ zero test on that column) is exact only because of it, so:
   on a churned pool against ``exact_group_answers``: the Python-int sum
   of the *full* member rows, decoded with the scalar big-int scan, and
   the exact cut of the live edge set -- on the sequential backend and on
-  a 2-worker shared-memory fleet, so the worker path is compared too.
+  the 2-thread shared_memory backend, so the sharded path is compared too.
 """
 
 import numpy as np

@@ -1,7 +1,7 @@
 """AGM graph-sketch tests: the cut-edge sampling property (Lemma 3.5).
 
 Sketches are rows of the family pool, queried through the group route
-on the sequential backend and on a 2-worker fleet; every answer is
+on the sequential backend and on the 2-thread backend; every answer is
 checked by ``check_groups`` against the exact-sum sampler and the exact
 cut of the live edge set.
 """

@@ -152,6 +152,7 @@ REACHED = {
     ("is_zero_cells", "repro.mpc.backend"),
     ("is_zero_cells", "repro.sketch.l0_sampler"),
     ("merge_groups", "repro.mpc.backend"),
+    ("pool_scatter", "repro.mpc.backend"),
     ("poly_field_values", "repro.sketch.hashing"),
     ("poly_field_values", "repro.sketch.l0_sampler"),
     ("pool_scatter", "repro.sketch.sparse_recovery"),
@@ -247,6 +248,30 @@ class TestProfileHooks:
         assert profile.counters() == {"unit_ns": 12, "unit_calls": 2}
         profile.reset()
         assert profile.counters() == {}
+
+    def test_concurrent_records_lose_no_update(self):
+        # The thread backend's shares record from several threads at
+        # once; a tiny switch interval makes an unguarded
+        # read-modify-write lose updates.
+        import sys
+        import threading
+
+        profile.reset()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: [
+                profile.record("race", 1) for _ in range(50_000)])
+                for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert profile.counters() == {"race_ns": 100_000,
+                                      "race_calls": 100_000}
+        profile.reset()
 
     def test_wrap_accumulates(self):
         profile.reset()

@@ -2,10 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.mpc import MPCConfig, polylog
+
+
+#: Every numpy integer width a caller might pass as a size.
+NUMPY_INTS = [np.int8, np.int16, np.int32, np.int64,
+              np.uint8, np.uint16, np.uint32, np.uint64]
 
 
 class TestValidation:
@@ -27,6 +33,51 @@ class TestValidation:
     def test_bad_machine_override(self):
         with pytest.raises(ConfigurationError):
             MPCConfig(n=10, num_machines=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 64.0), ("n", "64"), ("n", True),
+        ("num_machines", 2.5), ("num_machines", "3"),
+        ("num_machines", True),
+        ("backend_workers", 2.5), ("backend_workers", "2"),
+        ("backend_workers", False),
+    ])
+    @pytest.mark.parametrize("backend", ["sequential", "shared_memory"])
+    def test_non_integer_sizes_name_the_field(self, field, value, backend):
+        # Refused at construction, on every backend, instead of a deep
+        # TypeError on first use (or silent acceptance).
+        kwargs = {"n": 64, "backend": backend, field: value}
+        with pytest.raises(ConfigurationError, match=field):
+            MPCConfig(**kwargs)
+
+    def test_numpy_integer_sizes_accepted(self):
+        config = MPCConfig(n=np.int64(64), num_machines=np.int32(4),
+                           backend_workers=np.int64(2))
+        assert config.machine_count == 4
+
+    @pytest.mark.parametrize("dtype", NUMPY_INTS)
+    @pytest.mark.parametrize("field", ["n", "num_machines",
+                                       "backend_workers"])
+    def test_numpy_sizes_are_stored_as_plain_ints(self, field, dtype):
+        config = MPCConfig(**{"n": 100, field: dtype(100)})
+        value = getattr(config, field)
+        assert type(value) is int and value == 100
+
+    @pytest.mark.parametrize("dtype", NUMPY_INTS)
+    def test_narrow_numpy_n_runs_like_a_plain_int(self, dtype):
+        # n * (n - 1) // 2 overflows an int8 / uint8 n = 100: the
+        # config must hand every consumer a plain int.
+        from repro.core import MPCConnectivity
+        from repro.types import ins
+
+        batch = [ins(3, 99), ins(10, 99), ins(40, 41), ins(0, 98)]
+        runs = []
+        for n in (100, dtype(100)):
+            alg = MPCConnectivity(MPCConfig(n=n, seed=3))
+            alg.apply_batch(list(batch))
+            runs.append((alg.num_components(),
+                         sorted(alg.forest.all_edges())))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 100 - len(batch)
 
 
 class TestDerivedQuantities:

@@ -8,8 +8,8 @@ The contracts under test (ISSUE 4 acceptance):
   classes fed the same batches, on both execution backends;
 * ``checkpoint`` -> ``restore`` round-trips to identical query answers
   and identical continuation;
-* ``close()`` tears the backend down deterministically (workers gone
-  when it returns, not at GC time).
+* ``close()`` tears the backend down deterministically (worker threads
+  joined when it returns, not at GC time).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import os
 import pickle
 import re
-import time
 
 import numpy as np
 import pytest
@@ -47,7 +46,7 @@ PARITY_TASKS = ("connectivity", "msf", "bipartiteness")
 
 @pytest.fixture(scope="module")
 def shared_backend():
-    """The process-wide 2-worker fleet (same cache test_backend uses)."""
+    """The process-wide 2-thread backend (same cache test_backend uses)."""
     return get_backend("shared_memory", workers=WORKERS)
 
 
@@ -567,13 +566,9 @@ class TestCheckpointRestore:
 # Deterministic teardown
 # ---------------------------------------------------------------------------
 
-def _await_death(procs, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    while any(p.is_alive() for p in procs):
-        if time.monotonic() > deadline:
-            return False
-        time.sleep(0.05)
-    return True
+def _threads(backend):
+    """The backend's live worker threads (started on first use)."""
+    return list(backend._threads._threads)
 
 
 class TestDeterministicShutdown:
@@ -583,12 +578,13 @@ class TestDeterministicShutdown:
                                config=_config("sequential"),
                                backend=backend)
         session.ingest([(0, 1), (1, 2)])
-        procs = list(backend._procs)
-        assert all(p.is_alive() for p in procs)
+        threads = _threads(backend)
+        assert threads and all(t.is_alive() for t in threads)
         session.close()
         assert session.closed
         assert not backend.usable
-        assert _await_death(procs), "workers survived session.close()"
+        assert not any(t.is_alive() for t in threads), (
+            "worker threads survived session.close()")
         # Idempotent, and a closed session rejects further work.
         session.close()
         with pytest.raises(QueryError, match="closed"):
@@ -600,16 +596,26 @@ class TestDeterministicShutdown:
 
         with Cluster(_config("sequential"), backend=backend) as cluster:
             assert cluster.backend is backend
-        procs = list(backend._procs)
+            session = GraphSession(N, tasks=("connectivity",),
+                                   config=_config("sequential"),
+                                   backend=backend)
+            session.ingest([(0, 1), (1, 2)])
+            threads = _threads(backend)
         assert not backend.usable
-        assert _await_death(procs), "workers survived Cluster.__exit__"
+        assert threads and not any(t.is_alive() for t in threads), (
+            "worker threads survived Cluster.__exit__")
 
     def test_backend_context_manager(self):
         with SharedMemoryBackend(num_workers=1) as backend:
-            procs = list(backend._procs)
-            assert all(p.is_alive() for p in procs)
+            session = GraphSession(N, tasks=("connectivity",),
+                                   config=_config("sequential"),
+                                   backend=backend)
+            session.ingest([(0, 1), (1, 2)])
+            threads = _threads(backend)
+            assert threads and all(t.is_alive() for t in threads)
         assert not backend.usable
-        assert _await_death(procs), "workers survived backend.__exit__"
+        assert not any(t.is_alive() for t in threads), (
+            "worker threads survived backend.__exit__")
 
     def test_close_leaves_cached_fleet_for_other_sessions(
             self, shared_backend):
@@ -633,7 +639,7 @@ class TestDeterministicShutdown:
         with Cluster(_config("shared_memory")) as cluster:
             assert cluster.backend is shared_backend
         assert shared_backend.usable
-        # Force-close is explicit (and the factory would re-spawn).
+        # Force-close is explicit (and the factory would re-create it).
         assert shared_backend.cached
 
     def test_sequential_close_is_noop(self):
@@ -692,7 +698,7 @@ class TestCloseAfterPartialRestore:
     def test_close_never_forces_the_lazy_backend(self, tmp_path,
                                                  monkeypatch):
         """A session whose backend property was never forced is torn
-        down without materialising a worker fleet first."""
+        down without materialising a backend first."""
         path = self._checkpoint(tmp_path)
         session = GraphSession.restore(path)
         # Put the cluster back into the never-forced lazy state a
@@ -709,7 +715,7 @@ class TestCloseAfterPartialRestore:
 
         monkeypatch.setattr("repro.mpc.simulator.resolve_backend", boom)
         monkeypatch.setattr("repro.mpc.backend.resolve_backend", boom)
-        session.close()          # must not spawn / resolve anything
+        session.close()          # must not resolve anything
         assert session.closed
         session.close()          # and double-close stays a no-op
 
@@ -730,10 +736,10 @@ class TestCloseAfterPartialRestore:
         session.close()
         assert session.closed
 
-    def test_restore_reattaches_through_live_rings(self, tmp_path):
-        """Checkpoint under shared memory, restore onto a *fresh*
-        private fleet: the re-attach routes continued small-batch
-        ingestion through the new backend's descriptor rings."""
+    def test_restore_reattaches_onto_a_fresh_backend(self, tmp_path):
+        """Checkpoint under the thread backend, restore onto a *fresh*
+        private one: the re-attach routes continued ingestion through
+        the new backend's threads, bit-identically."""
         path = self._checkpoint(tmp_path, backend="shared_memory")
         fresh = SharedMemoryBackend(num_workers=2)
         try:
@@ -757,154 +763,14 @@ class TestCloseAfterPartialRestore:
 
 
 # ---------------------------------------------------------------------------
-# Self-healing fleet under a live session (PR 6)
+# Restore rollback on a real parallel backend
 # ---------------------------------------------------------------------------
 
-class TestSelfHealingSession:
-    """Worker loss mid-phase must heal (or degrade) underneath the
-    session: answers stay bit-identical, the session never latches
-    inconsistent, and the recovery is visible in ``fleet_health()``
-    and the report's ``fleet`` column."""
-
-    def _reference(self, stream):
-        session = GraphSession(N, tasks=("connectivity",),
-                               config=_config("sequential"))
-        session.ingest(stream)
-        return session
-
-    def test_worker_kill_mid_phase_keeps_session_live(self):
-        from repro.mpc.faults import FaultPlan
-
-        backend = SharedMemoryBackend(
-            num_workers=WORKERS, call_timeout=30.0,
-            faults=FaultPlan.kill_before(1, nth=1, op="apply"),
-        )
-        try:
-            session = GraphSession(N, tasks=("connectivity",),
-                                   seed=3, backend=backend)
-            session.ingest(_insert_stream())
-            reference = self._reference(_insert_stream())
-            assert session.connected(0, 12)
-            assert (session.spanning_forest().edges
-                    == reference.spanning_forest().edges)
-            assert np.array_equal(
-                session.query("connectivity").family.pool.cells,
-                reference.query("connectivity").family.pool.cells,
-            )
-            # Healed, not latched: further ingestion and queries work.
-            session.ingest([(40, 41)])
-            reference.ingest([(40, 41)])
-            assert session.connected(40, 41)
-            health = session.fleet_health()
-            assert health["respawns"] >= 1
-            assert backend.degraded is None and backend.usable
-            # The recovery shows up in the per-phase report column.
-            fleets = [row["fleet"] for row in session.report()]
-            assert any("respawns=" in f for f in fleets)
-            reference.close()
-            session.close(close_backend=False)
-        finally:
-            backend.close()
-
-    def test_degraded_fleet_answers_identically(self):
-        from repro.mpc.faults import FaultPlan
-
-        backend = SharedMemoryBackend(
-            num_workers=WORKERS, call_timeout=30.0, retries=1,
-            backoff=0.01, faults=FaultPlan.kill_always(1),
-        )
-        try:
-            session = GraphSession(N, tasks=("connectivity",),
-                                   seed=3, backend=backend)
-            session.ingest(_churn_stream())
-            reference = self._reference(_churn_stream())
-            assert backend.degraded is not None
-            assert backend.usable, "degraded is a mode, not a brick"
-            assert session.fleet_health()["degrades"] == 1
-            assert np.array_equal(
-                session.query("connectivity").family.pool.cells,
-                reference.query("connectivity").family.pool.cells,
-            )
-            assert (session.spanning_forest().edges
-                    == reference.spanning_forest().edges)
-            # The degraded fleet keeps serving the session.
-            session.ingest([(40, 42), (42, 44)])
-            reference.ingest([(40, 42), (42, 44)])
-            assert session.connected(40, 44)
-            assert (session.num_components()
-                    == reference.num_components())
-            reference.close()
-            session.close(close_backend=False)
-        finally:
-            backend.close()
-
-    def test_restore_onto_fleet_with_killed_worker(self, tmp_path):
-        """The control path heals too: restoring onto a fleet that lost
-        a worker respawns it during the attach fan-out."""
-        path = os.fspath(tmp_path / "session.ckpt")
-        with GraphSession(N, tasks=("connectivity",),
-                          config=_config("sequential")) as donor:
-            donor.ingest(_insert_stream())
-            donor.checkpoint(path)
-
-        backend = SharedMemoryBackend(num_workers=WORKERS,
-                                      call_timeout=30.0)
-        try:
-            backend._procs[0].kill()
-            backend._procs[0].join(5.0)
-            restored = GraphSession.restore(path, backend=backend)
-            assert restored.connected(0, 12)
-            assert backend.health["respawns"] >= 1
-            assert backend.degraded is None and backend.usable
-            restored.ingest([(40, 41)])
-            assert restored.connected(40, 41)
-            restored.close(close_backend=False)
-        finally:
-            backend.close()
-
-    def test_restore_onto_degraded_fleet(self, tmp_path):
-        from repro.mpc.faults import FaultPlan
-        from repro.sketch import SketchFamily
-
-        path = os.fspath(tmp_path / "session.ckpt")
-        with GraphSession(N, tasks=("connectivity",),
-                          config=_config("sequential")) as donor:
-            donor.ingest(_insert_stream())
-            donor.checkpoint(path)
-
-        backend = SharedMemoryBackend(
-            num_workers=WORKERS, call_timeout=30.0, retries=0,
-            backoff=0.0, faults=FaultPlan.kill_always(0),
-        )
-        try:
-            # Degrade the fleet through the public op path first.
-            probe = SketchFamily(8, columns=2,
-                                 rng=np.random.default_rng(0),
-                                 backend=backend)
-            probe.apply_edges_bulk(np.array([0], dtype=np.int64),
-                                   np.array([1], dtype=np.int64),
-                                   np.array([1], dtype=np.int64))
-            assert backend.degraded is not None
-            restored = GraphSession.restore(path, backend=backend)
-            assert restored.connected(0, 12)
-            restored.ingest([(40, 41)])
-            assert restored.connected(40, 41)
-            reference = self._reference(_insert_stream())
-            reference.ingest([(40, 41)])
-            assert np.array_equal(
-                restored.query("connectivity").family.pool.cells,
-                reference.query("connectivity").family.pool.cells,
-            )
-            reference.close()
-            probe.detach_backend()
-            restored.close(close_backend=False)
-        finally:
-            backend.close()
-
+class TestRestoreRollback:
     def test_failed_restore_mid_attach_rolls_back_real_fleet(
             self, tmp_path):
-        """Extends the PR 5 rollback contract to a real worker fleet:
-        an attach that explodes after the first family leaves no
+        """Extends the rollback contract to a real thread backend: an
+        attach that explodes after the first family leaves no
         half-attached pools, and the same checkpoint restores cleanly
         onto the same backend afterwards."""
         from repro.errors import SketchError
@@ -915,8 +781,7 @@ class TestSelfHealingSession:
             donor.ingest([(i, i + 1) for i in range(12)])
             donor.checkpoint(path)
 
-        backend = SharedMemoryBackend(num_workers=WORKERS,
-                                      call_timeout=30.0)
+        backend = SharedMemoryBackend(num_workers=WORKERS)
         real_attach = backend.attach_pool
         calls = {"n": 0}
 
@@ -932,9 +797,6 @@ class TestSelfHealingSession:
                                match="simulated attach"):
                 GraphSession.restore(path, backend=backend)
             backend.attach_pool = real_attach
-            # Rollback released the first family's attachment: nothing
-            # is left registered on the fleet.
-            assert len(backend._handles) == 0
             restored = GraphSession.restore(path, backend=backend)
             assert restored.connected(0, 12)
             assert restored.is_bipartite()

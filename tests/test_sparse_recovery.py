@@ -88,13 +88,6 @@ class TestRecoveryMatrix:
                                       np.array([2]), np.array([0]))
         assert query_cells(merged, rnd)[1].tolist() == [11]
 
-    def test_merge_shape_mismatch_rejected(self):
-        # A cell block of another shape cannot back a pool.
-        pool = RecoveryPool(2, 2, 3)
-        for shape in ((2, 3, 2, 4), (2, 3, 3, 3), (1, 3, 2, 3)):
-            with pytest.raises(ValueError):
-                pool.adopt_buffer(np.zeros(shape, dtype=np.int64))
-
     def test_sum_of_many_keeps_fingerprint_in_range(self):
         # The group merge of 50 rows reads back canonical residues.
         rnd = randomness()
