@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
+import numpy as np
+
 from repro.core.api import BatchDynamicAlgorithm
 from repro.core.components import ComponentIds
 from repro.euler.distributed import DistributedEulerForest
@@ -109,7 +111,7 @@ class FullGraphConnectivity(BatchDynamicAlgorithm):
         for tid in fragment_tids:
             if not self.forest.has_tour(tid):
                 continue
-            for x in sorted(self.forest.tour_vertices(tid)):
+            for x in np.sort(self.forest.tour_vertices(tid)).tolist():
                 for y in sorted(self.adj[x]):
                     if self.forest.tree_id(y) != self.forest.tree_id(x):
                         links.append((x, y))
@@ -121,7 +123,7 @@ class FullGraphConnectivity(BatchDynamicAlgorithm):
             # Re-scan: merging fragments can expose further links.
             links = []
             for tid in report.new_tours:
-                for x in sorted(self.forest.tour_vertices(tid)):
+                for x in np.sort(self.forest.tour_vertices(tid)).tolist():
                     for y in sorted(self.adj[x]):
                         if self.forest.tree_id(y) != self.forest.tree_id(x):
                             links.append((x, y))

@@ -8,7 +8,7 @@ The array costs exactly ``n`` words -- part of the ~O(n) budget.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -28,10 +28,11 @@ class ComponentIds:
     def same(self, u: int, v: int) -> bool:
         return self._ids[u] == self._ids[v]
 
-    def relabel_min(self, vertices: Iterable[int]) -> int:
+    def relabel_min(self, vertices: Sequence[int]) -> int:
         """Set a component's id to its minimum member (paper convention);
-        returns the id."""
-        idx = np.fromiter(vertices, dtype=np.int64)
+        returns the id.  ``vertices`` is a sequence or an int64 array
+        (a tour's vertex array goes in as it is)."""
+        idx = np.asarray(vertices, dtype=np.int64)
         if idx.size == 0:
             raise ValueError("cannot relabel an empty vertex set")
         new_id = int(idx.min())

@@ -244,9 +244,7 @@ class MPCConnectivity(BatchDynamicAlgorithm):
         # where the merges logically happen.
         members: Dict[int, np.ndarray] = {}
         for tid in fragments:
-            verts = sorted(self.forest.tour_vertices(tid))
-            members[tid] = np.fromiter(verts, dtype=np.int64,
-                                       count=len(verts))
+            members[tid] = np.sort(self.forest.tour_vertices(tid))
 
         replacement_edges = self._agm_replacements(fragments, members)
         if replacement_edges:

@@ -7,18 +7,16 @@ index-based structure with batch join/split used by the MPC algorithms;
 from repro.euler.auxiliary import (
     Component,
     CutInterval,
-    Segment,
-    SegmentMap,
     nested_interval_decomposition,
+    shift_positions,
 )
 from repro.euler.distributed import BatchReport, DistributedEulerForest
 
 __all__ = [
     "Component",
     "CutInterval",
-    "Segment",
-    "SegmentMap",
     "nested_interval_decomposition",
+    "shift_positions",
     "BatchReport",
     "DistributedEulerForest",
 ]

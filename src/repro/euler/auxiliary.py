@@ -9,8 +9,12 @@ deterministic interleaving of O(k) contiguous segments of the old
 tours**, and each segment is shifted by a single offset.  This module
 owns the segment bookkeeping:
 
-* :class:`SegmentMap` -- the set of (old interval -> new tour, offset)
-  messages for one old tour, applied by position lookup;
+* :func:`shift_positions` -- applies a set of (interval -> offset)
+  messages to a whole array of positions at once: one sort of the O(k)
+  segment starts, one ``searchsorted`` and one add.  The distributed
+  forest keys the positions of every tour a batch touches into one
+  coordinate space (tour offset + position), so a whole batch is one
+  call;
 * :func:`nested_interval_decomposition` -- the inverse machinery for
   batch *split*: removing k tree edges cuts a tour into O(k) fragments
   whose nesting structure determines the resulting components.
@@ -21,72 +25,43 @@ distributed forest turns their outputs into broadcastable messages.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 
-@dataclass(frozen=True)
-class Segment:
-    """Old positions ``[old_lo, old_hi)`` map to ``old + delta`` in
-    tour ``new_tid``."""
+def shift_positions(
+    positions: np.ndarray, lo, hi, delta
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Move every position by the offset of the segment that holds it.
 
-    old_lo: int
-    old_hi: int
-    delta: int
-    new_tid: int
+    Segment ``i`` maps positions ``[lo[i], hi[i])`` to ``p + delta[i]``;
+    segments may come in any order but must be non-empty and disjoint.
+    This is the machine-local step of Lemma 6.4: after the broadcast of
+    the O(k) segment messages, each machine updates all of its stored
+    positions by binary search against the segment starts.
 
-    def __post_init__(self) -> None:
-        if self.old_lo >= self.old_hi:
-            raise ValueError("segment must be non-empty")
-
-    def covers(self, pos: int) -> bool:
-        return self.old_lo <= pos < self.old_hi
-
-    def apply(self, pos: int) -> Tuple[int, int]:
-        return self.new_tid, pos + self.delta
-
-
-class SegmentMap:
-    """The shift messages for one old tour, with O(log k) lookup.
-
-    A machine holding a directed edge at old position ``p`` finds its
-    segment by binary search -- this mirrors the paper's "each machine
-    can update its part of the E-tour stored inside the local memory"
-    (Lemma 6.4) after receiving the broadcast messages.
+    Returns ``(shifted, index)``, both shaped like ``positions``, where
+    ``index`` names each position's segment in the caller's order.
+    Raises :class:`ValueError` for an empty or overlapping segment and
+    for a position no segment covers.
     """
-
-    def __init__(self, segments: Sequence[Segment]):
-        ordered = sorted(segments, key=lambda s: s.old_lo)
-        for left, right in zip(ordered, ordered[1:]):
-            if left.old_hi > right.old_lo:
-                raise ValueError("segments overlap")
-        self._segments: List[Segment] = list(ordered)
-        self._starts: List[int] = [s.old_lo for s in ordered]
-
-    def __len__(self) -> int:
-        return len(self._segments)
-
-    def __iter__(self):
-        return iter(self._segments)
-
-    def lookup(self, pos: int) -> Optional[Segment]:
-        i = bisect.bisect_right(self._starts, pos) - 1
-        if i < 0:
-            return None
-        segment = self._segments[i]
-        return segment if segment.covers(pos) else None
-
-    def apply(self, pos: int) -> Tuple[int, int]:
-        segment = self.lookup(pos)
-        if segment is None:
-            raise KeyError(f"position {pos} is not covered by any segment")
-        return segment.apply(pos)
-
-    @property
-    def message_count(self) -> int:
-        """Each segment is one O(1)-word broadcast message."""
-        return len(self._segments)
+    positions = np.asarray(positions, dtype=np.int64)
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    delta = np.asarray(delta, dtype=np.int64)
+    if (hi <= lo).any():
+        raise ValueError("segment must be non-empty")
+    order = np.argsort(lo, kind="stable")
+    starts, ends = lo[order], hi[order]
+    if (starts[1:] < ends[:-1]).any():
+        raise ValueError("segments overlap")
+    k = np.searchsorted(starts, positions, side="right") - 1
+    if positions.size and (k.min() < 0 or (positions >= ends[k]).any()):
+        raise ValueError("a position is not covered by any segment")
+    index = order[k]
+    return positions + delta[index], index
 
 
 @dataclass

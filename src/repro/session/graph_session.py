@@ -75,8 +75,9 @@ from repro.streams.batching import iter_batches
 from repro.types import Batch, Edge, ForestSolution, MatchingSolution, Update, ins
 
 #: On-disk checkpoint format version (bumped on layout changes; 2: the
-#: sketch pool holds ``(Wd, Sd, Fd)`` with ``Fd`` one residue word).
-CHECKPOINT_FORMAT = 2
+#: sketch pool holds ``(Wd, Sd, Fd)`` with ``Fd`` one residue word; 3: the
+#: Euler-tour forest holds int64 slot, vertex and per-tour arrays).
+CHECKPOINT_FORMAT = 3
 
 #: Anything `ingest` coerces into an :class:`Update`.
 UpdateLike = Union[Update, tuple]

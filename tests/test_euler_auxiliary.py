@@ -1,45 +1,74 @@
-"""Segment map and interval decomposition tests."""
+"""Segment shift and interval decomposition tests."""
 
+import numpy as np
 import pytest
 
 from repro.euler import (
     CutInterval,
-    Segment,
-    SegmentMap,
     nested_interval_decomposition,
+    shift_positions,
 )
 
 
-class TestSegment:
+class TestShiftPositions:
     def test_apply(self):
-        seg = Segment(old_lo=3, old_hi=8, delta=10, new_tid=77)
-        assert seg.covers(3) and seg.covers(7) and not seg.covers(8)
-        assert seg.apply(4) == (77, 14)
+        shifted, index = shift_positions([3, 4, 7], lo=[3], hi=[8],
+                                         delta=[10])
+        assert shifted.tolist() == [13, 14, 17]
+        assert index.tolist() == [0, 0, 0]
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Segment(5, 5, 0, 0)
+        with pytest.raises(ValueError, match="non-empty"):
+            shift_positions([5], lo=[5], hi=[5], delta=[0])
 
-
-class TestSegmentMap:
     def test_lookup_and_apply(self):
-        smap = SegmentMap([
-            Segment(0, 4, 100, 1),
-            Segment(4, 10, -2, 2),
-        ])
-        assert smap.apply(0) == (1, 100)
-        assert smap.apply(5) == (2, 3)
-        assert smap.lookup(10) is None
-        with pytest.raises(KeyError):
-            smap.apply(10)
+        # Segments in any order; the index names the caller's order.
+        shifted, index = shift_positions(
+            np.array([[0, 5], [3, 9]]), lo=[4, 0], hi=[10, 4],
+            delta=[-2, 100],
+        )
+        assert shifted.tolist() == [[100, 3], [103, 7]]
+        assert index.tolist() == [[1, 0], [1, 0]]
+        with pytest.raises(ValueError, match="not covered"):
+            shift_positions([10], lo=[0, 4], hi=[4, 10], delta=[100, -2])
+
+    def test_uncovered_below_first_segment(self):
+        with pytest.raises(ValueError, match="not covered"):
+            shift_positions([1], lo=[2], hi=[5], delta=[0])
+        with pytest.raises(ValueError, match="not covered"):
+            shift_positions([0], lo=[], hi=[], delta=[])
+
+    def test_gap_between_segments_is_uncovered(self):
+        with pytest.raises(ValueError, match="not covered"):
+            shift_positions([4], lo=[0, 5], hi=[4, 9], delta=[0, 0])
 
     def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            SegmentMap([Segment(0, 5, 0, 0), Segment(4, 8, 0, 0)])
+        with pytest.raises(ValueError, match="overlap"):
+            shift_positions([0], lo=[0, 4], hi=[5, 8], delta=[0, 0])
 
-    def test_message_count(self):
-        smap = SegmentMap([Segment(0, 1, 0, 0), Segment(1, 2, 0, 0)])
-        assert smap.message_count == 2
+    def test_no_positions(self):
+        shifted, index = shift_positions(np.zeros((0, 2), dtype=np.int64),
+                                         lo=[], hi=[], delta=[])
+        assert shifted.shape == index.shape == (0, 2)
+
+    def test_matches_scalar_reference(self):
+        """A random partition of [0, L) into segments: every position
+        moves by its own segment's offset, as a scalar scan finds it."""
+        rng = np.random.default_rng(7)
+        length = 500
+        cuts = np.sort(rng.choice(np.arange(1, length), 40, replace=False))
+        lo = np.concatenate(([0], cuts))
+        hi = np.concatenate((cuts, [length]))
+        delta = rng.integers(-1000, 1000, size=lo.size)
+        perm = rng.permutation(lo.size)
+        positions = rng.integers(0, length, size=(300, 2))
+        shifted, index = shift_positions(positions, lo[perm], hi[perm],
+                                         delta[perm])
+        for p, s, i in zip(positions.ravel().tolist(),
+                           shifted.ravel().tolist(), index.ravel().tolist()):
+            k = next(k for k in range(lo.size) if lo[k] <= p < hi[k])
+            assert perm[i] == k
+            assert s == p + delta[k]
 
 
 class TestNestedDecomposition:

@@ -34,6 +34,7 @@ from repro.errors import (
     InvalidUpdateError,
     QueryError,
 )
+from repro.euler import DistributedEulerForest
 from repro.mpc import MPCConfig, SharedMemoryBackend, get_backend
 from repro.session import graph_session
 from repro.sketch import RecoveryPool
@@ -529,7 +530,8 @@ class TestCheckpointRestore:
             GraphSession.restore(path)
 
     @pytest.mark.parametrize(
-        "damage", ["truncated", "garbage", "non-dict", "format-1"])
+        "damage", ["truncated", "garbage", "non-dict", "format-1",
+                   "format-2"])
     def test_unreadable_checkpoint_fails_by_name(self, tmp_path,
                                                  monkeypatch, damage):
         path = os.fspath(tmp_path / "damaged.ckpt")
@@ -542,6 +544,10 @@ class TestCheckpointRestore:
                 np.zeros((pool.count, 4, pool.columns, pool.levels),
                          dtype=np.int64),
                 0, np.zeros(pool.count, dtype=np.int64)))
+        if damage == "format-2":
+            monkeypatch.setattr(graph_session, "CHECKPOINT_FORMAT", 2)
+            monkeypatch.setattr(DistributedEulerForest, "__getstate__",
+                                _format2_forest_state, raising=False)
         session = GraphSession(N, tasks=("connectivity",),
                                config=_config("sequential"))
         session.ingest(_insert_stream(), batch_size=8)
@@ -553,13 +559,42 @@ class TestCheckpointRestore:
         data = {"truncated": data[:len(data) // 2],
                 "garbage": b"not a checkpoint\n" * 8,
                 "non-dict": pickle.dumps([1, 2, 3]),
-                "format-1": data}[damage]
+                "format-1": data, "format-2": data}[damage]
         with open(path, "wb") as fh:
             fh.write(data)
         with pytest.raises(ConfigurationError, match=re.escape(path)) as err:
             GraphSession.restore(path)
-        if damage == "format-1":
+        if damage.startswith("format-"):
             assert "format" in str(err.value)
+
+
+def _format2_forest_state(forest):
+    """The forest as the format-2 writer pickled it: dicts of tuples and
+    sets keyed by vertex, directed edge and tour id, with no arrays."""
+    tour_of = {v: forest.tree_id(v) for v in range(forest.n)}
+    vertices = {}
+    for v, tid in tour_of.items():
+        vertices.setdefault(tid, set()).add(v)
+    pos, tid_of_edge = {}, {}
+    edges_by_tour = {tid: set() for tid in vertices}
+    for tid in vertices:
+        for i, (a, b) in enumerate(forest.reconstruct_tour(tid)):
+            pos[(a, b)] = i
+            if a < b:
+                edges_by_tour[tid].add((a, b))
+                tid_of_edge[(a, b)] = tid
+    adj = {v: set() for v in range(forest.n)}
+    for a, b in tid_of_edge:
+        adj[a].add(b)
+        adj[b].add(a)
+    return {
+        "n": forest.n, "_next_tid": forest._next_tid,
+        "_tour_of_vertex": tour_of, "_vertices_by_tour": vertices,
+        "_tour_len": {tid: 2 * len(e) for tid, e in edges_by_tour.items()},
+        "_root_of_tour": {tid: forest.root_of(tid) for tid in vertices},
+        "_pos": pos, "_edges_by_tour": edges_by_tour,
+        "_tid_of_edge": tid_of_edge, "_adj": adj,
+    }
 
 
 # ---------------------------------------------------------------------------
