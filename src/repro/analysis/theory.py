@@ -31,8 +31,8 @@ def sketch_levels(n: int) -> int:
 
 
 def sampler_words(n: int, columns: int) -> int:
-    """One ``L0Sampler`` stack over an n-vertex edge universe: three
-    words (W, S, F) per cell, ``columns x L`` cells."""
+    """One L0-sampler (one pool row) over an n-vertex edge universe:
+    three words (W, S, F) per cell, ``columns x L`` cells."""
     return 3 * columns * sketch_levels(n)
 
 
@@ -176,18 +176,21 @@ def derived_memory(alg) -> Dict[str, int]:
         return greedy_matching_memory(alg.matching_size())
     if alg.name == "matching-akly":
         guesses = alg.guesses
+        sparsifiers = [g.sparsifier for g in guesses]
         return akly_memory(
             n, sum(len(g.active) for g in guesses),
-            sum(g.matching.num_edges for g in guesses),
-            sum(g.matching.matching_size() for g in guesses),
-            guesses[0].randomness.columns)
+            sum(s.matching.num_edges for s in sparsifiers),
+            sum(s.matching.matching_size() for s in sparsifiers),
+            sparsifiers[0].samplers.randomness.columns)
     if alg.name == "matching-size":
-        testers = alg.testers if alg.dynamic else []
+        sparsifiers = [t.sparsifier for t in alg.testers] \
+            if alg.dynamic else []
         return matching_size_memory(
             n, alg.alpha, alg.dynamic,
-            sum(t.matching.num_edges for t in testers),
-            sum(t.matching.matching_size() for t in testers),
-            testers[0].randomness.columns if testers else 4)
+            sum(s.matching.num_edges for s in sparsifiers),
+            sum(s.matching.matching_size() for s in sparsifiers),
+            sparsifiers[0].samplers.randomness.columns
+            if sparsifiers else 4)
     raise ValueError(f"no derived memory for {alg.name!r}")
 
 

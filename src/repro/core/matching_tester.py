@@ -11,7 +11,11 @@ accepted guess.
 * **Dynamic tester** (space ~O(k^2)): hash vertices into ``Theta(k)``
   groups, keep an L0-sampler per group pair (Lemma 3.6), maintain a
   maximal matching of the sampled subgraph H with the Proposition 8.4
-  black box; accept iff it reaches ``k / accept_slack``.
+  black box; accept iff it reaches ``k / accept_slack``.  The samplers,
+  outcomes and matching are the AKLY sparsifier's
+  (:class:`~repro.core.matching_akly.Sparsifier`): a pair's sampler is a
+  pool row given on its first update, and each batch runs the one
+  sparsifier step over the batch's group pairs.
 
 To respect the theorem's total-space bounds (~O(n/alpha^2) insertion /
 ~O(n^2/alpha^4) dynamic), testers with ``k`` above the per-tester budget
@@ -28,23 +32,17 @@ construction, which the paper only summarises.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.core.api import BatchDynamicAlgorithm
-from repro.core.maximal_matching import BatchDynamicMaximalMatching
+from repro.core.matching_akly import Pair, Sparsifier
 from repro.errors import ConfigurationError, InvalidUpdateError
-from repro.mpc.config import MPCConfig
+from repro.mpc.config import MPCConfig, check_count, check_real
 from repro.mpc.simulator import Cluster
-from repro.sketch.edge_coding import decode_index, encode_edge, num_pairs
 from repro.sketch.hashing import FourWiseHash, PairwiseHash
-from repro.sketch.l0_sampler import (
-    L0Sampler,
-    SamplerRandomness,
-    update_grouped,
-)
-from repro.types import Edge, Update
+from repro.types import Update
 
 _SAMPLE_RANGE = 1 << 20
 
@@ -57,7 +55,6 @@ class MatchingTester:
                  kappa: float = 0.5, accept_slack: float = 2.0):
         if k < 1:
             raise ConfigurationError("guess k must be >= 1")
-        self.n = n
         self.k = k
         self.dynamic = dynamic
         self.accept_slack = accept_slack
@@ -70,12 +67,7 @@ class MatchingTester:
         if dynamic:
             self.groups = max(2, 2 * self.k_eff)
             self.group_hash = PairwiseHash(self.groups, rng)
-            self.randomness = SamplerRandomness(
-                num_pairs(n), pair_columns, rng
-            )
-            self.samplers: Dict[Tuple[int, int], L0Sampler] = {}
-            self.outcome: Dict[Tuple[int, int], Optional[int]] = {}
-            self.matching = BatchDynamicMaximalMatching(kappa=kappa)
+            self.sparsifier = Sparsifier(n, pair_columns, kappa, rng)
         else:
             self.cap = self.k_eff
             self._mate: Dict[int, int] = {}
@@ -104,39 +96,26 @@ class MatchingTester:
                 self._mate[up.u] = up.v
                 self._mate[up.v] = up.u
 
+    def _pair_of(self, u: int, v: int) -> Optional[Pair]:
+        """The group pair an edge of the sampled subgraph falls in, or
+        None (a vertex not sampled, or an intra-group edge: those are
+        dropped with Theta(k) groups)."""
+        if not (self._sampled(u) and self._sampled(v)):
+            return None
+        gu, gv = self.group_hash(u), self.group_hash(v)
+        if gu == gv:
+            return None
+        return (min(gu, gv), max(gu, gv))
+
     def _apply_dynamic(self, updates: List[Update]) -> None:
-        affected: Set[Tuple[int, int]] = set()
-        deltas: List[Tuple[Tuple[int, int], int, int]] = []
-        for up in updates:
-            if not (self._sampled(up.u) and self._sampled(up.v)):
-                continue
-            gu, gv = self.group_hash(up.u), self.group_hash(up.v)
-            if gu == gv:
-                continue  # intra-group edges are dropped (Theta(k) groups)
-            pair = (min(gu, gv), max(gu, gv))
-            idx = encode_edge(self.n, up.u, up.v)
-            deltas.append((pair, idx, 1 if up.is_insert else -1))
-            affected.add(pair)
-        if not affected:
-            return
-        removed: List[Edge] = []
-        for pair in affected:
-            old = self.outcome.get(pair)
-            if old is not None:
-                removed.append(decode_index(self.n, old))
-        update_grouped(self.samplers, self.randomness, deltas)
-        inserted: List[Edge] = []
-        for pair in affected:
-            idx = self.samplers[pair].sample()
-            self.outcome[pair] = idx
-            if idx is not None:
-                inserted.append(decode_index(self.n, idx))
-        self.matching.apply_batch(inserts=inserted, deletes=removed)
+        self.sparsifier.step(
+            [(pair, up) for up in updates
+             if (pair := self._pair_of(up.u, up.v)) is not None])
 
     # ------------------------------------------------------------------
     def observed_size(self) -> int:
         if self.dynamic:
-            return self.matching.matching_size()
+            return self.sparsifier.matching.matching_size()
         return len(self._mate) // 2
 
     def accepts(self) -> bool:
@@ -147,15 +126,14 @@ class MatchingTester:
     def words(self) -> int:
         """Theoretical footprint (the paper allocates pairs upfront)."""
         if self.dynamic:
-            per_sampler = 3 * self.randomness.columns * self.randomness.levels
-            total_pairs = self.groups * (self.groups - 1) // 2
-            return total_pairs * per_sampler + self.matching.words
+            return self.sparsifier.words(self.groups * (self.groups - 1)
+                                         // 2)
         return self.cap * 2
 
     @property
     def rounds_per_batch(self) -> int:
         if self.dynamic:
-            return self.matching.rounds_per_batch + 1
+            return self.sparsifier.matching.rounds_per_batch + 1
         return 1
 
 
@@ -172,8 +150,10 @@ class MatchingSizeEstimator(BatchDynamicAlgorithm):
                  pair_columns: int = 4, kappa: float = 0.5,
                  accept_slack: float = 2.0):
         super().__init__(config, cluster=cluster, batch_limit=batch_limit)
-        if alpha < 1:
-            raise ConfigurationError("alpha must be at least 1")
+        alpha = check_real("alpha", alpha, 1.0)
+        pair_columns = check_count("pair_columns", pair_columns)
+        accept_slack = check_real("accept_slack", accept_slack, 0.0,
+                                  inclusive=False)
         if alpha > math.sqrt(config.n):
             raise ConfigurationError(
                 "Theorems 8.5/8.6 require alpha <= sqrt(n)"

@@ -87,6 +87,30 @@ def check_count(field: str, value, minimum: int = 1) -> int:
     return count
 
 
+def check_real(field: str, value, minimum: float,
+               inclusive: bool = True) -> float:
+    """``value`` as a finite ``float >= minimum`` (``> minimum`` when not
+    ``inclusive``), or :class:`ConfigurationError` naming ``field``.
+
+    ``bool`` and strings are refused; ``nan`` and the infinities fail
+    by name instead of deep inside the first integer conversion.
+    """
+    try:
+        if isinstance(value, (bool, str, bytes)):
+            raise TypeError
+        real = float(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"{field} must be a real number, got {value!r}") from None
+    if not math.isfinite(real):
+        raise ConfigurationError(f"{field} must be finite, got {real}")
+    if real < minimum or (real == minimum and not inclusive):
+        bound = ">=" if inclusive else ">"
+        raise ConfigurationError(
+            f"{field} must be {bound} {minimum:g}, got {real:g}")
+    return real
+
+
 def polylog(n: int, power: int = 3) -> float:
     """``log2(n)^power`` with the convention ``polylog(<=2) = 1``.
 

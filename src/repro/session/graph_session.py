@@ -76,8 +76,9 @@ from repro.types import Batch, Edge, ForestSolution, MatchingSolution, Update, i
 
 #: On-disk checkpoint format version (bumped on layout changes; 2: the
 #: sketch pool holds ``(Wd, Sd, Fd)`` with ``Fd`` one residue word; 3: the
-#: Euler-tour forest holds int64 slot, vertex and per-tour arrays).
-CHECKPOINT_FORMAT = 3
+#: Euler-tour forest holds int64 slot, vertex and per-tour arrays; 4: the
+#: matching sparsifiers' per-pair samplers are rows of one pool).
+CHECKPOINT_FORMAT = 4
 
 #: Anything `ingest` coerces into an :class:`Update`.
 UpdateLike = Union[Update, tuple]

@@ -38,8 +38,7 @@ attributes, checked against exact scalar arithmetic by
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -47,58 +46,6 @@ from repro import kernels as _kernels
 
 MERSENNE_P = (1 << 61) - 1
 
-
-class LRUMemo:
-    """Bounded least-recently-used memo for scalar hash values.
-
-    The sketch layer memoizes per-coordinate hash evaluations
-    (``z^idx`` powers, level vectors) because insert/delete churn
-    revisits the same coordinates.  Eviction is least-recently-used --
-    a hit moves the entry to the back of the queue -- so a hot
-    coordinate survives arbitrary churn of cold ones, unlike FIFO
-    where capacity pressure eventually evicts everything in insertion
-    order.  Hit/miss counters are kept for regression tests and
-    diagnostics.
-    """
-
-    __slots__ = ("capacity", "hits", "misses", "_data")
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("memo capacity must be >= 1")
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        self._data: OrderedDict = OrderedDict()
-
-    def get(self, key) -> Optional[object]:
-        """The memoized value, refreshed as most-recently-used.
-
-        Returns ``None`` on a miss (no stored value is ever ``None``).
-        """
-        value = self._data.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        self._data.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def put(self, key, value) -> None:
-        data = self._data
-        if key in data:
-            data.move_to_end(key)
-            data[key] = value
-            return
-        if len(data) >= self.capacity:
-            data.popitem(last=False)
-        data[key] = value
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key) -> bool:
-        return key in self._data
 
 # uint64 view of the prime kept for callers that build field inputs.
 _P_U64 = np.uint64(MERSENNE_P)

@@ -82,10 +82,77 @@ def family_pair(backend, n=40, columns=6, seed=9):
     return seq, other
 
 
+class ReferenceSampler:
+    """The scalar reference L0-sampler: one standalone ``(3, columns,
+    levels)`` block of differential ``(Wd, Sd, Fd)`` cells.
+
+    :meth:`update` computes a coordinate's per-column level and
+    ``z^idx`` directly from the randomness's hashes with Python ints
+    (no array kernel) and writes one cell per column; the reads scan
+    the level prefixes with Python-int sums.  Pool rows, written by
+    ``kernels.pool_scatter`` and read by the group route, must hold and
+    answer exactly what this holds and answers.
+    """
+
+    def __init__(self, randomness):
+        self.randomness = randomness
+        self.cells = np.zeros((3, randomness.columns, randomness.levels),
+                              dtype=np.int64)
+
+    def update(self, idx, delta):
+        """Add ``delta`` at coordinate ``idx``."""
+        from repro.sketch import MERSENNE_P, trailing_zeros
+
+        rnd = self.randomness
+        idx, delta = int(idx), int(delta)
+        if not 0 <= idx < rnd.universe:
+            raise ValueError(f"coordinate {idx} outside universe")
+        fd = delta * pow(rnd.z, idx, MERSENNE_P) % MERSENNE_P
+        for col, h in enumerate(rnd.level_hashes):
+            level = trailing_zeros(h(idx), rnd.levels - 1)
+            w, s, f = self.cells[:, col, level].tolist()
+            self.cells[:, col, level] = (w + delta, s + delta * idx,
+                                         (f + fd) % MERSENNE_P)
+
+    def is_zero(self):
+        """Column 0's level-0 prefix is zero (the column invariant)."""
+        from repro.sketch import MERSENNE_P
+
+        w, s, f = (sum(q.tolist()) for q in self.cells[:, 0])
+        return w == 0 and s == 0 and f % MERSENNE_P == 0
+
+    def sample_column(self, col):
+        """The lowest level of column ``col`` whose prefix passes the
+        divisibility, range and fingerprint tests, or ``None``."""
+        from repro.sketch import MERSENNE_P
+
+        rnd = self.randomness
+        w_col, s_col, f_col = (q.tolist() for q in self.cells[:, col])
+        for level in range(rnd.levels):
+            w, s = sum(w_col[level:]), sum(s_col[level:])
+            if w == 0 or s % w != 0:
+                continue
+            idx = s // w
+            if not 0 <= idx < rnd.universe:
+                continue
+            if (w % MERSENNE_P) * pow(rnd.z, idx, MERSENNE_P) \
+                    % MERSENNE_P == sum(f_col[level:]) % MERSENNE_P:
+                return idx
+        return None
+
+    def sample(self):
+        """The first column, counting up from 0, that recovers."""
+        for col in range(self.randomness.columns):
+            idx = self.sample_column(col)
+            if idx is not None:
+                return idx
+        return None
+
+
 def exact_group_answers(family, groups, cols, live):
     """Exact references for a group query on ``family``'s pool.
 
-    Per group, a standalone ``L0Sampler`` whose cells are the exact sum
+    Per group, a :class:`ReferenceSampler` whose cells are the exact sum
     of the member rows (``W`` and ``S`` as Python-int sums, ``F`` as the
     Python-int sum mod p) answers the zero test and decodes the asked
     column with the scalar scan: the bit-identical reference for
@@ -95,14 +162,14 @@ def exact_group_answers(family, groups, cols, live):
     the cut.  Returns ``(zeros, found)``, ``found`` -1 where nothing is
     recovered.
     """
-    from repro.sketch import MERSENNE_P, L0Sampler, decode_index
+    from repro.sketch import MERSENNE_P, decode_index
 
     zeros, found = [], []
     for group, col in zip(groups, np.broadcast_to(cols, (len(groups),))):
         total = family.pool.cells[np.asarray(group)].astype(object).sum(0)
         total[2] %= MERSENNE_P
-        sampler = L0Sampler(family.randomness)
-        sampler.matrix.cells[...] = total
+        sampler = ReferenceSampler(family.randomness)
+        sampler.cells[...] = total
         side = {int(v) for v in group}
         cut = {e for e in live if (e[0] in side) != (e[1] in side)}
         zero = sampler.is_zero()
@@ -135,11 +202,12 @@ def replay_rows(family, updates):
     randomness, updated with ``edge_sign(x, u, v) * delta`` at both
     endpoints -- the reference for the pool's bulk ingestion, stacked
     like ``family.pool.cells``."""
-    from repro.sketch import L0Sampler, edge_sign, encode_edge
+    from repro.sketch import edge_sign, encode_edge
 
-    samplers = [L0Sampler(family.randomness) for _ in range(family.n)]
+    samplers = [ReferenceSampler(family.randomness)
+                for _ in range(family.n)]
     for u, v, delta in updates:
         idx = encode_edge(family.n, int(u), int(v))
         for x in (int(u), int(v)):
             samplers[x].update(idx, edge_sign(x, u, v) * int(delta))
-    return np.stack([s.matrix.cells for s in samplers])
+    return np.stack([s.cells for s in samplers])

@@ -99,38 +99,28 @@ class TestSpawnSafeRandomness:
                               original.levels_of_many(idxs))
         assert np.array_equal(clone.zpow_many(idxs),
                               original.zpow_many(idxs))
-        for idx in idxs.tolist():
-            assert np.array_equal(clone.levels_of(idx),
-                                  original.levels_of(idx))
-            assert clone.zpow(idx) == original.zpow(idx)
-        ws = [1, -2, 3, 7, 1]
-        fs = original.zpow_many(idxs).tolist()
-        for idx, w, f in zip(idxs.tolist(), ws, fs):
-            assert clone.fingerprint_ok(idx, w, f) == \
-                original.fingerprint_ok(idx, w, f)
 
     def test_from_params_draws_no_randomness(self, rng):
         original = SamplerRandomness(universe=300, columns=4, rng=rng)
         rebuilt = SamplerRandomness.from_params(*original.params())
         assert rebuilt.params() == original.params()
-        # Fresh caches, same behaviour.
-        assert len(rebuilt._zpow_cache) == 0
-        assert rebuilt.zpow(123) == original.zpow(123)
+        idxs = np.arange(0, 300, 7, dtype=np.int64)
+        assert np.array_equal(rebuilt.levels_of_many(idxs),
+                              original.levels_of_many(idxs))
+        assert np.array_equal(rebuilt.zpow_many(idxs),
+                              original.zpow_many(idxs))
 
     def test_from_params_validates_columns(self):
         with pytest.raises(ValueError):
             SamplerRandomness.from_params(100, 3, 1, ((1, 2),))
 
-    def test_pickle_ships_params_not_caches(self, rng):
-        # The checkpoint payload of every family: without __reduce__
-        # it would carry the scalar memo caches (574 B -> 1.1 MB after
-        # 5 000 lookups).
+    def test_pickle_ships_params_only(self, rng):
+        # The checkpoint payload of every family: the defining params,
+        # nothing derived (coefficient matrix, level range).
         randomness = SamplerRandomness(universe=5000, columns=6, rng=rng)
-        fresh = len(pickle.dumps(randomness))
-        for idx in range(1000):
-            randomness.levels_of(idx)
-            randomness.zpow(idx)
-        assert len(pickle.dumps(randomness)) == fresh
+        hook, args = randomness.__reduce__()
+        assert args == randomness.params()
+        assert hook(*args).params() == randomness.params()
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ evaluation, level hashing, ``z^idx`` powers, recovery-cell scatters,
 and the family-level group-by-endpoint router -- is checked against its
 scalar counterpart on random update sequences: the same cell words
 (residues are canonical, so equal cells are equal sketches) and the
-same ``sample()`` / ``is_zero()`` outcomes.  The router's reference is
-the per-vertex scalar replay of ``tests.conftest.replay_rows``.
+same samples.  The reference is ``tests.conftest.ReferenceSampler``:
+per key for ``KeyedSamplers``, per vertex (``replay_rows``) for the
+router.
 """
 
 import numpy as np
@@ -16,13 +17,11 @@ from repro import kernels
 from repro.core.connectivity import MPCConnectivity
 from repro.mpc.config import MPCConfig
 from repro.sketch import (
-    CACHE_LIMIT,
     MERSENNE_P,
     FourWiseHash,
+    KeyedSamplers,
     KWiseHash,
-    L0Sampler,
     PairwiseHash,
-    RecoveryMatrix,
     RecoveryPool,
     SamplerRandomness,
     SketchFamily,
@@ -32,7 +31,7 @@ from repro.sketch import (
     trailing_zeros,
 )
 from repro.streams import ChurnStream
-from tests.conftest import random_edges, replay_rows
+from tests.conftest import ReferenceSampler, random_edges, replay_rows
 
 
 class TestFieldArithmetic:
@@ -111,67 +110,69 @@ class TestRandomnessBulk:
         rnd = SamplerRandomness(10000, 7, rng)
         idxs = np.arange(0, 10000, 13, dtype=np.int64)
         got = rnd.levels_of_many(idxs)
-        for row, idx in zip(got, idxs):
-            assert np.array_equal(row, rnd.levels_of(int(idx)))
+        for row, idx in zip(got.tolist(), idxs.tolist()):
+            assert row == [trailing_zeros(h(idx), rnd.levels - 1)
+                           for h in rnd.level_hashes]
 
     def test_zpow_many_matches_scalar(self, rng):
         rnd = SamplerRandomness(10000, 3, rng)
         idxs = np.array([0, 1, 2, 5, 9999, 4096, 7777], dtype=np.int64)
         got = rnd.zpow_many(idxs)
-        assert [int(g) for g in got] == [rnd.zpow(int(i)) for i in idxs]
-
-    def test_caches_are_bounded(self, rng):
-        rnd = SamplerRandomness(CACHE_LIMIT * 4, 2, rng)
-        for idx in range(CACHE_LIMIT + 500):
-            rnd.zpow(idx)
-            rnd.levels_of(idx)
-        assert len(rnd._zpow_cache) <= CACHE_LIMIT
-        assert len(rnd._levels_cache) <= CACHE_LIMIT
-        # Evicted entries are simply recomputed, not corrupted.
-        assert rnd.zpow(0) == pow(rnd.z, 0, MERSENNE_P)
+        assert [int(g) for g in got] == [pow(rnd.z, int(i), MERSENNE_P)
+                                         for i in idxs]
 
 
-class TestRecoveryMatrixBulk:
-    def test_apply_many_matches_apply(self, rng):
+def reference_rows(rnd, keys, idxs, deltas):
+    """The scalar reference of keyed ingestion: one ``ReferenceSampler``
+    per key, updated entry by entry; stacked in first-touch order like
+    ``KeyedSamplers.pool.cells``."""
+    refs = {}
+    for key, idx, delta in zip(keys, idxs, deltas):
+        refs.setdefault(key, ReferenceSampler(rnd)).update(idx, delta)
+    return np.stack([ref.cells for ref in refs.values()])
+
+
+class TestKeyedRowsBulk:
+    def test_one_scatter_matches_scalar_updates(self, rng):
         rnd = SamplerRandomness(5000, 5, rng)
         stream_rng = np.random.default_rng(7)
         idxs = stream_rng.integers(0, 5000, 300).astype(np.int64)
         deltas = stream_rng.choice([-1, 1], 300).astype(np.int64)
-        seq = RecoveryMatrix(rnd.columns, rnd.levels)
-        for idx, delta in zip(idxs, deltas):
-            seq.apply(rnd.levels_of(int(idx)), int(idx), int(delta),
-                      rnd.zpow(int(idx)))
-        bulk = RecoveryMatrix(rnd.columns, rnd.levels)
-        bulk.apply_many(rnd.levels_of_many(idxs), idxs, deltas,
-                        rnd.zpow_many(idxs))
-        assert np.array_equal(seq.cells, bulk.cells)
-        for col in range(rnd.columns):
-            assert (seq.recover(col, 5000, rnd.fingerprint_ok)
-                    == bulk.recover(col, 5000, rnd.fingerprint_ok))
+        keys = stream_rng.integers(0, 6, 300).tolist()
+        keyed = KeyedSamplers(rnd)
+        keyed.update(keys, idxs, deltas)
+        want = reference_rows(rnd, keys, idxs.tolist(), deltas.tolist())
+        assert np.array_equal(keyed.pool.cells[:len(keyed.rows)], want)
 
-
-class TestL0SamplerBulk:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_update_many_matches_updates(self, seed, rng):
+    def test_update_batches_match_updates(self, seed, rng):
+        # Batches of any size, zero deltas included, across pool growth.
         rnd = SamplerRandomness(2000, 6, rng)
         stream_rng = np.random.default_rng(seed)
         idxs = stream_rng.integers(0, 2000, 250).astype(np.int64)
         deltas = stream_rng.choice([-1, 0, 1], 250).astype(np.int64)
-        seq = L0Sampler(rnd)
-        for idx, delta in zip(idxs, deltas):
-            seq.update(int(idx), int(delta))
-        bulk = L0Sampler(rnd)
-        bulk.update_many(idxs, deltas)
-        assert np.array_equal(seq.matrix.cells, bulk.matrix.cells)
-        assert seq.sample() == bulk.sample()
-        assert seq.is_zero() == bulk.is_zero()
+        keys = [(int(k), "pair") for k in stream_rng.integers(0, 20, 250)]
+        keyed = KeyedSamplers(rnd)
+        for lo, hi in ((0, 1), (1, 2), (2, 40), (40, 250)):
+            keyed.update(keys[lo:hi], idxs[lo:hi], deltas[lo:hi])
+        want = reference_rows(rnd, keys, idxs.tolist(), deltas.tolist())
+        assert np.array_equal(keyed.pool.cells[:len(keyed.rows)], want)
+        refs = {}
+        for key, idx, delta in zip(keys, idxs.tolist(), deltas.tolist()):
+            refs.setdefault(key, ReferenceSampler(rnd)).update(idx, delta)
+        got = keyed.sample(list(refs))
+        assert [None if g < 0 else g for g in got.tolist()] == \
+            [ref.sample() for ref in refs.values()]
 
-    def test_update_many_rejects_out_of_universe(self, rng):
-        sampler = L0Sampler(SamplerRandomness(100, 2, rng))
+    def test_update_rejects_bad_input(self, rng):
+        keyed = KeyedSamplers(SamplerRandomness(100, 2, rng))
         with pytest.raises(ValueError):
-            sampler.update_many(np.array([100]), np.array([1]))
+            keyed.update(["a"], np.array([100]), np.array([1]))
         with pytest.raises(ValueError):
-            sampler.update_many(np.array([-1]), np.array([1]))
+            keyed.update(["a"], np.array([-1]), np.array([1]))
+        with pytest.raises(ValueError):
+            keyed.update(["a", "b"], np.array([1]), np.array([1]))
+        assert not keyed.rows and not keyed.pool.cells.any()
 
     def test_mergeability_preserved(self, rng):
         """Bulk updates into two pool rows, merged by the production
@@ -185,31 +186,33 @@ class TestL0SamplerBulk:
         pool.apply_points(np.repeat(np.arange(2), 80),
                           rnd.levels_of_many(flat), flat, signs.ravel(),
                           rnd.zpow_many(flat))
-        interleaved = L0Sampler(rnd)
+        interleaved = ReferenceSampler(rnd)
         for i in range(80):
             interleaved.update(int(idxs[0, i]), int(signs[0, i]))
             interleaved.update(int(idxs[1, i]), int(signs[1, i]))
         k, cols = rnd.columns, np.arange(rnd.columns)
         merged = kernels.merge_groups(pool.cells, np.tile(np.arange(2), k),
                                       np.full(k, 2), cols)
-        want = kernels.merge_groups(interleaved.matrix.cells[None],
+        want = kernels.merge_groups(interleaved.cells[None],
                                     np.zeros(k, dtype=np.int64),
                                     np.ones(k, dtype=np.int64), cols)
         assert np.array_equal(merged[:, :2], want[:, :2])
         assert np.array_equal(
             kernels.combine_limbs(merged[:, 2], merged[:, 3]),
             kernels.combine_limbs(want[:, 2], want[:, 3]))
-        assert (query_cells(merged, rnd)[1].tolist()
-                == interleaved.sample_columns(cols).tolist())
+        assert [None if f < 0 else f
+                for f in query_cells(merged, rnd)[1].tolist()] == \
+            [interleaved.sample_column(c) for c in range(k)]
 
     def test_cancellation_through_bulk_path(self, rng):
         rnd = SamplerRandomness(500, 4, rng)
-        sampler = L0Sampler(rnd)
+        keyed = KeyedSamplers(rnd)
         idxs = np.arange(0, 500, 5, dtype=np.int64)
-        sampler.update_many(idxs, np.ones(len(idxs), dtype=np.int64))
-        sampler.update_many(idxs, -np.ones(len(idxs), dtype=np.int64))
-        assert sampler.is_zero()
-        assert not sampler.matrix.cells.any()
+        keys = ["a", "b"] * (len(idxs) // 2)
+        keyed.update(keys, idxs, np.ones(len(idxs), dtype=np.int64))
+        keyed.update(keys, idxs, -np.ones(len(idxs), dtype=np.int64))
+        assert not keyed.pool.cells.any()
+        assert keyed.sample(["a", "b"]).tolist() == [-1, -1]
 
 
 class TestVertexAndFamilyBulk:

@@ -1,28 +1,27 @@
-"""Bulk queries must be bit-identical to the sequential path.
+"""Bulk queries must be bit-identical to the scalar reference.
 
-The query-side mirror of ``tests/test_bulk_ingestion.py``: every layer
-of the vectorized recovery pipeline -- prefix decoding
-(``kernels.decode_prefix`` via ``RecoveryMatrix.recover_many``), batched
-zero tests, many-column sampler queries (``sample_columns``), and the
-vectorized edge decoding -- is checked against its scalar counterpart
-across random update/delete streams (the family-level group router is
-checked against exact references in ``tests/test_backend.py``).  Also
-covers the query-path papercuts: LRU hash memos and the AGM
+The query-side mirror of ``tests/test_bulk_ingestion.py``: keyed rows
+(``KeyedSamplers``), read through the group route (``merge_groups`` +
+``query_cells``, i.e. batched zero tests and ``kernels.decode_prefix``),
+and the vectorized edge decoding are checked against their scalar
+counterparts (``tests.conftest.ReferenceSampler``, ``decode_index``)
+across random update/delete streams, including keys that cancel to
+zero (the family-level group router is checked against exact
+references in ``tests/test_backend.py``).  Also covers the AGM
 column-cursor no-op fix.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import kernels
 from repro.core.connectivity import MPCConnectivity
 from repro.errors import SketchError
 from repro.mpc.config import MPCConfig
 from repro.sketch import (
-    L0Sampler,
-    LRUMemo,
-    MERSENNE_P,
-    RecoveryMatrix,
+    KeyedSamplers,
     SamplerRandomness,
     SketchFamily,
     decode_index,
@@ -30,130 +29,132 @@ from repro.sketch import (
     query_cells,
 )
 from repro.types import dele, ins
+from tests.conftest import ReferenceSampler
 
 
-def churn_sampler(randomness, seed, count=200, cancel=False):
-    """A sampler fed a random +-1 stream (optionally fully cancelled)."""
+def churned(randomness, seed, keys=8, count=40, cancel_every=3):
+    """Keyed rows fed random +-1 streams, with the scalar reference per
+    key fed the same entries one at a time.  Every ``cancel_every``-th
+    key (none when it is ``None``) gets its stream and then its inverse,
+    so it cancels to zero.
+    All keys land in one interleaved update call."""
     stream = np.random.default_rng(seed)
-    idxs = stream.integers(0, randomness.universe, count).astype(np.int64)
-    deltas = stream.choice([-1, 1], count).astype(np.int64)
-    sampler = L0Sampler(randomness)
-    sampler.update_many(idxs, deltas)
-    if cancel:
-        sampler.update_many(idxs, -deltas)
-    return sampler
+    entries = []
+    for key in range(keys):
+        idxs = stream.integers(0, randomness.universe, count).tolist()
+        signs = stream.choice([-1, 1], count).tolist()
+        entries += [(key, i, d) for i, d in zip(idxs, signs)]
+        if cancel_every and key % cancel_every == 0:
+            entries += [(key, i, -d) for i, d in zip(idxs, signs)]
+    order = stream.permutation(len(entries))
+    entries = [entries[i] for i in order]
+    keyed = KeyedSamplers(randomness)
+    keyed.update(*(list(c) for c in zip(*entries)))
+    refs = [ReferenceSampler(randomness) for _ in range(keys)]
+    for key, idx, delta in entries:
+        refs[key].update(idx, delta)
+    return keyed, refs
 
 
-def single_columns(samplers, col):
-    """Column ``col`` of every sampler as a ``(k, 4, levels)`` stack in
-    the limb read form: the group-merge kernel over singleton groups."""
-    cells = np.stack([s.matrix.cells for s in samplers])
-    k = cells.shape[0]
-    return kernels.merge_groups(cells, np.arange(k, dtype=np.int64),
-                                np.ones(k, dtype=np.int64),
-                                np.full(k, col, dtype=np.int64))
+def read(keyed, keys, cols):
+    """Column ``cols[i]`` of key ``keys[i]``'s row, through the group
+    route (``merge_groups`` over singleton groups, then ``query_cells``)."""
+    rows = np.array([keyed.rows[k] for k in keys], dtype=np.int64)
+    merged = kernels.merge_groups(keyed.pool.cells, rows,
+                                  np.ones(rows.size, dtype=np.int64),
+                                  np.asarray(cols, dtype=np.int64))
+    return query_cells(merged, keyed.randomness)
 
 
-class TestRecoverManyEquivalence:
+def as_optional(found):
+    return [None if f < 0 else int(f) for f in found]
+
+
+class TestKeyedRowsAgainstReference:
+    """Keyed rows -- written by one scatter, read by the group route --
+    against the scalar reference sampler, key by key."""
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_recover_many_matches_recover(self, seed, rng):
+    def test_cells_match_reference(self, seed, rng):
         rnd = SamplerRandomness(4000, 6, rng)
-        sampler = churn_sampler(rnd, seed, count=300)
-        cols = np.arange(rnd.columns, dtype=np.int64)
-        got = sampler.matrix.recover_many(cols, 4000, rnd.z)
-        expected = [sampler.matrix.recover(c, 4000, rnd.fingerprint_ok)
-                    for c in range(rnd.columns)]
-        assert [None if g < 0 else int(g) for g in got] == expected
-
-    def test_recover_many_repeated_and_reordered_columns(self, rng):
-        rnd = SamplerRandomness(1000, 5, rng)
-        sampler = churn_sampler(rnd, 9, count=120)
-        cols = np.array([3, 0, 3, 1, 4, 4], dtype=np.int64)
-        got = sampler.matrix.recover_many(cols, 1000, rnd.z)
-        expected = [sampler.matrix.recover(int(c), 1000,
-                                           rnd.fingerprint_ok)
-                    for c in cols]
-        assert [None if g < 0 else int(g) for g in got] == expected
-
-    def test_recover_many_empty_is_empty(self, rng):
-        rnd = SamplerRandomness(100, 3, rng)
-        matrix = RecoveryMatrix(rnd.columns, rnd.levels)
-        out = matrix.recover_many(np.empty(0, dtype=np.int64), 100,
-                                  rnd.z)
-        assert out.shape == (0,)
-
-    @pytest.mark.parametrize("cancel", [False, True])
-    def test_column_is_zero_many_matches_scalar(self, cancel, rng):
-        # The many-column zero test of the group route
-        # (``kernels.is_zero_cells`` over stacked columns) against the
-        # scalar per-column test, for every column and a reordered subset.
-        rnd = SamplerRandomness(800, 7, rng)
-        sampler = churn_sampler(rnd, 5, count=90, cancel=cancel)
-        cols = np.array([*range(rnd.columns), 2, 0, 5], dtype=np.int64)
-        k = len(cols)
-        stack = kernels.merge_groups(sampler.matrix.cells[None],
-                                     np.zeros(k, dtype=np.int64),
-                                     np.ones(k, dtype=np.int64), cols)
-        got = kernels.is_zero_cells(stack)
-        assert got.tolist() == [sampler.matrix.column_is_zero(int(c))
-                                for c in cols]
-        assert got.tolist() == [cancel] * k
-
-
-class TestSamplerBatchQueries:
-    """The stacked-cell cores behind the group queries
-    (``kernels.is_zero_cells`` / ``query_cells``) and the many-column decode of
-    one sampler, each against the scalar sampler methods."""
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_is_zero_many_matches_is_zero(self, seed, rng):
-        rnd = SamplerRandomness(1200, 5, rng)
-        samplers = [
-            churn_sampler(rnd, seed * 17 + i, count=25,
-                          cancel=(i % 2 == 0))
-            for i in range(9)
-        ]
-        expected = [s.is_zero() for s in samplers]
-        for col in range(rnd.columns):
-            got = kernels.is_zero_cells(single_columns(samplers, col))
-            assert [bool(g) for g in got] == expected
+        keyed, refs = churned(rnd, seed)
+        for key, ref in enumerate(refs):
+            assert np.array_equal(keyed.pool.cells[keyed.rows[key]],
+                                  ref.cells)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_query_many_fuses_zero_and_sample(self, seed, rng):
+    def test_every_column_decodes_like_reference(self, seed, rng):
         rnd = SamplerRandomness(1800, 6, rng)
-        samplers = [
-            churn_sampler(rnd, seed * 13 + i, count=15 + 9 * i,
-                          cancel=(i % 3 == 0))
-            for i in range(10)
-        ]
+        keyed, refs = churned(rnd, seed, keys=10)
         for col in range(rnd.columns):
-            zeros, found = query_cells(single_columns(samplers, col), rnd)
-            assert [bool(z) for z in zeros] == [s.is_zero()
-                                               for s in samplers]
-            expected = [None if s.is_zero() else s.sample_column(col)
-                        for s in samplers]
-            assert [None if f < 0 else int(f) for f in found] == expected
+            zeros, found = read(keyed, range(10), [col] * 10)
+            assert zeros.tolist() == [ref.is_zero() for ref in refs]
+            assert as_optional(found) == [
+                None if ref.is_zero() else ref.sample_column(col)
+                for ref in refs]
 
-    def test_sample_columns_matches_loop(self, rng):
-        rnd = SamplerRandomness(1500, 8, rng)
-        sampler = churn_sampler(rnd, 3, count=200)
-        cols = np.array([5, 1, 1, 7, 0, 3], dtype=np.int64)
-        got = sampler.sample_columns(cols)
-        expected = [sampler.sample_column(int(c)) for c in cols]
-        assert [None if g < 0 else int(g) for g in got] == expected
+    def test_repeated_and_reordered_columns(self, rng):
+        rnd = SamplerRandomness(1000, 5, rng)
+        keyed, refs = churned(rnd, 9, keys=3, count=120)
+        cols = [3, 0, 3, 1, 4, 4]
+        for key in (1, 2):
+            found = read(keyed, [key] * len(cols), cols)[1]
+            assert as_optional(found) == [refs[key].sample_column(c)
+                                          for c in cols]
 
-    def test_sample_rotation_matches_manual_scan(self, rng):
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sample_is_the_first_recovering_column(self, seed, rng):
         rnd = SamplerRandomness(600, 6, rng)
-        sampler = churn_sampler(rnd, 21, count=60)
-        for start in range(rnd.columns):
-            reference = None
-            for offset in range(rnd.columns):
-                col = (start + offset) % rnd.columns
-                found = sampler.sample_column(col)
-                if found is not None:
-                    reference = found
-                    break
-            assert sampler.sample(start_column=start) == reference
+        keyed, refs = churned(rnd, 21 + seed, keys=9, count=60)
+        got = keyed.sample(list(range(9)))
+        assert as_optional(got) == [ref.sample() for ref in refs]
+        # Cancelled keys sample nothing; the others sample their support.
+        assert all(got[key] == -1 for key in range(0, 9, 3))
+
+    def test_sample_follows_the_asked_key_order(self, rng):
+        rnd = SamplerRandomness(1500, 8, rng)
+        keyed, refs = churned(rnd, 3, keys=5, count=50)
+        keys = [4, 1, 1, 0, 3]
+        assert as_optional(keyed.sample(keys)) == [refs[k].sample()
+                                                   for k in keys]
+        assert keyed.sample([]).shape == (0,)
+
+    @pytest.mark.parametrize("cancel", [False, True])
+    def test_zero_test_on_every_column(self, cancel, rng):
+        # The column invariant: any one column's zero test is the row's.
+        rnd = SamplerRandomness(800, 7, rng)
+        keyed, refs = churned(rnd, 5, keys=1, count=90,
+                              cancel_every=1 if cancel else None)
+        cols = [*range(rnd.columns), 2, 0, 5]
+        zeros = read(keyed, [0] * len(cols), cols)[0]
+        assert zeros.tolist() == [refs[0].is_zero()] * len(cols)
+        assert zeros.tolist() == [cancel] * len(cols)
+        assert keyed.pool.cells.any() != cancel
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 299),
+                              st.sampled_from([1, -1])),
+                    min_size=1, max_size=50),
+           st.integers(0, 2 ** 32 - 1))
+    def test_random_signed_sequences(self, entries, seed):
+        """Any +-1 sequence over a few keys, split over two update
+        calls: cells and samples equal the scalar reference's."""
+        rnd = SamplerRandomness(300, 4, np.random.default_rng(seed))
+        keyed = KeyedSamplers(rnd)
+        refs = {}
+        half = len(entries) // 2
+        for part in (entries[:half], entries[half:]):
+            if part:
+                keyed.update(*(list(c) for c in zip(*part)))
+            for key, idx, delta in part:
+                refs.setdefault(key, ReferenceSampler(rnd)).update(idx,
+                                                                   delta)
+        keys = sorted(refs)
+        for key in keys:
+            assert np.array_equal(keyed.pool.cells[keyed.rows[key]],
+                                  refs[key].cells)
+        assert as_optional(keyed.sample(keys)) == [refs[k].sample()
+                                                   for k in keys]
 
 
 class TestDecodeIndicesBulk:
@@ -189,55 +190,6 @@ class TestMergeValidationAndScratch:
     def test_sketch_error_is_value_error(self):
         # Backwards compatibility: callers catching ValueError still do.
         assert issubclass(SketchError, ValueError)
-
-
-class TestLRUMemo:
-    def test_hot_key_survives_capacity_churn(self):
-        memo = LRUMemo(4)
-        memo.put("hot", 1)
-        for i in range(100):
-            memo.get("hot")            # refresh as most-recently-used
-            memo.put(i, i)             # churn through capacity
-        assert "hot" in memo
-        assert memo.get("hot") == 1
-        assert len(memo) <= 4
-
-    def test_fifo_would_have_evicted(self):
-        # The regression the LRU switch fixes: under FIFO eviction the
-        # oldest insertion dies regardless of how recently it was hit.
-        memo = LRUMemo(3)
-        memo.put("a", 1)
-        memo.put("b", 2)
-        memo.put("c", 3)
-        assert memo.get("a") == 1      # touch: "a" is now most recent
-        memo.put("d", 4)               # evicts "b" (LRU), not "a"
-        assert "a" in memo and "b" not in memo
-
-    def test_hit_rate_on_repeating_batch(self, rng):
-        """A hot working set re-queried through churn keeps hitting."""
-        rnd = SamplerRandomness(10**7, 2, rng)
-        rnd._zpow_cache = LRUMemo(16)  # small capacity to force churn
-        hot = list(range(8))
-        cold = iter(range(1000, 10**6))
-        for _ in range(50):
-            for idx in hot:
-                rnd.zpow(idx)
-            rnd.zpow(next(cold))       # churn past capacity over time
-        cache = rnd._zpow_cache
-        # First round misses the 8 hot keys; every later round hits.
-        assert cache.hits >= 49 * 8
-        hit_rate = cache.hits / (cache.hits + cache.misses)
-        assert hit_rate > 0.8
-        for idx in hot:
-            assert idx in cache
-
-    def test_memo_values_stay_correct_through_eviction(self, rng):
-        rnd = SamplerRandomness(10**6, 2, rng)
-        rnd._zpow_cache = LRUMemo(4)
-        values = {idx: rnd.zpow(idx) for idx in range(64)}
-        for idx, expected in values.items():
-            assert rnd.zpow(idx) == expected
-            assert rnd.zpow(idx) == pow(rnd.z, idx, MERSENNE_P)
 
 
 class TestAGMCursorAccounting:

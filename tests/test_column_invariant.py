@@ -6,9 +6,9 @@ whole vector's ``(W, S, F)`` totals in every column.  The group read
 path (``kernels.merge_groups`` gathering one column per group, the
 zero test on that column) is exact only because of it, so:
 
-* a hypothesis property drives every write path -- scalar and bulk
-  matrix updates and the family's bulk edge router -- and checks the
-  invariant, and that every stored fingerprint is a canonical residue,
+* a hypothesis property drives every write path -- the scalar
+  reference sampler, keyed rows (``KeyedSamplers``) and the family's
+  bulk edge router -- and checks the invariant, and that every stored fingerprint is a canonical residue,
   on every row afterwards;
 * a differential test checks the routed ``gquery`` / ``gzero`` answers
   on a churned pool against ``exact_group_answers``: the Python-int sum
@@ -23,8 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mpc.backend import _execute_op, get_backend
-from repro.sketch import MERSENNE_P, L0Sampler, SketchFamily
-from tests.conftest import exact_group_answers
+from repro.sketch import MERSENNE_P, KeyedSamplers, SketchFamily
+from tests.conftest import ReferenceSampler, exact_group_answers
 
 N = 8
 COLUMNS = 4
@@ -45,7 +45,7 @@ coords = st.integers(0, _UNIVERSE - 1)
 vertices = st.integers(0, N - 1)
 OPS = st.one_of(
     st.tuples(st.just("apply"), coords, deltas),
-    st.tuples(st.just("apply_many"),
+    st.tuples(st.just("keyed"),
               st.lists(st.tuples(coords, deltas), min_size=1, max_size=6)),
     st.tuples(st.just("bulk"),
               st.lists(st.tuples(vertices, vertices, deltas), max_size=8)),
@@ -59,25 +59,23 @@ def test_every_write_path_keeps_columns_equal(ops, seed):
                           rng=np.random.default_rng(seed),
                           backend="sequential")
     rnd = family.randomness
-    sampler = L0Sampler(rnd)
-    matrix = sampler.matrix
+    reference = ReferenceSampler(rnd)
+    keyed = KeyedSamplers(rnd)
     for op in ops:
         kind = op[0]
         if kind == "apply":
             _, idx, delta = op
-            matrix.apply(rnd.levels_of(idx), idx, delta, rnd.zpow(idx))
-        elif kind == "apply_many":
-            idxs = np.array([i for i, _ in op[1]], dtype=np.int64)
-            ds = np.array([d for _, d in op[1]], dtype=np.int64)
-            matrix.apply_many(rnd.levels_of_many(idxs), idxs, ds,
-                              rnd.zpow_many(idxs))
+            reference.update(idx, delta)
+        elif kind == "keyed":
+            keys = [i % 3 for i in range(len(op[1]))]
+            keyed.update(keys, [i for i, _ in op[1]], [d for _, d in op[1]])
         else:
             edges = [(u, v, d) for u, v, d in op[1] if u != v]
             if edges:
                 us, vs, ds = (np.array(col, dtype=np.int64)
                               for col in zip(*edges))
                 family.apply_edges_bulk(us, vs, ds)
-    for cells in (matrix.cells, *family.pool.cells):
+    for cells in (reference.cells, *keyed.pool.cells, *family.pool.cells):
         assert_column_invariant(cells)
         # Every write path leaves Fd a canonical residue.
         assert 0 <= cells[2].min() and cells[2].max() < MERSENNE_P

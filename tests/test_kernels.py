@@ -20,9 +20,10 @@ import pytest
 
 from repro import GraphSession, dele, ins, kernels
 from repro.kernels import profile, registry
-from repro.sketch import L0Sampler, SamplerRandomness
+from repro.sketch import KeyedSamplers, SamplerRandomness
 from repro.sketch.hashing import KWiseHash, MERSENNE_P, trailing_zeros
-from repro.sketch.sparse_recovery import _limb_form, _suffix_cumsum
+from repro.sketch.sparse_recovery import _suffix_cumsum
+from tests.conftest import ReferenceSampler
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -31,6 +32,13 @@ P = MERSENNE_P
 
 def _field(rng, n):
     return rng.integers(0, P, size=n, dtype=np.uint64)
+
+
+def _limb_form(block):
+    """The ``(4, ...)`` read form ``(W, S, lo, hi)`` of a ``(3, ...)``
+    cell block: ``Fd`` split into its 32-bit low and high limbs."""
+    f = block[2]
+    return np.stack((block[0], block[1], f & 0xFFFFFFFF, f >> 32))
 
 
 # ---------------------------------------------------------------------------
@@ -101,16 +109,16 @@ class TestScalarGolden:
     def test_decode_prefix_matches_generic_path(self, k):
         rng = np.random.default_rng(7)
         randomness = SamplerRandomness(256, 5, rng)
-        sampler = L0Sampler(randomness)
+        sampler = ReferenceSampler(randomness)
         idxs = rng.integers(0, 256, size=150).astype(np.int64)
         deltas = rng.choice([-1, 1], size=150).astype(np.int64)
-        sampler.update_many(idxs, deltas)
-        prefix = _suffix_cumsum(_limb_form(sampler.matrix.cells))
+        for idx, delta in zip(idxs.tolist(), deltas.tolist()):
+            sampler.update(idx, delta)
+        prefix = _suffix_cumsum(_limb_form(sampler.cells))
         fused = k.decode_prefix(prefix, randomness.universe, randomness.z)
-        # The generic path: the scalar level scan of
-        # RecoveryMatrix.recover with Python big-int fingerprints.
-        scalar = [sampler.matrix.recover(col, randomness.universe,
-                                         randomness.fingerprint_ok)
+        # The generic path: the scalar level scan of the reference
+        # sampler with Python big-int fingerprints.
+        scalar = [sampler.sample_column(col)
                   for col in range(randomness.columns)]
         assert [None if g < 0 else g for g in fused.tolist()] == scalar
         # Every recovered coordinate is a real support member.
@@ -123,18 +131,15 @@ class TestScalarGolden:
 
     def test_sampler_roundtrip_and_zero(self, k):
         rng = np.random.default_rng(8)
-        randomness = SamplerRandomness(128, 6, rng)
-        sampler = L0Sampler(randomness)
-        assert sampler.is_zero()
+        keyed = KeyedSamplers(SamplerRandomness(128, 6, rng))
         idxs = rng.integers(0, 128, size=60).astype(np.int64)
         deltas = np.ones(60, dtype=np.int64)
-        sampler.update_many(idxs, deltas)
-        assert not sampler.is_zero()
-        got = sampler.sample()
-        assert got in set(idxs.tolist())
-        sampler.update_many(idxs, -deltas)
-        assert sampler.is_zero()
-        assert sampler.sample() is None
+        keyed.update([0] * 60, idxs, deltas)
+        assert keyed.pool.cells.any()
+        assert int(keyed.sample([0])[0]) in set(idxs.tolist())
+        keyed.update([0] * 60, idxs, -deltas)
+        assert not keyed.pool.cells.any()
+        assert keyed.sample([0]).tolist() == [-1]
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +153,10 @@ class TestScalarGolden:
 #: calls from the contract checks, the profiler and ``bench/``'s trace.
 REACHED = {
     ("decode_prefix", "repro.sketch.l0_sampler"),
-    ("decode_prefix", "repro.sketch.sparse_recovery"),
     ("is_zero_cells", "repro.mpc.backend"),
     ("is_zero_cells", "repro.sketch.l0_sampler"),
     ("merge_groups", "repro.mpc.backend"),
+    ("merge_groups", "repro.sketch.l0_sampler"),
     ("pool_scatter", "repro.mpc.backend"),
     ("poly_field_values", "repro.sketch.hashing"),
     ("poly_field_values", "repro.sketch.l0_sampler"),

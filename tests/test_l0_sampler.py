@@ -1,5 +1,7 @@
 """L0-sampler tests, including the linearity property the paper's
-algorithms depend on (Remark 3.2)."""
+algorithms depend on (Remark 3.2).  A sampler is a pool row: keyed rows
+(``KeyedSamplers``) for the per-key samplers, bare pool rows merged by
+the production group merge for linearity."""
 
 import pickle
 
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.sketch import (
-    L0Sampler,
+    KeyedSamplers,
     RecoveryPool,
     SamplerRandomness,
     levels_for_universe,
@@ -20,7 +22,7 @@ from repro.sketch import (
 
 def make(universe=2000, columns=6, seed=1):
     rnd = SamplerRandomness(universe, columns, np.random.default_rng(seed))
-    return rnd, L0Sampler(rnd)
+    return rnd, KeyedSamplers(rnd)
 
 
 class TestLevels:
@@ -32,59 +34,89 @@ class TestLevels:
             levels_for_universe(0)
 
 
+def one(keyed, key="x"):
+    """The sampled coordinate of ``key``, ``None`` where none is found."""
+    got = int(keyed.sample([key])[0])
+    return None if got < 0 else got
+
+
+def feed(keyed, ops, key="x"):
+    """Feed ``key`` the ``(idx, delta)`` pairs ``ops`` in one update."""
+    idxs, deltas = zip(*ops)
+    keyed.update([key] * len(ops), idxs, deltas)
+
+
 class TestSampling:
     def test_empty_is_zero(self):
-        _, sampler = make()
-        assert sampler.is_zero()
-        assert sampler.sample() is None
+        _, keyed = make()
+        feed(keyed, [(5, 0)])
+        assert not keyed.pool.cells.any()
+        assert one(keyed) is None
 
     def test_singleton_support(self):
-        _, sampler = make()
-        sampler.update(1234, 1)
-        assert not sampler.is_zero()
-        assert sampler.sample() == 1234
+        _, keyed = make()
+        feed(keyed, [(1234, 1)])
+        assert keyed.pool.cells.any()
+        assert one(keyed) == 1234
 
     def test_sample_from_support_only(self):
-        _, sampler = make(seed=3)
+        _, keyed = make(seed=3)
         support = {3, 77, 500, 1999}
-        for idx in support:
-            sampler.update(idx, 1)
-        for start in range(4):
-            got = sampler.sample(start_column=start)
-            assert got in support
+        for key in range(4):
+            feed(keyed, [(idx, 1) for idx in support], key=key)
+        assert {one(keyed, key) for key in range(4)} <= support
 
     def test_insert_delete_cancels(self):
-        _, sampler = make()
-        for idx in (5, 10, 15):
-            sampler.update(idx, 1)
-        for idx in (5, 10, 15):
-            sampler.update(idx, -1)
-        assert sampler.is_zero()
-        assert sampler.sample() is None
+        _, keyed = make()
+        feed(keyed, [(5, 1), (10, 1), (15, 1)])
+        feed(keyed, [(5, -1), (10, -1), (15, -1)])
+        assert not keyed.pool.cells.any()
+        assert one(keyed) is None
 
     def test_out_of_universe_rejected(self):
-        _, sampler = make(universe=100)
+        _, keyed = make(universe=100)
         with pytest.raises(ValueError):
-            sampler.update(100, 1)
+            feed(keyed, [(100, 1)])
+        with pytest.raises(ValueError):
+            feed(keyed, [(-1, 1)])
+        assert not keyed.rows
 
     def test_zero_delta_is_noop(self):
-        _, sampler = make()
-        sampler.update(4, 0)
-        assert sampler.is_zero()
+        _, keyed = make()
+        feed(keyed, [(4, 0)])
+        assert not keyed.pool.cells.any()
 
     def test_success_rate_over_seeds(self):
         """Each sampler (with several columns) should essentially always
         return a support element for moderate supports."""
         failures = 0
         for seed in range(30):
-            rnd, sampler = make(universe=5000, columns=6, seed=seed)
+            rnd, keyed = make(universe=5000, columns=6, seed=seed)
             support = set(np.random.default_rng(seed).integers(0, 5000, 40))
-            for idx in support:
-                sampler.update(int(idx), 1)
-            got = sampler.sample()
+            feed(keyed, [(int(idx), 1) for idx in support])
+            got = one(keyed)
             if got is None or got not in support:
                 failures += 1
         assert failures == 0
+
+    def test_rows_on_first_touch_and_geometric_growth(self):
+        rnd, keyed = make(universe=500, columns=3)
+        counts = []
+        for key in range(9):
+            feed(keyed, [(key, 1), (key + 100, 1)], key=key)
+            counts.append(keyed.pool.count)
+        feed(keyed, [(7, -1)], key=3)       # a known key takes no row
+        assert keyed.rows == {key: key for key in range(9)}
+        assert counts == [1, 2, 4, 4, 8, 8, 8, 8, 16]
+        # Growth copies the old rows: every key still holds its vector.
+        for key in range(9):
+            want = {key, key + 100, *((7,) if key == 3 else ())}
+            assert one(keyed, key) in want
+
+    def test_unknown_key_is_refused(self):
+        _, keyed = make()
+        with pytest.raises(KeyError):
+            keyed.sample(["never updated"])
 
 
 def pool_rows(rnd, streams):
@@ -128,11 +160,13 @@ class TestMerging:
     def test_copy_independence(self):
         # A checkpoint copy (pickle round trip) is independent.
         _, a = make()
-        a.update(9, 1)
+        feed(a, [(9, 1)])
         dup = pickle.loads(pickle.dumps(a))
-        a.update(9, -1)
-        assert dup.sample() == 9
-        assert a.is_zero()
+        feed(a, [(9, -1)])
+        assert one(dup) == 9
+        assert not a.pool.cells.any()
+        feed(dup, [(9, -1)])
+        assert not dup.pool.cells.any()
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 499),
@@ -150,5 +184,5 @@ class TestMerging:
                                   kernels.combine_limbs(*halves[2:]))
 
     def test_words(self):
-        rnd, sampler = make(columns=5)
-        assert sampler.words == 3 * 5 * rnd.levels
+        rnd, keyed = make(columns=5)
+        assert keyed.pool.words == 3 * 5 * rnd.levels   # one row

@@ -28,6 +28,7 @@ from repro.core import (
     MPCConnectivity,
 )
 from repro.core.api import BatchDynamicAlgorithm
+from repro.core.matching_akly import _Guess
 from repro.errors import (
     BatchTooLargeError,
     ConfigurationError,
@@ -37,7 +38,7 @@ from repro.errors import (
 from repro.euler import DistributedEulerForest
 from repro.mpc import MPCConfig, SharedMemoryBackend, get_backend
 from repro.session import graph_session
-from repro.sketch import RecoveryPool
+from repro.sketch import RecoveryPool, l0_sampler
 from repro.streams import as_batches
 
 N = 48
@@ -64,6 +65,30 @@ def _insert_stream(n: int = N):
     ups += [ins(i, i + 1, float(i % 5 + 1)) for i in range(20, 30)]
     ups += [ins(12, 20, 2.0), ins(0, 30, 9.0), ins(1, 29, 1.0)]
     return ups
+
+
+def _answers(session):
+    """Every query answer of ``session``'s tasks, next to every sketch
+    cell block behind them (pool rows, and the key -> row maps)."""
+    out = {}
+    if "connectivity" in session.tasks:
+        out["forest"] = session.spanning_forest().edges
+        out["cells"] = session.query("connectivity").family.pool.cells
+    if "bipartiteness" in session.tasks:
+        out["bipartite"] = session.is_bipartite()
+    sparsifiers = []
+    if "matching" in session.tasks:
+        out["matching"] = session.matching().edges
+        sparsifiers = [g.sparsifier
+                       for g in session.query("matching").guesses]
+    if "matching_size" in session.tasks:
+        alg = session.query("matching_size")
+        out["estimate"] = alg.estimate()
+        sparsifiers = [t.sparsifier for t in alg.testers]
+    for i, sparsifier in enumerate(sparsifiers):
+        out[f"rows {i}"] = list(sparsifier.samplers.rows.items())
+        out[f"pair cells {i}"] = sparsifier.samplers.pool.cells
+    return out
 
 
 def _churn_stream():
@@ -471,32 +496,34 @@ class TestCheckpointRestore:
         session.close()
         restored.close()
 
-    def test_continuation_matches_uninterrupted_run(self, tmp_path):
+    @pytest.mark.parametrize(
+        "tasks", [("connectivity", "bipartiteness"), ("matching",),
+                  {"matching_size": {"dynamic": True}}],
+        ids=["connectivity+bipartiteness", "matching",
+             "matching_size-dynamic"])
+    def test_continuation_matches_uninterrupted_run(self, tmp_path, tasks):
         config = _config("sequential", seed=11)
         part1 = _churn_stream()[:15]
         part2 = _churn_stream()[15:]
 
-        uninterrupted = GraphSession(
-            N, tasks=("connectivity", "bipartiteness"), config=config)
+        uninterrupted = GraphSession(N, tasks=tasks, config=config)
         uninterrupted.ingest(part1, batch_size=6)
         uninterrupted.ingest(part2, batch_size=6)
 
-        session = GraphSession(
-            N, tasks=("connectivity", "bipartiteness"), config=config)
+        session = GraphSession(N, tasks=tasks, config=config)
         session.ingest(part1, batch_size=6)
         path = os.fspath(tmp_path / "mid.ckpt")
         session.checkpoint(path)
         restored = GraphSession.restore(path)
         restored.ingest(part2, batch_size=6)
 
-        assert (restored.spanning_forest().edges
-                == uninterrupted.spanning_forest().edges)
-        assert (restored.is_bipartite()
-                == uninterrupted.is_bipartite())
-        assert np.array_equal(
-            restored.query("connectivity").family.pool.cells,
-            uninterrupted.query("connectivity").family.pool.cells,
-        )
+        want, got = _answers(uninterrupted), _answers(restored)
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(got[name], value), name
+            else:
+                assert got[name] == value, name
         session.close()
         restored.close()
         uninterrupted.close()
@@ -531,7 +558,7 @@ class TestCheckpointRestore:
 
     @pytest.mark.parametrize(
         "damage", ["truncated", "garbage", "non-dict", "format-1",
-                   "format-2"])
+                   "format-2", "format-3"])
     def test_unreadable_checkpoint_fails_by_name(self, tmp_path,
                                                  monkeypatch, damage):
         path = os.fspath(tmp_path / "damaged.ckpt")
@@ -548,8 +575,18 @@ class TestCheckpointRestore:
             monkeypatch.setattr(graph_session, "CHECKPOINT_FORMAT", 2)
             monkeypatch.setattr(DistributedEulerForest, "__getstate__",
                                 _format2_forest_state, raising=False)
-        session = GraphSession(N, tasks=("connectivity",),
-                               config=_config("sequential"))
+        if damage == "format-3":
+            # Format 3 kept one standalone sampler object per touched
+            # active pair, pickled by its class name.
+            monkeypatch.setattr(graph_session, "CHECKPOINT_FORMAT", 3)
+            monkeypatch.setattr(l0_sampler, "L0Sampler", _Format3Sampler,
+                                raising=False)
+            monkeypatch.setattr(_Guess, "__getstate__",
+                                _format3_guess_state, raising=False)
+        tasks = ("connectivity",)
+        if damage == "format-3":
+            tasks += ("matching",)
+        session = GraphSession(N, tasks=tasks, config=_config("sequential"))
         session.ingest(_insert_stream(), batch_size=8)
         session.checkpoint(path)
         session.close()
@@ -559,13 +596,44 @@ class TestCheckpointRestore:
         data = {"truncated": data[:len(data) // 2],
                 "garbage": b"not a checkpoint\n" * 8,
                 "non-dict": pickle.dumps([1, 2, 3]),
-                "format-1": data, "format-2": data}[damage]
+                "format-1": data, "format-2": data,
+                "format-3": data}[damage]
         with open(path, "wb") as fh:
             fh.write(data)
         with pytest.raises(ConfigurationError, match=re.escape(path)) as err:
             GraphSession.restore(path)
         if damage.startswith("format-"):
             assert "format" in str(err.value)
+
+
+class _Format3Sampler:
+    """A per-pair sampler as format 3 pickled it: a standalone object
+    owning its ``(3, columns, levels)`` cell block, pickled under the
+    name ``repro.sketch.l0_sampler.L0Sampler`` (gone since format 4)."""
+
+    def __init__(self, randomness, cells):
+        self.randomness = randomness
+        self.cells = cells
+
+
+_Format3Sampler.__module__ = "repro.sketch.l0_sampler"
+_Format3Sampler.__qualname__ = _Format3Sampler.__name__ = "L0Sampler"
+
+
+def _format3_guess_state(guess):
+    """An AKLY guess as format 3 pickled it: a dict of standalone
+    samplers and a dict of outcomes next to the matching."""
+    state = dict(guess.__dict__)
+    sparsifier = state.pop("sparsifier")
+    keyed = sparsifier.samplers
+    state["randomness"] = keyed.randomness
+    state["samplers"] = {pair: _Format3Sampler(keyed.randomness,
+                                               keyed.pool.cells[row])
+                         for pair, row in keyed.rows.items()}
+    state["outcome"] = {pair: None if idx < 0 else idx
+                        for pair, idx in sparsifier.outcome.items()}
+    state["matching"] = sparsifier.matching
+    return state
 
 
 def _format2_forest_state(forest):
