@@ -30,9 +30,8 @@ class AGMStaticConnectivity(BatchDynamicAlgorithm):
 
     def __init__(self, config: MPCConfig, cluster: Optional[Cluster] = None,
                  columns: Optional[int] = None,
-                 batch_limit: Optional[int] = None, backend=None):
-        super().__init__(config, cluster=cluster, batch_limit=batch_limit,
-                         backend=backend)
+                 batch_limit: Optional[int] = None):
+        super().__init__(config, cluster=cluster, batch_limit=batch_limit)
         if columns is None:
             columns = config.sketch_columns
         self.family = SketchFamily(config.n, columns=columns,

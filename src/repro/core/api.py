@@ -18,16 +18,14 @@ would spuriously inflate every ~O(n) memory measurement to O(m).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
-
-import numpy as np
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.errors import (
     BatchTooLargeError,
     ConfigurationError,
     InvalidUpdateError,
 )
-from repro.mpc.config import MPCConfig
+from repro.mpc.config import MPCConfig, check_count
 from repro.mpc.metrics import PhaseMetrics
 from repro.mpc.simulator import Cluster
 from repro.types import Batch, Edge, Update
@@ -97,38 +95,21 @@ class UpdateValidator:
             self._weights.pop(update.edge, None)
 
 
-def _machine_histogram(batch, partition) -> Dict[int, int]:
-    """Updates per owning machine (edges live with the smaller
-    endpoint's block), vectorized -- the batch sizes a parallel backend
-    targets make a per-update Python loop noticeable."""
-    k = len(batch)
-    lo = np.fromiter((up.u if up.u < up.v else up.v for up in batch),
-                     dtype=np.int64, count=k)
-    counts = np.bincount(partition.machines_of_vertices(lo))
-    return {int(mid): int(count) for mid, count in enumerate(counts)
-            if count}
-
-
 def charge_route_updates(cluster: Cluster, batch) -> None:
     """Charge the Section 1.2 batch-routing step for one phase.
 
-    Route all update requests to a dedicated machine first (a batch
+    Route all update requests to one dedicated machine first (a batch
     fits in one machine's memory, and moving it there is one
-    aggregation tree, O(1/phi) rounds).  Under a parallel execution
-    backend the shards stay on their owning machines, so the words are
-    attributed per machine instead of lumped on the gather root.
+    aggregation tree, O(1/phi) rounds).  The charge is the same on every
+    execution backend: where the sketch work later runs is not part of
+    the cost model.
 
     One definition shared by standalone :meth:`BatchDynamicAlgorithm.
     apply_batch` phases and :class:`~repro.session.GraphSession` (which
     charges it once per *session* phase, not once per task).
     """
-    if not len(batch):
-        return
-    per_machine = None
-    if cluster.backend.parallel:
-        per_machine = _machine_histogram(batch, cluster.partition)
-    cluster.charge_gather(len(batch), category="route-updates",
-                          per_machine=per_machine)
+    if len(batch):
+        cluster.charge_gather(len(batch), category="route-updates")
 
 
 class BatchDynamicAlgorithm:
@@ -151,7 +132,7 @@ class BatchDynamicAlgorithm:
     and the route-updates charge happen once per *session* phase
     instead of once per algorithm.  :meth:`_members` /
     :meth:`_sketch_families` expose nested instances and sketch
-    families so checkpoint restore can re-attach execution backends.
+    families so checkpoint restore can point them at another backend.
     """
 
     #: Human-readable algorithm name for table rows.
@@ -185,17 +166,11 @@ class BatchDynamicAlgorithm:
             ) from None
 
     def __init__(self, config: MPCConfig, cluster: Optional[Cluster] = None,
-                 batch_limit: Optional[int] = None, track_edges: bool = True,
-                 backend=None):
+                 batch_limit: Optional[int] = None, track_edges: bool = True):
         self.config = config
-        # ``backend`` (name or instance) overrides the config's backend
-        # when this algorithm builds its own cluster; an explicitly
-        # passed cluster keeps its backend.
-        self.cluster = cluster if cluster is not None else Cluster(
-            config, backend=backend
-        )
-        self.batch_limit = (batch_limit if batch_limit is not None
-                            else config.batch_bound)
+        self.cluster = cluster if cluster is not None else Cluster(config)
+        self.batch_limit = (config.batch_bound if batch_limit is None
+                            else check_count("batch_limit", batch_limit))
         self.validator = UpdateValidator(track=track_edges)
         self.phases: List[PhaseMetrics] = []
         self._attached = False
@@ -248,13 +223,13 @@ class BatchDynamicAlgorithm:
     def _members(self) -> "List[BatchDynamicAlgorithm]":
         """Nested batch-dynamic instances running on their own private
         clusters (e.g. bipartiteness's double cover, approximate MSF's
-        weight levels).  Checkpoint restore walks these to rebind
-        backends transitively."""
+        weight levels).  Checkpoint restore walks these to point every
+        cluster at the chosen backend."""
         return []
 
     def _sketch_families(self) -> list:
         """The sketch families this instance owns directly (not through
-        :meth:`_members`); restore re-attaches each to a backend."""
+        :meth:`_members`); restore points each at the chosen backend."""
         return []
 
     # -- subclass hooks -------------------------------------------------

@@ -26,14 +26,14 @@ class DynamicBipartiteness(BatchDynamicAlgorithm):
     task = "bipartiteness"
 
     def __init__(self, config: MPCConfig, cluster: Optional[Cluster] = None,
-                 batch_limit: Optional[int] = None, backend=None):
-        super().__init__(config, cluster=cluster, batch_limit=batch_limit,
-                         backend=backend)
+                 batch_limit: Optional[int] = None):
+        super().__init__(config, cluster=cluster, batch_limit=batch_limit)
         # The two instances run on their own (parallel) machine groups
-        # but inherit this algorithm's execution backend, so one
-        # backend serves the whole reduction.
+        # but share this algorithm's execution backend, so one backend
+        # serves the whole reduction.
+        backend = self.cluster.backend
         self.base = MPCConnectivity(config, track_edges=False,
-                                    backend=self.cluster.backend)
+                                    cluster=Cluster(config, backend=backend))
         double_config = MPCConfig(
             n=2 * config.n,
             phi=config.phi,
@@ -41,14 +41,13 @@ class DynamicBipartiteness(BatchDynamicAlgorithm):
             total_memory_factor=config.total_memory_factor,
             strict_capacity=config.strict_capacity,
             seed=config.seed + 1,
-            backend=config.backend,
-            backend_workers=config.backend_workers,
         )
         # The double cover receives two updates per graph update, so its
         # per-phase limit must be twice ours.
-        self.cover = MPCConnectivity(double_config, track_edges=False,
-                                     batch_limit=2 * self.batch_limit,
-                                     backend=self.cluster.backend)
+        self.cover = MPCConnectivity(
+            double_config, track_edges=False,
+            cluster=Cluster(double_config, backend=backend),
+            batch_limit=2 * self.batch_limit)
 
     # ------------------------------------------------------------------
     def _cover_updates(self, up: Update) -> List[Update]:

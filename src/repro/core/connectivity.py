@@ -47,10 +47,9 @@ class MPCConnectivity(BatchDynamicAlgorithm):
     def __init__(self, config: MPCConfig, cluster: Optional[Cluster] = None,
                  columns: Optional[int] = None,
                  batch_limit: Optional[int] = None,
-                 strict: bool = False, track_edges: bool = True,
-                 backend=None):
+                 strict: bool = False, track_edges: bool = True):
         super().__init__(config, cluster=cluster, batch_limit=batch_limit,
-                         track_edges=track_edges, backend=backend)
+                         track_edges=track_edges)
         if columns is None:
             columns = config.sketch_columns
         self.family = SketchFamily(config.n, columns=columns,

@@ -27,8 +27,8 @@ from typing import List, Optional
 
 from repro.core.api import BatchDynamicAlgorithm
 from repro.core.connectivity import MPCConnectivity
-from repro.errors import ConfigurationError, InvalidUpdateError
-from repro.mpc.config import MPCConfig
+from repro.errors import InvalidUpdateError
+from repro.mpc.config import MPCConfig, check_real
 from repro.mpc.simulator import Cluster
 from repro.types import ForestSolution, Update
 
@@ -42,13 +42,10 @@ class ApproxMSF(BatchDynamicAlgorithm):
     def __init__(self, config: MPCConfig, eps: float = 0.25,
                  max_weight: float = 1024.0,
                  cluster: Optional[Cluster] = None,
-                 batch_limit: Optional[int] = None, backend=None):
-        super().__init__(config, cluster=cluster, batch_limit=batch_limit,
-                         backend=backend)
-        if eps <= 0:
-            raise ConfigurationError("eps must be positive")
-        if max_weight < 1:
-            raise ConfigurationError("max_weight must be at least 1")
+                 batch_limit: Optional[int] = None):
+        super().__init__(config, cluster=cluster, batch_limit=batch_limit)
+        eps = check_real("eps", eps, 0.0, inclusive=False)
+        max_weight = check_real("max_weight", max_weight, 1.0)
         self.eps = eps
         self.max_weight = max_weight
         self.num_levels = max(1, math.ceil(math.log(max_weight, 1 + eps)))
@@ -58,7 +55,8 @@ class ApproxMSF(BatchDynamicAlgorithm):
         self.thresholds.append(max((1 + eps) ** self.num_levels, max_weight))
         self.levels: List[MPCConnectivity] = [
             MPCConnectivity(config, track_edges=False,
-                            backend=self.cluster.backend)
+                            cluster=Cluster(config,
+                                            backend=self.cluster.backend))
             for _ in range(self.num_levels + 1)
         ]
 

@@ -34,12 +34,18 @@ it.  Pick by workload, not by correctness:
   the kernels, so large batches on many cores can overlap.
 
 Select it per run with ``MPCConfig(backend="shared_memory",
-backend_workers=4)``, per algorithm with the ``backend=`` knob on
-``MPCConnectivity`` / ``AGMStaticConnectivity`` / ``SketchFamily``, or
-globally with the environment variables ``REPRO_BACKEND`` /
-``REPRO_BACKEND_WORKERS`` (how CI runs the tier-1 suite against the
-parallel backend).  A garbage ``REPRO_BACKEND_WORKERS`` value raises a
-``SketchError`` naming the variable at read time.
+backend_workers=4)`` (what ``GraphSession(backend=..., backend_workers=...)``
+fills in), by handing a ``Cluster`` an instance
+(``Cluster(config, backend=SharedMemoryBackend(4))``), or globally with
+the environment variables ``REPRO_BACKEND`` / ``REPRO_BACKEND_WORKERS``
+(how CI runs the tier-1 suite against the parallel backend).  A garbage
+``REPRO_BACKEND_WORKERS`` value raises a ``SketchError`` naming the
+variable at read time.
+
+A backend is a plain object its holders reference directly: the routed
+calls take the pool itself, so nothing is registered, and a pickled
+backend is its name and worker count (unpickling asks
+:func:`get_backend` for the live one), so checkpoints carry no threads.
 
 Failure model: a share that raises re-raises its exception unchanged
 in the caller, but only after every share of the call has finished, so
@@ -51,7 +57,6 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -90,32 +95,13 @@ def default_worker_count() -> int:
     return max(1, min(4, available_cpus()))
 
 
-@dataclass
-class PoolHandle:
-    """A pool registered with a backend.
-
-    Carries everything a routed call needs: the pool, the shared
-    randomness (hashing / fingerprint checks), and the row shard map.  ``shards`` uses the same block
-    partition as the machine placement in :mod:`repro.mpc.partition`,
-    so row ownership lines up with the model's vertex placement.
-    """
-
-    pool: "object"
-    randomness: "object"
-    shards: Optional[VertexPartition] = None
-
-    def owners_of(self, slots: np.ndarray) -> np.ndarray:
-        """The owning worker of each slot (the block partition map)."""
-        assert self.shards is not None
-        return self.shards.machines_of_vertices(slots)
-
-
 class ExecutionBackend:
     """Protocol for executing pool-level sketch work.
 
-    ``attach_pool`` / ``detach_pool`` manage pool placement.  Three
-    routed methods carry all sketch work, one bulk write and two bulk
-    reads:
+    Three routed methods carry all sketch work, one bulk write and two
+    bulk reads, each taking the :class:`~repro.sketch.sparse_recovery.
+    RecoveryPool` and its shared randomness (hashing / fingerprint
+    checks) directly:
 
     * ``scatter_edges`` ingests an edge batch into both endpoints'
       rows (op ``apply``);
@@ -131,13 +117,11 @@ class ExecutionBackend:
     methods and the op table stay closed over each other.
     ``last_split`` is diagnostics: the per-*worker-shard* entry counts
     of the most recent routed call (tests read it to see how work fanned
-    out).  Note worker shards are not model machines -- the per-machine
-    metrics attribution lives in the cluster layer, keyed by the machine
-    partition.
+    out).  Worker shards are not model machines: the cost model charges
+    the same rounds and words on every backend.
     """
 
     name: str = "abstract"
-    parallel: bool = False
     num_workers: int = 1
     #: True for instances handed out by the process-wide factory cache
     #: (:func:`get_backend`): many clusters/sessions share them, so
@@ -149,15 +133,14 @@ class ExecutionBackend:
     def __init__(self) -> None:
         self.last_split: Dict[int, int] = {}
 
-    # -- pool lifecycle -------------------------------------------------
-    def attach_pool(self, pool, randomness) -> PoolHandle:
-        raise NotImplementedError
-
-    def detach_pool(self, handle: PoolHandle) -> None:
-        raise NotImplementedError
+    def __reduce__(self):
+        """Pickle as ``(name, workers)``: threads are process-local, so
+        a checkpoint names the backend and unpickling asks the factory
+        for the live one."""
+        return get_backend, (self.name, self.num_workers)
 
     # -- routed work ----------------------------------------------------
-    def scatter_edges(self, handle: PoolHandle, hi: np.ndarray,
+    def scatter_edges(self, pool, randomness, hi: np.ndarray,
                       lo: np.ndarray, idxs: np.ndarray,
                       deltas: np.ndarray) -> None:
         """Ingest one edge batch: ``+delta`` into row ``hi[i]``,
@@ -172,13 +155,13 @@ class ExecutionBackend:
     # to merging first (sum + query commute, see
     # SketchFamily.query_iteration_groups).
 
-    def query_groups(self, handle: PoolHandle, members: np.ndarray,
+    def query_groups(self, pool, randomness, members: np.ndarray,
                      glens: np.ndarray,
                      cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Fused zero test + one-column recovery per merged group."""
         raise NotImplementedError
 
-    def zero_groups(self, handle: PoolHandle, members: np.ndarray,
+    def zero_groups(self, pool, randomness, members: np.ndarray,
                     glens: np.ndarray) -> np.ndarray:
         """Per-group all-columns zero test over merged member rows."""
         raise NotImplementedError
@@ -213,34 +196,27 @@ class SequentialBackend(ExecutionBackend):
     :func:`_execute_op` call on the whole batch."""
 
     name = SEQUENTIAL
-    parallel = False
     num_workers = 1
 
-    def attach_pool(self, pool, randomness) -> PoolHandle:
-        return PoolHandle(pool=pool, randomness=randomness)
-
-    def detach_pool(self, handle: PoolHandle) -> None:
-        pass
-
-    def scatter_edges(self, handle: PoolHandle, hi: np.ndarray,
+    def scatter_edges(self, pool, randomness, hi: np.ndarray,
                       lo: np.ndarray, idxs: np.ndarray,
                       deltas: np.ndarray) -> None:
-        args = _apply_args(handle.randomness, hi, lo, idxs, deltas)
+        args = _apply_args(randomness, hi, lo, idxs, deltas)
         self.last_split = {0: int(args[0].shape[0])}
-        _execute_op("apply", handle.pool.cells, handle.randomness, args)
+        _execute_op("apply", pool.cells, randomness, args)
 
-    def query_groups(self, handle: PoolHandle, members: np.ndarray,
+    def query_groups(self, pool, randomness, members: np.ndarray,
                      glens: np.ndarray,
                      cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         self.last_split = {0: int(members.shape[0])}
-        return _execute_op("gquery", handle.pool.cells,
-                           handle.randomness, [glens, members, cols])
+        return _execute_op("gquery", pool.cells, randomness,
+                           [glens, members, cols])
 
-    def zero_groups(self, handle: PoolHandle, members: np.ndarray,
+    def zero_groups(self, pool, randomness, members: np.ndarray,
                     glens: np.ndarray) -> np.ndarray:
         self.last_split = {0: int(members.shape[0])}
-        return _execute_op("gzero", handle.pool.cells,
-                           handle.randomness, [glens, members])
+        return _execute_op("gzero", pool.cells, randomness,
+                           [glens, members])
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +289,6 @@ class SharedMemoryBackend(ExecutionBackend):
     """
 
     name = SHARED_MEMORY
-    parallel = True
 
     def __init__(self, num_workers: Optional[int] = None):
         super().__init__()
@@ -345,16 +320,8 @@ class SharedMemoryBackend(ExecutionBackend):
         if self._closed:
             raise SketchError("shared-memory backend is closed")
 
-    def attach_pool(self, pool, randomness) -> PoolHandle:
-        self._ensure_open()
-        return PoolHandle(pool=pool, randomness=randomness,
-                          shards=VertexPartition(pool.count,
-                                                 self.num_workers))
-
-    def detach_pool(self, handle: PoolHandle) -> None:
-        pass
-
-    def _run(self, handle: PoolHandle, jobs: List[tuple]) -> List[object]:
+    def _run(self, cells: np.ndarray, randomness,
+             jobs: List[tuple]) -> List[object]:
         """Run ``(worker_id, op, arrays)`` shares on the threads and
         return their results in job order.
 
@@ -363,7 +330,6 @@ class SharedMemoryBackend(ExecutionBackend):
         writing once the call returns or raises.
         """
         self._ensure_open()
-        cells, randomness = handle.pool.cells, handle.randomness
         with self._profile.timed("backend.exchange"):
             futures = [self._threads.submit(_execute_op, op, cells,
                                             randomness, arrays)
@@ -375,13 +341,18 @@ class SharedMemoryBackend(ExecutionBackend):
                 raise future.exception()
         return [future.result() for future in futures]
 
-    def _sharded_jobs(self, handle: PoolHandle, slots: np.ndarray,
+    def _sharded_jobs(self, rows: int, slots: np.ndarray,
                       payloads: List[np.ndarray],
                       op: str) -> List[tuple]:
         """Split entry arrays by owning worker into ``(worker_id, op,
-        arrays)`` shares: each share touches only its worker's rows."""
+        arrays)`` shares: each share touches only its worker's rows.
+
+        Row ownership is the block partition of a ``rows``-row pool over
+        the workers, the one :mod:`repro.mpc.partition` uses to place
+        vertices on machines."""
         with self._profile.timed("backend.shard"):
-            owners = handle.owners_of(slots)
+            owners = VertexPartition(
+                rows, self.num_workers).machines_of_vertices(slots)
             # One stable sort replaces a full ``owners == wid`` scan per
             # worker; each slice is the same ascending index mask the
             # scan produced.
@@ -434,26 +405,26 @@ class SharedMemoryBackend(ExecutionBackend):
             self.last_split = split
         return jobs
 
-    def scatter_edges(self, handle: PoolHandle, hi: np.ndarray,
+    def scatter_edges(self, pool, randomness, hi: np.ndarray,
                       lo: np.ndarray, idxs: np.ndarray,
                       deltas: np.ndarray) -> None:
-        slots, *payloads = _apply_args(handle.randomness, hi, lo, idxs,
-                                       deltas)
-        self._run(handle, self._sharded_jobs(handle, slots, payloads,
-                                             "apply"))
+        slots, *payloads = _apply_args(randomness, hi, lo, idxs, deltas)
+        self._run(pool.cells, randomness, self._sharded_jobs(
+            pool.count, slots, payloads, "apply"))
 
-    def query_groups(self, handle: PoolHandle, members: np.ndarray,
+    def query_groups(self, pool, randomness, members: np.ndarray,
                      glens: np.ndarray,
                      cols: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        results = self._run(handle, self._group_jobs(members, glens, cols,
-                                                     "gquery"))
+        results = self._run(pool.cells, randomness, self._group_jobs(
+            members, glens, cols, "gquery"))
         return (np.concatenate([zeros for zeros, _ in results]),
                 np.concatenate([found for _, found in results]))
 
-    def zero_groups(self, handle: PoolHandle, members: np.ndarray,
+    def zero_groups(self, pool, randomness, members: np.ndarray,
                     glens: np.ndarray) -> np.ndarray:
-        return np.concatenate(self._run(handle, self._group_jobs(
-            members, glens, None, "gzero")))
+        return np.concatenate(self._run(pool.cells, randomness,
+                                        self._group_jobs(
+                                            members, glens, None, "gzero")))
 
     def close(self) -> None:
         """Join the worker threads (idempotent); later calls raise."""
@@ -472,6 +443,9 @@ _SHARED_CACHE: Dict[int, SharedMemoryBackend] = {}
 
 def normalize_backend_name(name: str) -> str:
     """Canonical backend name; raises ConfigurationError if unknown."""
+    if not isinstance(name, str):
+        raise ConfigurationError(
+            f"backend must be a name or an ExecutionBackend, got {name!r}")
     key = name.strip().lower().replace("-", "_")
     key = _ALIASES.get(key)
     if key is None:
@@ -506,11 +480,23 @@ def get_backend(name: Optional[str] = None,
 
 def resolve_backend(spec=None,
                     workers: Optional[int] = None) -> ExecutionBackend:
-    """Coerce a backend spec (None / name / instance) to a backend."""
+    """Coerce a backend spec (None / name / instance) to a live backend.
+
+    An instance passes through, unless it is closed
+    (:class:`~repro.errors.SketchError`, so a dead backend fails where
+    it is handed over, not at the first batch) or ``workers`` is given
+    and contradicts its worker count (``ConfigurationError``).
+    """
     if spec is None or isinstance(spec, str):
         return get_backend(spec, workers)
-    if isinstance(spec, ExecutionBackend):
-        return spec
-    raise ConfigurationError(
-        f"backend must be a name or an ExecutionBackend, got {spec!r}"
-    )
+    if not isinstance(spec, ExecutionBackend):
+        raise ConfigurationError(
+            f"backend must be a name or an ExecutionBackend, got {spec!r}"
+        )
+    if not spec.usable:
+        raise SketchError(f"execution backend {spec.describe()} is closed")
+    if workers is not None and workers != spec.num_workers:
+        raise ConfigurationError(
+            f"backend_workers={workers} contradicts the backend instance "
+            f"{spec.describe()}")
+    return spec

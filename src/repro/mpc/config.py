@@ -175,12 +175,17 @@ class MPCConfig:
         # Sizes are stored as the plain ints ``check_count`` returns: a
         # numpy ``int8`` / ``uint16`` n would overflow in ``n * (n - 1)``.
         object.__setattr__(self, "n", check_count("n", self.n, minimum=2))
-        if not 0.0 < self.phi < 1.0:
+        phi = check_real("phi", self.phi, 0.0, inclusive=False)
+        if phi >= 1.0:
             raise ConfigurationError(
-                f"phi must lie strictly between 0 and 1, got {self.phi}"
+                f"phi must lie strictly between 0 and 1, got {phi}"
             )
-        if self.mem_factor <= 0 or self.total_memory_factor <= 0:
-            raise ConfigurationError("memory factors must be positive")
+        object.__setattr__(self, "phi", phi)
+        for name in ("mem_factor", "total_memory_factor"):
+            object.__setattr__(self, name, check_real(
+                name, getattr(self, name), 0.0, inclusive=False))
+        object.__setattr__(self, "seed", check_count("seed", self.seed,
+                                                     minimum=0))
         if self.num_machines is not None:
             object.__setattr__(self, "num_machines", check_count(
                 "num_machines", self.num_machines))

@@ -36,11 +36,10 @@ class PhaseMetrics:
     peak_total_memory: int
     rounds_by_category: Dict[str, int]
     capacity_violations: int
-    #: Words of per-shard work attributed to each machine id during the
-    #: phase.  Populated when work is genuinely distributed -- real
-    #: message deliveries, and batch routing under a parallel execution
-    #: backend -- so the ledger shows where work landed instead of
-    #: lumping everything on machine 0.
+    #: Words delivered to each machine id during the phase by real
+    #: message passing (:meth:`~repro.mpc.simulator.Cluster.exchange`),
+    #: so the ledger shows where data landed.  The same on every
+    #: execution backend.
     words_by_machine: Dict[int, int] = field(default_factory=dict)
     #: Execution events that occurred during the phase, as deltas of
     #: the execution backend's cumulative ``health_counters()`` (and,
@@ -121,9 +120,7 @@ class ClusterMetrics:
     def charge_machine_words(self, machine_id: int, words: int) -> None:
         """Attribute ``words`` of delivered/processed data to a machine.
 
-        Fed by real message deliveries (:meth:`Cluster.exchange`) and by
-        per-shard batch routing when the execution backend runs shards
-        in parallel on their owning machines.
+        Fed by real message deliveries (:meth:`Cluster.exchange`).
         """
         if words < 0:
             raise ValueError("machine words must be non-negative")

@@ -37,9 +37,8 @@ class VertexPartition:
     def machines_of_vertices(self, vs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`machine_of_vertex` (no range check).
 
-        The execution backend's row sharding and the per-machine batch
-        attribution both use this, so they can never drift from the
-        scalar placement.
+        The thread backend's row sharding uses this, so it can never
+        drift from the scalar placement.
         """
         return np.minimum(vs // self.block_size, self.num_machines - 1)
 

@@ -27,7 +27,7 @@ paths produce.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from repro.mpc.backend import ExecutionBackend, resolve_backend
 from repro.mpc.config import MPCConfig
 from repro.mpc.machine import Machine, Message
 from repro.mpc.metrics import CapacityViolation, ClusterMetrics, PhaseMetrics
-from repro.mpc.partition import VertexPartition
 
 
 def tree_depth(num_nodes: int, fanout: int) -> int:
@@ -71,7 +70,7 @@ class Cluster:
         config's ``backend`` field, which itself defaults to the
         ``REPRO_BACKEND`` environment variable / sequential.  The
         backend decides where sketch-pool work *executes*; the round
-        and word accounting is identical either way.
+        and word accounting never reads it.
     """
 
     def __init__(self, config: MPCConfig, backend=None):
@@ -81,54 +80,17 @@ class Cluster:
         ]
         self.metrics = ClusterMetrics()
         self.rng = np.random.default_rng(config.seed)
-        self._backend_spec = (backend if backend is not None
-                              else config.backend)
-        self._backend: Optional[ExecutionBackend] = resolve_backend(
-            self._backend_spec, config.backend_workers
-        )
-        self._partition: Optional[VertexPartition] = None
+        if backend is None:
+            backend = config.backend
+        # An instance carries its own worker count; the config's count
+        # goes with a name.
+        self.backend: ExecutionBackend = resolve_backend(
+            backend, None if isinstance(backend, ExecutionBackend)
+            else config.backend_workers)
 
     # ------------------------------------------------------------------
     # Backend / lifecycle
     # ------------------------------------------------------------------
-    @property
-    def backend(self) -> ExecutionBackend:
-        """The execution backend, resolved lazily after unpickling."""
-        if self._backend is None:
-            self._backend = resolve_backend(self._backend_spec,
-                                            self.config.backend_workers)
-        return self._backend
-
-    @property
-    def resolved_backend(self) -> Optional[ExecutionBackend]:
-        """The live backend, or ``None`` if never materialised.
-
-        Teardown paths read this instead of :attr:`backend`: closing a
-        cluster whose lazy backend was never forced (e.g. after a
-        failed or partial checkpoint restore) must not start a thread
-        pool just to shut it down.
-        """
-        return self._backend
-
-    @backend.setter
-    def backend(self, value: ExecutionBackend) -> None:
-        self._backend = value
-
-    def rebind_backend(self, backend=None,
-                       workers: Optional[int] = None) -> None:
-        """Point this cluster at a live execution backend.
-
-        Checkpoint restore uses this before any backend work happens:
-        with no arguments the cluster re-resolves its original spec
-        (name / env default); a name or instance overrides it.
-        """
-        if backend is not None:
-            self._backend_spec = backend
-        self._backend = resolve_backend(
-            self._backend_spec,
-            workers if workers is not None else self.config.backend_workers,
-        )
-
     def reseed(self) -> None:
         """Reset the construction-randomness stream to the config seed.
 
@@ -151,30 +113,16 @@ class Cluster:
         (``close_backend=True``; the factory re-creates one on the next
         request).  In-process backends make this a no-op.
         """
-        if self._backend is None:
-            return
         if close_backend is None:
-            close_backend = not self._backend.cached
+            close_backend = not self.backend.cached
         if close_backend:
-            self._backend.close()
+            self.backend.close()
 
     def __enter__(self) -> "Cluster":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    def __getstate__(self):
-        """Checkpoint without the backend: thread pools are
-        process-local.  The spec (a name) is
-        kept so the restored cluster can lazily re-resolve; an instance
-        spec degrades to its name."""
-        state = self.__dict__.copy()
-        state["_backend"] = None
-        spec = state.get("_backend_spec")
-        if isinstance(spec, ExecutionBackend):
-            state["_backend_spec"] = spec.name
-        return state
 
     # ------------------------------------------------------------------
     # Geometry helpers
@@ -189,14 +137,6 @@ class Cluster:
 
     def machine(self, machine_id: int) -> Machine:
         return self.machines[machine_id]
-
-    @property
-    def partition(self) -> VertexPartition:
-        """The vertex -> machine block placement (Section 5)."""
-        if self._partition is None:
-            self._partition = VertexPartition(self.config.n,
-                                              self.num_machines)
-        return self._partition
 
     # ------------------------------------------------------------------
     # Real synchronous message passing (used by the primitives)
@@ -300,28 +240,16 @@ class Cluster:
         )
         return rounds
 
-    def charge_gather(self, total_words: int, category: str = "gather",
-                      per_machine: Optional[Dict[int, int]] = None) -> int:
+    def charge_gather(self, total_words: int,
+                      category: str = "gather") -> int:
         """Collect ``total_words`` of data onto a single machine.
 
         Valid only when the result fits in local memory; the paper uses
         this to move a batch of updates (or the auxiliary graph H) onto
         one machine.  The data travels up the aggregation tree, so the
         round cost is the tree depth.
-
-        With ``per_machine`` given (machine id -> words), the data is
-        *not* lumped onto machine 0: a parallel execution backend keeps
-        each shard's work on its owning machine, so the budget check
-        and the metrics attribution apply per machine.  The round and
-        traffic charges are unchanged -- the model cost of the routing
-        step does not depend on where the shards execute.
         """
-        if per_machine:
-            for mid, words in per_machine.items():
-                self.metrics.charge_machine_words(mid, words)
-                if words > self.local_memory:
-                    self._check_budget(mid, words, "recv")
-        elif total_words > self.local_memory:
+        if total_words > self.local_memory:
             self._check_budget(0, total_words, "recv")
         rounds = max(1, tree_depth(self.num_machines, self.config.fanout(1)))
         self.metrics.charge_rounds(rounds, category)
@@ -354,8 +282,7 @@ class Cluster:
     # Phases
     # ------------------------------------------------------------------
     def _backend_health(self) -> Dict[str, int]:
-        """The backend's cumulative health counters, without ever
-        forcing a lazy backend into existence just to read zeros.
+        """The backend's cumulative health counters.
 
         With ``REPRO_KERNELS_PROFILE=1`` the parent-side kernel and
         dispatch-section accumulators ride along: they are cumulative
@@ -365,9 +292,7 @@ class Cluster:
         """
         from repro.kernels import profile
 
-        health: Dict[str, int] = {}
-        if self._backend is not None:
-            health.update(self._backend.health_counters())
+        health = self.backend.health_counters()
         if profile.enabled():
             health.update(profile.counters())
         return health

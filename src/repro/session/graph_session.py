@@ -41,11 +41,17 @@ sketch pools (one private cell block per family), spawn-safe
 randomness params (``SamplerRandomness.from_params``), validator edge
 set, forests, metrics, and generator states -- to one file.
 :meth:`GraphSession.restore` rebuilds a live session on any backend;
-answers, and all further ingestion, match the uninterrupted run.
+answers, and all further ingestion, match the uninterrupted run.  The
+execution backend travels by name and worker count: unpickling hands
+every cluster and sketch family the process's live
+:func:`~repro.mpc.backend.get_backend` instance, and a ``backend=``
+override of :meth:`~GraphSession.restore` is a plain reassignment, so
+there is nothing to register and nothing to roll back.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
 import operator
@@ -68,7 +74,8 @@ from repro.errors import (
     InvalidUpdateError,
     QueryError,
 )
-from repro.mpc.config import MPCConfig
+from repro.mpc.backend import resolve_backend
+from repro.mpc.config import MPCConfig, check_count
 from repro.mpc.metrics import PhaseMetrics
 from repro.mpc.simulator import Cluster
 from repro.streams.batching import iter_batches
@@ -77,8 +84,9 @@ from repro.types import Batch, Edge, ForestSolution, MatchingSolution, Update, i
 #: On-disk checkpoint format version (bumped on layout changes; 2: the
 #: sketch pool holds ``(Wd, Sd, Fd)`` with ``Fd`` one residue word; 3: the
 #: Euler-tour forest holds int64 slot, vertex and per-tour arrays; 4: the
-#: matching sparsifiers' per-pair samplers are rows of one pool).
-CHECKPOINT_FORMAT = 4
+#: matching sparsifiers' per-pair samplers are rows of one pool; 5: clusters
+#: and sketch families pickle their execution backend by name).
+CHECKPOINT_FORMAT = 5
 
 #: Anything `ingest` coerces into an :class:`Update`.
 UpdateLike = Union[Update, tuple]
@@ -167,6 +175,28 @@ def _as_update(item: UpdateLike) -> Update:
     )
 
 
+def _check_task_options(task: str, cls: type, options) -> dict:
+    """``options`` as constructor keywords of task class ``cls``, or
+    :class:`ConfigurationError` naming the task and the bad name.
+
+    Checked against the constructor's signature before constructing, so
+    a misspelt option fails by name; ``config`` and ``cluster`` are the
+    session's to pass."""
+    if options is None:
+        return {}
+    if not isinstance(options, dict):
+        raise ConfigurationError(
+            f"options of task {task!r} must be a dict, got {options!r}")
+    accepted = set(inspect.signature(cls).parameters) - {"config",
+                                                          "cluster"}
+    unknown = sorted(set(options) - accepted)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown option(s) {unknown} for task {task!r}; accepted: "
+            f"{sorted(accepted)}")
+    return options
+
+
 def _coerce_stream(updates: Iterable[UpdateLike]) -> Iterator[Update]:
     """Lazily coerce an ingestion stream (generators stay generators)."""
     for item in updates:
@@ -192,7 +222,8 @@ class GraphSession:
     backend, backend_workers:
         Execution backend for the shared cluster (name, instance, or
         ``None`` for the config / environment default).  One backend
-        serves every task.
+        serves every task.  A worker count given next to an instance
+        must equal its own.
     batch_size:
         Auto-batching size for :meth:`ingest`; defaults to (and may
         not exceed) the model's per-phase batch bound.
@@ -220,16 +251,12 @@ class GraphSession:
                 f"n={n} conflicts with config.n={config.n}"
             )
         self.config = config
-        if backend_workers is not None and (backend is None
-                                            or isinstance(backend, str)):
-            # Honour an explicit worker count even alongside an
-            # explicit config= (an instance backend fixes its own).
-            from repro.mpc.backend import resolve_backend
-
+        if backend_workers is not None:
+            # An explicit worker count wins over config=, and must
+            # agree with an instance backend.
             backend = resolve_backend(
-                backend if backend is not None else config.backend,
-                backend_workers,
-            )
+                config.backend if backend is None else backend,
+                backend_workers)
         self.cluster = Cluster(config, backend=backend)
         self.validator = UpdateValidator(track=True)
         self._algs: Dict[str, BatchDynamicAlgorithm] = {}
@@ -248,17 +275,18 @@ class GraphSession:
             raise ConfigurationError("need at least one task")
         for task, options in task_options.items():
             cls = BatchDynamicAlgorithm.class_for_task(task)
+            options = _check_task_options(task, cls, options)
             # Reset the construction-randomness stream so this member
             # draws exactly what its standalone instance would -- the
             # bit-identical parity contract (module docstring).
             self.cluster.reseed()
-            alg = cls(config, cluster=self.cluster, **(options or {}))
+            alg = cls(config, cluster=self.cluster, **options)
             alg.attach(self.cluster, self.validator)
             self._algs[task] = alg
         limit = min(alg.batch_limit for alg in self._algs.values())
         if batch_size is None:
             self.batch_size = limit
-        elif not 1 <= batch_size <= limit:
+        elif not 1 <= check_count("batch_size", batch_size) <= limit:
             raise ConfigurationError(
                 f"batch_size={batch_size} outside [1, {limit}] "
                 "(the model's per-phase batch bound)"
@@ -503,14 +531,10 @@ class GraphSession:
 
         Mirrors ``ExecutionBackend.health_counters()``: ``respawns`` /
         ``retries`` / ``degrades``, all 0 on the thread backend.  Empty
-        on the sequential backend or one never materialised; per-phase
-        deltas appear in the ``fleet`` column
-        of :meth:`report`.
+        on the sequential backend; per-phase deltas appear in the
+        ``fleet`` column of :meth:`report`.
         """
-        backend = self.cluster.resolved_backend
-        if backend is None:
-            return {}
-        return backend.health_counters()
+        return self.cluster.backend.health_counters()
 
     def report_table(self) -> str:
         return render_table(
@@ -550,37 +574,18 @@ class GraphSession:
     def close(self, close_backend: Optional[bool] = None) -> None:
         """Deterministic teardown (idempotent).
 
-        Detaches every sketch family from the execution backend and,
-        when the session *owns* a parallel backend (a privately
-        constructed one, not the process-cached one other sessions
-        share), joins its worker threads -- they are gone when this
-        returns, not when the GC gets around to it.  Pass
-        ``close_backend=True`` to force-close even a shared cached
-        backend (the factory re-creates one for later users) or
-        ``False`` to never close.
-
-        Safe on any session state: double-close is a no-op even when
-        the session is latched inconsistent, and a session whose lazy
-        backend property was never forced (a failed or partial
-        :meth:`restore`) is torn down without materialising a backend
-        first -- there is nothing live to stop.
+        When the session *owns* its backend (a privately constructed
+        one, not the process-cached one other sessions share), joins its
+        worker threads -- they are gone when this returns, not when the
+        GC gets around to it.  Pass ``close_backend=True`` to force-close
+        even a shared cached backend (the factory re-creates one for
+        later users) or ``False`` to never close.  Double-close is a
+        no-op, even when the session is latched inconsistent.
         """
         if self._closed:
             return
         self._closed = True
-        # Families detach from whatever backend they were attached to
-        # directly; reading the cluster's *resolved* backend (never the
-        # lazy property) keeps teardown from creating a backend.
-        backend = self.cluster.resolved_backend
-        for alg in self._all_algorithms():
-            for family in alg._sketch_families():
-                family.detach_backend()
-        if backend is None:
-            return
-        if close_backend is None:
-            close_backend = backend.parallel and not backend.cached
-        if close_backend:
-            backend.close()
+        self.cluster.close(close_backend)
 
     @property
     def closed(self) -> bool:
@@ -608,8 +613,8 @@ class GraphSession:
         goes in: sketch pools (each family's cell block, once), spawn-
         safe randomness params, validator edge set, forests/component
         ids, per-task stats and cursors, metrics ledgers, and generator
-        states.  Process-local execution state (backend handles, thread
-        pools) is excluded and re-created on restore.
+        states.  The execution backend is written as its name and worker
+        count; no thread pool is pickled.
         """
         self._check_open()
         payload = {
@@ -631,21 +636,24 @@ class GraphSession:
                 backend_workers: Optional[int] = None) -> "GraphSession":
         """Rebuild a live session from :meth:`checkpoint` output.
 
-        ``backend`` overrides the checkpoint's backend spec -- a
-        session checkpointed under ``shared_memory`` restores cleanly
-        onto ``sequential`` and vice versa (results are bit-identical
-        across backends).  All sketch families are re-attached to the
-        chosen backend before the session is handed back.
-
-        A failure part-way through (a backend that cannot attach) rolls the half-built session back -- families detached,
-        nothing left half-attached -- and re-raises, so the checkpoint
-        file stays restorable.
+        Without overrides every cluster and sketch family gets the live
+        ``get_backend(name, workers)`` of the backend it was written
+        with.  ``backend`` (name or instance) and ``backend_workers``
+        override that -- a session checkpointed under ``shared_memory``
+        restores cleanly onto ``sequential`` and vice versa (results are
+        bit-identical across backends).  A ``backend`` override is
+        resolved before the file is read, so a bad one (an unknown name,
+        a closed instance, a worker count that contradicts an instance)
+        raises and leaves nothing behind.
 
         A file that is truncated, is not a pickle, does not hold a
         checkpoint dict, or was written in another checkpoint format
         raises :class:`~repro.errors.ConfigurationError` naming
         ``path``.
         """
+        live = None
+        if backend is not None:
+            live = resolve_backend(backend, backend_workers)
         with open(path, "rb") as fh:
             try:
                 payload = pickle.load(fh)
@@ -675,21 +683,13 @@ class GraphSession:
         session.batch_size = payload["batch_size"]
         session._closed = False
         session._broken = None
-        try:
-            session.cluster.rebind_backend(backend, backend_workers)
-            live = session.cluster.backend
-            rebound = {id(session.cluster)}
+        if live is None and backend_workers is not None:
+            live = resolve_backend(session.cluster.backend.name,
+                                   backend_workers)
+        if live is not None:
+            session.cluster.backend = live
             for alg in session._all_algorithms():
-                if id(alg.cluster) not in rebound:
-                    rebound.add(id(alg.cluster))
-                    alg.cluster.rebind_backend(live)
+                alg.cluster.backend = live
                 for family in alg._sketch_families():
-                    family.attach_backend(live)
-        except Exception:
-            # Partial restore: latch the half-built session broken and
-            # close it the non-forcing way (detach whatever attached;
-            # never materialise a backend just to tear it down).
-            session._broken = "restore failed part-way"
-            session.close(close_backend=False)
-            raise
+                    family.backend = live
         return session

@@ -44,21 +44,20 @@ the exact cut of the live edge set.
 Execution backends
 ------------------
 Where the bulk work *runs* is the execution backend's decision
-(:mod:`repro.mpc.backend`): the family registers its pool with the
-backend at construction, :meth:`SketchFamily.apply_edges_bulk` hands
-the backend per-edge descriptors, and the group queries hand it the
-flat membership instead of materialised merged cells -- the backend
-sums the member rows against the pool where it lives and returns only
-the recovered edges, which is what keeps the AGM halving iterations'
-per-round communication small on the cluster backend.  On the default
+(:mod:`repro.mpc.backend`).  The family holds a plain reference to its
+backend and hands every routed call the pool and randomness directly:
+:meth:`SketchFamily.apply_edges_bulk` passes per-edge descriptors, and
+the group queries pass the flat membership instead of materialised
+merged cells -- the backend sums the member rows against the pool and
+returns only the recovered edges.  On the default
 :class:`~repro.mpc.backend.SequentialBackend` this runs as one call; on
 the thread backend the same descriptors fan out to worker threads,
-bit-identically.
+bit-identically.  A pickled family carries its backend by name (see
+:meth:`~repro.mpc.backend.ExecutionBackend.__reduce__`).
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -86,72 +85,21 @@ class SketchFamily:
 
     def __init__(self, n: int, columns: int, rng: np.random.Generator,
                  backend=None):
-        if n < 2:
-            raise ValueError("need at least two vertices")
-        self.n = n
-        self.columns = columns
-        self.universe = num_pairs(n)
-        self.randomness = SamplerRandomness(self.universe, columns, rng)
-        self.pool = RecoveryPool(n, columns, self.randomness.levels)
-        self.backend = None
-        self._pool_handle = None
-        self._detach = None
-        self.attach_backend(backend)
-
-    # -- backend lifecycle ----------------------------------------------
-    def attach_backend(self, backend=None) -> None:
-        """Register this family's pool with an execution backend.
-
-        Called by ``__init__`` and by checkpoint restore
-        (:mod:`repro.session`); the pool's cells stay where they are.
-        A detach finalizer releases the registration when the family
-        goes away; :meth:`detach_backend` runs it deterministically.
-        """
         # Lazy import: repro.mpc.backend imports the sketch layer for
         # its op table, so the dependency must not be circular at
         # module level.
         from repro.mpc.backend import resolve_backend
+        from repro.mpc.config import check_count
 
-        if self._pool_handle is not None:
-            raise SketchError("sketch family is already attached to a "
-                              "backend; detach_backend() first")
+        if n < 2:
+            raise ValueError("need at least two vertices")
+        self.n = n
+        self.columns = check_count("columns", columns)
+        self.universe = num_pairs(n)
+        self.randomness = SamplerRandomness(self.universe, self.columns,
+                                            rng)
+        self.pool = RecoveryPool(n, self.columns, self.randomness.levels)
         self.backend = resolve_backend(backend)
-        self._pool_handle = self.backend.attach_pool(self.pool,
-                                                     self.randomness)
-        self._detach = weakref.finalize(
-            self, self.backend.detach_pool, self._pool_handle
-        )
-
-    def detach_backend(self) -> None:
-        """Release the backend registration now (idempotent).
-
-        Deterministic counterpart of the GC finalizer.  The family keeps its cell contents (``pool.cells`` stays
-        readable) but must be re-attached before any further routed
-        bulk work.  Used by ``GraphSession.close()``.
-        """
-        if self._detach is not None:
-            self._detach()
-            self._detach = None
-            self._pool_handle = None
-
-    def _handle(self):
-        """The live registration; the one guard of the routed entries."""
-        if self._pool_handle is None:
-            raise SketchError("sketch family is detached; "
-                              "attach_backend() first")
-        return self._pool_handle
-
-    # -- checkpointing ---------------------------------------------------
-    def __getstate__(self):
-        """Drop the backend registration: handles, finalizers, and
-        thread pools are process-local.  A restored family is inert
-        until :meth:`attach_backend` is called (checkpoint restore does
-        this after choosing the target backend)."""
-        state = self.__dict__.copy()
-        state["backend"] = None
-        state["_pool_handle"] = None
-        state["_detach"] = None
-        return state
 
     @property
     def levels(self) -> int:
@@ -198,8 +146,8 @@ class SketchFamily:
             return np.zeros(0, dtype=bool), []
         members, glens = self._flatten_groups(groups)
         cols = self._broadcast_columns(column, glens.size)
-        zeros, found = self.backend.query_groups(self._handle(), members,
-                                                 glens, cols)
+        zeros, found = self.backend.query_groups(
+            self.pool, self.randomness, members, glens, cols)
         return zeros, self.decode_many(found)
 
     def cuts_empty_groups(self, groups) -> np.ndarray:
@@ -207,7 +155,8 @@ class SketchFamily:
         if not len(groups):
             return np.zeros(0, dtype=bool)
         members, glens = self._flatten_groups(groups)
-        return self.backend.zero_groups(self._handle(), members, glens)
+        return self.backend.zero_groups(self.pool, self.randomness,
+                                        members, glens)
 
     def _flatten_groups(self, groups
                         ) -> "Tuple[np.ndarray, np.ndarray]":
@@ -264,7 +213,8 @@ class SketchFamily:
         # backend hashes the coordinates and scatters -- in one call on
         # the sequential backend, sharded by row owner on the thread
         # backend.
-        self.backend.scatter_edges(self._handle(), hi, lo, idxs, deltas)
+        self.backend.scatter_edges(self.pool, self.randomness, hi, lo,
+                                   idxs, deltas)
 
     def apply_updates_bulk(self, updates, delta: Optional[int] = None
                            ) -> None:

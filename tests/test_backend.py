@@ -29,7 +29,7 @@ from repro.core import MPCConnectivity
 from repro.core.bipartiteness import DynamicBipartiteness
 from repro.core.msf_approx import ApproxMSF
 from repro.errors import ConfigurationError, SketchError
-from repro.mpc import MPCConfig
+from repro.mpc import Cluster, MPCConfig
 from repro.mpc import backend as backend_module
 from repro.mpc.backend import (
     ROUTED_OPS,
@@ -131,7 +131,7 @@ class TestBackendResolution:
     def test_sequential_is_shared_singleton(self):
         assert get_backend("sequential") is get_backend("sequential")
         assert isinstance(get_backend(None), SequentialBackend) or \
-            get_backend(None).parallel  # env may force shared_memory
+            get_backend(None).name == "shared_memory"  # env may force it
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -148,6 +148,39 @@ class TestBackendResolution:
         assert get_backend("shared_memory",
                            workers=WORKERS) is shared_backend
         assert get_backend("shm", workers=WORKERS) is shared_backend
+
+    def test_closed_instance_fails_where_it_is_handed_over(self):
+        backend = SharedMemoryBackend(num_workers=1)
+        backend.close()
+        with pytest.raises(SketchError, match="closed"):
+            resolve_backend(backend)
+        with pytest.raises(SketchError, match="closed"):
+            SketchFamily(8, columns=3, rng=np.random.default_rng(0),
+                         backend=backend)
+
+    def test_worker_count_must_agree_with_an_instance(self,
+                                                      shared_backend):
+        assert resolve_backend(shared_backend, WORKERS) is shared_backend
+        with pytest.raises(ConfigurationError, match="backend_workers=3"):
+            resolve_backend(shared_backend, 3)
+
+    @pytest.mark.parametrize("name", ["sequential", "shared_memory"])
+    def test_pickle_is_name_and_worker_count(self, name, shared_backend):
+        """A pickled backend carries no threads: unpickling asks the
+        factory for the live backend of the same name and size."""
+        private = (SequentialBackend() if name == "sequential"
+                   else SharedMemoryBackend(num_workers=WORKERS))
+        try:
+            blob = pickle.dumps(private)
+            assert b"ThreadPoolExecutor" not in blob
+            assert pickle.loads(blob) is get_backend(name, WORKERS)
+            family = SketchFamily(8, columns=3, backend=private,
+                                  rng=np.random.default_rng(0))
+            clone = pickle.loads(pickle.dumps(family))
+            assert clone.backend is get_backend(name, WORKERS)
+            assert np.array_equal(clone.pool.cells, family.pool.cells)
+        finally:
+            private.close()
 
 
 # ---------------------------------------------------------------------------
@@ -245,19 +278,6 @@ class TestGroupRouting:
             zeros, edges = family.query_iteration_groups([], 0)
             assert zeros.shape == (0,) and edges == []
 
-    def test_detached_family_raises_named_error(self):
-        family = SketchFamily(8, columns=3, rng=np.random.default_rng(0),
-                              backend="sequential")
-        family.detach_backend()
-        one = np.ones(1, dtype=np.int64)
-        for call in (lambda: family.apply_edges_bulk(one - 1, one, one),
-                     lambda: family.query_iteration_groups([one], 0),
-                     lambda: family.cuts_empty_groups([one])):
-            with pytest.raises(SketchError, match="detached"):
-                call()
-        family.attach_backend("sequential")
-        assert family.cuts_empty_groups([one]).tolist() == [True]
-
     def test_group_split_spreads_over_workers(self, shared_backend):
         _, shm, _ = self._loaded_pair(shared_backend, seed=23)
         groups = [np.arange(10), np.arange(10, 20), np.arange(20, 30),
@@ -316,7 +336,7 @@ class TestOpTableClosure:
             if callable(member)
             and "NotImplementedError" in member.__code__.co_names
         }
-        assert abstract == set(wire_op) | {"attach_pool", "detach_pool"}
+        assert abstract == set(wire_op)
         for cls in (SequentialBackend, SharedMemoryBackend):
             assert abstract <= set(vars(cls)), cls.__name__
 
@@ -331,9 +351,11 @@ class TestOpTableClosure:
             family = SketchFamily(40, columns=6, backend=backend,
                                   rng=np.random.default_rng(9))
             family.apply_edges_bulk(us, vs, np.ones(60, dtype=np.int64))
-            handle, cells = family._pool_handle, family.pool.cells
-            got = (*backend.query_groups(handle, members, glens, cols),
-                   backend.zero_groups(handle, members, glens))
+            pool, cells = family.pool, family.pool.cells
+            got = (*backend.query_groups(pool, family.randomness, members,
+                                         glens, cols),
+                   backend.zero_groups(pool, family.randomness, members,
+                                       glens))
             ref = (*_execute_op("gquery", cells, family.randomness,
                                 [glens, members, cols]),
                    _execute_op("gzero", cells, family.randomness,
@@ -472,17 +494,19 @@ class TestAlgorithmParity:
         assert a.query_spanning_forest().edges == \
             b.query_spanning_forest().edges
 
-    def test_driver_level_backend_knob(self, shared_backend):
-        # The batch-dynamic drivers accept backend= directly (it only
-        # applies when they build their own cluster).
+    def test_cluster_instance_picks_the_executor(self, shared_backend):
+        # An algorithm runs on its cluster's backend; nested instances
+        # (bipartiteness's two connectivity runs) share it.
         n = 24
         a = MPCConnectivity(_seq_config(n))
-        b = MPCConnectivity(MPCConfig(n=n, seed=7),
-                            backend=shared_backend)
-        assert b.cluster.backend is shared_backend
-        assert AGMStaticConnectivity(
-            MPCConfig(n=n, seed=7), backend="sequential"
-        ).cluster.backend.name == "sequential"
+        b = MPCConnectivity(MPCConfig(n=n, seed=7), cluster=Cluster(
+            MPCConfig(n=n, seed=7), backend=shared_backend))
+        assert b.cluster.backend is b.family.backend is shared_backend
+        bip = DynamicBipartiteness(MPCConfig(n=n, seed=7), cluster=Cluster(
+            MPCConfig(n=n, seed=7), backend=shared_backend))
+        assert all(member.cluster.backend is shared_backend
+                   and member.family.backend is shared_backend
+                   for member in bip._members())
         _drive(a, b, n, np.random.default_rng(23), phases=3, size=6)
         assert sorted(a.forest.all_edges()) == sorted(b.forest.all_edges())
 
@@ -492,27 +516,16 @@ class TestAlgorithmParity:
 # ---------------------------------------------------------------------------
 
 class TestShardAttribution:
-    def test_parallel_backend_attributes_per_machine(self):
+    @pytest.mark.parametrize("config", [_seq_config, _shm_config])
+    def test_route_gather_lands_on_one_machine(self, config):
+        # Section 1.2: the batch is routed to one dedicated machine on
+        # every backend, so no words are attributed per machine.
         n = 48
-        alg = MPCConnectivity(_shm_config(n))
+        alg = MPCConnectivity(config(n))
         rng = np.random.default_rng(2)
         live = set()
         snapshot = alg.apply_batch(make_valid_batch(rng, n, live, 12))
-        by_machine = snapshot.words_by_machine
-        assert sum(by_machine.values()) >= 12  # one word per update
-        assert len(by_machine) > 1, (
-            "a spread batch must land on more than one machine"
-        )
-        partition = alg.cluster.partition
-        assert all(0 <= mid < partition.num_machines
-                   for mid in by_machine)
-
-    def test_sequential_backend_keeps_legacy_lumping(self):
-        n = 48
-        alg = MPCConnectivity(_seq_config(n))
-        rng = np.random.default_rng(2)
-        live = set()
-        snapshot = alg.apply_batch(make_valid_batch(rng, n, live, 12))
+        assert snapshot.rounds_by_category["route-updates"] >= 1
         assert snapshot.words_by_machine == {}
 
     def test_backend_records_shard_split(self, shared_backend):
@@ -557,8 +570,9 @@ class TestThreadExecutor:
             monkeypatch.setattr(backend_module, "_execute_op", staged)
             hi, lo = np.array([30, 25]), np.array([5, 22])
             with pytest.raises(IndexError, match="share 0 failed"):
-                backend.scatter_edges(family._pool_handle, hi, lo,
-                                      np.array([7, 9]), np.array([1, 1]))
+                backend.scatter_edges(family.pool, family.randomness, hi,
+                                      lo, np.array([7, 9]),
+                                      np.array([1, 1]))
             assert len(finished) == 1, "returned before share 1 ended"
             assert backend.usable
 
@@ -573,7 +587,7 @@ class TestThreadExecutor:
             family = self._loaded(backend)
             monkeypatch.setattr(backend_module, "_execute_op", both_fail)
             with pytest.raises(ValueError, match="worker 0"):
-                backend.scatter_edges(family._pool_handle,
+                backend.scatter_edges(family.pool, family.randomness,
                                       np.array([30]), np.array([5]),
                                       np.array([7]), np.array([1]))
 
@@ -616,8 +630,6 @@ class TestThreadExecutor:
             )
         with pytest.raises(SketchError, match="closed"):
             family.cuts_empty_groups([np.array([0])])
-        with pytest.raises(SketchError, match="closed"):
-            backend.attach_pool(family.pool, family.randomness)
 
 
 # ---------------------------------------------------------------------------
@@ -695,16 +707,14 @@ class TestShareSplit:
         rng = np.random.default_rng(n * 10 + workers)
         slots = rng.integers(0, n, 3 * n).astype(np.int64)
         position = np.arange(slots.shape[0], dtype=np.int64)
-        handle = backend_module.PoolHandle(
-            pool=None, randomness=None,
-            shards=backend_module.VertexPartition(n, workers))
+        blocks = backend_module.VertexPartition(n, workers)
         with SharedMemoryBackend(num_workers=workers) as backend:
-            jobs = backend._sharded_jobs(handle, slots,
-                                         [position, slots * 7], "apply")
+            jobs = backend._sharded_jobs(n, slots, [position, slots * 7],
+                                         "apply")
         seen = []
         for wid, op, (share_slots, share_pos, share_payload) in jobs:
             assert op == "apply" and share_slots.shape[0] > 0
-            assert (handle.owners_of(share_slots) == wid).all()
+            assert (blocks.machines_of_vertices(share_slots) == wid).all()
             assert np.array_equal(share_slots, slots[share_pos])
             assert np.array_equal(share_payload, share_slots * 7)
             assert (np.diff(share_pos) > 0).all()
@@ -770,11 +780,10 @@ class TestWorkerCountParity:
             want = seq.cuts_empty_groups(groups)
             assert np.array_equal(thr.cuts_empty_groups(groups), want)
             assert want[-1], "the whole vertex set has an empty cut"
-            handle = thr._pool_handle
             members = np.concatenate(groups)
             glens = np.array([len(g) for g in groups])
-            assert np.array_equal(
-                backend.zero_groups(handle, members, glens), want)
+            assert np.array_equal(backend.zero_groups(
+                thr.pool, thr.randomness, members, glens), want)
 
 
 # ---------------------------------------------------------------------------
@@ -790,19 +799,19 @@ class TestShareFailures:
 
     @staticmethod
     def _call(backend, family, route):
-        handle = family._pool_handle
+        pool, rnd = family.pool, family.randomness
         members = np.arange(40, dtype=np.int64)
         glens = np.full(8, 5, dtype=np.int64)
         if route == "scatter":
             hi = np.arange(20, 40, dtype=np.int64)
             lo = np.arange(0, 20, dtype=np.int64)
-            return backend.scatter_edges(handle, hi, lo,
+            return backend.scatter_edges(pool, rnd, hi, lo,
                                          np.arange(20, dtype=np.int64),
                                          np.ones(20, dtype=np.int64))
         if route == "query":
-            return backend.query_groups(handle, members, glens,
+            return backend.query_groups(pool, rnd, members, glens,
                                         np.zeros(8, dtype=np.int64))
-        return backend.zero_groups(handle, members, glens)
+        return backend.zero_groups(pool, rnd, members, glens)
 
     @pytest.mark.parametrize("workers", [2, 3, 4])
     @pytest.mark.parametrize("route", ROUTES)

@@ -145,32 +145,28 @@ def test_routed_group_ops_match_full_row_reference(backend_name):
     backend = ("sequential" if backend_name == "sequential"
                else get_backend("shared_memory", workers=2))
     family, live = churned_family(backend)
-    try:
-        cells, rnd = family.pool.cells, family.randomness
-        for row in cells:
-            assert_column_invariant(row)
-        seen_zero = seen_found = 0
-        for groups, cols in group_batches():
-            members, glens = flat(groups)
-            want_zeros, want_found = exact_group_answers(family, groups,
-                                                         cols, live)
-            zeros, found = family.backend.query_groups(
-                family._handle(), members, glens, cols)
-            assert zeros.tolist() == want_zeros.tolist()
-            assert found.tolist() == want_found.tolist()
-            assert family.backend.zero_groups(
-                family._handle(), members, glens).tolist() == \
-                want_zeros.tolist()
-            # The op table itself, in-process.
-            local_zeros, local_found = _execute_op(
-                "gquery", cells, rnd, [glens, members, cols])
-            assert local_zeros.tolist() == want_zeros.tolist()
-            assert local_found.tolist() == want_found.tolist()
-            seen_zero += int(want_zeros.sum())
-            seen_found += int((want_found >= 0).sum())
-        # The cases are really there: the whole-vertex-set groups and
-        # the isolated singletons are zero, most of the rest recover.
-        assert seen_zero >= 12
-        assert seen_found > 60
-    finally:
-        family.detach_backend()
+    pool, rnd = family.pool, family.randomness
+    for row in pool.cells:
+        assert_column_invariant(row)
+    seen_zero = seen_found = 0
+    for groups, cols in group_batches():
+        members, glens = flat(groups)
+        want_zeros, want_found = exact_group_answers(family, groups,
+                                                     cols, live)
+        zeros, found = family.backend.query_groups(pool, rnd, members,
+                                                   glens, cols)
+        assert zeros.tolist() == want_zeros.tolist()
+        assert found.tolist() == want_found.tolist()
+        assert family.backend.zero_groups(
+            pool, rnd, members, glens).tolist() == want_zeros.tolist()
+        # The op table itself, in-process.
+        local_zeros, local_found = _execute_op(
+            "gquery", pool.cells, rnd, [glens, members, cols])
+        assert local_zeros.tolist() == want_zeros.tolist()
+        assert local_found.tolist() == want_found.tolist()
+        seen_zero += int(want_zeros.sum())
+        seen_found += int((want_found >= 0).sum())
+    # The cases are really there: the whole-vertex-set groups and the
+    # isolated singletons are zero, most of the rest recover.
+    assert seen_zero >= 12
+    assert seen_found > 60

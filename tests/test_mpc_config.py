@@ -49,6 +49,29 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=field):
             MPCConfig(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("backend", 3), ("backend", b"sequential"),
+        ("phi", "x"), ("phi", float("nan")),
+        ("mem_factor", float("nan")), ("mem_factor", float("inf")),
+        ("mem_factor", "4"),
+        ("total_memory_factor", float("nan")),
+        ("total_memory_factor", float("inf")),
+        ("seed", -1), ("seed", 1.5), ("seed", "0"), ("seed", True),
+    ])
+    def test_model_options_fail_by_name(self, field, value):
+        # A ConfigurationError naming the field at construction, not an
+        # AttributeError / OverflowError / bare ValueError later.
+        with pytest.raises(ConfigurationError, match=field):
+            MPCConfig(n=8, **{field: value})
+
+    def test_real_options_stored_as_floats(self):
+        config = MPCConfig(n=64, phi=np.float64(0.5), mem_factor=2,
+                           seed=np.int64(3))
+        assert type(config.phi) is float and config.phi == 0.5
+        assert type(config.mem_factor) is float
+        assert type(config.seed) is int and config.seed == 3
+        assert config.local_memory == 16
+
     def test_numpy_integer_sizes_accepted(self):
         config = MPCConfig(n=np.int64(64), num_machines=np.int32(4),
                            backend_workers=np.int64(2))

@@ -14,6 +14,7 @@ The contracts under test (ISSUE 4 acceptance):
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import pickle
 import re
@@ -34,12 +35,21 @@ from repro.errors import (
     ConfigurationError,
     InvalidUpdateError,
     QueryError,
+    SketchError,
 )
 from repro.euler import DistributedEulerForest
-from repro.mpc import MPCConfig, SharedMemoryBackend, get_backend
+from repro.mpc import (
+    Cluster,
+    MPCConfig,
+    PhaseMetrics,
+    SequentialBackend,
+    SharedMemoryBackend,
+    get_backend,
+)
 from repro.session import graph_session
-from repro.sketch import RecoveryPool, l0_sampler
+from repro.sketch import RecoveryPool, SketchFamily, l0_sampler
 from repro.streams import as_batches
+from tests.conftest import make_valid_batch
 
 N = 48
 WORKERS = 2
@@ -173,6 +183,37 @@ class TestSharedSubstrate:
             config=_config("sequential"),
         ) as session:
             assert session.query("msf_approx").eps == 0.5
+
+    @pytest.mark.parametrize("task, options, name", [
+        ("connectivity", {"columns": 0}, "columns"),
+        ("connectivity", {"columns": 2.5}, "columns"),
+        ("connectivity", {"batch_limit": 0}, "batch_limit"),
+        ("connectivity", {"batch_limit": -3}, "batch_limit"),
+        ("msf_approx", {"eps": float("nan")}, "eps"),
+        ("msf_approx", {"eps": float("inf")}, "eps"),
+        ("msf_approx", {"max_weight": float("nan")}, "max_weight"),
+        ("msf_approx", {"max_weight": float("inf")}, "max_weight"),
+        ("connectivity", {"colums": 4}, "colums"),
+        ("connectivity", {"cluster": None}, "cluster"),
+        ("matching", 5, "dict"),
+    ])
+    def test_bad_task_options_fail_by_name(self, task, options, name):
+        with pytest.raises(ConfigurationError, match=name):
+            GraphSession(N, tasks={task: options},
+                         config=_config("sequential"))
+
+    def test_worker_count_contradicting_an_instance_fails(self):
+        with SharedMemoryBackend(num_workers=2) as backend:
+            with pytest.raises(ConfigurationError,
+                               match="backend_workers=3"):
+                GraphSession(8, backend=backend, backend_workers=3)
+            with pytest.raises(ConfigurationError,
+                               match="backend_workers=3"):
+                GraphSession(config=_config("sequential"),
+                             backend=backend, backend_workers=3)
+            with GraphSession(8, backend=backend,
+                              backend_workers=2) as session:
+                assert session.cluster.backend is backend
 
     def test_tasks_accepts_one_shot_iterator(self):
         with GraphSession(N, tasks=iter(["connectivity", "msf"]),
@@ -537,7 +578,7 @@ class TestCheckpointRestore:
         session.checkpoint(path)
 
         restored = GraphSession.restore(path, backend="sequential")
-        assert not restored.cluster.backend.parallel
+        assert restored.cluster.backend.name == "sequential"
         assert (restored.spanning_forest().edges
                 == session.spanning_forest().edges)
         restored.ingest([(40, 42)])
@@ -558,7 +599,7 @@ class TestCheckpointRestore:
 
     @pytest.mark.parametrize(
         "damage", ["truncated", "garbage", "non-dict", "format-1",
-                   "format-2", "format-3"])
+                   "format-2", "format-3", "format-4"])
     def test_unreadable_checkpoint_fails_by_name(self, tmp_path,
                                                  monkeypatch, damage):
         path = os.fspath(tmp_path / "damaged.ckpt")
@@ -583,6 +624,14 @@ class TestCheckpointRestore:
                                 raising=False)
             monkeypatch.setattr(_Guess, "__getstate__",
                                 _format3_guess_state, raising=False)
+        if damage == "format-4":
+            # Format 4 pickled a cluster's lazy backend spec and a
+            # family's empty pool registration instead of the backend.
+            monkeypatch.setattr(graph_session, "CHECKPOINT_FORMAT", 4)
+            monkeypatch.setattr(Cluster, "__getstate__",
+                                _format4_cluster_state, raising=False)
+            monkeypatch.setattr(SketchFamily, "__getstate__",
+                                _format4_family_state, raising=False)
         tasks = ("connectivity",)
         if damage == "format-3":
             tasks += ("matching",)
@@ -597,7 +646,7 @@ class TestCheckpointRestore:
                 "garbage": b"not a checkpoint\n" * 8,
                 "non-dict": pickle.dumps([1, 2, 3]),
                 "format-1": data, "format-2": data,
-                "format-3": data}[damage]
+                "format-3": data, "format-4": data}[damage]
         with open(path, "wb") as fh:
             fh.write(data)
         with pytest.raises(ConfigurationError, match=re.escape(path)) as err:
@@ -634,6 +683,18 @@ def _format3_guess_state(guess):
                         for pair, idx in sparsifier.outcome.items()}
     state["matching"] = sparsifier.matching
     return state
+
+
+def _format4_cluster_state(cluster):
+    state = dict(cluster.__dict__)
+    state["_backend_spec"] = state.pop("backend").name
+    state["_backend"] = None
+    return state
+
+
+def _format4_family_state(family):
+    return {**family.__dict__, "backend": None, "_pool_handle": None,
+            "_detach": None}
 
 
 def _format2_forest_state(forest):
@@ -763,64 +824,85 @@ class TestDeterministicShutdown:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: close() after failed / partial restore
+# Restore onto a backend; close
 # ---------------------------------------------------------------------------
 
-class TestCloseAfterPartialRestore:
-    def _checkpoint(self, tmp_path, backend: str = "sequential") -> str:
+class TestRestoreBackends:
+    def _checkpoint(self, tmp_path, backend="sequential",
+                    tasks=("connectivity",)) -> str:
+        """A checkpoint written under ``backend`` (a name or an
+        instance, which is left open)."""
         path = os.fspath(tmp_path / "session.ckpt")
-        with GraphSession(N, tasks=("connectivity",),
-                          config=_config(backend)) as session:
-            session.ingest(_insert_stream())
-            session.checkpoint(path)
-            if backend != "sequential":
-                session.close(close_backend=False)
+        config = _config(backend if isinstance(backend, str)
+                         else "sequential")
+        session = GraphSession(N, tasks=tasks, config=config,
+                               backend=None if isinstance(backend, str)
+                               else backend)
+        session.ingest(_insert_stream())
+        session.checkpoint(path)
+        session.close(close_backend=False)
         return path
 
-    def test_failed_restore_rolls_back_and_checkpoint_survives(
+    @pytest.mark.parametrize("name", ["sequential", "shared_memory"])
+    def test_restore_without_override_uses_the_factory_backend(
+            self, tmp_path, name, shared_backend):
+        """Every cluster and family of the restored session holds
+        ``get_backend(name, workers)``, even when the checkpoint was
+        written under a private instance that is closed since."""
+        private = (SequentialBackend() if name == "sequential"
+                   else SharedMemoryBackend(num_workers=WORKERS))
+        path = self._checkpoint(
+            tmp_path, backend=private,
+            tasks=("connectivity", "bipartiteness", "msf_approx"))
+        private.close()
+        restored = GraphSession.restore(path)
+        want = get_backend(name, WORKERS)
+        assert restored.cluster.backend is want
+        algs = restored._all_algorithms()
+        families = [f for alg in algs for f in alg._sketch_families()]
+        assert len(algs) > 3 and len(families) > 3
+        assert all(alg.cluster.backend is want for alg in algs)
+        assert all(family.backend is want for family in families)
+        restored.ingest([(40, 41)])
+        assert restored.connected(40, 41)
+        restored.close(close_backend=False)
+
+    def test_checkpoint_holds_no_thread_pool(self, tmp_path,
+                                             shared_backend):
+        path = self._checkpoint(tmp_path, backend="shared_memory")
+        with open(path, "rb") as fh:
+            data = fh.read()
+        assert b"ThreadPoolExecutor" not in data
+        assert b"SharedMemoryBackend" not in data
+        assert b"get_backend" in data
+
+    def test_bogus_override_fails_and_the_file_still_restores(
             self, tmp_path):
-        from repro.errors import SketchError
-        from repro.mpc.backend import ExecutionBackend
-
         path = self._checkpoint(tmp_path)
-
-        class Exploding(ExecutionBackend):
-            name = "exploding"
-
-            def attach_pool(self, pool, randomness):
-                raise SketchError("simulated attach failure")
-
-        with pytest.raises(SketchError, match="simulated attach"):
-            GraphSession.restore(path, backend=Exploding())
-        # The rollback left nothing half-attached: the same checkpoint
-        # restores cleanly afterwards and answers correctly.
+        with pytest.raises(ConfigurationError, match="bogus"):
+            GraphSession.restore(path, backend="bogus")
         restored = GraphSession.restore(path)
         assert restored.connected(0, 12)
         restored.close()
 
-    def test_close_never_forces_the_lazy_backend(self, tmp_path,
-                                                 monkeypatch):
-        """A session whose backend property was never forced is torn
-        down without materialising a backend first."""
+    def test_closed_instance_fails_at_restore_time(self, tmp_path):
         path = self._checkpoint(tmp_path)
-        session = GraphSession.restore(path)
-        # Put the cluster back into the never-forced lazy state a
-        # partial restore leaves behind (families already detached).
-        for alg in session._all_algorithms():
-            for family in alg._sketch_families():
-                family.detach_backend()
-        session.cluster._backend = None
+        closed = SharedMemoryBackend(num_workers=1)
+        closed.close()
+        with pytest.raises(SketchError, match="closed"):
+            GraphSession.restore(path, backend=closed)
 
-        def boom(*args, **kwargs):
-            raise AssertionError(
-                "close() must not resolve the lazy backend"
-            )
-
-        monkeypatch.setattr("repro.mpc.simulator.resolve_backend", boom)
-        monkeypatch.setattr("repro.mpc.backend.resolve_backend", boom)
-        session.close()          # must not resolve anything
-        assert session.closed
-        session.close()          # and double-close stays a no-op
+    def test_worker_count_contradicting_an_instance_fails(self, tmp_path):
+        path = self._checkpoint(tmp_path)
+        with SharedMemoryBackend(num_workers=2) as backend:
+            with pytest.raises(ConfigurationError,
+                               match="backend_workers=3"):
+                GraphSession.restore(path, backend=backend,
+                                     backend_workers=3)
+            restored = GraphSession.restore(path, backend=backend,
+                                            backend_workers=2)
+            assert restored.cluster.backend is backend
+            restored.close(close_backend=False)
 
     def test_double_close_on_inconsistent_session(self):
         session = GraphSession(N, tasks=("connectivity",
@@ -866,44 +948,34 @@ class TestCloseAfterPartialRestore:
 
 
 # ---------------------------------------------------------------------------
-# Restore rollback on a real parallel backend
+# The executor is invisible to the model
 # ---------------------------------------------------------------------------
 
-class TestRestoreRollback:
-    def test_failed_restore_mid_attach_rolls_back_real_fleet(
-            self, tmp_path):
-        """Extends the rollback contract to a real thread backend: an
-        attach that explodes after the first family leaves no
-        half-attached pools, and the same checkpoint restores cleanly
-        onto the same backend afterwards."""
-        from repro.errors import SketchError
-
-        path = os.fspath(tmp_path / "session.ckpt")
-        with GraphSession(N, tasks=("connectivity", "bipartiteness"),
-                          config=_config("sequential")) as donor:
-            donor.ingest([(i, i + 1) for i in range(12)])
-            donor.checkpoint(path)
-
-        backend = SharedMemoryBackend(num_workers=WORKERS)
-        real_attach = backend.attach_pool
-        calls = {"n": 0}
-
-        def explode_on_second(pool, randomness):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise SketchError("simulated attach failure")
-            return real_attach(pool, randomness)
-
-        backend.attach_pool = explode_on_second
-        try:
-            with pytest.raises(SketchError,
-                               match="simulated attach"):
-                GraphSession.restore(path, backend=backend)
-            backend.attach_pool = real_attach
-            restored = GraphSession.restore(path, backend=backend)
-            assert restored.connected(0, 12)
-            assert restored.is_bipartite()
-            restored.close(close_backend=False)
-        finally:
-            backend.attach_pool = real_attach
-            backend.close()
+def test_phase_metrics_do_not_depend_on_the_executor():
+    """One seeded churn stream on ``sequential`` and on a 2-thread
+    backend: every ``PhaseMetrics`` field but ``backend_events`` is
+    equal, phase by phase, for the route and for every task --
+    ``words_by_machine`` included."""
+    tasks = ("connectivity", "bipartiteness", "msf_approx")
+    rng = np.random.default_rng(8)
+    live = set()
+    batches = [make_valid_batch(rng, N, live, 10, weighted=True)
+               for _ in range(8)]
+    assert sum(up.is_delete for batch in batches for up in batch) > 10
+    fields = [f.name for f in dataclasses.fields(PhaseMetrics)
+              if f.name != "backend_events"]
+    runs = []
+    with SharedMemoryBackend(num_workers=2) as threads:
+        for backend in ("sequential", threads):
+            with GraphSession(N, tasks=tasks, backend=backend,
+                              seed=5) as session:
+                phases = [session.apply_batch(b) for b in batches]
+                runs.append([
+                    {task: {name: getattr(snap, name) for name in fields}
+                     for task, snap in [("(route)", phase.route),
+                                        *phase.per_task.items()]}
+                    for phase in phases])
+    sequential, threaded = runs
+    assert len(sequential) == len(batches)
+    for index, (want, got) in enumerate(zip(sequential, threaded)):
+        assert got == want, f"phase {index}"
