@@ -11,7 +11,7 @@ nothing but the sketches is stored.  The claims table
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -82,14 +82,19 @@ class AGMStaticConnectivity(BatchDynamicAlgorithm):
         # re-merges each live supernode's member rows through the
         # execution backend -- exactly the per-iteration converge-cast
         # the model charges -- and the parent only ever sees the
-        # recovered edges, never materialised supernode cells.
+        # recovered edges, never materialised supernode cells.  A
+        # supernode that tests zero is a finished component and leaves
+        # ``live`` until a contraction merges into it: its zero test
+        # reads the whole vector's totals, whatever the column (see
+        # ``MPCConnectivity._agm_replacements``).
         members: Dict[int, np.ndarray] = {
             v: np.array([v], dtype=np.int64) for v in range(n)
         }
+        live: Set[int] = set(members)
         forest_edges: List[Edge] = []
         iterations = 0
         for column in range(self.family.columns):
-            roots = sorted(r for r in members if find(r) == r)
+            roots = sorted(live)
             # One halving iteration: merge supernode sketches (converge
             # tree), query every live supernode *in parallel* -- one
             # fused zero-test + recovery pass over the shipped
@@ -101,10 +106,12 @@ class AGMStaticConnectivity(BatchDynamicAlgorithm):
             zeros, sampled = self.family.query_iteration_groups(
                 [members[r] for r in roots], column
             )
-            if zeros.all():
+            live.difference_update(
+                r for r, is_z in zip(roots, zeros) if is_z)
+            if not live:
                 break
             iterations += 1
-            live_count = int((~zeros).sum())
+            live_count = len(live)
             self.cluster.charge_converge(
                 words=self.family.words_per_vertex, category="query-merge"
             )
@@ -122,9 +129,11 @@ class AGMStaticConnectivity(BatchDynamicAlgorithm):
                 leader[ra] = rb
                 members[rb] = np.concatenate((members[rb], members[ra]))
                 del members[ra]
+                live.discard(ra)
+                live.add(rb)
                 forest_edges.append((a, b))
         self.stats["query_iterations"] = iterations
-        remaining = sorted(r for r in members if find(r) == r)
+        remaining = sorted(live)
         zero = self.family.cuts_empty_groups(
             [members[r] for r in remaining]
         )

@@ -280,6 +280,16 @@ class MPCConnectivity(BatchDynamicAlgorithm):
         bit-identical to the materialised-merge path.  No extra MPC
         rounds beyond the charged gather -- where the work *executes*
         is the backend's business.
+
+        A supernode that tests zero is a finished component (AGM's
+        rule) and leaves ``roots``: the zero test reads the whole
+        vector's totals (the column invariant of
+        :mod:`repro.sketch.sparse_recovery`), so its answer does not
+        depend on the column and stays zero until the membership
+        changes.  A contraction into a retired supernode puts it back
+        -- in the ~1/p false-zero case its merged cut may be nonzero.
+        So after the usual all-zero break ``roots`` is empty and the
+        leftover scan below reads no rows.
         """
         leader = {tid: tid for tid in fragments}
 
@@ -294,21 +304,20 @@ class MPCConnectivity(BatchDynamicAlgorithm):
         roots: Set[int] = set(fragments)
         iterations = 0
         for it in range(columns):
-            # Supernodes with an empty cut are finished components;
-            # everything else must still have a replacement edge to
-            # find.  One fused vectorized pass answers this halving
-            # iteration's zero test and cut-edge query for every
-            # supernode (only live ones pay for recovery).
+            # ``roots`` holds the supernodes not yet known to be
+            # finished.  One fused vectorized pass answers this halving
+            # iteration's zero test and cut-edge query for each of them
+            # (only nonzero ones pay for recovery).
             ordered = sorted(roots)
-            if not ordered:
-                break
             column = (self._column_cursor + it) % columns
             # Charged by the caller: _process_deletions pays one
             # charge_gather per halving iteration.
             zeros, sampled = self.family.query_iteration_groups(
                 [members[root] for root in ordered], column
             )
-            if zeros.all():
+            roots.difference_update(
+                root for root, is_z in zip(ordered, zeros) if is_z)
+            if not roots:
                 break
             iterations = it + 1
             candidates: List[Tuple[int, Edge]] = [
@@ -328,6 +337,7 @@ class MPCConnectivity(BatchDynamicAlgorithm):
                 # themselves never move.
                 members[rb] = np.concatenate((members[rb], members[ra]))
                 roots.discard(ra)
+                roots.add(rb)
                 replacement.append((a, b))
         self.stats["agm_iterations"] = max(
             self.stats["agm_iterations"], iterations
@@ -336,7 +346,9 @@ class MPCConnectivity(BatchDynamicAlgorithm):
         # phase (no live fragments) must not burn fresh randomness.
         self._column_cursor = (self._column_cursor + iterations) % columns
 
-        # Anything still live has a nonzero cut we failed to recover.
+        # Anything still in ``roots`` tested nonzero last or grew by a
+        # contraction since; a nonzero cut here is one we failed to
+        # recover.
         remaining = sorted(roots)
         # Folded into _process_deletions' charged gather: this sanity
         # scan adds no rounds of its own.

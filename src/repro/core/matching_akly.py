@@ -47,6 +47,14 @@ from repro.types import Edge, MatchingSolution, Update
 Pair = Tuple[int, int]
 
 
+def endpoint_arrays(updates: Sequence[Update]
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(us, vs)`` int64 endpoint arrays of a batch."""
+    k = len(updates)
+    return (np.fromiter((up.u for up in updates), dtype=np.int64, count=k),
+            np.fromiter((up.v for up in updates), dtype=np.int64, count=k))
+
+
 class Sparsifier:
     """The sparsifier H of one guess or Tester: an L0-sampler per
     touched group pair, each pair's current outcome, and the
@@ -118,20 +126,30 @@ class _Guess:
         self.sparsifier = Sparsifier(n, pair_columns, kappa, rng)
 
     # ------------------------------------------------------------------
-    def pair_of(self, u: int, v: int) -> Optional[Pair]:
-        """The active pair an edge belongs to, or None."""
-        su, sv = self.side_hash(u), self.side_hash(v)
-        if su == sv:
-            return None  # not an L-R edge under the bipartition
-        left, right = (u, v) if su == 0 else (v, u)
-        pair = (self.hash_l(left), self.hash_r(right))
-        return pair if pair in self.active else None
+    def entries(self, updates: List[Update]
+                ) -> List[Tuple[Pair, Update]]:
+        """The batch's ``(active pair, update)`` entries, in update
+        order.
+
+        Every hash reads all endpoints of the batch in one vectorized
+        field evaluation.  An edge whose endpoints fall on one side is
+        not an L-R edge under the bipartition and has no pair; neither
+        has an edge whose ``(L-group, R-group)`` pair is not active.
+        """
+        us, vs = endpoint_arrays(updates)
+        side = self.side_hash.hash_many(np.concatenate((us, vs)))
+        su, sv = side[:len(updates)], side[len(updates):]
+        u_left = su == 0
+        left = self.hash_l.hash_many(np.where(u_left, us, vs)).tolist()
+        right = self.hash_r.hash_many(np.where(u_left, vs, us)).tolist()
+        active = self.active
+        return [(pair, up) for up, crosses, pair
+                in zip(updates, (su != sv).tolist(), zip(left, right))
+                if crosses and pair in active]
 
     def apply_updates(self, updates: List[Update]) -> Tuple[int, int]:
         """Process one batch; returns (|X|, |Y|) for round accounting."""
-        return self.sparsifier.step(
-            [(pair, up) for up in updates
-             if (pair := self.pair_of(up.u, up.v)) is not None])
+        return self.sparsifier.step(self.entries(updates))
 
     @property
     def words(self) -> int:

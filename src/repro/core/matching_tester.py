@@ -32,12 +32,12 @@ construction, which the paper only summarises.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.api import BatchDynamicAlgorithm
-from repro.core.matching_akly import Pair, Sparsifier
+from repro.core.matching_akly import Pair, Sparsifier, endpoint_arrays
 from repro.errors import ConfigurationError, InvalidUpdateError
 from repro.mpc.config import MPCConfig, check_count, check_real
 from repro.mpc.simulator import Cluster
@@ -96,21 +96,26 @@ class MatchingTester:
                 self._mate[up.u] = up.v
                 self._mate[up.v] = up.u
 
-    def _pair_of(self, u: int, v: int) -> Optional[Pair]:
-        """The group pair an edge of the sampled subgraph falls in, or
-        None (a vertex not sampled, or an intra-group edge: those are
-        dropped with Theta(k) groups)."""
-        if not (self._sampled(u) and self._sampled(v)):
-            return None
-        gu, gv = self.group_hash(u), self.group_hash(v)
-        if gu == gv:
-            return None
-        return (min(gu, gv), max(gu, gv))
+    def _entries(self, updates: List[Update]) -> List[Tuple[Pair, Update]]:
+        """The batch's ``(group pair, update)`` entries of the sampled
+        subgraph, in update order.  An edge with an unsampled endpoint
+        has no pair, nor has an intra-group edge (those are dropped
+        with Theta(k) groups).  Each hash reads all endpoints of the
+        batch in one vectorized field evaluation."""
+        size = len(updates)
+        ends = np.concatenate(endpoint_arrays(updates))
+        sampled = self.vertex_hash.hash_many(ends) < self.p * _SAMPLE_RANGE
+        groups = self.group_hash.hash_many(ends)
+        gu, gv = groups[:size], groups[size:]
+        keep = sampled[:size] & sampled[size:] & (gu != gv)
+        return [(pair, up) for up, kept, pair
+                in zip(updates, keep.tolist(),
+                       zip(np.minimum(gu, gv).tolist(),
+                           np.maximum(gu, gv).tolist()))
+                if kept]
 
     def _apply_dynamic(self, updates: List[Update]) -> None:
-        self.sparsifier.step(
-            [(pair, up) for up in updates
-             if (pair := self._pair_of(up.u, up.v)) is not None])
+        self.sparsifier.step(self._entries(updates))
 
     # ------------------------------------------------------------------
     def observed_size(self) -> int:

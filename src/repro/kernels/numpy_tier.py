@@ -38,10 +38,12 @@ MERSENNE_P = (1 << 61) - 1
 # under operations with same-dtype scalars, so every shift/mask below
 # uses these instead of bare Python ints.
 _P_U64 = np.uint64(MERSENNE_P)
+_MASK8 = np.uint64((1 << 8) - 1)
 _MASK29 = np.uint64((1 << 29) - 1)
 _MASK32 = np.uint64((1 << 32) - 1)
 _U1 = np.uint64(1)
 _U3 = np.uint64(3)
+_U8 = np.uint64(8)
 _U29 = np.uint64(29)
 _U32 = np.uint64(32)
 _U61 = np.uint64(61)
@@ -131,29 +133,63 @@ def trailing_zeros_many(xs: np.ndarray, cap: int) -> np.ndarray:
     return np.where(xs == 0, cap, np.minimum(tz, cap))
 
 
+#: Byte-window power tables of the fingerprint bases seen so far, keyed
+#: by ``z mod p``: a run holds one base per sampler family, so the bound
+#: only guards against an unbounded stream of bases.  Each table is
+#: read-only and a lookup or insert is one GIL-atomic dict operation,
+#: so the thread backend's workers share the cache.
+_POW_TABLES: "dict[int, np.ndarray]" = {}
+_POW_TABLES_MAX = 256
+
+
+def _pow_table(base: int) -> np.ndarray:
+    """The ``(8, 256)`` uint64 table whose row ``k`` holds
+    ``base^(j * 256^k) mod p`` for ``j`` in ``[0, 256)``, built once
+    per base with exact Python ints."""
+    table = _POW_TABLES.get(base)
+    if table is None:
+        rows = []
+        step = base                       # base^(256^k) for row k
+        # Eight byte windows cover every 64-bit exponent.
+        for _ in range(8):
+            row = [1]
+            for _ in range(255):
+                row.append(row[-1] * step % MERSENNE_P)
+            rows.append(row)
+            step = row[-1] * step % MERSENNE_P
+        table = np.array(rows, dtype=np.uint64)
+        table.setflags(write=False)
+        if len(_POW_TABLES) >= _POW_TABLES_MAX:
+            _POW_TABLES.clear()
+        _POW_TABLES[base] = table
+    return table
+
+
 @numpy_kernel("powmod_many")
 @kernel_contract(args={"exps": u64_any(), "z": scalar_int(0, 1 << 62)},
                  returns=i64_residue())
 def powmod_many(exps: np.ndarray, z: int) -> np.ndarray:
     """``z ** exps mod p`` for a ``uint64`` exponent array.
 
-    Binary exponentiation against the exact Python-int square ladder of
-    ``z``; returns int64 canonical residues in ``[0, p)``, bit-identical
-    to ``pow(z, e, p)`` per entry (canonical residues are unique, so any
-    correct evaluation order agrees).
+    Fixed-base byte windows: the exponent's low byte indexes row 0 of
+    the base's power table (:func:`_pow_table`), and each further
+    nonzero byte costs one table lookup and one :func:`mulmod_many`
+    (a 21-bit exponent takes two multiplies).  Returns int64 canonical
+    residues in ``[0, p)``, bit-identical to ``pow(z, e, p)`` per entry
+    (canonical residues are unique, so any correct evaluation order
+    agrees).
     """
     exps = np.asarray(exps, dtype=np.uint64)
-    out = np.ones(exps.shape, dtype=np.uint64)
-    base = int(z) % MERSENNE_P
-    remaining = exps
-    # Bit loop over <= 64 exponent bits, a word-size constant, never
+    table = _pow_table(int(z) % MERSENNE_P)
+    out = table[0][exps & _MASK8]
+    remaining = exps >> _U8
+    window = 1
+    # Window loop over <= 8 exponent bytes, a word-size constant, never
     # over pool rows.
     while remaining.any():
-        odd = (remaining & _U1) != 0
-        if odd.any():
-            out[odd] = mulmod_many(out[odd], np.uint64(base))
-        base = base * base % MERSENNE_P
-        remaining = remaining >> _U1
+        out = mulmod_many(out, table[window][remaining & _MASK8])
+        remaining >>= _U8
+        window += 1
     return out.astype(np.int64)
 
 
@@ -313,12 +349,14 @@ def merge_groups(cells: np.ndarray, members: np.ndarray,
     element-wise int64 sum of column ``cols[i]`` over that group's
     rows, each ``Fd`` split into its 32-bit low and 29-bit high limbs
     first so the sums cannot overflow (zeros for an empty group).
-    Only the asked column is gathered (the column invariant of
-    :mod:`repro.sketch.sparse_recovery` makes it enough for the zero
-    test too), and segmented reductions (``np.add.reduceat`` of
-    ``(W, S)`` and of each limb) replace the per-group Python loop;
-    int64 addition is exact and order-independent, so the result
-    matches any merge order bit for bit.
+    Only the asked column is gathered, as ``3 * len(members)`` rows of
+    the ``(count * 3 * c, L)`` view taken in one call (the column
+    invariant of :mod:`repro.sketch.sparse_recovery` makes one column
+    enough for the zero test too), and segmented reductions
+    (``np.add.reduceat`` of ``(W, S)`` and of each limb) replace the
+    per-group Python loop; int64 addition is exact and
+    order-independent, so the result matches any merge order bit for
+    bit.
     """
     g = glens.shape[0]
     out = np.zeros((g, 4, cells.shape[3]), dtype=np.int64)
@@ -328,7 +366,12 @@ def merge_groups(cells: np.ndarray, members: np.ndarray,
     starts = np.zeros(g, dtype=np.int64)
     np.cumsum(glens[:-1], out=starts[1:])
     member_cols = np.repeat(cols, glens)
-    gathered = cells[members, :, member_cols, :]       # (m, 3, L)
+    # One row take: word k of member r's column sits at row
+    # ``(r * 3 + k) * c + col`` of the ``(count * 3 * c, L)`` view.
+    c = cells.shape[2]
+    rows = ((members * (3 * c) + member_cols)[:, None]
+            + np.arange(0, 3 * c, c, dtype=np.int64))
+    gathered = cells.reshape(-1, cells.shape[3]).take(rows, axis=0)
     fd = gathered[:, 2]
     # Empty groups are excluded from the reduceat starts (a zero-length
     # reduceat segment would return the element *at* the offset instead

@@ -128,6 +128,11 @@ class KWiseHash:
     def __call__(self, x: int) -> int:
         return self.field_value(x) % self.range_size
 
+    def hash_many(self, xs: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`__call__` over an array of non-negative
+        integers below ``2^63``: a uint64 array in ``[0, range_size)``."""
+        return self.field_value_many(xs) % np.uint64(self.range_size)
+
     def many(self, xs: Sequence[int]) -> List[int]:
         """Hash a batch of inputs via the vectorized field evaluation.
 
@@ -136,10 +141,8 @@ class KWiseHash:
         """
         if len(xs) == 0:
             return []
-        reduced = np.array([x % MERSENNE_P for x in xs], dtype=np.uint64)
-        values = _kernels.poly_field_values(self._coeff_column,
-                                            reduced)[:, 0]
-        return [int(v) for v in values % np.uint64(self.range_size)]
+        reduced = np.array([x % MERSENNE_P for x in xs], dtype=np.int64)
+        return self.hash_many(reduced).tolist()
 
 
 def _rebuild_kwise_hash(cls, range_size: int, coeffs) -> "KWiseHash":

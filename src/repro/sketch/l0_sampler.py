@@ -138,8 +138,8 @@ class SamplerRandomness:
         return _kernels.trailing_zeros_many(values, self.levels - 1)
 
     def zpow_many(self, idxs: np.ndarray) -> np.ndarray:
-        """``z^idx mod p`` of every coordinate: kernel binary
-        exponentiation.
+        """``z^idx mod p`` of every coordinate: the kernel's byte-window
+        powers of ``z``.
 
         Returns int64 values in ``[0, p)``, bit-identical to
         ``pow(z, idx, p)`` (canonical residues are unique).

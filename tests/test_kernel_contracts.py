@@ -3,11 +3,11 @@ the ``REPRO_KERNELS_CHECK=1`` runtime wrapper.
 
 * ``TestBoundaryParity`` checks the kernels against exact Python
   big-int arithmetic at the adversarial inputs (0, 1, p-2, p-1, the
-  32-bit limb seam, a forged boundary fingerprint, an ``S``-only
+  32-bit limb seam, the byte seams of the power windows, a forged boundary fingerprint, an ``S``-only
   column stack, an empty group, groups reading different columns, sums
   past float64's 2^53 integer range, two passing levels, 64 repeated
   scatter targets whose residues wrap past p);
-* ``TestSeededMutations`` applies thirty-two single-token edits to a
+* ``TestSeededMutations`` applies thirty-seven single-token edits to a
   throw-away copy of ``numpy_tier.py`` and requires each to fail one of
   those same checks -- the kill coverage is pinned, not assumed;
 * the runtime wrapper must accept every in-contract call and raise
@@ -70,8 +70,11 @@ class TestBoundaryParity:
         assert [int(v) for v in got] == [(x + y) % P for x, y in PAIRS]
 
     def test_powmod_boundary_bases_and_exponents(self, k):
+        # Small exponents, the byte-window seams, and the top of the
+        # exponent range.
         for z in BOUNDARY:
-            exps = _u64((0, 1, 2, 61, 64, P - 2, P - 1))
+            exps = _u64((0, 1, 2, 61, 64, 255, 256, (1 << 16) - 1, 1 << 16,
+                         1 << 56, P - 2, P - 1, (1 << 64) - 1))
             got = k.powmod_many(exps, z)
             want = [pow(z, int(e), P) for e in exps]
             assert got.dtype == np.int64
@@ -250,6 +253,16 @@ MUTATIONS = [
      "f = combine_limbs(lo, hi)"),
     ("scatter_drops_final_ge_p_fold",
      "np.where(f >= MERSENNE_P, f - MERSENNE_P, f)", "f"),
+    # The byte windows of powmod_many and their table.
+    ("powmod_window_shift_8_to_7", "remaining >>= _U8",
+     "remaining >>= np.uint64(7)"),
+    ("powmod_window_index_stuck", "window += 1", "window += 0"),
+    ("powmod_table_next_row_base_unraised",
+     "step = row[-1] * step % MERSENNE_P", "step = row[-1]"),
+    ("powmod_first_window_shift_8_to_7", "remaining = exps >> _U8",
+     "remaining = exps >> np.uint64(7)"),
+    ("powmod_window_mask_drops_top_bit", "table[window][remaining & _MASK8]",
+     "table[window][remaining & np.uint64(127)]"),
     ("trailing_zeros_off_by_one", "tz = exponent.astype(np.int64) - 1",
      "tz = exponent.astype(np.int64)"),
     ("decode_index_lt_to_le", "(idx < max_index)", "(idx <= max_index)"),
@@ -263,7 +276,7 @@ MUTATIONS = [
     ("merge_tiles_columns_instead_of_repeating", "np.repeat(cols, glens)",
      "np.tile(cols, 2)[:members.shape[0]]"),
     ("merge_gathers_first_group_column",
-     "cells[members, :, member_cols, :]", "cells[members, :, cols[0], :]"),
+     "+ member_cols)[:, None]", "+ cols[0])[:, None]"),
     ("merge_packs_live_groups_first", "out[live] = np.concatenate((",
      "out[:int(live.sum())] = np.concatenate(("),
     ("merge_drops_hi_limb", "np.add.reduceat(fd >> 32,",

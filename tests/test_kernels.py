@@ -142,6 +142,55 @@ class TestScalarGolden:
         assert keyed.sample([0]).tolist() == [-1]
 
 
+class TestPowTables:
+    """``powmod_many``'s per-base byte-window tables: read-only, bounded,
+    and shared by threads without a lock."""
+
+    def test_tables_are_read_only_and_bounded(self):
+        from repro.kernels import numpy_tier
+
+        table = numpy_tier._pow_table(12345)
+        assert table.shape == (8, 256) and not table.flags.writeable
+        assert numpy_tier._pow_table(12345) is table
+        for base in range(2, 2 + numpy_tier._POW_TABLES_MAX + 5):
+            numpy_tier._pow_table(base)
+        assert len(numpy_tier._POW_TABLES) <= numpy_tier._POW_TABLES_MAX
+
+    def test_threads_churning_the_cache_get_exact_powers(self):
+        # More threads than cores and a tiny switch interval, each
+        # thread cycling through enough fresh bases to clear the cache
+        # while the others read it: every power must stay exact.
+        import threading
+
+        from repro.kernels import numpy_tier
+
+        exps = np.array([0, 1, 255, 256, 1 << 20, (1 << 64) - 1],
+                        dtype=np.uint64)
+        per_thread = numpy_tier._POW_TABLES_MAX // 2
+        wrong = []
+
+        def work(offset):
+            for z in range(offset, offset + per_thread):
+                got = kernels.powmod_many(exps, z).tolist()
+                if got != [pow(z, int(e), P) for e in exps]:
+                    wrong.append(z)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work,
+                                        args=(7 + i * per_thread,))
+                       for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+
 # ---------------------------------------------------------------------------
 # Call-site coverage
 # ---------------------------------------------------------------------------
@@ -196,6 +245,12 @@ class TestDispatcher:
             assert session.num_components() == 13
             assert session.is_bipartite() is True
             session.matching()
+            # The deletion path retires supernodes once they test zero,
+            # so its leftover zero scan reads no rows; the family's
+            # zero-test route is driven directly.
+            family = session._algs["connectivity"].family
+            assert family.cuts_empty_groups(
+                [np.arange(32), np.array([2])]).tolist() == [True, False]
         h = KWiseHash.from_params(97, [2, 3])         # 3x + 2
         assert int(h.field_value_many(np.array([3]))[0]) == 11
         assert set(calls) == REACHED

@@ -312,3 +312,55 @@ class TestParityPins:
                         tuple(t.observed_size() for t in alg.testers),
                         alg.total_memory_words(), phase.rounds))
         assert got == ESTIMATOR_PINNED
+
+
+def reference_guess_pair(guess, u, v):
+    """The scalar route of an edge to its AKLY active pair, or None."""
+    su, sv = guess.side_hash(u), guess.side_hash(v)
+    if su == sv:
+        return None
+    left, right = (u, v) if su == 0 else (v, u)
+    pair = (guess.hash_l(left), guess.hash_r(right))
+    return pair if pair in guess.active else None
+
+
+def reference_tester_pair(tester, u, v):
+    """The scalar route of an edge to its dynamic tester's group pair,
+    or None."""
+    if not (tester._sampled(u) and tester._sampled(v)):
+        return None
+    gu, gv = tester.group_hash(u), tester.group_hash(v)
+    if gu == gv:
+        return None
+    return (min(gu, gv), max(gu, gv))
+
+
+class TestPairRouting:
+    """The vectorized batch routing builds the scalar route's
+    ``(pair, update)`` list, entry for entry and in order."""
+
+    def test_akly_guesses(self):
+        alg = AKLYMatching(MPCConfig(n=512, phi=0.5, seed=21))
+        routed = 0
+        for batch in _churn(5):
+            updates = list(batch)
+            for guess in alg.guesses:
+                want = [(pair, up) for up in updates if (
+                    pair := reference_guess_pair(guess, up.u, up.v))]
+                assert guess.entries(updates) == want
+                routed += len(want)
+        assert routed > 0
+
+    def test_dynamic_testers(self):
+        alg = MatchingSizeEstimator(MPCConfig(n=512, phi=0.5, seed=22),
+                                    dynamic=True)
+        routed = 0
+        for batch in _churn(6):
+            updates = list(batch)
+            for tester in alg.testers:
+                want = [(pair, up) for up in updates if (
+                    pair := reference_tester_pair(tester, up.u, up.v))]
+                assert tester._entries(updates) == want
+                routed += len(want)
+        assert routed > 0
+        assert any(tester.p < 1.0 for tester in alg.testers)
