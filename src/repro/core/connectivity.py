@@ -15,11 +15,11 @@ the AGM halving iterations *locally on one machine* over at most 2k
 fragment sketches to find replacement edges (Section 6.3) -- this is
 where keeping the explicit forest beats the O(log n)-round AGM query.
 
-Round charges follow the primitives actually used.
-``tests/test_mpc_primitives.py`` checks each primitive's closed-form
-charge against its real message-passing execution, and
-``tests/test_charge_ledger.py`` pins the exact per-category rounds of
-seeded phases.
+Round charges follow the primitives actually used.  Each primitive's
+closed-form charge is checked against its real message-passing
+execution in ``tests/mpc_reference.py`` (by
+``tests/test_mpc_primitives.py``), and ``tests/test_charge_ledger.py``
+pins the exact per-category rounds of seeded phases.
 """
 
 from __future__ import annotations

@@ -129,10 +129,15 @@ class _Frame:
 
 def _group(values: np.ndarray, dest: np.ndarray,
            count: int) -> List[np.ndarray]:
-    """Split ``values`` into ``count`` arrays by ``dest`` (stable)."""
-    order = np.argsort(dest, kind="stable")
-    bounds = np.cumsum(np.bincount(dest, minlength=count))[:-1]
-    return [part.copy() for part in np.split(values[order], bounds)]
+    """Split ``values`` into ``count`` arrays by ``dest`` (stable).
+
+    The parts are disjoint slices of one sorted copy; no tour array is
+    written in place, so they need no copies of their own."""
+    ordered = values[np.argsort(dest, kind="stable")]
+    bounds = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dest, minlength=count), out=bounds[1:])
+    bounds = bounds.tolist()
+    return [ordered[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 class DistributedEulerForest:

@@ -1,12 +1,15 @@
-"""MPC simulator substrate: machines, rounds, primitives, accounting.
+"""MPC model substrate: configuration, the round-and-word ledger, and
+the execution backends.
 
 Public surface::
 
     from repro.mpc import MPCConfig, Cluster
     cluster = Cluster(MPCConfig(n=1024, phi=0.5))
 
-See :mod:`repro.mpc.simulator` for the two-level (real message passing +
-round accounting) design.
+The ledger is the model: algorithms charge rounds and per-machine words
+through ``Cluster.charge_*`` (see :mod:`repro.mpc.simulator`).  The
+message-passing reference those charges are checked against lives with
+the tests, in ``tests/mpc_reference.py``.
 """
 
 from repro.mpc.backend import (
@@ -17,16 +20,8 @@ from repro.mpc.backend import (
     resolve_backend,
 )
 from repro.mpc.config import MPCConfig, polylog, small_test_config
-from repro.mpc.machine import Machine, Message
 from repro.mpc.metrics import ClusterMetrics, PhaseMetrics
 from repro.mpc.partition import VertexPartition
-from repro.mpc.primitives import (
-    broadcast_value,
-    converge_cast,
-    distributed_sort,
-    distributed_sort_flat,
-    gather_to_root,
-)
 from repro.mpc.simulator import Cluster, tree_depth
 
 __all__ = [
@@ -38,16 +33,9 @@ __all__ = [
     "MPCConfig",
     "polylog",
     "small_test_config",
-    "Machine",
-    "Message",
     "ClusterMetrics",
     "PhaseMetrics",
     "VertexPartition",
-    "broadcast_value",
-    "converge_cast",
-    "distributed_sort",
-    "distributed_sort_flat",
-    "gather_to_root",
     "Cluster",
     "tree_depth",
 ]

@@ -36,11 +36,6 @@ class PhaseMetrics:
     peak_total_memory: int
     rounds_by_category: Dict[str, int]
     capacity_violations: int
-    #: Words delivered to each machine id during the phase by real
-    #: message passing (:meth:`~repro.mpc.simulator.Cluster.exchange`),
-    #: so the ledger shows where data landed.  The same on every
-    #: execution backend.
-    words_by_machine: Dict[int, int] = field(default_factory=dict)
     #: Execution events that occurred during the phase, as deltas of
     #: the execution backend's cumulative ``health_counters()`` (and,
     #: with ``REPRO_KERNELS_PROFILE=1``, the kernel profile counters).
@@ -64,10 +59,10 @@ class PhaseMetrics:
 
 @dataclass
 class CapacityViolation:
-    """Record of a machine exceeding a per-round or storage budget."""
+    """Record of a machine exceeding its per-round budget of ``s`` words."""
 
     machine_id: int
-    what: str  # 'store' | 'send' | 'recv'
+    what: str  # 'send' | 'recv'
     used: int
     capacity: int
     round_index: int
@@ -89,7 +84,6 @@ class ClusterMetrics:
         self.rounds_by_category: Dict[str, int] = {}
         self.messages: int = 0
         self.words_sent: int = 0
-        self.words_by_machine: Dict[int, int] = {}
         #: Cumulative execution events fed in by the cluster from its
         #: execution backend at phase boundaries (see ``begin_phase`` /
         #: ``end_phase`` ``health=`` parameters).
@@ -116,17 +110,6 @@ class ClusterMetrics:
     def charge_traffic(self, messages: int, words: int) -> None:
         self.messages += messages
         self.words_sent += words
-
-    def charge_machine_words(self, machine_id: int, words: int) -> None:
-        """Attribute ``words`` of delivered/processed data to a machine.
-
-        Fed by real message deliveries (:meth:`Cluster.exchange`).
-        """
-        if words < 0:
-            raise ValueError("machine words must be non-negative")
-        self.words_by_machine[machine_id] = (
-            self.words_by_machine.get(machine_id, 0) + words
-        )
 
     def record_violation(self, violation: CapacityViolation) -> None:
         self.violations.append(violation)
@@ -177,7 +160,6 @@ class ClusterMetrics:
             "words_sent": self.words_sent,
             "violations": len(self.violations),
             "by_cat": dict(self.rounds_by_category),
-            "by_machine": dict(self.words_by_machine),
             "peak": self.total_memory,
             "health": dict(health or {}),
         }
@@ -210,11 +192,6 @@ class ClusterMetrics:
             for cat, count in self.rounds_by_category.items()
             if count - start["by_cat"].get(cat, 0) > 0  # type: ignore[union-attr]
         }
-        by_machine_delta = {
-            mid: words - start["by_machine"].get(mid, 0)  # type: ignore[union-attr]
-            for mid, words in self.words_by_machine.items()
-            if words - start["by_machine"].get(mid, 0) > 0  # type: ignore[union-attr]
-        }
         snapshot = PhaseMetrics(
             label=self._phase_label,
             batch_size=batch_size,
@@ -224,7 +201,6 @@ class ClusterMetrics:
             peak_total_memory=max(self._phase_peak, self.total_memory),
             rounds_by_category=by_cat_delta,
             capacity_violations=len(self.violations) - start["violations"],  # type: ignore[operator]
-            words_by_machine=by_machine_delta,
             backend_events=health_delta,
         )
         self._phase_label = None

@@ -1,40 +1,30 @@
-"""The MPC cluster simulator: synchronous rounds over bounded machines.
+"""The MPC cluster ledger: synchronous rounds over bounded machines.
 
-Two complementary APIs live here, and the test suite ties them together:
+The model (paper, Section 1.2) is charged in two quantities: rounds, and
+words per machine against ``s = n^phi``.  A :class:`Cluster` is exactly
+that ledger.  Its ``charge_*`` methods charge each primitive's round
+count in closed form from the cluster geometry (machine count and
+fanout) and check a single machine's words against ``s``; the graph
+algorithms in :mod:`repro.core` keep their distributed state in
+partition-aware arrays and reach the model only through these charges.
+No machine object or message is materialised.
 
-1. **Real message passing** -- :meth:`Cluster.exchange` delivers a list of
-   :class:`~repro.mpc.machine.Message` objects in one synchronous round,
-   enforcing the model's per-machine send/receive budget of ``s`` words
-   (paper, Section 1.2: "the total messages sent or received by each
-   machine in each round should not exceed its memory").  The primitives
-   in :mod:`repro.mpc.primitives` (broadcast tree, converge-cast,
-   distributed sample sort) are built on this and are unit-tested for
-   both correctness and round counts.
-
-2. **Round accounting** -- ``charge_*`` methods that charge the *same*
-   round counts the real primitives incur, computed from the cluster
-   geometry (machine count and fanout).  The graph algorithms in
-   :mod:`repro.core` keep their distributed state in partition-aware
-   Python structures and charge rounds through this API; tests in
-   ``tests/test_mpc_primitives.py`` assert that the closed-form charges
-   equal the measured depths of the real executions, so the two APIs
-   cannot drift apart silently.
-
-This split is the standard trick for simulating MPC at laptop scale: the
-theorems are statements about *counts*, and the counts are what both
-paths produce.
+The real message-passing execution of every primitive (broadcast tree,
+converge-cast, gather, one-level sample sort) lives with the tests, in
+``tests/mpc_reference.py``: ``tests/test_mpc_primitives.py`` asserts
+that each closed-form charge equals the depth measured by running it,
+so the ledger and the reference cannot drift apart silently.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.errors import CapacityExceededError
 from repro.mpc.backend import ExecutionBackend, resolve_backend
 from repro.mpc.config import MPCConfig
-from repro.mpc.machine import Machine, Message
 from repro.mpc.metrics import CapacityViolation, ClusterMetrics, PhaseMetrics
 
 
@@ -75,9 +65,7 @@ class Cluster:
 
     def __init__(self, config: MPCConfig, backend=None):
         self.config = config
-        self.machines: List[Machine] = [
-            Machine(i, config.local_memory) for i in range(config.machine_count)
-        ]
+        self.num_machines: int = config.machine_count
         self.metrics = ClusterMetrics()
         self.rng = np.random.default_rng(config.seed)
         if backend is None:
@@ -128,54 +116,12 @@ class Cluster:
     # Geometry helpers
     # ------------------------------------------------------------------
     @property
-    def num_machines(self) -> int:
-        return len(self.machines)
-
-    @property
     def local_memory(self) -> int:
         return self.config.local_memory
 
-    def machine(self, machine_id: int) -> Machine:
-        return self.machines[machine_id]
-
-    # ------------------------------------------------------------------
-    # Real synchronous message passing (used by the primitives)
-    # ------------------------------------------------------------------
-    def exchange(self, messages: Iterable[Message]) -> Dict[int, List[Message]]:
-        """Deliver ``messages`` in one synchronous round.
-
-        Returns the inbox of each destination machine.  Per-machine send
-        and receive word totals are checked against ``s``; violations
-        either raise (strict mode) or are recorded in the ledger.
-        """
-        sent_words: Dict[int, int] = {}
-        recv_words: Dict[int, int] = {}
-        inboxes: Dict[int, List[Message]] = {}
-        count = 0
-        words = 0
-        for msg in messages:
-            if not (0 <= msg.src < self.num_machines):
-                raise ValueError(f"bad source machine {msg.src}")
-            if not (0 <= msg.dst < self.num_machines):
-                raise ValueError(f"bad destination machine {msg.dst}")
-            sent_words[msg.src] = sent_words.get(msg.src, 0) + msg.words
-            recv_words[msg.dst] = recv_words.get(msg.dst, 0) + msg.words
-            inboxes.setdefault(msg.dst, []).append(msg)
-            count += 1
-            words += msg.words
-
-        self.metrics.charge_rounds(1, "exchange")
-        self.metrics.charge_traffic(count, words)
-        for mid, used in sent_words.items():
-            self._check_budget(mid, used, "send")
-        for mid, used in recv_words.items():
-            # Delivered words are attributed to the receiving machine,
-            # so PhaseMetrics shows where the data actually landed.
-            self.metrics.charge_machine_words(mid, used)
-            self._check_budget(mid, used, "recv")
-        return inboxes
-
     def _check_budget(self, machine_id: int, used: int, what: str) -> None:
+        """Record (lenient) or raise (strict) if ``used`` words on one
+        machine exceed ``s``."""
         capacity = self.local_memory
         if used <= capacity:
             return
@@ -189,12 +135,6 @@ class Cluster:
         self.metrics.record_violation(violation)
         if self.config.strict_capacity:
             raise CapacityExceededError(machine_id, used, capacity, what)
-
-    def check_store_capacities(self) -> None:
-        """Audit machine stores; record/raise for any over-capacity store."""
-        for machine in self.machines:
-            if machine.over_capacity():
-                self._check_budget(machine.machine_id, machine.used_words, "store")
 
     # ------------------------------------------------------------------
     # Round accounting (closed-form charges matching the primitives)
@@ -214,8 +154,8 @@ class Cluster:
     def charge_broadcast(self, words: int = 1, category: str = "broadcast") -> int:
         """Broadcast a ``words``-sized value from one machine to all.
 
-        Cost: depth of the fanout tree.  Mirrors
-        :func:`repro.mpc.primitives.broadcast_value`.
+        Cost: depth of the fanout tree.  Mirrors the reference
+        ``broadcast_value`` in ``tests/mpc_reference.py``.
         """
         fanout = self.config.fanout(words)
         rounds = max(1, tree_depth(self.num_machines, fanout))
@@ -264,7 +204,7 @@ class Cluster:
         ``2 * depth + 1`` (sample converge, splitter dissemination,
         routing) -- O(1/phi) for constant ``phi``, independent of the
         machine count.  The reference implementation in
-        :mod:`repro.mpc.primitives` is a *single-level* sample sort: it
+        ``tests/mpc_reference.py`` is a *single-level* sample sort: it
         matches this charge whenever its splitter vector fits the tree
         fanout and is strictly slower otherwise, which the tests check
         in both directions.

@@ -85,8 +85,9 @@ from repro.types import Batch, Edge, ForestSolution, MatchingSolution, Update, i
 #: sketch pool holds ``(Wd, Sd, Fd)`` with ``Fd`` one residue word; 3: the
 #: Euler-tour forest holds int64 slot, vertex and per-tour arrays; 4: the
 #: matching sparsifiers' per-pair samplers are rows of one pool; 5: clusters
-#: and sketch families pickle their execution backend by name).
-CHECKPOINT_FORMAT = 5
+#: and sketch families pickle their execution backend by name; 6: a cluster
+#: holds no machine objects and phases no per-machine words).
+CHECKPOINT_FORMAT = 6
 
 #: Anything `ingest` coerces into an :class:`Update`.
 UpdateLike = Union[Update, tuple]

@@ -1,26 +1,84 @@
-"""Real distributed implementations of the MPC building blocks.
+"""The message-passing reference for the MPC ledger.
 
-These functions move actual data between :class:`~repro.mpc.machine.Machine`
-objects through :meth:`Cluster.exchange`, so every synchronous round is
-observable and every per-machine budget is enforced.  They are the
-ground truth for the closed-form ``charge_*`` round formulas on
-:class:`~repro.mpc.simulator.Cluster`: the test suite asserts measured
-== charged, and the algorithms charge through those formulas.
+:class:`~repro.mpc.simulator.Cluster` charges every primitive's rounds
+in closed form and materialises no machine or message.  This module is
+the real execution those charges describe: :func:`exchange` delivers
+:class:`Message` objects between machines in one synchronous round,
+enforcing the model's per-machine send/receive budget of ``s`` words
+(paper, Section 1.2: "the total messages sent or received by each
+machine in each round should not exceed its memory"), and the
+primitives on top of it -- fanout trees for broadcast/aggregation and
+one level of sample sort for [GSZ11]-style constant-round sorting --
+move actual data through it.  ``tests/test_mpc_primitives.py`` asserts
+measured == charged for each of them.
 
-All follow the standard constructions the paper cites: fanout trees for
-broadcast/aggregation and one level of sample sort for [GSZ11]-style
-constant-round sorting.
+Run its checks with ``PYTHONPATH=src python -m pytest
+tests/test_mpc_primitives.py tests/test_mpc_simulator.py -q``.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
+from dataclasses import dataclass
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    TypeVar)
 
-from repro.mpc.machine import Message
-from repro.mpc.simulator import Cluster, tree_depth
+from repro.mpc.simulator import Cluster
 
 T = TypeVar("T")
+
+
+@dataclass
+class Message:
+    """A point-to-point message for one synchronous round.
+
+    ``words`` is the accounting size; payloads are arbitrary Python
+    values (the reference never serialises them, it only counts words).
+    """
+
+    src: int
+    dst: int
+    payload: Any
+    words: int = 1
+
+    def __post_init__(self) -> None:
+        if self.words < 0:
+            raise ValueError("message size must be non-negative")
+
+
+def exchange(cluster: Cluster,
+             messages: Iterable[Message]) -> Dict[int, List[Message]]:
+    """Deliver ``messages`` in one synchronous round on ``cluster``.
+
+    Returns the inbox of each destination machine.  Charges one
+    ``exchange`` round and the traffic to the cluster's ledger, and
+    checks per-machine send and receive word totals against ``s``
+    through the cluster's own budget check, so violations either raise
+    (strict mode) or are recorded in the ledger.
+    """
+    sent_words: Dict[int, int] = {}
+    recv_words: Dict[int, int] = {}
+    inboxes: Dict[int, List[Message]] = {}
+    count = 0
+    words = 0
+    for msg in messages:
+        if not (0 <= msg.src < cluster.num_machines):
+            raise ValueError(f"bad source machine {msg.src}")
+        if not (0 <= msg.dst < cluster.num_machines):
+            raise ValueError(f"bad destination machine {msg.dst}")
+        sent_words[msg.src] = sent_words.get(msg.src, 0) + msg.words
+        recv_words[msg.dst] = recv_words.get(msg.dst, 0) + msg.words
+        inboxes.setdefault(msg.dst, []).append(msg)
+        count += 1
+        words += msg.words
+
+    cluster.metrics.charge_rounds(1, "exchange")
+    cluster.metrics.charge_traffic(count, words)
+    for mid, used in sent_words.items():
+        cluster._check_budget(mid, used, "send")
+    for mid, used in recv_words.items():
+        cluster._check_budget(mid, used, "recv")
+    return inboxes
 
 
 def broadcast_value(
@@ -53,7 +111,7 @@ def broadcast_value(
         for idx, dst in enumerate(targets):
             src = senders[idx // (fanout - 1)]
             messages.append(Message(src=src, dst=dst, payload=value, words=words))
-        inboxes = cluster.exchange(messages)
+        inboxes = exchange(cluster, messages)
         for dst, msgs in inboxes.items():
             received[dst] = msgs[-1].payload
         informed += new_count
@@ -83,9 +141,7 @@ def converge_cast(
         return per_machine[0]
 
     fanout = cluster.config.fanout(words)
-    order = [root] + [m for m in range(num) if m != root]
     values: Dict[int, Any] = {m: per_machine[m] for m in range(num)}
-    active = sorted(order, key=lambda m: order.index(m))
     # Keep machine-id order within blocks for deterministic combining,
     # but ensure the root ends up the final survivor.
     active = [root] + sorted(m for m in range(num) if m != root)
@@ -101,7 +157,7 @@ def converge_cast(
                     Message(src=member, dst=leader,
                             payload=values.pop(member), words=words)
                 )
-        inboxes = cluster.exchange(messages)
+        inboxes = exchange(cluster, messages)
         for leader, msgs in inboxes.items():
             for msg in sorted(msgs, key=lambda m: m.src):
                 values[leader] = combine(values[leader], msg.payload)
@@ -119,7 +175,7 @@ def gather_to_root(
 
     This is the "move all update requests to a dedicated single machine"
     preprocessing step (paper, Section 1.2); it is only legal when the
-    result fits in local memory, which :meth:`Cluster.exchange` checks.
+    result fits in local memory, which :func:`exchange` checks.
     """
     def combine(acc: List[T], more: List[T]) -> List[T]:
         return acc + more
@@ -184,7 +240,7 @@ def distributed_sort(
         for item in items:
             dst = bisect.bisect_right(splitters, keyf(item))
             messages.append(Message(src=src, dst=dst, payload=item, words=1))
-    inboxes = cluster.exchange(messages)
+    inboxes = exchange(cluster, messages)
 
     result: List[List[T]] = [[] for _ in range(num)]
     for dst, msgs in inboxes.items():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import component_sets
 from repro.euler import DistributedEulerForest
+from repro.euler.distributed import _group
 from repro.types import canonical
 
 
@@ -25,6 +26,27 @@ def components_of(forest, n):
     for v in range(n):
         groups.setdefault(forest.tree_id(v), set()).add(v)
     return sorted(tuple(sorted(g)) for g in groups.values())
+
+
+class TestGroup:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_stable_split_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        count = 9
+        dest = rng.integers(0, count - 2, size=200)  # some groups empty
+        values = rng.integers(0, 10 ** 6, size=200)
+        parts = _group(values, dest, count)
+        assert len(parts) == count
+        for d, part in enumerate(parts):
+            assert part.tolist() == values[dest == d].tolist()
+
+    def test_parts_do_not_alias_the_input(self):
+        values = np.arange(10, dtype=np.int64)
+        dest = np.array([1, 0] * 5)
+        parts = _group(values, dest, 2)
+        values[:] = -1
+        assert [p.tolist() for p in parts] == [[1, 3, 5, 7, 9],
+                                               [0, 2, 4, 6, 8]]
 
 
 class TestBasics:

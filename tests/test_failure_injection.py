@@ -12,8 +12,7 @@ from repro.baselines import DynamicConnectivityOracle
 from repro.core import MPCConnectivity
 from repro.errors import CapacityExceededError, SketchFailureError
 from repro.mpc import Cluster, MPCConfig
-from repro.mpc.machine import Message
-from repro.streams import star_insertions
+from repro.streams import ChurnStream, star_insertions
 from repro.types import dele, ins
 
 
@@ -132,29 +131,53 @@ class TestExtremeShapes:
 
 
 class TestCapacityInjection:
-    def test_strict_cluster_rejects_oversized_message(self):
+    """``charge_gather`` onto machine 0 is the charge that overflows in
+    practice (every churn phase's build-H gather); the reference
+    exchange's send/receive budget tests live in
+    ``tests/test_mpc_simulator.py``."""
+
+    def test_strict_cluster_rejects_oversized_gather(self):
         config = MPCConfig(n=16, phi=0.5, seed=0, strict_capacity=True)
         cluster = Cluster(config)
         with pytest.raises(CapacityExceededError) as excinfo:
-            cluster.exchange([Message(src=0, dst=1, payload=None,
-                                      words=10 ** 6)])
-        assert excinfo.value.machine_id in (0, 1)
+            cluster.charge_gather(total_words=10 ** 6)
+        assert excinfo.value.machine_id == 0
         assert excinfo.value.used == 10 ** 6
+        assert excinfo.value.capacity == cluster.local_memory
+        assert excinfo.value.what == "recv"
 
-    def test_lenient_cluster_records_everything(self):
+    def test_churn_violations_come_from_the_gather(self):
+        """Under churn on a small cluster every recorded violation is the
+        receive side of a gather onto machine 0."""
+        n = 200
+        alg = MPCConnectivity(MPCConfig(n=n, phi=0.5, seed=9,
+                                        strict_capacity=False))
+        for batch in ChurnStream(n, seed=4, delete_fraction=0.35,
+                                 target_edges=400).batches(6, 24):
+            alg.apply_batch(batch)
+        violations = alg.cluster.metrics.violations
+        assert violations
+        assert {(v.machine_id, v.what) for v in violations} == {(0, "recv")}
+        assert all(v.used > v.capacity for v in violations)
+
+    def test_lenient_cluster_records_one_violation_per_gather(self):
         config = MPCConfig(n=16, phi=0.5, seed=0, strict_capacity=False)
         cluster = Cluster(config)
-        for _ in range(3):
-            cluster.exchange([Message(src=0, dst=1, payload=None,
-                                      words=10 ** 6)])
-        # Each oversized exchange violates both the send and recv budget.
-        assert len(cluster.metrics.violations) == 6
+        cluster.charge_gather(total_words=cluster.local_memory)
+        assert cluster.metrics.violations == []
+        for words in (cluster.local_memory + 1, 10 ** 6, 10 ** 6):
+            cluster.charge_gather(total_words=words)
+        assert [(v.machine_id, v.what, v.used)
+                for v in cluster.metrics.violations] == [
+            (0, "recv", cluster.local_memory + 1),
+            (0, "recv", 10 ** 6), (0, "recv", 10 ** 6)]
 
     def test_violations_surface_in_phase_metrics(self):
         config = MPCConfig(n=16, phi=0.5, seed=0, strict_capacity=False)
         cluster = Cluster(config)
         cluster.begin_phase("inject")
-        cluster.exchange([Message(src=0, dst=1, payload=None,
-                                  words=10 ** 6)])
+        cluster.charge_gather(total_words=10 ** 6)
+        cluster.charge_gather(total_words=1)
+        cluster.charge_gather(total_words=10 ** 6)
         snapshot = cluster.end_phase()
         assert snapshot.capacity_violations == 2

@@ -1,44 +1,9 @@
-"""Unit tests for Machine storage and the metrics ledgers."""
+"""Unit tests for the reference message and the metrics ledgers."""
 
 import pytest
 
-from repro.mpc.machine import Machine, Message
 from repro.mpc.metrics import CapacityViolation, ClusterMetrics
-
-
-class TestMachine:
-    def test_put_get_discard(self):
-        m = Machine(0, capacity=10)
-        m.put("a", [1, 2, 3], words=3)
-        assert m.get("a") == [1, 2, 3]
-        assert m.used_words == 3
-        m.discard("a")
-        assert m.get("a") is None
-        assert m.used_words == 0
-
-    def test_replace_updates_usage(self):
-        m = Machine(0, capacity=10)
-        m.put("k", "x", words=4)
-        m.put("k", "y", words=2)
-        assert m.used_words == 2
-        assert m.get("k") == "y"
-
-    def test_over_capacity_flag(self):
-        m = Machine(0, capacity=3)
-        m.put("k", "x", words=5)
-        assert m.over_capacity()
-        assert m.free_words == -2
-
-    def test_contains_and_keys(self):
-        m = Machine(1, capacity=10)
-        m.put("a", 1, words=1)
-        assert "a" in m and "b" not in m
-        assert list(m.keys()) == ["a"]
-
-    def test_negative_size_rejected(self):
-        m = Machine(0, capacity=5)
-        with pytest.raises(ValueError):
-            m.put("a", 1, words=-1)
+from tests.mpc_reference import Message
 
 
 class TestMessage:

@@ -1,51 +1,51 @@
-"""Vertex/edge placement tests."""
+"""Vertex placement tests."""
 
+import numpy as np
 import pytest
 
 from repro.mpc import VertexPartition
 
 
+def owners(part):
+    return part.machines_of_vertices(np.arange(part.n, dtype=np.int64))
+
+
 class TestVertexPartition:
     def test_every_vertex_mapped(self):
         part = VertexPartition(100, 7)
-        machines = {part.machine_of_vertex(v) for v in range(100)}
-        assert machines <= set(range(7))
+        assert set(owners(part).tolist()) <= set(range(7))
 
     def test_blocks_are_contiguous(self):
         part = VertexPartition(20, 4)
+        machines = owners(part)
+        assert np.all(np.diff(machines) >= 0)
         for m in range(4):
-            vertices = list(part.vertices_of(m))
-            assert vertices == sorted(vertices)
-            for v in vertices:
-                assert part.machine_of_vertex(v) == m
+            block = np.flatnonzero(machines == m)
+            assert block.tolist() == list(range(block[0], block[-1] + 1))
 
     def test_covers_all_vertices(self):
         part = VertexPartition(23, 5)
-        covered = []
-        for m in range(5):
-            covered.extend(part.vertices_of(m))
-        assert sorted(covered) == list(range(23))
+        loads = np.bincount(owners(part), minlength=5)
+        assert loads.sum() == 23
+        assert loads.tolist() == [5, 5, 5, 5, 3]
 
-    def test_edge_follows_min_endpoint(self):
-        part = VertexPartition(40, 4)
-        assert (part.machine_of_edge((3, 35))
-                == part.machine_of_vertex(3))
+    def test_elementwise_in_any_order(self):
+        part = VertexPartition(50, 6)
+        order = np.random.default_rng(0).permutation(50)
+        assert np.array_equal(part.machines_of_vertices(order),
+                              owners(part)[order])
 
-    def test_out_of_range_rejected(self):
-        part = VertexPartition(10, 2)
-        with pytest.raises(ValueError):
-            part.machine_of_vertex(10)
+    def test_more_machines_than_vertices(self):
+        part = VertexPartition(3, 8)
+        assert owners(part).tolist() == [0, 1, 2]
 
-    def test_load_histogram(self):
-        part = VertexPartition(10, 2)
-        loads = part.load_histogram([(0, 1), (0, 2), (7, 9)])
-        assert sum(loads) == 3
-
-    def test_spread_balanced(self):
-        part = VertexPartition(10, 4)
-        spread = part.spread(10)
-        assert sum(spread.values()) == 10
-        assert max(spread.values()) - min(spread.values()) <= 1
+    @pytest.mark.parametrize("n,machines", [(10, 4), (64, 8), (100, 7)])
+    def test_last_machine_takes_the_remainder(self, n, machines):
+        part = VertexPartition(n, machines)
+        loads = np.bincount(owners(part), minlength=machines)
+        assert loads.max() == part.block_size
+        assert np.all(loads[:-1] == part.block_size)
+        assert loads[-1] == n - part.block_size * (machines - 1)
 
     def test_degenerate_params_rejected(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,14 @@
-"""The real distributed primitives: correctness and the measured-rounds
-== closed-form-charge contract that keeps the accountant honest."""
+"""The message-passing reference primitives (``tests/mpc_reference.py``):
+correctness and the measured-rounds == closed-form-charge contract that
+keeps the ledger honest."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpc import (
-    Cluster,
-    MPCConfig,
+from repro.mpc import Cluster, MPCConfig
+from tests.mpc_reference import (
     broadcast_value,
     converge_cast,
     distributed_sort,

@@ -1,12 +1,14 @@
-"""Tests for the cluster simulator: exchange semantics, capacity
-enforcement, and the closed-form round charges."""
+"""Tests for the cluster ledger's closed-form round charges and capacity
+enforcement, and for the reference exchange round built on them."""
+
+import pickle
 
 import pytest
 
 from repro.errors import CapacityExceededError
 from repro.mpc import Cluster, MPCConfig
-from repro.mpc.machine import Message
 from repro.mpc.simulator import tree_depth
+from tests.mpc_reference import Message, exchange
 
 
 class TestTreeDepth:
@@ -40,7 +42,7 @@ class TestExchange:
         msgs = [Message(src=0, dst=1, payload="x", words=2),
                 Message(src=0, dst=2, payload="y", words=1)]
         before = small_cluster.metrics.rounds
-        inboxes = small_cluster.exchange(msgs)
+        inboxes = exchange(small_cluster, msgs)
         assert small_cluster.metrics.rounds == before + 1
         assert inboxes[1][0].payload == "x"
         assert inboxes[2][0].payload == "y"
@@ -50,14 +52,14 @@ class TestExchange:
     def test_bad_destination_rejected(self, small_cluster):
         bad = [Message(src=0, dst=10 ** 9, payload=None, words=1)]
         with pytest.raises(ValueError):
-            small_cluster.exchange(bad)
+            exchange(small_cluster, bad)
 
     def test_capacity_violation_recorded(self):
         config = MPCConfig(n=16, phi=0.5, seed=0, strict_capacity=False)
         cluster = Cluster(config)
         flood = [Message(src=0, dst=1, payload=None,
                          words=cluster.local_memory + 1)]
-        cluster.exchange(flood)
+        exchange(cluster, flood)
         assert len(cluster.metrics.violations) >= 1
 
     def test_capacity_violation_strict_raises(self):
@@ -66,15 +68,50 @@ class TestExchange:
         flood = [Message(src=0, dst=1, payload=None,
                          words=cluster.local_memory + 1)]
         with pytest.raises(CapacityExceededError):
-            cluster.exchange(flood)
+            exchange(cluster, flood)
 
-    def test_store_capacity_audit(self):
-        config = MPCConfig(n=16, phi=0.5, strict_capacity=False)
+    def test_bad_source_rejected(self, small_cluster):
+        bad = [Message(src=-1, dst=0, payload=None, words=1)]
+        with pytest.raises(ValueError):
+            exchange(small_cluster, bad)
+
+    def test_oversized_message_breaks_send_and_recv_budgets(self):
+        config = MPCConfig(n=16, phi=0.5, seed=0, strict_capacity=False)
         cluster = Cluster(config)
-        cluster.machine(0).put("blob", None,
-                               words=cluster.local_memory + 5)
-        cluster.check_store_capacities()
-        assert any(v.what == "store" for v in cluster.metrics.violations)
+        for _ in range(3):
+            exchange(cluster, [Message(src=0, dst=1, payload=None,
+                                       words=10 ** 6)])
+        assert [(v.machine_id, v.what, v.used)
+                for v in cluster.metrics.violations] == [
+            (0, "send", 10 ** 6), (1, "recv", 10 ** 6)] * 3
+
+    def test_budget_is_summed_per_machine_per_round(self):
+        """Messages within budget one by one still overflow their shared
+        receiver; each sender stays within its own budget."""
+        config = MPCConfig(n=16, phi=0.5, seed=0, strict_capacity=False)
+        cluster = Cluster(config)
+        share = cluster.local_memory // 2 + 1
+        exchange(cluster, [Message(src=src, dst=0, payload=None,
+                                   words=share) for src in (1, 2)])
+        assert [(v.machine_id, v.what, v.used)
+                for v in cluster.metrics.violations] == [
+            (0, "recv", 2 * share)]
+
+
+class TestCluster:
+    def test_machine_count_comes_from_config(self):
+        config = MPCConfig(n=16384, phi=0.5, seed=0)
+        cluster = Cluster(config)
+        assert type(cluster.num_machines) is int
+        assert cluster.num_machines == config.machine_count
+
+    def test_pickled_size_independent_of_machine_count(self):
+        """The ledger keeps no per-machine object, so a cluster of
+        25 088 machines pickles as small as one of a few hundred."""
+        small = Cluster(MPCConfig(n=64, phi=0.5, seed=0))
+        large = Cluster(MPCConfig(n=16384, phi=0.5, seed=0))
+        assert large.num_machines > 50 * small.num_machines
+        assert abs(len(pickle.dumps(large)) - len(pickle.dumps(small))) < 64
 
 
 class TestCharges:

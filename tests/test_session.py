@@ -18,6 +18,8 @@ import dataclasses
 import os
 import pickle
 import re
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -599,7 +601,7 @@ class TestCheckpointRestore:
 
     @pytest.mark.parametrize(
         "damage", ["truncated", "garbage", "non-dict", "format-1",
-                   "format-2", "format-3", "format-4"])
+                   "format-2", "format-3", "format-4", "format-5"])
     def test_unreadable_checkpoint_fails_by_name(self, tmp_path,
                                                  monkeypatch, damage):
         path = os.fspath(tmp_path / "damaged.ckpt")
@@ -632,6 +634,14 @@ class TestCheckpointRestore:
                                 _format4_cluster_state, raising=False)
             monkeypatch.setattr(SketchFamily, "__getstate__",
                                 _format4_family_state, raising=False)
+        if damage == "format-5":
+            # Format 5 pickled one machine object per simulated machine
+            # inside every cluster.
+            monkeypatch.setattr(graph_session, "CHECKPOINT_FORMAT", 5)
+            monkeypatch.setitem(sys.modules, "repro.mpc.machine",
+                                _FORMAT5_MACHINE_MODULE)
+            monkeypatch.setattr(Cluster, "__getstate__",
+                                _format5_cluster_state, raising=False)
         tasks = ("connectivity",)
         if damage == "format-3":
             tasks += ("matching",)
@@ -646,7 +656,8 @@ class TestCheckpointRestore:
                 "garbage": b"not a checkpoint\n" * 8,
                 "non-dict": pickle.dumps([1, 2, 3]),
                 "format-1": data, "format-2": data,
-                "format-3": data, "format-4": data}[damage]
+                "format-3": data, "format-4": data,
+                "format-5": data}[damage]
         with open(path, "wb") as fh:
             fh.write(data)
         with pytest.raises(ConfigurationError, match=re.escape(path)) as err:
@@ -695,6 +706,32 @@ def _format4_cluster_state(cluster):
 def _format4_family_state(family):
     return {**family.__dict__, "backend": None, "_pool_handle": None,
             "_detach": None}
+
+
+class _Format5Machine:
+    """A simulated machine as format 5 pickled it: a capacity and an
+    empty word store, pickled under the name
+    ``repro.mpc.machine.Machine`` (gone since format 6)."""
+
+    def __init__(self, machine_id, capacity):
+        self.machine_id = machine_id
+        self.capacity = capacity
+        self.store = {}
+
+
+_Format5Machine.__module__ = "repro.mpc.machine"
+_Format5Machine.__qualname__ = _Format5Machine.__name__ = "Machine"
+_FORMAT5_MACHINE_MODULE = types.ModuleType("repro.mpc.machine")
+_FORMAT5_MACHINE_MODULE.Machine = _Format5Machine
+
+
+def _format5_cluster_state(cluster):
+    """A cluster as format 5 pickled it: one machine object per machine
+    next to the ledger."""
+    state = dict(cluster.__dict__)
+    state["machines"] = [_Format5Machine(i, cluster.local_memory)
+                         for i in range(state.pop("num_machines"))]
+    return state
 
 
 def _format2_forest_state(forest):
@@ -954,8 +991,8 @@ class TestRestoreBackends:
 def test_phase_metrics_do_not_depend_on_the_executor():
     """One seeded churn stream on ``sequential`` and on a 2-thread
     backend: every ``PhaseMetrics`` field but ``backend_events`` is
-    equal, phase by phase, for the route and for every task --
-    ``words_by_machine`` included."""
+    equal, phase by phase, for the route and for every task -- rounds,
+    traffic, peak memory and capacity violations alike."""
     tasks = ("connectivity", "bipartiteness", "msf_approx")
     rng = np.random.default_rng(8)
     live = set()
