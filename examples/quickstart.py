@@ -43,7 +43,7 @@ garbage value raises a clear error naming the variable instead of
 failing deep inside backend startup:
 
 * ``REPRO_BACKEND`` -- backend name (``sequential`` / ``shared_memory``
-  / ``shm``); unknown names raise ``ConfigurationError``.
+  / ``shm``); an unknown or empty name raises ``ConfigurationError``.
 * ``REPRO_BACKEND_WORKERS`` -- worker-thread count, an integer >= 1;
   anything else (``abc``, ``-1``, ``""``) raises ``SketchError``.
 
@@ -69,13 +69,9 @@ validated like the backend knobs:
   raises ``SketchError`` naming the kernel, argument, and declared
   bound.
 
-The conventions no test can provoke (validated env reads,
-bit-reproducible kernel code) are enforced mechanically by
-``python -m repro.lint src`` -- see
-``docs/lint-rules.md`` for the rule pack and how to suppress a finding
-with a justification.  The kernel arithmetic is guarded by
-tests instead: boundary-value parity against Python big-ints and a
-seeded-mutation suite pinning what those checks kill
+The kernel arithmetic is guarded by tests: boundary-value parity
+against Python big-ints and a seeded-mutation suite pinning what those
+checks kill, float64 twins of the exact integer arithmetic included
 (``tests/test_kernel_contracts.py``).  So are the MPC round charges:
 ``tests/test_charge_ledger.py`` pins the exact rounds-by-category of
 seeded phases for every registered task.

@@ -3,7 +3,7 @@
 Reproduction of Czumaj, Mishra, Mukherjee, *Streaming Graph Algorithms
 in the Massively Parallel Computation Model* (PODC 2024).  Each module's
 docstring states which section it implements and any deviation from
-the paper; ``docs/`` covers the kernels and the lint rules.
+the paper; ``docs/kernels.md`` covers the kernels.
 
 The one-stop serving surface is :class:`repro.session.GraphSession`:
 one cluster and execution backend multiplexing every maintained

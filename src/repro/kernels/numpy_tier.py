@@ -127,7 +127,8 @@ def trailing_zeros_many(xs: np.ndarray, cap: int) -> np.ndarray:
     # xs == 0 branch below), and every nonzero lsb is a single power of
     # two <= 2^63.
     lsb = xs & (~xs + _U1)
-    # repro-lint: disable=RL010 -- lsb is 0 or a single power of two <= 2^63, which float64 represents exactly; only the exponent bits are read, and the consumed exponent lies in [1, 64]
+    # Exact float conversion: lsb is 0 or a power of two <= 2^63, and
+    # only the exponent bits (in [1, 64] where consumed) are read.
     _, exponent = np.frexp(lsb.astype(np.float64))
     tz = exponent.astype(np.int64) - 1
     return np.where(xs == 0, cap, np.minimum(tz, cap))

@@ -68,12 +68,12 @@ def wrap(name: str, func: Callable) -> Callable:
 
     @functools.wraps(func)
     def timed_kernel(*args, **kwargs):
-        # repro-lint: disable=RL010 -- profiling timestamp: measures the kernel, never feeds its result
+        # Profiling timestamps measure the kernel and never feed its
+        # result.
         start = time.perf_counter_ns()
         try:
             return func(*args, **kwargs)
         finally:
-            # repro-lint: disable=RL010 -- profiling timestamp: measures the kernel, never feeds its result
             record(label, time.perf_counter_ns() - start)
 
     return timed_kernel
@@ -99,12 +99,12 @@ class _Section:
         self._start = 0
 
     def __enter__(self) -> "_Section":
-        # repro-lint: disable=RL010 -- profiling timestamp: measures the section, never feeds results
+        # Profiling timestamps measure the section and never feed a
+        # result.
         self._start = time.perf_counter_ns()
         return self
 
     def __exit__(self, *exc) -> bool:
-        # repro-lint: disable=RL010 -- profiling timestamp: measures the section, never feeds results
         record(self.name, time.perf_counter_ns() - self._start)
         return False
 

@@ -38,9 +38,10 @@ backend_workers=4)`` (what ``GraphSession(backend=..., backend_workers=...)``
 fills in), by handing a ``Cluster`` an instance
 (``Cluster(config, backend=SharedMemoryBackend(4))``), or globally with
 the environment variables ``REPRO_BACKEND`` / ``REPRO_BACKEND_WORKERS``
-(how CI runs the tier-1 suite against the parallel backend).  A garbage
-``REPRO_BACKEND_WORKERS`` value raises a ``SketchError`` naming the
-variable at read time.
+(how CI runs the tier-1 suite against the parallel backend).  A set
+but unknown or empty ``REPRO_BACKEND`` raises a ``ConfigurationError``,
+and a garbage ``REPRO_BACKEND_WORKERS`` a ``SketchError``, each naming
+the variable at read time.
 
 A backend is a plain object its holders reference directly: the routed
 calls take the pool itself, so nothing is registered, and a pickled
@@ -465,7 +466,12 @@ def get_backend(name: Optional[str] = None,
     starting its own.
     """
     if name is None:
-        name = read_env(ENV_BACKEND) or SEQUENTIAL
+        raw = read_env(ENV_BACKEND)
+        try:
+            name = SEQUENTIAL if raw is None else normalize_backend_name(raw)
+        except ConfigurationError as err:
+            raise ConfigurationError(
+                f"invalid {ENV_BACKEND}={raw!r}: {err}") from None
     name = normalize_backend_name(name)
     if name == SEQUENTIAL:
         return _SEQUENTIAL_SINGLETON

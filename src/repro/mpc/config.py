@@ -27,13 +27,12 @@ from repro.errors import ConfigurationError, SketchError
 # ---------------------------------------------------------------------------
 # Validated environment readers
 # ---------------------------------------------------------------------------
-# Every ``REPRO_*`` knob in the codebase is read through one of these
-# two functions -- the single place ``os.environ`` is touched (rule
-# RL004 in ``docs/lint-rules.md`` enforces this).  Centralising the
-# reads guarantees the failure mode is uniform: a set-but-garbage value
-# raises :class:`~repro.errors.SketchError` *naming the variable* at
-# read time, on every path, instead of detonating as a bare ValueError
-# (or a silently clamped value) deep inside backend startup.
+# Every ``REPRO_*`` knob is read through one of these two functions,
+# the single place ``os.environ`` is touched.  A set-but-garbage value
+# fails *naming the variable* at read time (``SketchError`` here, a
+# ``ConfigurationError`` for the backend name) instead of deep inside
+# backend startup; ``tests/test_backend.py::TestEnvValidation`` checks
+# that for every knob in ``src/``, and that the quickstart names it.
 
 def read_env(name: str) -> Optional[str]:
     """Raw string value of env knob ``name``; ``None`` when unset.

@@ -10,9 +10,14 @@ share re-raises its own exception only after every share has finished.
 
 from __future__ import annotations
 
+import os
 import pickle
+import re
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +49,7 @@ from repro.mpc.backend import (
 from repro.sketch import (
     FourWiseHash,
     PairwiseHash,
+    RecoveryPool,
     SamplerRandomness,
     SketchFamily,
 )
@@ -326,6 +332,23 @@ class TestOpTableClosure:
             with pytest.raises(ValueError, match="unknown backend op"):
                 _execute_op(op, family.pool.cells, family.randomness, [])
 
+    def test_gquery_recovers_a_coordinate_past_2_53(self):
+        # One row holds weight 2^20 - 3 at idx = 2^40 - 3, so S is near
+        # 2^60: a float64 step between the merge and the decode (the
+        # merged cells, their level prefixes) loses the coordinate.
+        randomness = SamplerRandomness(1 << 40, 1, np.random.default_rng(4))
+        pool = RecoveryPool(1, 1, randomness.levels)
+        idx = np.array([(1 << 40) - 3])
+        pool.apply_points(np.zeros(1, np.int64),
+                          randomness.levels_of_many(idx), idx,
+                          np.array([(1 << 20) - 3]),
+                          randomness.zpow_many(idx))
+        one, zero = np.ones(1, np.int64), np.zeros(1, np.int64)
+        zeros, found = _execute_op("gquery", pool.cells, randomness,
+                                   [one, zero, zero])
+        assert zeros.tolist() == [False]
+        assert found.tolist() == idx.tolist()
+
     def test_both_backends_override_every_routed_method(self):
         wire_op = {"scatter_edges": "apply", "query_groups": "gquery",
                    "zero_groups": "gzero"}
@@ -412,7 +435,50 @@ class TestDeletionHeavyMix:
 # Satellite: env-knob validation at read time
 # ---------------------------------------------------------------------------
 
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Every ``REPRO_*`` knob named by a string constant in ``src/``.
+KNOBS = sorted({name for path in (ROOT / "src").rglob("*.py")
+                for name in re.findall(r"[\"'](REPRO_[A-Z][A-Z0-9_]*)[\"']",
+                                       path.read_text(encoding="utf-8"))})
+assert KNOBS, "no REPRO_* knob found in src/"
+
+#: Reads every knob the way a run does: the kernel knobs when
+#: ``repro.kernels`` is imported, the backend name and worker count
+#: when the factory resolves the default and the parallel backend.
+READ_EVERY_KNOB = ("import repro.kernels\n"
+                   "from repro.mpc.backend import get_backend\n"
+                   "get_backend()\n"
+                   "get_backend('shared_memory')\n")
+
+
 class TestEnvValidation:
+    @pytest.mark.parametrize("knob", KNOBS)
+    def test_knob_is_documented_and_fails_by_name(self, knob):
+        quickstart = (ROOT / "examples" / "quickstart.py").read_text(
+            encoding="utf-8")
+        assert re.search(rf"\b{knob}\b", quickstart), \
+            f"{knob} is read in src/ but not named in examples/quickstart.py"
+        # A fresh interpreter: two of the knobs are read once, at import.
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        for value in ("garbage", ""):
+            proc = subprocess.run(
+                [sys.executable, "-c", READ_EVERY_KNOB],
+                env={**env, knob: value}, capture_output=True, text=True,
+                timeout=60)
+            assert proc.returncode != 0, f"{knob}={value!r} was accepted"
+            assert f"{knob}={value!r}" in proc.stderr, proc.stderr
+
+    @pytest.mark.parametrize("value", ["gpu", ""])
+    def test_garbage_backend_name_names_the_variable(self, monkeypatch,
+                                                     value):
+        monkeypatch.setenv("REPRO_BACKEND", value)
+        with pytest.raises(ConfigurationError,
+                           match=f"REPRO_BACKEND={value!r}"):
+            get_backend()
+
     @pytest.mark.parametrize("value", ["abc", "-1", "", "1.5", "0"])
     def test_garbage_worker_count_raises_sketch_error(
         self, monkeypatch, value

@@ -28,6 +28,7 @@ from repro.sketch import (
     decode_indices,
     query_cells,
 )
+from repro.sketch.edge_coding import row_offset
 from repro.types import dele, ins
 from tests.conftest import ReferenceSampler
 
@@ -165,6 +166,18 @@ class TestDecodeIndicesBulk:
             us, vs = decode_indices(n, idxs)
             for idx, u, v in zip(idxs, us, vs):
                 assert decode_index(n, int(idx)) == (int(u), int(v))
+
+    def test_decode_indices_matches_scalar_at_large_n(self):
+        # The discriminant is near 2^62, so its float64 square root is
+        # only an estimate: the integer walks must land every row
+        # boundary exactly.
+        n = (1 << 30) - 5
+        rows = (0, 1, 2, n // 3, n // 2, n - 3, n - 2)
+        idxs = np.array([row_offset(n, i) + at for i in rows
+                         for at in (0, n - i - 2)], dtype=np.int64)
+        us, vs = decode_indices(n, idxs)
+        assert list(zip(us.tolist(), vs.tolist())) == \
+            [decode_index(n, int(idx)) for idx in idxs]
 
     def test_decode_indices_rejects_out_of_range(self):
         with pytest.raises(ValueError):

@@ -3,13 +3,18 @@ the ``REPRO_KERNELS_CHECK=1`` runtime wrapper.
 
 * ``TestBoundaryParity`` checks the kernels against exact Python
   big-int arithmetic at the adversarial inputs (0, 1, p-2, p-1, the
-  32-bit limb seam, the byte seams of the power windows, a forged boundary fingerprint, an ``S``-only
-  column stack, an empty group, groups reading different columns, sums
-  past float64's 2^53 integer range, two passing levels, 64 repeated
-  scatter targets whose residues wrap past p);
-* ``TestSeededMutations`` applies thirty-seven single-token edits to a
+  32-bit limb seam, the byte seams of the power windows, a forged
+  boundary fingerprint, an ``S``-only column stack, an empty group,
+  groups reading different columns, sums, quotients and residues past
+  float64's 2^53 integer range, limb sums that add up to exactly p,
+  two passing levels, repeated scatter targets whose residues wrap
+  past p, and many groups and cells in an order a set would not keep);
+* ``TestSeededMutations`` applies fifty-nine small edits to a
   throw-away copy of ``numpy_tier.py`` and requires each to fail one of
-  those same checks -- the kill coverage is pinned, not assumed;
+  those same checks -- the kill coverage is pinned, not assumed.  The
+  determinism edits (float64 twins of the exact integer arithmetic,
+  ambient randomness, set order) pin bit-reproducibility: a new
+  reduction, division or float conversion adds its own;
 * the runtime wrapper must accept every in-contract call and raise
   :class:`~repro.errors.SketchError` naming the kernel and argument on
   a dtype or range violation.
@@ -110,8 +115,9 @@ class TestBoundaryParity:
 
     def test_trailing_zeros_bit_positions(self, k):
         xs = _u64([0, 1, 6] + [1 << s for s in (31, 32, 53, 63)])
-        assert k.trailing_zeros_many(xs, 64).tolist() == \
-            [64, 0, 1, 31, 32, 53, 63]
+        got = k.trailing_zeros_many(xs, 64)
+        assert got.dtype == np.int64
+        assert got.tolist() == [64, 0, 1, 31, 32, 53, 63]
         assert k.trailing_zeros_many(xs, 17).tolist() == \
             [17, 0, 1, 17, 17, 17, 17]
 
@@ -141,6 +147,23 @@ class TestBoundaryParity:
         assert k.decode_prefix(prefix, 1000, z).tolist() == \
             list(range(10, 10 + cols))
 
+    def test_decode_prefix_is_exact_past_2_53(self, k):
+        # W * idx is about 2^60, so S, S / W, W mod p and the range test
+        # all leave float64's integer range.  Columns 0 and 1 carry
+        # W = +-(2^20 - 3) at idx = 2^40 - 3; column 2 has W = 1 and
+        # idx = 2^60 - 1, the largest index below max_index = 2^60;
+        # column 3 is column 0 with an S that W does not divide.
+        z, w, idx, big = 123456789, (1 << 20) - 3, (1 << 40) - 3, 1 << 60
+        columns = ((w, idx), (-w, idx), (1, big - 1), (w, idx))
+        prefix = np.zeros((4, len(columns), 1), dtype=np.int64)
+        for col, (weight, at) in enumerate(columns):
+            f = weight * pow(z, at, P) % P
+            prefix[:, col, 0] = (weight, weight * at, f & ((1 << 32) - 1),
+                                 f >> 32)
+        prefix[1, 3, 0] += 1
+        assert k.decode_prefix(prefix, big, z).tolist() == \
+            [idx, idx, big - 1, -1]
+
     def test_is_zero_cells_sees_nonzero_s(self, k):
         # W == 0 and F == 0 with S != 0 is not the zero vector.
         cells = np.zeros((2, 4, 4), dtype=np.int64)
@@ -153,6 +176,16 @@ class TestBoundaryParity:
         cells = np.zeros((1, 4, 3), dtype=np.int64)
         cells[0, 0, :2] = (2 ** 53 + 1, -2 ** 53)
         assert k.is_zero_cells(cells).tolist() == [False]
+
+    def test_is_zero_cells_folds_limb_sums_exactly(self, k):
+        # Merging both endpoint rows of an edge cancels W and S, and
+        # the limb sums of z^idx and p - z^idx add up to exactly p:
+        # (2^32 - 1) + 2^32 * (2^29 - 1).  Past 2^53 a float64 fold
+        # reads p as 2^61, i.e. 1 mod p.
+        cells = np.zeros((2, 4, 3), dtype=np.int64)
+        cells[:, 2:, 1] = ((1 << 32) - 1, (1 << 29) - 1)
+        cells[1, 2, 2] = 1
+        assert k.is_zero_cells(cells).tolist() == [True, False]
 
     def test_pool_scatter_sums_repeats_mod_p(self, k):
         # 64 updates with z^idx = p - 1 and deltas +-1, +-2^20 all land
@@ -180,6 +213,52 @@ class TestBoundaryParity:
                 (P - 1 + sum(deltas) * zpow) % P)
         assert np.array_equal(cells, want)
 
+    def test_pool_scatter_sums_are_exact_past_2_53(self, k):
+        # Level 0 takes 3 updates of delta 2^20 - 1 at idx near 2^40, so
+        # each Sd term is near 2^60; level 1 takes 64 of them with
+        # z^idx near p, so the per-cell limb sums of delta * z^idx reach
+        # 2^58 (lo) and 2^55 (hi).  Every sum is exact in int64 only.
+        # Level 2 takes one update that leaves Fd = p - 1, which
+        # float64 cannot tell from p.
+        delta = (1 << 20) - 1
+        parts = ([(1 << 40) - 1 - 2 * i for i in range(3)],
+                 list(range(64)), [0])
+        idxs = [i for part in parts for i in part]
+        levels = [lv for lv, part in enumerate(parts) for _ in part]
+        deltas = [delta] * (len(idxs) - 1) + [1]
+        zpows = [P - 1 - i for i in range(len(idxs) - 1)] + [P - 1]
+        flat = np.zeros(3 * 3, dtype=np.int64)
+        k.pool_scatter(flat, 1, 3, _i64([0] * len(idxs)),
+                       _i64(levels).reshape(-1, 1), _i64(idxs),
+                       _i64(deltas), _i64(zpows))
+        want = [[0, 0, 0] for _ in parts]
+        for lv, i, d, zp in zip(levels, idxs, deltas, zpows):
+            want[lv] = [want[lv][0] + d, want[lv][1] + d * i,
+                        (want[lv][2] + d * zp) % P]
+        assert flat.reshape(3, 3).T.tolist() == want
+
+    def test_pool_scatter_matches_big_ints_on_many_cells(self, k):
+        # 300 in-contract updates spread over 2 rows x 3 columns x 5
+        # levels: many segments, in an order a set would not keep.
+        rng = np.random.default_rng(45)
+        count, columns, levels, e = 2, 3, 5, 300
+        slots = rng.integers(0, count, e)
+        col_levels = rng.integers(0, levels, (e, columns))
+        idxs = rng.integers(0, 1 << 34, e)
+        deltas = rng.integers(-(1 << 20), (1 << 20) + 1, e)
+        zpows = rng.integers(0, P, e)
+        flat = np.zeros(count * 3 * columns * levels, dtype=np.int64)
+        k.pool_scatter(flat, columns, levels, slots, col_levels, idxs,
+                       deltas, zpows)
+        want = np.zeros((count, 3, columns, levels), dtype=object)
+        for i in range(e):
+            for col in range(columns):
+                cell = want[slots[i], :, col, col_levels[i, col]]
+                cell += [int(deltas[i]), int(deltas[i]) * int(idxs[i]),
+                         int(deltas[i]) * int(zpows[i])]
+        want[:, 2] %= P
+        assert flat.tolist() == want.ravel().tolist()
+
     def test_merge_groups_with_empty_group(self, k):
         # The live groups read different columns, and the empty group
         # sits between them; every Fd residue is split into its 32-bit
@@ -200,13 +279,43 @@ class TestBoundaryParity:
         assert got.tolist() == [merged([0, 2], 2), [[0] * 4] * 4,
                                 merged([4, 1, 3], 0)]
 
+    def test_merge_groups_matches_big_ints_on_many_groups(self, k):
+        # 30 groups of 0 to 20 members, each reading its own column;
+        # the live groups' offsets are not in the order a set keeps.
+        rng = np.random.default_rng(46)
+        count, columns, levels = 7, 3, 4
+        cells = rng.integers(-1 << 40, 1 << 40,
+                             (count, 3, columns, levels))
+        cells[:, 2] = rng.integers(0, P, (count, columns, levels))
+        glens = rng.integers(0, 21, 30)
+        members = rng.integers(0, count, int(glens.sum()))
+        cols = rng.integers(0, columns, 30)
+        got = k.merge_groups(cells, members, glens, cols)
+        want, at = [], 0
+        for size, col in zip(glens.tolist(), cols.tolist()):
+            rows = members[at:at + size].tolist()
+            at += size
+            w, s, f = (cells[rows, q, col].tolist() for q in range(3))
+            want.append([[sum(v[lv] for v in w) for lv in range(levels)],
+                         [sum(v[lv] for v in s) for lv in range(levels)],
+                         [sum(v[lv] & 0xFFFFFFFF for v in f)
+                          for lv in range(levels)],
+                         [sum(v[lv] >> 32 for v in f)
+                          for lv in range(levels)]])
+        assert got.tolist() == want
+
     def test_merge_groups_sum_is_exact_past_2_53(self, k):
-        cells = np.zeros((2, 3, 2, 3), dtype=np.int64)
+        # Group 0 sums inputs past 2^53 to 1; group 1 sums row 2 twice,
+        # so its merged S is 2^60 + 2, which float64 rounds to 2^60.
+        cells = np.zeros((3, 3, 2, 3), dtype=np.int64)
         cells[0, :2], cells[1, :2] = 2 ** 53 + 1, -2 ** 53
-        got = k.merge_groups(cells, _i64((0, 1)), _i64((2,)), _i64((1,)))
+        cells[2, 1] = 2 ** 59 + 1
+        got = k.merge_groups(cells, _i64((0, 1, 2, 2)), _i64((2, 2)),
+                             _i64((1, 0)))
         assert got.dtype == np.int64
-        want = np.zeros((1, 4, 3), dtype=np.int64)
+        want = np.zeros((2, 4, 3), dtype=np.int64)
         want[0, :2] = 1
+        want[1, 1] = 2 ** 60 + 2
         assert np.array_equal(got, want)
 
 
@@ -285,13 +394,82 @@ MUTATIONS = [
      "np.add.reduceat(fd,"),
     ("is_zero_reduces_over_rows", "    return zero\n",
      "    return zero.all(axis=-1)\n"),
-    # The three determinism mutants only lint rule RL010 used to see.
+    # Determinism: every reduction, division and float conversion has
+    # an entry whose float64 twin its golden check must kill, and so
+    # does every ambient-RNG or set-order edit that changes an answer.
+    # Not listed, because equivalent: a float64 ``>= p`` test before
+    # combine_limbs' final ``% p`` (that ``% p`` reduces whatever the
+    # test did); ``frexp`` of float32 (powers of two up to 2^63 are
+    # exact there too); offsets ``cumsum`` in float64 (they are bounded
+    # by ``len(members)``); a random tie-break of the scatter sort or a
+    # random / clock-driven eviction of the power-table cache (int64
+    # sums do not depend on their order; a table is a pure function of
+    # its base).
     ("merge_accumulates_in_float64", "np.add.reduceat(gathered[:, :2],",
      "np.add.reduceat(gathered[:, :2].astype(np.float64),"),
     ("is_zero_level_sum_in_float64", "sums = cells.sum(axis=-1)",
      "sums = cells.sum(axis=-1, dtype=np.float64).astype(np.int64)"),
     ("decode_random_passing_level", "first = np.argmax(ok, axis=1)",
      "first = np.argmax(ok * np.random.random(ok.shape), axis=1)"),
+    ("scatter_lo_limb_sum_in_float64",
+     "lo = np.add.reduceat((deltas * (zpows & _IMASK32))[entry], starts)",
+     "lo = np.add.reduceat((deltas * (zpows & _IMASK32))[entry]"
+     ".astype(np.float64), starts).astype(np.int64)"),
+    ("scatter_hi_limb_sum_in_float64",
+     "hi = np.add.reduceat((deltas * (zpows >> 32))[entry], starts)",
+     "hi = np.add.reduceat((deltas * (zpows >> 32))[entry]"
+     ".astype(np.float64), starts).astype(np.int64)"),
+    ("scatter_weights_in_float64", "np.repeat(deltas * idxs, columns)))",
+     "np.repeat(deltas * idxs, columns))).astype(np.float64)"),
+    ("scatter_final_fold_test_in_float64",
+     "np.where(f >= MERSENNE_P, f - MERSENNE_P, f)",
+     "np.where(f.astype(np.float64) >= MERSENNE_P, f - MERSENNE_P, f)"),
+    ("scatter_segment_starts_through_set", "starts = np.flatnonzero(first)",
+     "starts = np.array(list(set(np.flatnonzero(first).tolist())), "
+     "dtype=np.int64)"),
+    ("decode_index_float_division", "idx = S // safe_w",
+     "idx = (S / safe_w).astype(np.int64)"),
+    ("decode_index_float_floor_division", "idx = S // safe_w",
+     "idx = (S.astype(np.float64) // safe_w).astype(np.int64)"),
+    ("decode_divisibility_in_float64",
+     "divisible = nonzero & (S % safe_w == 0)",
+     "divisible = nonzero & (S.astype(np.float64) % safe_w == 0)"),
+    ("decode_range_test_in_float64", "(idx < max_index)",
+     "(idx.astype(np.float64) < max_index)"),
+    ("decode_weight_residue_in_float64",
+     "wm = (W[candidate] % MERSENNE_P).astype(np.uint64)",
+     "wm = (W[candidate].astype(np.float64) % MERSENNE_P)"
+     ".astype(np.uint64)"),
+    ("merge_lo_limb_sum_in_float64",
+     "np.add.reduceat(fd & _IMASK32, starts, axis=0)",
+     "np.add.reduceat((fd & _IMASK32).astype(np.float64), starts, axis=0)"),
+    ("merge_hi_limb_sum_in_float64",
+     "np.add.reduceat(fd >> 32, starts, axis=0)",
+     "np.add.reduceat((fd >> 32).astype(np.float64), starts, axis=0)"),
+    ("merge_limb_split_in_float64", "fd = gathered[:, 2]",
+     "fd = gathered[:, 2].astype(np.float64).astype(np.int64)"),
+    ("merge_live_starts_through_set", "starts = starts[live]",
+     "starts = np.array(list(set(starts[live].tolist())), dtype=np.int64)"),
+    ("is_zero_limb_fold_in_float64",
+     "zero &= combine_limbs(sums[:, 2], sums[:, 3]) == 0",
+     "zero &= (sums[:, 2] + 2.0 ** 32 * sums[:, 3]) % MERSENNE_P == 0"),
+    ("combine_lo_residue_in_float64", "lo_m = lo % MERSENNE_P",
+     "lo_m = (lo.astype(np.float64) % MERSENNE_P).astype(np.int64)"),
+    ("mulmod_high_product_in_float64", "hh = a_hi * b_hi",
+     "hh = (a_hi.astype(np.float64) * b_hi).astype(np.uint64)"),
+    ("mulmod_final_fold_test_in_float64",
+     "return np.where(acc >= _P_U64, acc - _P_U64, acc)",
+     "return np.where(acc.astype(np.float64) >= MERSENNE_P, "
+     "acc - _P_U64, acc)"),
+    ("addmod_sum_in_float64", "s = a + b",
+     "s = (a.astype(np.float64) + b).astype(np.uint64)"),
+    ("powmod_result_through_float64", "return out.astype(np.int64)",
+     "return out.astype(np.float64).astype(np.int64)"),
+    ("powmod_table_row_in_python_float",
+     "row.append(row[-1] * step % MERSENNE_P)",
+     "row.append(int(float(row[-1]) * step % MERSENNE_P))"),
+    ("trailing_zeros_returns_float64", "tz = exponent.astype(np.int64) - 1",
+     "tz = exponent.astype(np.float64) - 1"),
 ]
 
 
@@ -369,6 +547,12 @@ class TestRuntimeContractChecks:
             powmod(_u64((1, 2)), -1)  # z declared pyint[0, 2^62]
         assert "powmod_many" in str(err.value)
         assert "'z'" in str(err.value)
+
+    def test_scalar_bound_is_exact_past_2_53(self):
+        # 2^62 + 1 reads as 2^62, the bound itself, in float64.
+        powmod = self._checked("powmod_many")
+        with pytest.raises(SketchError, match="'z'"):
+            powmod(_u64((1, 2)), (1 << 62) + 1)
 
     def test_violating_return_is_reported(self):
         # A stand-in bound under mulmod_many's residue contract but

@@ -48,6 +48,17 @@ class TestBasics:
         assert mm.matching_size() == 2
         mm.check_maximal()
 
+    def test_rematch_takes_exposed_vertices_in_sorted_order(self):
+        # Deleting the matched edge (3, 9) exposes both ends, and both
+        # want the free vertex 5.  Sorted order gives it to 3; a set of
+        # {3, 9} iterates 9 first.
+        mm = BatchDynamicMaximalMatching()
+        mm.apply_batch(inserts=[(3, 9)], deletes=[])
+        mm.apply_batch(inserts=[(3, 5), (9, 5)], deletes=[])
+        mm.apply_batch(inserts=[], deletes=[(3, 9)])
+        assert mm.matching().edges == [(3, 5)]
+        mm.check_maximal()
+
     def test_duplicate_and_phantom_updates_ignored(self):
         mm = BatchDynamicMaximalMatching()
         mm.apply_batch(inserts=[(0, 1), (0, 1)], deletes=[(5, 6)])
