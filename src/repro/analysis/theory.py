@@ -90,16 +90,11 @@ def approx_msf_memory(n: int,
     )}
 
 
-def bipartiteness_memory(n: int, base_forest_edges: int,
-                         cover_forest_edges: int) -> Dict[str, int]:
-    """Theorem 7.3: connectivity on G plus on its 2n-vertex double
-    cover."""
-    return {
-        "base-instance":
-            sum(connectivity_memory(n, base_forest_edges).values()),
-        "cover-instance":
-            sum(connectivity_memory(2 * n, cover_forest_edges).values()),
-    }
+def bipartiteness_memory(n: int, cover_forest_edges: int) -> Dict[str, int]:
+    """Theorem 7.3: connectivity on the 2n-vertex double cover of G,
+    which alone answers both bipartiteness and cc(G)."""
+    return {"cover-instance":
+            sum(connectivity_memory(2 * n, cover_forest_edges).values())}
 
 
 def greedy_matching_memory(matching_size: int) -> Dict[str, int]:
@@ -170,8 +165,7 @@ def derived_memory(alg) -> Dict[str, int]:
         return approx_msf_memory(
             n, [n - level.num_components() for level in alg.levels])
     if alg.name == "bipartiteness":
-        return bipartiteness_memory(n, n - alg.base.num_components(),
-                                    2 * n - alg.cover.num_components())
+        return bipartiteness_memory(n, 2 * n - alg.cover.num_components())
     if alg.name == "matching-greedy":
         return greedy_matching_memory(alg.matching_size())
     if alg.name == "matching-akly":

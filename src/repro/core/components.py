@@ -28,6 +28,13 @@ class ComponentIds:
     def same(self, u: int, v: int) -> bool:
         return self._ids[u] == self._ids[v]
 
+    @property
+    def ids(self) -> np.ndarray:
+        """``C`` itself, as a read-only view (no copy)."""
+        view = self._ids.view()
+        view.flags.writeable = False
+        return view
+
     def relabel_min(self, vertices: Sequence[int]) -> int:
         """Set a component's id to its minimum member (paper convention);
         returns the id.  ``vertices`` is a sequence or an int64 array

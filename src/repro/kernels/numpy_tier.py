@@ -210,9 +210,7 @@ def combine_limbs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     top = hi_m >> 29
     bot = hi_m & _IMASK29
     shifted = top + (bot << 32)                        # < 2^62
-    shifted = (shifted & MERSENNE_P) + (shifted >> 61)
-    shifted = np.where(shifted >= MERSENNE_P, shifted - MERSENNE_P,
-                       shifted)
+    shifted = (shifted & MERSENNE_P) + (shifted >> 61)  # < p
     return (lo_m + shifted) % MERSENNE_P
 
 

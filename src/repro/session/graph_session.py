@@ -86,8 +86,9 @@ from repro.types import Batch, Edge, ForestSolution, MatchingSolution, Update, i
 #: Euler-tour forest holds int64 slot, vertex and per-tour arrays; 4: the
 #: matching sparsifiers' per-pair samplers are rows of one pool; 5: clusters
 #: and sketch families pickle their execution backend by name; 6: a cluster
-#: holds no machine objects and phases no per-machine words).
-CHECKPOINT_FORMAT = 6
+#: holds no machine objects and phases no per-machine words; 7: bipartiteness
+#: holds its double cover and odd-component count, no instance on G).
+CHECKPOINT_FORMAT = 7
 
 #: Anything `ingest` coerces into an :class:`Update`.
 UpdateLike = Union[Update, tuple]

@@ -562,7 +562,7 @@ class TestAlgorithmParity:
 
     def test_cluster_instance_picks_the_executor(self, shared_backend):
         # An algorithm runs on its cluster's backend; nested instances
-        # (bipartiteness's two connectivity runs) share it.
+        # (bipartiteness's double cover) share it.
         n = 24
         a = MPCConnectivity(_seq_config(n))
         b = MPCConnectivity(MPCConfig(n=n, seed=7), cluster=Cluster(

@@ -61,8 +61,8 @@ LEDGER = {
         "preload": {"preload": 54, "tour-update": 9},
     },
     "bipartiteness": {
-        "insert": {"parallel-instances": 28},
-        "delete": {"parallel-instances": 43},
+        "insert": {"double-cover": 28},
+        "delete": {"double-cover": 43},
     },
     "matching": {
         "insert": {"batch": 9, "sparsifier": 2, "maximal-matching": 2},

@@ -87,7 +87,13 @@ class TestBoundaryParity:
 
     def test_combine_limbs_boundary(self, k):
         halves = (0, 1, (1 << 32) - 2, (1 << 32) - 1)
-        pairs = list(itertools.product(halves, halves))
+        # The fold's extremes: ``hi`` with both sub-limbs (29 low, 32
+        # high bits) all ones, which is p, each sub-limb alone, p - 1
+        # and -1, and the ends of the int64 contract, for both limbs.
+        folds = (P, (1 << 29) - 1, ((1 << 32) - 1) << 29, P - 1, -1,
+                 -(1 << 63), (1 << 63) - 1)
+        pairs = (list(itertools.product(halves, halves))
+                 + list(itertools.product(halves + folds, folds)))
         got = k.combine_limbs(_i64(x for x, _ in pairs),
                               _i64(y for _, y in pairs))
         assert got.dtype == np.int64
@@ -397,9 +403,8 @@ MUTATIONS = [
     # Determinism: every reduction, division and float conversion has
     # an entry whose float64 twin its golden check must kill, and so
     # does every ambient-RNG or set-order edit that changes an answer.
-    # Not listed, because equivalent: a float64 ``>= p`` test before
-    # combine_limbs' final ``% p`` (that ``% p`` reduces whatever the
-    # test did); ``frexp`` of float32 (powers of two up to 2^63 are
+    # Not listed, because equivalent: ``frexp`` of float32 (powers of
+    # two up to 2^63 are
     # exact there too); offsets ``cumsum`` in float64 (they are bounded
     # by ``len(members)``); a random tie-break of the scatter sort or a
     # random / clock-driven eviction of the power-table cache (int64

@@ -601,7 +601,8 @@ class TestCheckpointRestore:
 
     @pytest.mark.parametrize(
         "damage", ["truncated", "garbage", "non-dict", "format-1",
-                   "format-2", "format-3", "format-4", "format-5"])
+                   "format-2", "format-3", "format-4", "format-5",
+                   "format-6"])
     def test_unreadable_checkpoint_fails_by_name(self, tmp_path,
                                                  monkeypatch, damage):
         path = os.fspath(tmp_path / "damaged.ckpt")
@@ -642,9 +643,17 @@ class TestCheckpointRestore:
                                 _FORMAT5_MACHINE_MODULE)
             monkeypatch.setattr(Cluster, "__getstate__",
                                 _format5_cluster_state, raising=False)
+        if damage == "format-6":
+            # Format 6 kept a connectivity instance on G beside the
+            # double cover, and no odd-component count.
+            monkeypatch.setattr(graph_session, "CHECKPOINT_FORMAT", 6)
+            monkeypatch.setattr(DynamicBipartiteness, "__getstate__",
+                                _format6_bipartiteness_state, raising=False)
         tasks = ("connectivity",)
         if damage == "format-3":
             tasks += ("matching",)
+        if damage == "format-6":
+            tasks += ("bipartiteness",)
         session = GraphSession(N, tasks=tasks, config=_config("sequential"))
         session.ingest(_insert_stream(), batch_size=8)
         session.checkpoint(path)
@@ -657,7 +666,7 @@ class TestCheckpointRestore:
                 "non-dict": pickle.dumps([1, 2, 3]),
                 "format-1": data, "format-2": data,
                 "format-3": data, "format-4": data,
-                "format-5": data}[damage]
+                "format-5": data, "format-6": data}[damage]
         with open(path, "wb") as fh:
             fh.write(data)
         with pytest.raises(ConfigurationError, match=re.escape(path)) as err:
@@ -731,6 +740,17 @@ def _format5_cluster_state(cluster):
     state = dict(cluster.__dict__)
     state["machines"] = [_Format5Machine(i, cluster.local_memory)
                          for i in range(state.pop("num_machines"))]
+    return state
+
+
+def _format6_bipartiteness_state(alg):
+    """Bipartiteness as format 6 pickled it: an instance on G beside
+    the double cover, no odd-component count."""
+    state = dict(alg.__dict__)
+    del state["odd_components"]
+    state["base"] = MPCConnectivity(
+        alg.config, track_edges=False,
+        cluster=Cluster(alg.config, backend=alg.cluster.backend))
     return state
 
 
