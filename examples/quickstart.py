@@ -28,24 +28,17 @@ work can execute on two backends (see :mod:`repro.mpc.backend`):
   ``bench/run.py``'s ``conn_churn_fleet`` against ``conn_churn``
   tracks it).
 
-Select it per session::
+The executor is chosen in one place, when the session is built::
 
     GraphSession(n, tasks=..., backend="shared_memory",
                  backend_workers=4)
 
-or globally via the environment (how CI runs the whole tier-1 suite on
-the parallel backend)::
-
-    REPRO_BACKEND=shared_memory REPRO_BACKEND_WORKERS=2 python ...
-
-Two ``REPRO_BACKEND*`` knobs exist, both validated at read time -- a
-garbage value raises a clear error naming the variable instead of
-failing deep inside backend startup:
-
-* ``REPRO_BACKEND`` -- backend name (``sequential`` / ``shared_memory``
-  / ``shm``); an unknown or empty name raises ``ConfigurationError``.
-* ``REPRO_BACKEND_WORKERS`` -- worker-thread count, an integer >= 1;
-  anything else (``abc``, ``-1``, ``""``) raises ``SketchError``.
+``backend`` is one of the two names above (anything else raises
+``ConfigurationError`` naming it) or an ``ExecutionBackend`` instance;
+``backend_workers`` defaults to ``min(4, cpus)``.  The session owns
+that backend: ``close()`` joins its threads, and a restored checkpoint
+gets a fresh one of the same kind and size.  No environment variable
+chooses it.
 
 A share that raises surfaces its own exception once every share of the
 call has finished, so no thread is still writing when the caller sees
@@ -56,8 +49,9 @@ Kernel knobs
 The sketch inner loops (field arithmetic, scatter, decode, group
 merge) are numpy kernels in :mod:`repro.kernels` -- see
 ``docs/kernels.md`` for the profiling hooks, the contract checks, and
-how to add a kernel.  Two knobs wrap them, read at import and
-validated like the backend knobs:
+how to add a kernel.  Two knobs wrap them -- the only ``REPRO_*``
+environment variables -- read at import and validated there: a garbage
+value raises a ``SketchError`` naming the variable.
 
 * ``REPRO_KERNELS_PROFILE`` -- set to ``1`` to wrap every kernel and
   the backend's dispatch sections in nanosecond accumulators,

@@ -18,7 +18,8 @@ Without the session each team would stand up its own cluster,
 execution backend, and stream validator, and re-validate/re-route every
 batch.  With it: one ``GraphSession``, one shared substrate, one
 ``ingest`` call per tick -- and a mid-stream ``checkpoint`` the service
-can restore from (on any execution backend) after a restart.
+can restore from after a restart, onto a fresh executor of the kind it
+was written with.
 """
 
 import os

@@ -130,9 +130,7 @@ class BatchDynamicAlgorithm:
     constructed instance into session mode -- shared cluster, shared
     validator, per-task memory namespacing -- after which validation
     and the route-updates charge happen once per *session* phase
-    instead of once per algorithm.  :meth:`_members` /
-    :meth:`_sketch_families` expose nested instances and sketch
-    families so checkpoint restore can point them at another backend.
+    instead of once per algorithm.
     """
 
     #: Human-readable algorithm name for table rows.
@@ -219,18 +217,6 @@ class BatchDynamicAlgorithm:
         key = self._memory_ns + name
         self._registered.add(key)
         self.cluster.metrics.register_memory(key, words)
-
-    def _members(self) -> "List[BatchDynamicAlgorithm]":
-        """Nested batch-dynamic instances running on their own private
-        clusters (e.g. bipartiteness's double cover, approximate MSF's
-        weight levels).  Checkpoint restore walks these to point every
-        cluster at the chosen backend."""
-        return []
-
-    def _sketch_families(self) -> list:
-        """The sketch families this instance owns directly (not through
-        :meth:`_members`); restore points each at the chosen backend."""
-        return []
 
     # -- subclass hooks -------------------------------------------------
     def _process_batch(self, inserts: List[Update],

@@ -82,6 +82,3 @@ class DynamicBipartiteness(BatchDynamicAlgorithm):
 
     def _register_memory(self) -> None:
         self._register("cover-instance", self.cover.total_memory_words())
-
-    def _members(self) -> List[BatchDynamicAlgorithm]:
-        return [self.cover]

@@ -373,6 +373,3 @@ class MPCConnectivity(BatchDynamicAlgorithm):
         self._register("sketches", self.n * self.family.words_per_vertex)
         self._register("forest", self.forest.words)
         self._register("component-ids", self.components.words)
-
-    def _sketch_families(self) -> list:
-        return [self.family]

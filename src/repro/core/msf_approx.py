@@ -145,6 +145,3 @@ class ApproxMSF(BatchDynamicAlgorithm):
     def _register_memory(self) -> None:
         total = sum(lvl.total_memory_words() for lvl in self.levels)
         self._register("level-instances", total)
-
-    def _members(self) -> List[BatchDynamicAlgorithm]:
-        return list(self.levels)

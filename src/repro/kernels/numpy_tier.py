@@ -209,8 +209,9 @@ def combine_limbs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     # (hi_m << 32) mod p: split hi_m = top*2^29 + bot, use 2^61 === 1.
     top = hi_m >> 29
     bot = hi_m & _IMASK29
-    shifted = top + (bot << 32)                        # < 2^62
-    shifted = (shifted & MERSENNE_P) + (shifted >> 61)  # < p
+    # top + bot * 2^32 <= (2^32 - 1) + (2^29 - 1) * 2^32 = 2^61 - 1 = p,
+    # with equality only at hi_m = p, which hi % p never gives: < p.
+    shifted = top + (bot << 32)
     return (lo_m + shifted) % MERSENNE_P
 
 

@@ -16,8 +16,6 @@ from repro.mpc.backend import (
     ExecutionBackend,
     SequentialBackend,
     SharedMemoryBackend,
-    get_backend,
-    resolve_backend,
 )
 from repro.mpc.config import MPCConfig, polylog, small_test_config
 from repro.mpc.metrics import ClusterMetrics, PhaseMetrics
@@ -28,8 +26,6 @@ __all__ = [
     "ExecutionBackend",
     "SequentialBackend",
     "SharedMemoryBackend",
-    "get_backend",
-    "resolve_backend",
     "MPCConfig",
     "polylog",
     "small_test_config",

@@ -33,20 +33,18 @@ it.  Pick by workload, not by correctness:
   ``min(4, cpus)`` threads by default; numpy releases the GIL inside
   the kernels, so large batches on many cores can overlap.
 
-Select it per run with ``MPCConfig(backend="shared_memory",
-backend_workers=4)`` (what ``GraphSession(backend=..., backend_workers=...)``
-fills in), by handing a ``Cluster`` an instance
-(``Cluster(config, backend=SharedMemoryBackend(4))``), or globally with
-the environment variables ``REPRO_BACKEND`` / ``REPRO_BACKEND_WORKERS``
-(how CI runs the tier-1 suite against the parallel backend).  A set
-but unknown or empty ``REPRO_BACKEND`` raises a ``ConfigurationError``,
-and a garbage ``REPRO_BACKEND_WORKERS`` a ``SketchError``, each naming
-the variable at read time.
+The executor is chosen once, where the work starts:
+``GraphSession(backend=..., backend_workers=...)`` or
+``Cluster(config, backend=...)`` take one of the two names or an
+instance, and :func:`open_backend` turns it into a live backend.
+Nested clusters and sketch families receive that instance; whoever
+created it owns it, and ``close()`` closes it.
 
 A backend is a plain object its holders reference directly: the routed
 calls take the pool itself, so nothing is registered, and a pickled
-backend is its name and worker count (unpickling asks
-:func:`get_backend` for the live one), so checkpoints carry no threads.
+backend is its class and worker count, so a checkpoint carries no
+threads and unpickling builds one fresh backend that every cluster and
+family of the restored session shares.
 
 Failure model: a share that raises re-raises its exception unchanged
 in the caller, but only after every share of the call has finished, so
@@ -63,21 +61,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, SketchError
-from repro.mpc.config import check_count, env_int, read_env
+from repro.mpc.config import check_count
 from repro.mpc.partition import VertexPartition
-
-#: Environment knobs: backend name and worker count used when a config /
-#: constructor leaves the backend unspecified.
-ENV_BACKEND = "REPRO_BACKEND"
-ENV_WORKERS = "REPRO_BACKEND_WORKERS"
 
 SEQUENTIAL = "sequential"
 SHARED_MEMORY = "shared_memory"
-_ALIASES = {
-    "sequential": SEQUENTIAL,
-    "shared_memory": SHARED_MEMORY,  # hyphens normalize to underscores
-    "shm": SHARED_MEMORY,
-}
 
 
 def available_cpus() -> int:
@@ -86,14 +74,6 @@ def available_cpus() -> int:
         return max(1, len(os.sched_getaffinity(0)))
     except AttributeError:  # non-Linux
         return max(1, os.cpu_count() or 1)
-
-
-def default_worker_count() -> int:
-    """Worker count when unspecified: env override, else ``min(4, cpus)``."""
-    env = env_int(ENV_WORKERS, minimum=1)
-    if env is not None:
-        return env
-    return max(1, min(4, available_cpus()))
 
 
 class ExecutionBackend:
@@ -124,21 +104,14 @@ class ExecutionBackend:
 
     name: str = "abstract"
     num_workers: int = 1
-    #: True for instances handed out by the process-wide factory cache
-    #: (:func:`get_backend`): many clusters/sessions share them, so
-    #: owner-style teardown (``Cluster.close``, ``GraphSession.close``)
-    #: leaves them running by default.  Privately constructed instances
-    #: stay False and are closed deterministically by their owner.
-    cached: bool = False
 
     def __init__(self) -> None:
         self.last_split: Dict[int, int] = {}
 
     def __reduce__(self):
-        """Pickle as ``(name, workers)``: threads are process-local, so
-        a checkpoint names the backend and unpickling asks the factory
-        for the live one."""
-        return get_backend, (self.name, self.num_workers)
+        """Pickle as the class and its constructor arguments: threads
+        are process-local, so unpickling builds a fresh backend."""
+        return type(self), ()
 
     # -- routed work ----------------------------------------------------
     def scatter_edges(self, pool, randomness, hi: np.ndarray,
@@ -285,15 +258,16 @@ class SharedMemoryBackend(ExecutionBackend):
 
     Every routed call is split into at most ``num_workers`` shares that
     run through :func:`_execute_op` on one thread pool; the call returns
-    once every share has finished.  The name (and its ``shm`` alias)
-    predates threads: the workers share the parent's memory.
+    once every share has finished.  The name predates threads: the
+    workers share the parent's memory.  ``num_workers`` defaults to
+    ``min(4, cpus)``.
     """
 
     name = SHARED_MEMORY
 
     def __init__(self, num_workers: Optional[int] = None):
         super().__init__()
-        self.num_workers = (default_worker_count() if num_workers is None
+        self.num_workers = (min(4, available_cpus()) if num_workers is None
                             else check_count("num_workers", num_workers))
         # The frozen bench/worker.py reads these two counters: shares
         # handed to the threads, and pickled-pipe dispatches (none).
@@ -307,6 +281,9 @@ class SharedMemoryBackend(ExecutionBackend):
         # shared no-op unless REPRO_KERNELS_PROFILE enabled it.
         from repro.kernels import profile as _kernel_profile
         self._profile = _kernel_profile
+
+    def __reduce__(self):
+        return type(self), (self.num_workers,)
 
     @property
     def usable(self) -> bool:
@@ -434,75 +411,34 @@ class SharedMemoryBackend(ExecutionBackend):
 
 
 # ---------------------------------------------------------------------------
-# Factory / registry
+# Choosing the executor
 # ---------------------------------------------------------------------------
 
-_SEQUENTIAL_SINGLETON = SequentialBackend()
-_SEQUENTIAL_SINGLETON.cached = True
-_SHARED_CACHE: Dict[int, SharedMemoryBackend] = {}
+def open_backend(spec=None, workers: Optional[int] = None) -> ExecutionBackend:
+    """A live backend for ``spec``: a backend name, an instance, or
+    ``None`` for ``sequential``.
 
-
-def normalize_backend_name(name: str) -> str:
-    """Canonical backend name; raises ConfigurationError if unknown."""
-    if not isinstance(name, str):
-        raise ConfigurationError(
-            f"backend must be a name or an ExecutionBackend, got {name!r}")
-    key = name.strip().lower().replace("-", "_")
-    key = _ALIASES.get(key)
-    if key is None:
-        raise ConfigurationError(
-            f"unknown execution backend {name!r}; expected one of "
-            f"{sorted(set(_ALIASES))}"
-        )
-    return key
-
-
-def get_backend(name: Optional[str] = None,
-                workers: Optional[int] = None) -> ExecutionBackend:
-    """The process-wide backend for ``name`` (env default: sequential).
-
-    Thread backends are cached per worker count so every cluster,
-    family, and test in a process shares one thread pool instead of
-    starting its own.
+    A name builds a fresh backend, which the caller owns; ``workers``
+    sizes a ``shared_memory`` one.  An instance passes through, unless
+    it is closed (:class:`~repro.errors.SketchError`, so a dead backend
+    fails where it is handed over, not at the first batch) or
+    ``workers`` contradicts its worker count (``ConfigurationError``).
     """
-    if name is None:
-        raw = read_env(ENV_BACKEND)
-        try:
-            name = SEQUENTIAL if raw is None else normalize_backend_name(raw)
-        except ConfigurationError as err:
+    if workers is not None:
+        workers = check_count("backend_workers", workers)
+    if isinstance(spec, ExecutionBackend):
+        if not spec.usable:
+            raise SketchError(
+                f"execution backend {spec.describe()} is closed")
+        if workers is not None and workers != spec.num_workers:
             raise ConfigurationError(
-                f"invalid {ENV_BACKEND}={raw!r}: {err}") from None
-    name = normalize_backend_name(name)
-    if name == SEQUENTIAL:
-        return _SEQUENTIAL_SINGLETON
-    count = workers if workers is not None else default_worker_count()
-    backend = _SHARED_CACHE.get(count)
-    if backend is None or not backend.usable:
-        backend = SharedMemoryBackend(num_workers=count)
-        backend.cached = True
-        _SHARED_CACHE[count] = backend
-    return backend
-
-
-def resolve_backend(spec=None,
-                    workers: Optional[int] = None) -> ExecutionBackend:
-    """Coerce a backend spec (None / name / instance) to a live backend.
-
-    An instance passes through, unless it is closed
-    (:class:`~repro.errors.SketchError`, so a dead backend fails where
-    it is handed over, not at the first batch) or ``workers`` is given
-    and contradicts its worker count (``ConfigurationError``).
-    """
-    if spec is None or isinstance(spec, str):
-        return get_backend(spec, workers)
-    if not isinstance(spec, ExecutionBackend):
-        raise ConfigurationError(
-            f"backend must be a name or an ExecutionBackend, got {spec!r}"
-        )
-    if not spec.usable:
-        raise SketchError(f"execution backend {spec.describe()} is closed")
-    if workers is not None and workers != spec.num_workers:
-        raise ConfigurationError(
-            f"backend_workers={workers} contradicts the backend instance "
-            f"{spec.describe()}")
-    return spec
+                f"backend_workers={workers} contradicts the backend "
+                f"instance {spec.describe()}")
+        return spec
+    if spec is None or spec == SEQUENTIAL:
+        return SequentialBackend()
+    if spec == SHARED_MEMORY:
+        return SharedMemoryBackend(workers)
+    raise ConfigurationError(
+        f"unknown execution backend {spec!r}; expected {SEQUENTIAL!r}, "
+        f"{SHARED_MEMORY!r} or an ExecutionBackend instance")

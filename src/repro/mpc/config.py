@@ -25,24 +25,13 @@ from repro.errors import ConfigurationError, SketchError
 
 
 # ---------------------------------------------------------------------------
-# Validated environment readers
+# Validated environment reader
 # ---------------------------------------------------------------------------
-# Every ``REPRO_*`` knob is read through one of these two functions,
-# the single place ``os.environ`` is touched.  A set-but-garbage value
-# fails *naming the variable* at read time (``SketchError`` here, a
-# ``ConfigurationError`` for the backend name) instead of deep inside
-# backend startup; ``tests/test_backend.py::TestEnvValidation`` checks
-# that for every knob in ``src/``, and that the quickstart names it.
-
-def read_env(name: str) -> Optional[str]:
-    """Raw string value of env knob ``name``; ``None`` when unset.
-
-    For knobs whose validation lives with their parser (the backend
-    name): the caller validates, this keeps the read itself in one
-    audited place.
-    """
-    return os.environ.get(name)
-
+# Every ``REPRO_*`` knob is read through :func:`env_int`, the single
+# place ``os.environ`` is touched.  A set-but-garbage value fails
+# *naming the variable* at read time instead of deep inside the kernel
+# layer; ``tests/test_backend.py::TestEnvValidation`` checks that for
+# every knob in ``src/``, and that the quickstart names it.
 
 def env_int(name: str, minimum: int) -> Optional[int]:
     """Read an integer env knob; ``None`` when unset.
@@ -50,7 +39,7 @@ def env_int(name: str, minimum: int) -> Optional[int]:
     A set-but-garbage value (``"abc"``, ``""``, ``"-1"``) raises
     :class:`~repro.errors.SketchError` naming the variable.
     """
-    raw = read_env(name)
+    raw = os.environ.get(name)
     if raw is None:
         return None
     try:
@@ -149,15 +138,10 @@ class MPCConfig:
         Master seed for all randomness (sketches, hashing, sampling).
     num_machines:
         Override for the derived machine count.
-    backend:
-        Execution backend for the sketch-pool work:  ``"sequential"``
-        (in-process, the default) or ``"shared_memory"`` (worker
-        threads over the one in-process pool; bit-identical results).
-        ``None`` defers to the ``REPRO_BACKEND`` environment variable,
-        falling back to sequential.  See :mod:`repro.mpc.backend`.
-    backend_workers:
-        Worker-thread count for parallel backends; ``None`` defers to
-        ``REPRO_BACKEND_WORKERS``, falling back to ``min(4, cpus)``.
+
+    Where the sketch work executes is not part of the model: the
+    executor is chosen at the cluster or session boundary
+    (:mod:`repro.mpc.backend`).
     """
 
     n: int
@@ -167,8 +151,6 @@ class MPCConfig:
     strict_capacity: bool = False
     seed: int = 0
     num_machines: Optional[int] = None
-    backend: Optional[str] = None
-    backend_workers: Optional[int] = None
 
     def __post_init__(self) -> None:
         # Sizes are stored as the plain ints ``check_count`` returns: a
@@ -188,13 +170,6 @@ class MPCConfig:
         if self.num_machines is not None:
             object.__setattr__(self, "num_machines", check_count(
                 "num_machines", self.num_machines))
-        if self.backend is not None:
-            from repro.mpc.backend import normalize_backend_name
-
-            normalize_backend_name(self.backend)  # raises if unknown
-        if self.backend_workers is not None:
-            object.__setattr__(self, "backend_workers", check_count(
-                "backend_workers", self.backend_workers))
 
     # ------------------------------------------------------------------
     # Derived model quantities

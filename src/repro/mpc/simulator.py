@@ -18,12 +18,12 @@ so the ledger and the reference cannot drift apart silently.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from repro.errors import CapacityExceededError
-from repro.mpc.backend import ExecutionBackend, resolve_backend
+from repro.mpc.backend import ExecutionBackend, open_backend
 from repro.mpc.config import MPCConfig
 from repro.mpc.metrics import CapacityViolation, ClusterMetrics, PhaseMetrics
 
@@ -56,11 +56,12 @@ class Cluster:
         The model instantiation (machine memory ``s``, machine count,
         strictness, master seed).
     backend:
-        Execution backend override (name or instance); defaults to the
-        config's ``backend`` field, which itself defaults to the
-        ``REPRO_BACKEND`` environment variable / sequential.  The
-        backend decides where sketch-pool work *executes*; the round
-        and word accounting never reads it.
+        Execution backend: ``"sequential"`` (the default, also for
+        ``None``), ``"shared_memory"`` or an instance (see
+        :func:`~repro.mpc.backend.open_backend`).  The backend decides
+        where sketch-pool work *executes*; the round and word
+        accounting never reads it.  The cluster owns it:
+        :meth:`close` closes it.
     """
 
     def __init__(self, config: MPCConfig, backend=None):
@@ -68,13 +69,7 @@ class Cluster:
         self.num_machines: int = config.machine_count
         self.metrics = ClusterMetrics()
         self.rng = np.random.default_rng(config.seed)
-        if backend is None:
-            backend = config.backend
-        # An instance carries its own worker count; the config's count
-        # goes with a name.
-        self.backend: ExecutionBackend = resolve_backend(
-            backend, None if isinstance(backend, ExecutionBackend)
-            else config.backend_workers)
+        self.backend: ExecutionBackend = open_backend(backend)
 
     # ------------------------------------------------------------------
     # Backend / lifecycle
@@ -90,19 +85,13 @@ class Cluster:
         """
         self.rng = np.random.default_rng(self.config.seed)
 
-    def close(self, close_backend: Optional[bool] = None) -> None:
+    def close(self, close_backend: bool = True) -> None:
         """Shut down the execution backend deterministically.
 
         Joins the worker threads now instead of at GC / interpreter
-        exit.  By default only a
-        *privately owned* backend is closed: factory-cached backends
-        (``backend.cached``) are shared by every cluster in the
-        process, so killing one out from under the others is opt-in
-        (``close_backend=True``; the factory re-creates one on the next
-        request).  In-process backends make this a no-op.
+        exit; ``close_backend=False`` leaves the backend running for
+        another holder.  In-process backends make this a no-op.
         """
-        if close_backend is None:
-            close_backend = not self.backend.cached
         if close_backend:
             self.backend.close()
 

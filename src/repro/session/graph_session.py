@@ -40,13 +40,12 @@ Checkpoint / restore
 sketch pools (one private cell block per family), spawn-safe
 randomness params (``SamplerRandomness.from_params``), validator edge
 set, forests, metrics, and generator states -- to one file.
-:meth:`GraphSession.restore` rebuilds a live session on any backend;
-answers, and all further ingestion, match the uninterrupted run.  The
-execution backend travels by name and worker count: unpickling hands
-every cluster and sketch family the process's live
-:func:`~repro.mpc.backend.get_backend` instance, and a ``backend=``
-override of :meth:`~GraphSession.restore` is a plain reassignment, so
-there is nothing to register and nothing to roll back.
+:meth:`GraphSession.restore` rebuilds a live session; answers, and all
+further ingestion, match the uninterrupted run.  The execution backend
+travels as its class and worker count: unpickling builds one fresh
+backend of the kind the session was written with, every cluster and
+sketch family of the restored session shares it, and the restored
+session owns it.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ from repro.errors import (
     InvalidUpdateError,
     QueryError,
 )
-from repro.mpc.backend import resolve_backend
+from repro.mpc.backend import open_backend
 from repro.mpc.config import MPCConfig, check_count
 from repro.mpc.metrics import PhaseMetrics
 from repro.mpc.simulator import Cluster
@@ -87,8 +86,9 @@ from repro.types import Batch, Edge, ForestSolution, MatchingSolution, Update, i
 #: matching sparsifiers' per-pair samplers are rows of one pool; 5: clusters
 #: and sketch families pickle their execution backend by name; 6: a cluster
 #: holds no machine objects and phases no per-machine words; 7: bipartiteness
-#: holds its double cover and odd-component count, no instance on G).
-CHECKPOINT_FORMAT = 7
+#: holds its double cover and odd-component count, no instance on G; 8: a
+#: backend pickles as its class and worker count, not through a factory).
+CHECKPOINT_FORMAT = 8
 
 #: Anything `ingest` coerces into an :class:`Update`.
 UpdateLike = Union[Update, tuple]
@@ -222,10 +222,11 @@ class GraphSession:
         Explicit :class:`~repro.mpc.config.MPCConfig`; built from
         ``n`` / ``phi`` / ``seed`` when omitted.
     backend, backend_workers:
-        Execution backend for the shared cluster (name, instance, or
-        ``None`` for the config / environment default).  One backend
-        serves every task.  A worker count given next to an instance
-        must equal its own.
+        Execution backend for the shared cluster: ``"sequential"`` (the
+        default, also for ``None``), ``"shared_memory"`` with
+        ``backend_workers`` threads (default ``min(4, cpus)``), or an
+        instance, whose worker count ``backend_workers`` must equal if
+        given.  One backend serves every task, and the session owns it.
     batch_size:
         Auto-batching size for :meth:`ingest`; defaults to (and may
         not exceed) the model's per-phase batch bound.
@@ -243,23 +244,14 @@ class GraphSession:
         if config is None:
             if n is None:
                 raise ConfigurationError("pass n= or a full config=")
-            config = MPCConfig(
-                n=n, phi=phi, seed=seed,
-                backend=backend if isinstance(backend, str) else None,
-                backend_workers=backend_workers,
-            )
+            config = MPCConfig(n=n, phi=phi, seed=seed)
         elif n is not None and n != config.n:
             raise ConfigurationError(
                 f"n={n} conflicts with config.n={config.n}"
             )
         self.config = config
-        if backend_workers is not None:
-            # An explicit worker count wins over config=, and must
-            # agree with an instance backend.
-            backend = resolve_backend(
-                config.backend if backend is None else backend,
-                backend_workers)
-        self.cluster = Cluster(config, backend=backend)
+        self.cluster = Cluster(config,
+                               backend=open_backend(backend, backend_workers))
         self.validator = UpdateValidator(track=True)
         self._algs: Dict[str, BatchDynamicAlgorithm] = {}
         if isinstance(tasks, str):
@@ -337,16 +329,6 @@ class GraphSession:
                 return self._algs[name]
         return None
 
-    def _all_algorithms(self) -> List[BatchDynamicAlgorithm]:
-        """Top-level tasks plus nested members, transitively."""
-        out: List[BatchDynamicAlgorithm] = []
-        stack = list(self._algs.values())
-        while stack:
-            alg = stack.pop()
-            out.append(alg)
-            stack.extend(alg._members())
-        return out
-
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
@@ -421,8 +403,9 @@ class GraphSession:
         buffered at a time.  Returns the resource record of every phase
         applied.
         """
-        size = batch_size if batch_size is not None else self.batch_size
-        if not 1 <= size <= self.batch_size:
+        size = (self.batch_size if batch_size is None
+                else check_count("batch_size", batch_size))
+        if size > self.batch_size:
             raise ConfigurationError(
                 f"batch_size={size} outside [1, {self.batch_size}]"
             )
@@ -573,16 +556,14 @@ class GraphSession:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def close(self, close_backend: Optional[bool] = None) -> None:
+    def close(self, close_backend: bool = True) -> None:
         """Deterministic teardown (idempotent).
 
-        When the session *owns* its backend (a privately constructed
-        one, not the process-cached one other sessions share), joins its
-        worker threads -- they are gone when this returns, not when the
-        GC gets around to it.  Pass ``close_backend=True`` to force-close
-        even a shared cached backend (the factory re-creates one for
-        later users) or ``False`` to never close.  Double-close is a
-        no-op, even when the session is latched inconsistent.
+        Closes the session's backend and joins its worker threads --
+        they are gone when this returns, not when the GC gets around to
+        it.  Pass ``close_backend=False`` to leave the backend running
+        for another holder.  Double-close is a no-op, even when the
+        session is latched inconsistent.
         """
         if self._closed:
             return
@@ -615,8 +596,8 @@ class GraphSession:
         goes in: sketch pools (each family's cell block, once), spawn-
         safe randomness params, validator edge set, forests/component
         ids, per-task stats and cursors, metrics ledgers, and generator
-        states.  The execution backend is written as its name and worker
-        count; no thread pool is pickled.
+        states.  The execution backend is written as its class and
+        worker count; no thread pool is pickled.
         """
         self._check_open()
         payload = {
@@ -634,28 +615,19 @@ class GraphSession:
             pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
 
     @classmethod
-    def restore(cls, path: str, backend=None,
-                backend_workers: Optional[int] = None) -> "GraphSession":
+    def restore(cls, path: str) -> "GraphSession":
         """Rebuild a live session from :meth:`checkpoint` output.
 
-        Without overrides every cluster and sketch family gets the live
-        ``get_backend(name, workers)`` of the backend it was written
-        with.  ``backend`` (name or instance) and ``backend_workers``
-        override that -- a session checkpointed under ``shared_memory``
-        restores cleanly onto ``sequential`` and vice versa (results are
-        bit-identical across backends).  A ``backend`` override is
-        resolved before the file is read, so a bad one (an unknown name,
-        a closed instance, a worker count that contradicts an instance)
-        raises and leaves nothing behind.
+        Every cluster and sketch family of the restored session shares
+        one fresh backend of the kind and worker count the session was
+        written with, and the restored session owns it (:meth:`close`
+        closes it; the original session's backend is not touched).
 
         A file that is truncated, is not a pickle, does not hold a
         checkpoint dict, or was written in another checkpoint format
         raises :class:`~repro.errors.ConfigurationError` naming
         ``path``.
         """
-        live = None
-        if backend is not None:
-            live = resolve_backend(backend, backend_workers)
         with open(path, "rb") as fh:
             try:
                 payload = pickle.load(fh)
@@ -685,13 +657,4 @@ class GraphSession:
         session.batch_size = payload["batch_size"]
         session._closed = False
         session._broken = None
-        if live is None and backend_workers is not None:
-            live = resolve_backend(session.cluster.backend.name,
-                                   backend_workers)
-        if live is not None:
-            session.cluster.backend = live
-            for alg in session._all_algorithms():
-                alg.cluster.backend = live
-                for family in alg._sketch_families():
-                    family.backend = live
         return session

@@ -44,15 +44,16 @@ the exact cut of the live edge set.
 Execution backends
 ------------------
 Where the bulk work *runs* is the execution backend's decision
-(:mod:`repro.mpc.backend`).  The family holds a plain reference to its
-backend and hands every routed call the pool and randomness directly:
+(:mod:`repro.mpc.backend`).  The family holds a plain reference to the
+backend its cluster was given and hands every routed call the pool and randomness directly:
 :meth:`SketchFamily.apply_edges_bulk` passes per-edge descriptors, and
 the group queries pass the flat membership instead of materialised
 merged cells -- the backend sums the member rows against the pool and
 returns only the recovered edges.  On the default
 :class:`~repro.mpc.backend.SequentialBackend` this runs as one call; on
 the thread backend the same descriptors fan out to worker threads,
-bit-identically.  A pickled family carries its backend by name (see
+bit-identically.  A pickled family carries its backend as its class
+and worker count (see
 :meth:`~repro.mpc.backend.ExecutionBackend.__reduce__`).
 """
 
@@ -88,7 +89,7 @@ class SketchFamily:
         # Lazy import: repro.mpc.backend imports the sketch layer for
         # its op table, so the dependency must not be circular at
         # module level.
-        from repro.mpc.backend import resolve_backend
+        from repro.mpc.backend import open_backend
         from repro.mpc.config import check_count
 
         if n < 2:
@@ -99,7 +100,7 @@ class SketchFamily:
         self.randomness = SamplerRandomness(self.universe, self.columns,
                                             rng)
         self.pool = RecoveryPool(n, self.columns, self.randomness.levels)
-        self.backend = resolve_backend(backend)
+        self.backend = open_backend(backend)
 
     @property
     def levels(self) -> int:

@@ -42,10 +42,11 @@ from repro.mpc.backend import (
     SequentialBackend,
     SharedMemoryBackend,
     _execute_op,
-    default_worker_count,
-    get_backend,
-    resolve_backend,
+    available_cpus,
+    open_backend,
 )
+from repro.mpc.config import env_int
+from repro.session import GraphSession
 from repro.sketch import (
     FourWiseHash,
     PairwiseHash,
@@ -59,18 +60,18 @@ WORKERS = 2
 
 @pytest.fixture(scope="module")
 def shared_backend():
-    """The process-wide 2-thread backend (shared across tests so the
-    suite starts one thread pool, not one per test)."""
-    return get_backend("shared_memory", workers=WORKERS)
+    """One 2-thread backend for the module (so the suite starts one
+    thread pool here, not one per test), joined at teardown."""
+    with SharedMemoryBackend(num_workers=WORKERS) as backend:
+        yield backend
 
 
-def _seq_config(n: int, seed: int = 7, **kw) -> MPCConfig:
-    return MPCConfig(n=n, seed=seed, backend="sequential", **kw)
-
-
-def _shm_config(n: int, seed: int = 7, **kw) -> MPCConfig:
-    return MPCConfig(n=n, seed=seed, backend="shared_memory",
-                     backend_workers=WORKERS, **kw)
+def _on_both(cls, n, backend, seed=7, **kw):
+    """``cls`` built twice from one config: on ``sequential`` and on a
+    cluster running ``backend``."""
+    config = MPCConfig(n=n, seed=seed)
+    return (cls(config, **kw),
+            cls(config, cluster=Cluster(config, backend=backend), **kw))
 
 
 # ---------------------------------------------------------------------------
@@ -134,59 +135,91 @@ class TestSpawnSafeRandomness:
 # ---------------------------------------------------------------------------
 
 class TestBackendResolution:
-    def test_sequential_is_shared_singleton(self):
-        assert get_backend("sequential") is get_backend("sequential")
-        assert isinstance(get_backend(None), SequentialBackend) or \
-            get_backend(None).name == "shared_memory"  # env may force it
+    def test_a_name_builds_a_fresh_backend(self):
+        for spec in (None, "sequential"):
+            backend = open_backend(spec)
+            assert type(backend) is SequentialBackend
+            assert open_backend(spec) is not backend
+        with open_backend("shared_memory", 3) as backend:
+            assert type(backend) is SharedMemoryBackend
+            assert backend.num_workers == 3
+            with open_backend("shared_memory", 3) as other:
+                assert other is not backend
+        with open_backend("shared_memory") as backend:
+            assert backend.num_workers == min(4, available_cpus())
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            get_backend("gpu")
-        with pytest.raises(ConfigurationError):
-            MPCConfig(n=16, backend="gpu")
+    @pytest.mark.parametrize("spec", ["shm", "Shared-Memory", "",
+                                      "gpu", b"sequential", 3])
+    def test_unknown_backend_fails_by_name(self, spec):
+        """Only the two canonical names are accepted: the retired
+        spellings fail, naming the value, wherever an executor is
+        chosen."""
+        for build in (open_backend,
+                      lambda s: Cluster(MPCConfig(n=16), backend=s),
+                      lambda s: GraphSession(16, backend=s)):
+            with pytest.raises(ConfigurationError,
+                               match=re.escape(repr(spec))):
+                build(spec)
 
-    def test_resolve_accepts_instances(self, shared_backend):
-        assert resolve_backend(shared_backend) is shared_backend
-        with pytest.raises(ConfigurationError):
-            resolve_backend(42)
-
-    def test_shared_cache_reuses_fleet(self, shared_backend):
-        assert get_backend("shared_memory",
-                           workers=WORKERS) is shared_backend
-        assert get_backend("shm", workers=WORKERS) is shared_backend
+    def test_instances_pass_through(self, shared_backend):
+        assert open_backend(shared_backend) is shared_backend
+        assert Cluster(MPCConfig(n=16),
+                       backend=shared_backend).backend is shared_backend
 
     def test_closed_instance_fails_where_it_is_handed_over(self):
         backend = SharedMemoryBackend(num_workers=1)
         backend.close()
         with pytest.raises(SketchError, match="closed"):
-            resolve_backend(backend)
+            open_backend(backend)
         with pytest.raises(SketchError, match="closed"):
             SketchFamily(8, columns=3, rng=np.random.default_rng(0),
                          backend=backend)
 
     def test_worker_count_must_agree_with_an_instance(self,
                                                       shared_backend):
-        assert resolve_backend(shared_backend, WORKERS) is shared_backend
+        assert open_backend(shared_backend, WORKERS) is shared_backend
         with pytest.raises(ConfigurationError, match="backend_workers=3"):
-            resolve_backend(shared_backend, 3)
+            open_backend(shared_backend, 3)
+
+    @pytest.mark.parametrize("workers", [0, 2.5, "2", True, False])
+    @pytest.mark.parametrize("spec", ["sequential", "shared_memory"])
+    def test_bad_worker_count_names_the_argument(self, spec, workers):
+        # Refused where the executor is chosen, on every backend.
+        with pytest.raises(ConfigurationError, match="backend_workers"):
+            GraphSession(16, backend=spec, backend_workers=workers)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32,
+                                       np.int64, np.uint8, np.uint16,
+                                       np.uint32, np.uint64])
+    def test_numpy_worker_count_is_stored_as_a_plain_int(self, dtype):
+        with open_backend("shared_memory", dtype(2)) as backend:
+            assert type(backend.num_workers) is int
+            assert backend.num_workers == 2
 
     @pytest.mark.parametrize("name", ["sequential", "shared_memory"])
-    def test_pickle_is_name_and_worker_count(self, name, shared_backend):
-        """A pickled backend carries no threads: unpickling asks the
-        factory for the live backend of the same name and size."""
-        private = (SequentialBackend() if name == "sequential"
-                   else SharedMemoryBackend(num_workers=WORKERS))
-        try:
+    def test_pickle_is_class_and_worker_count(self, name):
+        """A pickled backend carries no threads: unpickling builds a
+        fresh backend of the same class and size, and objects pickled
+        together share one."""
+        with open_backend(name, WORKERS) as private:
             blob = pickle.dumps(private)
             assert b"ThreadPoolExecutor" not in blob
-            assert pickle.loads(blob) is get_backend(name, WORKERS)
+            clone = pickle.loads(blob)
+            assert type(clone) is type(private) and clone is not private
+            assert clone.num_workers == private.num_workers
+            assert clone.usable
             family = SketchFamily(8, columns=3, backend=private,
                                   rng=np.random.default_rng(0))
-            clone = pickle.loads(pickle.dumps(family))
-            assert clone.backend is get_backend(name, WORKERS)
-            assert np.array_equal(clone.pool.cells, family.pool.cells)
-        finally:
-            private.close()
+            cluster = Cluster(MPCConfig(n=8), backend=private)
+            twin_family, twin_cluster = pickle.loads(
+                pickle.dumps((family, cluster)))
+            assert twin_family.backend is twin_cluster.backend
+            assert type(twin_family.backend) is type(private)
+            assert twin_family.backend not in (private, clone)
+            assert np.array_equal(twin_family.pool.cells,
+                                  family.pool.cells)
+            clone.close()
+            twin_cluster.close()
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +435,7 @@ class TestDeletionHeavyMix:
         from repro.types import dele, ins
 
         n = 40
-        a = MPCConnectivity(_seq_config(n))
-        b = MPCConnectivity(_shm_config(n))
+        a, b = _on_both(MPCConnectivity, n, shared_backend)
         us, vs = edge_arrays(n, 30, seed=41)
         edges = list(zip(us.tolist(), vs.tolist()))
         phases = [
@@ -443,13 +475,9 @@ KNOBS = sorted({name for path in (ROOT / "src").rglob("*.py")
                                        path.read_text(encoding="utf-8"))})
 assert KNOBS, "no REPRO_* knob found in src/"
 
-#: Reads every knob the way a run does: the kernel knobs when
-#: ``repro.kernels`` is imported, the backend name and worker count
-#: when the factory resolves the default and the parallel backend.
-READ_EVERY_KNOB = ("import repro.kernels\n"
-                   "from repro.mpc.backend import get_backend\n"
-                   "get_backend()\n"
-                   "get_backend('shared_memory')\n")
+#: Reads every knob the way a run does: the kernel knobs are read
+#: when ``repro.kernels`` is imported.
+READ_EVERY_KNOB = "import repro.kernels\n"
 
 
 class TestEnvValidation:
@@ -459,7 +487,7 @@ class TestEnvValidation:
             encoding="utf-8")
         assert re.search(rf"\b{knob}\b", quickstart), \
             f"{knob} is read in src/ but not named in examples/quickstart.py"
-        # A fresh interpreter: two of the knobs are read once, at import.
+        # A fresh interpreter: the knobs are read once, at import.
         env = {k: v for k, v in os.environ.items()
                if not k.startswith("REPRO_")}
         env["PYTHONPATH"] = str(ROOT / "src")
@@ -471,28 +499,40 @@ class TestEnvValidation:
             assert proc.returncode != 0, f"{knob}={value!r} was accepted"
             assert f"{knob}={value!r}" in proc.stderr, proc.stderr
 
-    @pytest.mark.parametrize("value", ["gpu", ""])
-    def test_garbage_backend_name_names_the_variable(self, monkeypatch,
-                                                     value):
-        monkeypatch.setenv("REPRO_BACKEND", value)
-        with pytest.raises(ConfigurationError,
-                           match=f"REPRO_BACKEND={value!r}"):
-            get_backend()
+    def test_only_the_kernel_knobs_are_left(self):
+        assert KNOBS == ["REPRO_KERNELS_CHECK", "REPRO_KERNELS_PROFILE"]
+
+    def test_retired_backend_knobs_are_ignored(self):
+        """The executor is chosen only through the constructors: a
+        fresh interpreter with the retired backend variables set still
+        runs a default session sequentially."""
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("REPRO_")}
+        env.update(PYTHONPATH=str(ROOT / "src"),
+                   REPRO_BACKEND="shared_memory",
+                   REPRO_BACKEND_WORKERS="2")
+        script = ("from repro import GraphSession\n"
+                  "with GraphSession(16) as session:\n"
+                  "    session.ingest([(0, 1), (1, 2)])\n"
+                  "    assert session.connected(0, 2)\n"
+                  "    print(session.cluster.backend.describe())\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "sequential(workers=1)"
 
     @pytest.mark.parametrize("value", ["abc", "-1", "", "1.5", "0"])
-    def test_garbage_worker_count_raises_sketch_error(
-        self, monkeypatch, value
-    ):
-        monkeypatch.setenv("REPRO_BACKEND_WORKERS", value)
-        with pytest.raises(SketchError, match="REPRO_BACKEND_WORKERS"):
-            default_worker_count()
-        # The same validation guards the factory path.
-        with pytest.raises(SketchError, match="REPRO_BACKEND_WORKERS"):
-            get_backend("shared_memory")
+    def test_garbage_integer_raises_sketch_error(self, monkeypatch,
+                                                 value):
+        monkeypatch.setenv("REPRO_TEST_KNOB", value)
+        with pytest.raises(SketchError,
+                           match=f"REPRO_TEST_KNOB={value!r}"):
+            env_int("REPRO_TEST_KNOB", minimum=1)
 
     def test_valid_env_values_accepted(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND_WORKERS", " 3 ")
-        assert default_worker_count() == 3
+        assert env_int("REPRO_TEST_KNOB", minimum=1) is None
+        monkeypatch.setenv("REPRO_TEST_KNOB", " 3 ")
+        assert env_int("REPRO_TEST_KNOB", minimum=1) == 3
 
     @pytest.mark.parametrize("count", [0, -1, 2.5, "2", True])
     def test_bad_worker_count_names_the_argument(self, count):
@@ -519,8 +559,7 @@ def _drive(alg_a, alg_b, n, rng, phases=5, size=10, weighted=False):
 class TestAlgorithmParity:
     def test_connectivity_matrix(self, shared_backend):
         n = 48
-        a = MPCConnectivity(_seq_config(n))
-        b = MPCConnectivity(_shm_config(n))
+        a, b = _on_both(MPCConnectivity, n, shared_backend)
         _drive(a, b, n, np.random.default_rng(31))
         assert a.num_components() == b.num_components()
         assert sorted(a.forest.all_edges()) == sorted(b.forest.all_edges())
@@ -530,8 +569,8 @@ class TestAlgorithmParity:
 
     def test_msf_matrix(self, shared_backend):
         n = 32
-        a = ApproxMSF(_seq_config(n), eps=0.5, max_weight=64.0)
-        b = ApproxMSF(_shm_config(n), eps=0.5, max_weight=64.0)
+        a, b = _on_both(ApproxMSF, n, shared_backend, eps=0.5,
+                        max_weight=64.0)
         _drive(a, b, n, np.random.default_rng(5), phases=4, size=8,
                weighted=True)
         assert a.weight_estimate() == b.weight_estimate()
@@ -541,8 +580,7 @@ class TestAlgorithmParity:
 
     def test_bipartiteness_matrix(self, shared_backend):
         n = 24
-        a = DynamicBipartiteness(_seq_config(n))
-        b = DynamicBipartiteness(_shm_config(n))
+        a, b = _on_both(DynamicBipartiteness, n, shared_backend)
         rng = np.random.default_rng(13)
         live = set()
         for _ in range(4):
@@ -554,8 +592,7 @@ class TestAlgorithmParity:
 
     def test_agm_static_matrix(self, shared_backend):
         n = 32
-        a = AGMStaticConnectivity(_seq_config(n))
-        b = AGMStaticConnectivity(_shm_config(n))
+        a, b = _on_both(AGMStaticConnectivity, n, shared_backend)
         _drive(a, b, n, np.random.default_rng(17), phases=3, size=8)
         assert a.query_spanning_forest().edges == \
             b.query_spanning_forest().edges
@@ -564,15 +601,14 @@ class TestAlgorithmParity:
         # An algorithm runs on its cluster's backend; nested instances
         # (bipartiteness's double cover) share it.
         n = 24
-        a = MPCConnectivity(_seq_config(n))
+        a = MPCConnectivity(MPCConfig(n=n, seed=7))
         b = MPCConnectivity(MPCConfig(n=n, seed=7), cluster=Cluster(
             MPCConfig(n=n, seed=7), backend=shared_backend))
         assert b.cluster.backend is b.family.backend is shared_backend
         bip = DynamicBipartiteness(MPCConfig(n=n, seed=7), cluster=Cluster(
             MPCConfig(n=n, seed=7), backend=shared_backend))
-        assert all(member.cluster.backend is shared_backend
-                   and member.family.backend is shared_backend
-                   for member in bip._members())
+        assert bip.cover.cluster.backend is shared_backend
+        assert bip.cover.family.backend is shared_backend
         _drive(a, b, n, np.random.default_rng(23), phases=3, size=6)
         assert sorted(a.forest.all_edges()) == sorted(b.forest.all_edges())
 
@@ -582,15 +618,17 @@ class TestAlgorithmParity:
 # ---------------------------------------------------------------------------
 
 class TestShardAttribution:
-    @pytest.mark.parametrize("config", [_seq_config, _shm_config])
-    def test_route_gather_lands_on_one_machine(self, config):
+    @pytest.mark.parametrize("backend", ["sequential", "shared_memory"])
+    def test_route_gather_lands_on_one_machine(self, backend):
         # Section 1.2: the batch is routed to one dedicated machine on
         # every backend.
         n = 48
-        alg = MPCConnectivity(config(n))
-        rng = np.random.default_rng(2)
-        live = set()
-        snapshot = alg.apply_batch(make_valid_batch(rng, n, live, 12))
+        config = MPCConfig(n=n, seed=7)
+        with Cluster(config, backend=backend) as cluster:
+            alg = MPCConnectivity(config, cluster=cluster)
+            rng = np.random.default_rng(2)
+            live = set()
+            snapshot = alg.apply_batch(make_valid_batch(rng, n, live, 12))
         assert snapshot.rounds_by_category["route-updates"] >= 1
 
     def test_backend_records_shard_split(self, shared_backend):
@@ -954,19 +992,3 @@ class TestShareFailures:
                            for g, w in zip(got, want))
             else:
                 assert np.array_equal(got, want)
-
-    def test_factory_replaces_a_closed_cached_backend(self, monkeypatch):
-        # A private cache, so closing here cannot close the backend
-        # other tests share.
-        monkeypatch.setattr(backend_module, "_SHARED_CACHE", {})
-        backend = get_backend("shared_memory", workers=3)
-        assert get_backend("shared_memory", workers=3) is backend
-        backend.close()
-        fresh = get_backend("shared_memory", workers=3)
-        assert fresh is not backend and fresh.usable and fresh.cached
-        seq, thr = family_pair(fresh)
-        us, vs = edge_arrays(40, 10)
-        for family in (seq, thr):
-            family.apply_edges_bulk(us, vs, np.ones(10, dtype=np.int64))
-        assert np.array_equal(seq.pool.cells, thr.pool.cells)
-        fresh.close()

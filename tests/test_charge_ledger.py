@@ -27,7 +27,8 @@ import pytest
 from repro.analysis import derived_memory
 from repro.baselines import AGMStaticConnectivity
 from repro.core.api import BatchDynamicAlgorithm
-from repro.mpc import MPCConfig
+from repro.mpc import Cluster, MPCConfig
+from repro.mpc.backend import open_backend
 from repro.session import GraphSession
 from repro.types import dele, ins
 
@@ -97,9 +98,13 @@ SESSIONS = (
 )
 
 
-def _config(backend):
-    workers = WORKERS if backend == "shared_memory" else None
-    return MPCConfig(n=N, seed=0, backend=backend, backend_workers=workers)
+CONFIG = MPCConfig(n=N, seed=0)
+
+
+def _cluster(backend):
+    """A cluster of its own on ``backend`` (a name), owning its
+    executor (``WORKERS`` threads for ``shared_memory``)."""
+    return Cluster(CONFIG, backend=open_backend(backend, WORKERS))
 
 
 def _classes():
@@ -146,11 +151,13 @@ def _measured_phases(alg):
 @pytest.mark.parametrize("name", sorted(LEDGER))
 def test_standalone_ledger(name, backend):
     cls = _classes()[name]
-    measured = _measured_phases(cls(_config(backend)))
+    with _cluster(backend) as cluster:
+        measured = _measured_phases(cls(CONFIG, cluster=cluster))
     if hasattr(cls, "preload"):
-        fresh = cls(_config(backend))
-        measured["preload"] = fresh.preload(
-            [up.edge for up in INSERTS]).rounds_by_category
+        with _cluster(backend) as cluster:
+            fresh = cls(CONFIG, cluster=cluster)
+            measured["preload"] = fresh.preload(
+                [up.edge for up in INSERTS]).rounds_by_category
         _assert_memory_derived(fresh)
     routed = ("insert", "delete")
     assert measured == {
@@ -160,7 +167,7 @@ def test_standalone_ledger(name, backend):
 
 
 def test_stream_has_the_shape_the_ledger_is_pinned_on():
-    alg = _classes()["connectivity"](_config("sequential"))
+    alg = _classes()["connectivity"](CONFIG)
     alg.apply_batch(INSERTS)
     assert alg.num_components() == N - 21
     alg.apply_batch(DELETES)
@@ -175,7 +182,8 @@ def test_session_ledger_routes_once(tasks, backend):
     batches = {"insert": INSERTS}
     if all("delete" in LEDGER[task] for task in tasks):
         batches["delete"] = DELETES
-    with GraphSession(config=_config(backend), tasks=tasks) as session:
+    with GraphSession(config=CONFIG, tasks=tasks, backend=backend,
+                      backend_workers=WORKERS) as session:
         for kind, batch in batches.items():
             phase = session.apply_batch(batch)
             assert phase.route.rounds_by_category == ROUTE
@@ -194,13 +202,14 @@ def test_session_ledger_routes_once(tasks, backend):
 
 def _owned_families(alg):
     """``(owner, family)`` for every sketch family ``alg`` owns,
-    directly or through its nested members."""
-    owned, stack = [], [alg]
-    while stack:
-        owner = stack.pop()
-        owned += [(owner, family) for family in owner._sketch_families()]
-        stack.extend(owner._members())
-    return owned
+    directly or through its nested members (bipartiteness's double
+    cover, approximate MSF's weight levels)."""
+    owners = [alg]
+    if hasattr(alg, "cover"):
+        owners.append(alg.cover)
+    owners += getattr(alg, "levels", [])
+    return [(owner, owner.family) for owner in owners
+            if hasattr(owner, "family")]
 
 
 def test_sketch_pool_equals_its_ledger_entry():
@@ -210,7 +219,7 @@ def test_sketch_pool_equals_its_ledger_entry():
     after the pinned insert, delete and query phases."""
     owners = set()
     for name, cls in sorted(BatchDynamicAlgorithm.task_registry().items()):
-        alg = cls(_config("sequential"))
+        alg = cls(CONFIG)
         _measured_phases(alg)
         for owner, family in _owned_families(alg):
             owners.add(name)

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpc.backend import _execute_op, get_backend
+from repro.mpc.backend import _execute_op, open_backend
 from repro.sketch import MERSENNE_P, KeyedSamplers, SketchFamily
 from tests.conftest import ReferenceSampler, exact_group_answers
 
@@ -136,14 +136,18 @@ def flat(groups):
             np.array([len(g) for g in groups], dtype=np.int64))
 
 
-@pytest.mark.parametrize("backend_name", ["sequential", "shared_memory"])
-def test_routed_group_ops_match_full_row_reference(backend_name):
+@pytest.fixture(params=["sequential", "shared_memory"])
+def backend(request):
+    """Each executor, the thread one with 2 workers, closed after."""
+    with open_backend(request.param, 2) as backend:
+        yield backend
+
+
+def test_routed_group_ops_match_full_row_reference(backend):
     """The routed ops, and the op table in-process, answer exactly
     ``exact_group_answers`` -- whose zero test reads column 0 of the
     full sum, so a one-column shortcut that broke the invariant would
     show."""
-    backend = ("sequential" if backend_name == "sequential"
-               else get_backend("shared_memory", workers=2))
     family, live = churned_family(backend)
     pool, rnd = family.pool, family.randomness
     for row in pool.cells:

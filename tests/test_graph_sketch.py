@@ -10,17 +10,28 @@ import numpy as np
 import pytest
 
 from repro.errors import SketchError
-from repro.mpc.backend import get_backend
+from repro.mpc.backend import SharedMemoryBackend
 from repro.sketch import edge_sign
 from tests.conftest import check_groups, family_pair, random_edges
+
+
+#: The 2-thread backend every :class:`Sketches` runs its second family
+#: on, joined once the module's tests are done.
+THREADS = SharedMemoryBackend(num_workers=2)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _join_threads():
+    yield
+    THREADS.close()
 
 
 class Sketches:
     """One sketch family per backend, fed the same edge updates."""
 
     def __init__(self, n=30, columns=8, seed=4):
-        self.families = family_pair(get_backend("shared_memory", workers=2),
-                                    n=n, columns=columns, seed=seed)
+        self.families = family_pair(THREADS, n=n, columns=columns,
+                                    seed=seed)
         self.live = set()
 
     def apply(self, edges, delta=1):

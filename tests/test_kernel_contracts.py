@@ -87,9 +87,10 @@ class TestBoundaryParity:
 
     def test_combine_limbs_boundary(self, k):
         halves = (0, 1, (1 << 32) - 2, (1 << 32) - 1)
-        # The fold's extremes: ``hi`` with both sub-limbs (29 low, 32
-        # high bits) all ones, which is p, each sub-limb alone, p - 1
-        # and -1, and the ends of the int64 contract, for both limbs.
+        # The sub-limb split's extremes: ``hi`` with both sub-limbs (29
+        # low, 32 high bits) all ones, which is p, each sub-limb alone,
+        # p - 1 and -1, and the ends of the int64 contract, for both
+        # limbs.
         folds = (P, (1 << 29) - 1, ((1 << 32) - 1) << 29, P - 1, -1,
                  -(1 << 63), (1 << 63) - 1)
         pairs = (list(itertools.product(halves, halves))

@@ -1,5 +1,6 @@
 """Unit tests for the MPC model configuration."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -38,19 +39,22 @@ class TestValidation:
         ("n", 64.0), ("n", "64"), ("n", True),
         ("num_machines", 2.5), ("num_machines", "3"),
         ("num_machines", True),
-        ("backend_workers", 2.5), ("backend_workers", "2"),
-        ("backend_workers", False),
     ])
-    @pytest.mark.parametrize("backend", ["sequential", "shared_memory"])
-    def test_non_integer_sizes_name_the_field(self, field, value, backend):
-        # Refused at construction, on every backend, instead of a deep
-        # TypeError on first use (or silent acceptance).
-        kwargs = {"n": 64, "backend": backend, field: value}
+    def test_non_integer_sizes_name_the_field(self, field, value):
+        # Refused at construction instead of a deep TypeError on first
+        # use (or silent acceptance).
+        kwargs = {"n": 64, field: value}
         with pytest.raises(ConfigurationError, match=field):
             MPCConfig(**kwargs)
 
+    def test_config_holds_only_the_model(self):
+        # Where the work executes is chosen at the cluster or session
+        # boundary, not in the model's parameters.
+        assert [f.name for f in dataclasses.fields(MPCConfig)] == [
+            "n", "phi", "mem_factor", "total_memory_factor",
+            "strict_capacity", "seed", "num_machines"]
+
     @pytest.mark.parametrize("field, value", [
-        ("backend", 3), ("backend", b"sequential"),
         ("phi", "x"), ("phi", float("nan")),
         ("mem_factor", float("nan")), ("mem_factor", float("inf")),
         ("mem_factor", "4"),
@@ -73,13 +77,11 @@ class TestValidation:
         assert config.local_memory == 16
 
     def test_numpy_integer_sizes_accepted(self):
-        config = MPCConfig(n=np.int64(64), num_machines=np.int32(4),
-                           backend_workers=np.int64(2))
+        config = MPCConfig(n=np.int64(64), num_machines=np.int32(4))
         assert config.machine_count == 4
 
     @pytest.mark.parametrize("dtype", NUMPY_INTS)
-    @pytest.mark.parametrize("field", ["n", "num_machines",
-                                       "backend_workers"])
+    @pytest.mark.parametrize("field", ["n", "num_machines"])
     def test_numpy_sizes_are_stored_as_plain_ints(self, field, dtype):
         config = MPCConfig(**{"n": 100, field: dtype(100)})
         value = getattr(config, field)

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from repro.baselines import DynamicConnectivityOracle
 from repro.core import MPCConnectivity
-from repro.mpc import MPCConfig
+from repro.mpc import Cluster, MPCConfig
+from repro.mpc.backend import open_backend
 from repro.streams import (
     ChurnStream,
     SplitMergeStream,
@@ -183,3 +184,17 @@ def test_generated_streams_match_oracle(kind, seed):
     batches = generated_stream(kind, GENERATOR_N, alg.batch_limit, seed)
     assert all(len(batch) <= alg.batch_limit for batch in batches)
     run_against_oracle(alg, batches)
+
+
+@pytest.mark.parametrize("backend", ["sequential", "shared_memory"])
+def test_churn_stream_matches_oracle_on_every_executor(backend):
+    """The per-batch oracle check on one seeded churn stream, on each
+    executor (the thread backend with 2 workers)."""
+    config = MPCConfig(n=GENERATOR_N, phi=0.5, seed=5)
+    with Cluster(config, backend=open_backend(backend, 2)) as cluster:
+        alg = MPCConnectivity(config, cluster=cluster)
+        run_against_oracle(alg, generated_stream(
+            "churn", GENERATOR_N, alg.batch_limit, 5))
+        assert cluster.backend.describe() == (
+            "sequential(workers=1)" if backend == "sequential"
+            else "shared_memory(workers=2)")

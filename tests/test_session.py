@@ -37,17 +37,16 @@ from repro.errors import (
     ConfigurationError,
     InvalidUpdateError,
     QueryError,
-    SketchError,
 )
 from repro.euler import DistributedEulerForest
 from repro.mpc import (
     Cluster,
+    ExecutionBackend,
     MPCConfig,
     PhaseMetrics,
-    SequentialBackend,
     SharedMemoryBackend,
-    get_backend,
 )
+from repro.mpc import backend as backend_module
 from repro.session import graph_session
 from repro.sketch import RecoveryPool, SketchFamily, l0_sampler
 from repro.streams import as_batches
@@ -60,14 +59,25 @@ PARITY_TASKS = ("connectivity", "msf", "bipartiteness")
 
 @pytest.fixture(scope="module")
 def shared_backend():
-    """The process-wide 2-thread backend (same cache test_backend uses)."""
-    return get_backend("shared_memory", workers=WORKERS)
+    """One 2-thread backend for the module, joined at teardown.  The
+    sessions built on it close with ``close_backend=False``."""
+    with SharedMemoryBackend(num_workers=WORKERS) as backend:
+        yield backend
 
 
-def _config(backend: str, seed: int = 3, n: int = N) -> MPCConfig:
-    workers = WORKERS if backend == "shared_memory" else None
-    return MPCConfig(n=n, seed=seed, backend=backend,
-                     backend_workers=workers)
+def _config(seed: int = 3, n: int = N) -> MPCConfig:
+    return MPCConfig(n=n, seed=seed)
+
+
+def _executor(name: str, shared_backend):
+    """The backend a parametrised test runs on: the name for
+    ``sequential``, the module's thread backend for ``shared_memory``."""
+    return shared_backend if name == "shared_memory" else name
+
+
+def _standalone(cls, config: MPCConfig, backend, **kw):
+    """``cls`` on its own cluster and ledger, executing on ``backend``."""
+    return cls(config, cluster=Cluster(config, backend=backend), **kw)
 
 
 def _insert_stream(n: int = N):
@@ -119,7 +129,7 @@ def _churn_stream():
 class TestSharedSubstrate:
     def test_one_cluster_one_validator(self):
         with GraphSession(N, tasks=PARITY_TASKS,
-                          config=_config("sequential")) as session:
+                          config=_config()) as session:
             algs = [session.query(task) for task in PARITY_TASKS]
             assert len(algs) == 3
             for alg in algs:
@@ -129,7 +139,7 @@ class TestSharedSubstrate:
 
     def test_validation_and_routing_once_per_phase(self):
         with GraphSession(N, tasks=PARITY_TASKS,
-                          config=_config("sequential")) as session:
+                          config=_config()) as session:
             phases = session.ingest(_insert_stream(), batch_size=8)
             assert phases and all(p.batch_size for p in phases)
             for phase in phases:
@@ -147,7 +157,7 @@ class TestSharedSubstrate:
 
     def test_memory_ledger_namespaced_per_task(self):
         with GraphSession(N, tasks=("connectivity", "msf"),
-                          config=_config("sequential")) as session:
+                          config=_config()) as session:
             session.ingest(_insert_stream(), batch_size=8)
             breakdown = session.cluster.metrics.memory_breakdown()
             # Both tasks register a "forest"; namespacing keeps them
@@ -159,16 +169,16 @@ class TestSharedSubstrate:
     def test_unknown_and_duplicate_tasks_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown task"):
             GraphSession(N, tasks=("connectivity", "nope"),
-                         config=_config("sequential"))
+                         config=_config())
         with pytest.raises(ConfigurationError, match="duplicate"):
             GraphSession(N, tasks=("msf", "msf"),
-                         config=_config("sequential"))
+                         config=_config())
         with pytest.raises(ConfigurationError, match="at least one"):
-            GraphSession(N, tasks=(), config=_config("sequential"))
+            GraphSession(N, tasks=(), config=_config())
 
     def test_attach_requires_shared_cluster(self):
-        session = GraphSession(N, config=_config("sequential"))
-        stray = MPCConnectivity(_config("sequential"))
+        session = GraphSession(N, config=_config())
+        stray = MPCConnectivity(_config())
         with pytest.raises(ConfigurationError, match="shared cluster"):
             stray.attach(session.cluster, session.validator)
         session.close()
@@ -182,7 +192,7 @@ class TestSharedSubstrate:
     def test_task_options(self):
         with GraphSession(
             N, tasks={"msf_approx": {"eps": 0.5, "max_weight": 64.0}},
-            config=_config("sequential"),
+            config=_config(),
         ) as session:
             assert session.query("msf_approx").eps == 0.5
 
@@ -202,7 +212,7 @@ class TestSharedSubstrate:
     def test_bad_task_options_fail_by_name(self, task, options, name):
         with pytest.raises(ConfigurationError, match=name):
             GraphSession(N, tasks={task: options},
-                         config=_config("sequential"))
+                         config=_config())
 
     def test_worker_count_contradicting_an_instance_fails(self):
         with SharedMemoryBackend(num_workers=2) as backend:
@@ -211,7 +221,7 @@ class TestSharedSubstrate:
                 GraphSession(8, backend=backend, backend_workers=3)
             with pytest.raises(ConfigurationError,
                                match="backend_workers=3"):
-                GraphSession(config=_config("sequential"),
+                GraphSession(config=_config(),
                              backend=backend, backend_workers=3)
             with GraphSession(8, backend=backend,
                               backend_workers=2) as session:
@@ -219,17 +229,17 @@ class TestSharedSubstrate:
 
     def test_tasks_accepts_one_shot_iterator(self):
         with GraphSession(N, tasks=iter(["connectivity", "msf"]),
-                          config=_config("sequential")) as session:
+                          config=_config()) as session:
             assert session.tasks == ["connectivity", "msf"]
 
     def test_tasks_accepts_bare_string(self):
         with GraphSession(N, tasks="connectivity",
-                          config=_config("sequential")) as session:
+                          config=_config()) as session:
             assert session.tasks == ["connectivity"]
 
     def test_rejected_batch_leaves_state_untouched(self):
         with GraphSession(N, tasks=("connectivity", "bipartiteness"),
-                          config=_config("sequential")) as session:
+                          config=_config()) as session:
             session.ingest([(0, 1)])
             # (2, 3) is fresh but rides in a batch with a duplicate
             # insert: atomic validation must not admit it.
@@ -245,17 +255,21 @@ class TestSharedSubstrate:
 
     def test_backend_workers_honoured_with_explicit_config(
             self, shared_backend):
-        # backend_workers must take effect even when config= is given.
-        session = GraphSession(config=_config("sequential"),
+        # backend_workers must take effect even when config= is given,
+        # and a name builds the session's own backend.
+        session = GraphSession(config=_config(),
                                backend="shared_memory",
                                backend_workers=WORKERS)
-        assert session.cluster.backend is shared_backend
-        assert session.cluster.backend.num_workers == WORKERS
-        session.close(close_backend=False)
+        backend = session.cluster.backend
+        assert type(backend) is SharedMemoryBackend
+        assert backend is not shared_backend
+        assert backend.num_workers == WORKERS
+        session.close()
+        assert not backend.usable
 
     def test_mid_phase_task_failure_marks_session_inconsistent(self):
         session = GraphSession(N, tasks=("connectivity", "bipartiteness"),
-                               config=_config("sequential"))
+                               config=_config())
         session.ingest([(0, 1)])
 
         def boom(batch):
@@ -284,7 +298,7 @@ class TestSharedSubstrate:
 class TestIngestion:
     def test_accepts_pairs_triples_updates_and_generators(self):
         with GraphSession(N, tasks=("connectivity", "msf"),
-                          config=_config("sequential")) as session:
+                          config=_config()) as session:
             session.ingest([(0, 1), (1, 2, 5.0), ins(2, 3, 7.0)])
             assert session.num_edges == 3
             assert session.connected(0, 3)
@@ -305,7 +319,7 @@ class TestIngestion:
                 consumed.append(i)
                 yield (i, i + 1)
 
-        with GraphSession(N, config=_config("sequential")) as session:
+        with GraphSession(N, config=_config()) as session:
             it = iter(stream())
             phases = session.ingest(it, batch_size=4)
             # Order preserved: edge (i, i+1) entered phase i // 4.
@@ -314,7 +328,7 @@ class TestIngestion:
             assert session.connected(0, 9)
 
     def test_batch_bound_enforced(self):
-        config = _config("sequential")
+        config = _config()
         with GraphSession(N, config=config) as session:
             too_many = [(i, i + 1) for i in range(session.batch_size + 1)]
             with pytest.raises(BatchTooLargeError):
@@ -324,9 +338,24 @@ class TestIngestion:
             # ingest() splits the same stream fine.
             session.ingest(too_many)
 
+    @pytest.mark.parametrize("size", [2.5, True, "3", 0])
+    def test_ingest_batch_size_checked_at_the_boundary(self, size):
+        # A float or bool would silently run phases of another size,
+        # and a string would raise a raw TypeError from the comparison.
+        with GraphSession(N, config=_config()) as session:
+            with pytest.raises(ConfigurationError, match="batch_size"):
+                session.ingest([(0, 1), (1, 2)], batch_size=size)
+            assert session.num_edges == 0 and not session.phases
+
+    def test_ingest_accepts_a_numpy_batch_size(self):
+        with GraphSession(N, config=_config()) as session:
+            phases = session.ingest([(i, i + 1) for i in range(9)],
+                                    batch_size=np.int64(4))
+            assert [p.batch_size for p in phases] == [4, 4, 1]
+
     def test_insert_only_task_rejects_deletions_before_any_state_change(self):
         with GraphSession(N, tasks=("connectivity", "msf"),
-                          config=_config("sequential")) as session:
+                          config=_config()) as session:
             session.ingest([(0, 1), (1, 2)])
             edges_before = session.edges()
             phases_before = len(session.phases)
@@ -338,7 +367,7 @@ class TestIngestion:
             assert len(session.query("connectivity").phases) == phases_before
 
     def test_invalid_item_rejected(self):
-        with GraphSession(N, config=_config("sequential")) as session:
+        with GraphSession(N, config=_config()) as session:
             with pytest.raises(InvalidUpdateError):
                 session.apply_batch(["nonsense"])
 
@@ -354,7 +383,7 @@ class TestIngestion:
     def test_bad_input_raises_named_error_and_session_stays_usable(
             self, call, arg):
         with GraphSession(tasks=("connectivity", "msf"),
-                          config=_config("sequential", n=16)) as session:
+                          config=_config(n=16)) as session:
             if call == "ingest":
                 with pytest.raises(InvalidUpdateError):
                     session.ingest([arg])
@@ -372,7 +401,7 @@ class TestIngestion:
 class TestQueriesAndReport:
     def test_absent_tasks_raise_query_error(self):
         with GraphSession(N, tasks=("msf",),
-                          config=_config("sequential")) as session:
+                          config=_config()) as session:
             with pytest.raises(QueryError, match="not maintained"):
                 session.query("bipartiteness")
             with pytest.raises(QueryError):
@@ -388,7 +417,7 @@ class TestQueriesAndReport:
 
     def test_report_feeds_tables(self):
         with GraphSession(N, tasks=PARITY_TASKS,
-                          config=_config("sequential")) as session:
+                          config=_config()) as session:
             session.ingest(_insert_stream(), batch_size=8)
             rows = session.report()
             tasks_seen = {row["task"] for row in rows}
@@ -400,14 +429,14 @@ class TestQueriesAndReport:
 
     def test_summary_records_backend(self):
         with GraphSession(N, tasks=("connectivity",),
-                          config=_config("sequential")) as session:
+                          config=_config()) as session:
             rows = session.summary()
             assert rows[0]["backend"] == session.cluster.backend.describe()
             assert rows[0]["task"] == "connectivity"
 
     def test_summary_memory_is_per_task_share(self):
         with GraphSession(N, tasks=("connectivity", "msf"),
-                          config=_config("sequential")) as session:
+                          config=_config()) as session:
             session.ingest([(i, i + 1, 1.0) for i in range(8)])
             by_task = {row["task"]: row["memory_words"]
                        for row in session.summary()}
@@ -420,7 +449,7 @@ class TestQueriesAndReport:
 
     def test_session_phase_rounds_parallel_composition(self):
         with GraphSession(N, tasks=PARITY_TASKS,
-                          config=_config("sequential")) as session:
+                          config=_config()) as session:
             (phase,) = session.ingest([(0, 1, 1.0)])
             worst = max(m.rounds for m in phase.per_task.values())
             assert phase.rounds == phase.route.rounds + worst
@@ -430,10 +459,10 @@ class TestQueriesAndReport:
 # Parity matrix: session answers == standalone answers, both backends
 # ---------------------------------------------------------------------------
 
-def _standalone_answers(config: MPCConfig, batches):
-    conn = MPCConnectivity(config)
-    msf = ExactMSFInsertOnly(config)
-    bip = DynamicBipartiteness(config)
+def _standalone_answers(config: MPCConfig, backend, batches):
+    conn = _standalone(MPCConnectivity, config, backend)
+    msf = _standalone(ExactMSFInsertOnly, config, backend)
+    bip = _standalone(DynamicBipartiteness, config, backend)
     for batch in batches:
         conn.apply_batch(batch)
         msf.apply_batch(batch)
@@ -451,11 +480,13 @@ def _standalone_answers(config: MPCConfig, batches):
 class TestParityMatrix:
     @pytest.mark.parametrize("backend", ["sequential", "shared_memory"])
     def test_insert_only_matrix(self, backend, shared_backend):
-        config = _config(backend)
+        config, backend = _config(), _executor(backend, shared_backend)
         stream = _insert_stream()
-        reference = _standalone_answers(config, as_batches(stream, 8))
+        reference = _standalone_answers(config, backend,
+                                        as_batches(stream, 8))
 
-        session = GraphSession(N, tasks=PARITY_TASKS, config=config)
+        session = GraphSession(N, tasks=PARITY_TASKS, config=config,
+                               backend=backend)
         session.ingest(iter(stream), batch_size=8)
         try:
             assert (session.spanning_forest().edges
@@ -475,16 +506,17 @@ class TestParityMatrix:
 
     @pytest.mark.parametrize("backend", ["sequential", "shared_memory"])
     def test_deletion_churn_matrix(self, backend, shared_backend):
-        config = _config(backend, seed=11)
+        config = _config(seed=11)
+        backend = _executor(backend, shared_backend)
         stream = _churn_stream()
-        conn = MPCConnectivity(config)
-        bip = DynamicBipartiteness(config)
+        conn = _standalone(MPCConnectivity, config, backend)
+        bip = _standalone(DynamicBipartiteness, config, backend)
         for batch in as_batches(stream, 6):
             conn.apply_batch(batch)
             bip.apply_batch(batch)
 
         session = GraphSession(N, tasks=("connectivity", "bipartiteness"),
-                               config=config)
+                               config=config, backend=backend)
         session.ingest(stream, batch_size=6)
         try:
             assert (session.spanning_forest().edges
@@ -504,7 +536,9 @@ class TestParityMatrix:
         answers = {}
         for backend in ("sequential", "shared_memory"):
             session = GraphSession(N, tasks=("connectivity",),
-                                   config=_config(backend, seed=11))
+                                   config=_config(seed=11),
+                                   backend=_executor(backend,
+                                                     shared_backend))
             session.ingest(_churn_stream(), batch_size=6)
             answers[backend] = session.spanning_forest().edges
             session.close(close_backend=False)
@@ -519,7 +553,7 @@ class TestCheckpointRestore:
     def test_round_trip_answers_identical(self, tmp_path):
         stream = _insert_stream()
         session = GraphSession(N, tasks=PARITY_TASKS,
-                               config=_config("sequential"))
+                               config=_config())
         session.ingest(stream, batch_size=8)
         path = os.fspath(tmp_path / "session.ckpt")
         session.checkpoint(path)
@@ -545,7 +579,7 @@ class TestCheckpointRestore:
         ids=["connectivity+bipartiteness", "matching",
              "matching_size-dynamic"])
     def test_continuation_matches_uninterrupted_run(self, tmp_path, tasks):
-        config = _config("sequential", seed=11)
+        config = _config(seed=11)
         part1 = _churn_stream()[:15]
         part2 = _churn_stream()[15:]
 
@@ -571,27 +605,6 @@ class TestCheckpointRestore:
         restored.close()
         uninterrupted.close()
 
-    def test_cross_backend_restore(self, tmp_path, shared_backend):
-        """Checkpoint under shared_memory, restore onto sequential."""
-        config = _config("shared_memory", seed=11)
-        session = GraphSession(N, tasks=("connectivity",), config=config)
-        session.ingest(_churn_stream(), batch_size=6)
-        path = os.fspath(tmp_path / "shm.ckpt")
-        session.checkpoint(path)
-
-        restored = GraphSession.restore(path, backend="sequential")
-        assert restored.cluster.backend.name == "sequential"
-        assert (restored.spanning_forest().edges
-                == session.spanning_forest().edges)
-        restored.ingest([(40, 42)])
-        session.ingest([(40, 42)])
-        assert np.array_equal(
-            restored.query("connectivity").family.pool.cells,
-            session.query("connectivity").family.pool.cells,
-        )
-        session.close(close_backend=False)
-        restored.close()
-
     def test_bad_format_rejected(self, tmp_path):
         path = os.fspath(tmp_path / "bad.ckpt")
         with open(path, "wb") as fh:
@@ -602,7 +615,7 @@ class TestCheckpointRestore:
     @pytest.mark.parametrize(
         "damage", ["truncated", "garbage", "non-dict", "format-1",
                    "format-2", "format-3", "format-4", "format-5",
-                   "format-6"])
+                   "format-6", "format-7"])
     def test_unreadable_checkpoint_fails_by_name(self, tmp_path,
                                                  monkeypatch, damage):
         path = os.fspath(tmp_path / "damaged.ckpt")
@@ -649,12 +662,21 @@ class TestCheckpointRestore:
             monkeypatch.setattr(graph_session, "CHECKPOINT_FORMAT", 6)
             monkeypatch.setattr(DynamicBipartiteness, "__getstate__",
                                 _format6_bipartiteness_state, raising=False)
+        if damage == "format-7":
+            # Format 7 pickled a backend as a call to the backend
+            # factory ``repro.mpc.backend.get_backend`` (gone since
+            # format 8).
+            monkeypatch.setattr(graph_session, "CHECKPOINT_FORMAT", 7)
+            monkeypatch.setattr(backend_module, "get_backend",
+                                _format7_get_backend, raising=False)
+            monkeypatch.setattr(ExecutionBackend, "__reduce__",
+                                _format7_backend_reduce)
         tasks = ("connectivity",)
         if damage == "format-3":
             tasks += ("matching",)
         if damage == "format-6":
             tasks += ("bipartiteness",)
-        session = GraphSession(N, tasks=tasks, config=_config("sequential"))
+        session = GraphSession(N, tasks=tasks, config=_config())
         session.ingest(_insert_stream(), batch_size=8)
         session.checkpoint(path)
         session.close()
@@ -666,7 +688,8 @@ class TestCheckpointRestore:
                 "non-dict": pickle.dumps([1, 2, 3]),
                 "format-1": data, "format-2": data,
                 "format-3": data, "format-4": data,
-                "format-5": data, "format-6": data}[damage]
+                "format-5": data, "format-6": data,
+                "format-7": data}[damage]
         with open(path, "wb") as fh:
             fh.write(data)
         with pytest.raises(ConfigurationError, match=re.escape(path)) as err:
@@ -754,6 +777,20 @@ def _format6_bipartiteness_state(alg):
     return state
 
 
+def _format7_get_backend(name, workers):
+    """The backend factory format 7 pickled backends through."""
+    raise AssertionError("a format-7 checkpoint reached the factory")
+
+
+_format7_get_backend.__module__ = "repro.mpc.backend"
+_format7_get_backend.__qualname__ = "get_backend"
+_format7_get_backend.__name__ = "get_backend"
+
+
+def _format7_backend_reduce(backend):
+    return _format7_get_backend, (backend.name, backend.num_workers)
+
+
 def _format2_forest_state(forest):
     """The forest as the format-2 writer pickled it: dicts of tuples and
     sets keyed by vertex, directed edge and tour id, with no arrays."""
@@ -796,7 +833,7 @@ class TestDeterministicShutdown:
     def test_session_close_stops_workers(self):
         backend = SharedMemoryBackend(num_workers=1)
         session = GraphSession(N, tasks=("connectivity",),
-                               config=_config("sequential"),
+                               config=_config(),
                                backend=backend)
         session.ingest([(0, 1), (1, 2)])
         threads = _threads(backend)
@@ -815,10 +852,10 @@ class TestDeterministicShutdown:
         backend = SharedMemoryBackend(num_workers=1)
         from repro.mpc import Cluster
 
-        with Cluster(_config("sequential"), backend=backend) as cluster:
+        with Cluster(_config(), backend=backend) as cluster:
             assert cluster.backend is backend
             session = GraphSession(N, tasks=("connectivity",),
-                                   config=_config("sequential"),
+                                   config=_config(),
                                    backend=backend)
             session.ingest([(0, 1), (1, 2)])
             threads = _threads(backend)
@@ -829,7 +866,7 @@ class TestDeterministicShutdown:
     def test_backend_context_manager(self):
         with SharedMemoryBackend(num_workers=1) as backend:
             session = GraphSession(N, tasks=("connectivity",),
-                                   config=_config("sequential"),
+                                   config=_config(),
                                    backend=backend)
             session.ingest([(0, 1), (1, 2)])
             threads = _threads(backend)
@@ -838,43 +875,40 @@ class TestDeterministicShutdown:
         assert not any(t.is_alive() for t in threads), (
             "worker threads survived backend.__exit__")
 
-    def test_close_leaves_cached_fleet_for_other_sessions(
-            self, shared_backend):
-        """Default close() only tears down a *privately owned* fleet;
-        the process-cached backend other sessions share stays up."""
-        s1 = GraphSession(N, config=_config("shared_memory"))
-        s2 = GraphSession(N, config=_config("shared_memory"))
-        assert s1.cluster.backend is s2.cluster.backend is shared_backend
+    def test_close_backend_false_leaves_a_shared_instance_up(self):
+        """Sessions handed one instance share it; ``close_backend=False``
+        leaves it for the others, and a plain close() closes it."""
+        backend = SharedMemoryBackend(num_workers=WORKERS)
+        s1 = GraphSession(N, config=_config(), backend=backend)
+        s2 = GraphSession(N, config=_config(), backend=backend)
+        assert s1.cluster.backend is s2.cluster.backend is backend
         s1.ingest([(0, 1)])
         s2.ingest([(0, 1)])
-        s1.close()
-        assert shared_backend.usable
+        s1.close(close_backend=False)
+        assert backend.usable
         s2.ingest([(1, 2)])        # the survivor keeps working
         assert s2.connected(0, 2)
         s2.close()
-        assert shared_backend.usable
+        assert not backend.usable
 
-    def test_cluster_close_spares_cached_backend(self, shared_backend):
-        from repro.mpc import Cluster
-
-        with Cluster(_config("shared_memory")) as cluster:
-            assert cluster.backend is shared_backend
-        assert shared_backend.usable
-        # Force-close is explicit (and the factory would re-create it).
-        assert shared_backend.cached
+    def test_cluster_owns_the_backend_it_builds(self):
+        with Cluster(_config(), backend="shared_memory") as cluster:
+            backend = cluster.backend
+            assert type(backend) is SharedMemoryBackend and backend.usable
+        assert not backend.usable
 
     def test_sequential_close_is_noop(self):
-        with GraphSession(N, config=_config("sequential")) as session:
+        with GraphSession(N, config=_config()) as session:
             session.ingest([(0, 1)])
         assert session.closed
-        # The process-wide sequential singleton is untouched.
-        assert get_backend("sequential").usable
+        # In-process execution has nothing to release.
+        assert session.cluster.backend.usable
 
     def test_queries_still_answer_after_close(self):
         """Closing releases execution resources; the maintained
         solution stays readable (it lives in parent memory)."""
         session = GraphSession(N, tasks=("connectivity",),
-                               config=_config("sequential"))
+                               config=_config())
         session.ingest([(0, 1), (1, 2)])
         session.close()
         assert session.connected(0, 2)
@@ -884,87 +918,75 @@ class TestDeterministicShutdown:
 # Restore onto a backend; close
 # ---------------------------------------------------------------------------
 
+def _clusters_and_families(session):
+    """Every cluster and sketch family of a session of connectivity,
+    bipartiteness and msf_approx, nested ones included."""
+    conn = session.query("connectivity")
+    cover = session.query("bipartiteness").cover
+    levels = session.query("msf_approx").levels
+    owners = [conn, cover, *levels]
+    clusters = [session.cluster, *(alg.cluster for alg in owners)]
+    return clusters, [alg.family for alg in owners]
+
+
 class TestRestoreBackends:
     def _checkpoint(self, tmp_path, backend="sequential",
-                    tasks=("connectivity",)) -> str:
-        """A checkpoint written under ``backend`` (a name or an
-        instance, which is left open)."""
+                    tasks=("connectivity",)):
+        """A session on ``backend`` (a name or an instance, which is
+        left open) and the path of its checkpoint."""
         path = os.fspath(tmp_path / "session.ckpt")
-        config = _config(backend if isinstance(backend, str)
-                         else "sequential")
-        session = GraphSession(N, tasks=tasks, config=config,
-                               backend=None if isinstance(backend, str)
-                               else backend)
+        session = GraphSession(N, tasks=tasks, config=_config(),
+                               backend=backend, backend_workers=WORKERS)
         session.ingest(_insert_stream())
         session.checkpoint(path)
-        session.close(close_backend=False)
-        return path
+        return session, path
 
     @pytest.mark.parametrize("name", ["sequential", "shared_memory"])
-    def test_restore_without_override_uses_the_factory_backend(
-            self, tmp_path, name, shared_backend):
-        """Every cluster and family of the restored session holds
-        ``get_backend(name, workers)``, even when the checkpoint was
-        written under a private instance that is closed since."""
-        private = (SequentialBackend() if name == "sequential"
-                   else SharedMemoryBackend(num_workers=WORKERS))
-        path = self._checkpoint(
-            tmp_path, backend=private,
+    def test_restore_builds_one_fresh_backend(self, tmp_path, name):
+        """Every cluster and family of the restored session holds one
+        new backend of the kind and worker count the session was
+        written with.  Closing it joins its threads and leaves the
+        original session working."""
+        session, path = self._checkpoint(
+            tmp_path, backend=name,
             tasks=("connectivity", "bipartiteness", "msf_approx"))
-        private.close()
+        original = session.cluster.backend
         restored = GraphSession.restore(path)
-        want = get_backend(name, WORKERS)
-        assert restored.cluster.backend is want
-        algs = restored._all_algorithms()
-        families = [f for alg in algs for f in alg._sketch_families()]
-        assert len(algs) > 3 and len(families) > 3
-        assert all(alg.cluster.backend is want for alg in algs)
-        assert all(family.backend is want for family in families)
+        live = restored.cluster.backend
+        assert type(live) is type(original) and live is not original
+        assert live.num_workers == original.num_workers
+        assert live.num_workers == (WORKERS if name == "shared_memory"
+                                    else 1)
+        clusters, families = _clusters_and_families(restored)
+        assert len(clusters) > 3 and len(families) > 3
+        assert all(c.backend is live for c in clusters)
+        assert all(f.backend is live for f in families)
         restored.ingest([(40, 41)])
         assert restored.connected(40, 41)
-        restored.close(close_backend=False)
+        threads = _threads(live) if name == "shared_memory" else []
+        assert threads or name == "sequential"
+        restored.close()
+        assert not any(t.is_alive() for t in threads)
+        assert original.usable
+        session.ingest([(40, 41)])
+        assert np.array_equal(
+            session.query("connectivity").family.pool.cells,
+            restored.query("connectivity").family.pool.cells)
+        session.close()
 
-    def test_checkpoint_holds_no_thread_pool(self, tmp_path,
-                                             shared_backend):
-        path = self._checkpoint(tmp_path, backend="shared_memory")
+    def test_checkpoint_holds_no_thread_pool(self, tmp_path):
+        session, path = self._checkpoint(tmp_path, backend="shared_memory")
+        session.close()
         with open(path, "rb") as fh:
             data = fh.read()
         assert b"ThreadPoolExecutor" not in data
-        assert b"SharedMemoryBackend" not in data
-        assert b"get_backend" in data
-
-    def test_bogus_override_fails_and_the_file_still_restores(
-            self, tmp_path):
-        path = self._checkpoint(tmp_path)
-        with pytest.raises(ConfigurationError, match="bogus"):
-            GraphSession.restore(path, backend="bogus")
-        restored = GraphSession.restore(path)
-        assert restored.connected(0, 12)
-        restored.close()
-
-    def test_closed_instance_fails_at_restore_time(self, tmp_path):
-        path = self._checkpoint(tmp_path)
-        closed = SharedMemoryBackend(num_workers=1)
-        closed.close()
-        with pytest.raises(SketchError, match="closed"):
-            GraphSession.restore(path, backend=closed)
-
-    def test_worker_count_contradicting_an_instance_fails(self, tmp_path):
-        path = self._checkpoint(tmp_path)
-        with SharedMemoryBackend(num_workers=2) as backend:
-            with pytest.raises(ConfigurationError,
-                               match="backend_workers=3"):
-                GraphSession.restore(path, backend=backend,
-                                     backend_workers=3)
-            restored = GraphSession.restore(path, backend=backend,
-                                            backend_workers=2)
-            assert restored.cluster.backend is backend
-            restored.close(close_backend=False)
+        assert b"SharedMemoryBackend" in data
+        assert b"get_backend" not in data
 
     def test_double_close_on_inconsistent_session(self):
         session = GraphSession(N, tasks=("connectivity",
                                          "bipartiteness"),
-                               config=_config("sequential"))
+                               config=_config())
         session.ingest([(0, 1)])
 
         def boom(batch):
@@ -978,30 +1000,30 @@ class TestRestoreBackends:
         session.close()
         assert session.closed
 
-    def test_restore_reattaches_onto_a_fresh_backend(self, tmp_path):
-        """Checkpoint under the thread backend, restore onto a *fresh*
-        private one: the re-attach routes continued ingestion through
-        the new backend's threads, bit-identically."""
-        path = self._checkpoint(tmp_path, backend="shared_memory")
-        fresh = SharedMemoryBackend(num_workers=2)
-        try:
-            restored = GraphSession.restore(path, backend=fresh)
-            before = fresh.ring_dispatches
-            restored.ingest([(40, 41), (41, 42)])
-            assert fresh.ring_dispatches > before
-            assert restored.connected(40, 42)
-            reference = GraphSession(N, tasks=("connectivity",),
-                                     config=_config("sequential"))
+    def test_restored_session_ingests_on_its_own_backend(self,
+                                                         tmp_path):
+        """Checkpoint under the thread backend and restore: continued
+        ingestion runs on the restored session's threads, not on the
+        original's, bit-identically to a sequential run."""
+        session, path = self._checkpoint(tmp_path, backend="shared_memory")
+        original = session.cluster.backend
+        restored = GraphSession.restore(path)
+        live = restored.cluster.backend
+        before = (original.ring_dispatches, live.ring_dispatches)
+        restored.ingest([(40, 41), (41, 42)])
+        assert original.ring_dispatches == before[0]
+        assert live.ring_dispatches > before[1]
+        assert restored.connected(40, 42)
+        with GraphSession(N, tasks=("connectivity",),
+                          config=_config()) as reference:
             reference.ingest(_insert_stream())
             reference.ingest([(40, 41), (41, 42)])
             assert np.array_equal(
                 restored.query("connectivity").family.pool.cells,
                 reference.query("connectivity").family.pool.cells,
             )
-            reference.close()
-            restored.close(close_backend=False)
-        finally:
-            fresh.close()
+        restored.close()
+        session.close()
 
 
 # ---------------------------------------------------------------------------
