@@ -33,6 +33,7 @@ def main() -> None:
           f"(offline optimum {offline:.0f}) -- exact, "
           f"{exact.stats['swaps']} swaps over "
           f"{len(exact.phases)} batches")
+    assert exact.msf_weight() == offline, "exact MSF is not the optimum"
 
     # Live phase: links churn; track the (1+eps)-approximate weight.
     approx = ApproxMSF(MPCConfig(n=n, phi=0.5, seed=3), eps=eps,
@@ -63,9 +64,12 @@ def main() -> None:
     print_table(rows, title=f"live monitoring ((1+{eps})-approx weight)")
     worst = max(row["ratio"] for row in rows)
     print(f"worst ratio {worst:.3f} <= 1+eps = {1 + eps} -- as proven.")
+    assert worst <= 1 + eps, f"ratio {worst} exceeds 1+eps"
     forest = approx.query_forest()
     print(f"reported approximate backbone: {len(forest.edges)} links, "
           f"weight {forest.total_weight:.0f}")
+    # A spanning forest has one edge fewer than vertices per component.
+    assert len(forest.edges) == n - approx.num_components()
 
 
 if __name__ == "__main__":

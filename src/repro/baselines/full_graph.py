@@ -20,11 +20,11 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from repro.core.api import BatchDynamicAlgorithm
-from repro.core.components import ComponentIds
+from repro.core.components import ComponentIds, forest_picks
 from repro.euler.distributed import DistributedEulerForest
 from repro.mpc.config import MPCConfig
 from repro.mpc.simulator import Cluster
-from repro.types import Edge, ForestSolution, Update, canonical
+from repro.types import Edge, ForestSolution, Update
 
 
 class FullGraphConnectivity(BatchDynamicAlgorithm):
@@ -46,15 +46,11 @@ class FullGraphConnectivity(BatchDynamicAlgorithm):
         if inserts:
             self.cluster.charge_broadcast(words=len(inserts),
                                           category="batch")
-            links = []
             for up in inserts:
                 u, v = up.edge
                 self.adj[u].add(v)
                 self.adj[v].add(u)
-                if not self.forest.connected(u, v):
-                    # Defer conflicts to a local union-find pass.
-                    links.append((u, v))
-            chosen = self._forest_subset(links)
+            chosen = self._forest_subset([up.edge for up in inserts])
             if chosen:
                 report = self.forest.batch_link(chosen)
                 self.cluster.charge_broadcast(
@@ -83,21 +79,9 @@ class FullGraphConnectivity(BatchDynamicAlgorithm):
                 self._reconnect(cut_report.new_tours)
 
     def _forest_subset(self, links: List[Edge]) -> List[Edge]:
-        leader: Dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while leader.setdefault(x, x) != x:
-                leader[x] = leader[leader[x]]
-                x = leader[x]
-            return x
-
-        chosen = []
-        for u, v in links:
-            ru, rv = find(self.forest.tree_id(u)), find(self.forest.tree_id(v))
-            if ru != rv:
-                leader[ru] = rv
-                chosen.append((u, v))
-        return chosen
+        tree_id = self.forest.tree_id
+        picks = forest_picks((tree_id(u), tree_id(v)) for u, v in links)
+        return [links[i] for i in picks]
 
     def _reconnect(self, fragment_tids: List[int]) -> None:
         """Replacement scan over the stored adjacency (BFS per fragment).
@@ -107,28 +91,22 @@ class FullGraphConnectivity(BatchDynamicAlgorithm):
         baseline papers' claims.
         """
         self.cluster.charge_local(category="replacement-scan")
-        links: List[Edge] = []
-        for tid in fragment_tids:
-            if not self.forest.has_tour(tid):
-                continue
-            for x in np.sort(self.forest.tour_vertices(tid)).tolist():
-                for y in sorted(self.adj[x]):
-                    if self.forest.tree_id(y) != self.forest.tree_id(x):
-                        links.append((x, y))
-        chosen = self._forest_subset(links)
-        while chosen:
+        tree_id = self.forest.tree_id
+        while True:
+            links = [(x, y)
+                     for tid in fragment_tids if self.forest.has_tour(tid)
+                     for x in np.sort(self.forest.tour_vertices(tid)).tolist()
+                     for y in sorted(self.adj[x])
+                     if tree_id(y) != tree_id(x)]
+            chosen = self._forest_subset(links)
+            if not chosen:
+                break
             report = self.forest.batch_link(chosen)
             self.cluster.charge_broadcast(words=max(1, report.messages),
                                           category="tour-update")
             # Re-scan: merging fragments can expose further links.
-            links = []
-            for tid in report.new_tours:
-                for x in np.sort(self.forest.tour_vertices(tid)).tolist():
-                    for y in sorted(self.adj[x]):
-                        if self.forest.tree_id(y) != self.forest.tree_id(x):
-                            links.append((x, y))
-            chosen = self._forest_subset(links)
-        touched = {self.forest.tree_id(v) for v in range(self.n)}
+            fragment_tids = report.new_tours
+        touched = {tree_id(v) for v in range(self.n)}
         for tid in touched:
             self.components.relabel_min(self.forest.tour_vertices(tid))
 

@@ -4,11 +4,13 @@
 is that a component is named by its minimum vertex id, so two vertices
 are connected iff their ids match, and reporting components is a sort.
 The array costs exactly ``n`` words -- part of the ~O(n) budget.
+:func:`forest_picks` is the one local spanning-forest step over such
+labels.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -49,3 +51,30 @@ class ComponentIds:
     @property
     def words(self) -> int:
         return self.n
+
+
+def forest_picks(label_pairs: Iterable[Tuple[int, int]]) -> List[int]:
+    """Kruskal over ``label_pairs`` in the given order: the positions
+    of the pairs that join two labels not yet joined by an earlier pick.
+
+    The local F_H step of Claim 6.1 (and of the Section 7.1 swap pass):
+    a pair names the component labels of an edge's endpoints, so the
+    picks are a spanning forest of the auxiliary graph H, parallel
+    edges and self-loops dropped.  Pass the pairs sorted by weight for
+    a minimum one.
+    """
+    leader: Dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while leader.setdefault(x, x) != x:
+            leader[x] = leader[leader[x]]
+            x = leader[x]
+        return x
+
+    picks: List[int] = []
+    for pos, (a, b) in enumerate(label_pairs):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            leader[ra] = rb
+            picks.append(pos)
+    return picks

@@ -14,6 +14,8 @@ the tours, merge the fragments' sketches with a converge-cast, and rerun
 the AGM halving iterations *locally on one machine* over at most 2k
 fragment sketches to find replacement edges (Section 6.3) -- this is
 where keeping the explicit forest beats the O(log n)-round AGM query.
+:func:`agm_halving` is the one halving loop: the static baseline
+(:mod:`repro.baselines.agm_static`) runs it from singletons.
 
 Round charges follow the primitives actually used.  Each primitive's
 closed-form charge is checked against its real message-passing
@@ -24,18 +26,19 @@ pins the exact per-category rounds of seeded phases.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+import math
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.api import BatchDynamicAlgorithm
-from repro.core.components import ComponentIds
+from repro.core.components import ComponentIds, forest_picks
 from repro.errors import QueryError, SketchFailureError
 from repro.euler.distributed import DistributedEulerForest
 from repro.mpc.config import MPCConfig
 from repro.mpc.simulator import Cluster
 from repro.sketch.graph_sketch import SketchFamily
-from repro.types import Edge, ForestSolution, Update, canonical
+from repro.types import Edge, ForestSolution, Update, ins
 
 
 class MPCConnectivity(BatchDynamicAlgorithm):
@@ -84,15 +87,12 @@ class MPCConnectivity(BatchDynamicAlgorithm):
         """
         if self.phases or self.num_edges:
             raise QueryError("preload requires a fresh instance")
-        from repro.types import ins as _ins
-
-        updates = [_ins(u, v) for u, v in edges]
+        updates = [ins(u, v) for u, v in edges]
         self.validator.check_and_apply(updates)
         self.cluster.begin_phase(f"{self.name}-preload")
         # Static construction: O(log n) contraction iterations, each a
         # sketch-merge converge-cast.
-        import math as _math
-        for _ in range(max(1, _math.ceil(_math.log2(self.n)))):
+        for _ in range(max(1, math.ceil(math.log2(self.n)))):
             self.cluster.charge_converge(
                 words=self.family.words_per_vertex, category="preload"
             )
@@ -184,27 +184,13 @@ class MPCConnectivity(BatchDynamicAlgorithm):
     def _spanning_forest_of_h(self, candidates: List[Update]) -> List[Edge]:
         """Spanning forest of H, keeping one original edge per H-edge.
 
-        H's vertices are component ids; parallel edges and (impossible
-        here) self-loops are dropped, then a union-find picks a forest.
-        All local computation on the machine holding the batch.
+        H's vertices are component ids; :func:`forest_picks` drops
+        parallel edges and (impossible here) self-loops.  All local
+        computation on the machine holding the batch.
         """
-        leader: Dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while leader.setdefault(x, x) != x:
-                leader[x] = leader[leader[x]]
-                x = leader[x]
-            return x
-
-        forest_edges: List[Edge] = []
-        for up in candidates:
-            cu = find(self.components.id_of(up.u))
-            cv = find(self.components.id_of(up.v))
-            if cu == cv:
-                continue
-            leader[cu] = cv
-            forest_edges.append((up.u, up.v))
-        return forest_edges
+        label = self.components.id_of
+        picks = forest_picks((label(up.u), label(up.v)) for up in candidates)
+        return [(candidates[i].u, candidates[i].v) for i in picks]
 
     # -- deletions (Section 6.3) ----------------------------------------
     def _process_deletions(self, deletes: List[Update]) -> None:
@@ -236,25 +222,20 @@ class MPCConnectivity(BatchDynamicAlgorithm):
             category="build-H",
         )
         # Fragment *membership* (tour id -> vertex rows of the shared
-        # pool) is what actually ships: the execution backend merges
-        # the member rows where the pool lives and answers the halving
-        # queries, so the parent never materialises merged cells.  The
-        # model charges above are unchanged -- the converge/gather is
-        # where the merges logically happen.
-        members: Dict[int, np.ndarray] = {}
-        for tid in fragments:
-            members[tid] = np.sort(self.forest.tour_vertices(tid))
-
+        # pool) is what ships; the backend merges the rows where the
+        # pool lives.  The converge/gather above is where the merges
+        # logically happen.
+        members = {tid: np.sort(self.forest.tour_vertices(tid))
+                   for tid in fragments}
         replacement_edges = self._agm_replacements(fragments, members)
+        touched: Set[int] = set()
         if replacement_edges:
             self.stats["replacement_edges"] += len(replacement_edges)
             link_report = self.forest.batch_link(replacement_edges)
             self.cluster.charge_broadcast(
                 words=max(1, link_report.messages), category="tour-update"
             )
-            touched = set(link_report.new_tours)
-        else:
-            touched = set()
+            touched.update(link_report.new_tours)
         touched.update(tid for tid in fragments if self.forest.has_tour(tid))
 
         self.cluster.charge_broadcast(words=max(1, len(touched)),
@@ -265,98 +246,21 @@ class MPCConnectivity(BatchDynamicAlgorithm):
     def _agm_replacements(
         self, fragments: List[int], members: Dict[int, np.ndarray]
     ) -> List[Edge]:
-        """AGM halving iterations over the fragment sketches.
-
-        Supernodes start as fragments; iteration ``i`` queries column
-        ``cursor + i`` of every supernode's merged sketch, contracts
-        along the recovered edges, and records one original graph edge
-        per contraction -- exactly the F_H construction of Section 6.3.
-        Supernodes are handled as *membership* lists (``members`` maps
-        fragment tour id -> vertex rows); each iteration ships them to
-        the execution backend, which merges the member rows against the
-        shared pool and returns only the recovered edges
-        (:meth:`SketchFamily.query_iteration_groups`).  Contracting two
-        supernodes is then a list concatenation, and the answers stay
-        bit-identical to the materialised-merge path.  No extra MPC
-        rounds beyond the charged gather -- where the work *executes*
-        is the backend's business.
-
-        A supernode that tests zero is a finished component (AGM's
-        rule) and leaves ``roots``: the zero test reads the whole
-        vector's totals (the column invariant of
-        :mod:`repro.sketch.sparse_recovery`), so its answer does not
-        depend on the column and stays zero until the membership
-        changes.  A contraction into a retired supernode puts it back
-        -- in the ~1/p false-zero case its merged cut may be nonzero.
-        So after the usual all-zero break ``roots`` is empty and the
-        leftover scan below reads no rows.
-        """
-        leader = {tid: tid for tid in fragments}
-
-        def find(x: int) -> int:
-            while leader[x] != x:
-                leader[x] = leader[leader[x]]
-                x = leader[x]
-            return x
-
-        replacement: List[Edge] = []
-        columns = self.family.columns
-        roots: Set[int] = set(fragments)
-        iterations = 0
-        for it in range(columns):
-            # ``roots`` holds the supernodes not yet known to be
-            # finished.  One fused vectorized pass answers this halving
-            # iteration's zero test and cut-edge query for each of them
-            # (only nonzero ones pay for recovery).
-            ordered = sorted(roots)
-            column = (self._column_cursor + it) % columns
-            # Charged by the caller: _process_deletions pays one
-            # charge_gather per halving iteration.
-            zeros, sampled = self.family.query_iteration_groups(
-                [members[root] for root in ordered], column
-            )
-            roots.difference_update(
-                root for root, is_z in zip(ordered, zeros) if is_z)
-            if not roots:
-                break
-            iterations = it + 1
-            candidates: List[Tuple[int, Edge]] = [
-                (root, edge)
-                for root, is_z, edge in zip(ordered, zeros, sampled)
-                if not is_z and edge is not None
-            ]
-            for root, (a, b) in candidates:
-                tid_a = self.forest.tree_id(a)
-                tid_b = self.forest.tree_id(b)
-                ra = find(tid_a) if tid_a in leader else None
-                rb = find(tid_b) if tid_b in leader else None
-                if ra is None or rb is None or ra == rb:
-                    continue
-                leader[ra] = rb
-                # Supernode contraction = membership union; the rows
-                # themselves never move.
-                members[rb] = np.concatenate((members[rb], members[ra]))
-                roots.discard(ra)
-                roots.add(rb)
-                replacement.append((a, b))
+        """:func:`agm_halving` from the fragments (``members`` maps tour
+        id -> vertex rows), starting at the column cursor.  No rounds
+        beyond the charged gather: it runs on the one machine holding
+        the <= 2k fragment sketches."""
+        replacement, live, leftovers = agm_halving(
+            self.family, {tid: members[tid] for tid in fragments},
+            self.forest.tree_id, self._column_cursor)
+        iterations = len(live)
         self.stats["agm_iterations"] = max(
             self.stats["agm_iterations"], iterations
         )
         # Advance only past the columns actually consumed: a no-op
         # phase (no live fragments) must not burn fresh randomness.
-        self._column_cursor = (self._column_cursor + iterations) % columns
-
-        # Anything still in ``roots`` tested nonzero last or grew by a
-        # contraction since; a nonzero cut here is one we failed to
-        # recover.
-        remaining = sorted(roots)
-        # Folded into _process_deletions' charged gather: this sanity
-        # scan adds no rounds of its own.
-        leftover_zero = self.family.cuts_empty_groups(
-            [members[r] for r in remaining]
-        )
-        leftovers = [root for root, is_z in zip(remaining, leftover_zero)
-                     if not is_z]
+        self._column_cursor = ((self._column_cursor + iterations)
+                               % self.family.columns)
         if leftovers:
             self.stats["sketch_failures"] += len(leftovers)
             if self.strict:
@@ -373,3 +277,72 @@ class MPCConnectivity(BatchDynamicAlgorithm):
         self._register("sketches", self.n * self.family.words_per_vertex)
         self._register("forest", self.forest.words)
         self._register("component-ids", self.components.words)
+
+
+def agm_halving(
+    family: SketchFamily, members: Dict[int, np.ndarray],
+    group_of: Callable[[int], int], first_column: int,
+) -> Tuple[List[Edge], List[int], List[int]]:
+    """AGM's halving iterations (Section 4.1) from any partition: the
+    static query starts from singletons, the Section 6.3 replacement
+    search from the <= 2k fragments.
+
+    ``members`` (consumed) maps each starting supernode's label to its
+    pool rows; ``group_of`` maps a vertex to its starting label (one
+    not in ``members`` if it is in none).  Iteration ``i`` samples
+    column ``(first_column + i) mod columns`` of every live supernode
+    (:meth:`SketchFamily.query_iteration_groups` merges the rows where
+    the pool lives) and contracts along the sampled edges.  A
+    supernode that tests zero is finished (AGM's rule) and is not
+    queried again until a contraction merges into it: the zero test
+    reads the whole vector's totals, whatever the column (the column
+    invariant of :mod:`repro.sketch.sparse_recovery`).
+
+    Returns the contracting edges, the live count of every iteration
+    that did not end the loop, and the live labels whose cut is still
+    nonzero at the end (failed recoveries).
+    """
+    leader = {label: label for label in members}
+
+    def find(x: int) -> int:
+        while leader[x] != x:
+            leader[x] = leader[leader[x]]
+            x = leader[x]
+        return x
+
+    edges: List[Edge] = []
+    live_per_iteration: List[int] = []
+    columns = family.columns
+    live: Set[int] = set(members)
+    for it in range(columns):
+        # One fused pass answers this iteration's zero test and
+        # cut-edge query for every live supernode (only nonzero ones
+        # pay for recovery, and only they sample an edge).  Sampling
+        # every supernode before contracting any is the MPC super-step.
+        ordered = sorted(live)
+        zeros, sampled = family.query_iteration_groups(
+            [members[label] for label in ordered],
+            (first_column + it) % columns)
+        live.difference_update(
+            label for label, is_z in zip(ordered, zeros) if is_z)
+        if not live:
+            break
+        live_per_iteration.append(len(live))
+        for edge in sampled:
+            if edge is None:
+                continue
+            start_a, start_b = group_of(edge[0]), group_of(edge[1])
+            if start_a not in leader or start_b not in leader:
+                continue
+            ra, rb = find(start_a), find(start_b)
+            if ra == rb:
+                continue
+            leader[ra] = rb
+            members[rb] = np.concatenate((members[rb], members.pop(ra)))
+            live.discard(ra)
+            live.add(rb)
+            edges.append(edge)
+    remaining = sorted(live)
+    empty = family.cuts_empty_groups([members[label] for label in remaining])
+    leftovers = [label for label, is_z in zip(remaining, empty) if not is_z]
+    return edges, live_per_iteration, leftovers

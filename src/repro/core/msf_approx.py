@@ -26,6 +26,7 @@ import math
 from typing import List, Optional
 
 from repro.core.api import BatchDynamicAlgorithm
+from repro.core.components import forest_picks
 from repro.core.connectivity import MPCConnectivity
 from repro.errors import InvalidUpdateError
 from repro.mpc.config import MPCConfig, check_real
@@ -100,40 +101,26 @@ class ApproxMSF(BatchDynamicAlgorithm):
         test alone is not enough -- one level's forest can contribute
         *two* edges between the same pair of lower-level components
         (F_i need not connect a G_{i-1} component through that
-        component's own vertices), which closes a cycle.  A union-find
-        over the assembled forest drops such duplicates; the survivor
-        has the same rounded weight class, so the approximation bound
-        is unaffected, and the check is the same O(1)-round local
-        H-forest computation used everywhere else.
+        component's own vertices), which closes a cycle.
+        :func:`~repro.core.components.forest_picks` over the
+        level-filtered candidates, in level order, drops such
+        duplicates; the survivor has the same rounded weight class, so
+        the approximation bound is unaffected, and the check is the
+        same O(1)-round local H-forest computation used everywhere
+        else.
         """
-        parent: dict = {}
-
-        def find(x: int) -> int:
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        edges = []
-        weights = []
+        candidates = []
         for i, level in enumerate(self.levels):
-            forest_i = level.query_spanning_forest()
-            for u, v in forest_i.edges:
-                if i > 0 and self.levels[i - 1].connected(u, v):
-                    continue
-                ru, rv = find(u), find(v)
-                if ru == rv:
-                    continue
-                parent[ru] = rv
-                edges.append((u, v))
-                # Level membership pins the rounded weight class.
-                weights.append(self.thresholds[i])
-        order = sorted(range(len(edges)), key=lambda j: edges[j])
-        return ForestSolution(
-            n=self.n,
-            edges=[edges[j] for j in order],
-            weights=[weights[j] for j in order],
-        )
+            for u, v in level.query_spanning_forest().edges:
+                if i == 0 or not self.levels[i - 1].connected(u, v):
+                    # Level membership pins the rounded weight class.
+                    candidates.append(((u, v), self.thresholds[i]))
+        # A forest holds each edge once, so sorting the picks sorts by
+        # edge.
+        chosen = sorted(candidates[j]
+                        for j in forest_picks(e for e, _ in candidates))
+        return ForestSolution(n=self.n, edges=[e for e, _ in chosen],
+                              weights=[w for _, w in chosen])
 
     def num_components(self) -> int:
         return self.levels[-1].num_components()

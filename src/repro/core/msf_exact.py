@@ -20,15 +20,15 @@ an MSF by the cycle property.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.core.api import BatchDynamicAlgorithm
-from repro.core.components import ComponentIds
+from repro.core.components import ComponentIds, forest_picks
 from repro.errors import InvalidUpdateError
 from repro.euler.distributed import DistributedEulerForest
 from repro.mpc.config import MPCConfig
 from repro.mpc.simulator import Cluster
-from repro.types import Edge, ForestSolution, Update, canonical
+from repro.types import Edge, ForestSolution, Update
 
 
 class ExactMSFInsertOnly(BatchDynamicAlgorithm):
@@ -126,7 +126,10 @@ class ExactMSFInsertOnly(BatchDynamicAlgorithm):
         # all local on the machine holding the batch (Claim 6.1).
         self.cluster.charge_gather(total_words=len(pool),
                                    category="build-H")
-        chosen = self._kruskal_on_components(pool)
+        ranked = sorted(pool.items(), key=lambda kv: (kv[1], kv[0]))
+        tree_id = self.forest.tree_id
+        chosen = [ranked[i] for i in forest_picks(
+            (tree_id(u), tree_id(v)) for (u, v), _ in ranked)]
         if chosen:
             report = self.forest.batch_link([e for e, _ in chosen])
             self.cluster.charge_broadcast(words=max(1, report.messages),
@@ -151,30 +154,6 @@ class ExactMSFInsertOnly(BatchDynamicAlgorithm):
         if not path:
             return None
         return max(path, key=lambda e: (self._weight[e], e))
-
-    def _kruskal_on_components(
-        self, pool: Dict[Edge, float]
-    ) -> List[Tuple[Edge, float]]:
-        """Minimum spanning forest of H (components x candidate edges)."""
-        leader: Dict[int, int] = {}
-
-        def find(x: int) -> int:
-            while leader.setdefault(x, x) != x:
-                leader[x] = leader[leader[x]]
-                x = leader[x]
-            return x
-
-        chosen: List[Tuple[Edge, float]] = []
-        for edge, weight in sorted(pool.items(),
-                                   key=lambda kv: (kv[1], kv[0])):
-            u, v = edge
-            cu = find(self.forest.tree_id(u))
-            cv = find(self.forest.tree_id(v))
-            if cu == cv:
-                continue
-            leader[cu] = cv
-            chosen.append((edge, weight))
-        return chosen
 
     # ------------------------------------------------------------------
     def _register_memory(self) -> None:

@@ -419,10 +419,11 @@ def open_backend(spec=None, workers: Optional[int] = None) -> ExecutionBackend:
     ``None`` for ``sequential``.
 
     A name builds a fresh backend, which the caller owns; ``workers``
-    sizes a ``shared_memory`` one.  An instance passes through, unless
-    it is closed (:class:`~repro.errors.SketchError`, so a dead backend
-    fails where it is handed over, not at the first batch) or
-    ``workers`` contradicts its worker count (``ConfigurationError``).
+    sizes a ``shared_memory`` one, and must be ``None`` or 1 for
+    ``sequential``.  An instance passes through, unless it is closed
+    (:class:`~repro.errors.SketchError`, so a dead backend fails where
+    it is handed over, not at the first batch) or ``workers``
+    contradicts its worker count (``ConfigurationError``).
     """
     if workers is not None:
         workers = check_count("backend_workers", workers)
@@ -436,6 +437,10 @@ def open_backend(spec=None, workers: Optional[int] = None) -> ExecutionBackend:
                 f"instance {spec.describe()}")
         return spec
     if spec is None or spec == SEQUENTIAL:
+        if workers not in (None, 1):
+            raise ConfigurationError(
+                f"backend_workers={workers} contradicts the {SEQUENTIAL!r} "
+                "backend, which runs on one thread")
         return SequentialBackend()
     if spec == SHARED_MEMORY:
         return SharedMemoryBackend(workers)

@@ -146,13 +146,7 @@ class Cluster:
         Cost: depth of the fanout tree.  Mirrors the reference
         ``broadcast_value`` in ``tests/mpc_reference.py``.
         """
-        fanout = self.config.fanout(words)
-        rounds = max(1, tree_depth(self.num_machines, fanout))
-        self.metrics.charge_rounds(rounds, category)
-        self.metrics.charge_traffic(
-            self.num_machines - 1, words * max(0, self.num_machines - 1)
-        )
-        return rounds
+        return self._charge_tree(words, category)
 
     def charge_converge(self, words: int = 1, category: str = "converge") -> int:
         """Aggregate a ``words``-sized combinable value from all machines.
@@ -161,6 +155,11 @@ class Cluster:
         depth.  This is the "merging the sketches of the vertices in
         Z_u ... in O(1/phi) rounds" step (paper, Lemma 5.2 footnote 8).
         """
+        return self._charge_tree(words, category)
+
+    def _charge_tree(self, words: int, category: str) -> int:
+        """One pass of a ``words``-sized value over the fanout tree, in
+        either direction: one message to or from every other machine."""
         fanout = self.config.fanout(words)
         rounds = max(1, tree_depth(self.num_machines, fanout))
         self.metrics.charge_rounds(rounds, category)

@@ -63,7 +63,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import SketchError
+from repro.errors import ConfigurationError, SketchError
 from repro.sketch.edge_coding import decode_indices, encode_edges, num_pairs
 from repro.sketch.l0_sampler import SamplerRandomness
 from repro.sketch.sparse_recovery import RecoveryPool
@@ -81,7 +81,8 @@ class SketchFamily:
 
     The family also owns the :class:`RecoveryPool` holding every
     vertex's sketch, which is what lets :meth:`apply_edges_bulk` update
-    all endpoints of a batch in single array scatters.
+    all endpoints of a batch in single array scatters.  ``backend`` is
+    its holder's live executor instance, or ``None`` for sequential.
     """
 
     def __init__(self, n: int, columns: int, rng: np.random.Generator,
@@ -89,11 +90,16 @@ class SketchFamily:
         # Lazy import: repro.mpc.backend imports the sketch layer for
         # its op table, so the dependency must not be circular at
         # module level.
-        from repro.mpc.backend import open_backend
+        from repro.mpc.backend import ExecutionBackend, open_backend
         from repro.mpc.config import check_count
 
         if n < 2:
             raise ValueError("need at least two vertices")
+        if backend is not None and not isinstance(backend, ExecutionBackend):
+            # A name would build an executor that nothing owns or closes.
+            raise ConfigurationError(
+                "a sketch family takes its cluster's ExecutionBackend "
+                f"instance or None (sequential), not {backend!r}")
         self.n = n
         self.columns = check_count("columns", columns)
         self.universe = num_pairs(n)

@@ -13,7 +13,6 @@ steering the live-edge count toward a target density.
 
 from __future__ import annotations
 
-import math
 from collections.abc import MutableSet
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 

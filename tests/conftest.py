@@ -71,13 +71,20 @@ def edge_arrays(n, count, seed=0):
     return np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64)
 
 
+def workers_for(name, workers=2):
+    """The worker count to open the backend ``name`` with: ``workers``
+    threads for ``shared_memory``; ``sequential`` takes no count."""
+    return workers if name == "shared_memory" else None
+
+
 def family_pair(backend, n=40, columns=6, seed=9):
-    """One sketch family twice: on ``sequential`` and on ``backend``."""
+    """One sketch family twice: on a sequential backend and on
+    ``backend`` (an instance)."""
     from repro.sketch import SketchFamily
 
     seq, other = (SketchFamily(n, columns=columns, backend=b,
                                rng=np.random.default_rng(seed))
-                  for b in ("sequential", backend))
+                  for b in (None, backend))
     assert seq.randomness.params() == other.randomness.params()
     return seq, other
 

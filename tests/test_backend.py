@@ -175,6 +175,28 @@ class TestBackendResolution:
             SketchFamily(8, columns=3, rng=np.random.default_rng(0),
                          backend=backend)
 
+    def test_sequential_takes_no_worker_count(self):
+        """``sequential`` runs on one thread: 1 (or no count) is the
+        only worker count it accepts, by name or as the default."""
+        for spec in (None, "sequential"):
+            assert type(open_backend(spec, 1)) is SequentialBackend
+            for workers in (2, 3):
+                with pytest.raises(ConfigurationError,
+                                   match=f"backend_workers={workers}"):
+                    open_backend(spec, workers)
+        with pytest.raises(ConfigurationError, match="backend_workers=3"):
+            GraphSession(16, backend_workers=3)
+
+    @pytest.mark.parametrize("spec", ["sequential", "shared_memory"])
+    def test_a_sketch_family_takes_no_name(self, spec):
+        """A family gets its holder's instance, or ``None`` for a
+        sequential one: a name would build an executor nobody owns."""
+        with pytest.raises(ConfigurationError, match=repr(spec)):
+            SketchFamily(8, columns=3, rng=np.random.default_rng(0),
+                         backend=spec)
+        family = SketchFamily(8, columns=3, rng=np.random.default_rng(0))
+        assert type(family.backend) is SequentialBackend
+
     def test_worker_count_must_agree_with_an_instance(self,
                                                       shared_backend):
         assert open_backend(shared_backend, WORKERS) is shared_backend
@@ -196,12 +218,14 @@ class TestBackendResolution:
             assert type(backend.num_workers) is int
             assert backend.num_workers == 2
 
-    @pytest.mark.parametrize("name", ["sequential", "shared_memory"])
-    def test_pickle_is_class_and_worker_count(self, name):
+    @pytest.mark.parametrize("name,workers", [("sequential", None),
+                                              ("shared_memory", WORKERS)],
+                             ids=["sequential", "shared_memory"])
+    def test_pickle_is_class_and_worker_count(self, name, workers):
         """A pickled backend carries no threads: unpickling builds a
         fresh backend of the same class and size, and objects pickled
         together share one."""
-        with open_backend(name, WORKERS) as private:
+        with open_backend(name, workers) as private:
             blob = pickle.dumps(private)
             assert b"ThreadPoolExecutor" not in blob
             clone = pickle.loads(blob)
@@ -349,8 +373,7 @@ class TestOpTableClosure:
 
     def test_every_routed_op_executes(self):
         assert set(self.ARGS) == set(ROUTED_OPS)
-        family = SketchFamily(4, columns=3, rng=np.random.default_rng(1),
-                              backend="sequential")
+        family = SketchFamily(4, columns=3, rng=np.random.default_rng(1))
         for op in ROUTED_OPS:
             _execute_op(op, family.pool.cells, family.randomness,
                         self.ARGS[op])
@@ -359,8 +382,7 @@ class TestOpTableClosure:
             [np.array([0]), np.array([0, 3])]).tolist() == [False, True]
 
     def test_unknown_op_is_rejected(self):
-        family = SketchFamily(4, columns=3, rng=np.random.default_rng(1),
-                              backend="sequential")
+        family = SketchFamily(4, columns=3, rng=np.random.default_rng(1))
         for op in ("query", "sample", "is_zero", "frobnicate"):
             with pytest.raises(ValueError, match="unknown backend op"):
                 _execute_op(op, family.pool.cells, family.randomness, [])
@@ -978,7 +1000,7 @@ class TestShareFailures:
             with pytest.raises(ShareFailure):
                 self._call(backend, family, route)
             monkeypatch.setattr(backend_module, "_execute_op", real)
-            seq = TestThreadExecutor._loaded("sequential")
+            seq = TestThreadExecutor._loaded(SequentialBackend())
             if route == "scatter":
                 # A failed scatter wrote nothing: the shares raised
                 # before touching a cell.

@@ -24,6 +24,7 @@ every sketch family's pool is exactly the words its owner charges.
 
 import pytest
 
+from tests.conftest import workers_for
 from repro.analysis import derived_memory
 from repro.baselines import AGMStaticConnectivity
 from repro.core.api import BatchDynamicAlgorithm
@@ -104,7 +105,8 @@ CONFIG = MPCConfig(n=N, seed=0)
 def _cluster(backend):
     """A cluster of its own on ``backend`` (a name), owning its
     executor (``WORKERS`` threads for ``shared_memory``)."""
-    return Cluster(CONFIG, backend=open_backend(backend, WORKERS))
+    workers = workers_for(backend, WORKERS)
+    return Cluster(CONFIG, backend=open_backend(backend, workers))
 
 
 def _classes():
@@ -182,8 +184,9 @@ def test_session_ledger_routes_once(tasks, backend):
     batches = {"insert": INSERTS}
     if all("delete" in LEDGER[task] for task in tasks):
         batches["delete"] = DELETES
+    workers = workers_for(backend, WORKERS)
     with GraphSession(config=CONFIG, tasks=tasks, backend=backend,
-                      backend_workers=WORKERS) as session:
+                      backend_workers=workers) as session:
         for kind, batch in batches.items():
             phase = session.apply_batch(batch)
             assert phase.route.rounds_by_category == ROUTE

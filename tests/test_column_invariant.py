@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 
 from repro.mpc.backend import _execute_op, open_backend
 from repro.sketch import MERSENNE_P, KeyedSamplers, SketchFamily
-from tests.conftest import ReferenceSampler, exact_group_answers
+from tests.conftest import (ReferenceSampler, exact_group_answers,
+                            workers_for)
 
 N = 8
 COLUMNS = 4
@@ -56,8 +57,7 @@ OPS = st.one_of(
 @given(st.lists(OPS, max_size=14), st.integers(0, 2 ** 32 - 1))
 def test_every_write_path_keeps_columns_equal(ops, seed):
     family = SketchFamily(N, columns=COLUMNS,
-                          rng=np.random.default_rng(seed),
-                          backend="sequential")
+                          rng=np.random.default_rng(seed))
     rnd = family.randomness
     reference = ReferenceSampler(rnd)
     keyed = KeyedSamplers(rnd)
@@ -139,7 +139,7 @@ def flat(groups):
 @pytest.fixture(params=["sequential", "shared_memory"])
 def backend(request):
     """Each executor, the thread one with 2 workers, closed after."""
-    with open_backend(request.param, 2) as backend:
+    with open_backend(request.param, workers_for(request.param)) as backend:
         yield backend
 
 

@@ -1,14 +1,17 @@
-"""The AGM halving loops retire finished supernodes.
+"""The AGM halving loop retires finished supernodes.
 
 A supernode whose merged sketch tests zero has an empty cut (AGM's
 rule), and the zero test reads the whole vector's totals whatever the
-column, so ``MPCConnectivity._agm_replacements`` and
-``AGMStaticConnectivity._agm_forest`` stop querying it until a
-contraction merges into it.  The reference loops below are the loops
-without that rule -- every surviving supernode queried on every
-iteration, then every one scanned again -- kept here as
-``ReferenceSampler`` is kept for the sampler: the rule must change
-how many group rows are merged and nothing else.
+column, so :func:`repro.core.connectivity.agm_halving` -- the one loop,
+run from the fragments by ``MPCConnectivity._agm_replacements`` and
+from singletons by ``AGMStaticConnectivity._agm_forest`` -- stops
+querying it until a contraction merges into it.  The reference loops
+below are the two callers' loops without that rule -- every surviving
+supernode queried on every iteration, then every one scanned again --
+kept here as ``ReferenceSampler`` is kept for the sampler: the rule
+must change how many group rows are merged and nothing else.  With one
+sketch column the loop runs out of columns with cuts still nonzero,
+which pins the leftover scan against the references too.
 """
 
 from __future__ import annotations
@@ -162,10 +165,13 @@ def metrics_row(metrics):
 # Seeded churn: identical answers, strictly fewer merged rows
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [64, 256])
-def test_replacement_search_matches_reference_loop(n):
+def replay_replacement_search(n, columns=None):
+    """Seeded churn through ``MPCConnectivity`` and its reference twin,
+    checking equal answers after every batch; returns ``(reference,
+    replacement edges found per search, merged rows per instance)``."""
     config = MPCConfig(n=n, phi=0.5, seed=5)
-    algs = MPCConnectivity(config), MPCConnectivity(config)
+    algs = (MPCConnectivity(config, columns=columns),
+            MPCConnectivity(config, columns=columns))
     ref = algs[1]
     ref._agm_replacements = types.MethodType(reference_agm_replacements,
                                              ref)
@@ -188,15 +194,16 @@ def test_replacement_search_matches_reference_loop(n):
         assert (algs[0].query_spanning_forest().edges
                 == ref.query_spanning_forest().edges)
         assert metrics_row(algs[0].phases[-1]) == metrics_row(ref.phases[-1])
-    assert ref.stats["agm_iterations"] >= 2
-    assert sum(map(len, found[0])) > 0
-    assert rows[0][0] < rows[1][0]
+    return ref, found[0], [r[0] for r in rows]
 
 
-@pytest.mark.parametrize("n", [64, 256])
-def test_static_agm_query_matches_reference_loop(n):
+def replay_static_query(n, columns=None):
+    """Seeded churn through ``AGMStaticConnectivity`` and its reference
+    twin, querying both every sixth batch and checking equal answers;
+    returns ``(reference, merged rows per instance)``."""
     config = MPCConfig(n=n, phi=0.5, seed=6)
-    algs = AGMStaticConnectivity(config), AGMStaticConnectivity(config)
+    algs = (AGMStaticConnectivity(config, columns=columns),
+            AGMStaticConnectivity(config, columns=columns))
     ref = algs[1]
     ref._agm_forest = types.MethodType(reference_agm_forest, ref)
     rows = [count_group_rows(alg) for alg in algs]
@@ -210,8 +217,36 @@ def test_static_agm_query_matches_reference_loop(n):
         assert got.edges == want.edges
         assert algs[0].stats == ref.stats
         assert metrics_row(got_metrics) == metrics_row(want_metrics)
+    return ref, [r[0] for r in rows]
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_replacement_search_matches_reference_loop(n):
+    ref, found, rows = replay_replacement_search(n)
+    assert ref.stats["agm_iterations"] >= 2
+    assert sum(map(len, found)) > 0
+    assert rows[0] < rows[1]
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_static_agm_query_matches_reference_loop(n):
+    ref, rows = replay_static_query(n)
     assert ref.stats["query_iterations"] >= 2
-    assert rows[0][0] < rows[1][0]
+    assert rows[0] < rows[1]
+
+
+@pytest.mark.parametrize("n,failures", [(64, 42), (256, 107)])
+def test_one_column_replacement_search_counts_failures(n, failures):
+    """One column leaves cuts unrecovered: the leftover scan counts
+    exactly the reference's failures."""
+    ref, _, _ = replay_replacement_search(n, columns=1)
+    assert ref.stats["sketch_failures"] == failures
+
+
+@pytest.mark.parametrize("n,failures", [(64, 99), (256, 441)])
+def test_one_column_static_query_counts_failures(n, failures):
+    ref, _ = replay_static_query(n, columns=1)
+    assert ref.stats["sketch_failures"] == failures
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.conftest import workers_for
 from repro.baselines import DynamicConnectivityOracle
 from repro.core import MPCConnectivity
 from repro.mpc import Cluster, MPCConfig
@@ -191,7 +192,8 @@ def test_churn_stream_matches_oracle_on_every_executor(backend):
     """The per-batch oracle check on one seeded churn stream, on each
     executor (the thread backend with 2 workers)."""
     config = MPCConfig(n=GENERATOR_N, phi=0.5, seed=5)
-    with Cluster(config, backend=open_backend(backend, 2)) as cluster:
+    with Cluster(config, backend=open_backend(
+            backend, workers_for(backend))) as cluster:
         alg = MPCConnectivity(config, cluster=cluster)
         run_against_oracle(alg, generated_stream(
             "churn", GENERATOR_N, alg.batch_limit, 5))

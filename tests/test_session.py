@@ -50,7 +50,7 @@ from repro.mpc import backend as backend_module
 from repro.session import graph_session
 from repro.sketch import RecoveryPool, SketchFamily, l0_sampler
 from repro.streams import as_batches
-from tests.conftest import make_valid_batch
+from tests.conftest import make_valid_batch, workers_for
 
 N = 48
 WORKERS = 2
@@ -932,11 +932,12 @@ def _clusters_and_families(session):
 class TestRestoreBackends:
     def _checkpoint(self, tmp_path, backend="sequential",
                     tasks=("connectivity",)):
-        """A session on ``backend`` (a name or an instance, which is
-        left open) and the path of its checkpoint."""
+        """A session on the backend named ``backend`` and the path of
+        its checkpoint."""
         path = os.fspath(tmp_path / "session.ckpt")
         session = GraphSession(N, tasks=tasks, config=_config(),
-                               backend=backend, backend_workers=WORKERS)
+                               backend=backend,
+                               backend_workers=workers_for(backend, WORKERS))
         session.ingest(_insert_stream())
         session.checkpoint(path)
         return session, path
